@@ -13,7 +13,7 @@ Typical entry points:
 * the ``flexmarket`` command line (``run``, ``sweep``, ``verify``, ``replay``)
 """
 
-from .lp import INF, LinearProgram, Solution, solve, write_lp_text
+from .lp import INF, LinearProgram, Solution, solve
 from .energy_market import EnergyOffer, ClearingResult, clear
 from .reserve_market import (
     ClassicalReserveBid,
@@ -34,14 +34,13 @@ from .agents import (
     verify_scenario_coverage,
 )
 from .scenario import Scenario, ScenarioConfig, generate_scenario
-from .simulator import RoundRecord, SimulationOutcome, detect_cycle, run
+from .simulator import RoundRecord, SimulationOutcome, run
 
 __all__ = [
     "INF",
     "LinearProgram",
     "Solution",
     "solve",
-    "write_lp_text",
     "EnergyOffer",
     "ClearingResult",
     "clear",
@@ -67,6 +66,5 @@ __all__ = [
     "generate_scenario",
     "RoundRecord",
     "SimulationOutcome",
-    "detect_cycle",
     "run",
 ]

@@ -7,7 +7,9 @@ zero or at the fallback price is replaced by the last ordinary one.  The
 fact that an extreme was observed still reaches the optimization models,
 through thresholds: an actor that saw the extreme pins the offending
 volume slightly below what it submitted, and forgets the pin after enough
-quiet rounds.
+quiet rounds.  The pins are learning state of a run: the simulator owns one
+:class:`ThresholdTrack` per actor and pinned quantity, and the optimization
+models see only the pin values.
 """
 
 from __future__ import annotations
@@ -147,9 +149,6 @@ class ThresholdTrack:
         self.value[forget] = np.inf
         # the counter only means something while a pin is active
         self.quiet[~np.isfinite(self.value)] = 0
-
-    def is_active(self) -> np.ndarray:
-        return np.isfinite(self.value)
 
     def state_vector(self) -> np.ndarray:
         """Pin values and quiet counters; equality of these vectors means the

@@ -10,15 +10,15 @@ cleared sale fixed, and with the accepted reserves fixed as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..energy_market import SUPPLY, EnergyOffer
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
 from ..reserve_market import ClassicalReserveBid
-from .forecast import PriceForecast, ThresholdTrack
-from .retailer import IMBALANCE_FRICTION, ConfigurationError
+from .forecast import PriceForecast
+from .retailer import IMBALANCE_FRICTION, ConfigurationError, Pins, add_pin_penalties
 
 #: regulated credit per MW of reserve capability kept available
 DEFAULT_RESERVE_VALUATION = 0.005
@@ -58,9 +58,6 @@ class ProducerPortfolio:
     # weak preference for running over idling when a unit is at par with the
     # price forecast; keeps marginal units from flipping off on forecast noise
     production_bias: float = 0.0
-    min_sale_threshold: ThresholdTrack = field(default=None)
-    imbalance_up_threshold: ThresholdTrack = field(default=None)
-    imbalance_down_threshold: ThresholdTrack = field(default=None)
 
     def __post_init__(self):
         if not self.units:
@@ -71,9 +68,6 @@ class ProducerPortfolio:
                 raise ConfigurationError(f"producer {self.name!r}: unit horizon mismatch")
         if self.imbalance_limit < 0:
             raise ConfigurationError(f"producer {self.name!r}: negative imbalance limit")
-        for name in ("min_sale_threshold", "imbalance_up_threshold", "imbalance_down_threshold"):
-            if getattr(self, name) is None:
-                setattr(self, name, ThresholdTrack(t))
 
     @property
     def horizon(self) -> int:
@@ -104,13 +98,14 @@ def optimize_producer(
     fixed_sale: np.ndarray | None = None,
     fixed_reserve_up: dict[str, np.ndarray] | None = None,
     fixed_reserve_down: dict[str, np.ndarray] | None = None,
-    backend: str = "simplex",
+    pins: Pins | None = None,
 ) -> ProducerPosition:
     """Profit-maximal dispatch, reserve and imbalance plan.
 
     Stages differ only in what is already decided: nothing one day ahead,
     the cleared sale after the energy market, and additionally the accepted
-    per-unit reserves after the reserve market.
+    per-unit reserves after the reserve market.  ``pins`` are the learned
+    (minimum sale, upward imbalance, downward imbalance) pins.
     """
     t_count = portfolio.horizon
     lp = LinearProgram(sense="max", name=f"producer-{portfolio.name}")
@@ -170,26 +165,13 @@ def optimize_producer(
         lp.add_constraint(terms, EQUAL, 0.0)
 
     # selling below the learned pin risks another price-cap round
-    for t in np.flatnonzero(portfolio.min_sale_threshold.is_active()):
-        z = lp.add_variable(f"zP{t}")
-        lp.add_objective(z, -(price_cap + fc.energy[t]))
-        lp.add_constraint(
-            [(sale[t], 1.0), (z, 1.0)], GREATER_EQUAL, portfolio.min_sale_threshold.value[t]
-        )
-    for t in np.flatnonzero(portfolio.imbalance_up_threshold.is_active()):
-        z = lp.add_variable(f"zU{t}")
-        lp.add_objective(z, -(non_contracted_price - fc.imbalance_up[t]))
-        lp.add_constraint(
-            [(i_up[t], 1.0), (z, -1.0)], LESS_EQUAL, portfolio.imbalance_up_threshold.value[t]
-        )
-    for t in np.flatnonzero(portfolio.imbalance_down_threshold.is_active()):
-        z = lp.add_variable(f"zL{t}")
-        lp.add_objective(z, -(non_contracted_price - fc.imbalance_down[t]))
-        lp.add_constraint(
-            [(i_dn[t], 1.0), (z, -1.0)], LESS_EQUAL, portfolio.imbalance_down_threshold.value[t]
-        )
+    if pins is not None:
+        sale_pin, up_pin, down_pin = pins
+        add_pin_penalties(lp, "P", sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
+        add_pin_penalties(lp, "U", up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
+        add_pin_penalties(lp, "L", down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
 
-    sol = solve(lp, backend=backend)
+    sol = solve(lp, backend="highs")
     if sol.status != "optimal":
         raise ConfigurationError(
             f"producer {portfolio.name!r} position problem is {sol.status}; "

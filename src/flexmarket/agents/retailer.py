@@ -10,7 +10,8 @@ links back into the baseline tank state at both ends of each block.
 
 The same model serves both decision stages: pass ``fixed_demand`` (and
 ``fixed_amplitudes`` when bands were sold) to re-optimize the residual
-degrees of freedom after the markets cleared.
+degrees of freedom after the markets cleared.  Learned volume pins arrive as
+plain per-period arrays; the learning itself belongs to the simulation run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
-from .forecast import PriceForecast, ThresholdTrack
+from .forecast import PriceForecast
 from .tank import TankLoad
 
 
@@ -32,6 +33,11 @@ class ConfigurationError(ValueError):
 #: when the tariff forecast exactly matches the energy price forecast
 IMBALANCE_FRICTION = 1e-6
 
+#: learned pins of one actor, one value per period each (``inf``: no pin);
+#: a retailer pins (demand, upward, downward imbalance), a producer
+#: (minimum sale, upward, downward imbalance)
+Pins = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass
 class RetailerPortfolio:
@@ -39,9 +45,6 @@ class RetailerPortfolio:
     inelastic: np.ndarray
     loads: list[TankLoad]
     imbalance_limit: float
-    demand_threshold: ThresholdTrack = field(default=None)
-    imbalance_up_threshold: ThresholdTrack = field(default=None)
-    imbalance_down_threshold: ThresholdTrack = field(default=None)
 
     def __post_init__(self):
         self.inelastic = np.asarray(self.inelastic, dtype=float)
@@ -53,9 +56,6 @@ class RetailerPortfolio:
                 raise ConfigurationError(f"retailer {self.name!r}: load horizon mismatch")
         if self.imbalance_limit < 0:
             raise ConfigurationError(f"retailer {self.name!r}: negative imbalance limit")
-        for name in ("demand_threshold", "imbalance_up_threshold", "imbalance_down_threshold"):
-            if getattr(self, name) is None:
-                setattr(self, name, ThresholdTrack(t))
 
     @property
     def horizon(self) -> int:
@@ -76,9 +76,6 @@ class RetailerPosition:
     up_consumption: np.ndarray | None = None
     down_consumption: np.ndarray | None = None
 
-    def net_consumption(self, inelastic: np.ndarray) -> np.ndarray:
-        return inelastic + (np.sum(self.schedules, axis=0) if self.schedules else 0.0)
-
 
 def optimize_retailer(
     portfolio: RetailerPortfolio,
@@ -90,14 +87,15 @@ def optimize_retailer(
     amplitude_bonus: float = 1e-6,
     fixed_demand: np.ndarray | None = None,
     fixed_amplitudes: np.ndarray | None = None,
-    backend: str = "simplex",
+    pins: Pins | None = None,
 ) -> RetailerPosition:
     """Cost-minimal retailer position under the current forecasts.
 
     ``windows`` switches on the flexibility-band machinery: each (start,
     length) block gets an amplitude variable, extreme-scenario schedules
     for every load, and the cross-linked tank-state equations at the block
-    boundaries.
+    boundaries.  ``pins`` are the learned (demand, upward imbalance,
+    downward imbalance) pins.
     """
     t_count = portfolio.horizon
     modulating = windows is not None
@@ -129,18 +127,14 @@ def optimize_retailer(
         terms += [(d_vars[i][t], -1.0) for i in range(len(portfolio.loads))]
         lp.add_constraint(terms, EQUAL, portfolio.inelastic[t])
 
-    # penalty beyond the learned demand pin; with bands on, the pinned
-    # quantity includes the downward imbalance
-    for t in np.flatnonzero(portfolio.demand_threshold.is_active()):
-        z = lp.add_variable(f"zD{t}")
-        lp.add_objective(z, price_cap - fc.energy[t])
-        terms = [(demand[t], 1.0), (z, -1.0)]
-        if modulating:
-            terms.append((i_dn[t], 1.0))
-        lp.add_constraint(terms, LESS_EQUAL, portfolio.demand_threshold.value[t])
-    _imbalance_penalties(
-        lp, portfolio, fc, i_up, i_dn, non_contracted_price, t_count
-    )
+    # penalty beyond the learned pins; with bands on, the pinned demand
+    # includes the downward imbalance
+    if pins is not None:
+        demand_pin, up_pin, down_pin = pins
+        pinned_demand = (demand, i_dn) if modulating else (demand,)
+        add_pin_penalties(lp, "D", demand_pin, price_cap - fc.energy, pinned_demand)
+        add_pin_penalties(lp, "U", up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
+        add_pin_penalties(lp, "L", down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
 
     amplitude_vars: list[int] = []
     up_d: list[dict[int, int]] = [dict() for _ in portfolio.loads]
@@ -159,7 +153,7 @@ def optimize_retailer(
             fixed_amplitudes,
         )
 
-    sol = solve(lp, backend=backend)
+    sol = solve(lp, backend="highs")
     if sol.status != "optimal":
         raise ConfigurationError(
             f"retailer {portfolio.name!r} position problem is {sol.status}; "
@@ -234,23 +228,21 @@ def _tank_variables(lp, loads, tag):
     return d_vars, e_vars
 
 
-def _imbalance_penalties(lp, portfolio, fc, i_up, i_dn, non_contracted_price, t_count):
-    for t in np.flatnonzero(portfolio.imbalance_up_threshold.is_active()):
-        z = lp.add_variable(f"zU{t}")
-        lp.add_objective(z, non_contracted_price - fc.imbalance_up[t])
-        lp.add_constraint(
-            [(i_up[t], 1.0), (z, -1.0)],
-            LESS_EQUAL,
-            portfolio.imbalance_up_threshold.value[t],
-        )
-    for t in np.flatnonzero(portfolio.imbalance_down_threshold.is_active()):
-        z = lp.add_variable(f"zL{t}")
-        lp.add_objective(z, non_contracted_price - fc.imbalance_down[t])
-        lp.add_constraint(
-            [(i_dn[t], 1.0), (z, -1.0)],
-            LESS_EQUAL,
-            portfolio.imbalance_down_threshold.value[t],
-        )
+def add_pin_penalties(lp, tag, pin, penalty, columns, floor=False):
+    """Soft learned pin on the per-period sum of ``columns``.
+
+    Every period with a finite ``pin`` gets a slack ``z{tag}{t}`` with
+    objective coefficient ``penalty[t]`` that lets the sum pass the pin:
+    above it for a cap, below it for a ``floor``.
+    """
+    for t in np.flatnonzero(np.isfinite(pin)):
+        z = lp.add_variable(f"z{tag}{t}")
+        lp.add_objective(z, penalty[t])
+        terms = [(column[t], 1.0) for column in columns]
+        if floor:
+            lp.add_constraint(terms + [(z, 1.0)], GREATER_EQUAL, pin[t])
+        else:
+            lp.add_constraint(terms + [(z, -1.0)], LESS_EQUAL, pin[t])
 
 
 def _modulation_block(
@@ -279,7 +271,7 @@ def _modulation_block(
 
         scenario_vars = []
         for direction, store in (("up", up_d), ("down", dn_d)):
-            s_d, s_e = _scenario_schedule(
+            s_d = _scenario_schedule(
                 lp, portfolio.loads, d_vars, e_vars, start, length, w, direction
             )
             for i, sched in enumerate(s_d):
@@ -312,7 +304,7 @@ def _negate(terms):
 def _scenario_schedule(lp, loads, d_vars, e_vars, start, length, w, direction):
     """Extreme-scenario consumption for one band window, linked to the
     baseline tank state at both boundaries."""
-    s_d, s_e = [], []
+    s_d = []
     for i, load in enumerate(loads):
         rate = load.efficiency * load.period_hours
         d_i = {
@@ -341,8 +333,7 @@ def _scenario_schedule(lp, loads, d_vars, e_vars, start, length, w, direction):
                 terms.append((e_i[t], -1.0))
             lp.add_constraint(terms, EQUAL, rhs)
         s_d.append(d_i)
-        s_e.append(e_i)
-    return s_d, s_e
+    return s_d
 
 
 def _patched(schedules, scenario_vars, sol):

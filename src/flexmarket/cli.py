@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -148,9 +149,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for rate in rates:
         for setting in ("closed", "open"):
-            config = config_from_text(config_to_text(base))
-            config.flexibility_rate = rate
-            config.setting = setting
+            config = dataclasses.replace(base, flexibility_rate=rate, setting=setting)
             cell_dir = out_dir / f"rate_{round(rate * 100):03d}_{setting}"
             try:
                 outcome = run_simulation(config)

@@ -150,22 +150,6 @@ def write_offers_csv(offers: list[EnergyOffer], path) -> None:
             writer.writerow([o.actor, o.period, o.side, repr(o.volume), repr(o.price)])
 
 
-def read_offers_csv(path) -> list[EnergyOffer]:
-    offers = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            offers.append(
-                EnergyOffer(
-                    actor=row["actor"],
-                    period=int(row["period"]),
-                    side=row["side"],
-                    volume=float(row["volume_mw"]),
-                    price=float(row["price_eur_mwh"]),
-                )
-            )
-    return offers
-
-
 def write_result_csv(result: ClearingResult, offers: list[EnergyOffer], path) -> None:
     """One row per offer; offers are indexed by input-list position."""
     with open(path, "w", newline="", encoding="utf-8") as handle:

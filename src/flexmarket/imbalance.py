@@ -54,7 +54,6 @@ def settle(
     imbalance: np.ndarray,
     procurement: ReserveProcurement,
     non_contracted_price: float,
-    backend: str = "simplex",
 ) -> SettlementResult:
     """Cheapest activation restoring per-period balance.
 
@@ -110,7 +109,7 @@ def settle(
                 terms.append((w[k][t], -volume))
         lp.add_constraint(terms, EQUAL, -imbalance[t])
 
-    sol = solve(lp, backend=backend)
+    sol = solve(lp, backend="highs")
     if sol.status != "optimal":
         raise RuntimeError(f"settlement unexpectedly {sol.status}")
 

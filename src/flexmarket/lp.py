@@ -8,8 +8,9 @@ problems, settlement) is expressed as a :class:`LinearProgram` and handed to
   variable bounds, with Bland's rule as an anti-cycling fallback after a run
   of degenerate pivots.  Fully deterministic: entering-variable ties are
   broken by lowest column index, leaving-variable ties by lowest basis index.
-* ``"highs"`` -- delegation to ``scipy.optimize.linprog`` for large repeated
-  solves inside simulations.
+  It is the reference implementation, the default of :func:`solve`.
+* ``"highs"`` -- delegation to ``scipy.optimize.linprog``; the agent models,
+  the reserve clearing and the settlement always solve with it.
 
 Both backends satisfy the same contract: an ``optimal`` solution is primal
 feasible within ``TOL_FEAS`` (relative to ``max(1, |rhs|)``) and matches a
@@ -20,7 +21,7 @@ floats ``inf``/``-inf``, never large finite sentinels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,16 +154,12 @@ class Solution:
     status: str
     objective: float
     x: np.ndarray
-    names: tuple[str, ...] = field(repr=False, default=())
 
     def value(self, var: int) -> float:
         return float(self.x[var])
 
     def values(self, variables) -> np.ndarray:
         return self.x[np.asarray(variables, dtype=np.intp)]
-
-    def by_name(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.x)}
 
 
 def solve(lp: LinearProgram, backend: str = "simplex") -> Solution:
@@ -178,12 +175,11 @@ def solve(lp: LinearProgram, backend: str = "simplex") -> Solution:
     else:
         raise LinearProgramError(f"unknown backend {backend!r}")
 
-    names = tuple(lp.variable_names)
     if status != OPTIMAL:
-        return Solution(status, math.nan, np.full(lp.n_variables, math.nan), names)
+        return Solution(status, math.nan, np.full(lp.n_variables, math.nan))
     _check_feasible(lp, x)
     objective = float(lp.objective_vector() @ x)
-    return Solution(OPTIMAL, objective, x, names)
+    return Solution(OPTIMAL, objective, x)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
@@ -521,34 +517,3 @@ class _Tableau:
         self.t[:, q] = 0.0
         self.t[p, q] = 1.0
         self.beta[p] = entering_value
-
-
-# ---------------------------------------------------------------------------
-# plain-text dump for external cross-checking
-# ---------------------------------------------------------------------------
-
-
-def write_lp_text(lp: LinearProgram, path) -> None:
-    """Dump the model in a readable LP-style text format with exact
-    (round-trip) decimal printing."""
-    lines = [f"\\ model {lp.name or 'unnamed'}", lp.sense]
-    obj = lp.objective_vector()
-    terms = [
-        f"{'+' if c >= 0 else '-'} {repr(abs(float(c)))} {lp.variable_names[j]}"
-        for j, c in enumerate(obj)
-        if c != 0.0
-    ]
-    lines.append("  " + (" ".join(terms) if terms else "0"))
-    lines.append("subject to")
-    for k, con in enumerate(lp.constraints):
-        parts = [
-            f"{'+' if c >= 0 else '-'} {repr(abs(float(c)))} {lp.variable_names[j]}"
-            for j, c in zip(con.indices, con.coefficients)
-        ]
-        lines.append(f"  c{k}: " + " ".join(parts) + f" {con.relation} {repr(con.rhs)}")
-    lines.append("bounds")
-    for j, name in enumerate(lp.variable_names):
-        lines.append(f"  {repr(lp.lower[j])} <= {name} <= {repr(lp.upper[j])}")
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")

@@ -158,7 +158,6 @@ def clear_reserve(
     required_up: np.ndarray,
     required_down: np.ndarray,
     prices: ReservePrices,
-    backend: str = "simplex",
 ) -> ReserveProcurement:
     """Minimum-cost acceptance of reserve bids against both requirements.
 
@@ -234,7 +233,7 @@ def clear_reserve(
         lp.add_constraint(up_terms, EQUAL, required_up[t])
         lp.add_constraint(down_terms, EQUAL, required_down[t])
 
-    sol = solve(lp, backend=backend)
+    sol = solve(lp, backend="highs")
     if sol.status != "optimal":
         raise RuntimeError(f"reserve clearing unexpectedly {sol.status}")
 
@@ -271,57 +270,6 @@ def clear_reserve(
 # ---------------------------------------------------------------------------
 # CSV interchange
 # ---------------------------------------------------------------------------
-
-
-def write_classical_bids_csv(bids: list[ClassicalReserveBid], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["actor", "period", "dir", "q_mw", "c_act"])
-        for b in bids:
-            writer.writerow([b.actor, b.period, b.direction, repr(b.volume), repr(b.activation_price)])
-
-
-def read_classical_bids_csv(path) -> list[ClassicalReserveBid]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            out.append(
-                ClassicalReserveBid(
-                    actor=row["actor"],
-                    period=int(row["period"]),
-                    direction=row["dir"],
-                    volume=float(row["q_mw"]),
-                    activation_price=float(row["c_act"]),
-                )
-            )
-    return out
-
-
-def write_modulation_bids_csv(bids: list[ModulationBid], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["actor", "tau", "n", "f_mw", "c_act", "zeta"])
-        for b in bids:
-            writer.writerow(
-                [b.actor, b.start, b.length, repr(b.amplitude), repr(b.activation_price), repr(b.efficiency)]
-            )
-
-
-def read_modulation_bids_csv(path) -> list[ModulationBid]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            out.append(
-                ModulationBid(
-                    actor=row["actor"],
-                    start=int(row["tau"]),
-                    length=int(row["n"]),
-                    amplitude=float(row["f_mw"]),
-                    activation_price=float(row["c_act"]),
-                    efficiency=float(row["zeta"]),
-                )
-            )
-    return out
 
 
 def write_procurement_csv(result: ReserveProcurement, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .agents import GenerationUnit, ProducerPortfolio, RetailerPortfolio, TankLoad, ThresholdTrack
+from .agents import GenerationUnit, ProducerPortfolio, RetailerPortfolio, TankLoad
 from .agents.retailer import ConfigurationError
 from .reserve_market import ReservePrices
 
@@ -65,7 +65,6 @@ class ScenarioConfig:
     convergence_tolerance: float = 0.01
     state_tolerance: float = 1e-6
     max_rounds: int = 500
-    solver: str = "highs"
 
     # the slow fleet is sized so the cheap end of the merit order covers
     # peak demand on its own; thin fleets starve the auction whenever the
@@ -162,9 +161,6 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
                 inelastic=inelastic / config.retailer_count,
                 loads=loads,
                 imbalance_limit=retailer_limit,
-                demand_threshold=_track(config, t_count),
-                imbalance_up_threshold=_track(config, t_count),
-                imbalance_down_threshold=_track(config, t_count),
             )
         )
 
@@ -221,21 +217,10 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
                 * (slow_cap * config.slow_units_per_producer + fast_cap * config.fast_units_per_producer),
                 reserve_valuation=config.reserve_valuation,
                 production_bias=config.production_bias,
-                min_sale_threshold=_track(config, t_count),
-                imbalance_up_threshold=_track(config, t_count),
-                imbalance_down_threshold=_track(config, t_count),
             )
         )
 
     return Scenario(config=config, producers=producers, retailers=retailers, demand=demand)
-
-
-def _track(config, t_count):
-    return ThresholdTrack(
-        periods=t_count,
-        factor=config.threshold_factor,
-        forget_after=config.threshold_forget_rounds,
-    )
 
 
 def _merit_order_dispatch(costs: list[float], capacity: float, level: float) -> list[float]:

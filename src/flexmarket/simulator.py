@@ -9,6 +9,10 @@ forecasts absorb the new observations, and threshold pins react to cap or
 extreme-tariff events.  Rounds repeat until forecasts match outcomes, the
 actors revisit an earlier joint position (a cycle), or the round budget
 runs out.
+
+The learned pins belong to the run, not to the scenario: :func:`run` starts
+every actor with fresh :class:`ThresholdTrack` pins and never changes the
+portfolios it is given, so running one scenario twice gives the same result.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from . import energy_market, imbalance
 from .agents import (
     ForecastParameters,
+    ThresholdTrack,
     optimize_producer,
     optimize_retailer,
     producer_energy_offers,
@@ -74,11 +79,6 @@ class RoundRecord:
     metrics: RoundMetrics
     state: np.ndarray = field(repr=False, default=None)
 
-    def recompute_metrics(self, period_hours: float) -> RoundMetrics:
-        return _round_metrics(
-            self.energy_price, self.procurement, self.settlement, period_hours
-        )
-
 
 @dataclass
 class SimulationOutcome:
@@ -86,7 +86,6 @@ class SimulationOutcome:
     cycle_start: int | None
     cycle_length: int | None
     rounds: list[RoundRecord]
-    cycle_metrics: RoundMetrics
     config: ScenarioConfig
 
     def terminal_rounds(self) -> list[RoundRecord]:
@@ -97,14 +96,21 @@ class SimulationOutcome:
         tail = min(50, len(self.rounds))
         return self.rounds[-tail:]
 
+    @property
+    def cycle_metrics(self) -> RoundMetrics:
+        """Mean metrics over the terminal window."""
+        return aggregate_metrics(self.terminal_rounds())
+
 
 def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationOutcome:
-    """Simulate until convergence, a cycle, or the round budget."""
+    """Simulate until convergence, a cycle, or the round budget.
+
+    ``scenario`` is only read; the learned pins live in this run.
+    """
     config.validate()
     if scenario is None:
         scenario = generate_scenario(config)
     t_count = config.periods
-    backend = config.solver
     params = ForecastParameters(
         alpha=config.forecast_alpha,
         window=config.forecast_window,
@@ -114,6 +120,19 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
         tariff_seed=config.tariff_seed_price,
     )
     windows = scenario.config.bid_windows() if config.setting == OPEN else None
+    # per actor: the pin on its traded volume (retailer demand, producer
+    # minimum sale), then on its upward and its downward imbalance
+    tracks = {
+        portfolio.name: tuple(
+            ThresholdTrack(
+                portfolio.horizon,
+                factor=config.threshold_factor,
+                forget_after=config.threshold_forget_rounds,
+            )
+            for _ in range(3)
+        )
+        for portfolio in (*scenario.retailers, *scenario.producers)
+    }
 
     price_history: list[np.ndarray] = []
     up_history: list[np.ndarray] = []
@@ -126,14 +145,15 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
 
     for index in range(config.max_rounds):
         fc = make_forecast(price_history, up_history, down_history, params, t_count)
-        record = _play_round(index, scenario, fc, windows, backend)
+        pins = {name: tuple(track.value for track in group) for name, group in tracks.items()}
+        record = _play_round(index, scenario, fc, windows, pins)
         rounds.append(record)
 
-        _learn(scenario, record, config)
+        _learn(scenario, tracks, record, config)
         # recurrence needs positions AND the learned state: a position match
         # while a threshold is still counting down to forgetting is not a
         # genuine cycle, the system will leave it again
-        states.append(np.concatenate([record.state, _learning_state(scenario)]))
+        states.append(np.concatenate([record.state, _learning_state(scenario, tracks)]))
         price_history.append(record.energy_price)
         up_history.append(record.tariff_up)
         down_history.append(record.tariff_down)
@@ -152,23 +172,16 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
             cycle_start, cycle_length = hit, index - hit
             break
 
-    if termination == "cycle":
-        window_records = rounds[cycle_start : cycle_start + cycle_length]
-    elif termination == "converged":
-        window_records = rounds[-1:]
-    else:
-        window_records = rounds[-min(50, len(rounds)) :]
     return SimulationOutcome(
         termination=termination,
         cycle_start=cycle_start,
         cycle_length=cycle_length,
         rounds=rounds,
-        cycle_metrics=aggregate_metrics(window_records),
         config=config,
     )
 
 
-def _play_round(index, scenario, fc, windows, backend):
+def _play_round(index, scenario, fc, windows, pins):
     config = scenario.config
     t_count = config.periods
 
@@ -184,7 +197,7 @@ def _play_round(index, scenario, fc, windows, backend):
                 config.non_contracted_price,
                 windows=windows,
                 modulation_price=config.modulation_capacity_price,
-                backend=backend,
+                pins=pins[portfolio.name],
             )
         retailer_stage1[portfolio.name] = position
         for t in range(t_count):
@@ -202,7 +215,8 @@ def _play_round(index, scenario, fc, windows, backend):
     for portfolio in scenario.producers:
         with _stage_guard(index, "day-ahead", portfolio.name):
             position = optimize_producer(
-                portfolio, fc, config.price_cap, config.non_contracted_price, backend=backend
+                portfolio, fc, config.price_cap, config.non_contracted_price,
+                pins=pins[portfolio.name],
             )
         producer_stage1[portfolio.name] = position
         offers.extend(producer_energy_offers(position, portfolio, fc))
@@ -227,7 +241,7 @@ def _play_round(index, scenario, fc, windows, backend):
                 config.price_cap,
                 config.non_contracted_price,
                 fixed_sale=clearing.supply_of(portfolio.name),
-                backend=backend,
+                pins=pins[portfolio.name],
             )
         producer_stage2[portfolio.name] = position
         for bid, unit_name in producer_reserve_bids(position, portfolio):
@@ -255,7 +269,7 @@ def _play_round(index, scenario, fc, windows, backend):
 
     with _stage_guard(index, "reserve-clearing", "market"):
         procurement = clear_reserve(
-            classical, modulation, required, required, config.reserve_prices(), backend=backend
+            classical, modulation, required, required, config.reserve_prices()
         )
 
     # stage 3: reposition against cleared quantities
@@ -279,7 +293,7 @@ def _play_round(index, scenario, fc, windows, backend):
                 fixed_sale=clearing.supply_of(portfolio.name),
                 fixed_reserve_up=fixed_up,
                 fixed_reserve_down=fixed_down,
-                backend=backend,
+                pins=pins[portfolio.name],
             )
 
     retailer_final = {}
@@ -302,7 +316,7 @@ def _play_round(index, scenario, fc, windows, backend):
                 modulation_price=config.modulation_capacity_price,
                 fixed_demand=clearing.demand_of(portfolio.name),
                 fixed_amplitudes=fixed_amplitudes,
-                backend=backend,
+                pins=pins[portfolio.name],
             )
 
     # settlement of the resulting system imbalance
@@ -315,9 +329,7 @@ def _play_round(index, scenario, fc, windows, backend):
             position.imbalance_down * config.period_hours,
         )
     with _stage_guard(index, "settlement", "operator"):
-        settlement = imbalance.settle(
-            system, procurement, config.non_contracted_price, backend=backend
-        )
+        settlement = imbalance.settle(system, procurement, config.non_contracted_price)
         tariff_up, tariff_down = imbalance.tariffs(settlement, config.non_contracted_price)
     charges = imbalance.fees(tariff_up, tariff_down, actor_imbalances)
 
@@ -381,17 +393,11 @@ def _state_vector(price, tariff_up, tariff_down, demand, sale, retailers, produc
     return np.concatenate(parts)
 
 
-def _learning_state(scenario: Scenario) -> np.ndarray:
-    parts = []
-    for portfolio in sorted(scenario.retailers, key=lambda p: p.name):
-        parts.append(portfolio.demand_threshold.state_vector())
-        parts.append(portfolio.imbalance_up_threshold.state_vector())
-        parts.append(portfolio.imbalance_down_threshold.state_vector())
-    for portfolio in sorted(scenario.producers, key=lambda p: p.name):
-        parts.append(portfolio.min_sale_threshold.state_vector())
-        parts.append(portfolio.imbalance_up_threshold.state_vector())
-        parts.append(portfolio.imbalance_down_threshold.state_vector())
-    return np.concatenate(parts)
+def _learning_state(scenario: Scenario, tracks) -> np.ndarray:
+    names = sorted(p.name for p in scenario.retailers) + sorted(
+        p.name for p in scenario.producers
+    )
+    return np.concatenate([track.state_vector() for name in names for track in tracks[name]])
 
 
 def _match_earlier(states: list[np.ndarray], tol: float) -> int | None:
@@ -403,15 +409,6 @@ def _match_earlier(states: list[np.ndarray], tol: float) -> int | None:
     gaps = np.max(np.abs(history - current[None, :]), axis=1)
     hits = np.flatnonzero(gaps <= tol)
     return int(hits[0]) if hits.size else None
-
-
-def detect_cycle(states: list[np.ndarray], tol: float = 1e-6) -> tuple[int, int] | None:
-    """First (start, length) with a repeated joint state, scanning forward."""
-    for r in range(1, len(states)):
-        hit = _match_earlier(states[: r + 1], tol)
-        if hit is not None:
-            return hit, r - hit
-    return None
 
 
 def _round_metrics(price, procurement, settlement, period_hours) -> RoundMetrics:
@@ -439,7 +436,7 @@ def aggregate_metrics(records: list[RoundRecord]) -> RoundMetrics:
     return RoundMetrics(*[float(v) for v in means])
 
 
-def _learn(scenario: Scenario, record: RoundRecord, config: ScenarioConfig) -> None:
+def _learn(scenario: Scenario, tracks, record: RoundRecord, config: ScenarioConfig) -> None:
     capped = record.energy_price >= config.price_cap - 1e-9
     up_extreme = (record.tariff_up <= 1e-9) | (
         record.tariff_up >= config.non_contracted_price - 1e-9
@@ -449,14 +446,16 @@ def _learn(scenario: Scenario, record: RoundRecord, config: ScenarioConfig) -> N
     )
     for portfolio in scenario.retailers:
         position = record.retailer_positions[portfolio.name]
-        portfolio.demand_threshold.update(capped, record.submitted_demand[portfolio.name])
-        portfolio.imbalance_up_threshold.update(up_extreme, position.imbalance_up)
-        portfolio.imbalance_down_threshold.update(down_extreme, position.imbalance_down)
+        demand, up, down = tracks[portfolio.name]
+        demand.update(capped, record.submitted_demand[portfolio.name])
+        up.update(up_extreme, position.imbalance_up)
+        down.update(down_extreme, position.imbalance_down)
     for portfolio in scenario.producers:
         position = record.producer_positions[portfolio.name]
+        min_sale, up, down = tracks[portfolio.name]
         # a cap round means the fleet withheld too much at the forecast; the
         # learned floor anchors to what the fleet could deliver, so supply
         # actually returns next round instead of re-pinning the cap
-        portfolio.min_sale_threshold.update(capped, fleet_capacity(portfolio))
-        portfolio.imbalance_up_threshold.update(up_extreme, position.imbalance_up)
-        portfolio.imbalance_down_threshold.update(down_extreme, position.imbalance_down)
+        min_sale.update(capped, fleet_capacity(portfolio))
+        up.update(up_extreme, position.imbalance_up)
+        down.update(down_extreme, position.imbalance_down)

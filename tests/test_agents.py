@@ -191,9 +191,9 @@ def test_retailer_takes_imbalance_when_tariff_beats_energy():
 
 def test_retailer_demand_threshold_caps_submission():
     port = retailer(1, 10.0)
-    port.demand_threshold.update(np.array([True]), np.array([8.0]))
+    pins = (np.array([0.95 * 8.0]), np.array([np.inf]), np.array([np.inf]))
     fc = flat_forecast(1, 50.0)
-    position = optimize_retailer(port, fc, CAP, PI_NC)
+    position = optimize_retailer(port, fc, CAP, PI_NC, pins=pins)
     # beyond 7.6 every MW costs the cap surcharge, dearer than the tariff
     assert position.demand[0] == pytest.approx(7.6)
     assert position.imbalance_down[0] == pytest.approx(2.4)
@@ -470,9 +470,9 @@ def test_producer_phantom_sale_bounded_by_imbalance_limit():
 
 def test_producer_min_sale_threshold_holds_volume():
     port = producer(1, [unit(1, cap=10.0, cost=45.0)])
-    port.min_sale_threshold.update(np.array([True]), np.array([8.0]))
+    pins = (np.array([0.95 * 8.0]), np.array([np.inf]), np.array([np.inf]))
     fc = flat_forecast(1, 40.0)  # below cost: it would rather idle
-    position = optimize_producer(port, fc, CAP, PI_NC)
+    position = optimize_producer(port, fc, CAP, PI_NC, pins=pins)
     assert position.sale[0] == pytest.approx(7.6)
 
 
@@ -549,43 +549,3 @@ def test_coverage_rejects_infeasible_baseline():
     with pytest.raises(ValueError):
         verify_scenario_coverage(load, base + 100.0, up, down, samples=10, seed=0)
 
-
-# ---------------------------------------------------------------------------
-# portfolio file interchange
-# ---------------------------------------------------------------------------
-
-
-def test_portfolio_csv_round_trips(tmp_path):
-    from flexmarket.agents.portfolio_io import (
-        read_loads_csv,
-        read_series_csv,
-        read_units_csv,
-        write_loads_csv,
-        write_series_csv,
-        write_units_csv,
-    )
-
-    rng = np.random.default_rng(5)
-    load, _, _, _ = random_feasible_modulation(rng, periods=4)
-    load_path = tmp_path / "loads.csv"
-    write_loads_csv([load], load_path)
-    (restored,) = read_loads_csv(load_path)
-    assert restored.name == load.name
-    assert np.array_equal(restored.power_min, load.power_min)
-    assert np.array_equal(restored.energy_max, load.energy_max)
-    assert restored.efficiency == load.efficiency
-    assert restored.total_min == load.total_min
-
-    u = unit(3, cap=12.5, cost=47.25, ramp=3.75, name="unit-a", p0=6.125)
-    unit_path = tmp_path / "units.csv"
-    write_units_csv([u], unit_path)
-    (unit_back,) = read_units_csv(unit_path)
-    assert unit_back.name == u.name
-    assert np.array_equal(unit_back.cost, u.cost)
-    assert unit_back.ramp_up == u.ramp_up
-    assert unit_back.initial_output == u.initial_output
-
-    series = np.array([1.5, 2.25, 0.0, 7.0])
-    series_path = tmp_path / "inelastic.csv"
-    write_series_csv(series, series_path)
-    assert np.array_equal(read_series_csv(series_path), series)

@@ -11,7 +11,6 @@ from flexmarket.lp import (
     LinearProgram,
     LinearProgramError,
     solve,
-    write_lp_text,
 )
 
 from oracles import enumerate_lp_optimum, random_box_lp
@@ -174,18 +173,3 @@ def test_identical_inputs_give_identical_solutions():
     assert first.objective == second.objective
     assert np.array_equal(first.x, second.x)
 
-
-def test_lp_text_dump(tmp_path):
-    lp = LinearProgram(sense="min", name="dump-me")
-    x = lp.add_variable("x", 0.0, 2.5)
-    y = lp.add_variable("y", -1.0, INF)
-    lp.add_objective(x, 1.25)
-    lp.add_objective(y, -3.0)
-    lp.add_constraint({x: 1.0, y: 2.0}, LESS_EQUAL, 4.0)
-    path = tmp_path / "model.lp"
-    write_lp_text(lp, path)
-    text = path.read_text()
-    assert "dump-me" in text
-    assert "1.25 x" in text
-    assert "<= 4.0" in text
-    assert "-1.0 <= y <= inf" in text

@@ -9,10 +9,6 @@ from flexmarket.reserve_market import (
     ReservePrices,
     clear_reserve,
     over_contract_penalty,
-    read_classical_bids_csv,
-    read_modulation_bids_csv,
-    write_classical_bids_csv,
-    write_modulation_bids_csv,
 )
 
 PRICES = ReservePrices(up_capacity=45.0, down_capacity=45.0, modulation_capacity=10.0, non_contracted=500.0)
@@ -177,12 +173,3 @@ def test_classical_bid_validation():
     with pytest.raises(ValueError):
         ModulationBid("a", 0, 3, 1.0).validate(4)
 
-
-def test_bid_csv_round_trips(tmp_path):
-    classical = [up_bid(7.25, 41.5, 3, "p1"), down_bid(3.0, 52.0, 11, "p2")]
-    modulation = [ModulationBid("r1", 4, 4, 12.5, 0.0, 0.5)]
-    cpath, mpath = tmp_path / "c.csv", tmp_path / "m.csv"
-    write_classical_bids_csv(classical, cpath)
-    write_modulation_bids_csv(modulation, mpath)
-    assert read_classical_bids_csv(cpath) == classical
-    assert read_modulation_bids_csv(mpath) == modulation

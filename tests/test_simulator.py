@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from flexmarket.agents import GenerationUnit, ProducerPortfolio, RetailerPortfol
 from flexmarket.scenario import Scenario, ScenarioConfig, generate_scenario
 from flexmarket.simulator import (
     RoundMetrics,
+    _match_earlier,
+    _round_metrics,
     aggregate_metrics,
-    detect_cycle,
     run,
 )
 
@@ -28,33 +31,40 @@ def small_config(**overrides):
 # ---------------------------------------------------------------------------
 
 
+def earlier_matches(states, tol=1e-6):
+    """What ``run`` sees after each round: the earliest earlier round whose
+    state matches that round's, or None."""
+    return [_match_earlier(states[: r + 1], tol) for r in range(len(states))]
+
+
 def test_detect_cycle_identical_consecutive_rounds():
     a, b, c = (np.array([float(k)]) for k in range(3))
-    assert detect_cycle([a, b, c, c.copy()]) == (2, 1)
+    assert earlier_matches([a, b, c, c.copy()]) == [None, None, None, 2]
 
 
 def test_detect_cycle_alternating_states():
     a, b = np.array([1.0]), np.array([2.0])
-    assert detect_cycle([a, b, a.copy(), b.copy()]) == (0, 2)
+    # run stops at the first hit: round 2 repeats round 0, a cycle of length 2
+    assert earlier_matches([a, b, a.copy(), b.copy()]) == [None, None, 0, 1]
 
 
 def test_detect_cycle_injected_repeat():
     states = [np.array([float(k), float(k * k)]) for k in range(13)]
     states[12] = states[7].copy()
-    assert detect_cycle(states) == (7, 5)
+    assert earlier_matches(states) == [None] * 12 + [7]
 
 
 def test_detect_cycle_absent():
     states = [np.array([float(k)]) for k in range(6)]
-    assert detect_cycle(states) is None
+    assert earlier_matches(states) == [None] * 6
 
 
 def test_detect_cycle_respects_tolerance():
     a = np.array([1.0])
     near = np.array([1.0 + 5e-7])
     far = np.array([1.0 + 5e-5])
-    assert detect_cycle([a, far]) is None
-    assert detect_cycle([a, near]) == (0, 1)
+    assert _match_earlier([a, far], 1e-6) is None
+    assert _match_earlier([a, near], 1e-6) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +136,7 @@ def test_fixed_point_with_single_flat_cost_producer():
     # positions repeat from the second round on, even though the learned
     # state needs one more round to settle
     position_states = [r.state for r in outcome.rounds]
-    assert detect_cycle(position_states) == (1, 1)
+    assert earlier_matches(position_states)[:3] == [None, None, 1]
     assert outcome.cycle_metrics.mean_price == pytest.approx(48.0)
 
 
@@ -166,7 +176,10 @@ def test_round_records_conserve_energy_and_balance():
 def test_metrics_recomputable_from_record():
     outcome = run(small_config(max_rounds=10))
     for record in outcome.rounds:
-        again = record.recompute_metrics(outcome.config.period_hours)
+        again = _round_metrics(
+            record.energy_price, record.procurement, record.settlement,
+            outcome.config.period_hours,
+        )
         assert again.as_tuple() == pytest.approx(record.metrics.as_tuple())
 
 
@@ -193,6 +206,36 @@ def test_same_config_and_seed_reproduce_identically():
     for a, b in zip(first.rounds, second.rounds):
         assert np.array_equal(a.state, b.state)
         assert a.metrics.as_tuple() == b.metrics.as_tuple()
+
+
+def same_fields(a, b):
+    """Deep equality of dataclasses holding arrays."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_fields, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def test_running_a_scenario_twice_repeats_the_first_run():
+    # the learned pins belong to the run: a second run on the same Scenario
+    # object starts unpinned, exactly like the first
+    for config in (small_config(), small_config(setting="open", flexibility_rate=0.10)):
+        scenario = generate_scenario(config)
+        first = run(config, scenario)
+        second = run(config, scenario)
+        assert first.termination == second.termination
+        assert len(first.rounds) == len(second.rounds)
+        for a, b in zip(first.rounds, second.rounds):
+            assert np.array_equal(a.state, b.state)
+            assert a.metrics.as_tuple() == b.metrics.as_tuple()
+        fresh = generate_scenario(config)
+        assert same_fields(scenario.producers, fresh.producers)
+        assert same_fields(scenario.retailers, fresh.retailers)
 
 
 def test_reported_cycle_reverifies_against_records():
