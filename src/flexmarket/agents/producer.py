@@ -110,66 +110,35 @@ def optimize_producer(
     t_count = portfolio.horizon
     lp = LinearProgram(sense="max", name=f"producer-{portfolio.name}")
 
-    p, u, l = {}, {}, {}
-    for unit in portfolio.units:
-        p[unit.name] = [
-            lp.add_variable(f"p_{unit.name}_{t}", unit.power_min[t], unit.power_max[t])
-            for t in range(t_count)
-        ]
-        u[unit.name] = _reserve_variables(lp, unit, "u", fixed_reserve_up, t_count)
-        l[unit.name] = _reserve_variables(lp, unit, "l", fixed_reserve_down, t_count)
-        for t in range(t_count):
-            lp.add_objective(p[unit.name][t], portfolio.production_bias - unit.cost[t])
-            lp.add_objective(u[unit.name][t], portfolio.reserve_valuation)
-            lp.add_objective(l[unit.name][t], portfolio.reserve_valuation)
-            lp.add_constraint(
-                [(p[unit.name][t], 1.0), (u[unit.name][t], 1.0)], LESS_EQUAL, unit.power_max[t]
-            )
-            lp.add_constraint(
-                [(p[unit.name][t], 1.0), (l[unit.name][t], -1.0)],
-                GREATER_EQUAL,
-                unit.power_min[t],
-            )
-            ramp_terms_up = [(p[unit.name][t], 1.0), (u[unit.name][t], 1.0)]
-            ramp_terms_dn = [(p[unit.name][t], -1.0), (l[unit.name][t], 1.0)]
-            if t == 0:
-                lp.add_constraint(ramp_terms_up, LESS_EQUAL, unit.ramp_up + unit.initial_output)
-                lp.add_constraint(ramp_terms_dn, LESS_EQUAL, unit.ramp_down - unit.initial_output)
-            else:
-                lp.add_constraint(
-                    ramp_terms_up + [(p[unit.name][t - 1], -1.0)], LESS_EQUAL, unit.ramp_up
-                )
-                lp.add_constraint(
-                    ramp_terms_dn + [(p[unit.name][t - 1], 1.0)], LESS_EQUAL, unit.ramp_down
-                )
+    p, u, l = _add_units(lp, portfolio, fixed_reserve_up, fixed_reserve_down)
 
     if fixed_sale is not None:
-        sale = [
-            lp.add_variable(f"P{t}", float(fixed_sale[t]), float(fixed_sale[t]))
-            for t in range(t_count)
-        ]
+        sale = lp.add_variables(t_count, fixed_sale, fixed_sale)
     else:
-        sale = [lp.add_variable(f"P{t}") for t in range(t_count)]
+        sale = lp.add_variables(t_count)
     # the structural limit bounds the free day-ahead problem; with the sale
     # fixed, the production balance already pins deviations
     i_cap = np.inf if fixed_sale is not None else portfolio.imbalance_limit
-    i_up = [lp.add_variable(f"Iup{t}", 0.0, i_cap) for t in range(t_count)]
-    i_dn = [lp.add_variable(f"Idn{t}", 0.0, i_cap) for t in range(t_count)]
+    i_up = lp.add_variables(t_count, 0.0, i_cap)
+    i_dn = lp.add_variables(t_count, 0.0, i_cap)
 
-    for t in range(t_count):
-        lp.add_objective(sale[t], fc.energy[t])
-        lp.add_objective(i_up[t], -(fc.imbalance_up[t] + IMBALANCE_FRICTION))
-        lp.add_objective(i_dn[t], -(fc.imbalance_down[t] + IMBALANCE_FRICTION))
-        terms = [(sale[t], 1.0), (i_up[t], 1.0), (i_dn[t], -1.0)]
-        terms += [(p[unit.name][t], -1.0) for unit in portfolio.units]
-        lp.add_constraint(terms, EQUAL, 0.0)
+    lp.add_objectives(sale, fc.energy)
+    lp.add_objectives(i_up, -(fc.imbalance_up + IMBALANCE_FRICTION))
+    lp.add_objectives(i_dn, -(fc.imbalance_down + IMBALANCE_FRICTION))
+    periods = np.arange(t_count)
+    lp.add_constraints(
+        [(periods, sale, 1.0), (periods, i_up, 1.0), (periods, i_dn, -1.0)]
+        + [(periods, p, -1.0)],
+        EQUAL,
+        np.zeros(t_count),
+    )
 
     # selling below the learned pin risks another price-cap round
     if pins is not None:
         sale_pin, up_pin, down_pin = pins
-        add_pin_penalties(lp, "P", sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
-        add_pin_penalties(lp, "U", up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
-        add_pin_penalties(lp, "L", down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
+        add_pin_penalties(lp, sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
+        add_pin_penalties(lp, up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
+        add_pin_penalties(lp, down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
 
     sol = solve(lp, backend="highs")
     if sol.status != "optimal":
@@ -182,21 +151,74 @@ def optimize_producer(
         sale=sol.values(sale),
         imbalance_up=sol.values(i_up),
         imbalance_down=sol.values(i_dn),
-        unit_output={unit.name: sol.values(p[unit.name]) for unit in portfolio.units},
-        reserve_up={unit.name: sol.values(u[unit.name]) for unit in portfolio.units},
-        reserve_down={unit.name: sol.values(l[unit.name]) for unit in portfolio.units},
+        unit_output=_by_unit(portfolio, sol.values(p)),
+        reserve_up=_by_unit(portfolio, sol.values(u)),
+        reserve_down=_by_unit(portfolio, sol.values(l)),
         objective=sol.objective,
     )
 
 
-def _reserve_variables(lp, unit, tag, fixed, t_count):
-    if fixed is None:
-        return [lp.add_variable(f"{tag}_{unit.name}_{t}") for t in range(t_count)]
-    series = fixed[unit.name]
-    return [
-        lp.add_variable(f"{tag}_{unit.name}_{t}", float(series[t]), float(series[t]))
-        for t in range(t_count)
-    ]
+def _add_units(lp, portfolio, fixed_reserve_up, fixed_reserve_down):
+    """Output, upward and downward reserve of every unit and period, with
+    their objective terms and the per-unit capacity, floor and ramp rows.
+
+    Variables run unit by unit, each unit's output, then its upward and its
+    downward reserve over the horizon.  Rows run unit by unit and period by
+    period: capacity, floor, ramp-up, ramp-down.  The first period ramps
+    from the initial output.  Returns (units, periods) handle arrays.
+    """
+    units = portfolio.units
+    t_count = portfolio.horizon
+    power_min = np.array([unit.power_min for unit in units])
+    power_max = np.array([unit.power_max for unit in units])
+    reserve_lo, reserve_hi = [], []
+    for fixed in (fixed_reserve_up, fixed_reserve_down):
+        if fixed is None:
+            reserve_lo.append(np.zeros_like(power_min))
+            reserve_hi.append(np.full_like(power_min, np.inf))
+        else:
+            series = np.array([fixed[unit.name] for unit in units], dtype=float)
+            reserve_lo.append(series)
+            reserve_hi.append(series)
+    handles = lp.add_variables(
+        power_min.size * 3,
+        np.stack([power_min, *reserve_lo], axis=1).ravel(),
+        np.stack([power_max, *reserve_hi], axis=1).ravel(),
+    ).reshape(len(units), 3, t_count)
+    p, u, l = handles[:, 0], handles[:, 1], handles[:, 2]
+    cost = np.array([unit.cost for unit in units])
+    lp.add_objectives(p, portfolio.production_bias - cost)
+    lp.add_objectives(handles[:, 1:], portfolio.reserve_valuation)
+
+    cap, floor, ramp_up, ramp_dn = (
+        4 * np.arange(p.size).reshape(p.shape) + k for k in range(4)
+    )
+    initial = np.array([unit.initial_output for unit in units], dtype=float)
+    up_limit = np.repeat([[float(unit.ramp_up)] for unit in units], t_count, axis=1)
+    up_limit[:, 0] += initial
+    dn_limit = np.repeat([[float(unit.ramp_down)] for unit in units], t_count, axis=1)
+    dn_limit[:, 0] -= initial
+    lp.add_constraints(
+        [
+            (cap, p, 1.0),
+            (cap, u, 1.0),
+            (floor, p, 1.0),
+            (floor, l, -1.0),
+            (ramp_up, p, 1.0),
+            (ramp_up, u, 1.0),
+            (ramp_up[:, 1:], p[:, :-1], -1.0),
+            (ramp_dn, p, -1.0),
+            (ramp_dn, l, 1.0),
+            (ramp_dn[:, 1:], p[:, :-1], 1.0),
+        ],
+        np.tile([LESS_EQUAL, GREATER_EQUAL, LESS_EQUAL, LESS_EQUAL], p.size),
+        np.stack([power_max, power_min, up_limit, dn_limit], axis=2).ravel(),
+    )
+    return p, u, l
+
+
+def _by_unit(portfolio, values):
+    return {unit.name: values[k] for k, unit in enumerate(portfolio.units)}
 
 
 def producer_energy_offers(

@@ -16,6 +16,7 @@ plain per-period arrays; the learning itself belongs to the simulation run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,51 +104,50 @@ def optimize_retailer(
     _check_windows(windows, t_count)
 
     lp = LinearProgram(sense="min", name=f"retailer-{portfolio.name}")
-    d_vars, e_vars = _tank_variables(lp, portfolio.loads, "")
+    d_vars, e_vars = _tank_variables(lp, portfolio.loads, t_count)
 
     if fixed_demand is not None:
-        demand = [
-            lp.add_variable(f"D{t}", float(fixed_demand[t]), float(fixed_demand[t]))
-            for t in range(t_count)
-        ]
+        demand = lp.add_variables(t_count, fixed_demand, fixed_demand)
     else:
-        demand = [lp.add_variable(f"D{t}") for t in range(t_count)]
+        demand = lp.add_variables(t_count)
     # the structural limit bounds the otherwise open-ended day-ahead problem;
     # with the purchase fixed, the balance equation already pins deviations
     # and the limit would only cut feasibility after deep rationing
     i_cap = np.inf if fixed_demand is not None else portfolio.imbalance_limit
-    i_up = [lp.add_variable(f"Iup{t}", 0.0, i_cap) for t in range(t_count)]
-    i_dn = [lp.add_variable(f"Idn{t}", 0.0, i_cap) for t in range(t_count)]
+    i_up = lp.add_variables(t_count, 0.0, i_cap)
+    i_dn = lp.add_variables(t_count, 0.0, i_cap)
 
-    for t in range(t_count):
-        lp.add_objective(demand[t], fc.energy[t])
-        lp.add_objective(i_up[t], fc.imbalance_up[t] + IMBALANCE_FRICTION)
-        lp.add_objective(i_dn[t], fc.imbalance_down[t] + IMBALANCE_FRICTION)
-        terms = [(demand[t], 1.0), (i_up[t], -1.0), (i_dn[t], 1.0)]
-        terms += [(d_vars[i][t], -1.0) for i in range(len(portfolio.loads))]
-        lp.add_constraint(terms, EQUAL, portfolio.inelastic[t])
+    lp.add_objectives(demand, fc.energy)
+    lp.add_objectives(i_up, fc.imbalance_up + IMBALANCE_FRICTION)
+    lp.add_objectives(i_dn, fc.imbalance_down + IMBALANCE_FRICTION)
+    periods = np.arange(t_count)
+    lp.add_constraints(
+        [
+            (periods, demand, 1.0),
+            (periods, i_up, -1.0),
+            (periods, i_dn, 1.0),
+            (periods, d_vars, -1.0),
+        ],
+        EQUAL,
+        portfolio.inelastic,
+    )
 
     # penalty beyond the learned pins; with bands on, the pinned demand
     # includes the downward imbalance
     if pins is not None:
         demand_pin, up_pin, down_pin = pins
         pinned_demand = (demand, i_dn) if modulating else (demand,)
-        add_pin_penalties(lp, "D", demand_pin, price_cap - fc.energy, pinned_demand)
-        add_pin_penalties(lp, "U", up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
-        add_pin_penalties(lp, "L", down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
+        add_pin_penalties(lp, demand_pin, price_cap - fc.energy, pinned_demand)
+        add_pin_penalties(lp, up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
+        add_pin_penalties(lp, down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
 
-    amplitude_vars: list[int] = []
-    up_d: list[dict[int, int]] = [dict() for _ in portfolio.loads]
-    dn_d: list[dict[int, int]] = [dict() for _ in portfolio.loads]
     if modulating:
-        amplitude_vars = _modulation_block(
+        amplitude_vars, up_d, dn_d = _modulation_block(
             lp,
             portfolio,
             windows,
             d_vars,
             e_vars,
-            up_d,
-            dn_d,
             modulation_price,
             amplitude_bonus,
             fixed_amplitudes,
@@ -160,7 +160,7 @@ def optimize_retailer(
             "check tank data and fixed quantities"
         )
 
-    schedules = [sol.values(d_vars[i]) for i in range(len(portfolio.loads))]
+    schedules = list(sol.values(d_vars))
     position = RetailerPosition(
         demand=sol.values(demand),
         imbalance_up=sol.values(i_up),
@@ -170,9 +170,9 @@ def optimize_retailer(
         windows=windows,
     )
     if modulating:
-        position.amplitudes = sol.values(amplitude_vars) if amplitude_vars else np.zeros(0)
-        position.up_schedules = _patched(schedules, up_d, sol)
-        position.down_schedules = _patched(schedules, dn_d, sol)
+        position.amplitudes = sol.values(amplitude_vars)
+        position.up_schedules = _patched(schedules, windows, up_d, sol)
+        position.down_schedules = _patched(schedules, windows, dn_d, sol)
         position.up_consumption = portfolio.inelastic + (
             np.sum(position.up_schedules, axis=0) if position.up_schedules else 0.0
         )
@@ -195,54 +195,62 @@ def _check_windows(windows, t_count):
         covered |= span
 
 
-def _tank_variables(lp, loads, tag):
-    """Baseline consumption and tank-state variables plus their dynamics."""
+def _load_series(loads, attr, width):
+    """Per-load series ``attr`` stacked into one (loads, width) array."""
+    series = np.array([getattr(load, attr) for load in loads], dtype=float)
+    return series.reshape(len(loads), width)
+
+
+def _tank_variables(lp, loads, t_count):
+    """Baseline consumption and tank-state variables plus their dynamics.
+
+    Returns (loads, periods) handle arrays ``d`` and ``e``; ``e[i, k - 1]``
+    is the state of load ``i`` after period ``k - 1``.
+    """
     d_vars, e_vars = [], []
-    for i, load in enumerate(loads):
-        t_count = load.horizon
-        d_i = [
-            lp.add_variable(f"d{tag}_{i}_{t}", load.power_min[t], load.power_max[t])
-            for t in range(t_count)
-        ]
-        e_i = {
-            k: lp.add_variable(f"e{tag}_{i}_{k}", load.energy_min[k], load.energy_max[k])
-            for k in range(1, t_count + 1)
-        }
+    for load in loads:
+        d = lp.add_variables(t_count, load.power_min, load.power_max)
+        e = lp.add_variables(t_count, load.energy_min[1:], load.energy_max[1:])
         rate = load.efficiency * load.period_hours
-        for k in range(1, t_count + 1):
-            terms = [(e_i[k], 1.0), (d_i[k - 1], -rate)]
-            rhs = -load.loss[k - 1]
-            if k == 1:
-                rhs += load.energy_start
-            else:
-                terms.append((e_i[k - 1], -1.0))
-            lp.add_constraint(terms, EQUAL, rhs)
-        total = [(v, load.period_hours) for v in d_i]
+        periods = np.arange(t_count)
+        rhs = -load.loss
+        rhs[0] += load.energy_start
+        # e[k] - rate * d[k] - e[k - 1] == -loss[k], from the start state at k = 0
+        terms = [(periods, e, 1.0), (periods, d, -rate), (periods[1:], e[:-1], -1.0)]
         if load.total_min == load.total_max:
-            lp.add_constraint(total, EQUAL, load.total_min)
+            totals = [EQUAL], [load.total_min]
         else:
-            lp.add_constraint(total, GREATER_EQUAL, load.total_min)
-            lp.add_constraint(total, LESS_EQUAL, load.total_max)
-        d_vars.append(d_i)
-        e_vars.append(e_i)
-    return d_vars, e_vars
+            totals = [GREATER_EQUAL, LESS_EQUAL], [load.total_min, load.total_max]
+        # the energy drawn over the horizon, in the rows after the dynamics
+        terms += [(t_count + k, d, load.period_hours) for k in range(len(totals[0]))]
+        lp.add_constraints(
+            terms,
+            np.concatenate([np.full(t_count, EQUAL), totals[0]]),
+            np.concatenate([rhs, totals[1]]),
+        )
+        d_vars.append(d)
+        e_vars.append(e)
+    shape = (len(loads), t_count)
+    return (
+        np.array(d_vars, dtype=np.intp).reshape(shape),
+        np.array(e_vars, dtype=np.intp).reshape(shape),
+    )
 
 
-def add_pin_penalties(lp, tag, pin, penalty, columns, floor=False):
+def add_pin_penalties(lp, pin, penalty, columns, floor=False):
     """Soft learned pin on the per-period sum of ``columns``.
 
-    Every period with a finite ``pin`` gets a slack ``z{tag}{t}`` with
-    objective coefficient ``penalty[t]`` that lets the sum pass the pin:
-    above it for a cap, below it for a ``floor``.
+    Every period with a finite ``pin`` gets a slack variable with objective
+    coefficient ``penalty[t]`` that lets the sum pass the pin: above it for
+    a cap, below it for a ``floor``.
     """
-    for t in np.flatnonzero(np.isfinite(pin)):
-        z = lp.add_variable(f"z{tag}{t}")
-        lp.add_objective(z, penalty[t])
-        terms = [(column[t], 1.0) for column in columns]
-        if floor:
-            lp.add_constraint(terms + [(z, 1.0)], GREATER_EQUAL, pin[t])
-        else:
-            lp.add_constraint(terms + [(z, -1.0)], LESS_EQUAL, pin[t])
+    pinned = np.flatnonzero(np.isfinite(pin))
+    z = lp.add_variables(pinned.size)
+    lp.add_objectives(z, penalty[pinned])
+    rows = np.arange(pinned.size)
+    terms = [(rows, column[pinned], 1.0) for column in columns]
+    terms.append((rows, z, 1.0 if floor else -1.0))
+    lp.add_constraints(terms, GREATER_EQUAL if floor else LESS_EQUAL, pin[pinned])
 
 
 def _modulation_block(
@@ -251,97 +259,121 @@ def _modulation_block(
     windows,
     d_vars,
     e_vars,
-    up_d,
-    dn_d,
     modulation_price,
     amplitude_bonus,
     fixed_amplitudes,
 ):
-    amplitude_vars = []
-    for w, (start, length) in enumerate(windows):
-        if fixed_amplitudes is not None:
-            fixed = float(fixed_amplitudes[w])
-            f_var = lp.add_variable(f"F{w}", fixed, fixed)
-        else:
-            f_var = lp.add_variable(f"F{w}")
+    """Amplitude variables and the two extreme scenarios of every window.
+
+    Consecutive windows of one length are built as one block.  Returns the
+    amplitude handles and, per window, the (loads, length) scenario
+    consumption handles of the high-first ("up") and low-first ("down")
+    scenarios.
+    """
+    if fixed_amplitudes is None:
+        amplitude_lo, amplitude_hi = np.zeros(len(windows)), np.full(len(windows), np.inf)
+    else:
+        amplitude_lo = amplitude_hi = np.asarray(fixed_amplitudes, dtype=float)
+    amplitude_vars, up_d, dn_d = [], [], []
+    first = 0
+    for length, run in itertools.groupby(windows, key=lambda window: window[1]):
+        starts = np.array([start for start, _ in run])
+        block = slice(first, first + len(starts))
+        first += len(starts)
+        f_vars, s_up, s_dn = _band_windows(
+            lp, portfolio.loads, starts, length, d_vars, e_vars,
+            amplitude_lo[block], amplitude_hi[block],
+        )
         # revenue for the band, plus a whisper to prefer larger bands when
         # the capacity price is zero
-        lp.add_objective(f_var, -(length * modulation_price + amplitude_bonus))
-        amplitude_vars.append(f_var)
-
-        scenario_vars = []
-        for direction, store in (("up", up_d), ("down", dn_d)):
-            s_d = _scenario_schedule(
-                lp, portfolio.loads, d_vars, e_vars, start, length, w, direction
-            )
-            for i, sched in enumerate(s_d):
-                store[i].update(sched)
-            scenario_vars.append(s_d)
-        s_up, s_dn = scenario_vars
-
-        half = length // 2
-        for t in range(start, start + length):
-            first_half = t - start < half
-            up_minus_base = [(s_up[i][t], 1.0) for i in range(len(portfolio.loads))]
-            up_minus_base += [(d_vars[i][t], -1.0) for i in range(len(portfolio.loads))]
-            base_minus_dn = [(d_vars[i][t], 1.0) for i in range(len(portfolio.loads))]
-            base_minus_dn += [(s_dn[i][t], -1.0) for i in range(len(portfolio.loads))]
-            if first_half:
-                # high scenario sits above the baseline, low one below
-                lp.add_constraint([(f_var, 1.0)] + _negate(up_minus_base), LESS_EQUAL, 0.0)
-                lp.add_constraint([(f_var, 1.0)] + _negate(base_minus_dn), LESS_EQUAL, 0.0)
-            else:
-                # recovery half: the roles swap
-                lp.add_constraint([(f_var, 1.0)] + up_minus_base, LESS_EQUAL, 0.0)
-                lp.add_constraint([(f_var, 1.0)] + base_minus_dn, LESS_EQUAL, 0.0)
-    return amplitude_vars
+        lp.add_objectives(f_vars, -(length * modulation_price + amplitude_bonus))
+        amplitude_vars.append(f_vars)
+        up_d.extend(s_up)
+        dn_d.extend(s_dn)
+    return np.concatenate(amplitude_vars or [np.zeros(0, dtype=np.intp)]), up_d, dn_d
 
 
-def _negate(terms):
-    return [(v, -c) for v, c in terms]
+def _band_windows(lp, loads, starts, length, d_vars, e_vars, amplitude_lo, amplitude_hi):
+    """Variables and rows of windows of one ``length`` starting at ``starts``.
+
+    Each window holds its amplitude F, then per scenario ("up", "down") and
+    load the consumption over the window and the tank states after all but
+    its last period.  The last state is the baseline's, so each scenario
+    hands the tank back unchanged.  Its rows are the scenario tank dynamics
+    per scenario, load and period, then two amplitude rows per period.
+    Returns the amplitude handles and (windows, loads, length) handle
+    arrays of the two scenarios' consumption.
+    """
+    n_windows, (n_loads, t_count) = len(starts), d_vars.shape
+    periods = starts[:, None] + np.arange(length)  # (windows, length)
+
+    def per_window(attr, width, columns):
+        # (windows, loads, columns) slices of a per-load series
+        return _load_series(loads, attr, width)[:, columns].transpose(1, 0, 2)
+
+    inner = periods[:, 1:]
+    scenario_lo = np.concatenate(
+        [per_window("power_min", t_count, periods), per_window("energy_min", t_count + 1, inner)],
+        axis=2,
+    )
+    scenario_hi = np.concatenate(
+        [per_window("power_max", t_count, periods), per_window("energy_max", t_count + 1, inner)],
+        axis=2,
+    )
+    width = 2 * n_loads * (2 * length - 1)
+    lower = np.column_stack([amplitude_lo, np.tile(scenario_lo.reshape(n_windows, -1), 2)])
+    upper = np.column_stack([amplitude_hi, np.tile(scenario_hi.reshape(n_windows, -1), 2)])
+    handles = lp.add_variables(lower.size, lower, upper).reshape(n_windows, 1 + width)
+    f_vars = handles[:, 0]
+    scenario = handles[:, 1:].reshape(n_windows, 2, n_loads, 2 * length - 1)
+    s_d, s_e = scenario[..., :length], scenario[..., length:]
+
+    # tank dynamics of every scenario, load and period
+    window_row = (2 * n_loads * length + 2 * length) * np.arange(n_windows)
+    dynamics = window_row[:, None, None, None] + np.arange(2 * n_loads * length).reshape(
+        2, n_loads, length
+    )
+    rate = np.array([load.efficiency * load.period_hours for load in loads])
+    rhs = np.broadcast_to(-per_window("loss", t_count, periods)[:, None], dynamics.shape).copy()
+    linked = starts > 0
+    rhs[~linked, ..., 0] += [load.energy_start for load in loads]
+    terms = [
+        (dynamics[..., :-1], s_e, 1.0),
+        (dynamics[..., -1], e_vars[:, starts + length - 1].T[:, None], 1.0),
+        (dynamics, s_d, -rate[:, None]),
+        (dynamics[..., 1:], s_e, -1.0),
+        (dynamics[linked, ..., 0], e_vars[:, starts[linked] - 1].T[:, None], -1.0),
+    ]
+
+    # amplitude rows, two per period: the high scenario sits F above the
+    # baseline and the low one F below in the first half, roles swapped in
+    # the recovery half
+    high = window_row[:, None, None] + 2 * n_loads * length + 2 * np.arange(length)
+    low = high + 1
+    sign = np.where(np.arange(length) < length // 2, -1.0, 1.0)
+    s_up, s_dn = s_d[:, 0], s_d[:, 1]
+    base = d_vars[:, periods].transpose(1, 0, 2)
+    f_column = f_vars[:, None, None]
+    terms += [
+        (high, f_column, 1.0),
+        (high, s_up, sign),
+        (high, base, -sign),
+        (low, f_column, 1.0),
+        (low, base, sign),
+        (low, s_dn, -sign),
+    ]
+    lp.add_constraints(
+        terms,
+        np.tile(np.repeat([EQUAL, LESS_EQUAL], [dynamics[0].size, 2 * length]), n_windows),
+        np.column_stack([rhs.reshape(n_windows, -1), np.zeros((n_windows, 2 * length))]),
+    )
+    return f_vars, s_up, s_dn
 
 
-def _scenario_schedule(lp, loads, d_vars, e_vars, start, length, w, direction):
-    """Extreme-scenario consumption for one band window, linked to the
-    baseline tank state at both boundaries."""
-    s_d = []
-    for i, load in enumerate(loads):
-        rate = load.efficiency * load.period_hours
-        d_i = {
-            t: lp.add_variable(
-                f"{direction}d{w}_{i}_{t}", load.power_min[t], load.power_max[t]
-            )
-            for t in range(start, start + length)
-        }
-        e_i = {
-            k: lp.add_variable(
-                f"{direction}e{w}_{i}_{k}", load.energy_min[k], load.energy_max[k]
-            )
-            for k in range(start + 1, start + length)
-        }
-        for t in range(start, start + length):
-            final = t == start + length - 1
-            state = e_vars[i][t + 1] if final else e_i[t + 1]
-            terms = [(state, 1.0), (d_i[t], -rate)]
-            rhs = -load.loss[t]
-            if t == start:
-                if start == 0:
-                    rhs += load.energy_start
-                else:
-                    terms.append((e_vars[i][start], -1.0))
-            else:
-                terms.append((e_i[t], -1.0))
-            lp.add_constraint(terms, EQUAL, rhs)
-        s_d.append(d_i)
-    return s_d
-
-
-def _patched(schedules, scenario_vars, sol):
+def _patched(schedules, windows, scenario_vars, sol):
     """Scenario schedules as full-horizon arrays, baseline outside windows."""
-    out = []
-    for base, per_load in zip(schedules, scenario_vars):
-        full = base.copy()
-        for t, var in per_load.items():
-            full[t] = sol.value(var)
-        out.append(full)
+    out = [base.copy() for base in schedules]
+    for (start, length), per_load in zip(windows, scenario_vars):
+        for full, handles in zip(out, per_load):
+            full[start : start + length] = sol.values(handles)
     return out

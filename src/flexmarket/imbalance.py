@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import EQUAL, LinearProgram, solve
-from .reserve_market import UP, ReserveProcurement
+from .reserve_market import UP, ReserveProcurement, band_coverage
 
 #: activations below this volume (MW) are treated as zero for tariff setting
 ACTIVATION_TOL = 1e-9
@@ -68,54 +68,59 @@ def settle(
     penalty = procurement.over_commit_penalty
 
     lp = LinearProgram(sense="min", name="settlement")
-    x = [lp.add_variable(f"x{k}", 0.0, 1.0) for k in range(len(classical))]
-    for k, (bid, volume) in enumerate(classical):
-        if bid.direction == UP:
-            lp.add_objective(x[k], (bid.activation_price + ACTIVATION_FRICTION) * volume)
-        else:
-            lp.add_objective(
-                x[k], (penalty[bid.period] - bid.activation_price + ACTIVATION_FRICTION) * volume
-            )
+    is_up = np.array([bid.direction == UP for bid, _ in classical], dtype=bool)
+    contracted_mw = np.array([mw for _, mw in classical], dtype=float)
+    price = np.array([bid.activation_price for bid, _ in classical], dtype=float)
+    period = np.array([bid.period for bid, _ in classical], dtype=np.intp)
+    x = lp.add_variables(len(classical), 0.0, 1.0)
+    lp.add_objectives(
+        x,
+        np.where(is_up, price + ACTIVATION_FRICTION, penalty[period] - price + ACTIVATION_FRICTION)
+        * contracted_mw,
+    )
 
-    v: list[dict[int, int]] = []
-    w: list[dict[int, int]] = []
-    for k, (bid, volume) in enumerate(modulation):
-        v_k = {t: lp.add_variable(f"v{k}_{t}", 0.0, 1.0) for t in bid.periods}
-        w_k = {t: lp.add_variable(f"w{k}_{t}", 0.0, 1.0) for t in bid.periods}
-        for t in bid.periods:
-            lp.add_objective(v_k[t], (bid.activation_price + ACTIVATION_FRICTION) * volume)
-            lp.add_objective(w_k[t], (bid.activation_price + ACTIVATION_FRICTION) * volume)
-        lp.add_constraint(
-            [(v_k[t], 1.0) for t in bid.periods] + [(w_k[t], -1.0) for t in bid.periods],
-            EQUAL,
-            0.0,
-        )
-        v.append(v_k)
-        w.append(w_k)
+    # per band bid, an upward then a downward activation share per covered
+    # period; the two must balance over the bid's window
+    bands = [bid for bid, _ in modulation]
+    band_mw = np.array([mw for _, mw in modulation], dtype=float)
+    band_price = np.array([bid.activation_price for bid in bands], dtype=float)
+    lengths = np.array([bid.length for bid in bands], dtype=np.intp)
+    owner, covered = band_coverage(bands)
+    shares = lp.add_variables(2 * owner.size, 0.0, 1.0)
+    # bid k's block holds its v then its w shares, so the slot s of k
+    # (counted over all bids) is v share s + (slots before k)
+    v = shares[np.arange(owner.size) + np.repeat(np.cumsum(lengths) - lengths, lengths)]
+    w = v + lengths[owner]
+    band_cost = ((band_price + ACTIVATION_FRICTION) * band_mw)[owner]
+    lp.add_objectives(v, band_cost)
+    lp.add_objectives(w, band_cost)
+    lp.add_constraints([(owner, v, 1.0), (owner, w, -1.0)], EQUAL, np.zeros(len(bands)))
 
-    y_up = [lp.add_variable(f"y_up{t}") for t in range(period_count)]
-    y_dn = [lp.add_variable(f"y_dn{t}") for t in range(period_count)]
-    for t in range(period_count):
-        lp.add_objective(y_up[t], non_contracted_price)
-        lp.add_objective(y_dn[t], non_contracted_price)
-        terms = [(y_up[t], 1.0), (y_dn[t], -1.0)]
-        for k, (bid, volume) in enumerate(classical):
-            if bid.period != t:
-                continue
-            terms.append((x[k], volume if bid.direction == UP else -volume))
-        for k, (bid, volume) in enumerate(modulation):
-            if t in bid.periods:
-                terms.append((v[k][t], volume))
-                terms.append((w[k][t], -volume))
-        lp.add_constraint(terms, EQUAL, -imbalance[t])
+    y_up = lp.add_variables(period_count)
+    y_dn = lp.add_variables(period_count)
+    lp.add_objectives(y_up, non_contracted_price)
+    lp.add_objectives(y_dn, non_contracted_price)
+    periods = np.arange(period_count)
+    lp.add_constraints(
+        [
+            (periods, y_up, 1.0),
+            (periods, y_dn, -1.0),
+            (period, x, np.where(is_up, contracted_mw, -contracted_mw)),
+            (covered, v, band_mw[owner]),
+            (covered, w, -band_mw[owner]),
+        ],
+        EQUAL,
+        -imbalance,
+    )
 
     sol = solve(lp, backend="highs")
     if sol.status != "optimal":
         raise RuntimeError(f"settlement unexpectedly {sol.status}")
 
-    x_val = np.clip(sol.values(x) if x else np.zeros(0), 0.0, 1.0)
-    v_val = [np.array([sol.value(v[k][t]) for t in bid.periods]) for k, (bid, _) in enumerate(modulation)]
-    w_val = [np.array([sol.value(w[k][t]) for t in bid.periods]) for k, (bid, _) in enumerate(modulation)]
+    x_val = np.clip(sol.values(x), 0.0, 1.0)
+    splits = np.cumsum(lengths)[:-1]
+    v_val = np.split(sol.values(v), splits) if bands else []
+    w_val = np.split(sol.values(w), splits) if bands else []
 
     # report the true activation cost, without the tie-break friction
     cost = 0.0

@@ -1,21 +1,32 @@
-"""Dense linear programming on bounded variables.
+"""Linear programming on bounded variables, stored as sparse triplets.
 
 Every optimization in this package (market clearings, agent position
 problems, settlement) is expressed as a :class:`LinearProgram` and handed to
-:func:`solve`.  Two interchangeable backends are provided:
+:func:`solve`.  Models are built from array blocks:
+:meth:`~LinearProgram.add_variables` appends bounded variables,
+:meth:`~LinearProgram.add_objectives` objective terms and
+:meth:`~LinearProgram.add_constraints` rows given as (row, column,
+coefficient) triplets.  ``add_variable``, ``add_objective`` and
+``add_constraint`` are one-element calls into the same store.
+:meth:`~LinearProgram.sparse_rows` assembles the CSR matrix once per solve,
+summing repeated terms and dropping cancelled ones.
+
+Two interchangeable backends are provided:
 
 * ``"simplex"`` -- the built-in dense two-phase simplex working directly on
   variable bounds, with Bland's rule as an anti-cycling fallback after a run
   of degenerate pivots.  Fully deterministic: entering-variable ties are
   broken by lowest column index, leaving-variable ties by lowest basis index.
-  It is the reference implementation, the default of :func:`solve`.
-* ``"highs"`` -- delegation to ``scipy.optimize.linprog``; the agent models,
-  the reserve clearing and the settlement always solve with it.
+  It is the reference implementation, the default of :func:`solve`, and with
+  the test oracles the only reader of :meth:`~LinearProgram.dense_rows`.
+* ``"highs"`` -- ``scipy.optimize.linprog`` on the sparse matrix; the agent
+  models, the reserve clearing and the settlement always solve with it.
 
 Both backends satisfy the same contract: an ``optimal`` solution is primal
 feasible within ``TOL_FEAS`` (relative to ``max(1, |rhs|)``) and matches a
-vertex-enumeration oracle on small instances.  Infinite bounds are the
-floats ``inf``/``-inf``, never large finite sentinels.
+vertex-enumeration oracle on small instances.  Coefficients, objective terms
+and right-hand sides must be finite.  Infinite bounds are the floats
+``inf``/``-inf``, never large finite sentinels.
 """
 
 from __future__ import annotations
@@ -45,24 +56,17 @@ UNBOUNDED = "unbounded"
 
 
 class LinearProgramError(ValueError):
-    """Raised for ill-formed models (bad bounds, unknown variables)."""
-
-
-@dataclass
-class _Constraint:
-    indices: np.ndarray
-    coefficients: np.ndarray
-    relation: str
-    rhs: float
+    """Raised for ill-formed models (bad bounds, unknown variables,
+    non-finite data)."""
 
 
 class LinearProgram:
-    """A linear program built incrementally from named, bounded variables.
+    """A linear program built from blocks of bounded variables and rows.
 
-    Variables are referred to by the integer handle returned from
-    :meth:`add_variable`.  Objective coefficients accumulate, which keeps
-    model-building code free of bookkeeping when several cost terms touch
-    the same variable.
+    Variables are referred to by the integer handles :meth:`add_variables`
+    returns.  Objective terms accumulate, which keeps model-building code
+    free of bookkeeping when several cost terms touch the same variable.
+    Each store is a list of array chunks, joined into one on first read.
     """
 
     def __init__(self, sense: str = "min", name: str = ""):
@@ -70,78 +74,178 @@ class LinearProgram:
             raise LinearProgramError(f"sense must be 'min' or 'max', got {sense!r}")
         self.sense = sense
         self.name = name
-        self.variable_names: list[str] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self._objective: dict[int, float] = {}
-        self.constraints: list[_Constraint] = []
+        self._n_variables = 0
+        self._n_constraints = 0
+        # (lower, upper), (variables, coefficients), (rows, columns,
+        # coefficients) and (relations, rhs) chunks
+        self._bounds = [(np.zeros(0), np.zeros(0))]
+        self._objective = [(np.zeros(0, np.intp), np.zeros(0))]
+        self._terms = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+        self._rows = [(np.zeros(0, "<U2"), np.zeros(0))]
+        self._matrix = None
 
     # -- model building ----------------------------------------------------
 
-    def add_variable(self, name: str, lower: float = 0.0, upper: float = INF) -> int:
-        if math.isnan(lower) or math.isnan(upper):
-            raise LinearProgramError(f"variable {name!r} has NaN bound")
-        if lower > upper:
+    def add_variables(self, count: int, lower=0.0, upper=INF) -> np.ndarray:
+        """Append ``count`` variables; ``lower``/``upper`` are scalars or one
+        value per variable.  Returns their handles."""
+        lower = _series(lower, count)
+        upper = _series(upper, count)
+        bad = np.flatnonzero(np.isnan(lower) | np.isnan(upper) | (lower > upper))
+        if bad.size:
+            j = bad[0]
             raise LinearProgramError(
-                f"variable {name!r} has lower bound {lower} above upper bound {upper}"
+                f"variable {self._n_variables + j} has bounds [{lower[j]}, {upper[j]}]"
             )
-        self.variable_names.append(name)
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        return len(self.variable_names) - 1
+        start = self._n_variables
+        self._bounds.append((lower, upper))
+        self._n_variables += count
+        self._matrix = None
+        return np.arange(start, start + count)
+
+    def add_variable(self, lower: float = 0.0, upper: float = INF) -> int:
+        return int(self.add_variables(1, lower, upper)[0])
+
+    def add_objectives(self, variables, coefficients) -> None:
+        """Add ``coefficients[k]`` to the objective term of ``variables[k]``."""
+        variables = np.array(variables, dtype=np.intp).ravel()
+        self._check_handles(variables)
+        coefficients = _series(coefficients, variables.size)
+        _require_finite(coefficients, "objective coefficient")
+        self._objective.append((variables, coefficients))
 
     def add_objective(self, var: int, coefficient: float) -> None:
-        self._check_var(var)
-        self._objective[var] = self._objective.get(var, 0.0) + float(coefficient)
+        self.add_objectives([var], [coefficient])
+
+    def add_constraints(self, terms, relations, rhs) -> np.ndarray:
+        """Add one row ``sum(coef * var) relation rhs`` per entry of ``rhs``.
+
+        ``relations`` is one relation or one per row.  ``terms`` is an
+        iterable of ``(rows, columns, coefficients)`` triplets whose parts
+        broadcast against each other; ``rows`` count from 0 within the block.
+        Returns the indices of the new rows.
+        """
+        rhs = np.array(rhs, dtype=float).ravel()
+        count = rhs.size
+        relations = np.asarray(relations)
+        if not (
+            relations.item() in _RELATIONS
+            if relations.ndim == 0
+            else np.isin(relations, _RELATIONS).all()
+        ):
+            raise LinearProgramError(f"unknown relation in {relations}")
+        _require_finite(rhs, "right-hand side")
+        rows, columns, coefficients = _flat_terms(terms)
+        if rows.size and (rows.min() < 0 or rows.max() >= count):
+            raise LinearProgramError(f"term row outside a block of {count} rows")
+        self._check_handles(columns)
+        _require_finite(coefficients, "constraint coefficient")
+        start = self._n_constraints
+        self._terms.append((rows + start, columns, coefficients))
+        self._rows.append((_series(relations, count, "<U2"), rhs))
+        self._n_constraints += count
+        self._matrix = None
+        return np.arange(start, start + count)
 
     def add_constraint(self, terms, relation: str, rhs: float) -> int:
         """Add ``sum(coef * var) relation rhs``; ``terms`` is {var: coef} or
         an iterable of (var, coef) pairs."""
-        if relation not in _RELATIONS:
-            raise LinearProgramError(f"unknown relation {relation!r}")
-        if isinstance(terms, dict):
-            terms = terms.items()
-        idx, coef = [], []
-        for var, c in terms:
-            self._check_var(var)
-            if c != 0.0:
-                idx.append(var)
-                coef.append(float(c))
-        self.constraints.append(
-            _Constraint(np.asarray(idx, dtype=np.intp), np.asarray(coef), relation, float(rhs))
-        )
-        return len(self.constraints) - 1
+        pairs = list(terms.items() if isinstance(terms, dict) else terms)
+        columns = [var for var, _ in pairs]
+        coefficients = [coef for _, coef in pairs]
+        return int(self.add_constraints([(0, columns, coefficients)], relation, [rhs])[0])
 
-    def _check_var(self, var: int) -> None:
-        if not 0 <= var < len(self.variable_names):
-            raise LinearProgramError(f"unknown variable handle {var}")
+    def _check_handles(self, handles: np.ndarray) -> None:
+        if handles.size and (handles.min() < 0 or handles.max() >= self._n_variables):
+            bad = handles[(handles < 0) | (handles >= self._n_variables)][0]
+            raise LinearProgramError(f"unknown variable handle {bad}")
 
     # -- views --------------------------------------------------------------
 
     @property
     def n_variables(self) -> int:
-        return len(self.variable_names)
+        return self._n_variables
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self._n_constraints
+
+    @property
+    def lower(self) -> np.ndarray:
+        return _joined(self._bounds)[0]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return _joined(self._bounds)[1]
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.n_variables)
-        for var, coef in self._objective.items():
-            c[var] = coef
+        variables, coefficients = _joined(self._objective)
+        c = np.zeros(self._n_variables)
+        np.add.at(c, variables, coefficients)
         return c
 
+    def sparse_rows(self):
+        """(A, relations, b): A as a CSR array with repeated terms summed and
+        cancelled ones dropped, kept until the model changes; ``relations``
+        is an array of relation strings."""
+        if self._matrix is None:
+            from scipy.sparse import csr_array
+
+            rows, columns, coefficients = _joined(self._terms)
+            shape = (self._n_constraints, self._n_variables)
+            matrix = csr_array((coefficients, (rows, columns)), shape=shape)
+            matrix.sum_duplicates()
+            matrix.eliminate_zeros()
+            self._matrix = matrix
+        relations, rhs = _joined(self._rows)
+        return self._matrix, relations, rhs
+
     def dense_rows(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        """(A, relations, b) with one dense row per constraint."""
-        a = np.zeros((self.n_constraints, self.n_variables))
-        rel = []
-        b = np.zeros(self.n_constraints)
-        for i, con in enumerate(self.constraints):
-            np.add.at(a[i], con.indices, con.coefficients)
-            rel.append(con.relation)
-            b[i] = con.rhs
-        return a, rel, b
+        """(A, relations, b) with one dense row per constraint, for the
+        reference simplex and the test oracles."""
+        rows, columns, coefficients = _joined(self._terms)
+        a = np.zeros((self._n_constraints, self._n_variables))
+        np.add.at(a, (rows, columns), coefficients)
+        relations, rhs = _joined(self._rows)
+        return a, relations.tolist(), rhs.copy()
+
+
+def _series(values, count: int, dtype=float) -> np.ndarray:
+    """``values`` (a scalar or ``count`` values in any shape) as a new
+    one-dimensional array."""
+    out = np.empty(count, dtype)
+    out[...] = np.ravel(values)
+    return out
+
+
+def _flat_terms(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, columns, coefficients) triplets of ``terms``, each one
+    broadcast and flattened, concatenated into three arrays."""
+    terms = [(part, np.broadcast(*part).shape) for part in terms]
+    size = sum(math.prod(shape) for _, shape in terms)
+    rows = np.empty(size, np.intp)
+    columns = np.empty(size, np.intp)
+    coefficients = np.empty(size)
+    at = 0
+    for (r, c, v), shape in terms:
+        block = slice(at, at + math.prod(shape))
+        rows[block].reshape(shape)[...] = r
+        columns[block].reshape(shape)[...] = c
+        coefficients[block].reshape(shape)[...] = v
+        at = block.stop
+    return rows, columns, coefficients
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise LinearProgramError(f"non-finite {what} {values[~np.isfinite(values)][0]}")
+
+
+def _joined(chunks: list) -> tuple:
+    """The single chunk of a store, concatenating its chunks first."""
+    if len(chunks) > 1:
+        chunks[:] = [tuple(np.concatenate(parts) for parts in zip(*chunks))]
+    return chunks[0]
 
 
 @dataclass(frozen=True)
@@ -183,27 +287,29 @@ def solve(lp: LinearProgram, backend: str = "simplex") -> Solution:
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
-    lower = np.asarray(lp.lower)
-    upper = np.asarray(lp.upper)
-    finite_lo = np.isfinite(lower)
-    finite_up = np.isfinite(upper)
-    if np.any(lower[finite_lo] - x[finite_lo] > TOL_FEAS) or np.any(
-        x[finite_up] - upper[finite_up] > TOL_FEAS
+    """Raise unless ``x`` is finite, within its bounds (absolute ``TOL_FEAS``)
+    and satisfies every row within ``TOL_FEAS * max(1, |rhs|)``."""
+    if (
+        not np.isfinite(x).all()
+        or np.any(lp.lower - x > TOL_FEAS)
+        or np.any(x - lp.upper > TOL_FEAS)
     ):
         raise RuntimeError(f"solver returned out-of-bounds solution for {lp.name!r}")
-    for con in lp.constraints:
-        lhs = float(con.coefficients @ x[con.indices])
-        scale = max(1.0, abs(con.rhs))
-        resid = lhs - con.rhs
-        bad = (
-            (con.relation == EQUAL and abs(resid) > TOL_FEAS * scale)
-            or (con.relation == LESS_EQUAL and resid > TOL_FEAS * scale)
-            or (con.relation == GREATER_EQUAL and resid < -TOL_FEAS * scale)
+    a, relations, rhs = lp.sparse_rows()
+    resid = a @ x - rhs
+    slack = TOL_FEAS * np.maximum(1.0, np.abs(rhs))
+    # written as "holds" so that a NaN residual fails every relation
+    holds = np.where(
+        relations == EQUAL,
+        np.abs(resid) <= slack,
+        np.where(relations == LESS_EQUAL, resid <= slack, resid >= -slack),
+    )
+    violated = np.flatnonzero(~(holds & np.isfinite(resid)))
+    if violated.size:
+        i = violated[0]
+        raise RuntimeError(
+            f"solver violated constraint {i} of {lp.name!r} by {resid[i]:.3e}"
         )
-        if bad:
-            raise RuntimeError(
-                f"solver violated a constraint of {lp.name!r} by {resid:.3e}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +323,19 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray]:
     c = lp.objective_vector()
     if lp.sense == "max":
         c = -c
-    a, rel, b = lp.dense_rows()
-    ub_rows = [i for i, r in enumerate(rel) if r == LESS_EQUAL]
-    ge_rows = [i for i, r in enumerate(rel) if r == GREATER_EQUAL]
-    eq_rows = [i for i, r in enumerate(rel) if r == EQUAL]
+    a, relations, b = lp.sparse_rows()
+    ub_rows = np.flatnonzero(relations == LESS_EQUAL)
+    ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
+    eq_rows = np.flatnonzero(relations == EQUAL)
     a_ub = b_ub = a_eq = b_eq = None
-    if ub_rows or ge_rows:
-        a_ub = np.vstack([a[ub_rows], -a[ge_rows]]) if ge_rows else a[ub_rows]
-        b_ub = np.concatenate([b[ub_rows], -b[ge_rows]]) if ge_rows else b[ub_rows]
-    if eq_rows:
+    if ub_rows.size or ge_rows.size:
+        # ">=" rows follow the "<=" rows, negated
+        a_ub = a[np.concatenate([ub_rows, ge_rows])]
+        a_ub.data[a_ub.indptr[ub_rows.size]:] *= -1.0
+        b_ub = np.concatenate([b[ub_rows], -b[ge_rows]])
+    if eq_rows.size:
         a_eq, b_eq = a[eq_rows], b[eq_rows]
-    bounds = [
-        (lo if math.isfinite(lo) else None, up if math.isfinite(up) else None)
-        for lo, up in zip(lp.lower, lp.upper)
-    ]
+    bounds = np.column_stack([lp.lower, lp.upper])
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 2:
         return INFEASIBLE, np.empty(0)
@@ -320,11 +425,12 @@ class _StandardForm:
 
     def restore(self, y: np.ndarray, lp: LinearProgram) -> np.ndarray:
         x = np.zeros(self.n_original)
+        lower, upper = lp.lower, lp.upper
         for value, (mode, j) in zip(y, self.recover):
             if mode == "lo":
-                x[j] = lp.lower[j] + value
+                x[j] = lower[j] + value
             elif mode == "hi":
-                x[j] = lp.upper[j] - value
+                x[j] = upper[j] - value
             elif mode == "pos":
                 x[j] += value
             elif mode == "neg":

@@ -142,6 +142,16 @@ class ReserveProcurement:
         ]
 
 
+def band_coverage(bids: list[ModulationBid]) -> tuple[np.ndarray, np.ndarray]:
+    """(bid index, period) of every period each band bid covers, bid by bid
+    and in period order within a bid."""
+    lengths = np.array([bid.length for bid in bids], dtype=np.intp)
+    starts = np.array([bid.start for bid in bids], dtype=np.intp)
+    owner = np.repeat(np.arange(len(bids)), lengths)
+    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, starts[owner] + within
+
+
 def _check_non_overlap(modulation: list[ModulationBid]) -> None:
     seen: dict[str, set[int]] = {}
     for bid in modulation:
@@ -181,64 +191,59 @@ def clear_reserve(
         b.activation_price for b in modulation
     ]
     fallback = max(all_prices) if all_prices else prices.non_contracted
-    penalty = np.array(
-        [
-            over_contract_penalty(
-                [b for b in classical if b.direction == DOWN and b.period == t],
-                fallback,
-            )
-            for t in range(period_count)
-        ]
-    )
+    downward: list[list[ClassicalReserveBid]] = [[] for _ in range(period_count)]
+    for bid in classical:
+        if bid.direction == DOWN:
+            downward[bid.period].append(bid)
+    penalty = np.array([over_contract_penalty(bids, fallback) for bids in downward])
 
     lp = LinearProgram(sense="min", name="reserve-clearing")
-    x_classical = []
-    for k, bid in enumerate(classical):
-        v = lp.add_variable(f"x_c{k}", 0.0, 1.0)
-        sign = 1.0 if bid.direction == UP else -1.0
-        capacity = prices.up_capacity if bid.direction == UP else prices.down_capacity
-        lp.add_objective(v, (capacity + sign * bid.activation_price) * bid.volume)
-        x_classical.append(v)
-    x_modulation = []
-    for k, bid in enumerate(modulation):
-        v = lp.add_variable(f"x_m{k}", 0.0, 1.0)
-        lp.add_objective(
-            v, (prices.modulation_capacity + bid.activation_price) * bid.amplitude
-        )
-        x_modulation.append(v)
+    is_up = np.array([bid.direction == UP for bid in classical], dtype=bool)
+    volume = np.array([bid.volume for bid in classical], dtype=float)
+    capacity = np.where(is_up, prices.up_capacity, prices.down_capacity)
+    sign = np.where(is_up, 1.0, -1.0)
+    activation = np.array([bid.activation_price for bid in classical], dtype=float)
+    x_classical = lp.add_variables(len(classical), 0.0, 1.0)
+    lp.add_objectives(x_classical, (capacity + sign * activation) * volume)
+    amplitude = np.array([bid.amplitude for bid in modulation], dtype=float)
+    band_activation = np.array([bid.activation_price for bid in modulation], dtype=float)
+    x_modulation = lp.add_variables(len(modulation), 0.0, 1.0)
+    lp.add_objectives(x_modulation, (prices.modulation_capacity + band_activation) * amplitude)
 
-    s_up = [lp.add_variable(f"s_up{t}") for t in range(period_count)]
-    s_dn = [lp.add_variable(f"s_dn{t}") for t in range(period_count)]
-    n_up = [lp.add_variable(f"n_up{t}") for t in range(period_count)]
-    n_dn = [lp.add_variable(f"n_dn{t}") for t in range(period_count)]
-    for t in range(period_count):
-        lp.add_objective(s_up[t], penalty[t])
-        lp.add_objective(s_dn[t], penalty[t])
-        lp.add_objective(n_up[t], prices.non_contracted)
-        lp.add_objective(n_dn[t], prices.non_contracted)
+    s_up, s_dn, n_up, n_dn = (lp.add_variables(period_count) for _ in range(4))
+    lp.add_objectives(s_up, penalty)
+    lp.add_objectives(s_dn, penalty)
+    lp.add_objectives(n_up, prices.non_contracted)
+    lp.add_objectives(n_dn, prices.non_contracted)
 
-    for t in range(period_count):
-        up_terms = [(n_up[t], 1.0), (s_up[t], -1.0)]
-        down_terms = [(n_dn[t], 1.0), (s_dn[t], -1.0)]
-        for k, bid in enumerate(classical):
-            if bid.period != t:
-                continue
-            target = up_terms if bid.direction == UP else down_terms
-            target.append((x_classical[k], bid.volume * bid.efficiency))
-        for k, bid in enumerate(modulation):
-            if t in bid.periods:
-                contribution = bid.amplitude * bid.efficiency
-                up_terms.append((x_modulation[k], contribution))
-                down_terms.append((x_modulation[k], contribution))
-        lp.add_constraint(up_terms, EQUAL, required_up[t])
-        lp.add_constraint(down_terms, EQUAL, required_down[t])
+    # rows 2t and 2t + 1: the upward and downward requirement of period t
+    up_row = 2 * np.arange(period_count)
+    period = np.array([bid.period for bid in classical], dtype=np.intp)
+    bid_row = 2 * period + np.where(is_up, 0, 1)
+    efficiency = np.array([bid.efficiency for bid in classical], dtype=float)
+    owner, covered = band_coverage(modulation)
+    band_efficiency = np.array([bid.efficiency for bid in modulation], dtype=float)
+    contribution = (amplitude * band_efficiency)[owner]
+    lp.add_constraints(
+        [
+            (up_row, n_up, 1.0),
+            (up_row, s_up, -1.0),
+            (up_row + 1, n_dn, 1.0),
+            (up_row + 1, s_dn, -1.0),
+            (bid_row, x_classical, volume * efficiency),
+            (2 * covered, x_modulation[owner], contribution),
+            (2 * covered + 1, x_modulation[owner], contribution),
+        ],
+        EQUAL,
+        np.column_stack([required_up, required_down]).ravel(),
+    )
 
     sol = solve(lp, backend="highs")
     if sol.status != "optimal":
         raise RuntimeError(f"reserve clearing unexpectedly {sol.status}")
 
-    xc = np.clip(sol.values(x_classical) if classical else np.zeros(0), 0.0, 1.0)
-    xm = np.clip(sol.values(x_modulation) if modulation else np.zeros(0), 0.0, 1.0)
+    xc = np.clip(sol.values(x_classical), 0.0, 1.0)
+    xm = np.clip(sol.values(x_modulation), 0.0, 1.0)
     contracted = 0.0
     for bid, x in zip(classical, xc):
         sign = 1.0 if bid.direction == UP else -1.0

@@ -95,7 +95,7 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6
     lower = rng.uniform(-5.0, 0.0, size=n)
     upper = lower + rng.uniform(0.5, 8.0, size=n)
     for j in range(n):
-        lp.add_variable(f"x{j}", lower[j], upper[j])
+        lp.add_variable(lower[j], upper[j])
         lp.add_objective(j, float(rng.uniform(-10.0, 10.0)))
     for _ in range(m):
         coefs = rng.uniform(-3.0, 3.0, size=n)

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,3 +550,173 @@ def test_coverage_rejects_infeasible_baseline():
     with pytest.raises(ValueError):
         verify_scenario_coverage(load, base + 100.0, up, down, samples=10, seed=0)
 
+
+
+# ---------------------------------------------------------------------------
+# model snapshot: the LPs the agents build, term for term
+# ---------------------------------------------------------------------------
+
+MODEL_SNAPSHOT = Path(__file__).with_name("agent_models.npz")
+
+
+class _Captured(Exception):
+    pass
+
+
+def _snapshot_portfolios():
+    t = 6
+    units = [
+        GenerationUnit(
+            name="a",
+            power_min=np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
+            power_max=np.array([5.0, 5.0, 6.0, 6.0, 5.0, 5.0]),
+            ramp_up=2.0,
+            ramp_down=3.0,
+            cost=np.array([20.0, 25.0, 30.0, 35.0, 28.0, 22.0]),
+            initial_output=1.0,
+        ),
+        GenerationUnit(
+            name="b",
+            power_min=np.full(t, 0.5),
+            power_max=np.full(t, 4.0),
+            ramp_up=4.0,
+            ramp_down=4.0,
+            cost=np.full(t, 40.0),
+        ),
+    ]
+    gen = ProducerPortfolio(name="gen", units=units, imbalance_limit=10.0, production_bias=0.01)
+    loads = [
+        simple_load(t, total=6.0, name="fixed-total"),
+        TankLoad(
+            name="ranged",
+            power_min=np.full(t, 0.2),
+            power_max=np.full(t, 3.0),
+            energy_min=np.zeros(t + 1),
+            energy_max=np.full(t + 1, 10.0),
+            efficiency=0.9,
+            loss=np.full(t, 0.1),
+            total_min=4.0,
+            total_max=8.0,
+            energy_start=1.0,
+            period_hours=0.5,
+        ),
+    ]
+    ret = retailer(t, np.array([5.0, 6.0, 7.0, 7.0, 6.0, 5.0]), loads)
+    return gen, ret
+
+
+def capture_agent_models() -> dict:
+    """The LinearProgram of every producer and retailer stage of a small
+    fixed portfolio with pins and bands on, captured at the ``solve`` call."""
+    from flexmarket.agents import producer as producer_model
+    from flexmarket.agents import retailer as retailer_model
+
+    gen, ret = _snapshot_portfolios()
+    fc = flat_forecast(6, np.array([30.0, 45.0, 50.0, 60.0, 40.0, 35.0]), 70.0, 20.0)
+    inf = np.inf
+    pins = (
+        np.array([inf, 3.0, inf, 4.0, inf, inf]),
+        np.array([inf, inf, inf, inf, inf, 2.0]),
+        np.array([1.0, inf, inf, 1.5, inf, inf]),
+    )
+    sale = np.array([3.0, 4.0, 5.0, 6.0, 4.0, 3.0])
+    reserve = {"a": np.full(6, 0.5), "b": np.full(6, 0.25)}
+    windows = [(0, 2), (2, 4)]
+    demand = np.array([7.0, 8.0, 9.0, 9.0, 8.0, 7.0])
+    stages = {
+        "producer_free": lambda: optimize_producer(gen, fc, CAP, PI_NC, pins=pins),
+        "producer_sold": lambda: optimize_producer(
+            gen, fc, CAP, PI_NC, fixed_sale=sale, pins=pins
+        ),
+        "producer_reserved": lambda: optimize_producer(
+            gen, fc, CAP, PI_NC, fixed_sale=sale, fixed_reserve_up=reserve,
+            fixed_reserve_down=reserve, pins=pins,
+        ),
+        "retailer_bands": lambda: optimize_retailer(
+            ret, fc, CAP, PI_NC, windows=windows, pins=pins
+        ),
+        "retailer_sold": lambda: optimize_retailer(
+            ret, fc, CAP, PI_NC, windows=windows, fixed_demand=demand,
+            fixed_amplitudes=np.array([0.5, 0.25]), pins=pins,
+        ),
+        "retailer_pairs": lambda: optimize_retailer(
+            ret, fc, CAP, PI_NC, windows=[(0, 2), (2, 2), (4, 2)], pins=pins
+        ),
+        "retailer_no_bands": lambda: optimize_retailer(ret, fc, CAP, PI_NC, pins=pins),
+    }
+    captured = {}
+
+    def stop(lp, backend="simplex"):
+        captured["lp"] = lp
+        raise _Captured
+
+    models = {}
+    originals = producer_model.solve, retailer_model.solve
+    producer_model.solve = retailer_model.solve = stop
+    try:
+        for key, stage in stages.items():
+            try:
+                stage()
+            except _Captured:
+                models[key] = captured.pop("lp")
+    finally:
+        producer_model.solve, retailer_model.solve = originals
+    return models
+
+
+def record_agent_models(path=MODEL_SNAPSHOT) -> None:
+    """Write the snapshot :func:`test_agent_models_match_snapshot` reads."""
+    from scipy.sparse import csr_array
+
+    arrays = {}
+    for key, lp in capture_agent_models().items():
+        dense, relations, rhs = lp.dense_rows()
+        matrix = csr_array(dense)
+        arrays[key + ".data"] = matrix.data
+        arrays[key + ".indices"] = matrix.indices.astype(np.int64)
+        arrays[key + ".indptr"] = matrix.indptr.astype(np.int64)
+        arrays[key + ".shape"] = np.array(matrix.shape)
+        arrays[key + ".relations"] = np.array(relations, dtype="<U2")
+        arrays[key + ".rhs"] = rhs
+        arrays[key + ".lower"] = np.asarray(lp.lower, dtype=float)
+        arrays[key + ".upper"] = np.asarray(lp.upper, dtype=float)
+        arrays[key + ".objective"] = lp.objective_vector()
+        arrays[key + ".sense"] = np.array(lp.sense)
+    np.savez_compressed(path, **arrays)
+
+
+def _same_bits(actual, expected):
+    actual = np.asarray(actual)
+    assert actual.shape == expected.shape
+    assert actual.dtype.kind == expected.dtype.kind
+    if actual.dtype.kind == "f":
+        # bitwise, so that -0.0 and 0.0 differ as they would for HiGHS
+        return actual.astype(np.float64).tobytes() == expected.tobytes()
+    return np.array_equal(actual, expected)
+
+
+def test_agent_models_match_snapshot():
+    """Every producer and retailer stage builds the same LP as recorded.
+
+    The snapshot pins the variable order, row order, coefficients, bounds
+    and objective term for term, so HiGHS receives the same matrix and
+    returns the same vertex.  Regenerate it (only when a model is meant to
+    change) from the repository root with::
+
+        PYTHONPATH=src:tests python -c "import test_agents; test_agents.record_agent_models()"
+    """
+    expected = np.load(MODEL_SNAPSHOT)
+    models = capture_agent_models()
+    assert sorted(models) == sorted({name.split(".")[0] for name in expected.files})
+    for key, lp in models.items():
+        matrix, relations, rhs = lp.sparse_rows()
+        assert tuple(matrix.shape) == tuple(expected[key + ".shape"]), key
+        assert _same_bits(matrix.data, expected[key + ".data"]), key
+        assert _same_bits(matrix.indices.astype(np.int64), expected[key + ".indices"]), key
+        assert _same_bits(matrix.indptr.astype(np.int64), expected[key + ".indptr"]), key
+        assert np.array_equal(relations, expected[key + ".relations"]), key
+        assert _same_bits(rhs, expected[key + ".rhs"]), key
+        assert _same_bits(lp.lower, expected[key + ".lower"]), key
+        assert _same_bits(lp.upper, expected[key + ".upper"]), key
+        assert _same_bits(lp.objective_vector(), expected[key + ".objective"]), key
+        assert str(expected[key + ".sense"]) == lp.sense, key

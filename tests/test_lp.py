@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from flexmarket.lp import (
     INF,
     EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
+    TOL_FEAS,
     LinearProgram,
     LinearProgramError,
+    _check_feasible,
     solve,
 )
 
@@ -25,7 +28,7 @@ def backend(request):
 
 def test_bound_attained_maximum(backend):
     lp = LinearProgram(sense="max")
-    x = lp.add_variable("x", 0.0, 5.0)
+    x = lp.add_variable(0.0, 5.0)
     lp.add_objective(x, 1.0)
     sol = solve(lp, backend=backend)
     assert sol.status == "optimal"
@@ -35,8 +38,8 @@ def test_bound_attained_maximum(backend):
 
 def test_tight_constraint_minimum(backend):
     lp = LinearProgram(sense="min")
-    x = lp.add_variable("x")
-    y = lp.add_variable("y")
+    x = lp.add_variable()
+    y = lp.add_variable()
     lp.add_objective(x, 1.0)
     lp.add_objective(y, 1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, GREATER_EQUAL, 3.0)
@@ -47,7 +50,7 @@ def test_tight_constraint_minimum(backend):
 
 def test_infeasible_reported_as_status(backend):
     lp = LinearProgram()
-    x = lp.add_variable("x")
+    x = lp.add_variable()
     lp.add_constraint({x: 1.0}, GREATER_EQUAL, 5.0)
     lp.add_constraint({x: 1.0}, LESS_EQUAL, 3.0)
     assert solve(lp, backend=backend).status == "infeasible"
@@ -55,15 +58,15 @@ def test_infeasible_reported_as_status(backend):
 
 def test_unbounded_reported_as_status(backend):
     lp = LinearProgram(sense="max")
-    x = lp.add_variable("x")
+    x = lp.add_variable()
     lp.add_objective(x, 1.0)
     assert solve(lp, backend=backend).status == "unbounded"
 
 
 def test_free_variable_and_negative_bounds(backend):
     lp = LinearProgram(sense="min")
-    x = lp.add_variable("x", -INF, INF)
-    y = lp.add_variable("y", -4.0, -1.0)
+    x = lp.add_variable(-INF, INF)
+    y = lp.add_variable(-4.0, -1.0)
     lp.add_objective(x, 2.0)
     lp.add_objective(y, 1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, GREATER_EQUAL, -3.0)
@@ -77,8 +80,8 @@ def test_free_variable_and_negative_bounds(backend):
 
 def test_equality_row_with_upper_bounds(backend):
     lp = LinearProgram(sense="max")
-    x = lp.add_variable("x", 0.0, 2.0)
-    y = lp.add_variable("y", 0.0, 2.0)
+    x = lp.add_variable(0.0, 2.0)
+    y = lp.add_variable(0.0, 2.0)
     lp.add_objective(x, 3.0)
     lp.add_objective(y, 1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, EQUAL, 3.0)
@@ -90,8 +93,8 @@ def test_equality_row_with_upper_bounds(backend):
 
 def test_fixed_variable():
     lp = LinearProgram(sense="min")
-    x = lp.add_variable("x", 1.5, 1.5)
-    y = lp.add_variable("y", 0.0, 4.0)
+    x = lp.add_variable(1.5, 1.5)
+    y = lp.add_variable(0.0, 4.0)
     lp.add_objective(y, 1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, GREATER_EQUAL, 3.0)
     sol = solve(lp)
@@ -103,7 +106,7 @@ def test_degenerate_cycling_instance_terminates():
     # classic cycling trap for the most-negative-reduced-cost rule; the
     # degenerate-pivot counter must hand over to Bland's rule and finish
     lp = LinearProgram(sense="min")
-    x = [lp.add_variable(f"x{j}") for j in range(4)]
+    x = [lp.add_variable() for _ in range(4)]
     for var, cost in zip(x, [-0.75, 150.0, -0.02, 6.0]):
         lp.add_objective(var, cost)
     lp.add_constraint(list(zip(x, [0.25, -60.0, -0.04, 9.0])), LESS_EQUAL, 0.0)
@@ -117,8 +120,8 @@ def test_degenerate_cycling_instance_terminates():
 def test_validation_rejects_bad_models():
     lp = LinearProgram()
     with pytest.raises(LinearProgramError):
-        lp.add_variable("x", 2.0, 1.0)
-    x = lp.add_variable("x")
+        lp.add_variable(2.0, 1.0)
+    x = lp.add_variable()
     with pytest.raises(LinearProgramError):
         lp.add_constraint({x + 7: 1.0}, LESS_EQUAL, 1.0)
     with pytest.raises(LinearProgramError):
@@ -173,3 +176,210 @@ def test_identical_inputs_give_identical_solutions():
     assert first.objective == second.objective
     assert np.array_equal(first.x, second.x)
 
+
+
+# ---------------------------------------------------------------------------
+# the triplet store and the sparse path, against the row-by-row references
+# ---------------------------------------------------------------------------
+
+
+class RecordingProgram(LinearProgram):
+    """Keeps each scalar constraint as the row-by-row store used to: the
+    nonzero (index, coefficient) pairs, the relation and the rhs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recorded = []
+
+    def add_constraint(self, terms, relation, rhs):
+        pairs = list(terms.items() if isinstance(terms, dict) else terms)
+        kept = [(var, float(c)) for var, c in pairs if c != 0.0]
+        self.recorded.append(
+            (
+                np.asarray([var for var, _ in kept], dtype=np.intp),
+                np.asarray([c for _, c in kept]),
+                relation,
+                float(rhs),
+            )
+        )
+        return super().add_constraint(terms, relation, rhs)
+
+
+def reference_dense_rows(lp):
+    """The per-constraint ``np.add.at`` loop that built dense rows before."""
+    a = np.zeros((len(lp.recorded), lp.n_variables))
+    for i, (indices, coefficients, _, _) in enumerate(lp.recorded):
+        np.add.at(a[i], indices, coefficients)
+    return a
+
+
+def reference_check(lp, x):
+    """The row-by-row feasibility check ``solve`` ran before."""
+    lower, upper = np.asarray(lp.lower), np.asarray(lp.upper)
+    finite_lo, finite_up = np.isfinite(lower), np.isfinite(upper)
+    if np.any(lower[finite_lo] - x[finite_lo] > TOL_FEAS) or np.any(
+        x[finite_up] - upper[finite_up] > TOL_FEAS
+    ):
+        raise RuntimeError("out of bounds")
+    for indices, coefficients, relation, rhs in lp.recorded:
+        resid = float(coefficients @ x[indices]) - rhs
+        scale = max(1.0, abs(rhs))
+        if (
+            (relation == EQUAL and abs(resid) > TOL_FEAS * scale)
+            or (relation == LESS_EQUAL and resid > TOL_FEAS * scale)
+            or (relation == GREATER_EQUAL and resid < -TOL_FEAS * scale)
+        ):
+            raise RuntimeError("violated")
+
+
+def raises(check, lp, x):
+    try:
+        check(lp, x)
+    except RuntimeError:
+        return True
+    return False
+
+
+@pytest.fixture
+def recorded_random_lp(monkeypatch):
+    monkeypatch.setattr(oracles, "LinearProgram", RecordingProgram)
+    return random_box_lp
+
+
+def test_sparse_rows_match_reference_loop(recorded_random_lp):
+    rng = np.random.default_rng(31)
+    for _ in range(80):
+        lp = recorded_random_lp(rng, max_vars=7, max_rows=7)
+        a, relations, rhs = lp.sparse_rows()
+        expected = reference_dense_rows(lp)
+        assert a.shape == expected.shape
+        assert np.array_equal(a.toarray(), expected)
+        assert np.all(a.data != 0.0)
+        assert relations.tolist() == [r for _, _, r, _ in lp.recorded]
+        assert np.array_equal(rhs, [b for _, _, _, b in lp.recorded])
+        dense, dense_relations, dense_rhs = lp.dense_rows()
+        assert np.array_equal(dense, expected)
+        assert dense_relations == relations.tolist()
+        assert np.array_equal(dense_rhs, rhs)
+
+
+def test_repeated_terms_sum_and_cancelled_terms_leave_no_zero():
+    lp = LinearProgram()
+    x, y = lp.add_variables(2)
+    lp.add_constraint([(x, 1.5), (y, 2.0), (x, 0.25)], LESS_EQUAL, 1.0)
+    lp.add_constraint([(x, 1.0), (y, 3.0), (x, -1.0)], EQUAL, 0.0)
+    lp.add_constraints([([0, 0], y, [0.5, -0.5])], GREATER_EQUAL, [2.0])
+    a, relations, rhs = lp.sparse_rows()
+    assert np.array_equal(a.toarray(), [[1.75, 2.0], [0.0, 3.0], [0.0, 0.0]])
+    assert a.nnz == 3 and np.all(a.data != 0.0)
+    assert relations.tolist() == [LESS_EQUAL, EQUAL, GREATER_EQUAL]
+    assert np.array_equal(lp.dense_rows()[0], a.toarray())
+
+
+def test_block_calls_build_the_scalar_model(backend):
+    scalar = LinearProgram(sense="max")
+    xs = [scalar.add_variable(0.0, up) for up in (2.0, 3.0, 4.0)]
+    for var, coef in zip(xs, (1.0, 2.0, 0.5)):
+        scalar.add_objective(var, coef)
+    scalar.add_constraint({xs[0]: 1.0, xs[1]: 1.0}, LESS_EQUAL, 4.0)
+    scalar.add_constraint({xs[1]: 1.0, xs[2]: -1.0}, GREATER_EQUAL, -1.0)
+    scalar.add_constraint({xs[0]: 1.0, xs[2]: 1.0}, EQUAL, 5.0)
+
+    block = LinearProgram(sense="max")
+    x = block.add_variables(3, 0.0, [2.0, 3.0, 4.0])
+    block.add_objectives(x, [1.0, 2.0, 0.5])
+    rows = block.add_constraints(
+        [([0, 0, 1, 1, 2, 2], x[[0, 1, 1, 2, 0, 2]], [1.0, 1.0, 1.0, -1.0, 1.0, 1.0])],
+        [LESS_EQUAL, GREATER_EQUAL, EQUAL],
+        [4.0, -1.0, 5.0],
+    )
+    assert rows.tolist() == [0, 1, 2]
+    assert np.array_equal(block.sparse_rows()[0].toarray(), scalar.sparse_rows()[0].toarray())
+    assert np.array_equal(block.objective_vector(), scalar.objective_vector())
+    first, second = solve(scalar, backend=backend), solve(block, backend=backend)
+    assert first.status == second.status == "optimal"
+    assert np.array_equal(first.x, second.x)
+
+
+def test_block_validation():
+    lp = LinearProgram()
+    x = lp.add_variables(2)
+    with pytest.raises(LinearProgramError):
+        lp.add_variables(2, [0.0, 3.0], [1.0, 2.0])
+    with pytest.raises(LinearProgramError):
+        lp.add_variables(1, math.nan)
+    with pytest.raises(LinearProgramError):
+        lp.add_constraints([([0, 2], x, 1.0)], LESS_EQUAL, [1.0, 1.0])
+    with pytest.raises(LinearProgramError):
+        lp.add_constraints([(0, [0, 5], 1.0)], LESS_EQUAL, [1.0])
+    with pytest.raises(LinearProgramError):
+        lp.add_constraints([(0, x, 1.0)], ["<=="], [1.0])
+    with pytest.raises(LinearProgramError):
+        lp.add_objectives([2], [1.0])
+    assert (lp.n_variables, lp.n_constraints) == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_model_data_rejected(backend, bad):
+    # NaN * x <= 1 used to be accepted and "solved" to x = 0
+    lp = LinearProgram(sense="max")
+    x = lp.add_variable(0.0, 1.0)
+    lp.add_objective(x, 1.0)
+    with pytest.raises(LinearProgramError):
+        lp.add_constraint({x: bad}, LESS_EQUAL, 1.0)
+    with pytest.raises(LinearProgramError):
+        lp.add_constraint({x: 1.0}, LESS_EQUAL, bad)
+    with pytest.raises(LinearProgramError):
+        lp.add_constraints([([0, 1], x, [1.0, bad])], LESS_EQUAL, [1.0, 2.0])
+    with pytest.raises(LinearProgramError):
+        lp.add_objective(x, bad)
+    # a rejected call leaves the model as it was
+    assert lp.n_constraints == 0
+    sol = solve(lp, backend=backend)
+    assert sol.status == "optimal"
+    assert sol.value(x) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("relation", [EQUAL, LESS_EQUAL, GREATER_EQUAL])
+@pytest.mark.parametrize("rhs", [0.0, 0.5, 3.0, -250.0, 1e6])
+def test_vectorised_check_raises_where_the_loop_raises(relation, rhs):
+    for factor in (-1.5, -1.01, -0.99, -0.5, 0.0, 0.5, 0.99, 1.01, 1.5):
+        lp = RecordingProgram()
+        x = lp.add_variable(-INF, INF)
+        y = lp.add_variable(0.0, 1.0)
+        lp.add_constraint({x: 2.0, y: 1.0}, relation, rhs)
+        lp.add_constraint({y: 1.0}, LESS_EQUAL, 1.0)
+        # 2x + y lands ``factor`` tolerances away from the rhs
+        offset = factor * TOL_FEAS * max(1.0, abs(rhs))
+        point = np.array([(rhs + offset - 0.25) / 2.0, 0.25])
+        expected = raises(reference_check, lp, point)
+        assert raises(_check_feasible, lp, point) == expected, factor
+        outside = {EQUAL: abs(factor) > 1, LESS_EQUAL: factor > 1, GREATER_EQUAL: factor < -1}
+        assert expected == outside[relation], factor
+
+
+def test_vectorised_check_matches_loop_near_random_optima(recorded_random_lp):
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(60):
+        lp = recorded_random_lp(rng, max_vars=6, max_rows=6)
+        sol = solve(lp)
+        if sol.status != "optimal":
+            continue
+        for scale in (0.0, 1e-9, 1e-6, 1e-3):
+            point = sol.x + scale * rng.standard_normal(sol.x.size)
+            assert raises(_check_feasible, lp, point) == raises(reference_check, lp, point)
+            checked += 1
+    assert checked >= 80
+
+
+def test_check_treats_non_finite_values_as_violations():
+    lp = LinearProgram()
+    x = lp.add_variable(-INF, INF)
+    lp.add_constraint({x: 1e308}, GREATER_EQUAL, 0.0)
+    # 1e308 * 10 overflows to inf, which compares as ">= 0" all the same
+    with pytest.raises(RuntimeError):
+        _check_feasible(lp, np.array([10.0]))
+    with pytest.raises(RuntimeError):
+        _check_feasible(lp, np.array([math.nan]))
+    _check_feasible(lp, np.array([1.0]))
