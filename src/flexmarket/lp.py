@@ -19,18 +19,25 @@ Two interchangeable backends are provided:
   broken by lowest column index, leaving-variable ties by lowest basis index.
   It is the reference implementation, the default of :func:`solve`, and with
   the test oracles the only reader of :meth:`~LinearProgram.dense_rows`.
-* ``"highs"`` -- ``scipy.optimize.linprog`` on the sparse matrix; the agent
-  models, the reserve clearing and the settlement always solve with it.
+* ``"highs"`` -- the HiGHS dual simplex (Huangfu & Hall, *Math. Prog.
+  Comp.* 2018) through scipy's ``_highspy`` core binding: one ``HighsLp``
+  with the CSC matrix, solved on a fresh instance with the model and the
+  options ``scipy.optimize.linprog(method="highs")`` would pass, and the
+  optimum checked as ``linprog`` checks it.  The agent models, the reserve
+  clearing and the settlement always solve with it.
 
 Both backends satisfy the same contract: an ``optimal`` solution is primal
 feasible within ``TOL_FEAS`` (relative to ``max(1, |rhs|)``) and matches a
-vertex-enumeration oracle on small instances.  Coefficients, objective terms
-and right-hand sides must be finite.  Infinite bounds are the floats
-``inf``/``-inf``, never large finite sentinels.
+vertex-enumeration oracle on small instances, and :attr:`Solution.iterations`
+counts the simplex iterations it ran.  Coefficients, objective terms and
+right-hand sides must be finite.  Infinite bounds are the floats
+``inf``/``-inf``, never large finite sentinels, and every variable's domain
+holds a finite point (``lower < inf``, ``upper > -inf``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,7 +98,9 @@ class LinearProgram:
         value per variable.  Returns their handles."""
         lower = _series(lower, count)
         upper = _series(upper, count)
-        bad = np.flatnonzero(np.isnan(lower) | np.isnan(upper) | (lower > upper))
+        bad = np.flatnonzero(
+            np.isnan(lower) | np.isnan(upper) | (lower > upper) | (lower == INF) | (upper == -INF)
+        )
         if bad.size:
             j = bad[0]
             raise LinearProgramError(
@@ -250,7 +259,8 @@ def _joined(chunks: list) -> tuple:
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of one solve: a status, the objective and the variable values.
+    """Outcome of one solve: a status, the objective, the variable values and
+    the simplex iterations the backend ran.
 
     ``x`` is meaningful only when ``status == "optimal"``.
     """
@@ -258,6 +268,7 @@ class Solution:
     status: str
     objective: float
     x: np.ndarray
+    iterations: int
 
     def value(self, var: int) -> float:
         return float(self.x[var])
@@ -273,17 +284,17 @@ def solve(lp: LinearProgram, backend: str = "simplex") -> Solution:
     :attr:`Solution.status`, never raised.
     """
     if backend == "simplex":
-        status, x = _simplex_solve(lp)
+        status, x, iterations = _simplex_solve(lp)
     elif backend == "highs":
-        status, x = _highs_solve(lp)
+        status, x, iterations = _highs_solve(lp)
     else:
         raise LinearProgramError(f"unknown backend {backend!r}")
 
     if status != OPTIMAL:
-        return Solution(status, math.nan, np.full(lp.n_variables, math.nan))
+        return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
     _check_feasible(lp, x)
     objective = float(lp.objective_vector() @ x)
-    return Solution(OPTIMAL, objective, x)
+    return Solution(OPTIMAL, objective, x, iterations)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
@@ -313,37 +324,105 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scipy backend
+# HiGHS backend
 # ---------------------------------------------------------------------------
 
 
-def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray]:
-    from scipy.optimize import linprog
+def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
+    """Solve ``lp`` with the HiGHS core on a fresh instance.
 
-    c = lp.objective_vector()
-    if lp.sense == "max":
-        c = -c
+    HiGHS gets the model ``scipy.optimize.linprog(method="highs")`` would
+    give it: the ``<=`` rows, then the negated ``>=`` rows (both with lower
+    bound ``-inf``), then the ``==`` rows, one CSC matrix, the objective
+    negated for ``max`` models and linprog's effective options.
+    """
+    from scipy.optimize._highspy import _core as core
+
     a, relations, b = lp.sparse_rows()
     ub_rows = np.flatnonzero(relations == LESS_EQUAL)
     ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
     eq_rows = np.flatnonzero(relations == EQUAL)
-    a_ub = b_ub = a_eq = b_eq = None
-    if ub_rows.size or ge_rows.size:
-        # ">=" rows follow the "<=" rows, negated
-        a_ub = a[np.concatenate([ub_rows, ge_rows])]
-        a_ub.data[a_ub.indptr[ub_rows.size]:] *= -1.0
-        b_ub = np.concatenate([b[ub_rows], -b[ge_rows]])
-    if eq_rows.size:
-        a_eq, b_eq = a[eq_rows], b[eq_rows]
-    bounds = np.column_stack([lp.lower, lp.upper])
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status == 2:
-        return INFEASIBLE, np.empty(0)
-    if res.status == 3:
-        return UNBOUNDED, np.empty(0)
-    if not res.success:
-        raise RuntimeError(f"highs failed on {lp.name!r}: {res.message}")
-    return OPTIMAL, np.asarray(res.x, dtype=float)
+    n_ineq = ub_rows.size + ge_rows.size
+    a = a[np.concatenate([ub_rows, ge_rows, eq_rows])]
+    a.data[a.indptr[ub_rows.size]:a.indptr[n_ineq]] *= -1.0
+    a = a.tocsc()
+    row_upper = np.concatenate([b[ub_rows], -b[ge_rows], b[eq_rows]])
+    row_lower = np.concatenate([np.full(n_ineq, -INF), b[eq_rows]])
+    c = lp.objective_vector()
+    if lp.sense == "max":
+        c = -c
+
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.n_variables
+    model.num_row_ = model.a_matrix_.num_row_ = lp.n_constraints
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    # the binding copies index lists faster than integer arrays
+    model.a_matrix_.start_ = a.indptr.tolist()
+    model.a_matrix_.index_ = a.indices.tolist()
+    model.a_matrix_.value_ = a.data
+    model.col_cost_ = c
+    model.col_lower_ = lp.lower
+    model.col_upper_ = lp.upper
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+
+    highs = core._Highs()
+    if highs.passOptions(_highs_options()) == core.HighsStatus.kError:
+        raise RuntimeError(f"highs failed on {lp.name!r}: options rejected")
+    if highs.passModel(model) == core.HighsStatus.kError:
+        # a model HiGHS cannot load is a model error, which linprog reports
+        # as infeasible
+        return INFEASIBLE, np.empty(0), 0
+    run_failed = highs.run() == core.HighsStatus.kError
+    status = highs.getModelStatus()
+    iterations = highs.getInfo().simplex_iteration_count
+    if status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
+        return INFEASIBLE, np.empty(0), iterations
+    if status == core.HighsModelStatus.kUnbounded:
+        return UNBOUNDED, np.empty(0), iterations
+    if run_failed or status != core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"highs failed on {lp.name!r}: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    _check_highs_result(lp, x, row_upper - np.array(solution.row_value), n_ineq)
+    return OPTIMAL, x, iterations
+
+
+@functools.cache
+def _highs_options():
+    """The options ``linprog`` sets on HiGHS (``solver`` stays unset)."""
+    from scipy.optimize._highspy import _core as core
+
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+#: absolute tolerance of the check ``linprog`` makes on a HiGHS optimum
+HIGHS_CHECK_TOL = 10 * math.sqrt(1e-9)
+
+
+def _check_highs_result(lp: LinearProgram, x: np.ndarray, slack: np.ndarray, n_ineq: int) -> None:
+    """Raise unless ``x`` and the row slacks (``row_upper - A x``, inequality
+    rows first) are free of NaN, ``x`` is within its bounds, no inequality
+    slack is below ``-HIGHS_CHECK_TOL`` and every equality residual is within
+    ``HIGHS_CHECK_TOL`` of 0."""
+    tol = HIGHS_CHECK_TOL
+    if (
+        np.isnan(x).any()
+        or np.isnan(slack).any()
+        or not np.all((x >= lp.lower - tol) & (x <= lp.upper + tol))
+        or (slack[:n_ineq] < -tol).any()
+        or (np.abs(slack[n_ineq:]) > tol).any()
+    ):
+        raise RuntimeError(
+            f"highs failed on {lp.name!r}: the solution does not satisfy the "
+            f"constraints within {tol:.2e}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +517,7 @@ class _StandardForm:
         return x
 
 
-def _simplex_solve(lp: LinearProgram) -> tuple[str, np.ndarray]:
+def _simplex_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
     sf = _StandardForm(lp)
     a, b, w = sf.a, sf.b.copy(), sf.w
     m, n = a.shape
@@ -482,7 +561,7 @@ def _simplex_solve(lp: LinearProgram) -> tuple[str, np.ndarray]:
             raise RuntimeError("phase-1 problem reported unbounded")
         total = float(np.sum(state.beta[np.isin(state.basis, np.arange(n, n + n_art))]))
         if total > TOL_FEAS * max(1.0, float(np.abs(b).max(initial=0.0))):
-            return INFEASIBLE, np.empty(0)
+            return INFEASIBLE, np.empty(0), state.iterations
         state.lock_columns(range(n, n + n_art))
         state.drive_out(range(n, n + n_art))
     else:
@@ -492,10 +571,10 @@ def _simplex_solve(lp: LinearProgram) -> tuple[str, np.ndarray]:
     c2 = np.concatenate([sf.c, np.zeros(n_art)])
     outcome = state.run(c2)
     if outcome == UNBOUNDED:
-        return UNBOUNDED, np.empty(0)
+        return UNBOUNDED, np.empty(0), state.iterations
 
     y = state.values()[:n]
-    return OPTIMAL, sf.restore(y, lp)
+    return OPTIMAL, sf.restore(y, lp), state.iterations
 
 
 class _Tableau:
@@ -503,6 +582,7 @@ class _Tableau:
 
     The tableau rows always hold B^-1 A; ``beta`` holds the basic variable
     values.  Nonbasic variables rest at 0 or at their width ``w``.
+    ``iterations`` counts the pivots and bound flips of every :meth:`run`.
     """
 
     def __init__(self, tableau, beta, basis, status, is_basic, widths):
@@ -515,6 +595,7 @@ class _Tableau:
         self.is_basic = is_basic
         self.w = widths
         self.locked = np.zeros(self.t.shape[1], dtype=bool)
+        self.iterations = 0
 
     def lock_columns(self, cols) -> None:
         """Pin columns at zero so they can never re-enter (spent artificials)."""
@@ -559,6 +640,7 @@ class _Tableau:
             )
             if not eligible.any():
                 return OPTIMAL
+            self.iterations += 1
             if bland:
                 q = int(np.flatnonzero(eligible)[0])
             else:

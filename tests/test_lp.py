@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from flexmarket.lp import (
     EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
+    HIGHS_CHECK_TOL,
     TOL_FEAS,
     LinearProgram,
     LinearProgramError,
     _check_feasible,
+    _check_highs_result,
+    _highs_solve,
     solve,
 )
 
@@ -115,6 +119,24 @@ def test_degenerate_cycling_instance_terminates():
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
+
+
+@pytest.mark.parametrize("lower, upper", [(INF, INF), (-INF, -INF), (INF, 1.0), (0.0, -INF)])
+def test_empty_variable_domain_rejected(backend, lower, upper):
+    # [inf, inf] used to solve "unbounded" on the simplex and "infeasible"
+    # on HiGHS
+    lp = LinearProgram()
+    with pytest.raises(LinearProgramError):
+        lp.add_variable(lower, upper)
+    with pytest.raises(LinearProgramError):
+        lp.add_variables(2, [0.0, lower], [1.0, upper])
+    x = lp.add_variable(-INF, INF)
+    lp.add_objective(x, 1.0)
+    lp.add_constraint({x: 1.0}, GREATER_EQUAL, 2.0)
+    assert lp.n_variables == 1
+    sol = solve(lp, backend=backend)
+    assert sol.status == "optimal"
+    assert sol.value(x) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_validation_rejects_bad_models():
@@ -383,3 +405,136 @@ def test_check_treats_non_finite_values_as_violations():
     with pytest.raises(RuntimeError):
         _check_feasible(lp, np.array([math.nan]))
     _check_feasible(lp, np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS core path, against scipy's linprog on the same model
+# ---------------------------------------------------------------------------
+
+AGENT_MODELS = Path(__file__).with_name("agent_models.npz")
+
+
+def linprog_reference(lp):
+    """``scipy.optimize.linprog(method="highs")`` on ``lp``, as ``solve``
+    called it before it handed the model to the HiGHS core itself."""
+    from scipy.optimize import linprog
+
+    c = lp.objective_vector()
+    if lp.sense == "max":
+        c = -c
+    a, relations, b = lp.sparse_rows()
+    ub_rows = np.flatnonzero(relations == LESS_EQUAL)
+    ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
+    eq_rows = np.flatnonzero(relations == EQUAL)
+    a_ub = b_ub = a_eq = b_eq = None
+    if ub_rows.size or ge_rows.size:
+        a_ub = a[np.concatenate([ub_rows, ge_rows])]
+        a_ub.data[a_ub.indptr[ub_rows.size]:] *= -1.0
+        b_ub = np.concatenate([b[ub_rows], -b[ge_rows]])
+    if eq_rows.size:
+        a_eq, b_eq = a[eq_rows], b[eq_rows]
+    bounds = np.column_stack([lp.lower, lp.upper])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, res.x, res.nit
+
+
+def assert_same_as_linprog(lp):
+    status, x, iterations = _highs_solve(lp)
+    expected_status, expected_x, expected_iterations = linprog_reference(lp)
+    assert status == expected_status, lp.name
+    assert iterations == expected_iterations, lp.name
+    if status == "optimal":
+        # bit for bit: the same model gives HiGHS the same vertex
+        assert x.tobytes() == np.asarray(expected_x, dtype=float).tobytes(), lp.name
+    return status
+
+
+def agent_model(key):
+    """The LP of agent stage ``key``, rebuilt from ``agent_models.npz``."""
+    saved = np.load(AGENT_MODELS)
+    part = {name.split(".", 1)[1]: saved[name] for name in saved.files if name.startswith(key + ".")}
+    lp = LinearProgram(sense=str(part["sense"]), name=key)
+    x = lp.add_variables(part["lower"].size, part["lower"], part["upper"])
+    lp.add_objectives(x, part["objective"])
+    rows = np.repeat(np.arange(part["rhs"].size), np.diff(part["indptr"]))
+    lp.add_constraints([(rows, part["indices"], part["data"])], part["relations"], part["rhs"])
+    return lp
+
+
+def test_highs_core_matches_linprog_on_random_instances():
+    rng = np.random.default_rng(20260808)
+    statuses = [assert_same_as_linprog(random_box_lp(rng, max_vars=8, max_rows=8)) for _ in range(150)]
+    assert statuses.count("optimal") >= 40
+    assert statuses.count("infeasible") >= 10
+
+
+def test_highs_core_matches_linprog_on_agent_models():
+    keys = sorted({name.split(".")[0] for name in np.load(AGENT_MODELS).files})
+    assert len(keys) == 7
+    for key in keys:
+        assert assert_same_as_linprog(agent_model(key)) == "optimal"
+    assert solve(agent_model("producer_free"), backend="highs").iterations > 0
+
+
+def test_highs_core_status_mapping():
+    infeasible = LinearProgram()
+    x = infeasible.add_variable(0.0, 1.0)
+    infeasible.add_constraint({x: 1.0}, GREATER_EQUAL, 2.0)
+    assert assert_same_as_linprog(infeasible) == "infeasible"
+
+    unbounded = LinearProgram(sense="max")
+    x, y = unbounded.add_variables(2)
+    unbounded.add_objectives([x, y], [1.0, 1.0])
+    unbounded.add_constraint({x: 1.0, y: -1.0}, LESS_EQUAL, 1.0)
+    assert assert_same_as_linprog(unbounded) == "unbounded"
+
+
+def test_simplex_reports_the_iterations_of_both_phases():
+    # phase 2 only: x flips to its upper bound, then y pivots onto the row
+    lp = LinearProgram(sense="max")
+    x, y = lp.add_variables(2, 0.0, [1.0, 5.0])
+    lp.add_objectives([x, y], [2.0, 1.0])
+    lp.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 3.0)
+    assert solve(lp).iterations == 2
+    # the ">=" row needs an artificial: one phase-1 pivot, then one in phase 2
+    lp.add_constraint({y: 1.0}, GREATER_EQUAL, 2.5)
+    sol = solve(lp)
+    assert sol.x.tolist() == pytest.approx([0.5, 2.5])
+    assert sol.iterations == 2
+    # an infeasible model reports the phase-1 iterations that proved it
+    lp.add_constraint({x: 1.0}, GREATER_EQUAL, 1.0)
+    sol = solve(lp)
+    assert (sol.status, sol.iterations) == ("infeasible", 2)
+
+
+@pytest.mark.parametrize("factor, raised", [(0.99, False), (1.01, True)])
+def test_highs_result_check_tolerance(factor, raised):
+    lp = LinearProgram()
+    x, y, z = lp.add_variables(3, [0.0, -INF, 0.0], [1.0, INF, INF])
+    lp.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 4.0)
+    lp.add_constraint({z: 1.0}, GREATER_EQUAL, 1.0)
+    lp.add_constraint({y: 1.0, z: 1.0}, EQUAL, 2.0)
+    # x at its upper bound, the ">=" row negated after the "<=" row, then the
+    # "==" row: slack = row_upper - A x, inequality rows first
+    point = np.array([1.0, 1.0, 1.0])
+    slack = np.array([2.0, 0.0, 0.0])
+    _check_highs_result(lp, point, slack, 2)
+    step = factor * HIGHS_CHECK_TOL
+    moved = [
+        (point + [step, 0.0, 0.0], slack),  # x above its upper bound
+        (point - [0.0, 0.0, step + 1.0], slack),  # z below its lower bound
+        (point, slack - [0.0, step, 0.0]),  # the ">=" row violated
+        (point, slack + [0.0, 0.0, step]),  # the "==" row off, either way
+        (point, slack - [0.0, 0.0, step]),
+    ]
+    for moved_point, moved_slack in moved:
+        if raised:
+            with pytest.raises(RuntimeError, match="highs failed"):
+                _check_highs_result(lp, moved_point, moved_slack, 2)
+        else:
+            _check_highs_result(lp, moved_point, moved_slack, 2)
+    with pytest.raises(RuntimeError):
+        _check_highs_result(lp, point, np.array([2.0, math.nan, 0.0]), 2)
+    with pytest.raises(RuntimeError):
+        _check_highs_result(lp, np.array([1.0, math.nan, 1.0]), slack, 2)
