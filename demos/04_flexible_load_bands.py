@@ -16,14 +16,10 @@ from flexmarket.agents import (
 from flexmarket.agents.forecast import PriceForecast
 
 T = 8
-flags = np.zeros(T, dtype=bool)
 forecast = PriceForecast(
     energy=np.array([46.0, 46.0, 49.0, 49.0, 52.0, 52.0, 47.0, 47.0]),
     imbalance_up=np.full(T, 200.0),
     imbalance_down=np.full(T, 200.0),
-    energy_capped=flags,
-    imbalance_up_extreme=flags.copy(),
-    imbalance_down_extreme=flags.copy(),
 )
 
 # a thermal-style load: losses absorb the nominal draw, so the tank state

@@ -31,14 +31,27 @@ class ForecastParameters:
 
 @dataclass
 class PriceForecast:
-    """Per-period forecasts plus the extreme-price flags of the last round."""
+    """Per-period forecasts of the energy price and the imbalance tariffs."""
 
     energy: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    energy_capped: np.ndarray
-    imbalance_up_extreme: np.ndarray
-    imbalance_down_extreme: np.ndarray
+
+
+def extreme_prices(
+    energy: np.ndarray,
+    tariff_up: np.ndarray,
+    tariff_down: np.ndarray,
+    price_cap: float,
+    non_contracted_price: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the energy price hit the cap, and where each imbalance tariff
+    came out zero or at the fallback price, all within 1e-9."""
+
+    def tariff_extreme(tariff):
+        return (tariff <= 1e-9) | (tariff >= non_contracted_price - 1e-9)
+
+    return energy >= price_cap - 1e-9, tariff_extreme(tariff_up), tariff_extreme(tariff_down)
 
 
 def exponential_mean(history: np.ndarray, invalid: np.ndarray, alpha: float, window: int, seed: float) -> np.ndarray:
@@ -82,22 +95,18 @@ def forecast(
 ) -> PriceForecast:
     """Forecasts for the next round from the full price record so far."""
     if not energy_history:
-        zero_flags = np.zeros(periods, dtype=bool)
         return PriceForecast(
             energy=np.full(periods, params.energy_seed),
             imbalance_up=np.full(periods, params.tariff_seed),
             imbalance_down=np.full(periods, params.tariff_seed),
-            energy_capped=zero_flags,
-            imbalance_up_extreme=zero_flags.copy(),
-            imbalance_down_extreme=zero_flags.copy(),
         )
 
     energy = np.vstack(energy_history)
     up = np.vstack(tariff_up_history)
     down = np.vstack(tariff_down_history)
-    capped = energy >= params.price_cap - 1e-9
-    up_extreme = (up <= 1e-9) | (up >= params.non_contracted_price - 1e-9)
-    down_extreme = (down <= 1e-9) | (down >= params.non_contracted_price - 1e-9)
+    capped, up_extreme, down_extreme = extreme_prices(
+        energy, up, down, params.price_cap, params.non_contracted_price
+    )
 
     return PriceForecast(
         energy=np.clip(
@@ -115,9 +124,6 @@ def forecast(
             0.0,
             params.non_contracted_price,
         ),
-        energy_capped=capped[-1],
-        imbalance_up_extreme=up_extreme[-1],
-        imbalance_down_extreme=down_extreme[-1],
     )
 
 

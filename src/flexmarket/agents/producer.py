@@ -140,7 +140,7 @@ def optimize_producer(
         add_pin_penalties(lp, up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
         add_pin_penalties(lp, down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
 
-    sol = solve(lp, backend="highs")
+    sol = solve(lp)
     if sol.status != "optimal":
         raise ConfigurationError(
             f"producer {portfolio.name!r} position problem is {sol.status}; "

@@ -74,8 +74,6 @@ class RetailerPosition:
     amplitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
     up_schedules: list[np.ndarray] = field(default_factory=list)
     down_schedules: list[np.ndarray] = field(default_factory=list)
-    up_consumption: np.ndarray | None = None
-    down_consumption: np.ndarray | None = None
 
 
 def optimize_retailer(
@@ -153,7 +151,7 @@ def optimize_retailer(
             fixed_amplitudes,
         )
 
-    sol = solve(lp, backend="highs")
+    sol = solve(lp)
     if sol.status != "optimal":
         raise ConfigurationError(
             f"retailer {portfolio.name!r} position problem is {sol.status}; "
@@ -173,12 +171,6 @@ def optimize_retailer(
         position.amplitudes = sol.values(amplitude_vars)
         position.up_schedules = _patched(schedules, windows, up_d, sol)
         position.down_schedules = _patched(schedules, windows, dn_d, sol)
-        position.up_consumption = portfolio.inelastic + (
-            np.sum(position.up_schedules, axis=0) if position.up_schedules else 0.0
-        )
-        position.down_consumption = portfolio.inelastic + (
-            np.sum(position.down_schedules, axis=0) if position.down_schedules else 0.0
-        )
     return position
 
 

@@ -113,7 +113,7 @@ def settle(
         -imbalance,
     )
 
-    sol = solve(lp, backend="highs")
+    sol = solve(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"settlement unexpectedly {sol.status}")
 

@@ -11,28 +11,20 @@ coefficient) triplets.  ``add_variable``, ``add_objective`` and
 :meth:`~LinearProgram.sparse_rows` assembles the CSR matrix once per solve,
 summing repeated terms and dropping cancelled ones.
 
-Two interchangeable backends are provided:
+Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
+Prog. Comp.* 2018) through scipy's ``_highspy`` core binding: one ``HighsLp``
+with the CSC matrix, solved on a fresh instance with the model and the
+options ``scipy.optimize.linprog(method="highs")`` would pass, and the
+optimum checked as ``linprog`` checks it.  scipy is imported only when a
+model is assembled for a solve, so importing this package loads none of it.
 
-* ``"simplex"`` -- the built-in dense two-phase simplex working directly on
-  variable bounds, with Bland's rule as an anti-cycling fallback after a run
-  of degenerate pivots.  Fully deterministic: entering-variable ties are
-  broken by lowest column index, leaving-variable ties by lowest basis index.
-  It is the reference implementation, the default of :func:`solve`, and with
-  the test oracles the only reader of :meth:`~LinearProgram.dense_rows`.
-* ``"highs"`` -- the HiGHS dual simplex (Huangfu & Hall, *Math. Prog.
-  Comp.* 2018) through scipy's ``_highspy`` core binding: one ``HighsLp``
-  with the CSC matrix, solved on a fresh instance with the model and the
-  options ``scipy.optimize.linprog(method="highs")`` would pass, and the
-  optimum checked as ``linprog`` checks it.  The agent models, the reserve
-  clearing and the settlement always solve with it.
-
-Both backends satisfy the same contract: an ``optimal`` solution is primal
-feasible within ``TOL_FEAS`` (relative to ``max(1, |rhs|)``) and matches a
-vertex-enumeration oracle on small instances, and :attr:`Solution.iterations`
-counts the simplex iterations it ran.  Coefficients, objective terms and
-right-hand sides must be finite.  Infinite bounds are the floats
-``inf``/``-inf``, never large finite sentinels, and every variable's domain
-holds a finite point (``lower < inf``, ``upper > -inf``).
+An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
+``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
+instances, and :attr:`Solution.iterations` counts the HiGHS simplex
+iterations of the solve.  Coefficients, objective terms and right-hand sides
+must be finite.  Infinite bounds are the floats ``inf``/``-inf``, never
+large finite sentinels, and every variable's domain holds a finite point
+(``lower < inf``, ``upper > -inf``).
 """
 
 from __future__ import annotations
@@ -47,10 +39,6 @@ INF = math.inf
 
 #: feasibility tolerance for returned optimal solutions (relative)
 TOL_FEAS = 1e-7
-#: pivot / reduced-cost tolerance of the simplex
-TOL_PIVOT = 1e-9
-#: consecutive degenerate pivots before switching to Bland's rule
-DEGENERATE_PIVOT_LIMIT = 40
 
 LESS_EQUAL = "<="
 EQUAL = "=="
@@ -210,8 +198,8 @@ class LinearProgram:
         return self._matrix, relations, rhs
 
     def dense_rows(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        """(A, relations, b) with one dense row per constraint, for the
-        reference simplex and the test oracles."""
+        """(A, relations, b) with one dense row per constraint, for the test
+        oracles."""
         rows, columns, coefficients = _joined(self._terms)
         a = np.zeros((self._n_constraints, self._n_variables))
         np.add.at(a, (rows, columns), coefficients)
@@ -260,7 +248,7 @@ def _joined(chunks: list) -> tuple:
 @dataclass(frozen=True)
 class Solution:
     """Outcome of one solve: a status, the objective, the variable values and
-    the simplex iterations the backend ran.
+    the simplex iterations HiGHS ran.
 
     ``x`` is meaningful only when ``status == "optimal"``.
     """
@@ -277,19 +265,13 @@ class Solution:
         return self.x[np.asarray(variables, dtype=np.intp)]
 
 
-def solve(lp: LinearProgram, backend: str = "simplex") -> Solution:
-    """Solve ``lp`` to proven optimality.
+def solve(lp: LinearProgram) -> Solution:
+    """Solve ``lp`` to proven optimality with HiGHS.
 
     Infeasibility and unboundedness are reported through
     :attr:`Solution.status`, never raised.
     """
-    if backend == "simplex":
-        status, x, iterations = _simplex_solve(lp)
-    elif backend == "highs":
-        status, x, iterations = _highs_solve(lp)
-    else:
-        raise LinearProgramError(f"unknown backend {backend!r}")
-
+    status, x, iterations = _highs_solve(lp)
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
     _check_feasible(lp, x)
@@ -324,7 +306,7 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# HiGHS backend
+# HiGHS
 # ---------------------------------------------------------------------------
 
 
@@ -423,285 +405,3 @@ def _check_highs_result(lp: LinearProgram, x: np.ndarray, slack: np.ndarray, n_i
             f"highs failed on {lp.name!r}: the solution does not satisfy the "
             f"constraints within {tol:.2e}"
         )
-
-
-# ---------------------------------------------------------------------------
-# built-in simplex backend
-# ---------------------------------------------------------------------------
-
-_AT_LOWER = 0
-_AT_UPPER = 1
-
-
-class _StandardForm:
-    """min c.y  s.t.  A y = b,  0 <= y <= w, remembering how to undo shifts.
-
-    Column order: transformed structural variables first (free variables
-    contribute a second, negated column), then one slack per inequality row.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        a, rel, b = lp.dense_rows()
-        c = lp.objective_vector()
-        if lp.sense == "max":
-            c = -c
-        n = lp.n_variables
-        lower = np.asarray(lp.lower)
-        upper = np.asarray(lp.upper)
-
-        cols: list[np.ndarray] = []
-        costs: list[float] = []
-        widths: list[float] = []
-        # (mode, original index) per column; mode: 'lo' y=x-l, 'hi' y=u-x,
-        # 'pos'/'neg' the two halves of a free variable split
-        self.recover: list[tuple[str, int]] = []
-        self.offset = 0.0
-        b = b.copy()
-
-        for j in range(n):
-            col = a[:, j]
-            lo, up = lower[j], upper[j]
-            if math.isfinite(lo):
-                b -= col * lo
-                self.offset += c[j] * lo
-                cols.append(col)
-                costs.append(c[j])
-                widths.append(up - lo)
-                self.recover.append(("lo", j))
-            elif math.isfinite(up):
-                b -= col * up
-                self.offset += c[j] * up
-                cols.append(-col)
-                costs.append(-c[j])
-                widths.append(INF)
-                self.recover.append(("hi", j))
-            else:
-                cols.append(col)
-                costs.append(c[j])
-                widths.append(INF)
-                self.recover.append(("pos", j))
-                cols.append(-col)
-                costs.append(-c[j])
-                widths.append(INF)
-                self.recover.append(("neg", j))
-
-        m = len(rel)
-        for i, r in enumerate(rel):
-            if r == EQUAL:
-                continue
-            col = np.zeros(m)
-            col[i] = 1.0 if r == LESS_EQUAL else -1.0
-            cols.append(col)
-            costs.append(0.0)
-            widths.append(INF)
-            self.recover.append(("slack", i))
-
-        self.a = np.column_stack(cols) if cols else np.zeros((m, 0))
-        self.c = np.asarray(costs)
-        self.w = np.asarray(widths)
-        self.b = b
-        self.n_original = n
-
-    def restore(self, y: np.ndarray, lp: LinearProgram) -> np.ndarray:
-        x = np.zeros(self.n_original)
-        lower, upper = lp.lower, lp.upper
-        for value, (mode, j) in zip(y, self.recover):
-            if mode == "lo":
-                x[j] = lower[j] + value
-            elif mode == "hi":
-                x[j] = upper[j] - value
-            elif mode == "pos":
-                x[j] += value
-            elif mode == "neg":
-                x[j] -= value
-        return x
-
-
-def _simplex_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
-    sf = _StandardForm(lp)
-    a, b, w = sf.a, sf.b.copy(), sf.w
-    m, n = a.shape
-
-    # flip rows to nonnegative right-hand sides
-    flip = b < 0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
-
-    # artificial variables complete the identity start basis; slack columns
-    # that already read +1 after flipping are reused instead
-    slack_row = {}
-    for col, (mode, i) in enumerate(sf.recover):
-        if mode == "slack" and a[i, col] > 0.0:
-            slack_row[i] = col
-    art_rows = [i for i in range(m) if i not in slack_row]
-    n_art = len(art_rows)
-    if n_art:
-        art_block = np.zeros((m, n_art))
-        for k, i in enumerate(art_rows):
-            art_block[i, k] = 1.0
-        tableau = np.hstack([a, art_block])
-    else:
-        tableau = a.copy()
-    widths = np.concatenate([w, np.full(n_art, INF)])
-    art_of_row = {i: n + k for k, i in enumerate(art_rows)}
-    basis = np.array([slack_row.get(i, art_of_row.get(i, -1)) for i in range(m)], dtype=np.intp)
-
-    status = np.full(n + n_art, _AT_LOWER, dtype=np.int8)
-    beta = b.copy()
-    is_basic = np.zeros(n + n_art, dtype=bool)
-    is_basic[basis] = True
-
-    # phase 1: minimize the sum of artificials (slack-started rows need none)
-    if n_art:
-        c1 = np.zeros(n + n_art)
-        c1[n:] = 1.0
-        state = _Tableau(tableau, beta, basis, status, is_basic, widths)
-        outcome = state.run(c1)
-        if outcome == UNBOUNDED:
-            raise RuntimeError("phase-1 problem reported unbounded")
-        total = float(np.sum(state.beta[np.isin(state.basis, np.arange(n, n + n_art))]))
-        if total > TOL_FEAS * max(1.0, float(np.abs(b).max(initial=0.0))):
-            return INFEASIBLE, np.empty(0), state.iterations
-        state.lock_columns(range(n, n + n_art))
-        state.drive_out(range(n, n + n_art))
-    else:
-        state = _Tableau(tableau, beta, basis, status, is_basic, widths)
-
-    # phase 2
-    c2 = np.concatenate([sf.c, np.zeros(n_art)])
-    outcome = state.run(c2)
-    if outcome == UNBOUNDED:
-        return UNBOUNDED, np.empty(0), state.iterations
-
-    y = state.values()[:n]
-    return OPTIMAL, sf.restore(y, lp), state.iterations
-
-
-class _Tableau:
-    """Bounded-variable primal simplex on an explicit dense tableau.
-
-    The tableau rows always hold B^-1 A; ``beta`` holds the basic variable
-    values.  Nonbasic variables rest at 0 or at their width ``w``.
-    ``iterations`` counts the pivots and bound flips of every :meth:`run`.
-    """
-
-    def __init__(self, tableau, beta, basis, status, is_basic, widths):
-        # the starting basis (slacks reading +1 after row flips, plus
-        # artificials) is already an identity block, no factorization needed
-        self.t = np.ascontiguousarray(tableau, dtype=float)
-        self.beta = beta
-        self.basis = basis
-        self.status = status
-        self.is_basic = is_basic
-        self.w = widths
-        self.locked = np.zeros(self.t.shape[1], dtype=bool)
-        self.iterations = 0
-
-    def lock_columns(self, cols) -> None:
-        """Pin columns at zero so they can never re-enter (spent artificials)."""
-        for q in cols:
-            self.locked[q] = True
-            self.w[q] = 0.0
-
-    def drive_out(self, cols) -> None:
-        """Pivot still-basic locked columns out on any usable row element."""
-        targets = set(cols)
-        for p in range(len(self.basis)):
-            if self.basis[p] not in targets:
-                continue
-            row = self.t[p]
-            candidates = np.flatnonzero(
-                (np.abs(row) > 1e-9) & ~self.is_basic & ~self.locked
-            )
-            if candidates.size:
-                q = int(candidates[0])
-                sigma = +1 if self.status[q] == _AT_LOWER else -1
-                self._pivot(q, p, 0.0, sigma, leaving_to=_AT_LOWER)
-
-    def values(self) -> np.ndarray:
-        y = np.where(self.status == _AT_UPPER, self.w, 0.0)
-        y[self.basis] = self.beta
-        return y
-
-    def run(self, costs: np.ndarray, max_iter: int | None = None) -> str:
-        m, ncols = self.t.shape
-        if max_iter is None:
-            max_iter = 200 + 60 * (m + ncols)
-        # reduced costs, maintained incrementally
-        r = costs - costs[self.basis] @ self.t
-        bland = False
-        degenerate_run = 0
-
-        movable = ~self.locked & (self.w > TOL_PIVOT)
-        for _ in range(max_iter):
-            eligible = ~self.is_basic & movable & (
-                ((self.status == _AT_LOWER) & (r < -TOL_PIVOT))
-                | ((self.status == _AT_UPPER) & (r > TOL_PIVOT))
-            )
-            if not eligible.any():
-                return OPTIMAL
-            self.iterations += 1
-            if bland:
-                q = int(np.flatnonzero(eligible)[0])
-            else:
-                score = np.where(eligible, np.abs(r), -1.0)
-                q = int(np.argmax(score))
-
-            sigma = +1 if self.status[q] == _AT_LOWER else -1
-            g = sigma * self.t[:, q]
-
-            limit = self.w[q]  # bound-flip distance (may be inf)
-            ratios = np.full(m, INF)
-            pos = g > TOL_PIVOT
-            ratios[pos] = self.beta[pos] / g[pos]
-            neg = g < -TOL_PIVOT
-            head = self.w[self.basis[neg]] - self.beta[neg]
-            ratios[neg] = head / -g[neg]
-            row_min = ratios.min() if m else INF
-
-            delta = min(limit, row_min)
-            if delta == INF:
-                return UNBOUNDED
-            delta = max(delta, 0.0)
-
-            if limit <= row_min:
-                # entering variable swings to its other bound; no basis change
-                self.beta -= g * delta
-                self.status[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-            else:
-                tied = np.flatnonzero(ratios <= delta + 1e-9)
-                p = int(tied[np.argmin(self.basis[tied])])
-                leaving_to = _AT_LOWER if g[p] > 0 else _AT_UPPER
-                self._pivot(q, p, delta, sigma, leaving_to)
-                r = r - r[q] * self.t[p]
-
-            if delta <= 1e-9:
-                degenerate_run += 1
-                if degenerate_run > DEGENERATE_PIVOT_LIMIT:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
-        raise RuntimeError("simplex iteration limit exceeded")
-
-    def _pivot(self, q: int, p: int, delta: float, sigma: int, leaving_to: int) -> None:
-        g = sigma * self.t[:, q]
-        self.beta -= g * delta
-        entering_value = delta if sigma > 0 else self.w[q] - delta
-
-        leaving = self.basis[p]
-        self.is_basic[leaving] = False
-        self.status[leaving] = leaving_to
-        self.basis[p] = q
-        self.is_basic[q] = True
-
-        piv = self.t[p, q]
-        row = self.t[p] / piv
-        self.t[p] = row
-        col = self.t[:, q].copy()
-        col[p] = 0.0
-        self.t -= np.outer(col, row)
-        # clean residual round-off in the pivot column
-        self.t[:, q] = 0.0
-        self.t[p, q] = 1.0
-        self.beta[p] = entering_value

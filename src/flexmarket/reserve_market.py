@@ -238,7 +238,7 @@ def clear_reserve(
         np.column_stack([required_up, required_down]).ravel(),
     )
 
-    sol = solve(lp, backend="highs")
+    sol = solve(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"reserve clearing unexpectedly {sol.status}")
 

@@ -30,7 +30,7 @@ from .agents import (
     producer_energy_offers,
     producer_reserve_bids,
 )
-from .agents.forecast import forecast as make_forecast
+from .agents.forecast import extreme_prices, forecast as make_forecast
 from .agents.producer import fleet_capacity
 from .energy_market import DEMAND, EnergyOffer
 from .reserve_market import ModulationBid, ReserveProcurement, clear_reserve
@@ -437,12 +437,12 @@ def aggregate_metrics(records: list[RoundRecord]) -> RoundMetrics:
 
 
 def _learn(scenario: Scenario, tracks, record: RoundRecord, config: ScenarioConfig) -> None:
-    capped = record.energy_price >= config.price_cap - 1e-9
-    up_extreme = (record.tariff_up <= 1e-9) | (
-        record.tariff_up >= config.non_contracted_price - 1e-9
-    )
-    down_extreme = (record.tariff_down <= 1e-9) | (
-        record.tariff_down >= config.non_contracted_price - 1e-9
+    capped, up_extreme, down_extreme = extreme_prices(
+        record.energy_price,
+        record.tariff_up,
+        record.tariff_down,
+        config.price_cap,
+        config.non_contracted_price,
     )
     for portfolio in scenario.retailers:
         position = record.retailer_positions[portfolio.name]

@@ -19,7 +19,7 @@ from flexmarket.agents import (
     random_feasible_modulation,
     verify_scenario_coverage,
 )
-from flexmarket.agents.forecast import PriceForecast, exponential_mean
+from flexmarket.agents.forecast import PriceForecast, exponential_mean, extreme_prices
 from flexmarket.agents.retailer import ConfigurationError
 
 CAP = 3000.0
@@ -28,14 +28,10 @@ PARAMS = ForecastParameters(price_cap=CAP, non_contracted_price=PI_NC)
 
 
 def flat_forecast(t, energy, imb_up=200.0, imb_down=200.0):
-    flags = np.zeros(t, dtype=bool)
     return PriceForecast(
         energy=np.asarray(energy, float) if np.ndim(energy) else np.full(t, float(energy)),
         imbalance_up=np.full(t, imb_up),
         imbalance_down=np.full(t, imb_down),
-        energy_capped=flags,
-        imbalance_up_extreme=flags.copy(),
-        imbalance_down_extreme=flags.copy(),
     )
 
 
@@ -76,9 +72,14 @@ def test_forecast_constant_series():
 
 def test_forecast_cap_replaced_by_last_uncapped():
     hist = [np.array([50.0]), np.array([CAP])]
-    fc = forecast(hist, [np.array([20.0])] * 2, [np.array([20.0])] * 2, PARAMS, periods=1)
+    tariffs = [np.array([20.0])] * 2
+    fc = forecast(hist, tariffs, tariffs, PARAMS, periods=1)
     assert fc.energy[0] == pytest.approx(50.0)
-    assert fc.energy_capped[0]
+    capped, up_extreme, down_extreme = extreme_prices(
+        np.vstack(hist), np.vstack(tariffs), np.vstack(tariffs), CAP, PI_NC
+    )
+    assert capped[:, 0].tolist() == [False, True]
+    assert not up_extreme.any() and not down_extreme.any()
 
 
 def test_forecast_weighted_mean():
@@ -104,7 +105,12 @@ def test_forecast_tariff_extremes_replaced():
     energy = [np.array([50.0])] * 3
     fc = forecast(energy, up, up, PARAMS, periods=1)
     assert fc.imbalance_up[0] == pytest.approx(30.0)
-    assert fc.imbalance_up_extreme[0]
+    capped, up_extreme, down_extreme = extreme_prices(
+        np.vstack(energy), np.vstack(up), np.vstack(up), CAP, PI_NC
+    )
+    assert up_extreme[:, 0].tolist() == [False, True, True]
+    assert np.array_equal(down_extreme, up_extreme)
+    assert not capped.any()
 
 
 def test_exponential_mean_window_truncation():
@@ -231,9 +237,6 @@ def test_reposition_shifts_shortfall_toward_cheap_tariff_period():
         energy=fc.energy,
         imbalance_up=np.full(2, 200.0),
         imbalance_down=np.array([10.0, 100.0]),
-        energy_capped=fc.energy_capped,
-        imbalance_up_extreme=fc.imbalance_up_extreme,
-        imbalance_down_extreme=fc.imbalance_down_extreme,
     )
     position = optimize_retailer(port, cheap_first, CAP, PI_NC, fixed_demand=rationed)
     # the tank moves the gap into the period with the cheap tariff
@@ -243,9 +246,6 @@ def test_reposition_shifts_shortfall_toward_cheap_tariff_period():
         energy=fc.energy,
         imbalance_up=np.full(2, 200.0),
         imbalance_down=np.array([100.0, 10.0]),
-        energy_capped=fc.energy_capped,
-        imbalance_up_extreme=fc.imbalance_up_extreme,
-        imbalance_down_extreme=fc.imbalance_down_extreme,
     )
     position = optimize_retailer(port, dear_first, CAP, PI_NC, fixed_demand=rationed)
     assert position.imbalance_down[1] == pytest.approx(2.0, abs=1e-7)
@@ -283,11 +283,11 @@ def test_band_amplitude_limited_by_power_slack():
     fc = flat_forecast(4, 50.0)
     position = optimize_retailer(port, fc, CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0)
     assert position.amplitudes[0] == pytest.approx(2.0, abs=1e-7)
-    up = position.up_consumption
+    up = port.inelastic + np.sum(position.up_schedules, axis=0)
     base = position.demand - position.imbalance_up + position.imbalance_down
     assert np.allclose(up[:2] - base[:2], 2.0, atol=1e-7)
     assert np.allclose(up[2:] - base[2:], -2.0, atol=1e-7)
-    down = position.down_consumption
+    down = port.inelastic + np.sum(position.down_schedules, axis=0)
     assert np.allclose(down[:2] - base[:2], -2.0, atol=1e-7)
     assert np.allclose(down[2:] - base[2:], 2.0, atol=1e-7)
 
@@ -646,7 +646,7 @@ def capture_agent_models() -> dict:
     }
     captured = {}
 
-    def stop(lp, backend="simplex"):
+    def stop(lp):
         captured["lp"] = lp
         raise _Captured
 

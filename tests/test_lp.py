@@ -22,52 +22,52 @@ from flexmarket.lp import (
 
 from oracles import enumerate_lp_optimum, random_box_lp
 
-BACKENDS = ["simplex", "highs"]
+
+@pytest.fixture(params=["highs"])
+def solver(request):
+    """The function under test, :func:`solve`; the test ids name HiGHS, the
+    solver behind it."""
+    return solve
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
-def test_bound_attained_maximum(backend):
+def test_bound_attained_maximum(solver):
     lp = LinearProgram(sense="max")
     x = lp.add_variable(0.0, 5.0)
     lp.add_objective(x, 1.0)
-    sol = solve(lp, backend=backend)
+    sol = solver(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
     assert sol.value(x) == pytest.approx(5.0, abs=1e-9)
 
 
-def test_tight_constraint_minimum(backend):
+def test_tight_constraint_minimum(solver):
     lp = LinearProgram(sense="min")
     x = lp.add_variable()
     y = lp.add_variable()
     lp.add_objective(x, 1.0)
     lp.add_objective(y, 1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, GREATER_EQUAL, 3.0)
-    sol = solve(lp, backend=backend)
+    sol = solver(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
 
-def test_infeasible_reported_as_status(backend):
+def test_infeasible_reported_as_status(solver):
     lp = LinearProgram()
     x = lp.add_variable()
     lp.add_constraint({x: 1.0}, GREATER_EQUAL, 5.0)
     lp.add_constraint({x: 1.0}, LESS_EQUAL, 3.0)
-    assert solve(lp, backend=backend).status == "infeasible"
+    assert solver(lp).status == "infeasible"
 
 
-def test_unbounded_reported_as_status(backend):
+def test_unbounded_reported_as_status(solver):
     lp = LinearProgram(sense="max")
     x = lp.add_variable()
     lp.add_objective(x, 1.0)
-    assert solve(lp, backend=backend).status == "unbounded"
+    assert solver(lp).status == "unbounded"
 
 
-def test_free_variable_and_negative_bounds(backend):
+def test_free_variable_and_negative_bounds(solver):
     lp = LinearProgram(sense="min")
     x = lp.add_variable(-INF, INF)
     y = lp.add_variable(-4.0, -1.0)
@@ -75,21 +75,21 @@ def test_free_variable_and_negative_bounds(backend):
     lp.add_objective(y, 1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, GREATER_EQUAL, -3.0)
     lp.add_constraint({x: 1.0}, GREATER_EQUAL, -10.0)
-    sol = solve(lp, backend=backend)
+    sol = solver(lp)
     # x settles at the constraint corner: x = -3 - y with y = -1... cheapest
     # is x as low as allowed: x + y = -3 binds with y at its upper bound.
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2 * (-2.0) + (-1.0), abs=1e-8)
 
 
-def test_equality_row_with_upper_bounds(backend):
+def test_equality_row_with_upper_bounds(solver):
     lp = LinearProgram(sense="max")
     x = lp.add_variable(0.0, 2.0)
     y = lp.add_variable(0.0, 2.0)
     lp.add_objective(x, 3.0)
     lp.add_objective(y, 1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, EQUAL, 3.0)
-    sol = solve(lp, backend=backend)
+    sol = solver(lp)
     assert sol.status == "optimal"
     assert sol.value(x) == pytest.approx(2.0, abs=1e-9)
     assert sol.value(y) == pytest.approx(1.0, abs=1e-9)
@@ -107,8 +107,7 @@ def test_fixed_variable():
 
 
 def test_degenerate_cycling_instance_terminates():
-    # classic cycling trap for the most-negative-reduced-cost rule; the
-    # degenerate-pivot counter must hand over to Bland's rule and finish
+    # classic cycling trap for the most-negative-reduced-cost rule
     lp = LinearProgram(sense="min")
     x = [lp.add_variable() for _ in range(4)]
     for var, cost in zip(x, [-0.75, 150.0, -0.02, 6.0]):
@@ -122,9 +121,9 @@ def test_degenerate_cycling_instance_terminates():
 
 
 @pytest.mark.parametrize("lower, upper", [(INF, INF), (-INF, -INF), (INF, 1.0), (0.0, -INF)])
-def test_empty_variable_domain_rejected(backend, lower, upper):
-    # [inf, inf] used to solve "unbounded" on the simplex and "infeasible"
-    # on HiGHS
+def test_empty_variable_domain_rejected(solver, lower, upper):
+    # a domain with no finite point is rejected when it is added, not left
+    # for the solver to report
     lp = LinearProgram()
     with pytest.raises(LinearProgramError):
         lp.add_variable(lower, upper)
@@ -134,7 +133,7 @@ def test_empty_variable_domain_rejected(backend, lower, upper):
     lp.add_objective(x, 1.0)
     lp.add_constraint({x: 1.0}, GREATER_EQUAL, 2.0)
     assert lp.n_variables == 1
-    sol = solve(lp, backend=backend)
+    sol = solver(lp)
     assert sol.status == "optimal"
     assert sol.value(x) == pytest.approx(2.0, abs=1e-9)
 
@@ -152,13 +151,13 @@ def test_validation_rejects_bad_models():
         LinearProgram(sense="maximize")
 
 
-def test_matches_enumeration_oracle_on_random_instances(backend):
+def test_matches_enumeration_oracle_on_random_instances(solver):
     rng = np.random.default_rng(20260808)
     solved = 0
     for _ in range(120):
         lp = random_box_lp(rng, max_vars=4, max_rows=4)
         expected_status, expected = enumerate_lp_optimum(lp)
-        sol = solve(lp, backend=backend)
+        sol = solver(lp)
         assert sol.status == expected_status, lp.name
         if expected_status == "optimal":
             solved += 1
@@ -298,7 +297,7 @@ def test_repeated_terms_sum_and_cancelled_terms_leave_no_zero():
     assert np.array_equal(lp.dense_rows()[0], a.toarray())
 
 
-def test_block_calls_build_the_scalar_model(backend):
+def test_block_calls_build_the_scalar_model(solver):
     scalar = LinearProgram(sense="max")
     xs = [scalar.add_variable(0.0, up) for up in (2.0, 3.0, 4.0)]
     for var, coef in zip(xs, (1.0, 2.0, 0.5)):
@@ -318,7 +317,7 @@ def test_block_calls_build_the_scalar_model(backend):
     assert rows.tolist() == [0, 1, 2]
     assert np.array_equal(block.sparse_rows()[0].toarray(), scalar.sparse_rows()[0].toarray())
     assert np.array_equal(block.objective_vector(), scalar.objective_vector())
-    first, second = solve(scalar, backend=backend), solve(block, backend=backend)
+    first, second = solver(scalar), solver(block)
     assert first.status == second.status == "optimal"
     assert np.array_equal(first.x, second.x)
 
@@ -342,7 +341,7 @@ def test_block_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_model_data_rejected(backend, bad):
+def test_non_finite_model_data_rejected(solver, bad):
     # NaN * x <= 1 used to be accepted and "solved" to x = 0
     lp = LinearProgram(sense="max")
     x = lp.add_variable(0.0, 1.0)
@@ -357,7 +356,7 @@ def test_non_finite_model_data_rejected(backend, bad):
         lp.add_objective(x, bad)
     # a rejected call leaves the model as it was
     assert lp.n_constraints == 0
-    sol = solve(lp, backend=backend)
+    sol = solver(lp)
     assert sol.status == "optimal"
     assert sol.value(x) == pytest.approx(1.0, abs=1e-9)
 
@@ -474,7 +473,7 @@ def test_highs_core_matches_linprog_on_agent_models():
     assert len(keys) == 7
     for key in keys:
         assert assert_same_as_linprog(agent_model(key)) == "optimal"
-    assert solve(agent_model("producer_free"), backend="highs").iterations > 0
+    assert solve(agent_model("producer_free")).iterations > 0
 
 
 def test_highs_core_status_mapping():
@@ -488,24 +487,6 @@ def test_highs_core_status_mapping():
     unbounded.add_objectives([x, y], [1.0, 1.0])
     unbounded.add_constraint({x: 1.0, y: -1.0}, LESS_EQUAL, 1.0)
     assert assert_same_as_linprog(unbounded) == "unbounded"
-
-
-def test_simplex_reports_the_iterations_of_both_phases():
-    # phase 2 only: x flips to its upper bound, then y pivots onto the row
-    lp = LinearProgram(sense="max")
-    x, y = lp.add_variables(2, 0.0, [1.0, 5.0])
-    lp.add_objectives([x, y], [2.0, 1.0])
-    lp.add_constraint({x: 1.0, y: 1.0}, LESS_EQUAL, 3.0)
-    assert solve(lp).iterations == 2
-    # the ">=" row needs an artificial: one phase-1 pivot, then one in phase 2
-    lp.add_constraint({y: 1.0}, GREATER_EQUAL, 2.5)
-    sol = solve(lp)
-    assert sol.x.tolist() == pytest.approx([0.5, 2.5])
-    assert sol.iterations == 2
-    # an infeasible model reports the phase-1 iterations that proved it
-    lp.add_constraint({x: 1.0}, GREATER_EQUAL, 1.0)
-    sol = solve(lp)
-    assert (sol.status, sol.iterations) == ("infeasible", 2)
 
 
 @pytest.mark.parametrize("factor, raised", [(0.99, False), (1.01, True)])

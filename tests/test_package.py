@@ -1,0 +1,47 @@
+"""Properties of the package as a whole: what importing it costs, and that
+the demo scripts run against the current API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+#: the rate sweep (06) is left out: it takes several seconds and writes
+#: ``demos/figures/``
+DEMOS = [
+    "01_energy_auction.py",
+    "02_reserve_procurement.py",
+    "03_settlement_and_tariffs.py",
+    "04_flexible_load_bands.py",
+    "05_full_simulation.py",
+]
+
+
+def run_python(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only when a model is solved
+    probe = (
+        "import sys, flexmarket, flexmarket.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda name: name.removesuffix(".py"))
+def test_demo_runs(demo, tmp_path):
+    result = run_python(str(ROOT / "demos" / demo), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []
