@@ -1,8 +1,12 @@
 """Command-line front end: single runs, rate sweeps, coverage checks, replays.
 
-Every run writes a ``manifest.txt`` that fully determines it: replaying a
-manifest reproduces the original outputs byte for byte.  CSV files are the
-canonical results, the SVG figures a convenience.
+This module owns the output tree and its format; the market modules only
+compute.  Every run writes a ``manifest.txt`` that fully determines it:
+replaying a manifest reproduces the original outputs byte for byte.  The
+CSV files (``metrics.csv``, ``summary.csv``, ``rounds/<n>/*.csv`` with the
+columns of ``ROUND_COLUMNS``, and ``sweep.csv`` for a sweep) are the
+canonical results, the SVG figures a convenience.  Floats are written with
+``repr``, so they read back exactly.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import energy_market, imbalance, reserve_market
 from .agents import random_feasible_modulation, verify_scenario_coverage
 from .charts import line_chart
 from .scenario import ScenarioConfig, config_from_text, config_to_text
-from .simulator import SimulationOutcome, run as run_simulation
+from .simulator import RoundMetrics, RoundRecord, SimulationOutcome, run as run_simulation
 
+#: the cells of ``RoundMetrics.as_tuple()``, in its order
 METRIC_COLUMNS = [
-    "round",
     "mean_price",
     "price_variability",
     "total_imbalance_mwh",
@@ -30,18 +33,24 @@ METRIC_COLUMNS = [
     "non_contracted_mwh",
 ]
 
-SWEEP_COLUMNS = [
-    "rate",
-    "setting",
-    "status",
-    "rounds",
-    "termination",
-    "mean_price",
-    "price_variability",
-    "total_imbalance_mwh",
-    "procurement_cost_eur",
-    "non_contracted_mwh",
-]
+SUMMARY_COLUMNS = ["termination", "rounds", "cycle_start", "cycle_length", *METRIC_COLUMNS]
+
+SWEEP_COLUMNS = ["rate", "setting", "status", "rounds", "termination", *METRIC_COLUMNS]
+
+#: the files of ``rounds/<n>/`` and their columns
+ROUND_COLUMNS = {
+    "prices.csv": ["period", "mcp", "tariff_up", "tariff_down"],
+    "offers.csv": ["actor", "period", "side", "volume_mw", "price_eur_mwh"],
+    "clearing.csv": ["period", "mcp", "offer_id", "fraction"],
+    "procurement.csv": ["kind", "bid_id", "actor", "fraction", "contracted_mw"],
+    "settlement.csv": [
+        "period", "imbalance", "activated_up", "activated_down",
+        "y_up", "y_down", "tariff_up", "tariff_down",
+    ],
+    "positions.csv": [
+        "actor", "kind", "period", "cleared_volume", "imbalance_up", "imbalance_down", "fee",
+    ],
+}
 
 
 def main(argv=None) -> int:
@@ -59,12 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = sub.add_parser("run", help="simulate one scenario")
     _common_flags(run_cmd)
-    run_cmd.add_argument(
-        "--round-details",
-        choices=["all", "terminal", "none"],
-        default="all",
-        help="which rounds get per-round CSV detail",
-    )
+    _round_details_flag(run_cmd)
     run_cmd.set_defaults(entry=cmd_run)
 
     sweep_cmd = sub.add_parser("sweep", help="both settings over a list of flexibility rates")
@@ -87,9 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_cmd = sub.add_parser("replay", help="rerun a simulation from its manifest")
     replay_cmd.add_argument("manifest", type=Path)
     replay_cmd.add_argument("--out-dir", type=Path, required=True)
-    replay_cmd.add_argument(
-        "--round-details", choices=["all", "terminal", "none"], default="all"
-    )
+    _round_details_flag(replay_cmd)
     replay_cmd.set_defaults(entry=cmd_replay)
     return parser
 
@@ -103,18 +105,27 @@ def _common_flags(cmd) -> None:
     cmd.add_argument("--out-dir", type=Path, required=True)
 
 
+def _round_details_flag(cmd) -> None:
+    cmd.add_argument(
+        "--round-details",
+        choices=["all", "terminal", "none"],
+        default="all",
+        help="which rounds get per-round CSV detail",
+    )
+
+
 def load_config(args) -> ScenarioConfig:
     if args.config is not None:
         config = config_from_text(args.config.read_text())
     else:
         config = ScenarioConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "rate", None) is not None:
+    if args.rate is not None:
         config.flexibility_rate = args.rate
-    if getattr(args, "setting", None) is not None:
+    if args.setting is not None:
         config.setting = args.setting
-    if getattr(args, "max_rounds", None) is not None:
+    if args.max_rounds is not None:
         config.max_rounds = args.max_rounds
     config.validate()
     return config
@@ -144,40 +155,36 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     base = load_config(args)
     rates = [float(r) for r in args.rates.split(",") if r.strip()]
+    cells = {}
+    for rate in rates:
+        cell = f"rate_{round(rate * 100):03d}"
+        if cell in cells:
+            print(
+                f"rates {cells[cell]!r} and {rate!r} would both write {cell}_*",
+                file=sys.stderr,
+            )
+            return 2
+        cells[cell] = rate
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for rate in rates:
+    for cell, rate in cells.items():
         for setting in ("closed", "open"):
             config = dataclasses.replace(base, flexibility_rate=rate, setting=setting)
-            cell_dir = out_dir / f"rate_{round(rate * 100):03d}_{setting}"
             try:
                 outcome = run_simulation(config)
-                write_outputs(outcome, cell_dir, "terminal")
-                m = outcome.cycle_metrics
+                write_outputs(outcome, out_dir / f"{cell}_{setting}", "terminal")
                 rows.append(
-                    [
-                        repr(rate),
-                        setting,
-                        "ok",
-                        len(outcome.rounds),
-                        outcome.termination,
-                        repr(m.mean_price),
-                        repr(m.price_variability),
-                        repr(m.total_imbalance),
-                        repr(m.procurement_cost),
-                        repr(m.non_contracted),
-                    ]
+                    [repr(rate), setting, "ok", len(outcome.rounds), outcome.termination]
+                    + _metric_cells(outcome.cycle_metrics)
                 )
                 print(f"rate {rate:g} {setting}: ok ({outcome.termination})")
             except Exception as exc:  # keep sweeping, report the cell
-                rows.append([repr(rate), setting, f"error: {exc}", "", "", "", "", "", "", ""])
+                row = [repr(rate), setting, f"error: {exc}"]
+                rows.append(row + [""] * (len(SWEEP_COLUMNS) - len(row)))
                 print(f"rate {rate:g} {setting}: FAILED ({exc})", file=sys.stderr)
-    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
-    _sweep_figures(rows, out_dir)
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
+    _sweep_figures([dict(zip(SWEEP_COLUMNS, row)) for row in rows], out_dir)
     return 0
 
 
@@ -185,21 +192,20 @@ def _sweep_figures(rows, out_dir) -> None:
     figures = out_dir / "figures"
     figures.mkdir(exist_ok=True)
     panels = [
-        ("price_variability", "price variability (EUR/MWh)", 6),
-        ("total_imbalance", "total imbalance (MWh)", 7),
-        ("procurement_cost", "reserve procurement cost (EUR)", 8),
-        ("non_contracted", "non-contracted reserve (MWh)", 9),
+        ("price_variability", "price variability (EUR/MWh)", "price_variability"),
+        ("total_imbalance", "total imbalance (MWh)", "total_imbalance_mwh"),
+        ("procurement_cost", "reserve procurement cost (EUR)", "procurement_cost_eur"),
+        ("non_contracted", "non-contracted reserve (MWh)", "non_contracted_mwh"),
     ]
     for name, label, column in panels:
         series = {}
         for setting in ("closed", "open"):
-            xs, ys = [], []
-            for row in rows:
-                if row[1] == setting and row[2] == "ok":
-                    xs.append(float(row[0]))
-                    ys.append(float(row[column]))
-            if xs:
-                series[setting] = (xs, ys)
+            ok = [row for row in rows if row["setting"] == setting and row["status"] == "ok"]
+            if ok:
+                series[setting] = (
+                    [float(row["rate"]) for row in ok],
+                    [float(row[column]) for row in ok],
+                )
         line_chart(
             figures / f"{name}.svg",
             f"{label} vs flexibility rate",
@@ -241,15 +247,48 @@ def write_outputs(outcome: SimulationOutcome, out_dir: Path, round_details: str)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outcome, out_dir / "manifest.txt")
-    _write_metrics(outcome, out_dir / "metrics.csv")
-    _write_summary(outcome, out_dir / "summary.csv")
+    _write_csv(
+        out_dir / "metrics.csv",
+        ["round", *METRIC_COLUMNS],
+        ([record.index, *_metric_cells(record.metrics)] for record in outcome.rounds),
+    )
+    _write_csv(
+        out_dir / "summary.csv",
+        SUMMARY_COLUMNS,
+        [
+            [
+                outcome.termination,
+                len(outcome.rounds),
+                outcome.cycle_start if outcome.cycle_start is not None else "",
+                outcome.cycle_length if outcome.cycle_length is not None else "",
+                *_metric_cells(outcome.cycle_metrics),
+            ]
+        ],
+    )
     if round_details != "none":
         records = (
             outcome.rounds if round_details == "all" else outcome.terminal_rounds()
         )
         for record in records:
-            _write_round(outcome, record, out_dir / "rounds" / str(record.index))
+            _write_round(record, out_dir / "rounds" / str(record.index))
     _run_figures(outcome, out_dir / "figures")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _metric_cells(metrics: RoundMetrics) -> list[str]:
+    return [repr(value) for value in metrics.as_tuple()]
+
+
+def _period_rows(*series) -> list[list]:
+    """One row per period: the period, then each series' value in it."""
+    columns = [[repr(float(value)) for value in values] for values in series]
+    return [[t, *cells] for t, cells in enumerate(zip(*columns))]
 
 
 def _write_manifest(outcome: SimulationOutcome, path: Path) -> None:
@@ -265,99 +304,53 @@ def _write_manifest(outcome: SimulationOutcome, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_metrics(outcome: SimulationOutcome, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(METRIC_COLUMNS)
-        for record in outcome.rounds:
-            m = record.metrics
-            writer.writerow(
-                [
-                    record.index,
-                    repr(m.mean_price),
-                    repr(m.price_variability),
-                    repr(m.total_imbalance),
-                    repr(m.procurement_cost),
-                    repr(m.non_contracted),
-                ]
-            )
-
-
-def _write_summary(outcome: SimulationOutcome, path: Path) -> None:
-    m = outcome.cycle_metrics
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["termination", "rounds", "cycle_start", "cycle_length"] + METRIC_COLUMNS[1:]
-        )
-        writer.writerow(
-            [
-                outcome.termination,
-                len(outcome.rounds),
-                outcome.cycle_start if outcome.cycle_start is not None else "",
-                outcome.cycle_length if outcome.cycle_length is not None else "",
-                repr(m.mean_price),
-                repr(m.price_variability),
-                repr(m.total_imbalance),
-                repr(m.procurement_cost),
-                repr(m.non_contracted),
-            ]
-        )
-
-
-def _write_round(outcome: SimulationOutcome, record, round_dir: Path) -> None:
+def _write_round(record: RoundRecord, round_dir: Path) -> None:
     round_dir.mkdir(parents=True, exist_ok=True)
-    with open(round_dir / "prices.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["period", "mcp", "tariff_up", "tariff_down"])
-        for t in range(len(record.energy_price)):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(record.energy_price[t])),
-                    repr(float(record.tariff_up[t])),
-                    repr(float(record.tariff_down[t])),
-                ]
+    actors = [
+        (name, "retailer", position, position.demand)
+        for name, position in sorted(record.retailer_positions.items())
+    ] + [
+        (name, "producer", position, position.sale)
+        for name, position in sorted(record.producer_positions.items())
+    ]
+    positions = []
+    for name, kind, position, volume in actors:
+        fee = repr(record.fees[name])
+        for t, *cells in _period_rows(volume, position.imbalance_up, position.imbalance_down):
+            positions.append([name, kind, t, *cells, fee if t == 0 else ""])
+    clearing, procurement, settlement = record.clearing, record.procurement, record.settlement
+    rows = {
+        "prices.csv": _period_rows(record.energy_price, record.tariff_up, record.tariff_down),
+        "offers.csv": [
+            [o.actor, o.period, o.side, repr(o.volume), repr(o.price)] for o in record.offers
+        ],
+        "clearing.csv": [
+            [o.period, repr(float(clearing.price[o.period])), k, repr(float(fraction))]
+            for k, (o, fraction) in enumerate(zip(record.offers, clearing.fractions))
+        ],
+        "procurement.csv": [
+            ["classical", k, bid.actor, repr(float(x)), repr(bid.volume * float(x))]
+            for k, (bid, x) in enumerate(zip(procurement.classical, procurement.classical_fraction))
+        ]
+        + [
+            ["modulation", k, bid.actor, repr(float(x)), repr(bid.amplitude * float(x))]
+            for k, (bid, x) in enumerate(
+                zip(procurement.modulation, procurement.modulation_fraction)
             )
-    energy_market.write_offers_csv(record.offers, round_dir / "offers.csv")
-    energy_market.write_result_csv(record.clearing, record.offers, round_dir / "clearing.csv")
-    reserve_market.write_procurement_csv(record.procurement, round_dir / "procurement.csv")
-    imbalance.write_settlement_csv(
-        record.settlement, record.tariff_up, record.tariff_down, round_dir / "settlement.csv"
-    )
-    with open(round_dir / "positions.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["actor", "kind", "period", "cleared_volume", "imbalance_up", "imbalance_down", "fee"]
-        )
-        for name in sorted(record.retailer_positions):
-            position = record.retailer_positions[name]
-            for t in range(len(position.demand)):
-                writer.writerow(
-                    [
-                        name,
-                        "retailer",
-                        t,
-                        repr(float(position.demand[t])),
-                        repr(float(position.imbalance_up[t])),
-                        repr(float(position.imbalance_down[t])),
-                        repr(record.fees[name]) if t == 0 else "",
-                    ]
-                )
-        for name in sorted(record.producer_positions):
-            position = record.producer_positions[name]
-            for t in range(len(position.sale)):
-                writer.writerow(
-                    [
-                        name,
-                        "producer",
-                        t,
-                        repr(float(position.sale[t])),
-                        repr(float(position.imbalance_up[t])),
-                        repr(float(position.imbalance_down[t])),
-                        repr(record.fees[name]) if t == 0 else "",
-                    ]
-                )
+        ],
+        "settlement.csv": _period_rows(
+            settlement.imbalance,
+            settlement.activated_up,
+            settlement.activated_down,
+            settlement.non_contracted_up,
+            settlement.non_contracted_down,
+            record.tariff_up,
+            record.tariff_down,
+        ),
+        "positions.csv": positions,
+    }
+    for name, columns in ROUND_COLUMNS.items():
+        _write_csv(round_dir / name, columns, rows[name])
 
 
 def _run_figures(outcome: SimulationOutcome, figures: Path) -> None:

@@ -10,7 +10,6 @@ offers at the clearing price share the marginal volume pro rata.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,35 +131,3 @@ def _assign_fractions(offers, ids, mcp, volume, fractions, is_supply):
     share = min(1.0, max(0.0, fill / at_volume)) if at_volume > 0 else 0.0
     for k, is_strict, is_marginal in zip(ids, strict, marginal):
         fractions[k] = 1.0 if is_strict else (share if is_marginal else 0.0)
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange
-# ---------------------------------------------------------------------------
-
-OFFER_COLUMNS = ["actor", "period", "side", "volume_mw", "price_eur_mwh"]
-RESULT_COLUMNS = ["period", "mcp", "offer_id", "fraction"]
-
-
-def write_offers_csv(offers: list[EnergyOffer], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(OFFER_COLUMNS)
-        for o in offers:
-            writer.writerow([o.actor, o.period, o.side, repr(o.volume), repr(o.price)])
-
-
-def write_result_csv(result: ClearingResult, offers: list[EnergyOffer], path) -> None:
-    """One row per offer; offers are indexed by input-list position."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESULT_COLUMNS)
-        for k, (offer, fraction) in enumerate(zip(offers, result.fractions)):
-            writer.writerow(
-                [
-                    offer.period,
-                    repr(float(result.price[offer.period])),
-                    k,
-                    repr(float(fraction)),
-                ]
-            )

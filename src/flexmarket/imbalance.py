@@ -17,7 +17,6 @@ upward imbalance is an upward deviation of its net injection.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,29 +211,3 @@ def fees(
     for actor, (up, down) in actor_imbalances.items():
         out[actor] = float(np.asarray(up) @ tariff_up + np.asarray(down) @ tariff_down)
     return out
-
-
-def write_settlement_csv(
-    result: SettlementResult,
-    tariff_up: np.ndarray,
-    tariff_down: np.ndarray,
-    path,
-) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["period", "imbalance", "activated_up", "activated_down", "y_up", "y_down", "tariff_up", "tariff_down"]
-        )
-        for t in range(len(result.imbalance)):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(result.imbalance[t])),
-                    repr(float(result.activated_up[t])),
-                    repr(float(result.activated_down[t])),
-                    repr(float(result.non_contracted_up[t])),
-                    repr(float(result.non_contracted_down[t])),
-                    repr(float(tariff_up[t])),
-                    repr(float(tariff_down[t])),
-                ]
-            )

@@ -12,7 +12,6 @@ any shortfall.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,18 +269,3 @@ def clear_reserve(
         objective=sol.objective,
         prices=prices,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange
-# ---------------------------------------------------------------------------
-
-
-def write_procurement_csv(result: ReserveProcurement, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "bid_id", "actor", "fraction", "contracted_mw"])
-        for k, (bid, x) in enumerate(zip(result.classical, result.classical_fraction)):
-            writer.writerow(["classical", k, bid.actor, repr(float(x)), repr(bid.volume * float(x))])
-        for k, (bid, x) in enumerate(zip(result.modulation, result.modulation_fraction)):
-            writer.writerow(["modulation", k, bid.actor, repr(float(x)), repr(bid.amplitude * float(x))])

@@ -4,14 +4,22 @@ import filecmp
 import numpy as np
 import pytest
 
-from flexmarket.cli import main
+from flexmarket.cli import main, write_outputs
+from flexmarket.energy_market import DEMAND, SUPPLY, EnergyOffer, clear
+from flexmarket.imbalance import settle, tariffs
+from flexmarket.reserve_market import ClassicalReserveBid, ReservePrices, clear_reserve
 from flexmarket.scenario import (
     ScenarioConfig,
     config_from_text,
     config_to_text,
     generate_scenario,
 )
+from flexmarket.simulator import RoundRecord, SimulationOutcome, _round_metrics
 from flexmarket.agents.retailer import ConfigurationError
+
+PRICES = ReservePrices(45.0, 45.0, 10.0, 500.0)
+PI_NC = 500.0
+CAP = 3000.0
 
 
 def fast_config_file(tmp_path, **overrides):
@@ -55,6 +63,35 @@ def test_generate_scenario_same_seed_identical():
         for pa, pc in zip(a.producers, c.producers)
         for ua, uc in zip(pa.units, pc.units)
     )
+
+
+def write_one_round(out_dir, offers, periods, classical, reserve_up, imbalance_mw):
+    """Clear, procure and settle one day, then write it as a one-round run."""
+    clearing = clear(offers, periods)
+    procurement = clear_reserve(
+        classical, [], np.asarray(reserve_up, float), np.zeros(periods), PRICES
+    )
+    settlement = settle(np.asarray(imbalance_mw, float), procurement, PI_NC)
+    up, down = tariffs(settlement, PI_NC)
+    record = RoundRecord(
+        index=0,
+        energy_price=clearing.price,
+        tariff_up=up,
+        tariff_down=down,
+        submitted_demand={},
+        submitted_sale={},
+        retailer_positions={},
+        producer_positions={},
+        offers=offers,
+        clearing=clearing,
+        procurement=procurement,
+        settlement=settlement,
+        fees={},
+        metrics=_round_metrics(clearing.price, procurement, settlement, 1.0),
+    )
+    outcome = SimulationOutcome("converged", None, None, [record], ScenarioConfig())
+    write_outputs(outcome, out_dir, "all")
+    return out_dir / "rounds" / "0"
 
 
 def test_run_emits_reloadable_metrics(tmp_path):
@@ -170,3 +207,51 @@ def test_sweep_survives_failing_cell(tmp_path):
 
 def test_verify_runs_clean():
     assert main(["verify", "--loads", "2", "--samples", "100", "--seed", "3"]) == 0
+
+
+def test_sweep_rejects_rates_sharing_a_cell_directory(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", str(fast_config_file(tmp_path)), "--out-dir", str(out)]
+    assert main(args + ["--rates", "0.02,0.024"]) != 0
+    error = capsys.readouterr().err
+    assert "0.02 " in error and "0.024" in error
+    assert not out.exists()
+
+
+def test_round_details_pick_the_round_directories(tmp_path):
+    from flexmarket.simulator import run as run_simulation
+
+    config_path = fast_config_file(tmp_path)
+    outcome = run_simulation(config_from_text(config_path.read_text()))
+    terminal = sorted(str(record.index) for record in outcome.terminal_rounds())
+    assert len(terminal) < len(outcome.rounds)
+    args = ["run", "--config", str(config_path), "--round-details"]
+    main(args + ["terminal", "--out-dir", str(tmp_path / "terminal")])
+    assert sorted(path.name for path in (tmp_path / "terminal" / "rounds").iterdir()) == terminal
+    main(args + ["none", "--out-dir", str(tmp_path / "none")])
+    assert (tmp_path / "none" / "metrics.csv").exists()
+    assert not (tmp_path / "none" / "rounds").exists()
+
+
+def test_offers_and_clearing_csv(tmp_path):
+    offers = [
+        EnergyOffer("gen", 0, SUPPLY, 12.5, 47.3),
+        EnergyOffer("ret", 1, DEMAND, 33.125, CAP),
+    ]
+    round_dir = write_one_round(tmp_path / "out", offers, 2, [], [0.0, 0.0], [0.0, 0.0])
+    assert (round_dir / "offers.csv").read_text().strip().splitlines() == [
+        "actor,period,side,volume_mw,price_eur_mwh",
+        "gen,0,supply,12.5,47.3",
+        "ret,1,demand,33.125,3000.0",
+    ]
+    lines = (round_dir / "clearing.csv").read_text().strip().splitlines()
+    assert lines[0] == "period,mcp,offer_id,fraction"
+    assert len(lines) == 3
+
+
+def test_settlement_csv(tmp_path):
+    bid = ClassicalReserveBid("gen", 0, "up", 10.0, 7.0)
+    round_dir = write_one_round(tmp_path / "out", [], 1, [bid], [10.0], [-5.0])
+    lines = (round_dir / "settlement.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("period,imbalance,activated_up")
+    assert len(lines) == 2

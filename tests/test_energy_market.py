@@ -6,8 +6,6 @@ from flexmarket.energy_market import (
     SUPPLY,
     EnergyOffer,
     clear,
-    write_offers_csv,
-    write_result_csv,
 )
 
 from oracles import sweep_auction_oracle
@@ -133,24 +131,3 @@ def test_offer_validation():
         clear([offer("buy", 1.0, 10.0)], 1)
     with pytest.raises(ValueError):
         clear([offer(SUPPLY, 1.0, 10.0, period=3)], 2)
-
-
-def test_csv_round_trip(tmp_path):
-    offers = [
-        offer(SUPPLY, 12.5, 47.3, "gen", 0),
-        offer(DEMAND, 33.125, CAP, "ret", 1),
-    ]
-    path = tmp_path / "offers.csv"
-    write_offers_csv(offers, path)
-    assert path.read_text().strip().splitlines() == [
-        "actor,period,side,volume_mw,price_eur_mwh",
-        "gen,0,supply,12.5,47.3",
-        "ret,1,demand,33.125,3000.0",
-    ]
-
-    result = clear(offers, 2)
-    out = tmp_path / "result.csv"
-    write_result_csv(result, offers, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "period,mcp,offer_id,fraction"
-    assert len(lines) == 3

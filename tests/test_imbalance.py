@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexmarket.imbalance import fees, settle, tariffs, write_settlement_csv
+from flexmarket.imbalance import fees, settle, tariffs
 from flexmarket.reserve_market import (
     ClassicalReserveBid,
     ModulationBid,
@@ -153,15 +153,3 @@ def test_fees_use_own_direction_even_when_system_nets_out():
     )
     assert charges["a"] == pytest.approx(30.0)
     assert charges["b"] == pytest.approx(24.0)
-
-
-def test_settlement_csv(tmp_path):
-    bid = ClassicalReserveBid("gen", 0, "up", 10.0, 7.0)
-    procurement = procure([bid], [], [10.0], [0.0])
-    result = settle(np.array([-5.0]), procurement, PI_NC)
-    up, down = tariffs(result, PI_NC)
-    path = tmp_path / "settlement.csv"
-    write_settlement_csv(result, up, down, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("period,imbalance,activated_up")
-    assert len(lines) == 2

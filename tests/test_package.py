@@ -1,6 +1,7 @@
 """Properties of the package as a whole: what importing it costs, and that
 the demo scripts run against the current API."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,6 +39,22 @@ def test_import_loads_no_scipy():
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_only_cli_writes_csv():
+    # the output tree's format lives in one module; the others only compute
+    importers = []
+    for path in sorted((SRC / "flexmarket").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == ["flexmarket/cli.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda name: name.removesuffix(".py"))

@@ -272,3 +272,20 @@ def test_generate_scenario_determinism_and_sizing():
     assert all(not r.loads for r in bare.retailers)
     total_inelastic = np.sum([r.inelastic for r in bare.retailers], axis=0)
     assert np.allclose(total_inelastic, bare.demand)
+
+
+# ---------------------------------------------------------------------------
+# the paper's claims
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="claim (c) is not reproduced: terminal windows never use non-contracted reserve",
+)
+def test_more_flexibility_relies_more_on_non_contracted_reserve():
+    def terminal_non_contracted(rate):
+        config = ScenarioConfig(seed=1, flexibility_rate=rate, setting="open", max_rounds=500)
+        return run(config).cycle_metrics.non_contracted
+
+    assert terminal_non_contracted(0.10) > terminal_non_contracted(0.0)
