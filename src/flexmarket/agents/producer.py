@@ -5,7 +5,8 @@ back ramp-feasible headroom as upward/downward reserve (valued at a small
 regulated credit so reserve never displaces profitable energy), and may
 deviate from its sold position when the imbalance tariff forecast beats
 the market.  The same model runs three times per round: free, with the
-cleared sale fixed, and with the accepted reserves fixed as well.
+cleared sale fixed, and with the accepted reserves (mapped back onto the
+units by :func:`producer_accepted_reserve`) fixed as well.
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ import numpy as np
 
 from ..energy_market import SUPPLY, EnergyOffer
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
-from ..reserve_market import ClassicalReserveBid
+from ..reserve_market import DOWN, UP, ClassicalReserveBid
 from .forecast import PriceForecast
-from .retailer import IMBALANCE_FRICTION, ConfigurationError, Pins, add_pin_penalties
+from .retailer import IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, add_pin_penalties
 
 #: regulated credit per MW of reserve capability kept available
 DEFAULT_RESERVE_VALUATION = 0.005
-
-#: offers and bids below this volume (MW) are not submitted
-OFFER_TOL = 1e-9
 
 
 @dataclass
@@ -226,68 +224,47 @@ def producer_energy_offers(
 ) -> list[EnergyOffer]:
     """Per-unit supply offers at marginal cost, plus the predicted downward
     imbalance offered at the downward tariff forecast."""
-    offers = []
-    for unit in portfolio.units:
-        output = position.unit_output[unit.name]
-        for t in range(portfolio.horizon):
-            if output[t] > OFFER_TOL:
-                offers.append(
-                    EnergyOffer(
-                        actor=portfolio.name,
-                        period=t,
-                        side=SUPPLY,
-                        volume=float(output[t]),
-                        price=float(unit.cost[t]),
-                    )
-                )
-    for t in range(portfolio.horizon):
-        if position.imbalance_down[t] > OFFER_TOL:
-            offers.append(
-                EnergyOffer(
-                    actor=portfolio.name,
-                    period=t,
-                    side=SUPPLY,
-                    volume=float(position.imbalance_down[t]),
-                    price=float(fc.imbalance_down[t]),
-                )
-            )
-    return offers
+    priced = [(position.unit_output[unit.name], unit.cost) for unit in portfolio.units]
+    priced.append((position.imbalance_down, fc.imbalance_down))
+    return [
+        EnergyOffer(portfolio.name, int(t), SUPPLY, float(volume[t]), float(price[t]))
+        for volume, price in priced
+        for t in np.flatnonzero(volume > OFFER_TOL)
+    ]
+
+
+def _offered_reserve(position: ProducerPosition, portfolio: ProducerPortfolio):
+    """(units, periods, 2) upward and downward reserve of the position, and
+    the mask of the entries offered as bids."""
+    reserve = np.array(
+        [[position.reserve_up[unit.name], position.reserve_down[unit.name]]
+         for unit in portfolio.units]
+    ).transpose(0, 2, 1)
+    return reserve, reserve > OFFER_TOL
 
 
 def producer_reserve_bids(
     position: ProducerPosition, portfolio: ProducerPortfolio
-) -> list[tuple[ClassicalReserveBid, str]]:
-    """Reserve bids with the unit each one came from, so accepted volumes
-    can be pinned back onto that unit afterwards."""
-    bids = []
-    for unit in portfolio.units:
-        for t in range(portfolio.horizon):
-            up = position.reserve_up[unit.name][t]
-            down = position.reserve_down[unit.name][t]
-            if up > OFFER_TOL:
-                bids.append(
-                    (
-                        ClassicalReserveBid(
-                            actor=portfolio.name,
-                            period=t,
-                            direction="up",
-                            volume=float(up),
-                            activation_price=float(unit.cost[t]),
-                        ),
-                        unit.name,
-                    )
-                )
-            if down > OFFER_TOL:
-                bids.append(
-                    (
-                        ClassicalReserveBid(
-                            actor=portfolio.name,
-                            period=t,
-                            direction="down",
-                            volume=float(down),
-                            activation_price=float(unit.cost[t]),
-                        ),
-                        unit.name,
-                    )
-                )
-    return bids
+) -> list[ClassicalReserveBid]:
+    """A bid at the unit's cost for every unit, period and direction with
+    reserve held back, in that order (upward before downward)."""
+    reserve, offered = _offered_reserve(position, portfolio)
+    return [
+        ClassicalReserveBid(
+            actor=portfolio.name, period=int(t), direction=(UP, DOWN)[d],
+            volume=float(reserve[k, t, d]), activation_price=float(portfolio.units[k].cost[t]),
+        )
+        for k, t, d in zip(*np.nonzero(offered))
+    ]
+
+
+def producer_accepted_reserve(
+    position: ProducerPosition, portfolio: ProducerPortfolio, fractions: np.ndarray
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Per-unit upward and downward reserve the market accepted, given the
+    accepted ``fractions`` of the bids :func:`producer_reserve_bids` made from
+    ``position``."""
+    reserve, offered = _offered_reserve(position, portfolio)
+    accepted = np.zeros_like(reserve)
+    accepted[offered] += reserve[offered] * fractions
+    return _by_unit(portfolio, accepted[..., 0]), _by_unit(portfolio, accepted[..., 1])

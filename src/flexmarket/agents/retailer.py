@@ -1,4 +1,4 @@
-"""Retailer position optimization.
+"""Retailer position optimization, demand offers and band bids.
 
 A retailer buys energy for an inelastic demand plus a set of tank-model
 flexible loads, may lean on intentional imbalance when the tariff forecast
@@ -10,7 +10,8 @@ links back into the baseline tank state at both ends of each block.
 
 The same model serves both decision stages: pass ``fixed_demand`` (and
 ``fixed_amplitudes`` when bands were sold) to re-optimize the residual
-degrees of freedom after the markets cleared.  Learned volume pins arrive as
+degrees of freedom after the markets cleared, with the accepted amplitudes
+from :func:`retailer_accepted_amplitudes`.  Learned volume pins arrive as
 plain per-period arrays; the learning itself belongs to the simulation run.
 """
 
@@ -21,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..energy_market import DEMAND, EnergyOffer
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
+from ..reserve_market import ModulationBid
 from .forecast import PriceForecast
 from .tank import TankLoad
 
@@ -29,6 +32,9 @@ from .tank import TankLoad
 class ConfigurationError(ValueError):
     """Inconsistent portfolio data made an agent problem infeasible."""
 
+
+#: offers and bids below this volume (MW) are not submitted
+OFFER_TOL = 1e-9
 
 #: negligible friction on deviations; breaks the tie toward a clean position
 #: when the tariff forecast exactly matches the energy price forecast
@@ -172,6 +178,40 @@ def optimize_retailer(
         position.up_schedules = _patched(schedules, windows, up_d, sol)
         position.down_schedules = _patched(schedules, windows, dn_d, sol)
     return position
+
+
+def retailer_demand_offers(
+    position: RetailerPosition, portfolio: RetailerPortfolio, price_cap: float
+) -> list[EnergyOffer]:
+    """The purchase as demand offers at the price cap, one per period."""
+    return [
+        EnergyOffer(portfolio.name, int(t), DEMAND, float(position.demand[t]), price_cap)
+        for t in np.flatnonzero(position.demand > OFFER_TOL)
+    ]
+
+
+def retailer_band_bids(
+    position: RetailerPosition, portfolio: RetailerPortfolio, efficiency: float
+) -> list[ModulationBid]:
+    """One band bid per window with a positive amplitude, in window order,
+    free to activate."""
+    return [
+        ModulationBid(
+            actor=portfolio.name, start=start, length=length,
+            amplitude=float(amplitude), activation_price=0.0, efficiency=efficiency,
+        )
+        for (start, length), amplitude in zip(position.windows, position.amplitudes)
+        if amplitude > OFFER_TOL
+    ]
+
+
+def retailer_accepted_amplitudes(position: RetailerPosition, fractions: np.ndarray) -> np.ndarray:
+    """Per-window amplitude the market accepted, given the accepted
+    ``fractions`` of the bids :func:`retailer_band_bids` made from ``position``."""
+    offered = position.amplitudes > OFFER_TOL
+    accepted = np.zeros(len(position.windows))
+    accepted[offered] = position.amplitudes[offered] * fractions
+    return accepted
 
 
 def _check_windows(windows, t_count):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sweep_cmd)
     sweep_cmd.add_argument(
         "--rates",
+        type=_rate_list,
         default="0,0.02,0.04,0.06,0.08,0.10",
         help="comma-separated flexibility rates",
     )
@@ -103,6 +105,17 @@ def _common_flags(cmd) -> None:
     cmd.add_argument("--setting", choices=["closed", "open"])
     cmd.add_argument("--max-rounds", type=int)
     cmd.add_argument("--out-dir", type=Path, required=True)
+
+
+def _rate_list(text: str) -> list[float]:
+    """Comma-separated finite numbers, at least one; blank items are skipped."""
+    try:
+        rates = [float(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        rates = []
+    if not rates or not all(math.isfinite(rate) for rate in rates):
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+    return rates
 
 
 def _round_details_flag(cmd) -> None:
@@ -154,9 +167,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = load_config(args)
-    rates = [float(r) for r in args.rates.split(",") if r.strip()]
     cells = {}
-    for rate in rates:
+    for rate in args.rates:
         cell = f"rate_{round(rate * 100):03d}"
         if cell in cells:
             print(

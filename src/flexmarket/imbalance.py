@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import EQUAL, LinearProgram, solve
-from .reserve_market import UP, ReserveProcurement, band_coverage
+from .reserve_market import DOWN, UP, ReserveProcurement, band_coverage, ordered_sum
 
 #: activations below this volume (MW) are treated as zero for tariff setting
 ACTIVATION_TOL = 1e-9
@@ -44,7 +44,7 @@ class SettlementResult:
     activated_up: np.ndarray                # MW per period, contracted + fallback
     activated_down: np.ndarray
     imbalance: np.ndarray                   # the settled system imbalance
-    activation_cost: float                  # LP objective
+    activation_cost: float                  # EUR, the LP objective without the friction
     contracted_classical: list              # (bid, volume) pairs used in the LP
     contracted_modulation: list
 
@@ -58,7 +58,9 @@ def settle(
 
     ``procurement`` supplies both the contracted volumes and the
     over-contract penalty prices fixed at clearing time, which price the
-    downward activations here as well.
+    downward activations here as well.  The per-MW prices that weight the
+    LP objective also give the reported ``activation_cost``, and the
+    activated MW are summed onto the periods of the LP's balance rows.
     """
     imbalance = np.asarray(imbalance, dtype=float)
     period_count = len(imbalance)
@@ -67,16 +69,15 @@ def settle(
     penalty = procurement.over_commit_penalty
 
     lp = LinearProgram(sense="min", name="settlement")
+    # an upward activation costs its price; a downward one saves its price
+    # but pays back the over-contract penalty
     is_up = np.array([bid.direction == UP for bid, _ in classical], dtype=bool)
     contracted_mw = np.array([mw for _, mw in classical], dtype=float)
     price = np.array([bid.activation_price for bid, _ in classical], dtype=float)
     period = np.array([bid.period for bid, _ in classical], dtype=np.intp)
+    unit_cost = np.where(is_up, price, penalty[period] - price)
     x = lp.add_variables(len(classical), 0.0, 1.0)
-    lp.add_objectives(
-        x,
-        np.where(is_up, price + ACTIVATION_FRICTION, penalty[period] - price + ACTIVATION_FRICTION)
-        * contracted_mw,
-    )
+    lp.add_objectives(x, (unit_cost + ACTIVATION_FRICTION) * contracted_mw)
 
     # per band bid, an upward then a downward activation share per covered
     # period; the two must balance over the bid's window
@@ -117,44 +118,31 @@ def settle(
         raise RuntimeError(f"settlement unexpectedly {sol.status}")
 
     x_val = np.clip(sol.values(x), 0.0, 1.0)
+    v_val, w_val = sol.values(v), sol.values(w)
+    nc_up, nc_dn = sol.values(y_up), sol.values(y_dn)
+    # activated MW per direction (row 0 up, row 1 down) in bid order, then
+    # the fallback on top
+    activated = np.zeros((2, period_count))
+    np.add.at(activated, (np.where(is_up, 0, 1), period), contracted_mw * x_val)
+    np.add.at(activated[0], covered, band_mw[owner] * v_val)
+    np.add.at(activated[1], covered, band_mw[owner] * w_val)
     splits = np.cumsum(lengths)[:-1]
-    v_val = np.split(sol.values(v), splits) if bands else []
-    w_val = np.split(sol.values(w), splits) if bands else []
-
-    # report the true activation cost, without the tie-break friction
-    cost = 0.0
-    for k, (bid, volume) in enumerate(classical):
-        if bid.direction == UP:
-            cost += bid.activation_price * volume * x_val[k]
-        else:
-            cost += (penalty[bid.period] - bid.activation_price) * volume * x_val[k]
-    for k, (bid, volume) in enumerate(modulation):
-        cost += bid.activation_price * volume * float(np.sum(v_val[k] + w_val[k]))
-    up = np.zeros(period_count)
-    down = np.zeros(period_count)
-    for k, (bid, volume) in enumerate(classical):
-        if bid.direction == UP:
-            up[bid.period] += volume * x_val[k]
-        else:
-            down[bid.period] += volume * x_val[k]
-    for k, (bid, volume) in enumerate(modulation):
-        for j, t in enumerate(bid.periods):
-            up[t] += volume * v_val[k][j]
-            down[t] += volume * w_val[k][j]
-    nc_up = sol.values(y_up)
-    nc_dn = sol.values(y_dn)
-    cost += non_contracted_price * float(np.sum(nc_up + nc_dn))
 
     return SettlementResult(
         classical_activation=x_val,
-        modulation_up=v_val,
-        modulation_down=w_val,
+        modulation_up=np.split(v_val, splits) if bands else [],
+        modulation_down=np.split(w_val, splits) if bands else [],
         non_contracted_up=nc_up,
         non_contracted_down=nc_dn,
-        activated_up=up + nc_up,
-        activated_down=down + nc_dn,
+        activated_up=activated[0] + nc_up,
+        activated_down=activated[1] + nc_dn,
         imbalance=imbalance,
-        activation_cost=cost,
+        # the true activation cost, without the tie-break friction
+        activation_cost=ordered_sum(
+            unit_cost * contracted_mw * x_val,
+            (band_price * band_mw)[owner] * (v_val + w_val),
+            [non_contracted_price * np.sum(nc_up + nc_dn)],
+        ),
         contracted_classical=classical,
         contracted_modulation=modulation,
     )
@@ -165,35 +153,25 @@ def tariffs(result: SettlementResult, non_contracted_price: float) -> tuple[np.n
 
     Most expensive activated bid in that direction; the fallback price when
     non-contracted reserve was used; zero when the direction saw no
-    activation at all.
+    activation at all.  Each bid's activation is read once.
     """
     period_count = len(result.imbalance)
-    tariff_up = np.zeros(period_count)
-    tariff_down = np.zeros(period_count)
-    for t in range(period_count):
-        up_prices = []
-        down_prices = []
-        for (bid, volume), x in zip(result.contracted_classical, result.classical_activation):
-            if bid.period == t and volume * x > ACTIVATION_TOL:
-                (up_prices if bid.direction == UP else down_prices).append(bid.activation_price)
-        for (bid, volume), v_k, w_k in zip(
-            result.contracted_modulation, result.modulation_up, result.modulation_down
-        ):
-            if t in bid.periods:
-                j = t - bid.start
-                if volume * v_k[j] > ACTIVATION_TOL:
-                    up_prices.append(bid.activation_price)
-                if volume * w_k[j] > ACTIVATION_TOL:
-                    down_prices.append(bid.activation_price)
-        if result.non_contracted_up[t] > ACTIVATION_TOL:
-            tariff_up[t] = non_contracted_price
-        elif up_prices:
-            tariff_up[t] = max(up_prices)
-        if result.non_contracted_down[t] > ACTIVATION_TOL:
-            tariff_down[t] = non_contracted_price
-        elif down_prices:
-            tariff_down[t] = max(down_prices)
-    return tariff_up, tariff_down
+    tariff = {UP: np.zeros(period_count), DOWN: np.zeros(period_count)}
+    # activation prices are nonnegative, so a running maximum from zero
+    # leaves zero exactly where nothing was activated
+    for (bid, volume), x in zip(result.contracted_classical, result.classical_activation):
+        if volume * x > ACTIVATION_TOL:
+            row = tariff[bid.direction]
+            row[bid.period] = max(row[bid.period], bid.activation_price)
+    for (bid, volume), v_k, w_k in zip(
+        result.contracted_modulation, result.modulation_up, result.modulation_down
+    ):
+        for row, share in ((tariff[UP], v_k), (tariff[DOWN], w_k)):
+            used = bid.start + np.flatnonzero(volume * share > ACTIVATION_TOL)
+            row[used] = np.maximum(row[used], bid.activation_price)
+    tariff[UP][result.non_contracted_up > ACTIVATION_TOL] = non_contracted_price
+    tariff[DOWN][result.non_contracted_down > ACTIVATION_TOL] = non_contracted_price
+    return tariff[UP], tariff[DOWN]
 
 
 def fees(

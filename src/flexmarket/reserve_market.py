@@ -141,6 +141,12 @@ class ReserveProcurement:
         ]
 
 
+def ordered_sum(*parts: np.ndarray) -> float:
+    """The terms of ``parts`` added one by one from 0.0, in order: a plain
+    loop's rounding to the last bit, which ``np.sum`` (adding in pairs) lacks."""
+    return float(np.add.accumulate(np.concatenate([[0.0], *parts]))[-1])
+
+
 def band_coverage(bids: list[ModulationBid]) -> tuple[np.ndarray, np.ndarray]:
     """(bid index, period) of every period each band bid covers, bid by bid
     and in period order within a bid."""
@@ -197,17 +203,20 @@ def clear_reserve(
     penalty = np.array([over_contract_penalty(bids, fallback) for bids in downward])
 
     lp = LinearProgram(sense="min", name="reserve-clearing")
+    # the cost of accepting all of each bid: reservation plus assumed activation
     is_up = np.array([bid.direction == UP for bid in classical], dtype=bool)
     volume = np.array([bid.volume for bid in classical], dtype=float)
     capacity = np.where(is_up, prices.up_capacity, prices.down_capacity)
     sign = np.where(is_up, 1.0, -1.0)
     activation = np.array([bid.activation_price for bid in classical], dtype=float)
+    classical_cost = (capacity + sign * activation) * volume
     x_classical = lp.add_variables(len(classical), 0.0, 1.0)
-    lp.add_objectives(x_classical, (capacity + sign * activation) * volume)
+    lp.add_objectives(x_classical, classical_cost)
     amplitude = np.array([bid.amplitude for bid in modulation], dtype=float)
     band_activation = np.array([bid.activation_price for bid in modulation], dtype=float)
+    band_cost = (prices.modulation_capacity + band_activation) * amplitude
     x_modulation = lp.add_variables(len(modulation), 0.0, 1.0)
-    lp.add_objectives(x_modulation, (prices.modulation_capacity + band_activation) * amplitude)
+    lp.add_objectives(x_modulation, band_cost)
 
     s_up, s_dn, n_up, n_dn = (lp.add_variables(period_count) for _ in range(4))
     lp.add_objectives(s_up, penalty)
@@ -243,15 +252,6 @@ def clear_reserve(
 
     xc = np.clip(sol.values(x_classical), 0.0, 1.0)
     xm = np.clip(sol.values(x_modulation), 0.0, 1.0)
-    contracted = 0.0
-    for bid, x in zip(classical, xc):
-        sign = 1.0 if bid.direction == UP else -1.0
-        capacity = prices.up_capacity if bid.direction == UP else prices.down_capacity
-        contracted += (capacity + sign * bid.activation_price) * bid.volume * float(x)
-    for bid, x in zip(modulation, xm):
-        contracted += (
-            (prices.modulation_capacity + bid.activation_price) * bid.amplitude * float(x)
-        )
 
     return ReserveProcurement(
         classical=list(classical),
@@ -265,7 +265,7 @@ def clear_reserve(
         required_up=required_up,
         required_down=required_down,
         over_commit_penalty=penalty,
-        contracted_cost=contracted,
+        contracted_cost=ordered_sum(classical_cost * xc, band_cost * xm),
         objective=sol.objective,
         prices=prices,
     )

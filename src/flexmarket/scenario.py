@@ -85,6 +85,9 @@ class ScenarioConfig:
     imbalance_limit_fraction: float = 0.05
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite")
         if not 0.0 <= self.flexibility_rate <= 1.0:
             raise ConfigurationError("flexibility rate must lie in [0, 1]")
         if self.setting not in (CLOSED, OPEN):
@@ -103,6 +106,10 @@ class ScenarioConfig:
             raise ConfigurationError("modulation efficiency must lie in (0, 1]")
         if self.producer_count < 1 or self.retailer_count < 1:
             raise ConfigurationError("need at least one producer and one retailer")
+        if self.flexibility_rate > 0 and self.loads_per_retailer < 1:
+            raise ConfigurationError("a positive flexibility rate needs a load per retailer")
+        if self.max_rounds < 1:
+            raise ConfigurationError("max_rounds must be at least 1")
 
     def reserve_prices(self) -> ReservePrices:
         return ReservePrices(

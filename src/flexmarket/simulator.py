@@ -22,21 +22,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import energy_market, imbalance
-from .agents import (
-    ForecastParameters,
-    ThresholdTrack,
+from .agents import ForecastParameters, ThresholdTrack
+from .agents.forecast import extreme_prices, forecast as make_forecast
+from .agents.producer import (
+    fleet_capacity,
     optimize_producer,
-    optimize_retailer,
+    producer_accepted_reserve,
     producer_energy_offers,
     producer_reserve_bids,
 )
-from .agents.forecast import extreme_prices, forecast as make_forecast
-from .agents.producer import fleet_capacity
-from .energy_market import DEMAND, EnergyOffer
-from .reserve_market import ModulationBid, ReserveProcurement, clear_reserve
+from .agents.retailer import (
+    optimize_retailer,
+    retailer_accepted_amplitudes,
+    retailer_band_bids,
+    retailer_demand_offers,
+)
+from .energy_market import EnergyOffer
+from .reserve_market import ReserveProcurement, clear_reserve
 from .scenario import OPEN, Scenario, ScenarioConfig, generate_scenario
-
-VOLUME_TOL = 1e-9
 
 
 class RoundError(RuntimeError):
@@ -182,6 +185,10 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
 
 
 def _play_round(index, scenario, fc, windows, pins):
+    """One round: positions, energy auction, reserve procurement,
+    repositioning and settlement.  The agent modules turn positions into
+    offers and bids and map accepted reserve back onto units or windows; this
+    loop only hands each actor its share of the accepted fractions."""
     config = scenario.config
     t_count = config.periods
 
@@ -200,17 +207,7 @@ def _play_round(index, scenario, fc, windows, pins):
                 pins=pins[portfolio.name],
             )
         retailer_stage1[portfolio.name] = position
-        for t in range(t_count):
-            if position.demand[t] > VOLUME_TOL:
-                offers.append(
-                    EnergyOffer(
-                        actor=portfolio.name,
-                        period=t,
-                        side=DEMAND,
-                        volume=float(position.demand[t]),
-                        price=config.price_cap,
-                    )
-                )
+        offers.extend(retailer_demand_offers(position, portfolio, config.price_cap))
     producer_stage1 = {}
     for portfolio in scenario.producers:
         with _stage_guard(index, "day-ahead", portfolio.name):
@@ -230,8 +227,7 @@ def _play_round(index, scenario, fc, windows, pins):
         cleared_consumption += clearing.demand_of(portfolio.name)
     required = config.reserve_rate * cleared_consumption
 
-    classical = []
-    bid_units: list[tuple[str, str]] = []  # (producer, unit) parallel to classical
+    classical = {}
     producer_stage2 = {}
     for portfolio in scenario.producers:
         with _stage_guard(index, "reserve-bidding", portfolio.name):
@@ -244,46 +240,31 @@ def _play_round(index, scenario, fc, windows, pins):
                 pins=pins[portfolio.name],
             )
         producer_stage2[portfolio.name] = position
-        for bid, unit_name in producer_reserve_bids(position, portfolio):
-            classical.append(bid)
-            bid_units.append((portfolio.name, unit_name))
-
-    modulation = []
-    bid_windows: list[tuple[str, int]] = []  # (retailer, window index) parallel
-    if windows:
-        for portfolio in scenario.retailers:
-            amplitudes = retailer_stage1[portfolio.name].amplitudes
-            for w, (start, length) in enumerate(windows):
-                if amplitudes[w] > VOLUME_TOL:
-                    modulation.append(
-                        ModulationBid(
-                            actor=portfolio.name,
-                            start=start,
-                            length=length,
-                            amplitude=float(amplitudes[w]),
-                            activation_price=0.0,
-                            efficiency=config.modulation_efficiency,
-                        )
-                    )
-                    bid_windows.append((portfolio.name, w))
+        classical[portfolio.name] = producer_reserve_bids(position, portfolio)
+    modulation = {
+        portfolio.name: retailer_band_bids(
+            retailer_stage1[portfolio.name], portfolio, config.modulation_efficiency
+        )
+        for portfolio in scenario.retailers
+    }
 
     with _stage_guard(index, "reserve-clearing", "market"):
         procurement = clear_reserve(
-            classical, modulation, required, required, config.reserve_prices()
+            [bid for bids in classical.values() for bid in bids],
+            [bid for bids in modulation.values() for bid in bids],
+            required,
+            required,
+            config.reserve_prices(),
         )
+    classical_fraction = _per_actor(procurement.classical_fraction, classical)
+    modulation_fraction = _per_actor(procurement.modulation_fraction, modulation)
 
     # stage 3: reposition against cleared quantities
     producer_final = {}
     for portfolio in scenario.producers:
-        fixed_up = {unit.name: np.zeros(t_count) for unit in portfolio.units}
-        fixed_down = {unit.name: np.zeros(t_count) for unit in portfolio.units}
-        for bid, (owner, unit_name), x in zip(
-            procurement.classical, bid_units, procurement.classical_fraction
-        ):
-            if owner != portfolio.name:
-                continue
-            target = fixed_up if bid.direction == "up" else fixed_down
-            target[unit_name][bid.period] += bid.volume * float(x)
+        fixed_up, fixed_down = producer_accepted_reserve(
+            producer_stage2[portfolio.name], portfolio, classical_fraction[portfolio.name]
+        )
         with _stage_guard(index, "reposition", portfolio.name):
             producer_final[portfolio.name] = optimize_producer(
                 portfolio,
@@ -298,14 +279,6 @@ def _play_round(index, scenario, fc, windows, pins):
 
     retailer_final = {}
     for portfolio in scenario.retailers:
-        fixed_amplitudes = None
-        if windows:
-            fixed_amplitudes = np.zeros(len(windows))
-            for bid, (owner, w), x in zip(
-                procurement.modulation, bid_windows, procurement.modulation_fraction
-            ):
-                if owner == portfolio.name:
-                    fixed_amplitudes[w] = bid.amplitude * float(x)
         with _stage_guard(index, "reposition", portfolio.name):
             retailer_final[portfolio.name] = optimize_retailer(
                 portfolio,
@@ -315,7 +288,9 @@ def _play_round(index, scenario, fc, windows, pins):
                 windows=windows,
                 modulation_price=config.modulation_capacity_price,
                 fixed_demand=clearing.demand_of(portfolio.name),
-                fixed_amplitudes=fixed_amplitudes,
+                fixed_amplitudes=retailer_accepted_amplitudes(
+                    retailer_stage1[portfolio.name], modulation_fraction[portfolio.name]
+                ),
                 pins=pins[portfolio.name],
             )
 
@@ -358,6 +333,13 @@ def _play_round(index, scenario, fc, windows, pins):
         ),
         state=state,
     )
+
+
+def _per_actor(fractions: np.ndarray, bids: dict[str, list]) -> dict[str, np.ndarray]:
+    """The accepted ``fractions`` of the concatenated ``bids``, split back
+    into each actor's own bids."""
+    ends = np.cumsum([len(group) for group in bids.values()])
+    return dict(zip(bids, np.split(fractions, ends[:-1])))
 
 
 class _stage_guard:

@@ -8,7 +8,9 @@ from flexmarket.agents import (
     ForecastParameters,
     GenerationUnit,
     ProducerPortfolio,
+    ProducerPosition,
     RetailerPortfolio,
+    RetailerPosition,
     TankLoad,
     ThresholdTrack,
     forecast,
@@ -20,7 +22,14 @@ from flexmarket.agents import (
     verify_scenario_coverage,
 )
 from flexmarket.agents.forecast import PriceForecast, exponential_mean, extreme_prices
-from flexmarket.agents.retailer import ConfigurationError
+from flexmarket.agents.producer import producer_accepted_reserve
+from flexmarket.agents.retailer import (
+    ConfigurationError,
+    retailer_accepted_amplitudes,
+    retailer_band_bids,
+    retailer_demand_offers,
+)
+from flexmarket.energy_market import DEMAND
 
 CAP = 3000.0
 PI_NC = 500.0
@@ -510,9 +519,78 @@ def test_producer_offers_and_bids():
         assert o.volume == pytest.approx(position.imbalance_down[o.period])
 
     bids = producer_reserve_bids(position, port)
-    assert all(b.actor == "gen" and unit_name == "u" for b, unit_name in bids)
-    for bid, _ in bids:
+    assert all(b.actor == "gen" for b in bids)
+    for bid in bids:
         assert bid.activation_price == 45.0
+    # accepted in full, every bid goes back to unit "u"
+    up, down = producer_accepted_reserve(position, port, np.ones(len(bids)))
+    assert list(up) == list(down) == ["u"]
+    assert up["u"].sum() + down["u"].sum() == pytest.approx(sum(b.volume for b in bids))
+
+
+def hand_position(reserve_up, reserve_down):
+    t = len(next(iter(reserve_up.values())))
+    return ProducerPosition(
+        sale=np.zeros(t),
+        imbalance_up=np.zeros(t),
+        imbalance_down=np.zeros(t),
+        unit_output={name: np.zeros(t) for name in reserve_up},
+        reserve_up={name: np.asarray(v, float) for name, v in reserve_up.items()},
+        reserve_down={name: np.asarray(v, float) for name, v in reserve_down.items()},
+        objective=0.0,
+    )
+
+
+def test_producer_accepted_reserve_lands_on_its_unit_period_and_direction():
+    port = producer(2, [unit(2, cost=45.0, name="a"), unit(2, cost=60.0, name="b")])
+    position = hand_position(
+        {"a": [3.0, 0.0], "b": [5.0, 7.0]},
+        {"a": [0.0, 2.0], "b": [4.0, 0.0]},
+    )
+    bids = producer_reserve_bids(position, port)
+    assert [(b.period, b.direction, b.volume, b.activation_price) for b in bids] == [
+        (0, "up", 3.0, 45.0),
+        (1, "down", 2.0, 45.0),
+        (0, "up", 5.0, 60.0),
+        (0, "down", 4.0, 60.0),
+        (1, "up", 7.0, 60.0),
+    ]
+    up, down = producer_accepted_reserve(position, port, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+    assert np.allclose(up["a"], [0.3, 0.0]) and np.allclose(down["a"], [0.0, 0.4])
+    assert np.allclose(up["b"], [1.5, 3.5]) and np.allclose(down["b"], [1.6, 0.0])
+
+
+def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
+    port = retailer(6, 5.0)
+    position = RetailerPosition(
+        demand=np.array([4.0, 0.0, 3.0, 0.0, 0.0, 2.0]),
+        imbalance_up=np.zeros(6),
+        imbalance_down=np.zeros(6),
+        schedules=[],
+        objective=0.0,
+        windows=[(0, 2), (2, 2), (4, 2)],
+        amplitudes=np.array([1.5, 0.0, 2.5]),
+    )
+    offers = retailer_demand_offers(position, port, CAP)
+    assert [(o.actor, o.period, o.side, o.volume, o.price) for o in offers] == [
+        ("ret", 0, DEMAND, 4.0, CAP),
+        ("ret", 2, DEMAND, 3.0, CAP),
+        ("ret", 5, DEMAND, 2.0, CAP),
+    ]
+    bids = retailer_band_bids(position, port, 0.5)
+    assert [(b.actor, b.start, b.length, b.amplitude, b.efficiency) for b in bids] == [
+        ("ret", 0, 2, 1.5, 0.5),
+        ("ret", 4, 2, 2.5, 0.5),
+    ]
+    accepted = retailer_accepted_amplitudes(position, np.array([0.2, 0.6]))
+    assert np.allclose(accepted, [0.3, 0.0, 1.5])
+
+
+def test_retailer_without_windows_bids_no_band():
+    port = retailer(2, 5.0)
+    position = optimize_retailer(port, flat_forecast(2, 50.0), CAP, PI_NC)
+    assert retailer_band_bids(position, port, 0.5) == []
+    assert retailer_accepted_amplitudes(position, np.zeros(0)).size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,24 @@ def test_config_rejects_unknown_keys_and_bad_values():
         config_from_text("setting = sideways\n")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(max_rounds=0),
+        dict(loads_per_retailer=0, flexibility_rate=0.06),
+        dict(price_cap=float("nan")),
+    ],
+    ids=["no-rounds", "flexibility-without-loads", "non-finite-price"],
+)
+def test_config_rejects_settings_that_fail_later(overrides):
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(**overrides).validate()
+
+
+def test_config_allows_no_loads_without_flexibility():
+    ScenarioConfig(loads_per_retailer=0, flexibility_rate=0.0).validate()
+
+
 def test_generate_scenario_same_seed_identical():
     a = generate_scenario(ScenarioConfig(seed=11))
     b = generate_scenario(ScenarioConfig(seed=11))
@@ -215,6 +233,16 @@ def test_sweep_rejects_rates_sharing_a_cell_directory(tmp_path, capsys):
     assert main(args + ["--rates", "0.02,0.024"]) != 0
     error = capsys.readouterr().err
     assert "0.02 " in error and "0.024" in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rates", [",", "0,abc", "nan"], ids=["empty", "not-a-number", "nan"])
+def test_sweep_rejects_bad_rate_lists_before_running(tmp_path, capsys, rates):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--out-dir", str(out), "--rates", rates])
+    assert exit_info.value.code == 2
+    assert "--rates" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -130,6 +130,74 @@ def test_balance_residuals_on_random_profiles():
             assert abs(float(np.sum(v - w))) <= 1e-9
 
 
+def loop_activation(result, penalty, non_contracted_price):
+    """Activated MW per direction, cost and tariffs, bid by bid and period by
+    period: the reference for the array code in ``settle`` and ``tariffs``."""
+    t_count = len(result.imbalance)
+    up, down, cost = np.zeros(t_count), np.zeros(t_count), 0.0
+    for (bid, volume), x in zip(result.contracted_classical, result.classical_activation):
+        if bid.direction == "up":
+            up[bid.period] += volume * x
+            cost += bid.activation_price * volume * x
+        else:
+            down[bid.period] += volume * x
+            cost += (penalty[bid.period] - bid.activation_price) * volume * x
+    bands = list(zip(result.contracted_modulation, result.modulation_up, result.modulation_down))
+    for (bid, volume), v, w in bands:
+        for j, t in enumerate(bid.periods):
+            up[t] += volume * v[j]
+            down[t] += volume * w[j]
+            cost += bid.activation_price * volume * (v[j] + w[j])
+    cost += non_contracted_price * float(np.sum(result.non_contracted_up + result.non_contracted_down))
+    tariff_up, tariff_down = np.zeros(t_count), np.zeros(t_count)
+    for t in range(t_count):
+        up_prices, down_prices = [], []
+        for (bid, volume), x in zip(result.contracted_classical, result.classical_activation):
+            if bid.period == t and volume * x > 1e-9:
+                (up_prices if bid.direction == "up" else down_prices).append(bid.activation_price)
+        for (bid, volume), v, w in bands:
+            if t in bid.periods:
+                if volume * v[t - bid.start] > 1e-9:
+                    up_prices.append(bid.activation_price)
+                if volume * w[t - bid.start] > 1e-9:
+                    down_prices.append(bid.activation_price)
+        if result.non_contracted_up[t] > 1e-9:
+            tariff_up[t] = non_contracted_price
+        elif up_prices:
+            tariff_up[t] = max(up_prices)
+        if result.non_contracted_down[t] > 1e-9:
+            tariff_down[t] = non_contracted_price
+        elif down_prices:
+            tariff_down[t] = max(down_prices)
+    return up + result.non_contracted_up, down + result.non_contracted_down, cost, tariff_up, tariff_down
+
+
+def test_activation_sums_cost_and_tariffs_match_bid_loops():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        classical = [
+            ClassicalReserveBid("g", t, d, float(rng.uniform(1, 8)), float(rng.uniform(5, 60)))
+            for t in range(6)
+            for d in ("up", "down")
+            if rng.random() < 0.7
+        ]
+        modulation = [
+            ModulationBid("r", 0, 4, float(rng.uniform(1, 8)), float(rng.uniform(0, 20)), 0.5),
+            ModulationBid("s", 2, 4, float(rng.uniform(1, 8)), float(rng.uniform(0, 20)), 0.5),
+        ]
+        procurement = procure(classical, modulation, np.full(6, 9.0), np.full(6, 9.0))
+        result = settle(rng.uniform(-25, 25, 6), procurement, PI_NC)
+        up, down, cost, tariff_up, tariff_down = loop_activation(
+            result, procurement.over_commit_penalty, PI_NC
+        )
+        assert np.array_equal(result.activated_up, up)
+        assert np.array_equal(result.activated_down, down)
+        # band terms are summed per period here and per bid in the reference
+        assert result.activation_cost == pytest.approx(cost, rel=1e-12, abs=1e-12)
+        got_up, got_down = tariffs(result, PI_NC)
+        assert np.array_equal(got_up, tariff_up) and np.array_equal(got_down, tariff_down)
+
+
 def test_fee_examples():
     up = np.array([12.0])
     down = np.array([8.0])

@@ -2,6 +2,7 @@
 the demo scripts run against the current API."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -55,6 +56,27 @@ def test_only_cli_writes_csv():
             if "csv" in names:
                 importers.append(path.relative_to(SRC).as_posix())
     assert importers == ["flexmarket/cli.py"]
+
+
+def test_benchmark_tracer_finds_every_binding_it_wraps(monkeypatch):
+    # perfbench/tracing.py wraps product bindings by name; a refactor that
+    # drops one of them must fail here, not only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    from flexmarket import imbalance, simulator
+
+    originals = (simulator.clear_reserve, imbalance.settle, imbalance.solve)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert simulator.clear_reserve is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (simulator.clear_reserve, imbalance.settle, imbalance.solve) == originals
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda name: name.removesuffix(".py"))

@@ -143,6 +143,28 @@ def test_classical_reduction_cost_identity():
     assert np.allclose(result.surplus_up, 0.0, atol=1e-9)
 
 
+def test_contracted_cost_matches_bid_loop():
+    # the cost is written to metrics.csv with repr, so it must add up bid by
+    # bid in order, exactly as a loop does
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        classical = [
+            ClassicalReserveBid("g", t, d, float(rng.uniform(1, 30)), float(rng.uniform(5, 60)))
+            for t in range(4)
+            for d in ("up", "down")
+        ]
+        modulation = [ModulationBid("r", 0, 4, float(rng.uniform(1, 30)), 0.0, 0.5)]
+        required_up, required_down = rng.uniform(0, 40, (2, 4))
+        result = clear_reserve(classical, modulation, required_up, required_down, PRICES)
+        expected = 0.0
+        for bid, x in zip(classical, result.classical_fraction):
+            sign = 1.0 if bid.direction == "up" else -1.0
+            expected += (45.0 + sign * bid.activation_price) * bid.volume * float(x)
+        for bid, x in zip(modulation, result.modulation_fraction):
+            expected += (10.0 + bid.activation_price) * bid.amplitude * float(x)
+        assert result.contracted_cost == expected
+
+
 def test_raising_modulation_capacity_price_weakly_reduces_modulation():
     classical = [up_bid(20.0, 60.0, t) for t in range(4)] + [down_bid(20.0, 50.0, t) for t in range(4)]
     modulation = [ModulationBid(actor="ret", start=0, length=4, amplitude=30.0, efficiency=0.5)]

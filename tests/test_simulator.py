@@ -255,6 +255,27 @@ def test_open_setting_contracts_modulation():
     assert record.metrics.procurement_cost < 0.5 * 43000.0
 
 
+def test_final_positions_hold_exactly_the_contracted_reserve():
+    record = run(small_config(setting="open", max_rounds=1)).rounds[0]
+    procurement = record.procurement
+    assert procurement.contracted_classical() and procurement.contracted_modulation()
+    for name, position in record.producer_positions.items():
+        contracted = {"up": np.zeros(24), "down": np.zeros(24)}
+        for bid, x in zip(procurement.classical, procurement.classical_fraction):
+            if bid.actor == name:
+                contracted[bid.direction][bid.period] += bid.volume * x
+        held_up = np.sum(list(position.reserve_up.values()), axis=0)
+        held_down = np.sum(list(position.reserve_down.values()), axis=0)
+        assert np.allclose(held_up, contracted["up"], rtol=0, atol=1e-9)
+        assert np.allclose(held_down, contracted["down"], rtol=0, atol=1e-9)
+    for name, position in record.retailer_positions.items():
+        sold = dict.fromkeys(position.windows, 0.0)
+        for bid, x in zip(procurement.modulation, procurement.modulation_fraction):
+            if bid.actor == name:
+                sold[(bid.start, bid.length)] += bid.amplitude * x
+        assert np.allclose(position.amplitudes, list(sold.values()), rtol=0, atol=1e-9)
+
+
 def test_generate_scenario_determinism_and_sizing():
     config = small_config()
     first = generate_scenario(config)
