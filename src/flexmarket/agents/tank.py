@@ -113,11 +113,13 @@ def verify_scenario_coverage(
     the same total consumption as the baseline, then checks each against
     the load's power, energy and total-energy limits.  Any failure would
     expose an inconsistency in the scenario construction, so a correct
-    model always reports zero.
+    model always reports zero.  ``samples`` must be at least 1.
     """
     n = load.horizon
     if n % 2 != 0:
         raise ValueError("coverage check needs an even number of periods")
+    if samples < 1:
+        raise ValueError(f"coverage check needs at least one sample, got {samples}")
     baseline = np.asarray(baseline, dtype=float)
     up = np.asarray(up_scenario, dtype=float)
     down = np.asarray(down_scenario, dtype=float)
@@ -136,14 +138,13 @@ def verify_scenario_coverage(
         raise ValueError("scenarios are not energy neutral around the baseline")
 
     rng = np.random.default_rng(seed)
+    baseline_terminal = load.energy_trajectory(baseline)[-1]
     failures = 0
     first_failure = None
     for k in range(samples):
         draw = _random_fixed_sum(rng, lo, hi, target)
         problems = load.schedule_violations(draw, tol=1e-7)
-        terminal_gap = abs(
-            load.energy_trajectory(draw)[-1] - load.energy_trajectory(baseline)[-1]
-        )
+        terminal_gap = abs(load.energy_trajectory(draw)[-1] - baseline_terminal)
         if terminal_gap > 1e-7:
             problems.append("terminal energy differs from baseline")
         if problems:

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import random_feasible_modulation, verify_scenario_coverage
+from .agents.retailer import ConfigurationError
 from .charts import line_chart
 from .scenario import ScenarioConfig, config_from_text, config_to_text
 from .simulator import RoundMetrics, RoundRecord, SimulationOutcome, run as run_simulation
@@ -57,6 +58,12 @@ ROUND_COLUMNS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.read_config is not None:
+        # a bad scenario file or flag is a usage error, reported before any run
+        try:
+            args.scenario_config = args.read_config(args)
+        except (ConfigurationError, OSError) as exc:
+            parser.error(str(exc))
     return args.entry(args)
 
 
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd = sub.add_parser("run", help="simulate one scenario")
     _common_flags(run_cmd)
     _round_details_flag(run_cmd)
-    run_cmd.set_defaults(entry=cmd_run)
+    run_cmd.set_defaults(entry=cmd_run, read_config=load_config)
 
     sweep_cmd = sub.add_parser("sweep", help="both settings over a list of flexibility rates")
     _common_flags(sweep_cmd)
@@ -80,21 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
         default="0,0.02,0.04,0.06,0.08,0.10",
         help="comma-separated flexibility rates",
     )
-    sweep_cmd.set_defaults(entry=cmd_sweep)
+    sweep_cmd.set_defaults(entry=cmd_sweep, read_config=load_config)
 
     verify_cmd = sub.add_parser(
         "verify", help="probe modulation scenario coverage on random loads"
     )
     verify_cmd.add_argument("--seed", type=int, default=0)
-    verify_cmd.add_argument("--loads", type=int, default=20)
-    verify_cmd.add_argument("--samples", type=int, default=1000)
-    verify_cmd.set_defaults(entry=cmd_verify)
+    verify_cmd.add_argument("--loads", type=_positive_int, default=20)
+    verify_cmd.add_argument("--samples", type=_positive_int, default=1000)
+    verify_cmd.set_defaults(entry=cmd_verify, read_config=None)
 
     replay_cmd = sub.add_parser("replay", help="rerun a simulation from its manifest")
     replay_cmd.add_argument("manifest", type=Path)
     replay_cmd.add_argument("--out-dir", type=Path, required=True)
     _round_details_flag(replay_cmd)
-    replay_cmd.set_defaults(entry=cmd_replay)
+    replay_cmd.set_defaults(entry=cmd_replay, read_config=manifest_config)
     return parser
 
 
@@ -116,6 +123,16 @@ def _rate_list(text: str) -> list[float]:
     if not rates or not all(math.isfinite(rate) for rate in rates):
         raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
     return rates
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _round_details_flag(cmd) -> None:
@@ -144,8 +161,12 @@ def load_config(args) -> ScenarioConfig:
     return config
 
 
+def manifest_config(args) -> ScenarioConfig:
+    return config_from_text(args.manifest.read_text())
+
+
 def cmd_run(args) -> int:
-    config = load_config(args)
+    config = args.scenario_config
     outcome = run_simulation(config)
     write_outputs(outcome, args.out_dir, args.round_details)
     summary = outcome.cycle_metrics
@@ -166,7 +187,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = load_config(args)
+    base = args.scenario_config
     cells = {}
     for rate in args.rates:
         cell = f"rate_{round(rate * 100):03d}"
@@ -243,8 +264,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = config_from_text(args.manifest.read_text())
-    outcome = run_simulation(config)
+    outcome = run_simulation(args.scenario_config)
     write_outputs(outcome, args.out_dir, args.round_details)
     print(f"replayed into {args.out_dir}: {outcome.termination} after {len(outcome.rounds)} rounds")
     return 0

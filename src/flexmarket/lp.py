@@ -18,6 +18,18 @@ options ``scipy.optimize.linprog(method="highs")`` would pass, and the
 optimum checked as ``linprog`` checks it.  scipy is imported only when a
 model is assembled for a solve, so importing this package loads none of it.
 
+Inside a ``with solve_memo():`` block, :func:`solve` hands each distinct
+model to HiGHS once.  The key is a digest of what decides the HiGHS result:
+the sense and the bytes of the CSR matrix, relations, right-hand sides,
+bounds and objective vector.  Symmetric actors and repeated rounds build
+identical models; HiGHS on a fresh instance is deterministic, so a hit
+returns the stored status and a copy of the stored ``x``, with
+``iterations == 0`` because no simplex ran.  The feasibility check and the
+objective still run on every call, and a solve that raised is never stored.
+:func:`flexmarket.simulator.run` owns the memo: it opens one around its
+round loop and drops it when the run ends, so nothing is reused across
+runs.  Outside a block every call solves.
+
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
 instances, and :attr:`Solution.iterations` counts the HiGHS simplex
@@ -29,7 +41,10 @@ large finite sentinels, and every variable's domain holds a finite point
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -265,18 +280,63 @@ class Solution:
         return self.x[np.asarray(variables, dtype=np.intp)]
 
 
+#: the open solve memo (model digest -> HiGHS result), or None outside one
+_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "lp_solve_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def solve_memo():
+    """Within this block, :func:`solve` runs HiGHS once per distinct model.
+
+    The memo is dropped when the block exits, also through an exception, so
+    nothing is reused outside it.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
 def solve(lp: LinearProgram) -> Solution:
     """Solve ``lp`` to proven optimality with HiGHS.
 
     Infeasibility and unboundedness are reported through
-    :attr:`Solution.status`, never raised.
+    :attr:`Solution.status`, never raised.  Inside :func:`solve_memo`, a
+    model identical to one solved before reuses that result with
+    ``iterations == 0``.
     """
-    status, x, iterations = _highs_solve(lp)
+    memo = _memo.get()
+    if memo is None:
+        status, x, iterations = _highs_solve(lp)
+    else:
+        key = _model_digest(lp)
+        if key in memo:
+            status, x, _ = memo[key]
+            iterations = 0
+        else:
+            status, x, iterations = memo[key] = _highs_solve(lp)
+        x = x.copy()
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
     _check_feasible(lp, x)
     objective = float(lp.objective_vector() @ x)
     return Solution(OPTIMAL, objective, x, iterations)
+
+
+def _model_digest(lp: LinearProgram) -> bytes:
+    """A digest of everything that decides the HiGHS result of ``lp``."""
+    a, relations, rhs = lp.sparse_rows()
+    digest = hashlib.blake2b(lp.sense.encode())
+    for part in (
+        a.indptr, a.indices, a.data, relations, rhs, lp.lower, lp.upper, lp.objective_vector()
+    ):
+        # the length and dtype keep parts from running into each other
+        digest.update(f"{part.dtype.str}{part.size}:".encode())
+        digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.digest()
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:

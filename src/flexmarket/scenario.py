@@ -298,12 +298,15 @@ def config_from_text(text: str) -> ScenarioConfig:
     kwargs = {}
     for key, text_value in values.items():
         kind = _FIELD_TYPES[key]
-        if kind == "int":
-            kwargs[key] = int(text_value)
-        elif kind == "float":
-            kwargs[key] = float(text_value)
-        else:
-            kwargs[key] = text_value.strip("'\"")
+        try:
+            if kind == "int":
+                kwargs[key] = int(text_value)
+            elif kind == "float":
+                kwargs[key] = float(text_value)
+            else:
+                kwargs[key] = text_value.strip("'\"")
+        except ValueError:
+            raise ConfigurationError(f"bad {kind} for {key}: {text_value!r}") from None
     config = ScenarioConfig(**kwargs)
     config.validate()
     return config

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energy_market, imbalance
+from . import energy_market, imbalance, lp
 from .agents import ForecastParameters, ThresholdTrack
 from .agents.forecast import extreme_prices, forecast as make_forecast
 from .agents.producer import (
@@ -146,34 +146,37 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     termination = "max_rounds"
     cycle_start = cycle_length = None
 
-    for index in range(config.max_rounds):
-        fc = make_forecast(price_history, up_history, down_history, params, t_count)
-        pins = {name: tuple(track.value for track in group) for name, group in tracks.items()}
-        record = _play_round(index, scenario, fc, windows, pins)
-        rounds.append(record)
+    # symmetric retailers and repeated rounds hand HiGHS identical models;
+    # the memo solves each once and is dropped with the run
+    with lp.solve_memo():
+        for index in range(config.max_rounds):
+            fc = make_forecast(price_history, up_history, down_history, params, t_count)
+            pins = {name: tuple(track.value for track in group) for name, group in tracks.items()}
+            record = _play_round(index, scenario, fc, windows, pins)
+            rounds.append(record)
 
-        _learn(scenario, tracks, record, config)
-        # recurrence needs positions AND the learned state: a position match
-        # while a threshold is still counting down to forgetting is not a
-        # genuine cycle, the system will leave it again
-        states.append(np.concatenate([record.state, _learning_state(scenario, tracks)]))
-        price_history.append(record.energy_price)
-        up_history.append(record.tariff_up)
-        down_history.append(record.tariff_down)
+            _learn(scenario, tracks, record, config)
+            # recurrence needs positions AND the learned state: a position match
+            # while a threshold is still counting down to forgetting is not a
+            # genuine cycle, the system will leave it again
+            states.append(np.concatenate([record.state, _learning_state(scenario, tracks)]))
+            price_history.append(record.energy_price)
+            up_history.append(record.tariff_up)
+            down_history.append(record.tariff_down)
 
-        eps = config.convergence_tolerance
-        if (
-            np.max(np.abs(fc.energy - record.energy_price)) <= eps
-            and np.max(np.abs(fc.imbalance_up - record.tariff_up)) <= eps
-            and np.max(np.abs(fc.imbalance_down - record.tariff_down)) <= eps
-        ):
-            termination = "converged"
-            break
-        hit = _match_earlier(states, config.state_tolerance)
-        if hit is not None:
-            termination = "cycle"
-            cycle_start, cycle_length = hit, index - hit
-            break
+            eps = config.convergence_tolerance
+            if (
+                np.max(np.abs(fc.energy - record.energy_price)) <= eps
+                and np.max(np.abs(fc.imbalance_up - record.tariff_up)) <= eps
+                and np.max(np.abs(fc.imbalance_down - record.tariff_down)) <= eps
+            ):
+                termination = "converged"
+                break
+            hit = _match_earlier(states, config.state_tolerance)
+            if hit is not None:
+                termination = "cycle"
+                cycle_start, cycle_length = hit, index - hit
+                break
 
     return SimulationOutcome(
         termination=termination,

@@ -629,6 +629,14 @@ def test_coverage_rejects_infeasible_baseline():
         verify_scenario_coverage(load, base + 100.0, up, down, samples=10, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_coverage_rejects_fewer_than_one_sample(samples):
+    rng = np.random.default_rng(4)
+    load, base, up, down = random_feasible_modulation(rng, periods=4)
+    with pytest.raises(ValueError, match="at least one sample"):
+        verify_scenario_coverage(load, base, up, down, samples=samples, seed=0)
+
+
 
 # ---------------------------------------------------------------------------
 # model snapshot: the LPs the agents build, term for term

@@ -47,6 +47,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
         config_from_text("flexibility_rate = 1.5\n")
     with pytest.raises(ConfigurationError):
         config_from_text("setting = sideways\n")
+    with pytest.raises(ConfigurationError, match="seed"):
+        config_from_text("seed = abc\n")
 
 
 @pytest.mark.parametrize(
@@ -225,6 +227,37 @@ def test_sweep_survives_failing_cell(tmp_path):
 
 def test_verify_runs_clean():
     assert main(["verify", "--loads", "2", "--samples", "100", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--loads", "--samples"])
+@pytest.mark.parametrize("value", ["0", "-5", "many"])
+def test_verify_rejects_counts_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", flag, value])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr()
+    assert flag in error.err
+    assert "load 01" not in error.out
+
+
+def test_run_reports_a_bad_config_as_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--rate", "2", "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "flexibility rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_reports_a_bad_manifest_as_a_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(fast_config_file(tmp_path).read_text() + "tariff_model = 3\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["replay", str(manifest), "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "unknown config key 'tariff_model'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_rates_sharing_a_cell_directory(tmp_path, capsys):

@@ -18,7 +18,9 @@ from flexmarket.lp import (
     _check_highs_result,
     _highs_solve,
     solve,
+    solve_memo,
 )
+import flexmarket.lp as lp_module
 
 from oracles import enumerate_lp_optimum, random_box_lp
 
@@ -197,6 +199,124 @@ def test_identical_inputs_give_identical_solutions():
     assert first.objective == second.objective
     assert np.array_equal(first.x, second.x)
 
+
+
+# ---------------------------------------------------------------------------
+# the solve memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Counts the models that reach HiGHS."""
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return _highs_solve(lp)
+
+    monkeypatch.setattr(lp_module, "_highs_solve", counting)
+    return calls
+
+
+def memo_model(
+    coefficient=2.0,
+    lower=0.0,
+    upper=4.0,
+    rhs=3.0,
+    cost=1.0,
+    relation=GREATER_EQUAL,
+    sense="min",
+    term_rows=(0, 0),
+    term_columns=(0, 1),
+):
+    """Three variables (the last two alike), two rows: ``coefficient * x0 +
+    x1 relation rhs`` and an empty row ``0 relation 0``.  ``term_rows`` and
+    ``term_columns`` move a term to the other row or to ``x2``."""
+    lp = LinearProgram(sense=sense)
+    x = lp.add_variables(3, lower, [upper, 5.0, 5.0])
+    lp.add_objectives(x, [cost, 2.0, 2.0])
+    lp.add_constraints(
+        [(term_rows, x[list(term_columns)], [coefficient, 1.0])], relation, [rhs, 0.0]
+    )
+    return lp
+
+
+def test_memo_solves_identical_models_once(highs_calls):
+    with solve_memo():
+        first = solve(memo_model())
+        second = solve(memo_model())
+        assert len(highs_calls) == 1
+        assert second.iterations == 0
+        assert second.status == first.status == "optimal"
+        assert second.objective == first.objective
+        assert np.array_equal(first.x, second.x)
+        expected = second.x.copy()
+        first.x[:] = -1.0
+        assert np.array_equal(second.x, expected)
+        second.x[:] = -2.0
+        assert np.array_equal(solve(memo_model()).x, expected)
+    assert len(highs_calls) == 1
+
+
+def _next_up(value):
+    return float(np.nextafter(value, INF))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(coefficient=_next_up(2.0)),
+        dict(term_rows=(0, 1)),
+        dict(term_columns=(0, 2)),
+        dict(lower=_next_up(0.0)),
+        dict(upper=_next_up(4.0)),
+        dict(rhs=_next_up(3.0)),
+        dict(cost=_next_up(1.0)),
+        dict(relation=EQUAL),
+        dict(sense="max"),
+    ],
+    ids=[
+        "coefficient", "row", "column", "lower", "upper", "rhs", "objective", "relation", "sense"
+    ],
+)
+def test_memo_misses_any_changed_model(highs_calls, change):
+    with solve_memo():
+        solve(memo_model())
+        solve(memo_model(**change))
+    assert len(highs_calls) == 2
+
+
+def test_memo_reuses_nothing_outside_its_scope(highs_calls):
+    solve(memo_model())
+    solve(memo_model())
+    assert len(highs_calls) == 2
+    with pytest.raises(KeyError):
+        with solve_memo():
+            solve(memo_model())
+            raise KeyError("round failed")
+    assert len(highs_calls) == 3
+    solve(memo_model())
+    with solve_memo():
+        solve(memo_model())
+    assert len(highs_calls) == 5
+
+
+def test_memo_never_stores_a_solve_that_raised(monkeypatch):
+    calls = []
+
+    def failing_once(lp):
+        calls.append(lp)
+        if len(calls) == 1:
+            raise RuntimeError("highs failed")
+        return _highs_solve(lp)
+
+    monkeypatch.setattr(lp_module, "_highs_solve", failing_once)
+    with solve_memo():
+        with pytest.raises(RuntimeError):
+            solve(memo_model())
+        assert solve(memo_model()).status == "optimal"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
+from flexmarket import lp
 from flexmarket.agents import GenerationUnit, ProducerPortfolio, RetailerPortfolio
 from flexmarket.scenario import Scenario, ScenarioConfig, generate_scenario
 from flexmarket.simulator import (
@@ -214,6 +216,8 @@ def same_fields(a, b):
         return type(a) is type(b) and all(
             same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
         )
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_fields(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(same_fields, a, b))
     if isinstance(a, np.ndarray):
@@ -236,6 +240,50 @@ def test_running_a_scenario_twice_repeats_the_first_run():
         fresh = generate_scenario(config)
         assert same_fields(scenario.producers, fresh.producers)
         assert same_fields(scenario.retailers, fresh.retailers)
+
+
+def test_solve_memo_changes_no_outcome_and_ends_with_the_run(monkeypatch):
+    # symmetric retailers with bands hand HiGHS identical models in a round
+    config = small_config(
+        setting="open", flexibility_rate=0.30, retailer_count=3, loads_per_retailer=2,
+        bid_block_length=2, max_rounds=6,
+    )
+    counts = {"solve": 0, "highs": 0}
+    highs_solve, solve = lp._highs_solve, lp.solve
+
+    def counting_highs(model):
+        counts["highs"] += 1
+        return highs_solve(model)
+
+    def counting_solve(model):
+        counts["solve"] += 1
+        return solve(model)
+
+    monkeypatch.setattr(lp, "_highs_solve", counting_highs)
+    for caller in ("agents.producer", "agents.retailer", "reserve_market", "imbalance"):
+        monkeypatch.setattr(f"flexmarket.{caller}.solve", counting_solve)
+
+    memoised = run(config)
+    first = dict(counts)
+    assert first["highs"] < first["solve"]
+    counts.update(solve=0, highs=0)
+    run(config)
+    assert counts == first, "a second run must not reuse the first run's solves"
+
+    monkeypatch.setattr(lp, "solve_memo", contextlib.nullcontext)
+    plain = run(config)
+    assert memoised.termination == plain.termination
+    assert (memoised.cycle_start, memoised.cycle_length) == (plain.cycle_start, plain.cycle_length)
+    assert len(memoised.rounds) == len(plain.rounds)
+    for a, b in zip(memoised.rounds, plain.rounds):
+        for name in ("energy_price", "tariff_up", "tariff_down", "state"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert same_fields(a.retailer_positions, b.retailer_positions)
+        assert same_fields(a.producer_positions, b.producer_positions)
+        assert same_fields(a.procurement, b.procurement)
+        assert same_fields(a.settlement, b.settlement)
+        assert a.metrics.as_tuple() == b.metrics.as_tuple()
+    assert memoised.cycle_metrics.as_tuple() == plain.cycle_metrics.as_tuple()
 
 
 def test_reported_cycle_reverifies_against_records():
