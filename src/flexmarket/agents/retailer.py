@@ -40,6 +40,10 @@ OFFER_TOL = 1e-9
 #: when the tariff forecast exactly matches the energy price forecast
 IMBALANCE_FRICTION = 1e-6
 
+#: revenue whisper per MW of band; prefers larger bands when the capacity
+#: price is zero
+AMPLITUDE_BONUS = 1e-6
+
 #: learned pins of one actor, one value per period each (``inf``: no pin);
 #: a retailer pins (demand, upward, downward imbalance), a producer
 #: (minimum sale, upward, downward imbalance)
@@ -89,7 +93,6 @@ def optimize_retailer(
     non_contracted_price: float,
     windows: list[tuple[int, int]] | None = None,
     modulation_price: float = 10.0,
-    amplitude_bonus: float = 1e-6,
     fixed_demand: np.ndarray | None = None,
     fixed_amplitudes: np.ndarray | None = None,
     pins: Pins | None = None,
@@ -153,7 +156,6 @@ def optimize_retailer(
             d_vars,
             e_vars,
             modulation_price,
-            amplitude_bonus,
             fixed_amplitudes,
         )
 
@@ -292,7 +294,6 @@ def _modulation_block(
     d_vars,
     e_vars,
     modulation_price,
-    amplitude_bonus,
     fixed_amplitudes,
 ):
     """Amplitude variables and the two extreme scenarios of every window.
@@ -316,9 +317,8 @@ def _modulation_block(
             lp, portfolio.loads, starts, length, d_vars, e_vars,
             amplitude_lo[block], amplitude_hi[block],
         )
-        # revenue for the band, plus a whisper to prefer larger bands when
-        # the capacity price is zero
-        lp.add_objectives(f_vars, -(length * modulation_price + amplitude_bonus))
+        # revenue for the band, plus the bonus for larger bands
+        lp.add_objectives(f_vars, -(length * modulation_price + AMPLITUDE_BONUS))
         amplitude_vars.append(f_vars)
         up_d.extend(s_up)
         dn_d.extend(s_dn)

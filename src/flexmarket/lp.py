@@ -6,10 +6,11 @@ problems, settlement) is expressed as a :class:`LinearProgram` and handed to
 :meth:`~LinearProgram.add_variables` appends bounded variables,
 :meth:`~LinearProgram.add_objectives` objective terms and
 :meth:`~LinearProgram.add_constraints` rows given as (row, column,
-coefficient) triplets.  ``add_variable``, ``add_objective`` and
-``add_constraint`` are one-element calls into the same store.
+coefficient) triplets; these are the only way to build a model.
 :meth:`~LinearProgram.sparse_rows` assembles the CSR matrix once per solve,
 summing repeated terms and dropping cancelled ones.
+:meth:`~LinearProgram.dense_rows` is read only by the test oracles and the
+benchmark tracer.
 
 Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
 Prog. Comp.* 2018) through scipy's ``_highspy`` core binding: one ``HighsLp``
@@ -26,9 +27,10 @@ identical models; HiGHS on a fresh instance is deterministic, so a hit
 returns the stored status and a copy of the stored ``x``, with
 ``iterations == 0`` because no simplex ran.  The feasibility check and the
 objective still run on every call, and a solve that raised is never stored.
-:func:`flexmarket.simulator.run` owns the memo: it opens one around its
-round loop and drops it when the run ends, so nothing is reused across
-runs.  Outside a block every call solves.
+:func:`flexmarket.simulator.run` owns the memo: it opens one around each
+round and drops it when the round ends, so the memo holds one round's
+models and nothing is reused across rounds or runs.  Outside a block every
+call solves.
 
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
@@ -115,9 +117,6 @@ class LinearProgram:
         self._matrix = None
         return np.arange(start, start + count)
 
-    def add_variable(self, lower: float = 0.0, upper: float = INF) -> int:
-        return int(self.add_variables(1, lower, upper)[0])
-
     def add_objectives(self, variables, coefficients) -> None:
         """Add ``coefficients[k]`` to the objective term of ``variables[k]``."""
         variables = np.array(variables, dtype=np.intp).ravel()
@@ -125,9 +124,6 @@ class LinearProgram:
         coefficients = _series(coefficients, variables.size)
         _require_finite(coefficients, "objective coefficient")
         self._objective.append((variables, coefficients))
-
-    def add_objective(self, var: int, coefficient: float) -> None:
-        self.add_objectives([var], [coefficient])
 
     def add_constraints(self, terms, relations, rhs) -> np.ndarray:
         """Add one row ``sum(coef * var) relation rhs`` per entry of ``rhs``.
@@ -158,14 +154,6 @@ class LinearProgram:
         self._n_constraints += count
         self._matrix = None
         return np.arange(start, start + count)
-
-    def add_constraint(self, terms, relation: str, rhs: float) -> int:
-        """Add ``sum(coef * var) relation rhs``; ``terms`` is {var: coef} or
-        an iterable of (var, coef) pairs."""
-        pairs = list(terms.items() if isinstance(terms, dict) else terms)
-        columns = [var for var, _ in pairs]
-        coefficients = [coef for _, coef in pairs]
-        return int(self.add_constraints([(0, columns, coefficients)], relation, [rhs])[0])
 
     def _check_handles(self, handles: np.ndarray) -> None:
         if handles.size and (handles.min() < 0 or handles.max() >= self._n_variables):
@@ -214,7 +202,7 @@ class LinearProgram:
 
     def dense_rows(self) -> tuple[np.ndarray, list[str], np.ndarray]:
         """(A, relations, b) with one dense row per constraint, for the test
-        oracles."""
+        oracles and the benchmark tracer."""
         rows, columns, coefficients = _joined(self._terms)
         a = np.zeros((self._n_constraints, self._n_variables))
         np.add.at(a, (rows, columns), coefficients)
@@ -272,9 +260,6 @@ class Solution:
     objective: float
     x: np.ndarray
     iterations: int
-
-    def value(self, var: int) -> float:
-        return float(self.x[var])
 
     def values(self, variables) -> np.ndarray:
         return self.x[np.asarray(variables, dtype=np.intp)]

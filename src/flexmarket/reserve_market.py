@@ -34,7 +34,6 @@ class ClassicalReserveBid:
     direction: str
     volume: float                # MW
     activation_price: float      # EUR/MWh paid (up) or received (down) on use
-    efficiency: float = 1.0
 
     def validate(self, period_count: int) -> None:
         if self.direction not in (UP, DOWN):
@@ -43,8 +42,6 @@ class ClassicalReserveBid:
             raise ValueError(f"bid period {self.period} outside horizon")
         if not self.volume > 0:
             raise ValueError("bid volume must be positive")
-        if self.efficiency != 1.0:
-            raise ValueError("classical bids carry unit efficiency")
         if self.activation_price < 0:
             raise ValueError("activation price must be nonnegative")
 
@@ -109,7 +106,7 @@ def over_contract_penalty(downward_bids: list[ClassicalReserveBid], fallback_pri
 
 @dataclass
 class ReserveProcurement:
-    """Accepted fractions plus the per-period requirement bookkeeping."""
+    """Accepted fractions plus the per-period surplus and shortfall."""
 
     classical: list[ClassicalReserveBid]
     modulation: list[ModulationBid]
@@ -119,12 +116,9 @@ class ReserveProcurement:
     surplus_down: np.ndarray
     shortfall_up: np.ndarray
     shortfall_down: np.ndarray
-    required_up: np.ndarray
-    required_down: np.ndarray
     over_commit_penalty: np.ndarray      # per period, reused at settlement
     contracted_cost: float               # reservation + assumed activation
     objective: float                     # LP value incl. surplus/shortfall terms
-    prices: ReservePrices
 
     def contracted_classical(self) -> list[tuple[ClassicalReserveBid, float]]:
         return [
@@ -228,7 +222,6 @@ def clear_reserve(
     up_row = 2 * np.arange(period_count)
     period = np.array([bid.period for bid in classical], dtype=np.intp)
     bid_row = 2 * period + np.where(is_up, 0, 1)
-    efficiency = np.array([bid.efficiency for bid in classical], dtype=float)
     owner, covered = band_coverage(modulation)
     band_efficiency = np.array([bid.efficiency for bid in modulation], dtype=float)
     contribution = (amplitude * band_efficiency)[owner]
@@ -238,7 +231,7 @@ def clear_reserve(
             (up_row, s_up, -1.0),
             (up_row + 1, n_dn, 1.0),
             (up_row + 1, s_dn, -1.0),
-            (bid_row, x_classical, volume * efficiency),
+            (bid_row, x_classical, volume),
             (2 * covered, x_modulation[owner], contribution),
             (2 * covered + 1, x_modulation[owner], contribution),
         ],
@@ -262,10 +255,7 @@ def clear_reserve(
         surplus_down=sol.values(s_dn),
         shortfall_up=sol.values(n_up),
         shortfall_down=sol.values(n_dn),
-        required_up=required_up,
-        required_down=required_down,
         over_commit_penalty=penalty,
         contracted_cost=ordered_sum(classical_cost * xc, band_cost * xm),
         objective=sol.objective,
-        prices=prices,
     )

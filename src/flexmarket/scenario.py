@@ -99,6 +99,8 @@ class ScenarioConfig:
         for name in (
             "price_cap", "non_contracted_price", "up_capacity_price", "down_capacity_price",
             "modulation_capacity_price", "reserve_rate", "mean_consumption",
+            "imbalance_limit_fraction", "tank_span_hours",
+            "slow_units_per_producer", "fast_units_per_producer",
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
@@ -106,10 +108,14 @@ class ScenarioConfig:
             raise ConfigurationError("modulation efficiency must lie in (0, 1]")
         if self.producer_count < 1 or self.retailer_count < 1:
             raise ConfigurationError("need at least one producer and one retailer")
+        if self.slow_units_per_producer + self.fast_units_per_producer < 1:
+            raise ConfigurationError("need at least one generation unit per producer")
         if self.flexibility_rate > 0 and self.loads_per_retailer < 1:
             raise ConfigurationError("a positive flexibility rate needs a load per retailer")
         if self.max_rounds < 1:
             raise ConfigurationError("max_rounds must be at least 1")
+        if self.forecast_window < 1:
+            raise ConfigurationError("forecast_window must be at least 1")
 
     def reserve_prices(self) -> ReservePrices:
         return ReservePrices(

@@ -94,9 +94,8 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6
     lp = LinearProgram(sense=rng.choice(["min", "max"]))
     lower = rng.uniform(-5.0, 0.0, size=n)
     upper = lower + rng.uniform(0.5, 8.0, size=n)
-    for j in range(n):
-        lp.add_variable(lower[j], upper[j])
-        lp.add_objective(j, float(rng.uniform(-10.0, 10.0)))
+    x = lp.add_variables(n, lower, upper)
+    lp.add_objectives(x, rng.uniform(-10.0, 10.0, size=n))
     for _ in range(m):
         coefs = rng.uniform(-3.0, 3.0, size=n)
         coefs[rng.random(n) < 0.3] = 0.0
@@ -107,7 +106,7 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6
         # but not always, feasible
         anchor = coefs @ rng.uniform(lower, upper)
         rhs = float(anchor + rng.uniform(-2.0, 2.0))
-        lp.add_constraint(list(enumerate(coefs)), relation, rhs)
+        lp.add_constraints([(0, x, coefs)], relation, [rhs])
     return lp
 
 

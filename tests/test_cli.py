@@ -57,8 +57,16 @@ def test_config_rejects_unknown_keys_and_bad_values():
         dict(max_rounds=0),
         dict(loads_per_retailer=0, flexibility_rate=0.06),
         dict(price_cap=float("nan")),
+        dict(slow_units_per_producer=-1),
+        dict(slow_units_per_producer=0, fast_units_per_producer=0),
+        dict(imbalance_limit_fraction=-0.1),
+        dict(tank_span_hours=-1.0),
+        dict(forecast_window=0),
     ],
-    ids=["no-rounds", "flexibility-without-loads", "non-finite-price"],
+    ids=[
+        "no-rounds", "flexibility-without-loads", "non-finite-price", "negative-unit-count",
+        "no-units", "negative-imbalance-limit", "negative-tank-span", "no-forecast-window",
+    ],
 )
 def test_config_rejects_settings_that_fail_later(overrides):
     with pytest.raises(ConfigurationError):

@@ -116,7 +116,7 @@ def test_requirement_balance_residuals():
 
         for t in range(period_count):
             up_cover = sum(
-                b.volume * b.efficiency * x
+                b.volume * x
                 for b, x in zip(classical, result.classical_fraction)
                 if b.direction == "up" and b.period == t
             ) + sum(
@@ -190,8 +190,6 @@ def test_overlapping_bids_of_one_actor_rejected():
 def test_classical_bid_validation():
     with pytest.raises(ValueError):
         up_bid(-1.0, 10.0).validate(1)
-    with pytest.raises(ValueError):
-        ClassicalReserveBid("a", 0, "up", 1.0, 10.0, efficiency=0.5).validate(1)
     with pytest.raises(ValueError):
         ModulationBid("a", 0, 3, 1.0).validate(4)
 

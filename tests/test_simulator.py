@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flexmarket import lp
+from flexmarket import lp, simulator
 from flexmarket.agents import GenerationUnit, ProducerPortfolio, RetailerPortfolio
 from flexmarket.scenario import Scenario, ScenarioConfig, generate_scenario
 from flexmarket.simulator import (
@@ -284,6 +284,23 @@ def test_solve_memo_changes_no_outcome_and_ends_with_the_run(monkeypatch):
         assert same_fields(a.settlement, b.settlement)
         assert a.metrics.as_tuple() == b.metrics.as_tuple()
     assert memoised.cycle_metrics.as_tuple() == plain.cycle_metrics.as_tuple()
+
+
+def test_solve_memo_holds_one_round(monkeypatch):
+    # a memo that outlives its round keeps every solution of a run that
+    # never terminates
+    play_round = simulator._play_round
+    started = []
+
+    def checked(index, *args):
+        assert lp._memo.get() == {}, f"round {index} starts with a used memo"
+        started.append(index)
+        return play_round(index, *args)
+
+    monkeypatch.setattr(simulator, "_play_round", checked)
+    outcome = run(small_config(setting="open", max_rounds=4))
+    assert started == list(range(len(outcome.rounds)))
+    assert len(started) >= 2
 
 
 def test_reported_cycle_reverifies_against_records():
