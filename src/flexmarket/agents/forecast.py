@@ -8,8 +8,8 @@ fact that an extreme was observed still reaches the optimization models,
 through thresholds: an actor that saw the extreme pins the offending
 volume slightly below what it submitted, and forgets the pin after enough
 quiet rounds.  The pins are learning state of a run: the simulator owns one
-:class:`ThresholdTrack` per actor and pinned quantity, and the optimization
-models see only the pin values.
+:class:`ThresholdTrack` over (actors, pinned quantities, periods), and the
+optimization models see only each actor's pin values.
 """
 
 from __future__ import annotations
@@ -129,22 +129,25 @@ def forecast(
 
 @dataclass
 class ThresholdTrack:
-    """Learned per-period volume pin with forgetting.
+    """Learned volume pins with forgetting, one per entry of ``shape``.
 
-    After a round whose price hit the watched extreme, the pin moves to
+    After a round whose price hit the watched extreme, a pin moves to
     ``factor`` times the volume the actor submitted in that period; after
     ``forget_after`` rounds without a recurrence it relaxes to infinity.
+    The trigger mask of :meth:`update` broadcasts against ``shape``, so one
+    (quantities, periods) mask serves every actor of an (actors, quantities,
+    periods) track.
     """
 
-    periods: int
+    shape: int | tuple[int, ...]
     factor: float = 0.95
     forget_after: int = 10
     value: np.ndarray = field(init=False)
     quiet: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.value = np.full(self.periods, np.inf)
-        self.quiet = np.zeros(self.periods, dtype=int)
+        self.value = np.full(self.shape, np.inf)
+        self.quiet = np.zeros(self.shape, dtype=int)
 
     def update(self, triggered: np.ndarray, own_volume: np.ndarray) -> None:
         triggered = np.asarray(triggered, dtype=bool)
@@ -160,4 +163,4 @@ class ThresholdTrack:
         """Pin values and quiet counters; equality of these vectors means the
         learning state will evolve identically from here on."""
         encoded = np.where(np.isfinite(self.value), self.value, -1.0)
-        return np.concatenate([encoded, self.quiet.astype(float)])
+        return np.concatenate([encoded.ravel(), self.quiet.ravel().astype(float)])

@@ -77,9 +77,8 @@ class ProducerPosition:
     sale: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    unit_output: dict[str, np.ndarray]
-    reserve_up: dict[str, np.ndarray]
-    reserve_down: dict[str, np.ndarray]
+    unit_output: np.ndarray   # (units, periods)
+    reserve: np.ndarray       # (units, periods, 2): upward, then downward
     objective: float
 
 
@@ -94,21 +93,20 @@ def optimize_producer(
     price_cap: float,
     non_contracted_price: float,
     fixed_sale: np.ndarray | None = None,
-    fixed_reserve_up: dict[str, np.ndarray] | None = None,
-    fixed_reserve_down: dict[str, np.ndarray] | None = None,
+    fixed_reserve: np.ndarray | None = None,
     pins: Pins | None = None,
 ) -> ProducerPosition:
     """Profit-maximal dispatch, reserve and imbalance plan.
 
     Stages differ only in what is already decided: nothing one day ahead,
     the cleared sale after the energy market, and additionally the accepted
-    per-unit reserves after the reserve market.  ``pins`` are the learned
-    (minimum sale, upward imbalance, downward imbalance) pins.
+    ``(units, periods, 2)`` reserve after the reserve market.  ``pins`` are
+    the learned (minimum sale, upward imbalance, downward imbalance) pins.
     """
     t_count = portfolio.horizon
     lp = LinearProgram(sense="max", name=f"producer-{portfolio.name}")
 
-    p, u, l = _add_units(lp, portfolio, fixed_reserve_up, fixed_reserve_down)
+    p, reserve = _add_units(lp, portfolio, fixed_reserve)
 
     if fixed_sale is not None:
         sale = lp.add_variables(t_count, fixed_sale, fixed_sale)
@@ -149,39 +147,35 @@ def optimize_producer(
         sale=sol.values(sale),
         imbalance_up=sol.values(i_up),
         imbalance_down=sol.values(i_dn),
-        unit_output=_by_unit(portfolio, sol.values(p)),
-        reserve_up=_by_unit(portfolio, sol.values(u)),
-        reserve_down=_by_unit(portfolio, sol.values(l)),
+        unit_output=sol.values(p),
+        reserve=sol.values(reserve),
         objective=sol.objective,
     )
 
 
-def _add_units(lp, portfolio, fixed_reserve_up, fixed_reserve_down):
+def _add_units(lp, portfolio, fixed_reserve):
     """Output, upward and downward reserve of every unit and period, with
     their objective terms and the per-unit capacity, floor and ramp rows.
 
     Variables run unit by unit, each unit's output, then its upward and its
     downward reserve over the horizon.  Rows run unit by unit and period by
     period: capacity, floor, ramp-up, ramp-down.  The first period ramps
-    from the initial output.  Returns (units, periods) handle arrays.
+    from the initial output.  Returns the (units, periods) output and the
+    (units, periods, 2) reserve handle arrays.
     """
     units = portfolio.units
     t_count = portfolio.horizon
     power_min = np.array([unit.power_min for unit in units])
     power_max = np.array([unit.power_max for unit in units])
-    reserve_lo, reserve_hi = [], []
-    for fixed in (fixed_reserve_up, fixed_reserve_down):
-        if fixed is None:
-            reserve_lo.append(np.zeros_like(power_min))
-            reserve_hi.append(np.full_like(power_min, np.inf))
-        else:
-            series = np.array([fixed[unit.name] for unit in units], dtype=float)
-            reserve_lo.append(series)
-            reserve_hi.append(series)
+    if fixed_reserve is None:
+        reserve_lo = np.zeros((len(units), 2, t_count))
+        reserve_hi = np.full_like(reserve_lo, np.inf)
+    else:
+        reserve_lo = reserve_hi = np.asarray(fixed_reserve, dtype=float).transpose(0, 2, 1)
     handles = lp.add_variables(
         power_min.size * 3,
-        np.stack([power_min, *reserve_lo], axis=1).ravel(),
-        np.stack([power_max, *reserve_hi], axis=1).ravel(),
+        np.concatenate([power_min[:, None], reserve_lo], axis=1).ravel(),
+        np.concatenate([power_max[:, None], reserve_hi], axis=1).ravel(),
     ).reshape(len(units), 3, t_count)
     p, u, l = handles[:, 0], handles[:, 1], handles[:, 2]
     cost = np.array([unit.cost for unit in units])
@@ -212,11 +206,7 @@ def _add_units(lp, portfolio, fixed_reserve_up, fixed_reserve_down):
         np.tile([LESS_EQUAL, GREATER_EQUAL, LESS_EQUAL, LESS_EQUAL], p.size),
         np.stack([power_max, power_min, up_limit, dn_limit], axis=2).ravel(),
     )
-    return p, u, l
-
-
-def _by_unit(portfolio, values):
-    return {unit.name: values[k] for k, unit in enumerate(portfolio.units)}
+    return p, handles[:, 1:].transpose(0, 2, 1)
 
 
 def producer_energy_offers(
@@ -224,7 +214,7 @@ def producer_energy_offers(
 ) -> list[EnergyOffer]:
     """Per-unit supply offers at marginal cost, plus the predicted downward
     imbalance offered at the downward tariff forecast."""
-    priced = [(position.unit_output[unit.name], unit.cost) for unit in portfolio.units]
+    priced = [(output, unit.cost) for output, unit in zip(position.unit_output, portfolio.units)]
     priced.append((position.imbalance_down, fc.imbalance_down))
     return [
         EnergyOffer(portfolio.name, int(t), SUPPLY, float(volume[t]), float(price[t]))
@@ -233,38 +223,27 @@ def producer_energy_offers(
     ]
 
 
-def _offered_reserve(position: ProducerPosition, portfolio: ProducerPortfolio):
-    """(units, periods, 2) upward and downward reserve of the position, and
-    the mask of the entries offered as bids."""
-    reserve = np.array(
-        [[position.reserve_up[unit.name], position.reserve_down[unit.name]]
-         for unit in portfolio.units]
-    ).transpose(0, 2, 1)
-    return reserve, reserve > OFFER_TOL
-
-
 def producer_reserve_bids(
     position: ProducerPosition, portfolio: ProducerPortfolio
 ) -> list[ClassicalReserveBid]:
     """A bid at the unit's cost for every unit, period and direction with
     reserve held back, in that order (upward before downward)."""
-    reserve, offered = _offered_reserve(position, portfolio)
+    reserve = position.reserve
     return [
         ClassicalReserveBid(
             actor=portfolio.name, period=int(t), direction=(UP, DOWN)[d],
             volume=float(reserve[k, t, d]), activation_price=float(portfolio.units[k].cost[t]),
         )
-        for k, t, d in zip(*np.nonzero(offered))
+        for k, t, d in zip(*np.nonzero(reserve > OFFER_TOL))
     ]
 
 
-def producer_accepted_reserve(
-    position: ProducerPosition, portfolio: ProducerPortfolio, fractions: np.ndarray
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Per-unit upward and downward reserve the market accepted, given the
-    accepted ``fractions`` of the bids :func:`producer_reserve_bids` made from
+def producer_accepted_reserve(position: ProducerPosition, fractions: np.ndarray) -> np.ndarray:
+    """(units, periods, 2) reserve the market accepted, given the accepted
+    ``fractions`` of the bids :func:`producer_reserve_bids` made from
     ``position``."""
-    reserve, offered = _offered_reserve(position, portfolio)
+    reserve = position.reserve
+    offered = reserve > OFFER_TOL
     accepted = np.zeros_like(reserve)
     accepted[offered] += reserve[offered] * fractions
-    return _by_unit(portfolio, accepted[..., 0]), _by_unit(portfolio, accepted[..., 1])
+    return accepted

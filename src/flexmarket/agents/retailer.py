@@ -44,10 +44,10 @@ IMBALANCE_FRICTION = 1e-6
 #: price is zero
 AMPLITUDE_BONUS = 1e-6
 
-#: learned pins of one actor, one value per period each (``inf``: no pin);
-#: a retailer pins (demand, upward, downward imbalance), a producer
-#: (minimum sale, upward, downward imbalance)
-Pins = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: learned pins of one actor, a (3, periods) array (``inf``: no pin); a
+#: retailer pins (demand, upward, downward imbalance), a producer (minimum
+#: sale, upward, downward imbalance)
+Pins = np.ndarray
 
 
 @dataclass
@@ -78,12 +78,14 @@ class RetailerPosition:
     demand: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    schedules: list[np.ndarray]
+    # (loads, periods) consumption: the baseline, then the high-first and
+    # the low-first scenario, which follow the baseline outside sold windows
+    schedules: np.ndarray
+    up_schedules: np.ndarray
+    down_schedules: np.ndarray
     objective: float
     windows: list[tuple[int, int]] = field(default_factory=list)
     amplitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    up_schedules: list[np.ndarray] = field(default_factory=list)
-    down_schedules: list[np.ndarray] = field(default_factory=list)
 
 
 def optimize_retailer(
@@ -166,12 +168,14 @@ def optimize_retailer(
             "check tank data and fixed quantities"
         )
 
-    schedules = list(sol.values(d_vars))
+    schedules = sol.values(d_vars)
     position = RetailerPosition(
         demand=sol.values(demand),
         imbalance_up=sol.values(i_up),
         imbalance_down=sol.values(i_dn),
         schedules=schedules,
+        up_schedules=schedules,
+        down_schedules=schedules,
         objective=sol.objective,
         windows=windows,
     )
@@ -403,9 +407,8 @@ def _band_windows(lp, loads, starts, length, d_vars, e_vars, amplitude_lo, ampli
 
 
 def _patched(schedules, windows, scenario_vars, sol):
-    """Scenario schedules as full-horizon arrays, baseline outside windows."""
-    out = [base.copy() for base in schedules]
-    for (start, length), per_load in zip(windows, scenario_vars):
-        for full, handles in zip(out, per_load):
-            full[start : start + length] = sol.values(handles)
+    """(loads, periods) scenario schedules, baseline outside windows."""
+    out = schedules.copy()
+    for (start, length), handles in zip(windows, scenario_vars):
+        out[:, start : start + length] = sol.values(handles)
     return out

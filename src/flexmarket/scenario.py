@@ -96,16 +96,23 @@ class ScenarioConfig:
             raise ConfigurationError("bad horizon")
         if self.bid_block_length < 2 or self.bid_block_length % 2 != 0:
             raise ConfigurationError("bid block length must be even and at least 2")
+        if self.setting == OPEN and self.bid_block_length > self.periods:
+            raise ConfigurationError("an open run needs a bid block that fits in the periods")
         for name in (
             "price_cap", "non_contracted_price", "up_capacity_price", "down_capacity_price",
             "modulation_capacity_price", "reserve_rate", "mean_consumption",
             "imbalance_limit_fraction", "tank_span_hours",
-            "slow_units_per_producer", "fast_units_per_producer",
+            "slow_units_per_producer", "fast_units_per_producer", "slow_ramp_fraction",
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
         if not 0.0 < self.modulation_efficiency <= 1.0:
             raise ConfigurationError("modulation efficiency must lie in (0, 1]")
+        if not 0.0 <= self.forecast_alpha <= 1.0:
+            raise ConfigurationError("forecast_alpha must lie in [0, 1]")
+        for fleet in ("slow", "fast"):
+            if getattr(self, f"{fleet}_cost_low") > getattr(self, f"{fleet}_cost_high"):
+                raise ConfigurationError(f"{fleet}_cost_low must not exceed {fleet}_cost_high")
         if self.producer_count < 1 or self.retailer_count < 1:
             raise ConfigurationError("need at least one producer and one retailer")
         if self.slow_units_per_producer + self.fast_units_per_producer < 1:

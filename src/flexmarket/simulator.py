@@ -10,8 +10,9 @@ extreme-tariff events.  Rounds repeat until forecasts match outcomes, the
 actors revisit an earlier joint position (a cycle), or the round budget
 runs out.
 
-The learned pins belong to the run, not to the scenario: :func:`run` starts
-every actor with fresh :class:`ThresholdTrack` pins and never changes the
+The learned pins belong to the run, not to the scenario: :func:`run` keeps
+one :class:`ThresholdTrack` over (actors, 3, periods), retailers then
+producers in scenario order, starts it fresh and never changes the
 portfolios it is given, so running one scenario twice gives the same result.
 """
 
@@ -125,17 +126,12 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     windows = scenario.config.bid_windows() if config.setting == OPEN else None
     # per actor: the pin on its traded volume (retailer demand, producer
     # minimum sale), then on its upward and its downward imbalance
-    tracks = {
-        portfolio.name: tuple(
-            ThresholdTrack(
-                portfolio.horizon,
-                factor=config.threshold_factor,
-                forget_after=config.threshold_forget_rounds,
-            )
-            for _ in range(3)
-        )
-        for portfolio in (*scenario.retailers, *scenario.producers)
-    }
+    names = [portfolio.name for portfolio in (*scenario.retailers, *scenario.producers)]
+    pins = ThresholdTrack(
+        (len(names), 3, t_count),
+        factor=config.threshold_factor,
+        forget_after=config.threshold_forget_rounds,
+    )
 
     price_history: list[np.ndarray] = []
     up_history: list[np.ndarray] = []
@@ -148,18 +144,17 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
 
     for index in range(config.max_rounds):
         fc = make_forecast(price_history, up_history, down_history, params, t_count)
-        pins = {name: tuple(track.value for track in group) for name, group in tracks.items()}
         # symmetric retailers hand HiGHS identical models; the memo solves
         # each once and is dropped with the round, so it holds one round
         with lp.solve_memo():
-            record = _play_round(index, scenario, fc, windows, pins)
+            record = _play_round(index, scenario, fc, windows, dict(zip(names, pins.value)))
         rounds.append(record)
 
-        _learn(scenario, tracks, record, config)
+        _learn(scenario, pins, record, config)
         # recurrence needs positions AND the learned state: a position match
         # while a threshold is still counting down to forgetting is not a
         # genuine cycle, the system will leave it again
-        states.append(np.concatenate([record.state, _learning_state(scenario, tracks)]))
+        states.append(np.concatenate([record.state, pins.state_vector()]))
         price_history.append(record.energy_price)
         up_history.append(record.tariff_up)
         down_history.append(record.tariff_down)
@@ -265,9 +260,6 @@ def _play_round(index, scenario, fc, windows, pins):
     # stage 3: reposition against cleared quantities
     producer_final = {}
     for portfolio in scenario.producers:
-        fixed_up, fixed_down = producer_accepted_reserve(
-            producer_stage2[portfolio.name], portfolio, classical_fraction[portfolio.name]
-        )
         with _stage_guard(index, "reposition", portfolio.name):
             producer_final[portfolio.name] = optimize_producer(
                 portfolio,
@@ -275,8 +267,9 @@ def _play_round(index, scenario, fc, windows, pins):
                 config.price_cap,
                 config.non_contracted_price,
                 fixed_sale=clearing.supply_of(portfolio.name),
-                fixed_reserve_up=fixed_up,
-                fixed_reserve_down=fixed_down,
+                fixed_reserve=producer_accepted_reserve(
+                    producer_stage2[portfolio.name], classical_fraction[portfolio.name]
+                ),
                 pins=pins[portfolio.name],
             )
 
@@ -363,26 +356,13 @@ class _stage_guard:
 
 def _state_vector(price, tariff_up, tariff_down, demand, sale, retailers, producers, windows):
     parts = [price, tariff_up, tariff_down]
-    for name in sorted(demand):
-        parts.append(demand[name])
-        position = retailers[name]
-        parts.append(position.imbalance_up)
-        parts.append(position.imbalance_down)
+    for name, position in retailers.items():
+        parts += [demand[name], position.imbalance_up, position.imbalance_down]
         if windows:
             parts.append(position.amplitudes)
-    for name in sorted(sale):
-        parts.append(sale[name])
-        position = producers[name]
-        parts.append(position.imbalance_up)
-        parts.append(position.imbalance_down)
+    for name, position in producers.items():
+        parts += [sale[name], position.imbalance_up, position.imbalance_down]
     return np.concatenate(parts)
-
-
-def _learning_state(scenario: Scenario, tracks) -> np.ndarray:
-    names = sorted(p.name for p in scenario.retailers) + sorted(
-        p.name for p in scenario.producers
-    )
-    return np.concatenate([track.state_vector() for name in names for track in tracks[name]])
 
 
 def _match_earlier(states: list[np.ndarray], tol: float) -> int | None:
@@ -421,26 +401,26 @@ def aggregate_metrics(records: list[RoundRecord]) -> RoundMetrics:
     return RoundMetrics(*[float(v) for v in means])
 
 
-def _learn(scenario: Scenario, tracks, record: RoundRecord, config: ScenarioConfig) -> None:
-    capped, up_extreme, down_extreme = extreme_prices(
-        record.energy_price,
-        record.tariff_up,
-        record.tariff_down,
-        config.price_cap,
-        config.non_contracted_price,
+def _learn(scenario: Scenario, pins: ThresholdTrack, record: RoundRecord, config: ScenarioConfig) -> None:
+    """One update of the (actors, 3, periods) pins: the round's (3, periods)
+    extreme-price mask applies to every actor."""
+    triggered = np.array(
+        extreme_prices(
+            record.energy_price,
+            record.tariff_up,
+            record.tariff_down,
+            config.price_cap,
+            config.non_contracted_price,
+        )
     )
-    for portfolio in scenario.retailers:
-        position = record.retailer_positions[portfolio.name]
-        demand, up, down = tracks[portfolio.name]
-        demand.update(capped, record.submitted_demand[portfolio.name])
-        up.update(up_extreme, position.imbalance_up)
-        down.update(down_extreme, position.imbalance_down)
-    for portfolio in scenario.producers:
-        position = record.producer_positions[portfolio.name]
-        min_sale, up, down = tracks[portfolio.name]
-        # a cap round means the fleet withheld too much at the forecast; the
-        # learned floor anchors to what the fleet could deliver, so supply
-        # actually returns next round instead of re-pinning the cap
-        min_sale.update(capped, fleet_capacity(portfolio))
-        up.update(up_extreme, position.imbalance_up)
-        down.update(down_extreme, position.imbalance_down)
+    # a cap round means the fleet withheld too much at the forecast; the
+    # learned floor anchors to what the fleet could deliver, so supply
+    # actually returns next round instead of re-pinning the cap
+    traded = [
+        (record.submitted_demand[p.name], record.retailer_positions[p.name])
+        for p in scenario.retailers
+    ] + [(fleet_capacity(p), record.producer_positions[p.name]) for p in scenario.producers]
+    pins.update(
+        triggered,
+        np.array([(volume, pos.imbalance_up, pos.imbalance_down) for volume, pos in traded]),
+    )

@@ -135,27 +135,58 @@ def test_exponential_mean_window_truncation():
 
 
 def test_threshold_pin_on_trigger():
-    track = ThresholdTrack(periods=2)
+    track = ThresholdTrack(2)
     track.update(np.array([True, False]), np.array([100.0, 80.0]))
     assert track.value[0] == pytest.approx(95.0)
     assert np.isinf(track.value[1])
 
 
 def test_threshold_repeated_trigger_compounds():
-    track = ThresholdTrack(periods=1)
+    track = ThresholdTrack(1)
     track.update(np.array([True]), np.array([100.0]))
     track.update(np.array([True]), np.array([95.0]))
     assert track.value[0] == pytest.approx(90.25)
 
 
 def test_threshold_forgets_after_quiet_rounds():
-    track = ThresholdTrack(periods=1, forget_after=3)
+    track = ThresholdTrack(1, forget_after=3)
     track.update(np.array([True]), np.array([10.0]))
     for _ in range(2):
         track.update(np.array([False]), np.array([0.0]))
         assert np.isfinite(track.value[0])
     track.update(np.array([False]), np.array([0.0]))
     assert np.isinf(track.value[0])
+
+
+def test_threshold_track_of_many_actors_takes_one_mask_for_all():
+    # two actors x three pinned quantities x two periods; the run updates
+    # them with one (quantities, periods) mask per round
+    track = ThresholdTrack((2, 3, 2), forget_after=3)
+    mask = np.array([[True, False], [False, False], [False, True]])
+    volume = np.array(
+        [[[10.0, 1.0], [2.0, 3.0], [4.0, 20.0]], [[30.0, 5.0], [6.0, 7.0], [8.0, 40.0]]]
+    )
+    track.update(mask, volume)
+    assert np.allclose(track.value[:, 0, 0], [9.5, 28.5])
+    assert np.allclose(track.value[:, 2, 1], [19.0, 38.0])
+    assert np.isinf(track.value[:, 1]).all() and np.isinf(track.value[:, 2, 0]).all()
+    assert np.isfinite(track.value).sum() == 4
+
+    # a repeat compounds on each actor's own submitted volume
+    track.update(mask, 0.95 * volume)
+    assert np.allclose(track.value[:, 0, 0], [9.025, 27.075])
+    assert np.allclose(track.value[:, 2, 1], [18.05, 36.1])
+
+    # a trigger in one entry keeps only that entry's pins, for every actor
+    only_first = np.zeros((3, 2), dtype=bool)
+    only_first[0, 0] = True
+    for _ in range(2):
+        track.update(np.zeros((3, 2), dtype=bool), volume)
+    track.update(only_first, volume)
+    assert np.allclose(track.value[:, 0, 0], [9.5, 28.5])
+    assert np.isinf(track.value[:, 2, 1]).all()
+    assert np.array_equal(track.quiet, np.zeros((2, 3, 2), dtype=int))
+    assert track.state_vector().shape == (24,)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +396,7 @@ def test_position_balance_identities():
             pos.sale
             + pos.imbalance_up
             - pos.imbalance_down
-            - pos.unit_output["u"]
+            - pos.unit_output[0]
         )
         assert np.max(np.abs(residual)) <= 1e-7
 
@@ -442,14 +473,14 @@ def producer(t, units, limit=1000.0, valuation=0.0):
 def test_producer_positive_margin_runs_flat_out():
     port = producer(3, [unit(3, cost=45.0)])
     position = optimize_producer(port, flat_forecast(3, 50.0), CAP, PI_NC)
-    assert np.allclose(position.unit_output["u"], 10.0, atol=1e-9)
+    assert np.allclose(position.unit_output[0], 10.0, atol=1e-9)
     assert np.allclose(position.sale, 10.0, atol=1e-9)
 
 
 def test_producer_negative_margin_idles():
     port = producer(3, [unit(3, cost=45.0)])
     position = optimize_producer(port, flat_forecast(3, 40.0), CAP, PI_NC)
-    assert np.allclose(position.unit_output["u"], 0.0, atol=1e-9)
+    assert np.allclose(position.unit_output[0], 0.0, atol=1e-9)
 
 
 def test_producer_dispatch_matches_grid_search():
@@ -491,19 +522,17 @@ def test_producer_stage_chaining_with_fixed_quantities():
     fc = flat_forecast(2, 50.0)
     stage1 = optimize_producer(port, fc, CAP, PI_NC)
     stage2 = optimize_producer(port, fc, CAP, PI_NC, fixed_sale=stage1.sale)
-    accepted_up = {"u": stage2.reserve_up["u"] * 0.5}
-    accepted_down = {"u": stage2.reserve_down["u"] * 0.5}
+    accepted = stage2.reserve * 0.5
     stage3 = optimize_producer(
         port,
         fc,
         CAP,
         PI_NC,
         fixed_sale=stage1.sale,
-        fixed_reserve_up=accepted_up,
-        fixed_reserve_down=accepted_down,
+        fixed_reserve=accepted,
     )
     assert np.allclose(stage3.sale, stage1.sale)
-    assert np.allclose(stage3.reserve_up["u"], accepted_up["u"])
+    assert np.allclose(stage3.reserve, accepted)
 
 
 def test_producer_offers_and_bids():
@@ -522,31 +551,29 @@ def test_producer_offers_and_bids():
     assert all(b.actor == "gen" for b in bids)
     for bid in bids:
         assert bid.activation_price == 45.0
-    # accepted in full, every bid goes back to unit "u"
-    up, down = producer_accepted_reserve(position, port, np.ones(len(bids)))
-    assert list(up) == list(down) == ["u"]
-    assert up["u"].sum() + down["u"].sum() == pytest.approx(sum(b.volume for b in bids))
+    # accepted in full, every bid goes back to the one unit
+    accepted = producer_accepted_reserve(position, np.ones(len(bids)))
+    assert accepted.shape == (1, 2, 2)
+    assert accepted.sum() == pytest.approx(sum(b.volume for b in bids))
 
 
 def hand_position(reserve_up, reserve_down):
-    t = len(next(iter(reserve_up.values())))
+    """A position holding the given (units, periods) upward and downward reserve."""
+    reserve = np.stack([reserve_up, reserve_down], axis=2).astype(float)
+    units, t, _ = reserve.shape
     return ProducerPosition(
         sale=np.zeros(t),
         imbalance_up=np.zeros(t),
         imbalance_down=np.zeros(t),
-        unit_output={name: np.zeros(t) for name in reserve_up},
-        reserve_up={name: np.asarray(v, float) for name, v in reserve_up.items()},
-        reserve_down={name: np.asarray(v, float) for name, v in reserve_down.items()},
+        unit_output=np.zeros((units, t)),
+        reserve=reserve,
         objective=0.0,
     )
 
 
 def test_producer_accepted_reserve_lands_on_its_unit_period_and_direction():
     port = producer(2, [unit(2, cost=45.0, name="a"), unit(2, cost=60.0, name="b")])
-    position = hand_position(
-        {"a": [3.0, 0.0], "b": [5.0, 7.0]},
-        {"a": [0.0, 2.0], "b": [4.0, 0.0]},
-    )
+    position = hand_position([[3.0, 0.0], [5.0, 7.0]], [[0.0, 2.0], [4.0, 0.0]])
     bids = producer_reserve_bids(position, port)
     assert [(b.period, b.direction, b.volume, b.activation_price) for b in bids] == [
         (0, "up", 3.0, 45.0),
@@ -555,9 +582,10 @@ def test_producer_accepted_reserve_lands_on_its_unit_period_and_direction():
         (0, "down", 4.0, 60.0),
         (1, "up", 7.0, 60.0),
     ]
-    up, down = producer_accepted_reserve(position, port, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
-    assert np.allclose(up["a"], [0.3, 0.0]) and np.allclose(down["a"], [0.0, 0.4])
-    assert np.allclose(up["b"], [1.5, 3.5]) and np.allclose(down["b"], [1.6, 0.0])
+    accepted = producer_accepted_reserve(position, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+    up, down = accepted[..., 0], accepted[..., 1]
+    assert np.allclose(up[0], [0.3, 0.0]) and np.allclose(down[0], [0.0, 0.4])
+    assert np.allclose(up[1], [1.5, 3.5]) and np.allclose(down[1], [1.6, 0.0])
 
 
 def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
@@ -566,7 +594,9 @@ def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
         demand=np.array([4.0, 0.0, 3.0, 0.0, 0.0, 2.0]),
         imbalance_up=np.zeros(6),
         imbalance_down=np.zeros(6),
-        schedules=[],
+        schedules=np.zeros((0, 6)),
+        up_schedules=np.zeros((0, 6)),
+        down_schedules=np.zeros((0, 6)),
         objective=0.0,
         windows=[(0, 2), (2, 2), (4, 2)],
         amplitudes=np.array([1.5, 0.0, 2.5]),
@@ -706,7 +736,8 @@ def capture_agent_models() -> dict:
         np.array([1.0, inf, inf, 1.5, inf, inf]),
     )
     sale = np.array([3.0, 4.0, 5.0, 6.0, 4.0, 3.0])
-    reserve = {"a": np.full(6, 0.5), "b": np.full(6, 0.25)}
+    # both directions: 0.5 MW on unit "a", 0.25 MW on unit "b"
+    reserve = np.broadcast_to(np.array([0.5, 0.25])[:, None, None], (2, 6, 2))
     windows = [(0, 2), (2, 4)]
     demand = np.array([7.0, 8.0, 9.0, 9.0, 8.0, 7.0])
     stages = {
@@ -715,8 +746,7 @@ def capture_agent_models() -> dict:
             gen, fc, CAP, PI_NC, fixed_sale=sale, pins=pins
         ),
         "producer_reserved": lambda: optimize_producer(
-            gen, fc, CAP, PI_NC, fixed_sale=sale, fixed_reserve_up=reserve,
-            fixed_reserve_down=reserve, pins=pins,
+            gen, fc, CAP, PI_NC, fixed_sale=sale, fixed_reserve=reserve, pins=pins,
         ),
         "retailer_bands": lambda: optimize_retailer(
             ret, fc, CAP, PI_NC, windows=windows, pins=pins

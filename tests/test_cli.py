@@ -62,10 +62,17 @@ def test_config_rejects_unknown_keys_and_bad_values():
         dict(imbalance_limit_fraction=-0.1),
         dict(tank_span_hours=-1.0),
         dict(forecast_window=0),
+        dict(forecast_alpha=-1.0),
+        dict(slow_ramp_fraction=-0.5),
+        dict(slow_cost_low=70.0, slow_cost_high=50.0),
+        dict(fast_cost_low=90.0),
+        dict(setting="open", periods=2),
     ],
     ids=[
         "no-rounds", "flexibility-without-loads", "non-finite-price", "negative-unit-count",
         "no-units", "negative-imbalance-limit", "negative-tank-span", "no-forecast-window",
+        "negative-forecast-alpha", "negative-ramp", "slow-costs-reversed",
+        "fast-costs-reversed", "open-without-band-window",
     ],
 )
 def test_config_rejects_settings_that_fail_later(overrides):

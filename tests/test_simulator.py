@@ -329,8 +329,7 @@ def test_final_positions_hold_exactly_the_contracted_reserve():
         for bid, x in zip(procurement.classical, procurement.classical_fraction):
             if bid.actor == name:
                 contracted[bid.direction][bid.period] += bid.volume * x
-        held_up = np.sum(list(position.reserve_up.values()), axis=0)
-        held_down = np.sum(list(position.reserve_down.values()), axis=0)
+        held_up, held_down = position.reserve.sum(axis=0).T
         assert np.allclose(held_up, contracted["up"], rtol=0, atol=1e-9)
         assert np.allclose(held_down, contracted["down"], rtol=0, atol=1e-9)
     for name, position in record.retailer_positions.items():
