@@ -72,7 +72,7 @@ class ProducerPortfolio:
         return self.units[0].power_max.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProducerPosition:
     sale: np.ndarray
     imbalance_up: np.ndarray

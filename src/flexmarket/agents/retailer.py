@@ -73,7 +73,7 @@ class RetailerPortfolio:
         return len(self.inelastic)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetailerPosition:
     demand: np.ndarray
     imbalance_up: np.ndarray
@@ -169,21 +169,23 @@ def optimize_retailer(
         )
 
     schedules = sol.values(d_vars)
-    position = RetailerPosition(
+    if modulating:
+        amplitudes = sol.values(amplitude_vars)
+        up_schedules = _patched(schedules, windows, up_d, sol)
+        down_schedules = _patched(schedules, windows, dn_d, sol)
+    else:
+        amplitudes, up_schedules, down_schedules = np.zeros(0), schedules, schedules
+    return RetailerPosition(
         demand=sol.values(demand),
         imbalance_up=sol.values(i_up),
         imbalance_down=sol.values(i_dn),
         schedules=schedules,
-        up_schedules=schedules,
-        down_schedules=schedules,
+        up_schedules=up_schedules,
+        down_schedules=down_schedules,
         objective=sol.objective,
         windows=windows,
+        amplitudes=amplitudes,
     )
-    if modulating:
-        position.amplitudes = sol.values(amplitude_vars)
-        position.up_schedules = _patched(schedules, windows, up_d, sol)
-        position.down_schedules = _patched(schedules, windows, dn_d, sol)
-    return position
 
 
 def retailer_demand_offers(

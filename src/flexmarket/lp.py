@@ -7,30 +7,20 @@ problems, settlement) is expressed as a :class:`LinearProgram` and handed to
 :meth:`~LinearProgram.add_objectives` objective terms and
 :meth:`~LinearProgram.add_constraints` rows given as (row, column,
 coefficient) triplets; these are the only way to build a model.
-:meth:`~LinearProgram.sparse_rows` assembles the CSR matrix once per solve,
-summing repeated terms and dropping cancelled ones.
-:meth:`~LinearProgram.dense_rows` is read only by the test oracles and the
-benchmark tracer.
 
 Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
-Prog. Comp.* 2018) through scipy's ``_highspy`` core binding: one ``HighsLp``
-with the CSC matrix, solved on a fresh instance with the model and the
-options ``scipy.optimize.linprog(method="highs")`` would pass, and the
-optimum checked as ``linprog`` checks it.  scipy is imported only when a
-model is assembled for a solve, so importing this package loads none of it.
-
-Inside a ``with solve_memo():`` block, :func:`solve` hands each distinct
-model to HiGHS once.  The key is a digest of what decides the HiGHS result:
-the sense and the bytes of the CSR matrix, relations, right-hand sides,
-bounds and objective vector.  Symmetric actors and repeated rounds build
-identical models; HiGHS on a fresh instance is deterministic, so a hit
-returns the stored status and a copy of the stored ``x``, with
-``iterations == 0`` because no simplex ran.  The feasibility check and the
-objective still run on every call, and a solve that raised is never stored.
-:func:`flexmarket.simulator.run` owns the memo: it opens one around each
-round and drops it when the round ends, so the memo holds one round's
-models and nothing is reused across rounds or runs.  Outside a block every
-call solves.
+Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on a fresh
+instance with the model and the options
+``scipy.optimize.linprog(method="highs")`` would pass, and the optimum is
+checked as ``linprog`` checks it.  :meth:`~LinearProgram.highs_columns`
+assembles the matrix once per model, in numpy, straight from the triplets:
+the column-wise arrays HiGHS takes, with the rows in ``linprog``'s order
+(``<=`` rows, negated ``>=`` rows, ``==`` rows), repeated terms summed and
+cancelled ones dropped.  The same arrays give the row activity of the
+feasibility check.  :meth:`~LinearProgram.sparse_rows` and
+:meth:`~LinearProgram.dense_rows` are read only by the test oracles and the
+benchmark tracer.  scipy is imported only when a model is solved, so
+importing this package loads none of it.
 
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
@@ -43,12 +33,10 @@ large finite sentinels, and every variable's domain holds a finite point
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +83,7 @@ class LinearProgram:
         self._terms = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
         self._rows = [(np.zeros(0, "<U2"), np.zeros(0))]
         self._matrix = None
+        self._columns = None
 
     # -- model building ----------------------------------------------------
 
@@ -114,7 +103,7 @@ class LinearProgram:
         start = self._n_variables
         self._bounds.append((lower, upper))
         self._n_variables += count
-        self._matrix = None
+        self._matrix = self._columns = None
         return np.arange(start, start + count)
 
     def add_objectives(self, variables, coefficients) -> None:
@@ -152,7 +141,7 @@ class LinearProgram:
         self._terms.append((rows + start, columns, coefficients))
         self._rows.append((_series(relations, count, "<U2"), rhs))
         self._n_constraints += count
-        self._matrix = None
+        self._matrix = self._columns = None
         return np.arange(start, start + count)
 
     def _check_handles(self, handles: np.ndarray) -> None:
@@ -184,6 +173,42 @@ class LinearProgram:
         np.add.at(c, variables, coefficients)
         return c
 
+    def highs_columns(self) -> HighsColumns:
+        """The rows as HiGHS takes them (see :class:`HighsColumns`), built
+        once and kept until the model changes."""
+        if self._columns is None:
+            rows, columns, coefficients = _joined(self._terms)
+            relations, rhs = _joined(self._rows)
+            kinds = [np.flatnonzero(relations == r) for r in (LESS_EQUAL, GREATER_EQUAL, EQUAL)]
+            order = np.concatenate(kinds)
+            n_ineq = kinds[0].size + kinds[1].size
+            position = np.empty(order.size, np.intp)
+            position[order] = np.arange(order.size)
+            highs_rows = position[rows]
+            sign = np.where(relations == GREATER_EQUAL, -1.0, 1.0)
+            key = columns * self._n_constraints + highs_rows
+            # stable, so repeated terms keep the order they were added in
+            at = np.argsort(key, kind="stable")
+            first = np.flatnonzero(np.diff(key[at], prepend=-1))
+            values = _run_sums((coefficients * sign[rows])[at], first)
+            nonzero = values != 0.0
+            kept = at[first[nonzero]]
+            column = columns[kept]
+            start = np.zeros(self._n_variables + 1, np.int32)
+            start[1:] = np.cumsum(np.bincount(column, minlength=self._n_variables))
+            row_upper = rhs[order] * sign[order]
+            self._columns = HighsColumns(
+                start=start,
+                index=highs_rows[kept].astype(np.int32),
+                value=values[nonzero],
+                column=column,
+                row_lower=np.concatenate([np.full(n_ineq, -INF), row_upper[n_ineq:]]),
+                row_upper=row_upper,
+                order=order,
+                n_ineq=n_ineq,
+            )
+        return self._columns
+
     def sparse_rows(self):
         """(A, relations, b): A as a CSR array with repeated terms summed and
         cancelled ones dropped, kept until the model changes; ``relations``
@@ -208,6 +233,36 @@ class LinearProgram:
         np.add.at(a, (rows, columns), coefficients)
         relations, rhs = _joined(self._rows)
         return a, relations.tolist(), rhs.copy()
+
+
+class HighsColumns(NamedTuple):
+    """The rows of a model in the form HiGHS takes them, in the row order of
+    ``scipy.optimize.linprog``: the ``<=`` rows, the ``>=`` rows negated
+    (both bounded below by ``-inf``), then the ``==`` rows.  The matrix is
+    column-wise, rows ascending within a column, with repeated terms summed
+    and cancelled ones dropped."""
+
+    start: np.ndarray       # int32: where each column's nonzeros start, and the end
+    index: np.ndarray       # int32: the row of each nonzero
+    value: np.ndarray
+    column: np.ndarray      # the column of each nonzero
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    order: np.ndarray       # row ``k`` here is row ``order[k]`` of the model
+    n_ineq: int             # the rows before the ``==`` rows
+
+
+def _run_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The sum of each run ``values[first[k]:first[k + 1]]`` (the last run
+    ends with ``values``), added left to right as a loop over the terms
+    would; ``np.add.reduceat`` sums runs of three or more pairwise, which
+    can differ in the last bit."""
+    sums = values[first]
+    lengths = np.diff(first, append=values.size)
+    for k in range(1, lengths.max(initial=1)):
+        longer = lengths > k
+        sums[longer] += values[first[longer] + k]
+    return sums
 
 
 def _series(values, count: int, dtype=float) -> np.ndarray:
@@ -265,63 +320,18 @@ class Solution:
         return self.x[np.asarray(variables, dtype=np.intp)]
 
 
-#: the open solve memo (model digest -> HiGHS result), or None outside one
-_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "lp_solve_memo", default=None
-)
-
-
-@contextlib.contextmanager
-def solve_memo():
-    """Within this block, :func:`solve` runs HiGHS once per distinct model.
-
-    The memo is dropped when the block exits, also through an exception, so
-    nothing is reused outside it.
-    """
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
 def solve(lp: LinearProgram) -> Solution:
     """Solve ``lp`` to proven optimality with HiGHS.
 
     Infeasibility and unboundedness are reported through
-    :attr:`Solution.status`, never raised.  Inside :func:`solve_memo`, a
-    model identical to one solved before reuses that result with
-    ``iterations == 0``.
+    :attr:`Solution.status`, never raised.
     """
-    memo = _memo.get()
-    if memo is None:
-        status, x, iterations = _highs_solve(lp)
-    else:
-        key = _model_digest(lp)
-        if key in memo:
-            status, x, _ = memo[key]
-            iterations = 0
-        else:
-            status, x, iterations = memo[key] = _highs_solve(lp)
-        x = x.copy()
+    status, x, iterations = _highs_solve(lp)
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
     _check_feasible(lp, x)
     objective = float(lp.objective_vector() @ x)
     return Solution(OPTIMAL, objective, x, iterations)
-
-
-def _model_digest(lp: LinearProgram) -> bytes:
-    """A digest of everything that decides the HiGHS result of ``lp``."""
-    a, relations, rhs = lp.sparse_rows()
-    digest = hashlib.blake2b(lp.sense.encode())
-    for part in (
-        a.indptr, a.indices, a.data, relations, rhs, lp.lower, lp.upper, lp.objective_vector()
-    ):
-        # the length and dtype keep parts from running into each other
-        digest.update(f"{part.dtype.str}{part.size}:".encode())
-        digest.update(np.ascontiguousarray(part).tobytes())
-    return digest.digest()
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
@@ -333,20 +343,26 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
         or np.any(x - lp.upper > TOL_FEAS)
     ):
         raise RuntimeError(f"solver returned out-of-bounds solution for {lp.name!r}")
-    a, relations, rhs = lp.sparse_rows()
-    resid = a @ x - rhs
-    slack = TOL_FEAS * np.maximum(1.0, np.abs(rhs))
-    # written as "holds" so that a NaN residual fails every relation
-    holds = np.where(
-        relations == EQUAL,
-        np.abs(resid) <= slack,
-        np.where(relations == LESS_EQUAL, resid <= slack, resid >= -slack),
-    )
+    a = lp.highs_columns()
+    # rows in HiGHS order, where every inequality reads "<= row_upper"; a
+    # product that overflows is a violation below
+    with np.errstate(over="ignore"):
+        terms = a.value * x[a.column]
+    activity = np.bincount(a.index, terms, minlength=lp.n_constraints)
+    resid = activity - a.row_upper
+    slack = TOL_FEAS * np.maximum(1.0, np.abs(a.row_upper))
+    # written as "holds" so that a NaN residual fails every row
+    holds = resid <= slack
+    holds[a.n_ineq:] &= resid[a.n_ineq:] >= -slack[a.n_ineq:]
     violated = np.flatnonzero(~(holds & np.isfinite(resid)))
     if violated.size:
-        i = violated[0]
+        k = violated[np.argmin(a.order[violated])]
+        i = a.order[k]
+        # a negated ">=" row's residual, back in the model's own sign
+        if _joined(lp._rows)[0][i] == GREATER_EQUAL:
+            resid[k] = -resid[k]
         raise RuntimeError(
-            f"solver violated constraint {i} of {lp.name!r} by {resid[i]:.3e}"
+            f"solver violated constraint {i} of {lp.name!r} by {resid[k]:.3e}"
         )
 
 
@@ -360,43 +376,38 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
 
     HiGHS gets the model ``scipy.optimize.linprog(method="highs")`` would
     give it: the ``<=`` rows, then the negated ``>=`` rows (both with lower
-    bound ``-inf``), then the ``==`` rows, one CSC matrix, the objective
-    negated for ``max`` models and linprog's effective options.
+    bound ``-inf``), then the ``==`` rows, as the column-wise arrays of
+    :meth:`LinearProgram.highs_columns`, the objective negated for ``max``
+    models and linprog's effective options.
     """
     from scipy.optimize._highspy import _core as core
 
-    a, relations, b = lp.sparse_rows()
-    ub_rows = np.flatnonzero(relations == LESS_EQUAL)
-    ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
-    eq_rows = np.flatnonzero(relations == EQUAL)
-    n_ineq = ub_rows.size + ge_rows.size
-    a = a[np.concatenate([ub_rows, ge_rows, eq_rows])]
-    a.data[a.indptr[ub_rows.size]:a.indptr[n_ineq]] *= -1.0
-    a = a.tocsc()
-    row_upper = np.concatenate([b[ub_rows], -b[ge_rows], b[eq_rows]])
-    row_lower = np.concatenate([np.full(n_ineq, -INF), b[eq_rows]])
+    a = lp.highs_columns()
     c = lp.objective_vector()
     if lp.sense == "max":
         c = -c
-
-    model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.n_variables
-    model.num_row_ = model.a_matrix_.num_row_ = lp.n_constraints
-    model.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # the binding copies index lists faster than integer arrays
-    model.a_matrix_.start_ = a.indptr.tolist()
-    model.a_matrix_.index_ = a.indices.tolist()
-    model.a_matrix_.value_ = a.data
-    model.col_cost_ = c
-    model.col_lower_ = lp.lower
-    model.col_upper_ = lp.upper
-    model.row_lower_ = row_lower
-    model.row_upper_ = row_upper
-
     highs = core._Highs()
     if highs.passOptions(_highs_options()) == core.HighsStatus.kError:
         raise RuntimeError(f"highs failed on {lp.name!r}: options rejected")
-    if highs.passModel(model) == core.HighsStatus.kError:
+    loaded = highs.passModel(
+        lp.n_variables,
+        lp.n_constraints,
+        a.value.size,
+        int(core.MatrixFormat.kColwise),
+        int(core.ObjSense.kMinimize),
+        0.0,
+        c,
+        lp.lower,
+        lp.upper,
+        a.row_lower,
+        a.row_upper,
+        a.start,
+        a.index,
+        a.value,
+        # every column continuous; an empty array is rejected
+        np.zeros(lp.n_variables, np.int32),
+    )
+    if loaded == core.HighsStatus.kError:
         # a model HiGHS cannot load is a model error, which linprog reports
         # as infeasible
         return INFEASIBLE, np.empty(0), 0
@@ -411,7 +422,7 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
         raise RuntimeError(f"highs failed on {lp.name!r}: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    _check_highs_result(lp, x, row_upper - np.array(solution.row_value), n_ineq)
+    _check_highs_result(lp, x, a.row_upper - np.array(solution.row_value), a.n_ineq)
     return OPTIMAL, x, iterations
 
 

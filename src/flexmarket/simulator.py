@@ -14,15 +14,21 @@ The learned pins belong to the run, not to the scenario: :func:`run` keeps
 one :class:`ThresholdTrack` over (actors, 3, periods), retailers then
 producers in scenario order, starts it fresh and never changes the
 portfolios it is given, so running one scenario twice gives the same result.
+
+Actors equal in everything but their names are twins (the generated
+retailers all are).  Twins with equal pins and fixed quantities build the
+same model, so each stage of a round solves it once and they share the
+position; nothing is kept from one round to the next.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energy_market, imbalance, lp
+from . import energy_market, imbalance
 from .agents import ForecastParameters, ThresholdTrack
 from .agents.forecast import extreme_prices, forecast as make_forecast
 from .agents.producer import (
@@ -126,7 +132,9 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     windows = scenario.config.bid_windows() if config.setting == OPEN else None
     # per actor: the pin on its traded volume (retailer demand, producer
     # minimum sale), then on its upward and its downward imbalance
-    names = [portfolio.name for portfolio in (*scenario.retailers, *scenario.producers)]
+    actors = [*scenario.retailers, *scenario.producers]
+    names = [portfolio.name for portfolio in actors]
+    twins = _twin_groups(actors)
     pins = ThresholdTrack(
         (len(names), 3, t_count),
         factor=config.threshold_factor,
@@ -144,10 +152,9 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
 
     for index in range(config.max_rounds):
         fc = make_forecast(price_history, up_history, down_history, params, t_count)
-        # symmetric retailers hand HiGHS identical models; the memo solves
-        # each once and is dropped with the round, so it holds one round
-        with lp.solve_memo():
-            record = _play_round(index, scenario, fc, windows, dict(zip(names, pins.value)))
+        # twins (the generated retailers are all alike) with equal pins and
+        # fixed quantities get one solve per stage, within this round only
+        record = _play_round(index, scenario, fc, windows, dict(zip(names, pins.value)), twins)
         rounds.append(record)
 
         _learn(scenario, pins, record, config)
@@ -182,39 +189,38 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     )
 
 
-def _play_round(index, scenario, fc, windows, pins):
+def _play_round(index, scenario, fc, windows, pins, twins):
     """One round: positions, energy auction, reserve procurement,
     repositioning and settlement.  The agent modules turn positions into
     offers and bids and map accepted reserve back onto units or windows; this
-    loop only hands each actor its share of the accepted fractions."""
+    loop only hands each actor its share of the accepted fractions.  Twins
+    share one position object per stage (see :func:`_stage_positions`)."""
     config = scenario.config
     t_count = config.periods
+    # what every actor of a stage gets alike
+    producer_shared = dict(
+        fc=fc, price_cap=config.price_cap, non_contracted_price=config.non_contracted_price
+    )
+    retailer_shared = dict(
+        producer_shared, windows=windows, modulation_price=config.modulation_capacity_price
+    )
 
     # stage 1: day-ahead positions and the energy auction
+    retailer_stage1 = _stage_positions(
+        index, "day-ahead", twins, scenario.retailers, optimize_retailer, retailer_shared,
+        lambda p: dict(pins=pins[p.name]),
+    )
+    producer_stage1 = _stage_positions(
+        index, "day-ahead", twins, scenario.producers, optimize_producer, producer_shared,
+        lambda p: dict(pins=pins[p.name]),
+    )
     offers: list[EnergyOffer] = []
-    retailer_stage1 = {}
     for portfolio in scenario.retailers:
-        with _stage_guard(index, "day-ahead", portfolio.name):
-            position = optimize_retailer(
-                portfolio,
-                fc,
-                config.price_cap,
-                config.non_contracted_price,
-                windows=windows,
-                modulation_price=config.modulation_capacity_price,
-                pins=pins[portfolio.name],
-            )
-        retailer_stage1[portfolio.name] = position
-        offers.extend(retailer_demand_offers(position, portfolio, config.price_cap))
-    producer_stage1 = {}
+        offers.extend(
+            retailer_demand_offers(retailer_stage1[portfolio.name], portfolio, config.price_cap)
+        )
     for portfolio in scenario.producers:
-        with _stage_guard(index, "day-ahead", portfolio.name):
-            position = optimize_producer(
-                portfolio, fc, config.price_cap, config.non_contracted_price,
-                pins=pins[portfolio.name],
-            )
-        producer_stage1[portfolio.name] = position
-        offers.extend(producer_energy_offers(position, portfolio, fc))
+        offers.extend(producer_energy_offers(producer_stage1[portfolio.name], portfolio, fc))
 
     with _stage_guard(index, "energy-clearing", "market"):
         clearing = energy_market.clear(offers, t_count, config.price_cap)
@@ -225,20 +231,14 @@ def _play_round(index, scenario, fc, windows, pins):
         cleared_consumption += clearing.demand_of(portfolio.name)
     required = config.reserve_rate * cleared_consumption
 
-    classical = {}
-    producer_stage2 = {}
-    for portfolio in scenario.producers:
-        with _stage_guard(index, "reserve-bidding", portfolio.name):
-            position = optimize_producer(
-                portfolio,
-                fc,
-                config.price_cap,
-                config.non_contracted_price,
-                fixed_sale=clearing.supply_of(portfolio.name),
-                pins=pins[portfolio.name],
-            )
-        producer_stage2[portfolio.name] = position
-        classical[portfolio.name] = producer_reserve_bids(position, portfolio)
+    producer_stage2 = _stage_positions(
+        index, "reserve-bidding", twins, scenario.producers, optimize_producer, producer_shared,
+        lambda p: dict(fixed_sale=clearing.supply_of(p.name), pins=pins[p.name]),
+    )
+    classical = {
+        portfolio.name: producer_reserve_bids(producer_stage2[portfolio.name], portfolio)
+        for portfolio in scenario.producers
+    }
     modulation = {
         portfolio.name: retailer_band_bids(
             retailer_stage1[portfolio.name], portfolio, config.modulation_efficiency
@@ -258,37 +258,26 @@ def _play_round(index, scenario, fc, windows, pins):
     modulation_fraction = _per_actor(procurement.modulation_fraction, modulation)
 
     # stage 3: reposition against cleared quantities
-    producer_final = {}
-    for portfolio in scenario.producers:
-        with _stage_guard(index, "reposition", portfolio.name):
-            producer_final[portfolio.name] = optimize_producer(
-                portfolio,
-                fc,
-                config.price_cap,
-                config.non_contracted_price,
-                fixed_sale=clearing.supply_of(portfolio.name),
-                fixed_reserve=producer_accepted_reserve(
-                    producer_stage2[portfolio.name], classical_fraction[portfolio.name]
-                ),
-                pins=pins[portfolio.name],
-            )
-
-    retailer_final = {}
-    for portfolio in scenario.retailers:
-        with _stage_guard(index, "reposition", portfolio.name):
-            retailer_final[portfolio.name] = optimize_retailer(
-                portfolio,
-                fc,
-                config.price_cap,
-                config.non_contracted_price,
-                windows=windows,
-                modulation_price=config.modulation_capacity_price,
-                fixed_demand=clearing.demand_of(portfolio.name),
-                fixed_amplitudes=retailer_accepted_amplitudes(
-                    retailer_stage1[portfolio.name], modulation_fraction[portfolio.name]
-                ),
-                pins=pins[portfolio.name],
-            )
+    producer_final = _stage_positions(
+        index, "reposition", twins, scenario.producers, optimize_producer, producer_shared,
+        lambda p: dict(
+            fixed_sale=clearing.supply_of(p.name),
+            fixed_reserve=producer_accepted_reserve(
+                producer_stage2[p.name], classical_fraction[p.name]
+            ),
+            pins=pins[p.name],
+        ),
+    )
+    retailer_final = _stage_positions(
+        index, "reposition", twins, scenario.retailers, optimize_retailer, retailer_shared,
+        lambda p: dict(
+            fixed_demand=clearing.demand_of(p.name),
+            fixed_amplitudes=retailer_accepted_amplitudes(
+                retailer_stage1[p.name], modulation_fraction[p.name]
+            ),
+            pins=pins[p.name],
+        ),
+    )
 
     # settlement of the resulting system imbalance
     system = np.zeros(t_count)
@@ -329,6 +318,52 @@ def _play_round(index, scenario, fc, windows, pins):
         ),
         state=state,
     )
+
+
+def _stage_positions(index, stage, twins, portfolios, optimize, shared, actor_inputs):
+    """Each actor's position in one stage of round ``index``:
+    ``optimize(portfolio, **shared, **actor_inputs(portfolio))``.
+
+    ``shared`` is what every actor of the stage gets alike (the forecast,
+    windows and prices) and ``actor_inputs`` gives an actor's own arrays
+    (its pins and fixed quantities).  Twins (equal ``twins`` group) whose
+    own arrays are equal too build the same model, so ``optimize`` runs for
+    the first of them and the others share its position.
+    """
+    positions, solved = {}, {}
+    for portfolio in portfolios:
+        with _stage_guard(index, stage, portfolio.name):
+            inputs = actor_inputs(portfolio)
+            key = (twins[portfolio.name], *(value.tobytes() for value in inputs.values()))
+            if key not in solved:
+                solved[key] = optimize(portfolio, **shared, **inputs)
+        positions[portfolio.name] = solved[key]
+    return positions
+
+
+def _twin_groups(portfolios) -> dict[str, int]:
+    """Each portfolio's group: the index of the first portfolio equal to it
+    in every field but the names of it and of its loads or units."""
+    first: dict[tuple, int] = {}
+    return {
+        portfolio.name: first.setdefault(_twin_key(portfolio), k)
+        for k, portfolio in enumerate(portfolios)
+    }
+
+
+def _twin_key(value):
+    """A key equal for two values exactly when they agree in every dataclass
+    field but ``name``, down to the bits of each number."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__qualname__,) + tuple(
+            _twin_key(getattr(value, f.name)) for f in dataclasses.fields(value) if f.name != "name"
+        )
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_twin_key, value))
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    # repr tells -0.0 from 0.0 and every float from its neighbours
+    return (type(value).__qualname__, repr(value))
 
 
 def _per_actor(fractions: np.ndarray, bids: dict[str, list]) -> dict[str, np.ndarray]:

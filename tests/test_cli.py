@@ -244,6 +244,14 @@ def test_verify_runs_clean():
     assert main(["verify", "--loads", "2", "--samples", "100", "--seed", "3"]) == 0
 
 
+def test_package_runs_as_a_module():
+    from test_package import run_python
+
+    result = run_python("-m", "flexmarket", "--help")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage:")
+
+
 @pytest.mark.parametrize("flag", ["--loads", "--samples"])
 @pytest.mark.parametrize("value", ["0", "-5", "many"])
 def test_verify_rejects_counts_below_one(capsys, flag, value):

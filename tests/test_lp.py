@@ -18,9 +18,7 @@ from flexmarket.lp import (
     _check_highs_result,
     _highs_solve,
     solve,
-    solve_memo,
 )
-import flexmarket.lp as lp_module
 
 from oracles import enumerate_lp_optimum, random_box_lp
 
@@ -189,124 +187,6 @@ def test_identical_inputs_give_identical_solutions():
 
 
 # ---------------------------------------------------------------------------
-# the solve memo
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def highs_calls(monkeypatch):
-    """Counts the models that reach HiGHS."""
-    calls = []
-
-    def counting(lp):
-        calls.append(lp)
-        return _highs_solve(lp)
-
-    monkeypatch.setattr(lp_module, "_highs_solve", counting)
-    return calls
-
-
-def memo_model(
-    coefficient=2.0,
-    lower=0.0,
-    upper=4.0,
-    rhs=3.0,
-    cost=1.0,
-    relation=GREATER_EQUAL,
-    sense="min",
-    term_rows=(0, 0),
-    term_columns=(0, 1),
-):
-    """Three variables (the last two alike), two rows: ``coefficient * x0 +
-    x1 relation rhs`` and an empty row ``0 relation 0``.  ``term_rows`` and
-    ``term_columns`` move a term to the other row or to ``x2``."""
-    lp = LinearProgram(sense=sense)
-    x = lp.add_variables(3, lower, [upper, 5.0, 5.0])
-    lp.add_objectives(x, [cost, 2.0, 2.0])
-    lp.add_constraints(
-        [(term_rows, x[list(term_columns)], [coefficient, 1.0])], relation, [rhs, 0.0]
-    )
-    return lp
-
-
-def test_memo_solves_identical_models_once(highs_calls):
-    with solve_memo():
-        first = solve(memo_model())
-        second = solve(memo_model())
-        assert len(highs_calls) == 1
-        assert second.iterations == 0
-        assert second.status == first.status == "optimal"
-        assert second.objective == first.objective
-        assert np.array_equal(first.x, second.x)
-        expected = second.x.copy()
-        first.x[:] = -1.0
-        assert np.array_equal(second.x, expected)
-        second.x[:] = -2.0
-        assert np.array_equal(solve(memo_model()).x, expected)
-    assert len(highs_calls) == 1
-
-
-def _next_up(value):
-    return float(np.nextafter(value, INF))
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        dict(coefficient=_next_up(2.0)),
-        dict(term_rows=(0, 1)),
-        dict(term_columns=(0, 2)),
-        dict(lower=_next_up(0.0)),
-        dict(upper=_next_up(4.0)),
-        dict(rhs=_next_up(3.0)),
-        dict(cost=_next_up(1.0)),
-        dict(relation=EQUAL),
-        dict(sense="max"),
-    ],
-    ids=[
-        "coefficient", "row", "column", "lower", "upper", "rhs", "objective", "relation", "sense"
-    ],
-)
-def test_memo_misses_any_changed_model(highs_calls, change):
-    with solve_memo():
-        solve(memo_model())
-        solve(memo_model(**change))
-    assert len(highs_calls) == 2
-
-
-def test_memo_reuses_nothing_outside_its_scope(highs_calls):
-    solve(memo_model())
-    solve(memo_model())
-    assert len(highs_calls) == 2
-    with pytest.raises(KeyError):
-        with solve_memo():
-            solve(memo_model())
-            raise KeyError("round failed")
-    assert len(highs_calls) == 3
-    solve(memo_model())
-    with solve_memo():
-        solve(memo_model())
-    assert len(highs_calls) == 5
-
-
-def test_memo_never_stores_a_solve_that_raised(monkeypatch):
-    calls = []
-
-    def failing_once(lp):
-        calls.append(lp)
-        if len(calls) == 1:
-            raise RuntimeError("highs failed")
-        return _highs_solve(lp)
-
-    monkeypatch.setattr(lp_module, "_highs_solve", failing_once)
-    with solve_memo():
-        with pytest.raises(RuntimeError):
-            solve(memo_model())
-        assert solve(memo_model()).status == "optimal"
-    assert len(calls) == 2
-
-
-# ---------------------------------------------------------------------------
 # the triplet store and the sparse path, against the row-by-row references
 # ---------------------------------------------------------------------------
 
@@ -407,6 +287,109 @@ def test_repeated_terms_sum_and_cancelled_terms_leave_no_zero():
     assert a.nnz == 3 and np.all(a.data != 0.0)
     assert relations.tolist() == [LESS_EQUAL, EQUAL, GREATER_EQUAL]
     assert np.array_equal(lp.dense_rows()[0], a.toarray())
+
+
+def reference_highs_columns(lp):
+    """The arrays ``_highs_solve`` handed HiGHS when scipy.sparse built them:
+    the CSR matrix, its rows in linprog's order, the ``>=`` rows negated, then
+    converted to CSC.  Returns (start, index, value, row_lower, row_upper)."""
+    a, relations, b = lp.sparse_rows()
+    ub_rows = np.flatnonzero(relations == LESS_EQUAL)
+    ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
+    eq_rows = np.flatnonzero(relations == EQUAL)
+    n_ineq = ub_rows.size + ge_rows.size
+    a = a[np.concatenate([ub_rows, ge_rows, eq_rows])]
+    a.data[a.indptr[ub_rows.size]:a.indptr[n_ineq]] *= -1.0
+    a = a.tocsc()
+    row_upper = np.concatenate([b[ub_rows], -b[ge_rows], b[eq_rows]])
+    row_lower = np.concatenate([np.full(n_ineq, -INF), b[eq_rows]])
+    return a.indptr, a.indices, a.data, row_lower, row_upper
+
+
+def assert_columns_match_reference(lp):
+    columns = lp.highs_columns()
+    actual = (columns.start, columns.index, columns.value, columns.row_lower, columns.row_upper)
+    names = ("start", "index", "value", "row_lower", "row_upper")
+    for name, got, expected in zip(names, actual, reference_highs_columns(lp)):
+        # HiGHS takes int32 indices; scipy picks its index width itself
+        assert got.dtype == (np.int32 if expected.dtype.kind == "i" else np.float64), name
+        # bitwise, so that -0.0 and 0.0 differ as they would for HiGHS
+        assert got.tobytes() == expected.astype(got.dtype).tobytes(), (lp.name, name)
+    assert columns.n_ineq == np.sum(columns.row_lower == -INF)
+    assert np.array_equal(np.diff(columns.start), np.bincount(columns.column, minlength=lp.n_variables))
+
+
+def test_highs_columns_match_scipy_on_random_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        assert_columns_match_reference(random_box_lp(rng, max_vars=8, max_rows=8))
+
+
+def repeated_terms_lp(rng, repeats):
+    """A random model in which each (row, column) pair takes 1 to ``repeats``
+    terms of mixed magnitude, so that the order of summation shows in the
+    last bit, or two terms that cancel, all added in a shuffled order.
+
+    Rows hold at most 16 terms: on longer rows scipy sums repeated terms in
+    whatever order its unstable C++ sort leaves them."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+    lp = LinearProgram(name=f"repeats-{repeats}")
+    x = lp.add_variables(n, -1.0, 1.0)
+    rows, columns, values = [], [], []
+    for row in range(m):
+        for column in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False):
+            if rng.random() < 0.25:
+                terms = rng.standard_normal(1) * [1.0, -1.0]
+            else:
+                count = int(rng.integers(1, repeats + 1))
+                terms = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 9, count)
+            rows += [row] * terms.size
+            columns += [column] * terms.size
+            values += list(terms)
+    shuffled = rng.permutation(len(values))
+    lp.add_constraints(
+        [(np.array(rows)[shuffled], x[columns][shuffled], np.array(values)[shuffled])],
+        rng.choice([LESS_EQUAL, GREATER_EQUAL, EQUAL], size=m),
+        rng.uniform(-1.0, 1.0, size=m),
+    )
+    return lp
+
+
+@pytest.mark.parametrize("repeats", [2, 3])
+def test_highs_columns_match_scipy_on_repeated_and_cancelled_terms(repeats):
+    rng = np.random.default_rng(repeats)
+    cancelled = 0
+    for _ in range(300):
+        lp = repeated_terms_lp(rng, repeats)
+        assert_columns_match_reference(lp)
+        rows, columns, _ = lp._terms[0]
+        cancelled += np.unique(rows * lp.n_variables + columns).size > lp.highs_columns().value.size
+    assert cancelled > 0
+
+
+def test_highs_columns_of_models_without_rows_or_terms():
+    lp = LinearProgram(sense="max")
+    x = lp.add_variables(3, 0.0, 1.0)
+    lp.add_objectives(x, 1.0)
+    assert_columns_match_reference(lp)
+    assert lp.highs_columns().start.tolist() == [0, 0, 0, 0]
+    # an empty row and one whose terms cancel: rows without a nonzero
+    lp.add_constraints([], LESS_EQUAL, [0.0])
+    lp.add_constraints([([0, 0], x[1], [2.0, -2.0])], GREATER_EQUAL, [-1.0])
+    assert_columns_match_reference(lp)
+    assert lp.highs_columns().index.size == 0
+    assert solve(lp).values(x) == pytest.approx([1.0, 1.0, 1.0])
+    lp.add_constraints([], GREATER_EQUAL, [1.0])
+    assert solve(lp).status == "infeasible"
+
+
+def test_highs_columns_match_scipy_on_agent_models():
+    from test_agents import capture_agent_models
+
+    models = capture_agent_models()
+    assert len(models) == 7
+    for lp in models.values():
+        assert_columns_match_reference(lp)
 
 
 def test_block_calls_build_rows_and_objective():

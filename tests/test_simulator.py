@@ -1,5 +1,5 @@
-import contextlib
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -242,65 +242,209 @@ def test_running_a_scenario_twice_repeats_the_first_run():
         assert same_fields(scenario.retailers, fresh.retailers)
 
 
-def test_solve_memo_changes_no_outcome_and_ends_with_the_run(monkeypatch):
-    # symmetric retailers with bands hand HiGHS identical models in a round
+# ---------------------------------------------------------------------------
+# twins: actors equal but for their names, solved once per stage
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def agent_calls(monkeypatch):
+    """The agent calls of a run, as (kind, names of the fixed quantities)
+    pairs, and the number of HiGHS calls."""
+    calls = {"agents": [], "highs": 0}
+    highs_solve = lp._highs_solve
+
+    def counting_highs(model):
+        calls["highs"] += 1
+        return highs_solve(model)
+
+    def counting(kind, optimize):
+        def call(portfolio, **kwargs):
+            fixed = sorted(k for k in kwargs if k.startswith("fixed_"))
+            calls["agents"].append((kind, tuple(fixed)))
+            return optimize(portfolio, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(lp, "_highs_solve", counting_highs)
+    monkeypatch.setattr(
+        simulator, "optimize_retailer", counting("retailer", simulator.optimize_retailer)
+    )
+    monkeypatch.setattr(
+        simulator, "optimize_producer", counting("producer", simulator.optimize_producer)
+    )
+    return calls
+
+
+def no_twins(portfolios):
+    return {portfolio.name: k for k, portfolio in enumerate(portfolios)}
+
+
+def test_twins_change_no_outcome_and_a_second_run_repeats_the_solves(monkeypatch, agent_calls):
+    # the generated retailers are twins; with bands on they build the
+    # largest models of a round
     config = small_config(
         setting="open", flexibility_rate=0.30, retailer_count=3, loads_per_retailer=2,
         bid_block_length=2, max_rounds=6,
     )
-    counts = {"solve": 0, "highs": 0}
-    highs_solve, solve = lp._highs_solve, lp.solve
+    shared = run(config)
+    first = {"agents": len(agent_calls["agents"]), "highs": agent_calls["highs"]}
+    retailer_calls = sum(kind == "retailer" for kind, _ in agent_calls["agents"])
+    assert retailer_calls < 2 * config.retailer_count * len(shared.rounds)
 
-    def counting_highs(model):
-        counts["highs"] += 1
-        return highs_solve(model)
-
-    def counting_solve(model):
-        counts["solve"] += 1
-        return solve(model)
-
-    monkeypatch.setattr(lp, "_highs_solve", counting_highs)
-    for caller in ("agents.producer", "agents.retailer", "reserve_market", "imbalance"):
-        monkeypatch.setattr(f"flexmarket.{caller}.solve", counting_solve)
-
-    memoised = run(config)
-    first = dict(counts)
-    assert first["highs"] < first["solve"]
-    counts.update(solve=0, highs=0)
+    agent_calls.update(agents=[], highs=0)
     run(config)
-    assert counts == first, "a second run must not reuse the first run's solves"
+    assert {"agents": len(agent_calls["agents"]), "highs": agent_calls["highs"]} == first
 
-    monkeypatch.setattr(lp, "solve_memo", contextlib.nullcontext)
+    monkeypatch.setattr(simulator, "_twin_groups", no_twins)
+    agent_calls.update(agents=[], highs=0)
     plain = run(config)
-    assert memoised.termination == plain.termination
-    assert (memoised.cycle_start, memoised.cycle_length) == (plain.cycle_start, plain.cycle_length)
-    assert len(memoised.rounds) == len(plain.rounds)
-    for a, b in zip(memoised.rounds, plain.rounds):
-        for name in ("energy_price", "tariff_up", "tariff_down", "state"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert same_fields(a.retailer_positions, b.retailer_positions)
-        assert same_fields(a.producer_positions, b.producer_positions)
-        assert same_fields(a.procurement, b.procurement)
-        assert same_fields(a.settlement, b.settlement)
-        assert a.metrics.as_tuple() == b.metrics.as_tuple()
-    assert memoised.cycle_metrics.as_tuple() == plain.cycle_metrics.as_tuple()
+    assert len(agent_calls["agents"]) == len(plain.rounds) * (
+        2 * config.retailer_count + 3 * config.producer_count
+    )
+    assert shared.termination == plain.termination
+    assert (shared.cycle_start, shared.cycle_length) == (plain.cycle_start, plain.cycle_length)
+    assert len(shared.rounds) == len(plain.rounds)
+    for a, b in zip(shared.rounds, plain.rounds):
+        assert same_fields(a, b)
+    assert shared.cycle_metrics.as_tuple() == plain.cycle_metrics.as_tuple()
 
 
-def test_solve_memo_holds_one_round(monkeypatch):
-    # a memo that outlives its round keeps every solution of a run that
-    # never terminates
+def test_twins_reuse_nothing_across_rounds(monkeypatch, agent_calls):
+    # the fixed point repeats every input of a round, so a memo that
+    # outlived its round would answer all of the next one
+    config = small_config(flexibility_rate=0.0, producer_count=1, retailer_count=1)
     play_round = simulator._play_round
-    started = []
+    per_round = []
 
-    def checked(index, *args):
-        assert lp._memo.get() == {}, f"round {index} starts with a used memo"
-        started.append(index)
-        return play_round(index, *args)
+    def counted(*args):
+        before = len(agent_calls["agents"])
+        record = play_round(*args)
+        per_round.append(agent_calls["agents"][before:])
+        return record
 
-    monkeypatch.setattr(simulator, "_play_round", checked)
-    outcome = run(small_config(setting="open", max_rounds=4))
-    assert started == list(range(len(outcome.rounds)))
-    assert len(started) >= 2
+    monkeypatch.setattr(simulator, "_play_round", counted)
+    outcome = run(config, scenario=flat_cost_scenario(config))
+    assert len(outcome.rounds) >= 3
+    assert np.array_equal(outcome.rounds[-1].state, outcome.rounds[-2].state)
+    for calls in per_round:
+        assert sorted(calls) == sorted([
+            ("retailer", ()),
+            ("retailer", ("fixed_amplitudes", "fixed_demand")),
+            ("producer", ()),
+            ("producer", ("fixed_sale",)),
+            ("producer", ("fixed_reserve", "fixed_sale")),
+        ])
+
+
+def renamed(portfolio, name):
+    """A twin of ``portfolio``: every name changed, its loads' and units' too."""
+    parts = {
+        f.name: [dataclasses.replace(part, name=f"{name}-{part.name}") for part in value]
+        for f in dataclasses.fields(portfolio)
+        if isinstance(value := getattr(portfolio, f.name), list)
+    }
+    return dataclasses.replace(portfolio, name=name, **parts)
+
+
+def twin_scenario():
+    """One generated retailer and producer, each with a renamed twin."""
+    config = small_config(
+        retailer_count=1, producer_count=1, loads_per_retailer=1, max_rounds=1,
+    )
+    base = generate_scenario(config)
+    return Scenario(
+        config=config,
+        retailers=[*base.retailers, renamed(base.retailers[0], "retailer-2")],
+        producers=[*base.producers, renamed(base.producers[0], "producer-2")],
+        demand=base.demand,
+    )
+
+
+def twin_fields():
+    """Every field of a portfolio other than a name, as (kind, list field or
+    None, field), the fields of loads and units included."""
+    scenario = twin_scenario()
+    out = []
+    for kind, portfolio in (("retailer", scenario.retailers[0]), ("producer", scenario.producers[0])):
+        for f in dataclasses.fields(portfolio):
+            value = getattr(portfolio, f.name)
+            if isinstance(value, list):
+                out += [(kind, f.name, g.name) for g in dataclasses.fields(value[0]) if g.name != "name"]
+            elif f.name != "name":
+                out.append((kind, None, f.name))
+    return out
+
+
+def nudged(value, field_name):
+    """``value`` with its first number moved to the next float, downward
+    where the next one up would be rejected."""
+    down = field_name in ("efficiency", "total_min")
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[0] = np.nextafter(value.flat[0], -np.inf if down else np.inf)
+        return value
+    return float(np.nextafter(value, -np.inf if down else np.inf))
+
+
+def day_ahead_calls(calls):
+    return sorted(kind for kind, fixed in calls["agents"] if not fixed)
+
+
+def test_twins_are_solved_once_per_stage(agent_calls):
+    scenario = twin_scenario()
+    run(scenario.config, scenario)
+    assert day_ahead_calls(agent_calls) == ["producer", "retailer"]
+
+
+@pytest.mark.parametrize(
+    "kind, part, name", twin_fields(), ids=lambda v: "-" if v is None else str(v)
+)
+def test_a_portfolio_differing_in_any_field_is_solved_on_its_own(agent_calls, kind, part, name):
+    scenario = twin_scenario()
+    actors = scenario.retailers if kind == "retailer" else scenario.producers
+    twin = actors[1]
+    if part is None:
+        changed = dataclasses.replace(twin, **{name: nudged(getattr(twin, name), name)})
+    else:
+        first, *rest = getattr(twin, part)
+        first = dataclasses.replace(first, **{name: nudged(getattr(first, name), name)})
+        changed = dataclasses.replace(twin, **{part: [first, *rest]})
+    actors[1] = changed
+    assert simulator._twin_groups(actors) == {actors[0].name: 0, changed.name: 1}
+    run(scenario.config, scenario)
+    assert day_ahead_calls(agent_calls) == sorted(["producer", "retailer", kind])
+
+
+def next_float(value):
+    return np.nextafter(value, -np.inf if value > 0 else np.inf)
+
+
+@pytest.mark.parametrize("changed", ["pins", "fixed_sale", "fixed_reserve"])
+def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(changed):
+    actors = [types.SimpleNamespace(name=name) for name in "abc"]
+    inputs = {
+        name: dict(
+            fixed_sale=np.arange(4.0),
+            fixed_reserve=np.ones((2, 4, 2)),
+            pins=np.full((3, 4), np.inf),
+        )
+        for name in "abc"
+    }
+    value = inputs["b"][changed] = inputs["b"][changed].copy()
+    value.flat[-1] = next_float(value.flat[-1])
+    solved = []
+
+    def optimize(portfolio, **kwargs):
+        solved.append(portfolio.name)
+        return object()
+
+    positions = simulator._stage_positions(
+        0, "reposition", dict.fromkeys("abc", 0), actors, optimize, {},
+        lambda portfolio: inputs[portfolio.name],
+    )
+    assert solved == ["a", "b"]
+    assert positions["c"] is positions["a"] is not positions["b"]
 
 
 def test_reported_cycle_reverifies_against_records():
