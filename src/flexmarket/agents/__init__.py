@@ -1,5 +1,5 @@
 from .tank import CoverageReport, TankLoad, random_feasible_modulation, verify_scenario_coverage
-from .forecast import ForecastParameters, PriceForecast, ThresholdTrack, exponential_mean, forecast
+from .forecast import PriceForecast, ThresholdTrack, exponential_mean, forecast
 from .retailer import RetailerPortfolio, RetailerPosition, optimize_retailer
 from .producer import (
     GenerationUnit,
@@ -15,7 +15,6 @@ __all__ = [
     "TankLoad",
     "random_feasible_modulation",
     "verify_scenario_coverage",
-    "ForecastParameters",
     "PriceForecast",
     "ThresholdTrack",
     "exponential_mean",

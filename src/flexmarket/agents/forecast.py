@@ -1,32 +1,27 @@
 """Price forecasting and threshold learning shared by all actors.
 
-Forecasts are exponentially weighted means over a trailing window of
-realized prices, with two repairs: an energy price that hit the cap is
-replaced by the last uncapped one, and an imbalance tariff that came out
-zero or at the fallback price is replaced by the last ordinary one.  The
-fact that an extreme was observed still reaches the optimization models,
-through thresholds: an actor that saw the extreme pins the offending
-volume slightly below what it submitted, and forgets the pin after enough
-quiet rounds.  The pins are learning state of a run: the simulator owns one
-:class:`ThresholdTrack` over (actors, pinned quantities, periods), and the
-optimization models see only each actor's pin values.
+The run records one (3, periods) row of prices per round: the energy price,
+the upward and the downward imbalance tariff.  Forecasts are exponentially
+weighted means over a trailing window of these rows, with one repair: an
+extreme price (an energy price at the cap, a tariff at zero or at the
+fallback price) is replaced by the last ordinary one of its row and period.
+The fact that an extreme was observed still reaches the optimization
+models, through thresholds: an actor that saw the extreme pins the
+offending volume slightly below what it submitted, and forgets the pin
+after enough quiet rounds.  The pins are learning state of a run: the
+simulator owns one :class:`ThresholdTrack` over (actors, pinned quantities,
+periods), and the optimization models see only each actor's pin values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-@dataclass
-class ForecastParameters:
-    alpha: float = 0.5            # per-round decay of the exponential mean
-    window: int = 24              # rounds of history considered
-    price_cap: float = 3000.0
-    non_contracted_price: float = 500.0
-    energy_seed: float = 52.5     # used until a usable observation exists
-    tariff_seed: float = 50.0
+if TYPE_CHECKING:
+    from ..scenario import ScenarioConfig
 
 
 @dataclass
@@ -38,46 +33,41 @@ class PriceForecast:
     imbalance_down: np.ndarray
 
 
-def extreme_prices(
-    energy: np.ndarray,
-    tariff_up: np.ndarray,
-    tariff_down: np.ndarray,
-    price_cap: float,
-    non_contracted_price: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the energy price hit the cap, and where each imbalance tariff
-    came out zero or at the fallback price, all within 1e-9."""
-
-    def tariff_extreme(tariff):
-        return (tariff <= 1e-9) | (tariff >= non_contracted_price - 1e-9)
-
-    return energy >= price_cap - 1e-9, tariff_extreme(tariff_up), tariff_extreme(tariff_down)
+def _ceilings(config: ScenarioConfig) -> np.ndarray:
+    """The highest energy price, upward and downward tariff, as a (3, 1)
+    column: the cap, then the fallback price twice."""
+    fallback = config.non_contracted_price
+    return np.array([[config.price_cap], [fallback], [fallback]])
 
 
-def exponential_mean(history: np.ndarray, invalid: np.ndarray, alpha: float, window: int, seed: float) -> np.ndarray:
+def extreme_prices(prices: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """Where a price was extreme, for prices stacked as (..., 3, periods)
+    rows of (energy price, upward tariff, downward tariff): an energy price
+    at the cap, a tariff at zero or at the fallback price, all within 1e-9."""
+    low = np.array([[-np.inf], [1e-9], [1e-9]])
+    return (prices <= low) | (prices >= _ceilings(config) - 1e-9)
+
+
+def exponential_mean(
+    history: np.ndarray, invalid: np.ndarray, alpha: float, window: int, seed: np.ndarray
+) -> np.ndarray:
     """Columnwise weighted mean of the last ``window`` rows.
 
     Invalid observations are replaced by the most recent valid one before
-    them; entries with no valid predecessor drop out of the mean.  An empty
-    usable history falls back to ``seed``.
+    them; entries with no valid predecessor drop out of the mean.  A column
+    with no usable entry falls back to its ``seed``.
     """
-    rounds, periods = history.shape
-    replaced = np.empty_like(history)
-    usable = np.zeros_like(invalid, dtype=bool)
-    last = np.full(periods, np.nan)
-    have = np.zeros(periods, dtype=bool)
-    for r in range(rounds):
-        row = history[r]
-        good = ~invalid[r]
-        last = np.where(good, row, last)
-        have = have | good
-        replaced[r] = last
-        usable[r] = have
+    rounds, columns = history.shape
+    # the row of each column's latest valid observation so far, -1 before the first
+    latest = np.maximum.accumulate(np.where(invalid, -1, np.arange(rounds)[:, None]), axis=0)
+    usable = latest >= 0
+    replaced = history[np.maximum(latest, 0), np.arange(columns)]
 
     start = max(0, rounds - window)
-    out = np.full(periods, seed)
+    out = np.array(seed, dtype=float)
     weights = alpha ** np.arange(rounds - start - 1, -1, -1)  # newest gets weight 1
-    for t in range(periods):
+    # column by column: one matrix product would sum in another order
+    for t in range(columns):
         mask = usable[start:, t]
         if not mask.any():
             continue
@@ -86,45 +76,22 @@ def exponential_mean(history: np.ndarray, invalid: np.ndarray, alpha: float, win
     return out
 
 
-def forecast(
-    energy_history: list[np.ndarray],
-    tariff_up_history: list[np.ndarray],
-    tariff_down_history: list[np.ndarray],
-    params: ForecastParameters,
-    periods: int,
-) -> PriceForecast:
-    """Forecasts for the next round from the full price record so far."""
-    if not energy_history:
-        return PriceForecast(
-            energy=np.full(periods, params.energy_seed),
-            imbalance_up=np.full(periods, params.tariff_seed),
-            imbalance_down=np.full(periods, params.tariff_seed),
-        )
-
-    energy = np.vstack(energy_history)
-    up = np.vstack(tariff_up_history)
-    down = np.vstack(tariff_down_history)
-    capped, up_extreme, down_extreme = extreme_prices(
-        energy, up, down, params.price_cap, params.non_contracted_price
+def forecast(history: list[np.ndarray], config: ScenarioConfig) -> PriceForecast:
+    """Forecasts for the next round from the price record so far, one
+    (3, periods) row of (energy price, upward tariff, downward tariff) per
+    round, each clipped to its price range."""
+    periods = config.periods
+    prices = np.reshape(history, (len(history), 3, periods))
+    flat = (len(history), 3 * periods)
+    tariff_seed = config.tariff_seed_price
+    mean = exponential_mean(
+        prices.reshape(flat),
+        extreme_prices(prices, config).reshape(flat),
+        config.forecast_alpha,
+        config.forecast_window,
+        np.repeat([config.energy_seed_price, tariff_seed, tariff_seed], periods),
     )
-
-    return PriceForecast(
-        energy=np.clip(
-            exponential_mean(energy, capped, params.alpha, params.window, params.energy_seed),
-            0.0,
-            params.price_cap,
-        ),
-        imbalance_up=np.clip(
-            exponential_mean(up, up_extreme, params.alpha, params.window, params.tariff_seed),
-            0.0,
-            params.non_contracted_price,
-        ),
-        imbalance_down=np.clip(
-            exponential_mean(down, down_extreme, params.alpha, params.window, params.tariff_seed),
-            0.0,
-            params.non_contracted_price,
-        ),
-    )
+    return PriceForecast(*np.clip(mean.reshape(3, periods), 0.0, _ceilings(config)))
 
 
 @dataclass

@@ -17,10 +17,9 @@ assembles the matrix once per model, in numpy, straight from the triplets:
 the column-wise arrays HiGHS takes, with the rows in ``linprog``'s order
 (``<=`` rows, negated ``>=`` rows, ``==`` rows), repeated terms summed and
 cancelled ones dropped.  The same arrays give the row activity of the
-feasibility check.  :meth:`~LinearProgram.sparse_rows` and
-:meth:`~LinearProgram.dense_rows` are read only by the test oracles and the
-benchmark tracer.  scipy is imported only when a model is solved, so
-importing this package loads none of it.
+feasibility check.  :meth:`~LinearProgram.dense_rows` is read only by the
+test oracles and the benchmark tracer.  scipy is imported only when a model
+is solved, so importing this package loads none of it.
 
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
@@ -82,7 +81,6 @@ class LinearProgram:
         self._objective = [(np.zeros(0, np.intp), np.zeros(0))]
         self._terms = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
         self._rows = [(np.zeros(0, "<U2"), np.zeros(0))]
-        self._matrix = None
         self._columns = None
 
     # -- model building ----------------------------------------------------
@@ -103,7 +101,7 @@ class LinearProgram:
         start = self._n_variables
         self._bounds.append((lower, upper))
         self._n_variables += count
-        self._matrix = self._columns = None
+        self._columns = None
         return np.arange(start, start + count)
 
     def add_objectives(self, variables, coefficients) -> None:
@@ -141,7 +139,7 @@ class LinearProgram:
         self._terms.append((rows + start, columns, coefficients))
         self._rows.append((_series(relations, count, "<U2"), rhs))
         self._n_constraints += count
-        self._matrix = self._columns = None
+        self._columns = None
         return np.arange(start, start + count)
 
     def _check_handles(self, handles: np.ndarray) -> None:
@@ -208,22 +206,6 @@ class LinearProgram:
                 n_ineq=n_ineq,
             )
         return self._columns
-
-    def sparse_rows(self):
-        """(A, relations, b): A as a CSR array with repeated terms summed and
-        cancelled ones dropped, kept until the model changes; ``relations``
-        is an array of relation strings."""
-        if self._matrix is None:
-            from scipy.sparse import csr_array
-
-            rows, columns, coefficients = _joined(self._terms)
-            shape = (self._n_constraints, self._n_variables)
-            matrix = csr_array((coefficients, (rows, columns)), shape=shape)
-            matrix.sum_duplicates()
-            matrix.eliminate_zeros()
-            self._matrix = matrix
-        relations, rhs = _joined(self._rows)
-        return self._matrix, relations, rhs
 
     def dense_rows(self) -> tuple[np.ndarray, list[str], np.ndarray]:
         """(A, relations, b) with one dense row per constraint, for the test

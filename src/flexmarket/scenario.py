@@ -103,6 +103,7 @@ class ScenarioConfig:
             "modulation_capacity_price", "reserve_rate", "mean_consumption",
             "imbalance_limit_fraction", "tank_span_hours",
             "slow_units_per_producer", "fast_units_per_producer", "slow_ramp_fraction",
+            "slow_capacity_factor", "fast_capacity_factor", "slow_cost_low", "fast_cost_low",
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
@@ -110,9 +111,17 @@ class ScenarioConfig:
             raise ConfigurationError("modulation efficiency must lie in (0, 1]")
         if not 0.0 <= self.forecast_alpha <= 1.0:
             raise ConfigurationError("forecast_alpha must lie in [0, 1]")
+        # unit costs are offer prices, which the auction takes in [0, price_cap]
         for fleet in ("slow", "fast"):
             if getattr(self, f"{fleet}_cost_low") > getattr(self, f"{fleet}_cost_high"):
                 raise ConfigurationError(f"{fleet}_cost_low must not exceed {fleet}_cost_high")
+            if getattr(self, f"{fleet}_cost_high") > self.price_cap:
+                raise ConfigurationError(f"{fleet}_cost_high must not exceed price_cap")
+        # the first forecast is the seeds, later ones are clipped to these ranges
+        if not 0.0 <= self.energy_seed_price <= self.price_cap:
+            raise ConfigurationError("energy_seed_price must lie in [0, price_cap]")
+        if not 0.0 <= self.tariff_seed_price <= self.non_contracted_price:
+            raise ConfigurationError("tariff_seed_price must lie in [0, non_contracted_price]")
         if self.producer_count < 1 or self.retailer_count < 1:
             raise ConfigurationError("need at least one producer and one retailer")
         if self.slow_units_per_producer + self.fast_units_per_producer < 1:
@@ -151,7 +160,6 @@ class Scenario:
     config: ScenarioConfig
     producers: list[ProducerPortfolio]
     retailers: list[RetailerPortfolio]
-    demand: np.ndarray
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
@@ -240,7 +248,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
             )
         )
 
-    return Scenario(config=config, producers=producers, retailers=retailers, demand=demand)
+    return Scenario(config=config, producers=producers, retailers=retailers)
 
 
 def _merit_order_dispatch(costs: list[float], capacity: float, level: float) -> list[float]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import energy_market, imbalance
-from .agents import ForecastParameters, ThresholdTrack
+from .agents import ThresholdTrack
 from .agents.forecast import extreme_prices, forecast as make_forecast
 from .agents.producer import (
     fleet_capacity,
@@ -78,7 +78,6 @@ class RoundRecord:
     tariff_up: np.ndarray
     tariff_down: np.ndarray
     submitted_demand: dict[str, np.ndarray]
-    submitted_sale: dict[str, np.ndarray]
     retailer_positions: dict[str, object]
     producer_positions: dict[str, object]
     offers: list[EnergyOffer]
@@ -120,15 +119,6 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     config.validate()
     if scenario is None:
         scenario = generate_scenario(config)
-    t_count = config.periods
-    params = ForecastParameters(
-        alpha=config.forecast_alpha,
-        window=config.forecast_window,
-        price_cap=config.price_cap,
-        non_contracted_price=config.non_contracted_price,
-        energy_seed=config.energy_seed_price,
-        tariff_seed=config.tariff_seed_price,
-    )
     windows = scenario.config.bid_windows() if config.setting == OPEN else None
     # per actor: the pin on its traded volume (retailer demand, producer
     # minimum sale), then on its upward and its downward imbalance
@@ -136,14 +126,13 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     names = [portfolio.name for portfolio in actors]
     twins = _twin_groups(actors)
     pins = ThresholdTrack(
-        (len(names), 3, t_count),
+        (len(names), 3, config.periods),
         factor=config.threshold_factor,
         forget_after=config.threshold_forget_rounds,
     )
 
-    price_history: list[np.ndarray] = []
-    up_history: list[np.ndarray] = []
-    down_history: list[np.ndarray] = []
+    # per round: the (3, periods) energy price, upward and downward tariff
+    history: list[np.ndarray] = []
     rounds: list[RoundRecord] = []
     states: list[np.ndarray] = []
 
@@ -151,27 +140,22 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     cycle_start = cycle_length = None
 
     for index in range(config.max_rounds):
-        fc = make_forecast(price_history, up_history, down_history, params, t_count)
+        fc = make_forecast(history, config)
         # twins (the generated retailers are all alike) with equal pins and
         # fixed quantities get one solve per stage, within this round only
         record = _play_round(index, scenario, fc, windows, dict(zip(names, pins.value)), twins)
         rounds.append(record)
 
-        _learn(scenario, pins, record, config)
+        observed = np.array([record.energy_price, record.tariff_up, record.tariff_down])
+        history.append(observed)
+        _learn(scenario, pins, record, extreme_prices(observed, config))
         # recurrence needs positions AND the learned state: a position match
         # while a threshold is still counting down to forgetting is not a
         # genuine cycle, the system will leave it again
         states.append(np.concatenate([record.state, pins.state_vector()]))
-        price_history.append(record.energy_price)
-        up_history.append(record.tariff_up)
-        down_history.append(record.tariff_down)
 
-        eps = config.convergence_tolerance
-        if (
-            np.max(np.abs(fc.energy - record.energy_price)) <= eps
-            and np.max(np.abs(fc.imbalance_up - record.tariff_up)) <= eps
-            and np.max(np.abs(fc.imbalance_down - record.tariff_down)) <= eps
-        ):
+        predicted = np.array([fc.energy, fc.imbalance_up, fc.imbalance_down])
+        if np.max(np.abs(predicted - observed)) <= config.convergence_tolerance:
             termination = "converged"
             break
         hit = _match_earlier(states, config.state_tolerance)
@@ -305,7 +289,6 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         tariff_up=tariff_up,
         tariff_down=tariff_down,
         submitted_demand=submitted_demand,
-        submitted_sale=submitted_sale,
         retailer_positions=retailer_final,
         producer_positions=producer_final,
         offers=offers,
@@ -436,18 +419,9 @@ def aggregate_metrics(records: list[RoundRecord]) -> RoundMetrics:
     return RoundMetrics(*[float(v) for v in means])
 
 
-def _learn(scenario: Scenario, pins: ThresholdTrack, record: RoundRecord, config: ScenarioConfig) -> None:
+def _learn(scenario: Scenario, pins: ThresholdTrack, record: RoundRecord, triggered: np.ndarray) -> None:
     """One update of the (actors, 3, periods) pins: the round's (3, periods)
-    extreme-price mask applies to every actor."""
-    triggered = np.array(
-        extreme_prices(
-            record.energy_price,
-            record.tariff_up,
-            record.tariff_down,
-            config.price_cap,
-            config.non_contracted_price,
-        )
-    )
+    extreme-price mask ``triggered`` applies to every actor."""
     # a cap round means the fleet withheld too much at the forecast; the
     # learned floor anchors to what the fleet could deliver, so supply
     # actually returns next round instead of re-pinning the cap

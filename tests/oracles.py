@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from flexmarket.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
+from flexmarket.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, _joined
 
 
 def enumerate_lp_optimum(lp: LinearProgram, feas_tol: float = 1e-9):
@@ -87,6 +87,21 @@ def enumerate_lp_optimum(lp: LinearProgram, feas_tol: float = 1e-9):
     return "optimal", float(best)
 
 
+def sparse_rows(lp: LinearProgram):
+    """(A, relations, b) of ``lp``: A as a CSR array straight from the
+    model's (row, column, coefficient) triplets, with repeated terms summed
+    and cancelled ones dropped; ``relations`` is an array of relation
+    strings."""
+    from scipy.sparse import csr_array
+
+    rows, columns, coefficients = _joined(lp._terms)
+    matrix = csr_array((coefficients, (rows, columns)), shape=(lp.n_constraints, lp.n_variables))
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    relations, rhs = _joined(lp._rows)
+    return matrix, relations, rhs
+
+
 def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6):
     """A random LP over a finite box, mixing relation kinds and densities."""
     n = int(rng.integers(2, max_vars + 1))
@@ -108,6 +123,60 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6
         rhs = float(anchor + rng.uniform(-2.0, 2.0))
         lp.add_constraints([(0, x, coefs)], relation, [rhs])
     return lp
+
+
+def reference_forecast(energy_history, tariff_up_history, tariff_down_history, config):
+    """(energy, upward tariff, downward tariff) forecasts computed one price
+    series at a time, each with its own extreme mask, forward fill and
+    weighted mean, as the simulator forecast them before it stacked the
+    three series into one history."""
+    periods = config.periods
+    if not energy_history:
+        return (
+            np.full(periods, config.energy_seed_price),
+            np.full(periods, config.tariff_seed_price),
+            np.full(periods, config.tariff_seed_price),
+        )
+
+    def tariff_extreme(tariff):
+        return (tariff <= 1e-9) | (tariff >= config.non_contracted_price - 1e-9)
+
+    def mean(history, invalid, seed):
+        rounds = history.shape[0]
+        replaced = np.empty_like(history)
+        usable = np.zeros_like(invalid, dtype=bool)
+        last = np.full(periods, np.nan)
+        have = np.zeros(periods, dtype=bool)
+        for r in range(rounds):
+            good = ~invalid[r]
+            last = np.where(good, history[r], last)
+            have = have | good
+            replaced[r] = last
+            usable[r] = have
+        start = max(0, rounds - config.forecast_window)
+        out = np.full(periods, seed)
+        weights = config.forecast_alpha ** np.arange(rounds - start - 1, -1, -1)
+        for t in range(periods):
+            mask = usable[start:, t]
+            if not mask.any():
+                continue
+            w = weights[mask]
+            out[t] = float(w @ replaced[start:, t][mask] / w.sum())
+        return out
+
+    energy = np.vstack(energy_history)
+    up = np.vstack(tariff_up_history)
+    down = np.vstack(tariff_down_history)
+    tariff_seed, fallback = config.tariff_seed_price, config.non_contracted_price
+    return (
+        np.clip(
+            mean(energy, energy >= config.price_cap - 1e-9, config.energy_seed_price),
+            0.0,
+            config.price_cap,
+        ),
+        np.clip(mean(up, tariff_extreme(up), tariff_seed), 0.0, fallback),
+        np.clip(mean(down, tariff_extreme(down), tariff_seed), 0.0, fallback),
+    )
 
 
 def sweep_auction_oracle(sup, dem, price_cap):

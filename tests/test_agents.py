@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from flexmarket.agents import (
-    ForecastParameters,
     GenerationUnit,
     ProducerPortfolio,
     ProducerPosition,
@@ -30,10 +30,11 @@ from flexmarket.agents.retailer import (
     retailer_demand_offers,
 )
 from flexmarket.energy_market import DEMAND
+from flexmarket.scenario import ScenarioConfig
 
 CAP = 3000.0
 PI_NC = 500.0
-PARAMS = ForecastParameters(price_cap=CAP, non_contracted_price=PI_NC)
+CONFIG = ScenarioConfig(periods=1, price_cap=CAP, non_contracted_price=PI_NC)
 
 
 def flat_forecast(t, energy, imb_up=200.0, imb_down=200.0):
@@ -73,60 +74,114 @@ def retailer(t, nu, loads=(), limit=1000.0, name="ret"):
 # ---------------------------------------------------------------------------
 
 
+def price_rows(energy, up, down):
+    """One-period price history: a (3, 1) row of (energy price, upward
+    tariff, downward tariff) per round."""
+    return [np.array([[e], [u], [d]]) for e, u, d in zip(energy, up, down)]
+
+
 def test_forecast_constant_series():
-    hist = [np.array([50.0]), np.array([50.0]), np.array([50.0])]
-    fc = forecast(hist, hist, hist, PARAMS, periods=1)
+    fc = forecast(price_rows([50.0] * 3, [50.0] * 3, [50.0] * 3), CONFIG)
     assert fc.energy[0] == pytest.approx(50.0)
 
 
 def test_forecast_cap_replaced_by_last_uncapped():
-    hist = [np.array([50.0]), np.array([CAP])]
-    tariffs = [np.array([20.0])] * 2
-    fc = forecast(hist, tariffs, tariffs, PARAMS, periods=1)
+    history = price_rows([50.0, CAP], [20.0] * 2, [20.0] * 2)
+    fc = forecast(history, CONFIG)
     assert fc.energy[0] == pytest.approx(50.0)
-    capped, up_extreme, down_extreme = extreme_prices(
-        np.vstack(hist), np.vstack(tariffs), np.vstack(tariffs), CAP, PI_NC
-    )
-    assert capped[:, 0].tolist() == [False, True]
-    assert not up_extreme.any() and not down_extreme.any()
+    extreme = extreme_prices(np.array(history), CONFIG)
+    assert extreme.shape == (2, 3, 1)
+    assert extreme[:, 0, 0].tolist() == [False, True]
+    assert not extreme[:, 1:].any()
 
 
 def test_forecast_weighted_mean():
-    hist = [np.array([40.0]), np.array([60.0])]
-    fc = forecast(hist, [np.array([20.0])] * 2, [np.array([20.0])] * 2, PARAMS, periods=1)
+    fc = forecast(price_rows([40.0, 60.0], [20.0] * 2, [20.0] * 2), CONFIG)
     assert fc.energy[0] == pytest.approx((0.5 * 40.0 + 1.0 * 60.0) / 1.5)
 
 
 def test_forecast_empty_history_uses_seeds():
-    fc = forecast([], [], [], PARAMS, periods=3)
-    assert np.all(fc.energy == PARAMS.energy_seed)
-    assert np.all(fc.imbalance_up == PARAMS.tariff_seed)
+    fc = forecast([], ScenarioConfig(periods=3))
+    assert np.all(fc.energy == CONFIG.energy_seed_price)
+    assert np.all(fc.imbalance_up == CONFIG.tariff_seed_price)
+    assert fc.energy.shape == fc.imbalance_down.shape == (3,)
 
 
 def test_forecast_all_capped_history_uses_seed():
-    hist = [np.array([CAP]), np.array([CAP])]
-    fc = forecast(hist, [np.array([20.0])] * 2, [np.array([20.0])] * 2, PARAMS, periods=1)
-    assert fc.energy[0] == pytest.approx(PARAMS.energy_seed)
+    fc = forecast(price_rows([CAP, CAP], [20.0] * 2, [20.0] * 2), CONFIG)
+    assert fc.energy[0] == pytest.approx(CONFIG.energy_seed_price)
 
 
 def test_forecast_tariff_extremes_replaced():
-    up = [np.array([30.0]), np.array([0.0]), np.array([PI_NC])]
-    energy = [np.array([50.0])] * 3
-    fc = forecast(energy, up, up, PARAMS, periods=1)
+    up = [30.0, 0.0, PI_NC]
+    history = price_rows([50.0] * 3, up, up)
+    fc = forecast(history, CONFIG)
     assert fc.imbalance_up[0] == pytest.approx(30.0)
-    capped, up_extreme, down_extreme = extreme_prices(
-        np.vstack(energy), np.vstack(up), np.vstack(up), CAP, PI_NC
-    )
-    assert up_extreme[:, 0].tolist() == [False, True, True]
-    assert np.array_equal(down_extreme, up_extreme)
-    assert not capped.any()
+    extreme = extreme_prices(np.array(history), CONFIG)
+    assert extreme[:, 1, 0].tolist() == [False, True, True]
+    assert np.array_equal(extreme[:, 2], extreme[:, 1])
+    assert not extreme[:, 0].any()
 
 
 def test_exponential_mean_window_truncation():
     history = np.array([[10.0], [90.0], [50.0], [50.0]])
     invalid = np.zeros((4, 1), dtype=bool)
-    out = exponential_mean(history, invalid, alpha=0.5, window=2, seed=0.0)
+    out = exponential_mean(history, invalid, alpha=0.5, window=2, seed=[0.0])
     assert out[0] == pytest.approx(50.0)  # the early rows fall outside the window
+
+
+def test_exponential_mean_seeds_each_column_with_no_usable_entry():
+    history = np.array([[10.0, 20.0, 30.0], [12.0, 22.0, 32.0]])
+    invalid = np.array([[True, False, True], [True, True, False]])
+    out = exponential_mean(history, invalid, alpha=0.5, window=4, seed=[1.0, 2.0, 3.0])
+    # column 0 never had a valid entry; column 1 carries 20 forward
+    assert out.tolist() == [1.0, 20.0, 32.0]
+
+
+def random_price_history(rng, config):
+    """(3, periods) price rows mixing ordinary prices (a zero energy price
+    among them) with every kind of extreme: the energy price at or within
+    1e-9 of the cap, tariffs at or near zero and at the fallback price, and
+    whole periods with no usable entry in some row."""
+    rounds = int(rng.integers(0, 3 * config.forecast_window + 1))
+    shape = (rounds, config.periods)
+    cap, fallback = config.price_cap, config.non_contracted_price
+    energy = rng.uniform(0.0, cap, shape)
+    energy[rng.random(shape) < 0.1] = 0.0  # an ordinary price, unlike a zero tariff
+    energy[rng.random(shape) < 0.2] = cap
+    energy[rng.random(shape) < 0.05] = cap - 5e-10
+    tariffs = rng.uniform(0.0, fallback, (2, *shape))
+    tariffs[rng.random(tariffs.shape) < 0.2] = 0.0
+    tariffs[rng.random(tariffs.shape) < 0.05] = 1e-10
+    tariffs[rng.random(tariffs.shape) < 0.2] = fallback
+    if rounds:
+        energy[:, rng.random(config.periods) < 0.2] = cap
+        tariffs[:, :, rng.random(config.periods) < 0.2] = fallback
+    return list(np.stack([energy, *tariffs], axis=1))
+
+
+def test_stacked_forecast_matches_per_series_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(240):
+        cap = float(rng.choice([3000.0, 150.0]))
+        fallback = float(rng.choice([500.0, 80.0]))
+        config = ScenarioConfig(
+            periods=int(rng.integers(1, 7)),
+            price_cap=cap,
+            non_contracted_price=fallback,
+            forecast_alpha=float(rng.choice([0.0, 0.5, 1.0, rng.uniform()])),
+            forecast_window=int(rng.choice([1, 2, 5, 24, 40])),
+            energy_seed_price=float(rng.uniform(0.0, cap)),
+            tariff_seed_price=float(rng.uniform(0.0, fallback)),
+        )
+        history = random_price_history(rng, config)
+        fc = forecast(history, config)
+        expected = oracles.reference_forecast(
+            [row[0] for row in history], [row[1] for row in history],
+            [row[2] for row in history], config,
+        )
+        for actual, reference in zip((fc.energy, fc.imbalance_up, fc.imbalance_down), expected):
+            assert actual.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +880,7 @@ def test_agent_models_match_snapshot():
     models = capture_agent_models()
     assert sorted(models) == sorted({name.split(".")[0] for name in expected.files})
     for key, lp in models.items():
-        matrix, relations, rhs = lp.sparse_rows()
+        matrix, relations, rhs = oracles.sparse_rows(lp)
         assert tuple(matrix.shape) == tuple(expected[key + ".shape"]), key
         assert _same_bits(matrix.data, expected[key + ".data"]), key
         assert _same_bits(matrix.indices.astype(np.int64), expected[key + ".indices"]), key

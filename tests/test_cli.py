@@ -67,12 +67,23 @@ def test_config_rejects_unknown_keys_and_bad_values():
         dict(slow_cost_low=70.0, slow_cost_high=50.0),
         dict(fast_cost_low=90.0),
         dict(setting="open", periods=2),
+        dict(slow_cost_low=-10.0),
+        dict(fast_cost_low=-1.0, fast_cost_high=-0.5),
+        dict(price_cap=10.0),
+        dict(fast_cost_high=3500.0),
+        dict(slow_capacity_factor=-0.1),
+        dict(fast_capacity_factor=-1.0),
+        dict(energy_seed_price=3500.0),
+        dict(tariff_seed_price=-1.0),
     ],
     ids=[
         "no-rounds", "flexibility-without-loads", "non-finite-price", "negative-unit-count",
         "no-units", "negative-imbalance-limit", "negative-tank-span", "no-forecast-window",
         "negative-forecast-alpha", "negative-ramp", "slow-costs-reversed",
-        "fast-costs-reversed", "open-without-band-window",
+        "fast-costs-reversed", "open-without-band-window", "negative-slow-cost",
+        "negative-fast-costs", "costs-above-low-price-cap", "fast-cost-above-price-cap",
+        "negative-slow-capacity", "negative-fast-capacity", "energy-seed-above-price-cap",
+        "negative-tariff-seed",
     ],
 )
 def test_config_rejects_settings_that_fail_later(overrides):
@@ -114,7 +125,6 @@ def write_one_round(out_dir, offers, periods, classical, reserve_up, imbalance_m
         tariff_up=up,
         tariff_down=down,
         submitted_demand={},
-        submitted_sale={},
         retailer_positions={},
         producer_positions={},
         offers=offers,
@@ -269,6 +279,16 @@ def test_run_reports_a_bad_config_as_a_usage_error(tmp_path, capsys):
         main(["run", "--rate", "2", "--out-dir", str(out)])
     assert exit_info.value.code == 2
     assert "flexibility rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_reports_a_config_file_that_generation_rejects_as_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    config_path = fast_config_file(tmp_path, fast_capacity_factor=-1.0)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(config_path), "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "fast_capacity_factor" in capsys.readouterr().err
     assert not out.exists()
 
 

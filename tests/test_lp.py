@@ -263,7 +263,7 @@ def test_sparse_rows_match_reference_loop(recorded_random_lp):
     rng = np.random.default_rng(31)
     for _ in range(80):
         lp = recorded_random_lp(rng, max_vars=7, max_rows=7)
-        a, relations, rhs = lp.sparse_rows()
+        a, relations, rhs = oracles.sparse_rows(lp)
         expected = reference_dense_rows(lp)
         assert a.shape == expected.shape
         assert np.array_equal(a.toarray(), expected)
@@ -282,7 +282,7 @@ def test_repeated_terms_sum_and_cancelled_terms_leave_no_zero():
     lp.add_constraints([(0, [x, y, x], [1.5, 2.0, 0.25])], LESS_EQUAL, [1.0])
     lp.add_constraints([(0, [x, y, x], [1.0, 3.0, -1.0])], EQUAL, [0.0])
     lp.add_constraints([([0, 0], y, [0.5, -0.5])], GREATER_EQUAL, [2.0])
-    a, relations, rhs = lp.sparse_rows()
+    a, relations, rhs = oracles.sparse_rows(lp)
     assert np.array_equal(a.toarray(), [[1.75, 2.0], [0.0, 3.0], [0.0, 0.0]])
     assert a.nnz == 3 and np.all(a.data != 0.0)
     assert relations.tolist() == [LESS_EQUAL, EQUAL, GREATER_EQUAL]
@@ -293,7 +293,7 @@ def reference_highs_columns(lp):
     """The arrays ``_highs_solve`` handed HiGHS when scipy.sparse built them:
     the CSR matrix, its rows in linprog's order, the ``>=`` rows negated, then
     converted to CSC.  Returns (start, index, value, row_lower, row_upper)."""
-    a, relations, b = lp.sparse_rows()
+    a, relations, b = oracles.sparse_rows(lp)
     ub_rows = np.flatnonzero(relations == LESS_EQUAL)
     ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
     eq_rows = np.flatnonzero(relations == EQUAL)
@@ -403,7 +403,7 @@ def test_block_calls_build_rows_and_objective():
     )
     assert rows.tolist() == [0, 1, 2]
     assert np.array_equal(
-        lp.sparse_rows()[0].toarray(), [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]]
+        oracles.sparse_rows(lp)[0].toarray(), [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]]
     )
     assert np.array_equal(lp.objective_vector(), [1.0, 2.0, 0.5])
     # x0 + x2 = 5 and x2 <= 4 force x0 >= 1; the other rows then fix
@@ -512,7 +512,7 @@ def linprog_reference(lp):
     c = lp.objective_vector()
     if lp.sense == "max":
         c = -c
-    a, relations, b = lp.sparse_rows()
+    a, relations, b = oracles.sparse_rows(lp)
     ub_rows = np.flatnonzero(relations == LESS_EQUAL)
     ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
     eq_rows = np.flatnonzero(relations == EQUAL)

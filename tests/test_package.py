@@ -2,6 +2,7 @@
 the demo scripts run against the current API."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -77,6 +78,16 @@ def test_benchmark_tracer_finds_every_binding_it_wraps(monkeypatch):
     finally:
         tracer.uninstall()
     assert (simulator.clear_reserve, imbalance.settle, imbalance.solve) == originals
+
+
+@pytest.mark.parametrize("module", ["flexmarket", "flexmarket.agents"])
+def test_star_import_resolves_every_exported_name(module):
+    # a name deleted from a module but left in ``__all__`` breaks ``import *``
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    exported = importlib.import_module(module).__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if name not in namespace] == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda name: name.removesuffix(".py"))

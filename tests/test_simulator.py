@@ -127,7 +127,7 @@ def flat_cost_scenario(config):
         loads=[],
         imbalance_limit=0.05 * float(demand.max()),
     )
-    return Scenario(config=config, producers=[producer], retailers=[retailer], demand=demand)
+    return Scenario(config=config, producers=[producer], retailers=[retailer])
 
 
 def test_fixed_point_with_single_flat_cost_producer():
@@ -357,7 +357,6 @@ def twin_scenario():
         config=config,
         retailers=[*base.retailers, renamed(base.retailers[0], "retailer-2")],
         producers=[*base.producers, renamed(base.producers[0], "producer-2")],
-        demand=base.demand,
     )
 
 
@@ -447,6 +446,23 @@ def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(chang
     assert positions["c"] is positions["a"] is not positions["b"]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="clear_reserve splits tied band bids unevenly: on open-bands at seed 1 the six "
+    "twin retailers bid alike, yet in rounds 0-2 only retailer-6 is accepted "
+    "(438.55/467.95/467.95 MW of amplitude) and retailers 1-5 get 0",
+)
+def test_twin_retailers_get_equal_accepted_amplitudes():
+    config = small_config(
+        setting="open", flexibility_rate=0.30, retailer_count=6, loads_per_retailer=4,
+        producer_count=2, bid_block_length=2, max_rounds=3,
+    )
+    for record in run(config).rounds:
+        positions = list(record.retailer_positions.values())
+        for position in positions[1:]:
+            assert np.allclose(position.amplitudes, positions[0].amplitudes, atol=1e-6), record.index
+
+
 def test_reported_cycle_reverifies_against_records():
     outcome = run(small_config(max_rounds=500))
     assert outcome.termination == "cycle"
@@ -497,10 +513,11 @@ def test_generate_scenario_determinism_and_sizing():
     )
     assert flexible_mean == pytest.approx(0.06 * 1000.0, rel=1e-9)
 
-    bare = generate_scenario(small_config(flexibility_rate=0.0))
+    bare_config = small_config(flexibility_rate=0.0)
+    bare = generate_scenario(bare_config)
     assert all(not r.loads for r in bare.retailers)
     total_inelastic = np.sum([r.inelastic for r in bare.retailers], axis=0)
-    assert np.allclose(total_inelastic, bare.demand)
+    assert np.allclose(total_inelastic, bare_config.demand_profile())
 
 
 # ---------------------------------------------------------------------------
