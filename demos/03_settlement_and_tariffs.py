@@ -10,7 +10,7 @@ non-contracted reserve.
 
 import numpy as np
 
-from flexmarket.imbalance import fees, settle, tariffs
+from flexmarket.imbalance import fees, settle
 from flexmarket.reserve_market import (
     ClassicalReserveBid,
     ModulationBid,
@@ -40,7 +40,7 @@ for label, imbalance in (
     ("sustained deficit", np.array([-30.0, -30.0, -30.0, -30.0])),
 ):
     result = settle(imbalance, procurement, PI_NC)
-    up, down = tariffs(result, PI_NC)
+    up, down = result.tariff_up, result.tariff_down
     print(label)
     print("  imbalance      ", imbalance)
     print("  activated up   ", result.activated_up.round(2))

@@ -21,9 +21,8 @@ from .reserve_market import (
     ReservePrices,
     ReserveProcurement,
     clear_reserve,
-    over_contract_penalty,
 )
-from .imbalance import SettlementResult, fees, settle, tariffs
+from .imbalance import SettlementResult, fees, settle
 from .agents import (
     GenerationUnit,
     ProducerPortfolio,
@@ -49,11 +48,9 @@ __all__ = [
     "ReservePrices",
     "ReserveProcurement",
     "clear_reserve",
-    "over_contract_penalty",
     "SettlementResult",
     "fees",
     "settle",
-    "tariffs",
     "GenerationUnit",
     "ProducerPortfolio",
     "RetailerPortfolio",

@@ -1,5 +1,5 @@
 from .tank import CoverageReport, TankLoad, random_feasible_modulation, verify_scenario_coverage
-from .forecast import PriceForecast, ThresholdTrack, exponential_mean, forecast
+from .forecast import PriceForecast, ThresholdTrack, exponential_mean, make_forecast
 from .retailer import RetailerPortfolio, RetailerPosition, optimize_retailer
 from .producer import (
     GenerationUnit,
@@ -18,7 +18,7 @@ __all__ = [
     "PriceForecast",
     "ThresholdTrack",
     "exponential_mean",
-    "forecast",
+    "make_forecast",
     "RetailerPortfolio",
     "RetailerPosition",
     "optimize_retailer",

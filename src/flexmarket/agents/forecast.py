@@ -76,7 +76,7 @@ def exponential_mean(
     return out
 
 
-def forecast(history: list[np.ndarray], config: ScenarioConfig) -> PriceForecast:
+def make_forecast(history: list[np.ndarray], config: ScenarioConfig) -> PriceForecast:
     """Forecasts for the next round from the price record so far, one
     (3, periods) row of (energy price, upward tariff, downward tariff) per
     round, each clipped to its price range."""

@@ -92,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser(
         "verify", help="probe modulation scenario coverage on random loads"
     )
-    verify_cmd.add_argument("--seed", type=int, default=0)
-    verify_cmd.add_argument("--loads", type=_positive_int, default=20)
-    verify_cmd.add_argument("--samples", type=_positive_int, default=1000)
+    verify_cmd.add_argument("--seed", type=_int_from(0), default=0)
+    verify_cmd.add_argument("--loads", type=_int_from(1), default=20)
+    verify_cmd.add_argument("--samples", type=_int_from(1), default=1000)
     verify_cmd.set_defaults(entry=cmd_verify, read_config=None)
 
     replay_cmd = sub.add_parser("replay", help="rerun a simulation from its manifest")
@@ -125,14 +125,19 @@ def _rate_list(text: str) -> list[float]:
     return rates
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(minimum: int):
+    """An argparse type for integers of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _round_details_flag(cmd) -> None:
@@ -352,7 +357,7 @@ def _write_round(record: RoundRecord, round_dir: Path) -> None:
             positions.append([name, kind, t, *cells, fee if t == 0 else ""])
     clearing, procurement, settlement = record.clearing, record.procurement, record.settlement
     rows = {
-        "prices.csv": _period_rows(record.energy_price, record.tariff_up, record.tariff_down),
+        "prices.csv": _period_rows(clearing.price, settlement.tariff_up, settlement.tariff_down),
         "offers.csv": [
             [o.actor, o.period, o.side, repr(o.volume), repr(o.price)] for o in record.offers
         ],
@@ -376,8 +381,8 @@ def _write_round(record: RoundRecord, round_dir: Path) -> None:
             settlement.activated_down,
             settlement.non_contracted_up,
             settlement.non_contracted_down,
-            record.tariff_up,
-            record.tariff_down,
+            settlement.tariff_up,
+            settlement.tariff_down,
         ),
         "positions.csv": positions,
     }
@@ -396,16 +401,17 @@ def _run_figures(outcome: SimulationOutcome, figures: Path) -> None:
         {"mean MCP": (rounds, [r.metrics.mean_price for r in outcome.rounds])},
     )
     terminal = outcome.terminal_rounds()[0]
-    periods = list(range(len(terminal.energy_price)))
+    price, settlement = terminal.clearing.price, terminal.settlement
+    periods = list(range(len(price)))
     line_chart(
         figures / "terminal_prices.svg",
         f"prices in round {terminal.index}",
         "period",
         "EUR/MWh",
         {
-            "MCP": (periods, list(terminal.energy_price)),
-            "tariff up": (periods, list(terminal.tariff_up)),
-            "tariff down": (periods, list(terminal.tariff_down)),
+            "MCP": (periods, list(price)),
+            "tariff up": (periods, list(settlement.tariff_up)),
+            "tariff down": (periods, list(settlement.tariff_down)),
         },
     )
 

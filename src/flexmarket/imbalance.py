@@ -3,12 +3,12 @@
 Once positions are final the operator knows the per-period system imbalance
 exactly (the model is deterministic) and computes the cheapest activation
 of the contracted reserves that restores balance, falling back on
-non-contracted energy when they do not suffice.  The per-direction tariff
-of a period is the activation price of the dearest bid used in that
-direction, the fallback price when non-contracted reserve was needed, and
-zero when nothing was activated.  Actors then pay their own deviations at
-those tariffs, each direction against its own tariff even when the system
-nets out.
+non-contracted energy when they do not suffice.  :func:`settle` prices that
+activation in the same pass: the per-direction tariff of a period is the
+activation price of the dearest bid used in that direction, the fallback
+price when non-contracted reserve was needed, and zero when nothing was
+activated.  Actors then pay their own deviations at those tariffs, each
+direction against its own tariff even when the system nets out.
 
 Sign convention: system imbalance > 0 is a surplus (absorbed by downward
 activation), < 0 a deficit (covered by upward activation).  An actor's
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import EQUAL, LinearProgram, solve
-from .reserve_market import DOWN, UP, ReserveProcurement, band_coverage, ordered_sum
+from .reserve_market import UP, ReserveProcurement, band_coverage, ordered_sum
 
 #: activations below this volume (MW) are treated as zero for tariff setting
 ACTIVATION_TOL = 1e-9
@@ -45,8 +45,8 @@ class SettlementResult:
     activated_down: np.ndarray
     imbalance: np.ndarray                   # the settled system imbalance
     activation_cost: float                  # EUR, the LP objective without the friction
-    contracted_classical: list              # (bid, volume) pairs used in the LP
-    contracted_modulation: list
+    tariff_up: np.ndarray                   # EUR/MWh per period
+    tariff_down: np.ndarray
 
 
 def settle(
@@ -54,13 +54,14 @@ def settle(
     procurement: ReserveProcurement,
     non_contracted_price: float,
 ) -> SettlementResult:
-    """Cheapest activation restoring per-period balance.
+    """Cheapest activation restoring per-period balance, and its tariffs.
 
     ``procurement`` supplies both the contracted volumes and the
     over-contract penalty prices fixed at clearing time, which price the
     downward activations here as well.  The per-MW prices that weight the
     LP objective also give the reported ``activation_cost``, and the
-    activated MW are summed onto the periods of the LP's balance rows.
+    activated MW and tariffs are gathered onto the periods of the LP's
+    balance rows.
     """
     imbalance = np.asarray(imbalance, dtype=float)
     period_count = len(imbalance)
@@ -121,11 +122,22 @@ def settle(
     v_val, w_val = sol.values(v), sol.values(w)
     nc_up, nc_dn = sol.values(y_up), sol.values(y_dn)
     # activated MW per direction (row 0 up, row 1 down) in bid order, then
-    # the fallback on top
-    activated = np.zeros((2, period_count))
-    np.add.at(activated, (np.where(is_up, 0, 1), period), contracted_mw * x_val)
-    np.add.at(activated[0], covered, band_mw[owner] * v_val)
-    np.add.at(activated[1], covered, band_mw[owner] * w_val)
+    # the fallback on top; the tariff is the dearest activation price used,
+    # and activation prices are nonnegative, so a running maximum from zero
+    # leaves zero exactly where nothing was activated
+    activated, tariff = np.zeros((2, period_count)), np.zeros((2, period_count))
+    row = np.where(is_up, 0, 1)
+    mw = contracted_mw * x_val
+    np.add.at(activated, (row, period), mw)
+    used = mw > ACTIVATION_TOL
+    np.maximum.at(tariff, (row[used], period[used]), price[used])
+    for k, share in enumerate((v_val, w_val)):
+        mw = band_mw[owner] * share
+        np.add.at(activated[k], covered, mw)
+        used = mw > ACTIVATION_TOL
+        np.maximum.at(tariff[k], covered[used], band_price[owner][used])
+    tariff[0, nc_up > ACTIVATION_TOL] = non_contracted_price
+    tariff[1, nc_dn > ACTIVATION_TOL] = non_contracted_price
     splits = np.cumsum(lengths)[:-1]
 
     return SettlementResult(
@@ -143,35 +155,9 @@ def settle(
             (band_price * band_mw)[owner] * (v_val + w_val),
             [non_contracted_price * np.sum(nc_up + nc_dn)],
         ),
-        contracted_classical=classical,
-        contracted_modulation=modulation,
+        tariff_up=tariff[0],
+        tariff_down=tariff[1],
     )
-
-
-def tariffs(result: SettlementResult, non_contracted_price: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-period imbalance tariffs, one per direction.
-
-    Most expensive activated bid in that direction; the fallback price when
-    non-contracted reserve was used; zero when the direction saw no
-    activation at all.  Each bid's activation is read once.
-    """
-    period_count = len(result.imbalance)
-    tariff = {UP: np.zeros(period_count), DOWN: np.zeros(period_count)}
-    # activation prices are nonnegative, so a running maximum from zero
-    # leaves zero exactly where nothing was activated
-    for (bid, volume), x in zip(result.contracted_classical, result.classical_activation):
-        if volume * x > ACTIVATION_TOL:
-            row = tariff[bid.direction]
-            row[bid.period] = max(row[bid.period], bid.activation_price)
-    for (bid, volume), v_k, w_k in zip(
-        result.contracted_modulation, result.modulation_up, result.modulation_down
-    ):
-        for row, share in ((tariff[UP], v_k), (tariff[DOWN], w_k)):
-            used = bid.start + np.flatnonzero(volume * share > ACTIVATION_TOL)
-            row[used] = np.maximum(row[used], bid.activation_price)
-    tariff[UP][result.non_contracted_up > ACTIVATION_TOL] = non_contracted_price
-    tariff[DOWN][result.non_contracted_down > ACTIVATION_TOL] = non_contracted_price
-    return tariff[UP], tariff[DOWN]
 
 
 def fees(

@@ -94,16 +94,6 @@ class ReservePrices:
                 raise ValueError(f"price {label} must be nonnegative")
 
 
-def over_contract_penalty(downward_bids: list[ClassicalReserveBid], fallback_price: float) -> float:
-    """Per-period penalty that stops the clearing from banking surplus
-    downward reserve for its activation revenue: 10% above the dearest
-    downward activation price, or above ``fallback_price`` when the period
-    has no downward bids."""
-    if downward_bids:
-        return 1.1 * max(bid.activation_price for bid in downward_bids)
-    return 1.1 * fallback_price
-
-
 @dataclass
 class ReserveProcurement:
     """Accepted fractions plus the per-period surplus and shortfall."""
@@ -186,16 +176,6 @@ def clear_reserve(
         bid.validate(period_count)
     _check_non_overlap(modulation)
 
-    all_prices = [b.activation_price for b in classical] + [
-        b.activation_price for b in modulation
-    ]
-    fallback = max(all_prices) if all_prices else prices.non_contracted
-    downward: list[list[ClassicalReserveBid]] = [[] for _ in range(period_count)]
-    for bid in classical:
-        if bid.direction == DOWN:
-            downward[bid.period].append(bid)
-    penalty = np.array([over_contract_penalty(bids, fallback) for bids in downward])
-
     lp = LinearProgram(sense="min", name="reserve-clearing")
     # the cost of accepting all of each bid: reservation plus assumed activation
     is_up = np.array([bid.direction == UP for bid in classical], dtype=bool)
@@ -212,6 +192,17 @@ def clear_reserve(
     x_modulation = lp.add_variables(len(modulation), 0.0, 1.0)
     lp.add_objectives(x_modulation, band_cost)
 
+    # the over-contract penalty stops the clearing from banking surplus
+    # reserve for its downward activation revenue: 10% above the dearest
+    # downward activation price of each period, or above the dearest price
+    # of the day (the fallback price without bids) in a period without one
+    period = np.array([bid.period for bid in classical], dtype=np.intp)
+    all_prices = np.concatenate([activation, band_activation])
+    fallback = all_prices.max() if all_prices.size else prices.non_contracted
+    dearest_down = np.full(period_count, -np.inf)
+    np.maximum.at(dearest_down, period[~is_up], activation[~is_up])
+    penalty = 1.1 * np.where(dearest_down > -np.inf, dearest_down, fallback)
+
     s_up, s_dn, n_up, n_dn = (lp.add_variables(period_count) for _ in range(4))
     lp.add_objectives(s_up, penalty)
     lp.add_objectives(s_dn, penalty)
@@ -220,7 +211,6 @@ def clear_reserve(
 
     # rows 2t and 2t + 1: the upward and downward requirement of period t
     up_row = 2 * np.arange(period_count)
-    period = np.array([bid.period for bid in classical], dtype=np.intp)
     bid_row = 2 * period + np.where(is_up, 0, 1)
     owner, covered = band_coverage(modulation)
     band_efficiency = np.array([bid.efficiency for bid in modulation], dtype=float)

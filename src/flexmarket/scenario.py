@@ -99,7 +99,7 @@ class ScenarioConfig:
         if self.setting == OPEN and self.bid_block_length > self.periods:
             raise ConfigurationError("an open run needs a bid block that fits in the periods")
         for name in (
-            "price_cap", "non_contracted_price", "up_capacity_price", "down_capacity_price",
+            "seed", "price_cap", "non_contracted_price", "up_capacity_price", "down_capacity_price",
             "modulation_capacity_price", "reserve_rate", "mean_consumption",
             "imbalance_limit_fraction", "tank_span_hours",
             "slow_units_per_producer", "fast_units_per_producer", "slow_ramp_fraction",

@@ -24,13 +24,14 @@ position; nothing is kept from one round to the next.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import energy_market, imbalance
 from .agents import ThresholdTrack
-from .agents.forecast import extreme_prices, forecast as make_forecast
+from .agents.forecast import extreme_prices, make_forecast
 from .agents.producer import (
     fleet_capacity,
     optimize_producer,
@@ -74,9 +75,6 @@ class RoundMetrics:
 @dataclass
 class RoundRecord:
     index: int
-    energy_price: np.ndarray
-    tariff_up: np.ndarray
-    tariff_down: np.ndarray
     submitted_demand: dict[str, np.ndarray]
     retailer_positions: dict[str, object]
     producer_positions: dict[str, object]
@@ -146,7 +144,9 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
         record = _play_round(index, scenario, fc, windows, dict(zip(names, pins.value)), twins)
         rounds.append(record)
 
-        observed = np.array([record.energy_price, record.tariff_up, record.tariff_down])
+        observed = np.array(
+            [record.clearing.price, record.settlement.tariff_up, record.settlement.tariff_down]
+        )
         history.append(observed)
         _learn(scenario, pins, record, extreme_prices(observed, config))
         # recurrence needs positions AND the learned state: a position match
@@ -274,20 +274,16 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         )
     with _stage_guard(index, "settlement", "operator"):
         settlement = imbalance.settle(system, procurement, config.non_contracted_price)
-        tariff_up, tariff_down = imbalance.tariffs(settlement, config.non_contracted_price)
-    charges = imbalance.fees(tariff_up, tariff_down, actor_imbalances)
+    charges = imbalance.fees(settlement.tariff_up, settlement.tariff_down, actor_imbalances)
 
     submitted_demand = {n: p.demand for n, p in retailer_stage1.items()}
     submitted_sale = {n: p.sale for n, p in producer_stage1.items()}
     state = _state_vector(
-        clearing.price, tariff_up, tariff_down, submitted_demand, submitted_sale,
-        retailer_final, producer_final, windows,
+        clearing.price, settlement.tariff_up, settlement.tariff_down,
+        submitted_demand, submitted_sale, retailer_final, producer_final, windows,
     )
     return RoundRecord(
         index=index,
-        energy_price=clearing.price,
-        tariff_up=tariff_up,
-        tariff_down=tariff_down,
         submitted_demand=submitted_demand,
         retailer_positions=retailer_final,
         producer_positions=producer_final,
@@ -356,20 +352,16 @@ def _per_actor(fractions: np.ndarray, bids: dict[str, list]) -> dict[str, np.nda
     return dict(zip(bids, np.split(fractions, ends[:-1])))
 
 
-class _stage_guard:
-    def __init__(self, round_index, stage, actor):
-        self.context = (round_index, stage, actor)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, RoundError):
-            round_index, stage, actor = self.context
-            raise RoundError(
-                f"round {round_index}, stage {stage!r}, actor {actor!r}: {exc}"
-            ) from exc
-        return False
+@contextmanager
+def _stage_guard(round_index, stage, actor):
+    """Annotate an error raised inside with its round, stage and actor;
+    interrupts such as ``KeyboardInterrupt`` pass through unchanged."""
+    try:
+        yield
+    except RoundError:
+        raise
+    except Exception as exc:
+        raise RoundError(f"round {round_index}, stage {stage!r}, actor {actor!r}: {exc}") from exc
 
 
 def _state_vector(price, tariff_up, tariff_down, demand, sale, retailers, producers, windows):

@@ -14,7 +14,7 @@ import pytest
 from flexmarket.agents import random_feasible_modulation, verify_scenario_coverage
 from flexmarket.cli import main as cli_main
 from flexmarket.energy_market import DEMAND, SUPPLY, EnergyOffer, clear
-from flexmarket.imbalance import settle, tariffs
+from flexmarket.imbalance import settle
 from flexmarket.lp import solve
 from flexmarket.reserve_market import (
     ClassicalReserveBid,
@@ -208,15 +208,16 @@ def test_criterion_6_settlement_invariants():
         for v, w in zip(result.modulation_up, result.modulation_down):
             worst_neutrality = max(worst_neutrality, abs(float(np.sum(v - w))))
 
-        tariff_up, tariff_down = tariffs(result, PI_NC)
+        classical = procurement.contracted_classical()
+        modulation = procurement.contracted_modulation()
         for t in range(6):
             up_prices = [
                 bid.activation_price
-                for (bid, volume), x in zip(result.contracted_classical, result.classical_activation)
+                for (bid, volume), x in zip(classical, result.classical_activation)
                 if bid.period == t and bid.direction == "up" and volume * x > 1e-9
             ] + [
                 bid.activation_price
-                for (bid, volume), v in zip(result.contracted_modulation, result.modulation_up)
+                for (bid, volume), v in zip(modulation, result.modulation_up)
                 if t in bid.periods and volume * v[t - bid.start] > 1e-9
             ]
             if result.non_contracted_up[t] > 1e-9:
@@ -225,7 +226,7 @@ def test_criterion_6_settlement_invariants():
                 expected = max(up_prices)
             else:
                 expected = 0.0
-            if tariff_up[t] != expected:
+            if result.tariff_up[t] != expected:
                 tariff_rule_holds = False
 
     ok = worst_balance <= 1e-7 and worst_neutrality <= 1e-9 and tariff_rule_holds

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from flexmarket.agents import (
     RetailerPosition,
     TankLoad,
     ThresholdTrack,
-    forecast,
+    make_forecast,
     optimize_producer,
     optimize_retailer,
     producer_energy_offers,
@@ -80,14 +81,21 @@ def price_rows(energy, up, down):
     return [np.array([[e], [u], [d]]) for e, u, d in zip(energy, up, down)]
 
 
+def test_forecast_submodule_is_not_shadowed_by_a_function():
+    # patching flexmarket.agents.forecast.<name> must reach the module
+    import flexmarket.agents
+
+    assert inspect.ismodule(flexmarket.agents.forecast)
+
+
 def test_forecast_constant_series():
-    fc = forecast(price_rows([50.0] * 3, [50.0] * 3, [50.0] * 3), CONFIG)
+    fc = make_forecast(price_rows([50.0] * 3, [50.0] * 3, [50.0] * 3), CONFIG)
     assert fc.energy[0] == pytest.approx(50.0)
 
 
 def test_forecast_cap_replaced_by_last_uncapped():
     history = price_rows([50.0, CAP], [20.0] * 2, [20.0] * 2)
-    fc = forecast(history, CONFIG)
+    fc = make_forecast(history, CONFIG)
     assert fc.energy[0] == pytest.approx(50.0)
     extreme = extreme_prices(np.array(history), CONFIG)
     assert extreme.shape == (2, 3, 1)
@@ -96,26 +104,26 @@ def test_forecast_cap_replaced_by_last_uncapped():
 
 
 def test_forecast_weighted_mean():
-    fc = forecast(price_rows([40.0, 60.0], [20.0] * 2, [20.0] * 2), CONFIG)
+    fc = make_forecast(price_rows([40.0, 60.0], [20.0] * 2, [20.0] * 2), CONFIG)
     assert fc.energy[0] == pytest.approx((0.5 * 40.0 + 1.0 * 60.0) / 1.5)
 
 
 def test_forecast_empty_history_uses_seeds():
-    fc = forecast([], ScenarioConfig(periods=3))
+    fc = make_forecast([], ScenarioConfig(periods=3))
     assert np.all(fc.energy == CONFIG.energy_seed_price)
     assert np.all(fc.imbalance_up == CONFIG.tariff_seed_price)
     assert fc.energy.shape == fc.imbalance_down.shape == (3,)
 
 
 def test_forecast_all_capped_history_uses_seed():
-    fc = forecast(price_rows([CAP, CAP], [20.0] * 2, [20.0] * 2), CONFIG)
+    fc = make_forecast(price_rows([CAP, CAP], [20.0] * 2, [20.0] * 2), CONFIG)
     assert fc.energy[0] == pytest.approx(CONFIG.energy_seed_price)
 
 
 def test_forecast_tariff_extremes_replaced():
     up = [30.0, 0.0, PI_NC]
     history = price_rows([50.0] * 3, up, up)
-    fc = forecast(history, CONFIG)
+    fc = make_forecast(history, CONFIG)
     assert fc.imbalance_up[0] == pytest.approx(30.0)
     extreme = extreme_prices(np.array(history), CONFIG)
     assert extreme[:, 1, 0].tolist() == [False, True, True]
@@ -175,7 +183,7 @@ def test_stacked_forecast_matches_per_series_reference_bit_for_bit():
             tariff_seed_price=float(rng.uniform(0.0, fallback)),
         )
         history = random_price_history(rng, config)
-        fc = forecast(history, config)
+        fc = make_forecast(history, config)
         expected = oracles.reference_forecast(
             [row[0] for row in history], [row[1] for row in history],
             [row[2] for row in history], config,

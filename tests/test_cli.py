@@ -1,12 +1,13 @@
 import csv
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
 
 from flexmarket.cli import main, write_outputs
 from flexmarket.energy_market import DEMAND, SUPPLY, EnergyOffer, clear
-from flexmarket.imbalance import settle, tariffs
+from flexmarket.imbalance import settle
 from flexmarket.reserve_market import ClassicalReserveBid, ReservePrices, clear_reserve
 from flexmarket.scenario import (
     ScenarioConfig,
@@ -75,6 +76,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         dict(fast_capacity_factor=-1.0),
         dict(energy_seed_price=3500.0),
         dict(tariff_seed_price=-1.0),
+        dict(seed=-1),
     ],
     ids=[
         "no-rounds", "flexibility-without-loads", "non-finite-price", "negative-unit-count",
@@ -83,7 +85,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         "fast-costs-reversed", "open-without-band-window", "negative-slow-cost",
         "negative-fast-costs", "costs-above-low-price-cap", "fast-cost-above-price-cap",
         "negative-slow-capacity", "negative-fast-capacity", "energy-seed-above-price-cap",
-        "negative-tariff-seed",
+        "negative-tariff-seed", "negative-seed",
     ],
 )
 def test_config_rejects_settings_that_fail_later(overrides):
@@ -118,12 +120,8 @@ def write_one_round(out_dir, offers, periods, classical, reserve_up, imbalance_m
         classical, [], np.asarray(reserve_up, float), np.zeros(periods), PRICES
     )
     settlement = settle(np.asarray(imbalance_mw, float), procurement, PI_NC)
-    up, down = tariffs(settlement, PI_NC)
     record = RoundRecord(
         index=0,
-        energy_price=clearing.price,
-        tariff_up=up,
-        tariff_down=down,
         submitted_demand={},
         retailer_positions={},
         producer_positions={},
@@ -273,6 +271,13 @@ def test_verify_rejects_counts_below_one(capsys, flag, value):
     assert "load 01" not in error.out
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_run_reports_a_bad_config_as_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
@@ -359,3 +364,65 @@ def test_settlement_csv(tmp_path):
     lines = (round_dir / "settlement.csv").read_text().strip().splitlines()
     assert lines[0].startswith("period,imbalance,activated_up")
     assert len(lines) == 2
+
+
+#: sha256 prefixes of the output trees of ``test_output_trees_match_pinned_digests``,
+#: taken with scipy 1.17.1 (HiGHS 1.12.0); a change that moves outputs on
+#: purpose updates them and says why
+TREE_DIGESTS = {
+    "closed": {
+        "figures/mean_price_by_round.svg": "4fe049bbca410faa",
+        "figures/terminal_prices.svg": "568f36ea48dbf358",
+        "manifest.txt": "72b29b52e4a92625",
+        "metrics.csv": "3f427fc9c7f61b28",
+        "rounds/*/clearing.csv": "a983105d02b09174",
+        "rounds/*/offers.csv": "506b67138fbf2486",
+        "rounds/*/positions.csv": "ee33b2b8bfc8d279",
+        "rounds/*/prices.csv": "7ce7fdf46f4d2d6a",
+        "rounds/*/procurement.csv": "fd05c28cc0270ef7",
+        "rounds/*/settlement.csv": "0ed89ac385faf53d",
+        "summary.csv": "df43d2ee20260d64",
+    },
+    "open": {
+        "figures/mean_price_by_round.svg": "b10e23e6b0c36beb",
+        "figures/terminal_prices.svg": "28c681f6841977ae",
+        "manifest.txt": "c2011631fa86aa89",
+        "metrics.csv": "41c1d8f1e1c25147",
+        "rounds/*/clearing.csv": "889e58a0bc0f8a5e",
+        "rounds/*/offers.csv": "42dab2489a942e4e",
+        "rounds/*/positions.csv": "0443d7dad4de81df",
+        "rounds/*/prices.csv": "ba7a7f85904269ee",
+        "rounds/*/procurement.csv": "ef76b9e4e1d6c91e",
+        "rounds/*/settlement.csv": "5b668d9315015527",
+        "summary.csv": "715d9b16920a4a48",
+    },
+}
+
+
+def tree_digests(out_dir):
+    """sha256 prefix of every file under ``out_dir``; the files of
+    ``rounds/<n>/`` are hashed together in round order as ``rounds/*/<name>``."""
+    groups = {}
+    for path in out_dir.rglob("*"):
+        if path.is_file():
+            parts = path.relative_to(out_dir).parts
+            order = 0
+            if parts[0] == "rounds":
+                order, parts = int(parts[1]), ("rounds", "*", *parts[2:])
+            groups.setdefault("/".join(parts), []).append((order, path.read_bytes()))
+    return {
+        name: hashlib.sha256(b"".join(data for _, data in sorted(chunks))).hexdigest()[:16]
+        for name, chunks in groups.items()
+    }
+
+
+@pytest.mark.parametrize("setting", ["closed", "open"])
+def test_output_trees_match_pinned_digests(tmp_path, setting):
+    from flexmarket.simulator import run as run_simulation
+
+    config = ScenarioConfig(seed=1, setting=setting, flexibility_rate=0.1, max_rounds=12)
+    outcome = run_simulation(config)
+    if setting == "open":
+        assert any(record.procurement.contracted_modulation() for record in outcome.rounds)
+    write_outputs(outcome, tmp_path, "all")
+    assert tree_digests(tmp_path) == TREE_DIGESTS[setting]

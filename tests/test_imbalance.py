@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flexmarket.imbalance import fees, settle, tariffs
+from flexmarket.imbalance import fees, settle
 from flexmarket.reserve_market import (
     ClassicalReserveBid,
     ModulationBid,
@@ -21,9 +21,8 @@ def test_zero_imbalance_zero_activation():
     result = settle(np.zeros(3), procure([], [], np.zeros(3), np.zeros(3)), PI_NC)
     assert result.activation_cost == pytest.approx(0.0)
     assert np.allclose(result.activated_up, 0.0)
-    up, down = tariffs(result, PI_NC)
-    assert np.array_equal(up, np.zeros(3))
-    assert np.array_equal(down, np.zeros(3))
+    assert np.array_equal(result.tariff_up, np.zeros(3))
+    assert np.array_equal(result.tariff_down, np.zeros(3))
 
 
 def test_deficit_covered_by_half_of_contracted_bid():
@@ -42,8 +41,7 @@ def test_shortfall_spills_to_non_contracted():
     assert result.classical_activation[0] == pytest.approx(1.0)
     assert result.non_contracted_up[0] == pytest.approx(5.0)
     assert result.activation_cost == pytest.approx(7.0 * 10.0 + 500.0 * 5.0)
-    up, _ = tariffs(result, PI_NC)
-    assert up[0] == PI_NC
+    assert result.tariff_up[0] == PI_NC
 
 
 def test_tariff_is_most_expensive_activated_bid():
@@ -53,9 +51,8 @@ def test_tariff_is_most_expensive_activated_bid():
     ]
     procurement = procure(bids, [], [12.0], [0.0])
     result = settle(np.array([-9.0]), procurement, PI_NC)
-    up, down = tariffs(result, PI_NC)
-    assert up[0] == pytest.approx(12.0)
-    assert down[0] == 0.0
+    assert result.tariff_up[0] == pytest.approx(12.0)
+    assert result.tariff_down[0] == 0.0
 
 
 def test_surplus_uses_downward_and_sets_down_tariff():
@@ -63,9 +60,8 @@ def test_surplus_uses_downward_and_sets_down_tariff():
     procurement = procure([bid], [], [0.0], [10.0])
     result = settle(np.array([6.0]), procurement, PI_NC)
     assert result.activated_down[0] == pytest.approx(6.0)
-    up, down = tariffs(result, PI_NC)
-    assert down[0] == pytest.approx(48.0)
-    assert up[0] == 0.0
+    assert result.tariff_down[0] == pytest.approx(48.0)
+    assert result.tariff_up[0] == 0.0
 
 
 def test_modulation_energy_neutrality():
@@ -130,19 +126,23 @@ def test_balance_residuals_on_random_profiles():
             assert abs(float(np.sum(v - w))) <= 1e-9
 
 
-def loop_activation(result, penalty, non_contracted_price):
+def loop_activation(result, procurement, non_contracted_price):
     """Activated MW per direction, cost and tariffs, bid by bid and period by
-    period: the reference for the array code in ``settle`` and ``tariffs``."""
+    period: the reference for the array code in ``settle``."""
     t_count = len(result.imbalance)
+    classical = procurement.contracted_classical()
+    penalty = procurement.over_commit_penalty
     up, down, cost = np.zeros(t_count), np.zeros(t_count), 0.0
-    for (bid, volume), x in zip(result.contracted_classical, result.classical_activation):
+    for (bid, volume), x in zip(classical, result.classical_activation):
         if bid.direction == "up":
             up[bid.period] += volume * x
             cost += bid.activation_price * volume * x
         else:
             down[bid.period] += volume * x
             cost += (penalty[bid.period] - bid.activation_price) * volume * x
-    bands = list(zip(result.contracted_modulation, result.modulation_up, result.modulation_down))
+    bands = list(
+        zip(procurement.contracted_modulation(), result.modulation_up, result.modulation_down)
+    )
     for (bid, volume), v, w in bands:
         for j, t in enumerate(bid.periods):
             up[t] += volume * v[j]
@@ -152,7 +152,7 @@ def loop_activation(result, penalty, non_contracted_price):
     tariff_up, tariff_down = np.zeros(t_count), np.zeros(t_count)
     for t in range(t_count):
         up_prices, down_prices = [], []
-        for (bid, volume), x in zip(result.contracted_classical, result.classical_activation):
+        for (bid, volume), x in zip(classical, result.classical_activation):
             if bid.period == t and volume * x > 1e-9:
                 (up_prices if bid.direction == "up" else down_prices).append(bid.activation_price)
         for (bid, volume), v, w in bands:
@@ -187,15 +187,13 @@ def test_activation_sums_cost_and_tariffs_match_bid_loops():
         ]
         procurement = procure(classical, modulation, np.full(6, 9.0), np.full(6, 9.0))
         result = settle(rng.uniform(-25, 25, 6), procurement, PI_NC)
-        up, down, cost, tariff_up, tariff_down = loop_activation(
-            result, procurement.over_commit_penalty, PI_NC
-        )
+        up, down, cost, tariff_up, tariff_down = loop_activation(result, procurement, PI_NC)
         assert np.array_equal(result.activated_up, up)
         assert np.array_equal(result.activated_down, down)
         # band terms are summed per period here and per bid in the reference
         assert result.activation_cost == pytest.approx(cost, rel=1e-12, abs=1e-12)
-        got_up, got_down = tariffs(result, PI_NC)
-        assert np.array_equal(got_up, tariff_up) and np.array_equal(got_down, tariff_down)
+        assert np.array_equal(result.tariff_up, tariff_up)
+        assert np.array_equal(result.tariff_down, tariff_down)
 
 
 def test_fee_examples():
@@ -213,10 +211,10 @@ def test_fees_use_own_direction_even_when_system_nets_out():
     ]
     procurement = procure(bids, [], [5.0], [5.0])
     result = settle(np.array([0.0]), procurement, PI_NC)  # +3 and -3 net out
-    up, down = tariffs(result, PI_NC)
+    # the example pins tariffs (10, 8)
     charges = fees(
-        np.where(up > 0, up, 10.0),  # the example pins tariffs (10, 8)
-        np.where(down > 0, down, 8.0),
+        np.where(result.tariff_up > 0, result.tariff_up, 10.0),
+        np.where(result.tariff_down > 0, result.tariff_down, 8.0),
         {"a": (np.array([3.0]), np.zeros(1)), "b": (np.zeros(1), np.array([3.0]))},
     )
     assert charges["a"] == pytest.approx(30.0)

@@ -8,7 +8,6 @@ from flexmarket.reserve_market import (
     ModulationBid,
     ReservePrices,
     clear_reserve,
-    over_contract_penalty,
 )
 
 PRICES = ReservePrices(up_capacity=45.0, down_capacity=45.0, modulation_capacity=10.0, non_contracted=500.0)
@@ -37,9 +36,12 @@ def test_shortfall_when_no_bids():
 
 
 def test_penalty_formula():
-    assert over_contract_penalty([down_bid(1.0, 40.0), down_bid(1.0, 55.0)], 500.0) == pytest.approx(60.5)
-    assert over_contract_penalty([down_bid(1.0, 10.0)], 500.0) == pytest.approx(11.0)
-    assert over_contract_penalty([], 500.0) == pytest.approx(550.0)
+    def penalty(bids):
+        return clear_reserve(bids, [], np.zeros(1), np.zeros(1), PRICES).over_commit_penalty
+
+    assert penalty([down_bid(1.0, 40.0), down_bid(1.0, 55.0)]) == pytest.approx([60.5])
+    assert penalty([down_bid(1.0, 10.0)]) == pytest.approx([11.0])
+    assert penalty([]) == pytest.approx([550.0])
 
 
 def test_empty_downward_penalty_never_rewards_over_contracting():

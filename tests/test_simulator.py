@@ -179,10 +179,20 @@ def test_metrics_recomputable_from_record():
     outcome = run(small_config(max_rounds=10))
     for record in outcome.rounds:
         again = _round_metrics(
-            record.energy_price, record.procurement, record.settlement,
+            record.clearing.price, record.procurement, record.settlement,
             outcome.config.period_hours,
         )
         assert again.as_tuple() == pytest.approx(record.metrics.as_tuple())
+
+
+def test_stage_guard_annotates_errors_and_lets_interrupts_through():
+    with pytest.raises(simulator.RoundError, match="round 3, stage 'settlement', actor 'operator'"):
+        with simulator._stage_guard(3, "settlement", "operator"):
+            raise ValueError("boom")
+    # a Ctrl-C must stop a sweep, not become one failed cell
+    with pytest.raises(KeyboardInterrupt):
+        with simulator._stage_guard(3, "settlement", "operator"):
+            raise KeyboardInterrupt
 
 
 def test_zero_reserve_rate_uses_only_non_contracted():
@@ -196,7 +206,8 @@ def test_zero_reserve_rate_uses_only_non_contracted():
         assert np.allclose(covered, total, atol=1e-9)
         deficit = np.maximum(-record.settlement.imbalance, 0.0)
         if deficit.max() > 1e-9:
-            assert np.all(record.tariff_up[deficit > 1e-9] == outcome.config.non_contracted_price)
+            tariff_up = record.settlement.tariff_up
+            assert np.all(tariff_up[deficit > 1e-9] == outcome.config.non_contracted_price)
 
 
 def test_same_config_and_seed_reproduce_identically():
