@@ -39,12 +39,13 @@ class GenerationUnit:
         self.power_min = np.asarray(self.power_min, dtype=float)
         self.power_max = np.asarray(self.power_max, dtype=float)
         self.cost = np.asarray(self.cost, dtype=float)
-        if np.any(self.power_min < 0) or np.any(self.power_min > self.power_max):
+        if not len(self.power_min) == len(self.power_max) == len(self.cost):
+            raise ConfigurationError(f"unit {self.name!r}: power or cost series length mismatch")
+        # written as "holds" so that NaN fails too
+        if not np.all((self.power_min >= 0) & (self.power_min <= self.power_max)):
             raise ConfigurationError(f"unit {self.name!r}: bad power bounds")
-        if self.ramp_up < 0 or self.ramp_down < 0:
-            raise ConfigurationError(f"unit {self.name!r}: negative ramp limit")
-        if len(self.power_max) != len(self.cost):
-            raise ConfigurationError(f"unit {self.name!r}: cost series length mismatch")
+        if not self.ramp_up >= 0 or not self.ramp_down >= 0:
+            raise ConfigurationError(f"unit {self.name!r}: ramp limit not >= 0")
 
 
 @dataclass
@@ -64,8 +65,8 @@ class ProducerPortfolio:
         for unit in self.units:
             if unit.power_max.shape[0] != t:
                 raise ConfigurationError(f"producer {self.name!r}: unit horizon mismatch")
-        if self.imbalance_limit < 0:
-            raise ConfigurationError(f"producer {self.name!r}: negative imbalance limit")
+        if not self.imbalance_limit >= 0:
+            raise ConfigurationError(f"producer {self.name!r}: imbalance limit not >= 0")
 
     @property
     def horizon(self) -> int:

@@ -65,8 +65,8 @@ class RetailerPortfolio:
         for load in self.loads:
             if load.horizon != t:
                 raise ConfigurationError(f"retailer {self.name!r}: load horizon mismatch")
-        if self.imbalance_limit < 0:
-            raise ConfigurationError(f"retailer {self.name!r}: negative imbalance limit")
+        if not self.imbalance_limit >= 0:
+            raise ConfigurationError(f"retailer {self.name!r}: imbalance limit not >= 0")
 
     @property
     def horizon(self) -> int:

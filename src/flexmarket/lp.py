@@ -11,14 +11,14 @@ coefficient) triplets; these are the only way to build a model.
 Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
 Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on a fresh
 instance with the model and the options
-``scipy.optimize.linprog(method="highs")`` would pass, and the optimum is
-checked as ``linprog`` checks it.  :meth:`~LinearProgram.highs_columns`
-assembles the matrix once per model, in numpy, straight from the triplets:
-the column-wise arrays HiGHS takes, with the rows in ``linprog``'s order
-(``<=`` rows, negated ``>=`` rows, ``==`` rows), repeated terms summed and
-cancelled ones dropped.  The same arrays give the row activity of the
-feasibility check.  :meth:`~LinearProgram.dense_rows` is read only by the
-test oracles and the benchmark tracer.  scipy is imported only when a model
+``scipy.optimize.linprog(method="highs")`` would pass, so it returns the
+vertex ``linprog`` returns.  :meth:`~LinearProgram.highs_columns` assembles
+the matrix once per model, in numpy, straight from the triplets: the
+column-wise arrays HiGHS takes, with the rows in ``linprog``'s order (``<=``
+rows, negated ``>=`` rows, ``==`` rows), repeated terms summed and cancelled
+ones dropped.  The optimum is checked once, on the triplets in the model's
+own row order.  :meth:`~LinearProgram.dense_rows` is read only by the test
+oracles and the benchmark tracer.  scipy is imported only when a model
 is solved, so importing this package loads none of it.
 
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
@@ -191,19 +191,15 @@ class LinearProgram:
             values = _run_sums((coefficients * sign[rows])[at], first)
             nonzero = values != 0.0
             kept = at[first[nonzero]]
-            column = columns[kept]
             start = np.zeros(self._n_variables + 1, np.int32)
-            start[1:] = np.cumsum(np.bincount(column, minlength=self._n_variables))
+            start[1:] = np.cumsum(np.bincount(columns[kept], minlength=self._n_variables))
             row_upper = rhs[order] * sign[order]
             self._columns = HighsColumns(
                 start=start,
                 index=highs_rows[kept].astype(np.int32),
                 value=values[nonzero],
-                column=column,
                 row_lower=np.concatenate([np.full(n_ineq, -INF), row_upper[n_ineq:]]),
                 row_upper=row_upper,
-                order=order,
-                n_ineq=n_ineq,
             )
         return self._columns
 
@@ -218,20 +214,18 @@ class LinearProgram:
 
 
 class HighsColumns(NamedTuple):
-    """The rows of a model in the form HiGHS takes them, in the row order of
-    ``scipy.optimize.linprog``: the ``<=`` rows, the ``>=`` rows negated
-    (both bounded below by ``-inf``), then the ``==`` rows.  The matrix is
-    column-wise, rows ascending within a column, with repeated terms summed
-    and cancelled ones dropped."""
+    """The rows of a model as HiGHS's ``passModel`` takes them, in the row
+    order of ``scipy.optimize.linprog``: the ``<=`` rows, the ``>=`` rows
+    negated (both bounded below by ``-inf``), then the ``==`` rows.  The
+    matrix is column-wise, rows ascending within a column, with repeated
+    terms summed and cancelled ones dropped.  Nothing maps these rows back
+    to the model's: only HiGHS reads them."""
 
     start: np.ndarray       # int32: where each column's nonzeros start, and the end
     index: np.ndarray       # int32: the row of each nonzero
     value: np.ndarray
-    column: np.ndarray      # the column of each nonzero
     row_lower: np.ndarray
     row_upper: np.ndarray
-    order: np.ndarray       # row ``k`` here is row ``order[k]`` of the model
-    n_ineq: int             # the rows before the ``==`` rows
 
 
 def _run_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -318,34 +312,29 @@ def solve(lp: LinearProgram) -> Solution:
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     """Raise unless ``x`` is finite, within its bounds (absolute ``TOL_FEAS``)
-    and satisfies every row within ``TOL_FEAS * max(1, |rhs|)``."""
+    and satisfies every row of the model within ``TOL_FEAS * max(1, |rhs|)``;
+    a row whose residual is not finite fails.  The error names the first
+    violated row, with its residual ``A x - rhs``."""
     if (
         not np.isfinite(x).all()
         or np.any(lp.lower - x > TOL_FEAS)
         or np.any(x - lp.upper > TOL_FEAS)
     ):
         raise RuntimeError(f"solver returned out-of-bounds solution for {lp.name!r}")
-    a = lp.highs_columns()
-    # rows in HiGHS order, where every inequality reads "<= row_upper"; a
-    # product that overflows is a violation below
+    rows, columns, coefficients = _joined(lp._terms)
+    relations, rhs = _joined(lp._rows)
+    # a product that overflows is a violation below
     with np.errstate(over="ignore"):
-        terms = a.value * x[a.column]
-    activity = np.bincount(a.index, terms, minlength=lp.n_constraints)
-    resid = activity - a.row_upper
-    slack = TOL_FEAS * np.maximum(1.0, np.abs(a.row_upper))
+        terms = coefficients * x[columns]
+    resid = np.bincount(rows, terms, minlength=lp.n_constraints) - rhs
+    slack = TOL_FEAS * np.maximum(1.0, np.abs(rhs))
     # written as "holds" so that a NaN residual fails every row
-    holds = resid <= slack
-    holds[a.n_ineq:] &= resid[a.n_ineq:] >= -slack[a.n_ineq:]
+    holds = (relations == GREATER_EQUAL) | (resid <= slack)
+    holds &= (relations == LESS_EQUAL) | (resid >= -slack)
     violated = np.flatnonzero(~(holds & np.isfinite(resid)))
     if violated.size:
-        k = violated[np.argmin(a.order[violated])]
-        i = a.order[k]
-        # a negated ">=" row's residual, back in the model's own sign
-        if _joined(lp._rows)[0][i] == GREATER_EQUAL:
-            resid[k] = -resid[k]
-        raise RuntimeError(
-            f"solver violated constraint {i} of {lp.name!r} by {resid[k]:.3e}"
-        )
+        i = violated[0]
+        raise RuntimeError(f"solver violated constraint {i} of {lp.name!r} by {resid[i]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +391,7 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
         return UNBOUNDED, np.empty(0), iterations
     if run_failed or status != core.HighsModelStatus.kOptimal:
         raise RuntimeError(f"highs failed on {lp.name!r}: {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    _check_highs_result(lp, x, a.row_upper - np.array(solution.row_value), a.n_ineq)
-    return OPTIMAL, x, iterations
+    return OPTIMAL, np.array(highs.getSolution().col_value), iterations
 
 
 @functools.cache
@@ -420,26 +406,3 @@ def _highs_options():
     options.output_flag = False
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     return options
-
-
-#: absolute tolerance of the check ``linprog`` makes on a HiGHS optimum
-HIGHS_CHECK_TOL = 10 * math.sqrt(1e-9)
-
-
-def _check_highs_result(lp: LinearProgram, x: np.ndarray, slack: np.ndarray, n_ineq: int) -> None:
-    """Raise unless ``x`` and the row slacks (``row_upper - A x``, inequality
-    rows first) are free of NaN, ``x`` is within its bounds, no inequality
-    slack is below ``-HIGHS_CHECK_TOL`` and every equality residual is within
-    ``HIGHS_CHECK_TOL`` of 0."""
-    tol = HIGHS_CHECK_TOL
-    if (
-        np.isnan(x).any()
-        or np.isnan(slack).any()
-        or not np.all((x >= lp.lower - tol) & (x <= lp.upper + tol))
-        or (slack[:n_ineq] < -tol).any()
-        or (np.abs(slack[n_ineq:]) > tol).any()
-    ):
-        raise RuntimeError(
-            f"highs failed on {lp.name!r}: the solution does not satisfy the "
-            f"constraints within {tol:.2e}"
-        )

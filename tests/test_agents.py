@@ -1,5 +1,6 @@
 import inspect
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,25 @@ def unit(t, cap=10.0, cost=45.0, ramp=100.0, name="u", p0=None):
 
 def producer(t, units, limit=1000.0, valuation=0.0):
     return ProducerPortfolio(name="gen", units=units, imbalance_limit=limit, reserve_valuation=valuation)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # power_min must match power_max in length, not broadcast against it
+        lambda: replace(unit(4), power_min=np.zeros(1)),
+        lambda: replace(unit(4), power_min=np.zeros(3)),
+        lambda: replace(unit(4), ramp_up=float("nan")),
+        lambda: replace(unit(4), ramp_down=float("nan")),
+        lambda: producer(4, [unit(4)], limit=float("nan")),
+        lambda: retailer(4, 10.0, limit=float("nan")),
+    ],
+    ids=["power-min-len-1", "power-min-len-3", "nan-ramp-up", "nan-ramp-down",
+         "nan-producer-limit", "nan-retailer-limit"],
+)
+def test_portfolios_reject_malformed_unit_and_limit_data(build):
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 def test_producer_positive_margin_runs_flat_out():
