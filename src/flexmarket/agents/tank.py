@@ -7,14 +7,20 @@ extreme consumption scenarios: one that runs high for the first half of the
 block and recovers low, and its mirror image.  If both extremes are
 feasible, every energy-neutral dispatch the operator can request inside the
 band is feasible too; :func:`verify_scenario_coverage` probes that claim
-with random dispatches.
+with random dispatches.  It draws and checks all of a load's samples as one
+``(samples, periods)`` array; only the running sum along the horizon is a
+loop over periods.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: the bounds :meth:`TankLoad.schedule_violations` names, in its order
+_BOUND_LABELS = ("power bounds", "energy bounds", "total energy bounds")
 
 
 @dataclass
@@ -50,42 +56,58 @@ class TankLoad:
             raise ValueError(f"load {self.name!r}: power/loss series length mismatch")
         if len(self.energy_min) != t + 1 or len(self.energy_max) != t + 1:
             raise ValueError(f"load {self.name!r}: energy bounds must have {t + 1} entries")
-        if np.any(self.power_min > self.power_max):
-            raise ValueError(f"load {self.name!r}: power_min above power_max")
-        if np.any(self.energy_min > self.energy_max):
-            raise ValueError(f"load {self.name!r}: energy_min above energy_max")
+        # written as "holds" so that NaN fails too
+        if not np.all(self.power_min <= self.power_max):
+            raise ValueError(f"load {self.name!r}: power_min not <= power_max")
+        if not np.all(self.energy_min <= self.energy_max):
+            raise ValueError(f"load {self.name!r}: energy_min not <= energy_max")
+        if not np.all(np.isfinite(self.loss)):
+            raise ValueError(f"load {self.name!r}: loss not finite")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"load {self.name!r}: efficiency must lie in (0, 1]")
-        if self.total_min > self.total_max:
-            raise ValueError(f"load {self.name!r}: total energy bounds inverted")
+        if not self.total_min <= self.total_max:
+            raise ValueError(f"load {self.name!r}: total_min not <= total_max")
         if not self.energy_min[0] - 1e-9 <= self.energy_start <= self.energy_max[0] + 1e-9:
             raise ValueError(f"load {self.name!r}: starting energy outside bounds")
-        if self.period_hours <= 0:
-            raise ValueError(f"load {self.name!r}: period length must be positive")
+        if not self.period_hours > 0:
+            raise ValueError(f"load {self.name!r}: period length not > 0")
 
     @property
     def horizon(self) -> int:
         return len(self.power_min)
 
     def energy_trajectory(self, schedule: np.ndarray) -> np.ndarray:
-        """Tank states induced by a consumption schedule, start included."""
+        """Tank states induced by a consumption schedule, start included.
+
+        ``schedule`` may also be a ``(..., periods)`` stack of schedules.
+        The running sum goes along the last axis in order, so each row of
+        the result is exactly what that row on its own would give.
+        """
         schedule = np.asarray(schedule, dtype=float)
         gain = self.efficiency * schedule * self.period_hours - self.loss
-        return np.concatenate([[self.energy_start], self.energy_start + np.cumsum(gain)])
+        start = np.full(gain.shape[:-1] + (1,), self.energy_start, dtype=float)
+        return np.concatenate([start, self.energy_start + np.cumsum(gain, axis=-1)], axis=-1)
 
     def schedule_violations(self, schedule: np.ndarray, tol: float = 1e-9) -> list[str]:
-        """Human-readable bound violations of a schedule; empty when feasible."""
-        schedule = np.asarray(schedule, dtype=float)
-        problems = []
-        if np.any(schedule < self.power_min - tol) or np.any(schedule > self.power_max + tol):
-            problems.append("power bounds")
-        states = self.energy_trajectory(schedule)
-        if np.any(states < self.energy_min - tol) or np.any(states > self.energy_max + tol):
-            problems.append("energy bounds")
-        drawn = float(np.sum(schedule) * self.period_hours)
-        if drawn < self.total_min - tol or drawn > self.total_max + tol:
-            problems.append("total energy bounds")
-        return problems
+        """Human-readable bound violations of a schedule; empty when feasible.
+
+        A NaN entry violates every bound it enters.
+        """
+        broken = self._bound_violations(np.asarray(schedule, dtype=float), tol)
+        return [label for label, bad in zip(_BOUND_LABELS, broken) if bad]
+
+    def _bound_violations(self, schedules: np.ndarray, tol: float) -> np.ndarray:
+        """``(..., 3)`` booleans: whether each schedule of a ``(..., periods)``
+        stack breaks the power, energy and total bounds (``_BOUND_LABELS``).
+
+        Each test is written as "holds", so that NaN breaks it.
+        """
+        power_ok = (schedules >= self.power_min - tol) & (schedules <= self.power_max + tol)
+        states = self.energy_trajectory(schedules)
+        energy_ok = (states >= self.energy_min - tol) & (states <= self.energy_max + tol)
+        drawn = np.sum(schedules, axis=-1) * self.period_hours
+        total_ok = (drawn >= self.total_min - tol) & (drawn <= self.total_max + tol)
+        return np.stack([~power_ok.all(axis=-1), ~energy_ok.all(axis=-1), ~total_ok], axis=-1)
 
 
 @dataclass
@@ -111,9 +133,11 @@ def verify_scenario_coverage(
 
     Draws ``samples`` random schedules inside the per-half envelopes with
     the same total consumption as the baseline, then checks each against
-    the load's power, energy and total-energy limits.  Any failure would
-    expose an inconsistency in the scenario construction, so a correct
-    model always reports zero.  ``samples`` must be at least 1.
+    the load's power, energy and total-energy limits and the baseline's
+    final tank state.  All samples are drawn and checked as one
+    ``(samples, periods)`` array.  Any failure would expose an
+    inconsistency in the scenario construction, so a correct model always
+    reports zero.  ``samples`` must be at least 1.
     """
     n = load.horizon
     if n % 2 != 0:
@@ -137,35 +161,58 @@ def verify_scenario_coverage(
     if not np.sum(lo) - 1e-7 <= target <= np.sum(hi) + 1e-7:
         raise ValueError("scenarios are not energy neutral around the baseline")
 
-    rng = np.random.default_rng(seed)
-    baseline_terminal = load.energy_trajectory(baseline)[-1]
-    failures = 0
+    draws = _random_fixed_sum(np.random.default_rng(seed), lo, hi, target, samples)
+    terminal_gap = np.abs(
+        load.energy_trajectory(draws)[:, -1] - load.energy_trajectory(baseline)[-1]
+    )
+    broken = np.column_stack(
+        [load._bound_violations(draws, tol=1e-7), ~(terminal_gap <= 1e-7)]
+    )
+    failed = broken.any(axis=1)
     first_failure = None
-    for k in range(samples):
-        draw = _random_fixed_sum(rng, lo, hi, target)
-        problems = load.schedule_violations(draw, tol=1e-7)
-        terminal_gap = abs(load.energy_trajectory(draw)[-1] - baseline_terminal)
-        if terminal_gap > 1e-7:
-            problems.append("terminal energy differs from baseline")
-        if problems:
-            failures += 1
-            if first_failure is None:
-                first_failure = {"sample": k, "schedule": draw, "problems": problems}
-    return CoverageReport(samples=samples, failures=failures, first_failure=first_failure)
+    if failed.any():
+        k = int(np.argmax(failed))
+        labels = (*_BOUND_LABELS, "terminal energy differs from baseline")
+        first_failure = {
+            "sample": k,
+            "schedule": draws[k].copy(),
+            "problems": [label for label, bad in zip(labels, broken[k]) if bad],
+        }
+    return CoverageReport(samples=samples, failures=int(failed.sum()), first_failure=first_failure)
 
 
-def _random_fixed_sum(rng, lo, hi, target):
-    """Uniform-ish draw from a box restricted to a fixed coordinate sum."""
+def _random_fixed_sum(rng, lo, hi, target, samples):
+    """``samples`` uniform-ish draws from a box restricted to a fixed
+    coordinate sum, as a ``(samples, periods)`` matrix.
+
+    Period by period, every row takes a value from the slice that its
+    remaining sum leaves feasible for the later periods.  The uniforms come
+    from one ``rng.random((samples, m))`` block, where ``m`` counts the
+    periods whose slice can have positive width: those with ``lo < hi`` and
+    a tail after them of positive width, which rules out the last period,
+    whose tail is empty.  A value is
+    ``low + (high - low) * u`` where ``high > low`` (numpy's own
+    ``uniform`` formula) and ``low`` otherwise.  So the matrix is bit for
+    bit what a loop calling ``rng.uniform(low, high)`` per row and period
+    would draw, with one exception: where a slice collapses by rounding
+    part-way through a row, such a loop skips a draw and shifts the rest of
+    its stream, while the block spends that uniform.
+    """
     n = len(lo)
-    out = np.empty(n)
-    remaining = target
     tail_lo = np.concatenate([np.cumsum(lo[::-1])[::-1], [0.0]])
     tail_hi = np.concatenate([np.cumsum(hi[::-1])[::-1], [0.0]])
+    free = (lo < hi) & (tail_lo[1:] < tail_hi[1:])
+    uniforms = rng.random((samples, int(free.sum())))
+    out = np.empty((samples, n))
+    remaining = np.full(samples, target)
+    column = 0
     for t in range(n):
-        low = max(lo[t], remaining - tail_hi[t + 1])
-        high = min(hi[t], remaining - tail_lo[t + 1])
-        value = rng.uniform(low, high) if high > low else low
-        out[t] = value
+        low = value = np.maximum(lo[t], remaining - tail_hi[t + 1])
+        if free[t]:
+            high = np.minimum(hi[t], remaining - tail_lo[t + 1])
+            value = np.where(high > low, low + (high - low) * uniforms[:, column], low)
+            column += 1
+        out[:, t] = value
         remaining -= value
     return out
 
@@ -176,7 +223,12 @@ def random_feasible_modulation(rng: np.random.Generator, periods: int | None = N
     Construction order guarantees feasibility: draw the three schedules
     first, then wrap bounds around whatever they need.  Used by the
     coverage property tests and the command-line ``verify`` run.
+    ``periods``, if given, must be a positive even integer.
     """
+    if periods is not None and not (
+        isinstance(periods, numbers.Integral) and periods > 0 and periods % 2 == 0
+    ):
+        raise ValueError(f"periods must be a positive even integer, got {periods!r}")
     n = int(periods if periods is not None else rng.choice([2, 4, 6, 8]))
     half = n // 2
     base = rng.uniform(1.0, 8.0, size=n)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from flexmarket.agents import TankLoad
 from flexmarket.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, _joined
 
 
@@ -200,3 +201,102 @@ def sweep_auction_oracle(sup, dem, price_cap):
             best = (pi, volume)
     assert best is not None
     return best
+
+
+def reference_coverage(load, baseline, up, down, samples, seed):
+    """``(draws, failures, first_failure)`` of the band coverage check, one
+    sample at a time: each row is drawn by scalar ``rng.uniform`` calls and
+    checked on its own, as the checker did before it worked on one
+    ``(samples, periods)`` array.  Envelope validation is left out."""
+    half = load.horizon // 2
+    lo = np.concatenate([down[:half], up[half:]])
+    hi = np.concatenate([up[:half], down[half:]])
+    target = float(np.sum(baseline))
+    rng = np.random.default_rng(seed)
+    draws = np.array([reference_fixed_sum(rng, lo, hi, target) for _ in range(samples)])
+    return (draws, *reference_checks(load, baseline, draws))
+
+
+def reference_fixed_sum(rng, lo, hi, target):
+    """One draw from the box ``[lo, hi]`` restricted to a fixed sum."""
+    n = len(lo)
+    out = np.empty(n)
+    remaining = target
+    tail_lo = np.concatenate([np.cumsum(lo[::-1])[::-1], [0.0]])
+    tail_hi = np.concatenate([np.cumsum(hi[::-1])[::-1], [0.0]])
+    for t in range(n):
+        low = max(lo[t], remaining - tail_hi[t + 1])
+        high = min(hi[t], remaining - tail_lo[t + 1])
+        value = rng.uniform(low, high) if high > low else low
+        out[t] = value
+        remaining -= value
+    return out
+
+
+def reference_checks(load, baseline, draws):
+    """``(failures, first_failure)`` of the coverage check on given draws,
+    one row at a time."""
+    baseline_terminal = reference_trajectory(load, baseline)[-1]
+    failures = 0
+    first_failure = None
+    for k, draw in enumerate(draws):
+        problems = reference_violations(load, draw, tol=1e-7)
+        if not abs(reference_trajectory(load, draw)[-1] - baseline_terminal) <= 1e-7:
+            problems.append("terminal energy differs from baseline")
+        if problems:
+            failures += 1
+            if first_failure is None:
+                first_failure = {"sample": k, "schedule": draw, "problems": problems}
+    return failures, first_failure
+
+
+def reference_trajectory(load, schedule):
+    """Tank states of one schedule, start included, by a running sum."""
+    gain = load.efficiency * np.asarray(schedule, dtype=float) * load.period_hours - load.loss
+    running = 0.0
+    states = [load.energy_start]
+    for g in gain:
+        running += g
+        states.append(load.energy_start + running)
+    return np.array(states)
+
+
+def reference_violations(load, schedule, tol):
+    """The bounds one schedule breaks, tested entry by entry; NaN breaks
+    every bound it enters."""
+
+    def holds(values, lower, upper):
+        return all(a - tol <= v <= b + tol for v, a, b in zip(values, lower, upper))
+
+    problems = []
+    if not holds(schedule, load.power_min, load.power_max):
+        problems.append("power bounds")
+    if not holds(reference_trajectory(load, schedule), load.energy_min, load.energy_max):
+        problems.append("energy bounds")
+    drawn = float(np.sum(schedule) * load.period_hours)
+    if not load.total_min - tol <= drawn <= load.total_max + tol:
+        problems.append("total energy bounds")
+    return problems
+
+
+def window_load(load: TankLoad, baseline, start: int, length: int) -> TankLoad:
+    """``load`` cut down to the periods ``start .. start + length - 1`` of a
+    band window: the window's power, loss and energy bounds, the baseline's
+    tank state at the window start, and the total fixed to the baseline's
+    energy over the window."""
+    block = slice(start, start + length)
+    states = slice(start, start + length + 1)
+    drawn = float(np.sum(baseline[block]) * load.period_hours)
+    return TankLoad(
+        name=f"{load.name}[{start}:{start + length}]",
+        power_min=load.power_min[block],
+        power_max=load.power_max[block],
+        energy_min=load.energy_min[states],
+        energy_max=load.energy_max[states],
+        efficiency=load.efficiency,
+        loss=load.loss[block],
+        total_min=drawn,
+        total_max=drawn,
+        energy_start=float(load.energy_trajectory(baseline)[start]),
+        period_hours=load.period_hours,
+    )

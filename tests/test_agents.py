@@ -23,6 +23,7 @@ from flexmarket.agents import (
     random_feasible_modulation,
     verify_scenario_coverage,
 )
+from flexmarket.agents import tank
 from flexmarket.agents.forecast import PriceForecast, exponential_mean, extreme_prices
 from flexmarket.agents.producer import producer_accepted_reserve
 from flexmarket.agents.retailer import (
@@ -748,6 +749,195 @@ def test_coverage_rejects_fewer_than_one_sample(samples):
     load, base, up, down = random_feasible_modulation(rng, periods=4)
     with pytest.raises(ValueError, match="at least one sample"):
         verify_scenario_coverage(load, base, up, down, samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("periods", [3, -2, 0, 4.0, "4"])
+def test_random_modulation_rejects_periods_other_than_positive_even_integers(periods):
+    with pytest.raises(ValueError, match="periods"):
+        random_feasible_modulation(np.random.default_rng(0), periods=periods)
+
+
+@pytest.mark.parametrize(
+    "field_name",
+    ["power_min", "power_max", "energy_min", "energy_max", "loss", "total_min", "total_max",
+     "period_hours"],
+)
+def test_tank_load_rejects_nan_bounds(field_name):
+    load = simple_load(2)
+    value = getattr(load, field_name)
+    if np.ndim(value):
+        value = value.copy()
+        value[-1] = np.nan
+    else:
+        value = np.nan
+    with pytest.raises(ValueError, match="not"):
+        replace(load, **{field_name: value})
+
+
+def test_nan_schedule_breaks_every_bound_it_enters():
+    load = simple_load(2, total=4.0)
+    assert load.schedule_violations([3.5, 0.5]) == []
+    assert load.schedule_violations([np.nan, 0.5]) == [
+        "power bounds", "energy bounds", "total energy bounds"
+    ]
+    rng = np.random.default_rng(4)
+    load, base, up, down = random_feasible_modulation(rng, periods=4)
+    base[1] = np.nan
+    with pytest.raises(ValueError, match="baseline scenario infeasible"):
+        verify_scenario_coverage(load, base, up, down, samples=10, seed=0)
+
+
+def assert_coverage_matches_loop(load, base, up, down, samples, seed):
+    """The checker's draws, count and first failure equal the per-sample
+    loop's; the draws bit for bit."""
+    half = load.horizon // 2
+    lo = np.concatenate([down[:half], up[half:]])
+    hi = np.concatenate([up[:half], down[half:]])
+    draws = tank._random_fixed_sum(
+        np.random.default_rng(seed), lo, hi, float(np.sum(base)), samples
+    )
+    expected_draws, failures, first_failure = oracles.reference_coverage(
+        load, base, up, down, samples, seed
+    )
+    assert draws.shape == expected_draws.shape == (samples, load.horizon)
+    assert draws.tobytes() == expected_draws.tobytes()
+    states = load.energy_trajectory(draws)
+    for row, row_states in zip(draws, states):
+        assert row_states.tobytes() == oracles.reference_trajectory(load, row).tobytes()
+    report = verify_scenario_coverage(load, base, up, down, samples=samples, seed=seed)
+    assert (report.samples, report.failures) == (samples, failures)
+    assert_same_failure(report.first_failure, first_failure)
+    return report
+
+
+def assert_same_failure(actual, expected):
+    if expected is None:
+        assert actual is None
+        return
+    assert actual["sample"] == expected["sample"]
+    assert actual["schedule"].tobytes() == expected["schedule"].tobytes()
+    assert actual["problems"] == expected["problems"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coverage_matches_per_sample_loop_on_random_loads(seed):
+    rng = np.random.default_rng(seed)
+    for k, periods in enumerate([None, None, None, 8, 16]):
+        load, base, up, down = random_feasible_modulation(rng, periods=periods)
+        assert_coverage_matches_loop(load, base, up, down, samples=300, seed=seed + k)
+
+
+def flat_band(rng, deviation):
+    """A wide load with a random baseline and the band ``base +- deviation``."""
+    t = len(deviation)
+    base = rng.uniform(2.0, 6.0, size=t)
+    load = TankLoad(
+        name="flat",
+        power_min=np.zeros(t),
+        power_max=np.full(t, 10.0),
+        energy_min=np.full(t + 1, -20.0),
+        energy_max=np.full(t + 1, 40.0),
+        efficiency=0.9,
+        loss=np.full(t, 0.2),
+        total_min=float(np.sum(base)),
+        total_max=float(np.sum(base)),
+        energy_start=5.0,
+    )
+    return load, base, base + deviation, base - deviation
+
+
+@pytest.mark.parametrize(
+    "deviation",
+    [
+        # up for the first half, down for the second
+        [0.5, 0.0, 1.0, -1.5, 0.0, 0.0],  # flat tail of two periods
+        [0.6, 0.0, 0.6, -0.6, 0.0, -0.6],  # flat next-to-last period
+        [0.3, 0.0, 0.2, -0.1, -0.4, 0.0],  # flat last period
+        [0.0, 1.2, -0.7, -0.5],  # flat first period
+        [0.0, 0.5, 0.0, 0.7, -0.4, 0.0, -0.8, 0.0],  # every other period flat
+        [0.0, 0.0, 0.0, 0.0],  # a band of zero amplitude: nothing to draw
+    ],
+)
+def test_coverage_matches_per_sample_loop_on_flat_periods(deviation):
+    rng = np.random.default_rng(len(deviation))
+    load, base, up, down = flat_band(rng, np.array(deviation))
+    assert_coverage_matches_loop(load, base, up, down, samples=200, seed=5)
+
+
+def test_coverage_matches_per_sample_loop_at_horizon_zero_and_one_sample():
+    empty = np.zeros(0)
+    load = TankLoad(
+        name="empty", power_min=empty, power_max=empty, energy_min=[0.0], energy_max=[1.0],
+        efficiency=1.0, loss=empty, total_min=0.0, total_max=0.0, energy_start=0.5,
+    )
+    report = assert_coverage_matches_loop(load, empty, empty, empty, samples=3, seed=0)
+    assert report.passed
+    load, base, up, down = random_feasible_modulation(np.random.default_rng(8), periods=6)
+    assert_coverage_matches_loop(load, base, up, down, samples=1, seed=0)
+
+
+def test_bound_masks_match_schedule_violations_row_by_row():
+    load = replace(
+        simple_load(4, e_span=3.0), loss=np.full(4, 2.0), total_min=6.0, total_max=10.0
+    )
+    rng = np.random.default_rng(12)
+    schedules = np.vstack([
+        [[2.0, 2.0, 2.0, 2.0],  # feasible
+         [4.2, 0.0, 2.0, 2.0],  # power only
+         [4.0, 4.0, 0.0, 0.0],  # energy only
+         [1.0, 2.0, 2.0, 0.5],  # total only
+         [np.nan, 2.0, 2.0, 2.0]],  # NaN: all three
+        rng.uniform(-0.5, 4.5, size=(400, 4)),
+    ])
+    schedules[20::13, 2] = np.nan
+    broken = load._bound_violations(schedules, 1e-7)
+    assert broken.shape == (405, 3)
+    for row, row_broken in zip(schedules, broken):
+        problems = load.schedule_violations(row, tol=1e-7)
+        assert problems == oracles.reference_violations(load, row, tol=1e-7)
+        assert problems == [
+            label for label, bad in zip(tank._BOUND_LABELS, row_broken) if bad
+        ]
+    assert broken[:5].tolist() == [
+        [False, False, False], [True, False, False], [False, True, False],
+        [False, False, True], [True, True, True],
+    ]
+    # the random rows break the bounds in every combination
+    assert len({tuple(r) for r in broken[5:]}) == 8
+
+
+def test_coverage_counts_failures_and_keeps_the_first_in_order(monkeypatch):
+    load = TankLoad(
+        name="ranged",
+        power_min=np.zeros(2),
+        power_max=np.full(2, 4.0),
+        energy_min=np.array([-1.0, 1.5, 0.0]),
+        energy_max=np.array([1.0, 4.5, 7.0]),
+        efficiency=1.0,
+        loss=np.zeros(2),
+        total_min=4.0,
+        total_max=8.0,
+        energy_start=0.0,
+    )
+    base, up, down = np.array([3.0, 3.0]), np.array([4.0, 2.0]), np.array([2.0, 4.0])
+    draws = np.array([
+        [3.0, 3.0],     # passes
+        [3.5, 3.0],     # only the final tank state differs
+        [1.0, 5.0],     # power and energy, same total and final state
+        [np.nan, 3.0],  # NaN: every bound and the final state
+        [1.0, 1.0],     # energy, total and final state
+        [2.5, 3.5],     # passes
+    ])
+    monkeypatch.setattr(tank, "_random_fixed_sum", lambda *args: draws.copy())
+    report = verify_scenario_coverage(load, base, up, down, samples=6, seed=0)
+    failures, first_failure = oracles.reference_checks(load, base, draws)
+    assert report.failures == failures == 4
+    assert_same_failure(report.first_failure, first_failure)
+    assert report.first_failure["sample"] == 1
+    assert report.first_failure["problems"] == ["terminal energy differs from baseline"]
+    monkeypatch.setattr(tank, "_random_fixed_sum", lambda *args: draws[2:].copy())
+    report = verify_scenario_coverage(load, base, up, down, samples=4, seed=0)
+    assert report.first_failure["problems"] == ["power bounds", "energy bounds"]
 
 
 

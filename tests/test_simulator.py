@@ -4,8 +4,14 @@ import types
 import numpy as np
 import pytest
 
+import oracles
 from flexmarket import lp, simulator
-from flexmarket.agents import GenerationUnit, ProducerPortfolio, RetailerPortfolio
+from flexmarket.agents import (
+    GenerationUnit,
+    ProducerPortfolio,
+    RetailerPortfolio,
+    verify_scenario_coverage,
+)
 from flexmarket.scenario import Scenario, ScenarioConfig, generate_scenario
 from flexmarket.simulator import (
     RoundMetrics,
@@ -509,6 +515,40 @@ def test_final_positions_hold_exactly_the_contracted_reserve():
             if bid.actor == name:
                 sold[(bid.start, bid.length)] += bid.amplitude * x
         assert np.allclose(position.amplitudes, list(sold.values()), rtol=0, atol=1e-9)
+
+
+def test_every_sold_band_window_covers_its_dispatches():
+    """The paper's band claim on bands the simulator sells: on every window
+    of every accepted retailer band, each energy-neutral dispatch between
+    the two extreme scenarios is feasible for the load it runs on."""
+    # the open-bands benchmark workload's config
+    config = ScenarioConfig(
+        seed=1, setting="open", flexibility_rate=0.30, retailer_count=6,
+        loads_per_retailer=4, producer_count=2, bid_block_length=2, max_rounds=6,
+    )
+    scenario = generate_scenario(config)
+    loads = {portfolio.name: portfolio.loads for portfolio in scenario.retailers}
+    outcome = run(config, scenario)
+    checked = failures = 0
+    for record in outcome.rounds:
+        for name, position in record.retailer_positions.items():
+            for (start, length), amplitude in zip(position.windows, position.amplitudes):
+                if amplitude <= 0:
+                    continue
+                block = slice(start, start + length)
+                for i, load in enumerate(loads[name]):
+                    base = position.schedules[i]
+                    report = verify_scenario_coverage(
+                        oracles.window_load(load, base, start, length),
+                        base[block],
+                        position.up_schedules[i][block],
+                        position.down_schedules[i][block],
+                        samples=1000,
+                        seed=checked,
+                    )
+                    checked += 1
+                    failures += report.failures
+    assert (len(outcome.rounds), checked, failures) == (3, 144, 0)
 
 
 def test_generate_scenario_determinism_and_sizing():
