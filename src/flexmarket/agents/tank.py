@@ -93,17 +93,20 @@ class TankLoad:
 
         A NaN entry violates every bound it enters.
         """
-        broken = self._bound_violations(np.asarray(schedule, dtype=float), tol)
+        schedule = np.asarray(schedule, dtype=float)
+        broken = self._bound_violations(schedule, self.energy_trajectory(schedule), tol)
         return [label for label, bad in zip(_BOUND_LABELS, broken) if bad]
 
-    def _bound_violations(self, schedules: np.ndarray, tol: float) -> np.ndarray:
+    def _bound_violations(
+        self, schedules: np.ndarray, states: np.ndarray, tol: float
+    ) -> np.ndarray:
         """``(..., 3)`` booleans: whether each schedule of a ``(..., periods)``
         stack breaks the power, energy and total bounds (``_BOUND_LABELS``).
+        ``states`` is ``energy_trajectory(schedules)``.
 
         Each test is written as "holds", so that NaN breaks it.
         """
         power_ok = (schedules >= self.power_min - tol) & (schedules <= self.power_max + tol)
-        states = self.energy_trajectory(schedules)
         energy_ok = (states >= self.energy_min - tol) & (states <= self.energy_max + tol)
         drawn = np.sum(schedules, axis=-1) * self.period_hours
         total_ok = (drawn >= self.total_min - tol) & (drawn <= self.total_max + tol)
@@ -162,11 +165,10 @@ def verify_scenario_coverage(
         raise ValueError("scenarios are not energy neutral around the baseline")
 
     draws = _random_fixed_sum(np.random.default_rng(seed), lo, hi, target, samples)
-    terminal_gap = np.abs(
-        load.energy_trajectory(draws)[:, -1] - load.energy_trajectory(baseline)[-1]
-    )
+    states = load.energy_trajectory(draws)
+    terminal_gap = np.abs(states[:, -1] - load.energy_trajectory(baseline)[-1])
     broken = np.column_stack(
-        [load._bound_violations(draws, tol=1e-7), ~(terminal_gap <= 1e-7)]
+        [load._bound_violations(draws, states, tol=1e-7), ~(terminal_gap <= 1e-7)]
     )
     failed = broken.any(axis=1)
     first_failure = None

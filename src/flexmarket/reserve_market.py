@@ -8,6 +8,14 @@ both directions in every covered period (discounted by its efficiency
 ratio).  Clearing minimizes reservation plus assumed-activation cost, with
 a penalty on contracting past the requirement and an expensive fallback on
 any shortfall.
+
+Tied bids share pro rata, as marginal offers do in the energy auction.
+Classical bids tie when they have the same period, direction and
+activation price; band bids when they have the same window, efficiency and
+activation price.  Tied bids cost the same and count the same per MW, so
+every group of them gets one accepted fraction, the volume-weighted mean
+of the fractions the LP picked, and equal bids are accepted alike whatever
+vertex the solver returns.
 """
 
 from __future__ import annotations
@@ -151,6 +159,25 @@ def _check_non_overlap(modulation: list[ModulationBid]) -> None:
         covered |= window
 
 
+def _pro_rata(fraction: np.ndarray, keys: np.ndarray, volume: np.ndarray) -> np.ndarray:
+    """``fraction`` with each group of tied bids (equal rows of ``keys``)
+    given one fraction: the ``volume``-weighted mean of its members'
+    fractions, or their plain mean where the group's volume is 0.
+
+    Tied bids cost the same and count the same per MW, so the group's
+    contribution to every requirement row and its cost keep the LP's values
+    (up to rounding) and the LP's optimum stays an optimum.  Each group's
+    sums run in bid order from 0.0 (``np.bincount`` adds its weights one by
+    one), so the result is deterministic; a bid alone in its group keeps
+    its fraction bit for bit.
+    """
+    _, group, size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    total = np.bincount(group, volume, len(size))
+    mean = np.bincount(group, fraction, len(size)) / size
+    np.divide(np.bincount(group, volume * fraction, len(size)), total, out=mean, where=total > 0)
+    return np.where(size[group] > 1, mean[group], fraction)
+
+
 def clear_reserve(
     classical: list[ClassicalReserveBid],
     modulation: list[ModulationBid],
@@ -233,8 +260,17 @@ def clear_reserve(
     if sol.status != "optimal":
         raise RuntimeError(f"reserve clearing unexpectedly {sol.status}")
 
-    xc = np.clip(sol.values(x_classical), 0.0, 1.0)
-    xm = np.clip(sol.values(x_modulation), 0.0, 1.0)
+    xc = _pro_rata(
+        np.clip(sol.values(x_classical), 0.0, 1.0),
+        np.column_stack([period, is_up, activation]),
+        volume,
+    )
+    window = np.array([(bid.start, bid.length) for bid in modulation], dtype=float).reshape(-1, 2)
+    xm = _pro_rata(
+        np.clip(sol.values(x_modulation), 0.0, 1.0),
+        np.column_stack([window, band_efficiency, band_activation]),
+        amplitude,
+    )
 
     return ReserveProcurement(
         classical=list(classical),

@@ -890,7 +890,7 @@ def test_bound_masks_match_schedule_violations_row_by_row():
         rng.uniform(-0.5, 4.5, size=(400, 4)),
     ])
     schedules[20::13, 2] = np.nan
-    broken = load._bound_violations(schedules, 1e-7)
+    broken = load._bound_violations(schedules, load.energy_trajectory(schedules), 1e-7)
     assert broken.shape == (405, 3)
     for row, row_broken in zip(schedules, broken):
         problems = load.schedule_violations(row, tol=1e-7)

@@ -387,14 +387,14 @@ TREE_DIGESTS = {
         "figures/mean_price_by_round.svg": "b10e23e6b0c36beb",
         "figures/terminal_prices.svg": "28c681f6841977ae",
         "manifest.txt": "c2011631fa86aa89",
-        "metrics.csv": "41c1d8f1e1c25147",
-        "rounds/*/clearing.csv": "889e58a0bc0f8a5e",
-        "rounds/*/offers.csv": "42dab2489a942e4e",
-        "rounds/*/positions.csv": "0443d7dad4de81df",
-        "rounds/*/prices.csv": "ba7a7f85904269ee",
-        "rounds/*/procurement.csv": "ef76b9e4e1d6c91e",
-        "rounds/*/settlement.csv": "5b668d9315015527",
-        "summary.csv": "715d9b16920a4a48",
+        "metrics.csv": "1f87513a5ce6155a",
+        "rounds/*/clearing.csv": "3acc1a7009b0b8c1",
+        "rounds/*/offers.csv": "73c089386c70e190",
+        "rounds/*/positions.csv": "9fe15ef7d0b3d452",
+        "rounds/*/prices.csv": "8a9d6fcd03385ce1",
+        "rounds/*/procurement.csv": "47bd388fda0ac1ec",
+        "rounds/*/settlement.csv": "f68fec3be532f5cd",
+        "summary.csv": "01796186b83c1aab",
     },
     # retailer rows reach |rhs| = 3600 here, where TOL_FEAS * |rhs| is looser
     # than the 3.16e-4 that linprog's own check allows
@@ -402,14 +402,14 @@ TREE_DIGESTS = {
         "figures/mean_price_by_round.svg": "b10e23e6b0c36beb",
         "figures/terminal_prices.svg": "28c681f6841977ae",
         "manifest.txt": "bbe61daacec8639f",
-        "metrics.csv": "3f6e1154695640f3",
+        "metrics.csv": "fe5b70b63244981f",
         "rounds/*/clearing.csv": "92933c48fca194f1",
         "rounds/*/offers.csv": "687e29097b2e7f31",
-        "rounds/*/positions.csv": "77d547379168b1e9",
-        "rounds/*/prices.csv": "370413f7c1b6d5db",
-        "rounds/*/procurement.csv": "5cbe3d62cf83c4c4",
-        "rounds/*/settlement.csv": "0095fc3d9d1c6c5a",
-        "summary.csv": "fb337873ed8bd725",
+        "rounds/*/positions.csv": "cdf2c422890587a9",
+        "rounds/*/prices.csv": "237388cb5aea82fb",
+        "rounds/*/procurement.csv": "d2c914220d3d716e",
+        "rounds/*/settlement.csv": "ba48caf9f6cff55e",
+        "summary.csv": "12b0975eee769e2d",
     },
 }
 

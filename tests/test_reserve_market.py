@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from flexmarket import reserve_market
 from flexmarket.reserve_market import (
     ClassicalReserveBid,
     ModulationBid,
@@ -195,3 +197,160 @@ def test_classical_bid_validation():
     with pytest.raises(ValueError):
         ModulationBid("a", 0, 3, 1.0).validate(4)
 
+
+
+# ---------------------------------------------------------------------------
+# tied bids share pro rata
+# ---------------------------------------------------------------------------
+
+
+def band(amplitude, start=0, length=2, actor="ret", efficiency=0.5, price=0.0):
+    return ModulationBid(actor, start, length, amplitude, price, efficiency)
+
+
+def clear_raw(monkeypatch, *args):
+    """``clear_reserve(*args)`` with the fractions the LP picked, ties unshared."""
+    with monkeypatch.context() as patch:
+        patch.setattr(reserve_market, "_pro_rata", lambda fraction, keys, volume: fraction)
+        return clear_reserve(*args)
+
+
+def covered(result):
+    """(periods, 2) MW of reserve each direction gets from the accepted bids."""
+    cover = np.zeros((len(result.surplus_up), 2))
+    for bid, x in zip(result.classical, result.classical_fraction):
+        cover[bid.period, bid.direction == "down"] += bid.volume * x
+    for bid, x in zip(result.modulation, result.modulation_fraction):
+        cover[bid.start : bid.start + bid.length] += bid.amplitude * bid.efficiency * x
+    return cover
+
+
+def test_tied_classical_bids_share_one_fraction(monkeypatch):
+    bids = [
+        up_bid(6.0, 20.0, actor="a"), up_bid(12.0, 20.0, actor="b"), up_bid(9.0, 30.0, actor="c")
+    ]
+    args = (bids, [], np.array([9.0]), np.array([0.0]), PRICES)
+    raw = clear_raw(monkeypatch, *args).classical_fraction
+    assert raw[0] != raw[1]  # the LP picked a vertex of the tie
+    fraction = clear_reserve(*args).classical_fraction
+    assert fraction[0] == fraction[1] == pytest.approx(0.5)
+    assert fraction[2] == raw[2] == 0.0
+
+
+def test_tied_band_bids_share_one_fraction(monkeypatch):
+    bids = [band(10.0, actor="a"), band(30.0, actor="b"), band(20.0, actor="c")]
+    r = np.full(2, 12.0)
+    raw = clear_raw(monkeypatch, [], bids, r, r, PRICES).modulation_fraction
+    assert len(set(raw)) > 1
+    fraction = clear_reserve([], bids, r, r, PRICES).modulation_fraction
+    assert fraction[0] == fraction[1] == fraction[2] == pytest.approx(24.0 / 60.0)
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        dict(efficiency=0.6),
+        dict(price=1.0),
+        dict(start=2),
+        dict(length=4),
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_band_bids_that_differ_in_one_tie_field_are_not_grouped(monkeypatch, second):
+    bids = [band(10.0, actor="a"), band(20.0, actor="b", **second)]
+    r = np.full(4, 3.0)
+    raw = clear_raw(monkeypatch, [], bids, r, r, PRICES).modulation_fraction
+    assert raw[0] != raw[1]
+    assert np.array_equal(clear_reserve([], bids, r, r, PRICES).modulation_fraction, raw)
+
+
+@pytest.mark.parametrize(
+    "second", [dict(activation_price=21.0), dict(period=1), dict(direction="down")],
+    ids=lambda change: next(iter(change)),
+)
+def test_classical_bids_that_differ_in_one_tie_field_are_not_grouped(monkeypatch, second):
+    bids = [
+        up_bid(6.0, 20.0, actor="a"), dataclasses.replace(up_bid(12.0, 20.0, actor="b"), **second)
+    ]
+    args = (bids, [], np.array([3.0, 3.0]), np.array([3.0, 3.0]), PRICES)
+    raw = clear_raw(monkeypatch, *args).classical_fraction
+    assert raw[0] != raw[1]
+    assert np.array_equal(clear_reserve(*args).classical_fraction, raw)
+
+
+def tied_book(rng, nudge=0.0):
+    """Classical and band bids drawn from few periods, windows and prices, so
+    that many tie; ``nudge`` moves the k-th bid's activation price by
+    ``k * nudge`` to break every tie."""
+    classical = [
+        ClassicalReserveBid(
+            f"g{k}", int(rng.integers(0, 4)), ("up", "down")[int(rng.integers(0, 2))],
+            float(rng.uniform(1, 10)), float(rng.choice([20.0, 40.0])) + k * nudge,
+        )
+        for k in range(24)
+    ]
+    modulation = [
+        ModulationBid(f"r{k}", int(rng.integers(0, 2)) * 2, 2, float(rng.uniform(0, 15)),
+                      float(rng.choice([0.0, 5.0])) + k * nudge, 0.5)
+        for k in range(12)
+    ]
+    return classical, modulation
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bids_without_a_tie_keep_the_lp_fraction_bit_for_bit(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    classical, modulation = tied_book(rng, nudge=1e-3)
+    required = rng.uniform(5, 40, (2, 4))
+    args = (classical, modulation, *required, PRICES)
+    raw = clear_raw(monkeypatch, *args)
+    shared = clear_reserve(*args)
+    assert np.array_equal(shared.classical_fraction, raw.classical_fraction)
+    assert np.array_equal(shared.modulation_fraction, raw.modulation_fraction)
+    assert shared.contracted_cost == raw.contracted_cost
+
+
+def test_a_lone_bid_keeps_a_fraction_that_reweighting_would_round():
+    # 3.0 * 0.1 / 3.0 is 0.10000000000000002
+    keys = np.array([[0.0, 1.0, 20.0], [0.0, 1.0, 30.0], [1.0, 1.0, 20.0], [1.0, 1.0, 20.0]])
+    fraction = np.array([0.1, 0.7, 0.2, 0.6])
+    shared = reserve_market._pro_rata(fraction, keys, np.array([3.0, 3.0, 1.0, 3.0]))
+    assert shared[0] == 0.1 and shared[1] == 0.7
+    assert shared[2] == shared[3] == pytest.approx((0.2 + 1.8) / 4)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sharing_keeps_the_lp_cover_cost_and_objective(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    classical, modulation = tied_book(rng)
+    required = rng.uniform(5, 40, (2, 4))
+    args = (classical, modulation, *required, PRICES)
+    raw = clear_raw(monkeypatch, *args)
+    shared = clear_reserve(*args)
+    groups = {}
+    for bid, x in zip(classical, shared.classical_fraction):
+        key = (bid.period, bid.direction, bid.activation_price)
+        groups.setdefault(key, set()).add(x)
+    for bid, x in zip(modulation, shared.modulation_fraction):
+        key = (bid.start, bid.length, bid.efficiency, bid.activation_price)
+        groups.setdefault(key, set()).add(x)
+    assert all(len(fractions) == 1 for fractions in groups.values())
+    assert len(groups) < len(classical) + len(modulation)
+    assert np.allclose(covered(shared), covered(raw), rtol=0, atol=1e-9)
+    assert shared.contracted_cost == pytest.approx(raw.contracted_cost, rel=0, abs=1e-9)
+    assert shared.objective == raw.objective
+    explicit = shared.contracted_cost
+    explicit += float(shared.over_commit_penalty @ (shared.surplus_up + shared.surplus_down))
+    explicit += 500.0 * float(np.sum(shared.shortfall_up + shared.shortfall_down))
+    assert shared.objective == pytest.approx(explicit, rel=0, abs=1e-9)
+
+
+def test_a_band_group_of_zero_amplitude_shares_one_fraction():
+    bids = [band(0.0, actor="a"), band(0.0, actor="b"), band(0.0, actor="c")]
+    r = np.full(2, 5.0)
+    result = clear_reserve([], bids, r, r, PRICES)
+    fraction = result.modulation_fraction
+    assert np.isfinite(fraction).all() and 0.0 <= fraction[0] <= 1.0
+    assert fraction[0] == fraction[1] == fraction[2]
+    assert result.contracted_modulation() == []
+    assert result.shortfall_up == pytest.approx(r)
