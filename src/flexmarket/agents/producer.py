@@ -4,9 +4,10 @@ A producer dispatches its units against the energy price forecast, holds
 back ramp-feasible headroom as upward/downward reserve (valued at a small
 regulated credit so reserve never displaces profitable energy), and may
 deviate from its sold position when the imbalance tariff forecast beats
-the market.  The same model runs three times per round: free, with the
-cleared sale fixed, and with the accepted reserves (mapped back onto the
-units by :func:`producer_accepted_reserve`) fixed as well.
+the market.  One model serves the three stages of a round, each under its
+own bounds: free, with the cleared sale fixed, and with the accepted
+reserves (mapped back onto the units by :func:`producer_accepted_reserve`)
+fixed as well.
 """
 
 from __future__ import annotations
@@ -88,36 +89,37 @@ def fleet_capacity(portfolio: ProducerPortfolio) -> np.ndarray:
     return np.sum([unit.power_max for unit in portfolio.units], axis=0)
 
 
-def optimize_producer(
+@dataclass(frozen=True)
+class ProducerModel:
+    """A producer's position LP under the day-ahead bounds (sale free,
+    reserve from 0 up, each deviation within the imbalance limit) and the
+    handles of its variables.  :func:`optimize_producer` solves it under
+    each stage's bounds."""
+
+    lp: LinearProgram
+    sale: np.ndarray
+    imbalance_up: np.ndarray
+    imbalance_down: np.ndarray
+    unit_output: np.ndarray   # (units, periods)
+    reserve: np.ndarray       # (units, periods, 2): upward, then downward
+
+
+def build_producer_model(
     portfolio: ProducerPortfolio,
     fc: PriceForecast,
     price_cap: float,
     non_contracted_price: float,
-    fixed_sale: np.ndarray | None = None,
-    fixed_reserve: np.ndarray | None = None,
     pins: Pins | None = None,
-) -> ProducerPosition:
-    """Profit-maximal dispatch, reserve and imbalance plan.
-
-    Stages differ only in what is already decided: nothing one day ahead,
-    the cleared sale after the energy market, and additionally the accepted
-    ``(units, periods, 2)`` reserve after the reserve market.  ``pins`` are
-    the learned (minimum sale, upward imbalance, downward imbalance) pins.
-    """
+) -> ProducerModel:
+    """The position LP of ``portfolio`` against ``fc``; ``pins`` are the
+    learned (minimum sale, upward imbalance, downward imbalance) pins."""
     t_count = portfolio.horizon
     lp = LinearProgram(sense="max", name=f"producer-{portfolio.name}")
 
-    p, reserve = _add_units(lp, portfolio, fixed_reserve)
-
-    if fixed_sale is not None:
-        sale = lp.add_variables(t_count, fixed_sale, fixed_sale)
-    else:
-        sale = lp.add_variables(t_count)
-    # the structural limit bounds the free day-ahead problem; with the sale
-    # fixed, the production balance already pins deviations
-    i_cap = np.inf if fixed_sale is not None else portfolio.imbalance_limit
-    i_up = lp.add_variables(t_count, 0.0, i_cap)
-    i_dn = lp.add_variables(t_count, 0.0, i_cap)
+    p, reserve = _add_units(lp, portfolio)
+    sale = lp.add_variables(t_count)
+    i_up = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
+    i_dn = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
 
     lp.add_objectives(sale, fc.energy)
     lp.add_objectives(i_up, -(fc.imbalance_up + IMBALANCE_FRICTION))
@@ -136,6 +138,44 @@ def optimize_producer(
         add_pin_penalties(lp, sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
         add_pin_penalties(lp, up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
         add_pin_penalties(lp, down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
+    return ProducerModel(lp, sale, i_up, i_dn, p, reserve)
+
+
+def optimize_producer(
+    portfolio: ProducerPortfolio,
+    fc: PriceForecast,
+    price_cap: float,
+    non_contracted_price: float,
+    fixed_sale: np.ndarray | None = None,
+    fixed_reserve: np.ndarray | None = None,
+    pins: Pins | None = None,
+    model: ProducerModel | None = None,
+) -> ProducerPosition:
+    """Profit-maximal dispatch, reserve and imbalance plan.
+
+    Stages differ only in what is already decided: nothing one day ahead,
+    the cleared sale after the energy market, and additionally the accepted
+    ``(units, periods, 2)`` reserve after the reserve market.  ``pins`` are
+    the learned (minimum sale, upward imbalance, downward imbalance) pins.
+    ``model`` is the model :func:`build_producer_model` built from this
+    portfolio, forecast, prices and pins, for the stages of one round to
+    share; without it, it is built here.
+    """
+    if model is None:
+        model = build_producer_model(portfolio, fc, price_cap, non_contracted_price, pins)
+    lp = model.lp
+    if fixed_sale is not None or fixed_reserve is not None:
+        lower, upper = lp.lower.copy(), lp.upper.copy()
+        if fixed_reserve is not None:
+            lower[model.reserve] = upper[model.reserve] = fixed_reserve
+        if fixed_sale is not None:
+            lower[model.sale] = upper[model.sale] = fixed_sale
+            # the imbalance limit bounds the day-ahead problem only: with the
+            # sale fixed it is lifted, and a deviation is then bounded by unit
+            # capacity and the pins alone (ROADMAP.md item 4, on the fee
+            # pairing, saw 523 MW against a 94 MW limit)
+            upper[model.imbalance_up] = upper[model.imbalance_down] = np.inf
+        lp = lp.with_bounds(lower, upper)
 
     sol = solve(lp)
     if sol.status != "optimal":
@@ -145,16 +185,16 @@ def optimize_producer(
         )
 
     return ProducerPosition(
-        sale=sol.values(sale),
-        imbalance_up=sol.values(i_up),
-        imbalance_down=sol.values(i_dn),
-        unit_output=sol.values(p),
-        reserve=sol.values(reserve),
+        sale=sol.values(model.sale),
+        imbalance_up=sol.values(model.imbalance_up),
+        imbalance_down=sol.values(model.imbalance_down),
+        unit_output=sol.values(model.unit_output),
+        reserve=sol.values(model.reserve),
         objective=sol.objective,
     )
 
 
-def _add_units(lp, portfolio, fixed_reserve):
+def _add_units(lp, portfolio):
     """Output, upward and downward reserve of every unit and period, with
     their objective terms and the per-unit capacity, floor and ramp rows.
 
@@ -168,11 +208,8 @@ def _add_units(lp, portfolio, fixed_reserve):
     t_count = portfolio.horizon
     power_min = np.array([unit.power_min for unit in units])
     power_max = np.array([unit.power_max for unit in units])
-    if fixed_reserve is None:
-        reserve_lo = np.zeros((len(units), 2, t_count))
-        reserve_hi = np.full_like(reserve_lo, np.inf)
-    else:
-        reserve_lo = reserve_hi = np.asarray(fixed_reserve, dtype=float).transpose(0, 2, 1)
+    reserve_lo = np.zeros((len(units), 2, t_count))
+    reserve_hi = np.full_like(reserve_lo, np.inf)
     handles = lp.add_variables(
         power_min.size * 3,
         np.concatenate([power_min[:, None], reserve_lo], axis=1).ravel(),

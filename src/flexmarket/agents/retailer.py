@@ -8,10 +8,11 @@ amplitude F means committing to two extreme consumption scenarios (high
 then low, and the mirror) that stay feasible for every load; their energy
 links back into the baseline tank state at both ends of each block.
 
-The same model serves both decision stages: pass ``fixed_demand`` (and
-``fixed_amplitudes`` when bands were sold) to re-optimize the residual
-degrees of freedom after the markets cleared, with the accepted amplitudes
-from :func:`retailer_accepted_amplitudes`.  Learned volume pins arrive as
+One model serves both decision stages of a round, each under its own
+bounds: pass ``fixed_demand`` (and ``fixed_amplitudes`` when bands were
+sold) to re-optimize the residual degrees of freedom after the markets
+cleared, with the accepted amplitudes from
+:func:`retailer_accepted_amplitudes`.  Learned volume pins arrive as
 plain per-period arrays; the learning itself belongs to the simulation run.
 """
 
@@ -88,18 +89,37 @@ class RetailerPosition:
     amplitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def optimize_retailer(
+@dataclass(frozen=True)
+class RetailerModel:
+    """A retailer's position LP under the day-ahead bounds (purchase and
+    amplitudes free, each deviation within the imbalance limit) and the
+    handles of its variables.  :func:`optimize_retailer` solves it under
+    each stage's bounds."""
+
+    lp: LinearProgram
+    demand: np.ndarray
+    imbalance_up: np.ndarray
+    imbalance_down: np.ndarray
+    schedules: np.ndarray       # (loads, periods) baseline consumption
+    # per window, in window order: its amplitude and the (loads, length)
+    # consumption of its high-first and its low-first scenario
+    amplitudes: np.ndarray
+    up_schedules: list[np.ndarray]
+    down_schedules: list[np.ndarray]
+    windows: list[tuple[int, int]]
+    modulating: bool
+
+
+def build_retailer_model(
     portfolio: RetailerPortfolio,
     fc: PriceForecast,
     price_cap: float,
     non_contracted_price: float,
     windows: list[tuple[int, int]] | None = None,
     modulation_price: float = 10.0,
-    fixed_demand: np.ndarray | None = None,
-    fixed_amplitudes: np.ndarray | None = None,
     pins: Pins | None = None,
-) -> RetailerPosition:
-    """Cost-minimal retailer position under the current forecasts.
+) -> RetailerModel:
+    """The position LP of ``portfolio`` against ``fc``.
 
     ``windows`` switches on the flexibility-band machinery: each (start,
     length) block gets an amplitude variable, extreme-scenario schedules
@@ -115,16 +135,9 @@ def optimize_retailer(
     lp = LinearProgram(sense="min", name=f"retailer-{portfolio.name}")
     d_vars, e_vars = _tank_variables(lp, portfolio.loads, t_count)
 
-    if fixed_demand is not None:
-        demand = lp.add_variables(t_count, fixed_demand, fixed_demand)
-    else:
-        demand = lp.add_variables(t_count)
-    # the structural limit bounds the otherwise open-ended day-ahead problem;
-    # with the purchase fixed, the balance equation already pins deviations
-    # and the limit would only cut feasibility after deep rationing
-    i_cap = np.inf if fixed_demand is not None else portfolio.imbalance_limit
-    i_up = lp.add_variables(t_count, 0.0, i_cap)
-    i_dn = lp.add_variables(t_count, 0.0, i_cap)
+    demand = lp.add_variables(t_count)
+    i_up = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
+    i_dn = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
 
     lp.add_objectives(demand, fc.energy)
     lp.add_objectives(i_up, fc.imbalance_up + IMBALANCE_FRICTION)
@@ -150,16 +163,57 @@ def optimize_retailer(
         add_pin_penalties(lp, up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
         add_pin_penalties(lp, down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
 
-    if modulating:
-        amplitude_vars, up_d, dn_d = _modulation_block(
-            lp,
-            portfolio,
-            windows,
-            d_vars,
-            e_vars,
-            modulation_price,
-            fixed_amplitudes,
+    amplitudes, up_d, dn_d = (
+        _modulation_block(lp, portfolio, windows, d_vars, e_vars, modulation_price)
+        if modulating
+        else (np.zeros(0, dtype=np.intp), [], [])
+    )
+    return RetailerModel(
+        lp, demand, i_up, i_dn, d_vars, amplitudes, up_d, dn_d, windows, modulating
+    )
+
+
+def optimize_retailer(
+    portfolio: RetailerPortfolio,
+    fc: PriceForecast,
+    price_cap: float,
+    non_contracted_price: float,
+    windows: list[tuple[int, int]] | None = None,
+    modulation_price: float = 10.0,
+    fixed_demand: np.ndarray | None = None,
+    fixed_amplitudes: np.ndarray | None = None,
+    pins: Pins | None = None,
+    model: RetailerModel | None = None,
+) -> RetailerPosition:
+    """Cost-minimal retailer position under the current forecasts.
+
+    ``windows`` and ``pins`` are as in :func:`build_retailer_model`.
+    ``fixed_demand`` and ``fixed_amplitudes`` (read only with ``windows``)
+    fix the purchase and the per-window amplitudes.  ``model`` is the model
+    :func:`build_retailer_model` built from this portfolio, forecast,
+    prices, windows and pins, for the stages of one round to share; without
+    it, it is built here.
+    """
+    if model is None:
+        model = build_retailer_model(
+            portfolio, fc, price_cap, non_contracted_price, windows, modulation_price, pins
         )
+    if not model.modulating:
+        fixed_amplitudes = None
+    lp = model.lp
+    if fixed_demand is not None or fixed_amplitudes is not None:
+        lower, upper = lp.lower.copy(), lp.upper.copy()
+        if fixed_amplitudes is not None:
+            lower[model.amplitudes] = upper[model.amplitudes] = fixed_amplitudes
+        if fixed_demand is not None:
+            lower[model.demand] = upper[model.demand] = fixed_demand
+            # the imbalance limit bounds the day-ahead problem only: with the
+            # purchase fixed it is lifted, so that a deeply rationed purchase
+            # stays feasible, and a deviation is then bounded by the loads'
+            # power bounds and the pins alone (ROADMAP.md item 4, on the fee
+            # pairing)
+            upper[model.imbalance_up] = upper[model.imbalance_down] = np.inf
+        lp = lp.with_bounds(lower, upper)
 
     sol = solve(lp)
     if sol.status != "optimal":
@@ -168,22 +222,22 @@ def optimize_retailer(
             "check tank data and fixed quantities"
         )
 
-    schedules = sol.values(d_vars)
-    if modulating:
-        amplitudes = sol.values(amplitude_vars)
-        up_schedules = _patched(schedules, windows, up_d, sol)
-        down_schedules = _patched(schedules, windows, dn_d, sol)
+    schedules = sol.values(model.schedules)
+    if model.modulating:
+        amplitudes = sol.values(model.amplitudes)
+        up_schedules = _patched(schedules, model.windows, model.up_schedules, sol)
+        down_schedules = _patched(schedules, model.windows, model.down_schedules, sol)
     else:
         amplitudes, up_schedules, down_schedules = np.zeros(0), schedules, schedules
     return RetailerPosition(
-        demand=sol.values(demand),
-        imbalance_up=sol.values(i_up),
-        imbalance_down=sol.values(i_dn),
+        demand=sol.values(model.demand),
+        imbalance_up=sol.values(model.imbalance_up),
+        imbalance_down=sol.values(model.imbalance_down),
         schedules=schedules,
         up_schedules=up_schedules,
         down_schedules=down_schedules,
         objective=sol.objective,
-        windows=windows,
+        windows=model.windows,
         amplitudes=amplitudes,
     )
 
@@ -300,7 +354,6 @@ def _modulation_block(
     d_vars,
     e_vars,
     modulation_price,
-    fixed_amplitudes,
 ):
     """Amplitude variables and the two extreme scenarios of every window.
 
@@ -309,20 +362,10 @@ def _modulation_block(
     consumption handles of the high-first ("up") and low-first ("down")
     scenarios.
     """
-    if fixed_amplitudes is None:
-        amplitude_lo, amplitude_hi = np.zeros(len(windows)), np.full(len(windows), np.inf)
-    else:
-        amplitude_lo = amplitude_hi = np.asarray(fixed_amplitudes, dtype=float)
     amplitude_vars, up_d, dn_d = [], [], []
-    first = 0
     for length, run in itertools.groupby(windows, key=lambda window: window[1]):
         starts = np.array([start for start, _ in run])
-        block = slice(first, first + len(starts))
-        first += len(starts)
-        f_vars, s_up, s_dn = _band_windows(
-            lp, portfolio.loads, starts, length, d_vars, e_vars,
-            amplitude_lo[block], amplitude_hi[block],
-        )
+        f_vars, s_up, s_dn = _band_windows(lp, portfolio.loads, starts, length, d_vars, e_vars)
         # revenue for the band, plus the bonus for larger bands
         lp.add_objectives(f_vars, -(length * modulation_price + AMPLITUDE_BONUS))
         amplitude_vars.append(f_vars)
@@ -331,7 +374,7 @@ def _modulation_block(
     return np.concatenate(amplitude_vars or [np.zeros(0, dtype=np.intp)]), up_d, dn_d
 
 
-def _band_windows(lp, loads, starts, length, d_vars, e_vars, amplitude_lo, amplitude_hi):
+def _band_windows(lp, loads, starts, length, d_vars, e_vars):
     """Variables and rows of windows of one ``length`` starting at ``starts``.
 
     Each window holds its amplitude F, then per scenario ("up", "down") and
@@ -359,6 +402,7 @@ def _band_windows(lp, loads, starts, length, d_vars, e_vars, amplitude_lo, ampli
         axis=2,
     )
     width = 2 * n_loads * (2 * length - 1)
+    amplitude_lo, amplitude_hi = np.zeros(n_windows), np.full(n_windows, np.inf)
     lower = np.column_stack([amplitude_lo, np.tile(scenario_lo.reshape(n_windows, -1), 2)])
     upper = np.column_stack([amplitude_hi, np.tile(scenario_hi.reshape(n_windows, -1), 2)])
     handles = lp.add_variables(lower.size, lower, upper).reshape(n_windows, 1 + width)

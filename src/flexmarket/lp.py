@@ -7,19 +7,21 @@ problems, settlement) is expressed as a :class:`LinearProgram` and handed to
 :meth:`~LinearProgram.add_objectives` objective terms and
 :meth:`~LinearProgram.add_constraints` rows given as (row, column,
 coefficient) triplets; these are the only way to build a model.
+:meth:`~LinearProgram.with_bounds` gives a built model other variable
+bounds, so one model can be solved under several.
 
 Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
-Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on a fresh
-instance with the model and the options
-``scipy.optimize.linprog(method="highs")`` would pass, so it returns the
-vertex ``linprog`` returns.  :meth:`~LinearProgram.highs_columns` assembles
-the matrix once per model, in numpy, straight from the triplets: the
-column-wise arrays HiGHS takes, with the rows in ``linprog``'s order (``<=``
-rows, negated ``>=`` rows, ``==`` rows), repeated terms summed and cancelled
-ones dropped.  The optimum is checked once, on the triplets in the model's
-own row order.  :meth:`~LinearProgram.dense_rows` is read only by the test
-oracles and the benchmark tracer.  scipy is imported only when a model
-is solved, so importing this package loads none of it.
+Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on one
+instance per thread that is emptied before each model, with the model and
+the options ``scipy.optimize.linprog(method="highs")`` would pass, so it
+returns the vertex ``linprog`` returns.  :meth:`~LinearProgram.highs_columns`
+assembles the matrix once per model, in numpy, straight from the triplets:
+the column-wise arrays HiGHS takes, with the rows in ``linprog``'s order
+(``<=`` rows, negated ``>=`` rows, ``==`` rows), repeated terms summed and
+cancelled ones dropped.  The optimum is checked once, on the triplets in the
+model's own row order.  :meth:`~LinearProgram.dense_rows` is read only by
+the test oracles and the benchmark tracer.  scipy is imported only when a
+model is solved, so importing this package loads none of it.
 
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
@@ -32,8 +34,9 @@ large finite sentinels, and every variable's domain holds a finite point
 
 from __future__ import annotations
 
-import functools
+import copy
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,14 +93,7 @@ class LinearProgram:
         value per variable.  Returns their handles."""
         lower = _series(lower, count)
         upper = _series(upper, count)
-        bad = np.flatnonzero(
-            np.isnan(lower) | np.isnan(upper) | (lower > upper) | (lower == INF) | (upper == -INF)
-        )
-        if bad.size:
-            j = bad[0]
-            raise LinearProgramError(
-                f"variable {self._n_variables + j} has bounds [{lower[j]}, {upper[j]}]"
-            )
+        _check_bounds(lower, upper, self._n_variables)
         start = self._n_variables
         self._bounds.append((lower, upper))
         self._n_variables += count
@@ -141,6 +137,27 @@ class LinearProgram:
         self._n_constraints += count
         self._columns = None
         return np.arange(start, start + count)
+
+    def with_bounds(self, lower, upper) -> LinearProgram:
+        """This model with every variable's bounds replaced by ``lower`` and
+        ``upper`` (scalars or one value per variable), checked as
+        :meth:`add_variables` checks them.
+
+        The result shares this model's objective, rows and
+        :meth:`highs_columns` (assembled here if not yet), so solving one
+        model under several bounds assembles its matrix once.  Either model
+        may grow afterwards without changing the other.
+        """
+        lower = _series(lower, self._n_variables)
+        upper = _series(upper, self._n_variables)
+        _check_bounds(lower, upper, 0)
+        view = copy.copy(self)
+        view._bounds = [(lower, upper)]
+        view._objective = [_joined(self._objective)]
+        view._terms = [_joined(self._terms)]
+        view._rows = [_joined(self._rows)]
+        view._columns = self.highs_columns()
+        return view
 
     def _check_handles(self, handles: np.ndarray) -> None:
         if handles.size and (handles.min() < 0 or handles.max() >= self._n_variables):
@@ -267,6 +284,17 @@ def _flat_terms(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, columns, coefficients
 
 
+def _check_bounds(lower: np.ndarray, upper: np.ndarray, first: int) -> None:
+    """Raise unless every domain ``[lower[j], upper[j]]`` holds a finite
+    point; the error names the variable as ``first + j``."""
+    bad = np.flatnonzero(
+        np.isnan(lower) | np.isnan(upper) | (lower > upper) | (lower == INF) | (upper == -INF)
+    )
+    if bad.size:
+        j = bad[0]
+        raise LinearProgramError(f"variable {first + j} has bounds [{lower[j]}, {upper[j]}]")
+
+
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         raise LinearProgramError(f"non-finite {what} {values[~np.isfinite(values)][0]}")
@@ -300,7 +328,9 @@ def solve(lp: LinearProgram) -> Solution:
     """Solve ``lp`` to proven optimality with HiGHS.
 
     Infeasibility and unboundedness are reported through
-    :attr:`Solution.status`, never raised.
+    :attr:`Solution.status`, never raised.  A model without variables is
+    ``infeasible`` when one of its rows excludes 0 and ``optimal``, with an
+    empty ``x``, otherwise.
     """
     status, x, iterations = _highs_solve(lp)
     if status != OPTIMAL:
@@ -321,6 +351,16 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
         or np.any(x - lp.upper > TOL_FEAS)
     ):
         raise RuntimeError(f"solver returned out-of-bounds solution for {lp.name!r}")
+    violated, resid = _violated_rows(lp, x)
+    if violated.size:
+        i = violated[0]
+        raise RuntimeError(f"solver violated constraint {i} of {lp.name!r} by {resid[i]:.3e}")
+
+
+def _violated_rows(lp: LinearProgram, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``lp`` that ``x`` violates by more than
+    ``TOL_FEAS * max(1, |rhs|)`` or with a residual that is not finite, in
+    the model's row order, and every row's residual ``A x - rhs``."""
     rows, columns, coefficients = _joined(lp._terms)
     relations, rhs = _joined(lp._rows)
     # a product that overflows is a violation below
@@ -331,19 +371,20 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     # written as "holds" so that a NaN residual fails every row
     holds = (relations == GREATER_EQUAL) | (resid <= slack)
     holds &= (relations == LESS_EQUAL) | (resid >= -slack)
-    violated = np.flatnonzero(~(holds & np.isfinite(resid)))
-    if violated.size:
-        i = violated[0]
-        raise RuntimeError(f"solver violated constraint {i} of {lp.name!r} by {resid[i]:.3e}")
+    return np.flatnonzero(~(holds & np.isfinite(resid))), resid
 
 
 # ---------------------------------------------------------------------------
 # HiGHS
 # ---------------------------------------------------------------------------
 
+#: per thread, the HiGHS instance :func:`_highs_instance` made (``highs``)
+_thread = threading.local()
+
 
 def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
-    """Solve ``lp`` with the HiGHS core on a fresh instance.
+    """Solve ``lp`` with the HiGHS core on this thread's instance, emptied
+    of the model it solved before.
 
     HiGHS gets the model ``scipy.optimize.linprog(method="highs")`` would
     give it: the ``<=`` rows, then the negated ``>=`` rows (both with lower
@@ -357,9 +398,8 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
     c = lp.objective_vector()
     if lp.sense == "max":
         c = -c
-    highs = core._Highs()
-    if highs.passOptions(_highs_options()) == core.HighsStatus.kError:
-        raise RuntimeError(f"highs failed on {lp.name!r}: options rejected")
+    highs = _highs_instance()
+    highs.clearModel()
     loaded = highs.passModel(
         lp.n_variables,
         lp.n_constraints,
@@ -385,6 +425,11 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
     run_failed = highs.run() == core.HighsStatus.kError
     status = highs.getModelStatus()
     iterations = highs.getInfo().simplex_iteration_count
+    if status == core.HighsModelStatus.kModelEmpty:
+        # no variables: HiGHS runs nothing and reads no row, so each row
+        # holds exactly when 0 satisfies it
+        infeasible = _violated_rows(lp, np.zeros(0))[0].size
+        return (INFEASIBLE, np.empty(0), 0) if infeasible else (OPTIMAL, np.zeros(0), 0)
     if status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
         return INFEASIBLE, np.empty(0), iterations
     if status == core.HighsModelStatus.kUnbounded:
@@ -394,7 +439,21 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
     return OPTIMAL, np.array(highs.getSolution().col_value), iterations
 
 
-@functools.cache
+def _highs_instance():
+    """This thread's HiGHS instance, made with linprog's options on the
+    thread's first solve.  An instance solves one model at a time, so
+    threads never share one."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        from scipy.optimize._highspy import _core as core
+
+        highs = core._Highs()
+        if highs.passOptions(_highs_options()) == core.HighsStatus.kError:
+            raise RuntimeError("highs rejected linprog's options")
+        _thread.highs = highs
+    return highs
+
+
 def _highs_options():
     """The options ``linprog`` sets on HiGHS (``solver`` stays unset)."""
     from scipy.optimize._highspy import _core as core

@@ -15,10 +15,11 @@ one :class:`ThresholdTrack` over (actors, 3, periods), retailers then
 producers in scenario order, starts it fresh and never changes the
 portfolios it is given, so running one scenario twice gives the same result.
 
-Actors equal in everything but their names are twins (the generated
-retailers all are).  Twins with equal pins and fixed quantities build the
-same model, so each stage of a round solves it once and they share the
-position; nothing is kept from one round to the next.
+Each actor's model is built once per round and every stage of the round
+solves it under that stage's bounds.  Actors equal in everything but their
+names are twins (the generated retailers all are).  Twins with equal pins
+share one model, and twins whose fixed quantities are equal too share one
+solve and its position; nothing is kept from one round to the next.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import energy_market, imbalance
 from .agents import ThresholdTrack
 from .agents.forecast import extreme_prices, make_forecast
 from .agents.producer import (
+    build_producer_model,
     fleet_capacity,
     optimize_producer,
     producer_accepted_reserve,
@@ -40,6 +42,7 @@ from .agents.producer import (
     producer_reserve_bids,
 )
 from .agents.retailer import (
+    build_retailer_model,
     optimize_retailer,
     retailer_accepted_amplitudes,
     retailer_band_bids,
@@ -139,8 +142,8 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
 
     for index in range(config.max_rounds):
         fc = make_forecast(history, config)
-        # twins (the generated retailers are all alike) with equal pins and
-        # fixed quantities get one solve per stage, within this round only
+        # twins (the generated retailers are all alike) with equal pins share
+        # one model, and one solve per stage, within this round only
         record = _play_round(index, scenario, fc, windows, dict(zip(names, pins.value)), twins)
         rounds.append(record)
 
@@ -177,8 +180,9 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     """One round: positions, energy auction, reserve procurement,
     repositioning and settlement.  The agent modules turn positions into
     offers and bids and map accepted reserve back onto units or windows; this
-    loop only hands each actor its share of the accepted fractions.  Twins
-    share one position object per stage (see :func:`_stage_positions`)."""
+    loop only hands each actor its share of the accepted fractions.  Each
+    actor's model lives in this round's ``models`` and twins share one
+    position object per stage (see :func:`_stage_positions`)."""
     config = scenario.config
     t_count = config.periods
     # what every actor of a stage gets alike
@@ -188,14 +192,17 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     retailer_shared = dict(
         producer_shared, windows=windows, modulation_price=config.modulation_capacity_price
     )
+    producers = (build_producer_model, optimize_producer, producer_shared)
+    retailers = (build_retailer_model, optimize_retailer, retailer_shared)
+    models = {}
 
     # stage 1: day-ahead positions and the energy auction
     retailer_stage1 = _stage_positions(
-        index, "day-ahead", twins, scenario.retailers, optimize_retailer, retailer_shared,
+        index, "day-ahead", twins, scenario.retailers, retailers, models,
         lambda p: dict(pins=pins[p.name]),
     )
     producer_stage1 = _stage_positions(
-        index, "day-ahead", twins, scenario.producers, optimize_producer, producer_shared,
+        index, "day-ahead", twins, scenario.producers, producers, models,
         lambda p: dict(pins=pins[p.name]),
     )
     offers: list[EnergyOffer] = []
@@ -216,7 +223,7 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     required = config.reserve_rate * cleared_consumption
 
     producer_stage2 = _stage_positions(
-        index, "reserve-bidding", twins, scenario.producers, optimize_producer, producer_shared,
+        index, "reserve-bidding", twins, scenario.producers, producers, models,
         lambda p: dict(fixed_sale=clearing.supply_of(p.name), pins=pins[p.name]),
     )
     classical = {
@@ -243,7 +250,7 @@ def _play_round(index, scenario, fc, windows, pins, twins):
 
     # stage 3: reposition against cleared quantities
     producer_final = _stage_positions(
-        index, "reposition", twins, scenario.producers, optimize_producer, producer_shared,
+        index, "reposition", twins, scenario.producers, producers, models,
         lambda p: dict(
             fixed_sale=clearing.supply_of(p.name),
             fixed_reserve=producer_accepted_reserve(
@@ -253,7 +260,7 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         ),
     )
     retailer_final = _stage_positions(
-        index, "reposition", twins, scenario.retailers, optimize_retailer, retailer_shared,
+        index, "reposition", twins, scenario.retailers, retailers, models,
         lambda p: dict(
             fixed_demand=clearing.demand_of(p.name),
             fixed_amplitudes=retailer_accepted_amplitudes(
@@ -299,23 +306,32 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     )
 
 
-def _stage_positions(index, stage, twins, portfolios, optimize, shared, actor_inputs):
-    """Each actor's position in one stage of round ``index``:
-    ``optimize(portfolio, **shared, **actor_inputs(portfolio))``.
+def _stage_positions(index, stage, twins, portfolios, agent, models, actor_inputs):
+    """Each actor's position in one stage of round ``index``.
 
-    ``shared`` is what every actor of the stage gets alike (the forecast,
-    windows and prices) and ``actor_inputs`` gives an actor's own arrays
-    (its pins and fixed quantities).  Twins (equal ``twins`` group) whose
-    own arrays are equal too build the same model, so ``optimize`` runs for
-    the first of them and the others share its position.
+    ``agent`` is ``(build, optimize, shared)``: ``shared`` is what every
+    actor of the stage gets alike (the forecast, windows and prices), and
+    ``actor_inputs`` gives an actor's own arrays, its ``pins`` and the
+    stage's fixed quantities.  An actor's model is
+    ``build(portfolio, **shared, pins=pins)``, kept in the round's
+    ``models`` for the later stages and shared by twins (equal ``twins``
+    group) with equal pins.  The position is
+    ``optimize(portfolio, **shared, **actor_inputs(portfolio), model=model)``;
+    it runs for the first twin whose own arrays are all equal and the others
+    share its position.
     """
+    build, optimize, shared = agent
     positions, solved = {}, {}
     for portfolio in portfolios:
         with _stage_guard(index, stage, portfolio.name):
             inputs = actor_inputs(portfolio)
-            key = (twins[portfolio.name], *(value.tobytes() for value in inputs.values()))
+            group = twins[portfolio.name]
+            model_key = (group, inputs["pins"].tobytes())
+            if model_key not in models:
+                models[model_key] = build(portfolio, **shared, pins=inputs["pins"])
+            key = (group, *(value.tobytes() for value in inputs.values()))
             if key not in solved:
-                solved[key] = optimize(portfolio, **shared, **inputs)
+                solved[key] = optimize(portfolio, **shared, **inputs, model=models[model_key])
         positions[portfolio.name] = solved[key]
     return positions
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from flexmarket.lp import (
     LinearProgram,
     LinearProgramError,
     _check_feasible,
+    _highs_instance,
     _highs_solve,
     solve,
 )
@@ -589,3 +592,159 @@ def test_highs_core_status_mapping():
     unbounded.add_objectives([x, y], [1.0, 1.0])
     unbounded.add_constraints([(0, [x, y], [1.0, -1.0])], LESS_EQUAL, [1.0])
     assert assert_same_as_linprog(unbounded) == "unbounded"
+
+    # HiGHS calls a model without columns empty and reads none of its rows;
+    # linprog takes no such model, so each row is judged at 0 here
+    for rows, status in [
+        ([], "optimal"),
+        ([(LESS_EQUAL, -1.0)], "infeasible"),
+        ([(GREATER_EQUAL, 1.0)], "infeasible"),
+        ([(LESS_EQUAL, 1.0), (EQUAL, 1e-3)], "infeasible"),
+        ([(LESS_EQUAL, 1.0), (EQUAL, 0.0)], "optimal"),
+        # within TOL_FEAS of holding
+        ([(LESS_EQUAL, -TOL_FEAS / 2)], "optimal"),
+    ]:
+        empty = LinearProgram(name="empty")
+        for relation, rhs in rows:
+            empty.add_constraints([], relation, [rhs])
+        sol = solve(empty)
+        assert (sol.status, sol.x.size, sol.iterations) == (status, 0, 0), rows
+        assert sol.objective == 0.0 if status == "optimal" else math.isnan(sol.objective)
+
+
+def unloadable():
+    """A model HiGHS refuses to load: a coefficient above its largest
+    accepted matrix value."""
+    lp = LinearProgram(name="unloadable")
+    x = lp.add_variables(1)
+    lp.add_objectives(x, 1.0)
+    lp.add_constraints([(0, x, 1e300)], LESS_EQUAL, [1.0])
+    return lp
+
+
+def solve_mix():
+    """An infeasible, an unbounded and an unloadable model, then the seven
+    agent models, then all ten again in reverse."""
+    infeasible = LinearProgram(name="infeasible")
+    x = infeasible.add_variables(1, 0.0, 1.0)
+    infeasible.add_constraints([(0, x, 1.0)], GREATER_EQUAL, [2.0])
+    unbounded = LinearProgram(sense="max", name="unbounded")
+    x = unbounded.add_variables(1)
+    unbounded.add_objectives(x, 1.0)
+    keys = sorted({name.split(".")[0] for name in np.load(AGENT_MODELS).files})
+    models = [infeasible, unbounded, unloadable(), *map(agent_model, keys)]
+    return models + models[::-1]
+
+
+def outcome(result):
+    status, x, iterations = result
+    return status, iterations, x.tobytes()
+
+
+def in_threads(*jobs, timeout=120.0):
+    """Run each job on a thread of its own, so on a HiGHS instance of its
+    own, all started together, and return their results."""
+    results = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def work(k):
+        start.wait()
+        results[k] = jobs[k]()
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_reused_highs_instance_keeps_nothing_between_solves():
+    models = solve_mix()
+    instance = _highs_instance()
+    reused = [outcome(_highs_solve(model)) for model in models]
+    assert _highs_instance() is instance
+    fresh = [in_threads(lambda: outcome(_highs_solve(model)))[0] for model in models]
+    assert reused == fresh
+    assert [status for status, _, _ in reused[:10]] == (
+        ["infeasible", "unbounded", "infeasible"] + ["optimal"] * 7
+    )
+
+
+def test_threads_solve_on_instances_of_their_own():
+    models = solve_mix()
+    sequential = [outcome(_highs_solve(model)) for model in models]
+    half = len(models) // 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = in_threads(
+            lambda: ([outcome(_highs_solve(m)) for m in models[:half] * 3], _highs_instance()),
+            lambda: ([outcome(_highs_solve(m)) for m in models[half:] * 3], _highs_instance()),
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    (first, first_instance), (second, second_instance) = results
+    assert first == sequential[:half] * 3
+    assert second == sequential[half:] * 3
+    assert len({id(first_instance), id(second_instance), id(_highs_instance())}) == 3
+
+
+#: the stage whose model each agent stage solves under its own bounds
+STAGE_ONE = {
+    "producer_free": "producer_free",
+    "producer_sold": "producer_free",
+    "producer_reserved": "producer_free",
+    "retailer_bands": "retailer_bands",
+    "retailer_sold": "retailer_bands",
+    "retailer_pairs": "retailer_pairs",
+    "retailer_no_bands": "retailer_no_bands",
+}
+
+
+def test_replaced_bounds_solve_as_the_model_built_with_them():
+    from test_agents import capture_agent_models
+
+    captured = capture_agent_models()
+    assert sorted(captured) == sorted(STAGE_ONE)
+    for key, first in STAGE_ONE.items():
+        base = captured[first]
+        base_lower, base_upper = base.lower.copy(), base.upper.copy()
+        built = agent_model(key)
+        view = base.with_bounds(built.lower, built.upper)
+        assert view.highs_columns() is base.highs_columns()
+        assert outcome(_highs_solve(view)) == outcome(_highs_solve(built)), key
+        assert solve(view).objective == solve(built).objective, key
+        assert base.lower.tobytes() == base_lower.tobytes(), key
+        assert base.upper.tobytes() == base_upper.tobytes(), key
+
+
+@pytest.mark.parametrize(
+    "lower, upper", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0), (INF, INF), (-INF, -INF)]
+)
+def test_replaced_bounds_are_checked_as_added_ones(lower, upper):
+    lp = LinearProgram()
+    x = lp.add_variables(5, 0.0, 1.0)
+    lp.add_objectives(x, 1.0)
+    lower_bounds, upper_bounds = np.zeros(5), np.ones(5)
+    lower_bounds[3], upper_bounds[3] = lower, upper
+    with pytest.raises(LinearProgramError, match=r"^variable 3 has bounds"):
+        lp.with_bounds(lower_bounds, upper_bounds)
+    with pytest.raises(LinearProgramError, match=r"^variable 8 has bounds"):
+        lp.add_variables(5, lower_bounds, upper_bounds)
+
+
+def test_a_model_and_its_rebound_view_grow_apart():
+    lp = LinearProgram(sense="max")
+    x = lp.add_variables(2, 0.0, 1.0)
+    lp.add_objectives(x, 1.0)
+    lp.add_constraints([(0, x, 1.0)], LESS_EQUAL, [1.5])
+    view = lp.with_bounds(0.0, [1.0, 0.25])
+    assert solve(view).objective == pytest.approx(1.25)
+    y = view.add_variables(1, 0.0, 2.0)
+    view.add_objectives(y, 1.0)
+    view.add_constraints([(0, [x[0], y[0]], 1.0)], LESS_EQUAL, [2.0])
+    assert solve(view).objective == pytest.approx(2.25)
+    assert (lp.n_variables, lp.n_constraints) == (2, 1)
+    assert solve(lp).objective == pytest.approx(1.5)

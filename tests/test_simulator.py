@@ -267,8 +267,9 @@ def test_running_a_scenario_twice_repeats_the_first_run():
 @pytest.fixture
 def agent_calls(monkeypatch):
     """The agent calls of a run, as (kind, names of the fixed quantities)
-    pairs, and the number of HiGHS calls."""
-    calls = {"agents": [], "highs": 0}
+    pairs, the kind of each agent model built and the number of HiGHS
+    calls."""
+    calls = {"agents": [], "builds": [], "highs": 0}
     highs_solve = lp._highs_solve
 
     def counting_highs(model):
@@ -283,7 +284,17 @@ def agent_calls(monkeypatch):
 
         return call
 
+    def counting_builds(kind, build):
+        def call(portfolio, **kwargs):
+            calls["builds"].append(kind)
+            return build(portfolio, **kwargs)
+
+        return call
+
     monkeypatch.setattr(lp, "_highs_solve", counting_highs)
+    for kind in ("retailer", "producer"):
+        name = f"build_{kind}_model"
+        monkeypatch.setattr(simulator, name, counting_builds(kind, getattr(simulator, name)))
     monkeypatch.setattr(
         simulator, "optimize_retailer", counting("retailer", simulator.optimize_retailer)
     )
@@ -305,16 +316,18 @@ def test_twins_change_no_outcome_and_a_second_run_repeats_the_solves(monkeypatch
         bid_block_length=2, max_rounds=6,
     )
     shared = run(config)
-    first = {"agents": len(agent_calls["agents"]), "highs": agent_calls["highs"]}
+    first = {key: len(agent_calls[key]) for key in ("agents", "builds")}
+    first["highs"] = agent_calls["highs"]
     retailer_calls = sum(kind == "retailer" for kind, _ in agent_calls["agents"])
     assert retailer_calls < 2 * config.retailer_count * len(shared.rounds)
 
-    agent_calls.update(agents=[], highs=0)
+    agent_calls.update(agents=[], builds=[], highs=0)
     run(config)
-    assert {"agents": len(agent_calls["agents"]), "highs": agent_calls["highs"]} == first
+    again = {key: len(agent_calls[key]) for key in ("agents", "builds")}
+    assert {**again, "highs": agent_calls["highs"]} == first
 
     monkeypatch.setattr(simulator, "_twin_groups", no_twins)
-    agent_calls.update(agents=[], highs=0)
+    agent_calls.update(agents=[], builds=[], highs=0)
     plain = run(config)
     assert len(agent_calls["agents"]) == len(plain.rounds) * (
         2 * config.retailer_count + 3 * config.producer_count
@@ -335,16 +348,16 @@ def test_twins_reuse_nothing_across_rounds(monkeypatch, agent_calls):
     per_round = []
 
     def counted(*args):
-        before = len(agent_calls["agents"])
+        before = len(agent_calls["agents"]), len(agent_calls["builds"])
         record = play_round(*args)
-        per_round.append(agent_calls["agents"][before:])
+        per_round.append((agent_calls["agents"][before[0]:], agent_calls["builds"][before[1]:]))
         return record
 
     monkeypatch.setattr(simulator, "_play_round", counted)
     outcome = run(config, scenario=flat_cost_scenario(config))
     assert len(outcome.rounds) >= 3
     assert np.array_equal(outcome.rounds[-1].state, outcome.rounds[-2].state)
-    for calls in per_round:
+    for calls, builds in per_round:
         assert sorted(calls) == sorted([
             ("retailer", ()),
             ("retailer", ("fixed_amplitudes", "fixed_demand")),
@@ -352,6 +365,27 @@ def test_twins_reuse_nothing_across_rounds(monkeypatch, agent_calls):
             ("producer", ("fixed_sale",)),
             ("producer", ("fixed_reserve", "fixed_sale")),
         ])
+        assert sorted(builds) == ["producer", "retailer"]
+
+
+def test_each_round_builds_each_model_once(monkeypatch, agent_calls):
+    # closed, seed 1: three producers and two twin retailers; the producers
+    # solve three stages of one model each, the twins two stages of one
+    play_round = simulator._play_round
+    per_round = []
+
+    def counted(*args):
+        before = len(agent_calls["builds"])
+        record = play_round(*args)
+        per_round.append(sorted(agent_calls["builds"][before:]))
+        return record
+
+    monkeypatch.setattr(simulator, "_play_round", counted)
+    outcome = run(ScenarioConfig(seed=1, setting="closed"))
+    assert len(outcome.rounds) == 7
+    assert per_round == [["producer"] * 3 + ["retailer"]] * 7
+    # per round, 3 x 3 producer and 2 retailer solves, reserve and settlement
+    assert agent_calls["highs"] == 7 * 13
 
 
 def renamed(portfolio, name):
@@ -449,17 +483,25 @@ def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(chang
     }
     value = inputs["b"][changed] = inputs["b"][changed].copy()
     value.flat[-1] = next_float(value.flat[-1])
-    solved = []
+    built, solved = [], []
 
-    def optimize(portfolio, **kwargs):
-        solved.append(portfolio.name)
+    def build(portfolio, pins):
+        built.append(portfolio.name)
+        return portfolio.name
+
+    def optimize(portfolio, model, **kwargs):
+        solved.append((portfolio.name, model))
         return object()
 
     positions = simulator._stage_positions(
-        0, "reposition", dict.fromkeys("abc", 0), actors, optimize, {},
+        0, "reposition", dict.fromkeys("abc", 0), actors, (build, optimize, {}), {},
         lambda portfolio: inputs[portfolio.name],
     )
-    assert solved == ["a", "b"]
+    # the model depends on the pins alone, the position on the fixed
+    # quantities too
+    own_model = changed == "pins"
+    assert built == (["a", "b"] if own_model else ["a"])
+    assert solved == [("a", "a"), ("b", "b" if own_model else "a")]
     assert positions["c"] is positions["a"] is not positions["b"]
 
 
