@@ -12,24 +12,26 @@ import numpy as np
 
 from flexmarket.imbalance import fees, settle
 from flexmarket.reserve_market import (
-    ClassicalReserveBid,
-    ModulationBid,
+    ClassicalBook,
+    ModulationBook,
     ReservePrices,
     clear_reserve,
 )
 
 PI_NC = 500.0
 required = np.full(4, 18.0)
-classical = [
-    ClassicalReserveBid("gen", t, direction, 10.0, price)
+classical = ClassicalBook.from_rows(
+    ("gen", t, direction, 10.0, price)
     for t in range(4)
     for direction, price in (("up", 58.0), ("down", 48.0))
-]
-band = ModulationBid("retail", 0, 4, amplitude=24.0, activation_price=0.0, efficiency=0.5)
-procurement = clear_reserve(classical, [band], required, required, ReservePrices())
-up_held = sum(v for b, v in procurement.contracted_classical() if b.direction == "up")
+)
+band = ModulationBook.from_rows([("retail", 0, 4, 24.0, 0.0, 0.5)])
+procurement = clear_reserve(classical, band, required, required, ReservePrices())
+# what was contracted: each accepted bid's MW where its fraction counts as accepted
+held_up = procurement.classical_contracted & (classical.direction == "up")
+up_held = np.sum(classical.volume[held_up] * procurement.classical_fraction[held_up])
 print(
-    f"contracted: band {procurement.modulation_fraction[0] * band.amplitude:.0f} MW, "
+    f"contracted: band {procurement.modulation_fraction[0] * band.amplitude[0]:.0f} MW, "
     f"classical up {up_held:.0f} MW across the day"
 )
 print()

@@ -14,10 +14,10 @@ Typical entry points:
 """
 
 from .lp import INF, LinearProgram, Solution, solve
-from .energy_market import EnergyOffer, ClearingResult, clear
+from .energy_market import ClearingResult, OfferBook, clear
 from .reserve_market import (
-    ClassicalReserveBid,
-    ModulationBid,
+    ClassicalBook,
+    ModulationBook,
     ReservePrices,
     ReserveProcurement,
     clear_reserve,
@@ -40,11 +40,11 @@ __all__ = [
     "LinearProgram",
     "Solution",
     "solve",
-    "EnergyOffer",
+    "OfferBook",
     "ClearingResult",
     "clear",
-    "ClassicalReserveBid",
-    "ModulationBid",
+    "ClassicalBook",
+    "ModulationBook",
     "ReservePrices",
     "ReserveProcurement",
     "clear_reserve",

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..energy_market import SUPPLY, EnergyOffer
+from ..energy_market import SUPPLY, OfferBook
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
-from ..reserve_market import DOWN, UP, ClassicalReserveBid
+from ..reserve_market import DOWN, UP, ClassicalBook
 from .forecast import PriceForecast
 from .retailer import IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, add_pin_penalties
 
@@ -249,31 +249,38 @@ def _add_units(lp, portfolio):
 
 def producer_energy_offers(
     position: ProducerPosition, portfolio: ProducerPortfolio, fc: PriceForecast
-) -> list[EnergyOffer]:
-    """Per-unit supply offers at marginal cost, plus the predicted downward
-    imbalance offered at the downward tariff forecast."""
-    priced = [(output, unit.cost) for output, unit in zip(position.unit_output, portfolio.units)]
-    priced.append((position.imbalance_down, fc.imbalance_down))
-    return [
-        EnergyOffer(portfolio.name, int(t), SUPPLY, float(volume[t]), float(price[t]))
-        for volume, price in priced
-        for t in np.flatnonzero(volume > OFFER_TOL)
-    ]
+) -> OfferBook:
+    """Per-unit supply offers at marginal cost, unit by unit and period by
+    period, then the predicted downward imbalance offered at the downward
+    tariff forecast."""
+    volume = np.vstack([position.unit_output, position.imbalance_down])
+    price = np.vstack([_unit_costs(portfolio), fc.imbalance_down])
+    row, period = np.nonzero(volume > OFFER_TOL)
+    return OfferBook(
+        np.full(len(row), portfolio.name),
+        period,
+        np.full(len(row), SUPPLY),
+        volume[row, period],
+        price[row, period],
+    )
 
 
-def producer_reserve_bids(
-    position: ProducerPosition, portfolio: ProducerPortfolio
-) -> list[ClassicalReserveBid]:
+def producer_reserve_bids(position: ProducerPosition, portfolio: ProducerPortfolio) -> ClassicalBook:
     """A bid at the unit's cost for every unit, period and direction with
     reserve held back, in that order (upward before downward)."""
-    reserve = position.reserve
-    return [
-        ClassicalReserveBid(
-            actor=portfolio.name, period=int(t), direction=(UP, DOWN)[d],
-            volume=float(reserve[k, t, d]), activation_price=float(portfolio.units[k].cost[t]),
-        )
-        for k, t, d in zip(*np.nonzero(reserve > OFFER_TOL))
-    ]
+    unit, period, direction = np.nonzero(position.reserve > OFFER_TOL)
+    return ClassicalBook(
+        np.full(len(unit), portfolio.name),
+        period,
+        np.array([UP, DOWN])[direction],
+        position.reserve[unit, period, direction],
+        _unit_costs(portfolio)[unit, period],
+    )
+
+
+def _unit_costs(portfolio: ProducerPortfolio) -> np.ndarray:
+    """(units, periods) marginal cost."""
+    return np.array([unit.cost for unit in portfolio.units])
 
 
 def producer_accepted_reserve(position: ProducerPosition, fractions: np.ndarray) -> np.ndarray:

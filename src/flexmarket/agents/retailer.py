@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..energy_market import DEMAND, EnergyOffer
+from ..energy_market import DEMAND, OfferBook
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
-from ..reserve_market import ModulationBid
+from ..reserve_market import ModulationBook
 from .forecast import PriceForecast
 from .tank import TankLoad
 
@@ -244,27 +244,34 @@ def optimize_retailer(
 
 def retailer_demand_offers(
     position: RetailerPosition, portfolio: RetailerPortfolio, price_cap: float
-) -> list[EnergyOffer]:
+) -> OfferBook:
     """The purchase as demand offers at the price cap, one per period."""
-    return [
-        EnergyOffer(portfolio.name, int(t), DEMAND, float(position.demand[t]), price_cap)
-        for t in np.flatnonzero(position.demand > OFFER_TOL)
-    ]
+    period = np.flatnonzero(position.demand > OFFER_TOL)
+    return OfferBook(
+        np.full(len(period), portfolio.name),
+        period,
+        np.full(len(period), DEMAND),
+        position.demand[period],
+        np.full(len(period), float(price_cap)),
+    )
 
 
 def retailer_band_bids(
     position: RetailerPosition, portfolio: RetailerPortfolio, efficiency: float
-) -> list[ModulationBid]:
+) -> ModulationBook:
     """One band bid per window with a positive amplitude, in window order,
     free to activate."""
-    return [
-        ModulationBid(
-            actor=portfolio.name, start=start, length=length,
-            amplitude=float(amplitude), activation_price=0.0, efficiency=efficiency,
-        )
-        for (start, length), amplitude in zip(position.windows, position.amplitudes)
-        if amplitude > OFFER_TOL
-    ]
+    offered = position.amplitudes > OFFER_TOL
+    windows = np.array(position.windows, dtype=np.intp).reshape(-1, 2)[offered]
+    count = len(windows)
+    return ModulationBook(
+        np.full(count, portfolio.name),
+        windows[:, 0],
+        windows[:, 1],
+        position.amplitudes[offered],
+        np.zeros(count),
+        np.full(count, float(efficiency)),
+    )
 
 
 def retailer_accepted_amplitudes(position: RetailerPosition, fractions: np.ndarray) -> np.ndarray:

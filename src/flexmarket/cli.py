@@ -356,23 +356,32 @@ def _write_round(record: RoundRecord, round_dir: Path) -> None:
         for t, *cells in _period_rows(volume, position.imbalance_up, position.imbalance_down):
             positions.append([name, kind, t, *cells, fee if t == 0 else ""])
     clearing, procurement, settlement = record.clearing, record.procurement, record.settlement
+    offers, classical, bands = record.offers, procurement.classical, procurement.modulation
+    accepted = [
+        ("classical", classical.actor, procurement.classical_fraction, classical.volume),
+        ("modulation", bands.actor, procurement.modulation_fraction, bands.amplitude),
+    ]
     rows = {
         "prices.csv": _period_rows(clearing.price, settlement.tariff_up, settlement.tariff_down),
         "offers.csv": [
-            [o.actor, o.period, o.side, repr(o.volume), repr(o.price)] for o in record.offers
+            [actor, t, side, repr(volume), repr(price)]
+            for actor, t, side, volume, price in offers.rows()
         ],
         "clearing.csv": [
-            [o.period, repr(float(clearing.price[o.period])), k, repr(float(fraction))]
-            for k, (o, fraction) in enumerate(zip(record.offers, clearing.fractions))
+            [t, repr(mcp), k, repr(fraction)]
+            for k, (t, mcp, fraction) in enumerate(
+                zip(
+                    offers.period.tolist(),
+                    clearing.price[offers.period.astype(np.intp)].tolist(),
+                    clearing.fractions.tolist(),
+                )
+            )
         ],
         "procurement.csv": [
-            ["classical", k, bid.actor, repr(float(x)), repr(bid.volume * float(x))]
-            for k, (bid, x) in enumerate(zip(procurement.classical, procurement.classical_fraction))
-        ]
-        + [
-            ["modulation", k, bid.actor, repr(float(x)), repr(bid.amplitude * float(x))]
-            for k, (bid, x) in enumerate(
-                zip(procurement.modulation, procurement.modulation_fraction)
+            [kind, k, actor, repr(x), repr(volume * x)]
+            for kind, actors, fractions, volumes in accepted
+            for k, (actor, x, volume) in enumerate(
+                zip(actors.tolist(), fractions.tolist(), volumes.tolist())
             )
         ],
         "settlement.csv": _period_rows(

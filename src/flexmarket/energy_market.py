@@ -6,6 +6,12 @@ to pay more is covered by the supply willing to sell at or below it; if
 excess demand persists all the way up, the price cap binds and demand is
 rationed.  Offers priced strictly inside the money are filled completely,
 offers at the clearing price share the marginal volume pro rata.
+
+The whole day clears at once on the columns of an :class:`OfferBook`, but
+every volume that decides a price, the traded volume or a marginal share
+is still one ``np.sum`` over the qualifying offers of one period and side,
+in offer order, so it rounds as a period-by-period loop does.  Running
+sums over the day only pick the price at which that check starts.
 """
 
 from __future__ import annotations
@@ -14,31 +20,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .book import Book, column, whole
+
 DEFAULT_PRICE_CAP = 3000.0
 
 SUPPLY = "supply"
 DEMAND = "demand"
 
+#: demand strictly above a price counts as covered within this many MW
+COVER_TOL = 1e-12
+
 
 @dataclass(frozen=True)
-class EnergyOffer:
-    """One-period offer: ``volume`` MW at limit ``price`` EUR/MWh."""
+class OfferBook(Book):
+    """One-period offers: ``actor`` offers ``volume`` MW on ``side`` (supply
+    or demand) in ``period`` at limit ``price`` EUR/MWh."""
 
-    actor: str
-    period: int
-    side: str
-    volume: float
-    price: float
+    entry = "offer"
+
+    actor: np.ndarray = column(str)
+    period: np.ndarray = column()
+    side: np.ndarray = column(str)
+    volume: np.ndarray = column(float)
+    price: np.ndarray = column(float)
 
     def validate(self, period_count: int, price_cap: float) -> None:
-        if self.side not in (SUPPLY, DEMAND):
-            raise ValueError(f"offer side must be supply/demand, got {self.side!r}")
-        if not 0 <= self.period < period_count:
-            raise ValueError(f"offer period {self.period} outside 0..{period_count - 1}")
-        if not self.volume > 0:
-            raise ValueError(f"offer volume must be positive, got {self.volume}")
-        if not 0.0 <= self.price <= price_cap:
-            raise ValueError(f"offer price {self.price} outside [0, {price_cap}]")
+        """Raise ``ValueError`` naming the first offer that breaks a rule.
+        Each rule is written as what holds, so NaN breaks it too."""
+        self._require((self.side == SUPPLY) | (self.side == DEMAND), "side", "is not supply/demand")
+        self._require(
+            whole(self.period, 0, period_count - 1), "period",
+            f"is not an integer in 0..{period_count - 1}",
+        )
+        self._require((self.volume > 0) & (self.volume < np.inf), "volume", "is not positive and finite")
+        self._require(
+            (self.price >= 0) & (self.price <= price_cap), "price", f"is outside [0, {price_cap}]"
+        )
 
 
 @dataclass
@@ -47,7 +64,7 @@ class ClearingResult:
 
     price: np.ndarray               # EUR/MWh per period
     traded_volume: np.ndarray       # MW per period
-    fractions: np.ndarray           # acceptance fraction per offer (input order)
+    fractions: np.ndarray           # acceptance fraction per offer (book order)
     no_market: np.ndarray           # periods with an empty book on both sides
     cleared_demand: dict[str, np.ndarray] = field(default_factory=dict)
     cleared_supply: dict[str, np.ndarray] = field(default_factory=dict)
@@ -60,74 +77,131 @@ class ClearingResult:
 
 
 def clear(
-    offers: list[EnergyOffer],
+    offers: OfferBook,
     period_count: int,
     price_cap: float = DEFAULT_PRICE_CAP,
 ) -> ClearingResult:
     """Clear all periods of a day independently."""
     if period_count < 1:
         raise ValueError("period_count must be at least 1")
-    for offer in offers:
-        offer.validate(period_count, price_cap)
+    offers.validate(period_count, price_cap)
+    period = offers.period.astype(np.intp)
+    supply = offers.side == SUPPLY
+    volume, price = offers.volume, offers.price
 
-    price = np.zeros(period_count)
-    traded = np.zeros(period_count)
-    fractions = np.zeros(len(offers))
-    no_market = np.zeros(period_count, dtype=bool)
+    no_market = np.bincount(period, minlength=period_count) == 0
+    mcp, traded, share = _clear_periods(period, supply, volume, price, no_market, price_cap)
 
-    by_period: list[list[int]] = [[] for _ in range(period_count)]
-    for k, offer in enumerate(offers):
-        by_period[offer.period].append(k)
+    # 1 inside the money, the side's marginal share at the price, else 0
+    at_price = mcp[period]
+    strict = np.where(supply, price < at_price, price > at_price)
+    side = np.where(supply, 0, 1)
+    fractions = np.where(strict, 1.0, np.where(price == at_price, share[side, period], 0.0))
 
-    for t in range(period_count):
-        ids = by_period[t]
-        sup = [k for k in ids if offers[k].side == SUPPLY]
-        dem = [k for k in ids if offers[k].side == DEMAND]
-        if not sup and not dem:
-            no_market[t] = True
-            continue
-        mcp, volume = _clear_period(
-            np.array([offers[k].price for k in sup]),
-            np.array([offers[k].volume for k in sup]),
-            np.array([offers[k].price for k in dem]),
-            np.array([offers[k].volume for k in dem]),
-            price_cap,
-        )
-        price[t] = mcp
-        traded[t] = volume
-        _assign_fractions(offers, sup, mcp, volume, fractions, is_supply=True)
-        _assign_fractions(offers, dem, mcp, volume, fractions, is_supply=False)
-
-    result = ClearingResult(price, traded, fractions, no_market)
-    for k, offer in enumerate(offers):
-        book = result.cleared_supply if offer.side == SUPPLY else result.cleared_demand
-        series = book.setdefault(offer.actor, np.zeros(period_count))
-        series[offer.period] += fractions[k] * offer.volume
-    return result
+    # each actor's cleared MW per period and side, added offer by offer
+    names, actor = np.unique(offers.actor, return_inverse=True)
+    cleared = np.zeros((2, len(names), period_count))
+    np.add.at(cleared, (side, actor, period), fractions * volume)
+    offered = np.zeros((2, len(names)), dtype=bool)
+    offered[side, actor] = True
+    supplied, demanded = (
+        {name: cleared[s, k] for k, name in enumerate(names.tolist()) if offered[s, k]}
+        for s in (0, 1)
+    )
+    return ClearingResult(
+        mcp, traded, fractions, no_market, cleared_demand=demanded, cleared_supply=supplied
+    )
 
 
-def _clear_period(sup_price, sup_vol, dem_price, dem_vol, price_cap):
-    """Lowest stable price and the volume exchanged there."""
-    grid = np.unique(np.concatenate([[0.0, price_cap], sup_price, dem_price]))
-    for pi in grid:
-        supply_at = sup_vol[sup_price <= pi].sum()
-        demand_above = dem_vol[dem_price > pi].sum()
-        if demand_above <= supply_at + 1e-12:
-            demand_at = dem_vol[dem_price >= pi].sum()
-            return float(pi), float(min(supply_at, demand_at))
-    # unreachable: at the cap no demand is strictly above
-    raise AssertionError("no stable clearing price found")
+def _clear_periods(period, supply, volume, price, no_market, price_cap):
+    """Per period: the lowest price of {0, cap, offer prices} at which the
+    demand strictly above it is covered by the supply at or below it, the
+    volume traded there, and the (supply, demand) marginal share."""
+    period_count = len(no_market)
+    markets = np.flatnonzero(~no_market)
+    grid_price, first = _candidates(period, supply, volume, price, markets, price_cap, period_count)
+    demand = ~supply
+    candidate = first
+    while True:
+        mcp = np.zeros(period_count)
+        mcp[markets] = grid_price[candidate]
+        at_price = mcp[period]
+        # per period and kind, the offers that count, each kind in offer order
+        kinds = [
+            supply & (price <= at_price),   # supplied
+            demand & (price > at_price),    # demand strictly above the price
+            demand & (price >= at_price),   # demand at or above it
+            supply & (price < at_price),    # supply strictly inside the money
+            supply & (price == at_price),   # marginal supply
+            demand & (price == at_price),   # marginal demand
+        ]
+        sums = _period_sums(volume, period, kinds, period_count)
+        supplied, strict_demand = sums[0, markets], sums[1, markets]
+        short = ~(strict_demand <= supplied + COVER_TOL)
+        if not short.any():
+            break
+        candidate = candidate + short
+    traded = np.minimum(sums[0], sums[2])
+    # what the marginal offers of each side share: the traded volume less
+    # what the strict offers take, over the volume at the price
+    at_volume = sums[[4, 5]]
+    share = np.zeros((2, period_count))
+    np.divide(traded - sums[[3, 1]], at_volume, out=share, where=at_volume > 0)
+    return mcp, traded, np.clip(share, 0.0, 1.0)
 
 
-def _assign_fractions(offers, ids, mcp, volume, fractions, is_supply):
-    if not ids:
-        return
-    prices = np.array([offers[k].price for k in ids])
-    vols = np.array([offers[k].volume for k in ids])
-    strict = prices < mcp if is_supply else prices > mcp
-    marginal = prices == mcp
-    fill = volume - vols[strict].sum()
-    at_volume = vols[marginal].sum()
-    share = min(1.0, max(0.0, fill / at_volume)) if at_volume > 0 else 0.0
-    for k, is_strict, is_marginal in zip(ids, strict, marginal):
-        fractions[k] = 1.0 if is_strict else (share if is_marginal else 0.0)
+def _candidates(period, supply, volume, price, markets, price_cap, period_count):
+    """The candidate prices of every market period (its offers' prices, 0
+    and the cap) in (period, price) order, and the index of the first one
+    of each period that can pass.
+
+    Running sums over the day's offers sorted by (period, price) estimate
+    the cover at every candidate at once.  A candidate whose estimate falls
+    short by more than the sums' rounding surely fails, so the exact check
+    can start at the first candidate of a period that does not."""
+    n = len(period)
+    ev_period = np.concatenate([period, period, markets, markets])
+    ev_price = np.concatenate([price, price, np.zeros(len(markets)), np.full(len(markets), price_cap)])
+    is_candidate = np.arange(len(ev_period)) >= n
+    order = np.lexsort((is_candidate, ev_price, ev_period))
+    ev_period, ev_price, is_candidate = ev_period[order], ev_price[order], is_candidate[order]
+    weights = np.zeros((2, len(order)))
+    weights[0, :n] = np.where(supply, volume, 0.0)
+    weights[1, :n] = np.where(supply, 0.0, volume)
+    # running (supply, demand) MW up to each event; an offer sorts before a
+    # candidate at its own price
+    running = np.zeros((2, len(order) + 1))
+    np.cumsum(weights[:, order], axis=1, out=running[:, 1:])
+    bounds = np.searchsorted(ev_period, np.arange(period_count + 1))
+    base = running[:, bounds]
+
+    at = np.flatnonzero(is_candidate)
+    grid_period, grid_price = ev_period[at], ev_price[at]
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = (grid_period[1:] != grid_period[:-1]) | (grid_price[1:] != grid_price[:-1])
+    at, grid_period, grid_price = at[new], grid_period[new], grid_price[new]
+    supplied = running[0, at + 1] - base[0, grid_period]
+    demand_above = base[1, grid_period + 1] - running[1, at + 1]
+    tol = 1e-10 * (1.0 + running[0, -1] + running[1, -1])
+    maybe = np.flatnonzero(supplied + COVER_TOL - demand_above >= -tol)
+    return grid_price, maybe[np.searchsorted(grid_period[maybe], markets)]
+
+
+def _period_sums(volume, period, kinds, period_count):
+    """(kinds, periods) array: ``np.sum`` of the ``volume`` of the offers of
+    each kind (a mask over offers) in each period, in offer order.
+
+    Groups of one size are added as the rows of one 2-D array, and
+    ``np.sum`` adds each row of a C-ordered array exactly as it adds that
+    row alone."""
+    group = np.concatenate([k * period_count + period[mask] for k, mask in enumerate(kinds)])
+    values = np.concatenate([volume[mask] for mask in kinds])
+    order = np.argsort(group, kind="stable")
+    values = values[order]
+    size = np.bincount(group, minlength=len(kinds) * period_count)
+    start = np.cumsum(size) - size
+    sums = np.zeros(len(size))
+    for length in np.unique(size[size > 0]).tolist():
+        rows = np.flatnonzero(size == length)
+        sums[rows] = values[start[rows, None] + np.arange(length)].sum(axis=1)
+    return sums.reshape(len(kinds), period_count)

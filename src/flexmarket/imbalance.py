@@ -65,28 +65,27 @@ def settle(
     """
     imbalance = np.asarray(imbalance, dtype=float)
     period_count = len(imbalance)
-    classical = procurement.contracted_classical()
-    modulation = procurement.contracted_modulation()
     penalty = procurement.over_commit_penalty
 
     lp = LinearProgram(sense="min", name="settlement")
     # an upward activation costs its price; a downward one saves its price
     # but pays back the over-contract penalty
-    is_up = np.array([bid.direction == UP for bid, _ in classical], dtype=bool)
-    contracted_mw = np.array([mw for _, mw in classical], dtype=float)
-    price = np.array([bid.activation_price for bid, _ in classical], dtype=float)
-    period = np.array([bid.period for bid, _ in classical], dtype=np.intp)
+    classical, contracted = procurement.classical, procurement.classical_contracted
+    is_up = classical.direction[contracted] == UP
+    contracted_mw = classical.volume[contracted] * procurement.classical_fraction[contracted]
+    price = classical.activation_price[contracted]
+    period = classical.period[contracted].astype(np.intp)
     unit_cost = np.where(is_up, price, penalty[period] - price)
-    x = lp.add_variables(len(classical), 0.0, 1.0)
+    x = lp.add_variables(len(contracted_mw), 0.0, 1.0)
     lp.add_objectives(x, (unit_cost + ACTIVATION_FRICTION) * contracted_mw)
 
     # per band bid, an upward then a downward activation share per covered
     # period; the two must balance over the bid's window
-    bands = [bid for bid, _ in modulation]
-    band_mw = np.array([mw for _, mw in modulation], dtype=float)
-    band_price = np.array([bid.activation_price for bid in bands], dtype=float)
-    lengths = np.array([bid.length for bid in bands], dtype=np.intp)
-    owner, covered = band_coverage(bands)
+    bands, sold = procurement.modulation, procurement.modulation_contracted
+    band_mw = bands.amplitude[sold] * procurement.modulation_fraction[sold]
+    band_price = bands.activation_price[sold]
+    lengths = bands.length[sold].astype(np.intp)
+    owner, covered = band_coverage(bands.start[sold], lengths)
     shares = lp.add_variables(2 * owner.size, 0.0, 1.0)
     # bid k's block holds its v then its w shares, so the slot s of k
     # (counted over all bids) is v share s + (slots before k)
@@ -95,7 +94,7 @@ def settle(
     band_cost = ((band_price + ACTIVATION_FRICTION) * band_mw)[owner]
     lp.add_objectives(v, band_cost)
     lp.add_objectives(w, band_cost)
-    lp.add_constraints([(owner, v, 1.0), (owner, w, -1.0)], EQUAL, np.zeros(len(bands)))
+    lp.add_constraints([(owner, v, 1.0), (owner, w, -1.0)], EQUAL, np.zeros(len(band_mw)))
 
     y_up = lp.add_variables(period_count)
     y_dn = lp.add_variables(period_count)
@@ -142,8 +141,8 @@ def settle(
 
     return SettlementResult(
         classical_activation=x_val,
-        modulation_up=np.split(v_val, splits) if bands else [],
-        modulation_down=np.split(w_val, splits) if bands else [],
+        modulation_up=np.split(v_val, splits) if len(band_mw) else [],
+        modulation_down=np.split(w_val, splits) if len(band_mw) else [],
         non_contracted_up=nc_up,
         non_contracted_down=nc_dn,
         activated_up=activated[0] + nc_up,

@@ -7,7 +7,8 @@ held over a block of consecutive periods, which therefore counts toward
 both directions in every covered period (discounted by its efficiency
 ratio).  Clearing minimizes reservation plus assumed-activation cost, with
 a penalty on contracting past the requirement and an expensive fallback on
-any shortfall.
+any shortfall.  Each product's bids arrive as one book, a column per field
+(:class:`ClassicalBook`, :class:`ModulationBook`).
 
 Tied bids share pro rata, as marginal offers do in the energy auction.
 Classical bids tie when they have the same period, direction and
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .book import Book, column, whole
 from .lp import EQUAL, LinearProgram, solve
 
 UP = "up"
@@ -34,57 +36,83 @@ ACCEPT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ClassicalReserveBid:
-    """Single-period reserve capacity in one direction."""
+class ClassicalBook(Book):
+    """Single-period reserve capacity in one direction: ``actor`` offers
+    ``volume`` MW in ``period`` and ``direction``, paid (up) or paying
+    (down) ``activation_price`` EUR/MWh on use."""
 
-    actor: str
-    period: int
-    direction: str
-    volume: float                # MW
-    activation_price: float      # EUR/MWh paid (up) or received (down) on use
+    entry = "bid"
+
+    actor: np.ndarray = column(str)
+    period: np.ndarray = column()
+    direction: np.ndarray = column(str)
+    volume: np.ndarray = column(float)             # MW
+    activation_price: np.ndarray = column(float)   # EUR/MWh
 
     def validate(self, period_count: int) -> None:
-        if self.direction not in (UP, DOWN):
-            raise ValueError(f"direction must be up/down, got {self.direction!r}")
-        if not 0 <= self.period < period_count:
-            raise ValueError(f"bid period {self.period} outside horizon")
-        if not self.volume > 0:
-            raise ValueError("bid volume must be positive")
-        if self.activation_price < 0:
-            raise ValueError("activation price must be nonnegative")
+        """Raise ``ValueError`` naming the first bid that breaks a rule.
+        Each rule is written as what holds, so NaN breaks it too."""
+        self._require((self.direction == UP) | (self.direction == DOWN), "direction", "is not up/down")
+        self._require(
+            whole(self.period, 0, period_count - 1), "period",
+            f"is not an integer in 0..{period_count - 1}",
+        )
+        self._require((self.volume > 0) & (self.volume < np.inf), "volume", "is not positive and finite")
+        self._require(
+            (self.activation_price >= 0) & (self.activation_price < np.inf),
+            "activation_price", "is not nonnegative and finite",
+        )
 
 
 @dataclass(frozen=True)
-class ModulationBid:
-    """Symmetric flexibility band of ``amplitude`` MW over consecutive periods.
+class ModulationBook(Book):
+    """Symmetric flexibility bands: ``actor`` offers a band of ``amplitude``
+    MW over the ``length`` periods from ``start``.
 
-    The consumption underlying the band is energy neutral across the block,
+    The consumption underlying a band is energy neutral across its block,
     so the same capacity serves both reserve directions in every covered
-    period.
+    period, each MW counting ``efficiency`` MW of reserve.
     """
 
-    actor: str
-    start: int
-    length: int
-    amplitude: float             # MW, the tradeable volume
-    activation_price: float = 0.0
-    efficiency: float = 1.0
+    entry = "bid"
 
-    @property
-    def periods(self) -> range:
-        return range(self.start, self.start + self.length)
+    actor: np.ndarray = column(str)
+    start: np.ndarray = column()
+    length: np.ndarray = column()
+    amplitude: np.ndarray = column(float)          # MW, the tradeable volume
+    activation_price: np.ndarray = column(float)
+    efficiency: np.ndarray = column(float)
 
     def validate(self, period_count: int) -> None:
-        if self.length < 2 or self.length % 2 != 0:
-            raise ValueError("modulation length must be even and at least 2")
-        if self.start < 0 or self.start + self.length > period_count:
-            raise ValueError("modulation window outside horizon")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
-        if self.activation_price < 0:
-            raise ValueError("activation price must be nonnegative")
+        """Raise ``ValueError`` naming the first bid that breaks a rule.
+        Each rule is written as what holds, so NaN breaks it too."""
+        self._require(
+            whole(self.length / 2, 1, period_count / 2), "length",
+            f"is not an even integer in 2..{period_count}",
+        )
+        self._require(
+            whole(self.start, 0, period_count - self.length), "start",
+            "puts the window outside the horizon",
+        )
+        self._require(
+            (self.amplitude >= 0) & (self.amplitude < np.inf), "amplitude", "is not nonnegative and finite"
+        )
+        self._require(
+            (self.efficiency > 0) & (self.efficiency <= 1), "efficiency", "is outside (0, 1]"
+        )
+        self._require(
+            (self.activation_price >= 0) & (self.activation_price < np.inf),
+            "activation_price", "is not nonnegative and finite",
+        )
+        # the windows of one actor must not share a period: sorted by actor
+        # and start, a window overlapping any earlier one overlaps the one
+        # just before it
+        order = np.lexsort((self.start, self.actor))
+        actor, start = self.actor[order], self.start[order]
+        end = start + self.length[order]
+        overlap = np.zeros(len(self), dtype=bool)
+        overlap[order[1:]] = (actor[1:] == actor[:-1]) & (start[1:] < end[:-1])
+        self._require(~overlap, "start", "overlaps another window of the same actor")
 
 
 @dataclass
@@ -98,16 +126,17 @@ class ReservePrices:
 
     def validate(self) -> None:
         for label, value in vars(self).items():
-            if value < 0:
-                raise ValueError(f"price {label} must be nonnegative")
+            # written as "holds" so that NaN fails too
+            if not 0 <= value < np.inf:
+                raise ValueError(f"price {label} must be nonnegative and finite, got {value!r}")
 
 
 @dataclass
 class ReserveProcurement:
     """Accepted fractions plus the per-period surplus and shortfall."""
 
-    classical: list[ClassicalReserveBid]
-    modulation: list[ModulationBid]
+    classical: ClassicalBook
+    modulation: ModulationBook
     classical_fraction: np.ndarray
     modulation_fraction: np.ndarray
     surplus_up: np.ndarray
@@ -118,19 +147,17 @@ class ReserveProcurement:
     contracted_cost: float               # reservation + assumed activation
     objective: float                     # LP value incl. surplus/shortfall terms
 
-    def contracted_classical(self) -> list[tuple[ClassicalReserveBid, float]]:
-        return [
-            (bid, bid.volume * float(x))
-            for bid, x in zip(self.classical, self.classical_fraction)
-            if x > ACCEPT_TOL
-        ]
+    @property
+    def classical_contracted(self) -> np.ndarray:
+        """Where a classical bid was accepted: its contracted MW are
+        ``volume * classical_fraction`` there."""
+        return self.classical_fraction > ACCEPT_TOL
 
-    def contracted_modulation(self) -> list[tuple[ModulationBid, float]]:
-        return [
-            (bid, bid.amplitude * float(x))
-            for bid, x in zip(self.modulation, self.modulation_fraction)
-            if x > ACCEPT_TOL and bid.amplitude > 0
-        ]
+    @property
+    def modulation_contracted(self) -> np.ndarray:
+        """Where a band bid of positive amplitude was accepted: its
+        contracted MW are ``amplitude * modulation_fraction`` there."""
+        return (self.modulation_fraction > ACCEPT_TOL) & (self.modulation.amplitude > 0)
 
 
 def ordered_sum(*parts: np.ndarray) -> float:
@@ -139,30 +166,21 @@ def ordered_sum(*parts: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate([[0.0], *parts]))[-1])
 
 
-def band_coverage(bids: list[ModulationBid]) -> tuple[np.ndarray, np.ndarray]:
-    """(bid index, period) of every period each band bid covers, bid by bid
-    and in period order within a bid."""
-    lengths = np.array([bid.length for bid in bids], dtype=np.intp)
-    starts = np.array([bid.start for bid in bids], dtype=np.intp)
-    owner = np.repeat(np.arange(len(bids)), lengths)
-    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return owner, starts[owner] + within
+def band_coverage(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(band index, period) of every period each band from ``start`` over
+    ``length`` periods covers, band by band and in period order within a
+    band."""
+    start = np.asarray(start, dtype=np.intp)
+    length = np.asarray(length, dtype=np.intp)
+    owner = np.repeat(np.arange(len(length)), length)
+    within = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+    return owner, start[owner] + within
 
 
-def _check_non_overlap(modulation: list[ModulationBid]) -> None:
-    seen: dict[str, set[int]] = {}
-    for bid in modulation:
-        covered = seen.setdefault(bid.actor, set())
-        window = set(bid.periods)
-        if covered & window:
-            raise ValueError(f"overlapping modulation bids for actor {bid.actor!r}")
-        covered |= window
-
-
-def _pro_rata(fraction: np.ndarray, keys: np.ndarray, volume: np.ndarray) -> np.ndarray:
-    """``fraction`` with each group of tied bids (equal rows of ``keys``)
-    given one fraction: the ``volume``-weighted mean of its members'
-    fractions, or their plain mean where the group's volume is 0.
+def _pro_rata(fraction: np.ndarray, keys: tuple[np.ndarray, ...], volume: np.ndarray) -> np.ndarray:
+    """``fraction`` with each group of tied bids (equal in every column of
+    ``keys``) given one fraction: the ``volume``-weighted mean of its
+    members' fractions, or their plain mean where the group's volume is 0.
 
     Tied bids cost the same and count the same per MW, so the group's
     contribution to every requirement row and its cost keep the LP's values
@@ -171,7 +189,13 @@ def _pro_rata(fraction: np.ndarray, keys: np.ndarray, volume: np.ndarray) -> np.
     one), so the result is deterministic; a bid alone in its group keeps
     its fraction bit for bit.
     """
-    _, group, size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    order = np.lexsort(keys[::-1])
+    ranked = [key[order] for key in keys]
+    new = np.ones(len(fraction), dtype=bool)
+    new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in ranked])
+    group = np.empty(len(fraction), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    size = np.bincount(group)
     total = np.bincount(group, volume, len(size))
     mean = np.bincount(group, fraction, len(size)) / size
     np.divide(np.bincount(group, volume * fraction, len(size)), total, out=mean, where=total > 0)
@@ -179,8 +203,8 @@ def _pro_rata(fraction: np.ndarray, keys: np.ndarray, volume: np.ndarray) -> np.
 
 
 def clear_reserve(
-    classical: list[ClassicalReserveBid],
-    modulation: list[ModulationBid],
+    classical: ClassicalBook,
+    modulation: ModulationBook,
     required_up: np.ndarray,
     required_down: np.ndarray,
     prices: ReservePrices,
@@ -194,27 +218,30 @@ def clear_reserve(
     period_count = len(required_up)
     if len(required_down) != period_count:
         raise ValueError("requirement series differ in length")
-    if np.any(required_up < 0) or np.any(required_down < 0):
-        raise ValueError("requirements must be nonnegative")
+    for direction, required in ((UP, required_up), (DOWN, required_down)):
+        # written as "holds" so that NaN fails too
+        bad = np.flatnonzero(~((required >= 0) & (required < np.inf)))
+        if bad.size:
+            raise ValueError(
+                f"{direction} requirement {required[bad[0]].item()!r} in period {bad[0]} "
+                "is not nonnegative and finite"
+            )
     prices.validate()
-    for bid in classical:
-        bid.validate(period_count)
-    for bid in modulation:
-        bid.validate(period_count)
-    _check_non_overlap(modulation)
+    classical.validate(period_count)
+    modulation.validate(period_count)
 
     lp = LinearProgram(sense="min", name="reserve-clearing")
     # the cost of accepting all of each bid: reservation plus assumed activation
-    is_up = np.array([bid.direction == UP for bid in classical], dtype=bool)
-    volume = np.array([bid.volume for bid in classical], dtype=float)
+    is_up = classical.direction == UP
+    volume = classical.volume
     capacity = np.where(is_up, prices.up_capacity, prices.down_capacity)
     sign = np.where(is_up, 1.0, -1.0)
-    activation = np.array([bid.activation_price for bid in classical], dtype=float)
+    activation = classical.activation_price
     classical_cost = (capacity + sign * activation) * volume
     x_classical = lp.add_variables(len(classical), 0.0, 1.0)
     lp.add_objectives(x_classical, classical_cost)
-    amplitude = np.array([bid.amplitude for bid in modulation], dtype=float)
-    band_activation = np.array([bid.activation_price for bid in modulation], dtype=float)
+    amplitude = modulation.amplitude
+    band_activation = modulation.activation_price
     band_cost = (prices.modulation_capacity + band_activation) * amplitude
     x_modulation = lp.add_variables(len(modulation), 0.0, 1.0)
     lp.add_objectives(x_modulation, band_cost)
@@ -223,7 +250,7 @@ def clear_reserve(
     # reserve for its downward activation revenue: 10% above the dearest
     # downward activation price of each period, or above the dearest price
     # of the day (the fallback price without bids) in a period without one
-    period = np.array([bid.period for bid in classical], dtype=np.intp)
+    period = classical.period.astype(np.intp)
     all_prices = np.concatenate([activation, band_activation])
     fallback = all_prices.max() if all_prices.size else prices.non_contracted
     dearest_down = np.full(period_count, -np.inf)
@@ -239,9 +266,8 @@ def clear_reserve(
     # rows 2t and 2t + 1: the upward and downward requirement of period t
     up_row = 2 * np.arange(period_count)
     bid_row = 2 * period + np.where(is_up, 0, 1)
-    owner, covered = band_coverage(modulation)
-    band_efficiency = np.array([bid.efficiency for bid in modulation], dtype=float)
-    contribution = (amplitude * band_efficiency)[owner]
+    owner, covered = band_coverage(modulation.start, modulation.length)
+    contribution = (amplitude * modulation.efficiency)[owner]
     lp.add_constraints(
         [
             (up_row, n_up, 1.0),
@@ -261,20 +287,17 @@ def clear_reserve(
         raise RuntimeError(f"reserve clearing unexpectedly {sol.status}")
 
     xc = _pro_rata(
-        np.clip(sol.values(x_classical), 0.0, 1.0),
-        np.column_stack([period, is_up, activation]),
-        volume,
+        np.clip(sol.values(x_classical), 0.0, 1.0), (period, is_up, activation), volume
     )
-    window = np.array([(bid.start, bid.length) for bid in modulation], dtype=float).reshape(-1, 2)
     xm = _pro_rata(
         np.clip(sol.values(x_modulation), 0.0, 1.0),
-        np.column_stack([window, band_efficiency, band_activation]),
+        (modulation.start, modulation.length, modulation.efficiency, band_activation),
         amplitude,
     )
 
     return ReserveProcurement(
-        classical=list(classical),
-        modulation=list(modulation),
+        classical=classical,
+        modulation=modulation,
         classical_fraction=xc,
         modulation_fraction=xm,
         surplus_up=sol.values(s_up),

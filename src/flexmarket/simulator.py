@@ -48,8 +48,8 @@ from .agents.retailer import (
     retailer_band_bids,
     retailer_demand_offers,
 )
-from .energy_market import EnergyOffer
-from .reserve_market import ReserveProcurement, clear_reserve
+from .energy_market import OfferBook
+from .reserve_market import ClassicalBook, ModulationBook, ReserveProcurement, clear_reserve
 from .scenario import OPEN, Scenario, ScenarioConfig, generate_scenario
 
 
@@ -81,7 +81,7 @@ class RoundRecord:
     submitted_demand: dict[str, np.ndarray]
     retailer_positions: dict[str, object]
     producer_positions: dict[str, object]
-    offers: list[EnergyOffer]
+    offers: OfferBook
     clearing: energy_market.ClearingResult
     procurement: ReserveProcurement
     settlement: imbalance.SettlementResult
@@ -205,13 +205,13 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         index, "day-ahead", twins, scenario.producers, producers, models,
         lambda p: dict(pins=pins[p.name]),
     )
-    offers: list[EnergyOffer] = []
-    for portfolio in scenario.retailers:
-        offers.extend(
-            retailer_demand_offers(retailer_stage1[portfolio.name], portfolio, config.price_cap)
-        )
-    for portfolio in scenario.producers:
-        offers.extend(producer_energy_offers(producer_stage1[portfolio.name], portfolio, fc))
+    offers = OfferBook.concat(
+        [
+            retailer_demand_offers(retailer_stage1[p.name], p, config.price_cap)
+            for p in scenario.retailers
+        ]
+        + [producer_energy_offers(producer_stage1[p.name], p, fc) for p in scenario.producers]
+    )
 
     with _stage_guard(index, "energy-clearing", "market"):
         clearing = energy_market.clear(offers, t_count, config.price_cap)
@@ -239,8 +239,8 @@ def _play_round(index, scenario, fc, windows, pins, twins):
 
     with _stage_guard(index, "reserve-clearing", "market"):
         procurement = clear_reserve(
-            [bid for bids in classical.values() for bid in bids],
-            [bid for bids in modulation.values() for bid in bids],
+            ClassicalBook.concat(classical.values()),
+            ModulationBook.concat(modulation.values()),
             required,
             required,
             config.reserve_prices(),
@@ -361,10 +361,10 @@ def _twin_key(value):
     return (type(value).__qualname__, repr(value))
 
 
-def _per_actor(fractions: np.ndarray, bids: dict[str, list]) -> dict[str, np.ndarray]:
-    """The accepted ``fractions`` of the concatenated ``bids``, split back
-    into each actor's own bids."""
-    ends = np.cumsum([len(group) for group in bids.values()])
+def _per_actor(fractions: np.ndarray, bids: dict[str, object]) -> dict[str, np.ndarray]:
+    """The accepted ``fractions`` of the concatenated books ``bids``, split
+    back into each actor's own bids."""
+    ends = np.cumsum([len(book) for book in bids.values()])
     return dict(zip(bids, np.split(fractions, ends[:-1])))
 
 

@@ -203,6 +203,73 @@ def sweep_auction_oracle(sup, dem, price_cap):
     return best
 
 
+def reference_clear(offers, period_count, price_cap):
+    """``(price, traded, fractions, cleared_supply, cleared_demand)`` of the
+    energy auction, cleared period by period as it was before the search
+    ran on the whole day: every candidate price of a period is tried in
+    ascending order with fresh ``np.sum`` calls, and each offer's cleared MW
+    is added to its actor's series one offer at a time.  ``offers`` is an
+    ``OfferBook``; validation is left out."""
+    price = np.zeros(period_count)
+    traded = np.zeros(period_count)
+    fractions = np.zeros(len(offers))
+    by_period = [[] for _ in range(period_count)]
+    for k, t in enumerate(offers.period):
+        by_period[int(t)].append(k)
+    for t in range(period_count):
+        sup = [k for k in by_period[t] if offers.side[k] == "supply"]
+        dem = [k for k in by_period[t] if offers.side[k] == "demand"]
+        if not sup and not dem:
+            continue
+        mcp, volume = _reference_clear_period(
+            offers.price[sup], offers.volume[sup], offers.price[dem], offers.volume[dem], price_cap
+        )
+        price[t], traded[t] = mcp, volume
+        _reference_fractions(offers, sup, mcp, volume, fractions, is_supply=True)
+        _reference_fractions(offers, dem, mcp, volume, fractions, is_supply=False)
+    cleared = {"supply": {}, "demand": {}}
+    for k in range(len(offers)):
+        series = cleared[str(offers.side[k])].setdefault(str(offers.actor[k]), np.zeros(period_count))
+        series[int(offers.period[k])] += fractions[k] * offers.volume[k]
+    return price, traded, fractions, cleared["supply"], cleared["demand"]
+
+
+def _reference_clear_period(sup_price, sup_vol, dem_price, dem_vol, price_cap):
+    """Lowest stable price and the volume exchanged there."""
+    grid = np.unique(np.concatenate([[0.0, price_cap], sup_price, dem_price]))
+    for pi in grid:
+        supply_at = sup_vol[sup_price <= pi].sum()
+        demand_above = dem_vol[dem_price > pi].sum()
+        if demand_above <= supply_at + 1e-12:
+            demand_at = dem_vol[dem_price >= pi].sum()
+            return float(pi), float(min(supply_at, demand_at))
+    raise AssertionError("no stable clearing price found")
+
+
+def _reference_fractions(offers, ids, mcp, volume, fractions, is_supply):
+    if not ids:
+        return
+    prices = offers.price[ids]
+    vols = offers.volume[ids]
+    strict = prices < mcp if is_supply else prices > mcp
+    marginal = prices == mcp
+    fill = volume - vols[strict].sum()
+    at_volume = vols[marginal].sum()
+    share = min(1.0, max(0.0, fill / at_volume)) if at_volume > 0 else 0.0
+    for k, is_strict, is_marginal in zip(ids, strict, marginal):
+        fractions[k] = 1.0 if is_strict else (share if is_marginal else 0.0)
+
+
+def reference_pro_rata(fraction, keys, volume):
+    """Tied-bid sharing with the groups found by ``np.unique`` over the rows
+    of the (bids, key fields) array ``keys``."""
+    _, group, size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    total = np.bincount(group, volume, len(size))
+    mean = np.bincount(group, fraction, len(size)) / size
+    np.divide(np.bincount(group, volume * fraction, len(size)), total, out=mean, where=total > 0)
+    return np.where(size[group] > 1, mean[group], fraction)
+
+
 def reference_coverage(load, baseline, up, down, samples, seed):
     """``(draws, failures, first_failure)`` of the band coverage check, one
     sample at a time: each row is drawn by scalar ``rng.uniform`` calls and

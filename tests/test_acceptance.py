@@ -13,12 +13,12 @@ import pytest
 
 from flexmarket.agents import random_feasible_modulation, verify_scenario_coverage
 from flexmarket.cli import main as cli_main
-from flexmarket.energy_market import DEMAND, SUPPLY, EnergyOffer, clear
+from flexmarket.energy_market import DEMAND, SUPPLY, OfferBook, clear
 from flexmarket.imbalance import settle
 from flexmarket.lp import solve
 from flexmarket.reserve_market import (
-    ClassicalReserveBid,
-    ModulationBid,
+    ClassicalBook,
+    ModulationBook,
     ReservePrices,
     clear_reserve,
 )
@@ -84,9 +84,9 @@ def test_criterion_2_energy_clearing_matches_breakpoint_sweep():
             (float(rng.choice([5, 20, 35, 35, 70, PRICE_CAP])), float(rng.uniform(1, 50)))
             for _ in range(int(rng.integers(1, 6)))
         ]
-        offers = [EnergyOffer(f"s{i}", 0, SUPPLY, v, p) for i, (p, v) in enumerate(sup)]
-        offers += [EnergyOffer(f"d{i}", 0, DEMAND, v, p) for i, (p, v) in enumerate(dem)]
-        result = clear(offers, 1, PRICE_CAP)
+        offers = [(f"s{i}", 0, SUPPLY, v, p) for i, (p, v) in enumerate(sup)]
+        offers += [(f"d{i}", 0, DEMAND, v, p) for i, (p, v) in enumerate(dem)]
+        result = clear(OfferBook.from_rows(offers), 1, PRICE_CAP)
         mcp, volume = sweep_auction_oracle(sup, dem, PRICE_CAP)
         if result.price[0] != mcp or abs(result.traded_volume[0] - volume) > 1e-9:
             mismatches += 1
@@ -187,17 +187,17 @@ def test_criterion_6_settlement_invariants():
     procurement = None
     for k in range(200):
         if k % 10 == 0:
-            classical = [
-                ClassicalReserveBid(
-                    "g", t, d, float(rng.uniform(4, 14)), float(rng.uniform(5, 70))
-                )
+            classical = ClassicalBook.from_rows(
+                ("g", t, d, float(rng.uniform(4, 14)), float(rng.uniform(5, 70)))
                 for t in range(6)
                 for d in ("up", "down")
-            ]
-            modulation = [
-                ModulationBid("r", 0, 4, float(rng.uniform(2, 12)), 0.0, 0.5),
-                ModulationBid("r", 4, 2, float(rng.uniform(2, 8)), 0.0, 0.5),
-            ]
+            )
+            modulation = ModulationBook.from_rows(
+                [
+                    ("r", 0, 4, float(rng.uniform(2, 12)), 0.0, 0.5),
+                    ("r", 4, 2, float(rng.uniform(2, 8)), 0.0, 0.5),
+                ]
+            )
             requirement = rng.uniform(4, 12, 6)
             procurement = clear_reserve(classical, modulation, requirement, requirement, prices)
         imbalance = rng.uniform(-25, 25, 6)
@@ -208,17 +208,29 @@ def test_criterion_6_settlement_invariants():
         for v, w in zip(result.modulation_up, result.modulation_down):
             worst_neutrality = max(worst_neutrality, abs(float(np.sum(v - w))))
 
-        classical = procurement.contracted_classical()
-        modulation = procurement.contracted_modulation()
+        bids, held = procurement.classical, procurement.classical_contracted
+        classical = list(
+            zip(
+                bids.period[held], bids.direction[held], bids.activation_price[held],
+                bids.volume[held] * procurement.classical_fraction[held],
+            )
+        )
+        bands, sold = procurement.modulation, procurement.modulation_contracted
+        modulation = list(
+            zip(
+                bands.start[sold], bands.length[sold], bands.activation_price[sold],
+                bands.amplitude[sold] * procurement.modulation_fraction[sold],
+            )
+        )
         for t in range(6):
             up_prices = [
-                bid.activation_price
-                for (bid, volume), x in zip(classical, result.classical_activation)
-                if bid.period == t and bid.direction == "up" and volume * x > 1e-9
+                price
+                for (period, direction, price, volume), x in zip(classical, result.classical_activation)
+                if period == t and direction == "up" and volume * x > 1e-9
             ] + [
-                bid.activation_price
-                for (bid, volume), v in zip(modulation, result.modulation_up)
-                if t in bid.periods and volume * v[t - bid.start] > 1e-9
+                price
+                for (start, length, price, volume), v in zip(modulation, result.modulation_up)
+                if start <= t < start + length and volume * v[t - start] > 1e-9
             ]
             if result.non_contracted_up[t] > 1e-9:
                 expected = PI_NC

@@ -32,7 +32,7 @@ from flexmarket.agents.retailer import (
     retailer_band_bids,
     retailer_demand_offers,
 )
-from flexmarket.energy_market import DEMAND
+from flexmarket.energy_market import DEMAND, SUPPLY
 from flexmarket.scenario import ScenarioConfig
 
 CAP = 3000.0
@@ -624,21 +624,21 @@ def test_producer_offers_and_bids():
     fc = flat_forecast(2, 50.0, imb_down=20.0)
     position = optimize_producer(port, fc, CAP, PI_NC)
     offers = producer_energy_offers(position, port, fc)
-    unit_offers = [o for o in offers if o.price == 45.0]
-    phantom = [o for o in offers if o.price == 20.0]
-    assert len(unit_offers) == 2 and all(o.volume == pytest.approx(10.0) for o in unit_offers)
-    assert len(phantom) == 2  # the predicted shortfall is offered at the tariff forecast
-    for o in phantom:
-        assert o.volume == pytest.approx(position.imbalance_down[o.period])
+    assert set(offers.side) == {SUPPLY}
+    unit_offers = offers.price == 45.0
+    phantom = offers.price == 20.0
+    assert np.count_nonzero(unit_offers) == 2
+    assert offers.volume[unit_offers] == pytest.approx([10.0, 10.0])
+    assert np.count_nonzero(phantom) == 2  # the predicted shortfall is offered at the tariff forecast
+    assert offers.volume[phantom] == pytest.approx(position.imbalance_down[offers.period[phantom]])
 
     bids = producer_reserve_bids(position, port)
-    assert all(b.actor == "gen" for b in bids)
-    for bid in bids:
-        assert bid.activation_price == 45.0
+    assert set(bids.actor) == {"gen"}
+    assert np.all(bids.activation_price == 45.0)
     # accepted in full, every bid goes back to the one unit
     accepted = producer_accepted_reserve(position, np.ones(len(bids)))
     assert accepted.shape == (1, 2, 2)
-    assert accepted.sum() == pytest.approx(sum(b.volume for b in bids))
+    assert accepted.sum() == pytest.approx(bids.volume.sum())
 
 
 def hand_position(reserve_up, reserve_down):
@@ -659,7 +659,7 @@ def test_producer_accepted_reserve_lands_on_its_unit_period_and_direction():
     port = producer(2, [unit(2, cost=45.0, name="a"), unit(2, cost=60.0, name="b")])
     position = hand_position([[3.0, 0.0], [5.0, 7.0]], [[0.0, 2.0], [4.0, 0.0]])
     bids = producer_reserve_bids(position, port)
-    assert [(b.period, b.direction, b.volume, b.activation_price) for b in bids] == [
+    assert [row[1:] for row in bids.rows()] == [
         (0, "up", 3.0, 45.0),
         (1, "down", 2.0, 45.0),
         (0, "up", 5.0, 60.0),
@@ -686,15 +686,15 @@ def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
         amplitudes=np.array([1.5, 0.0, 2.5]),
     )
     offers = retailer_demand_offers(position, port, CAP)
-    assert [(o.actor, o.period, o.side, o.volume, o.price) for o in offers] == [
+    assert list(offers.rows()) == [
         ("ret", 0, DEMAND, 4.0, CAP),
         ("ret", 2, DEMAND, 3.0, CAP),
         ("ret", 5, DEMAND, 2.0, CAP),
     ]
     bids = retailer_band_bids(position, port, 0.5)
-    assert [(b.actor, b.start, b.length, b.amplitude, b.efficiency) for b in bids] == [
-        ("ret", 0, 2, 1.5, 0.5),
-        ("ret", 4, 2, 2.5, 0.5),
+    assert list(bids.rows()) == [
+        ("ret", 0, 2, 1.5, 0.0, 0.5),
+        ("ret", 4, 2, 2.5, 0.0, 0.5),
     ]
     accepted = retailer_accepted_amplitudes(position, np.array([0.2, 0.6]))
     assert np.allclose(accepted, [0.3, 0.0, 1.5])
@@ -703,7 +703,7 @@ def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
 def test_retailer_without_windows_bids_no_band():
     port = retailer(2, 5.0)
     position = optimize_retailer(port, flat_forecast(2, 50.0), CAP, PI_NC)
-    assert retailer_band_bids(position, port, 0.5) == []
+    assert len(retailer_band_bids(position, port, 0.5)) == 0
     assert retailer_accepted_amplitudes(position, np.zeros(0)).size == 0
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from flexmarket.cli import main, write_outputs
-from flexmarket.energy_market import DEMAND, SUPPLY, EnergyOffer, clear
+from flexmarket.energy_market import DEMAND, SUPPLY, OfferBook, clear
 from flexmarket.imbalance import settle
-from flexmarket.reserve_market import ClassicalReserveBid, ReservePrices, clear_reserve
+from flexmarket.reserve_market import ClassicalBook, ModulationBook, ReservePrices, clear_reserve
 from flexmarket.scenario import (
     ScenarioConfig,
     config_from_text,
@@ -114,10 +114,13 @@ def test_generate_scenario_same_seed_identical():
 
 
 def write_one_round(out_dir, offers, periods, classical, reserve_up, imbalance_mw):
-    """Clear, procure and settle one day, then write it as a one-round run."""
+    """Clear, procure and settle one day, then write it as a one-round run;
+    ``offers`` and ``classical`` are the rows of an offer and a classical bid book."""
+    offers = OfferBook.from_rows(offers)
     clearing = clear(offers, periods)
     procurement = clear_reserve(
-        classical, [], np.asarray(reserve_up, float), np.zeros(periods), PRICES
+        ClassicalBook.from_rows(classical), ModulationBook.from_rows([]),
+        np.asarray(reserve_up, float), np.zeros(periods), PRICES,
     )
     settlement = settle(np.asarray(imbalance_mw, float), procurement, PI_NC)
     record = RoundRecord(
@@ -343,10 +346,7 @@ def test_round_details_pick_the_round_directories(tmp_path):
 
 
 def test_offers_and_clearing_csv(tmp_path):
-    offers = [
-        EnergyOffer("gen", 0, SUPPLY, 12.5, 47.3),
-        EnergyOffer("ret", 1, DEMAND, 33.125, CAP),
-    ]
+    offers = [("gen", 0, SUPPLY, 12.5, 47.3), ("ret", 1, DEMAND, 33.125, CAP)]
     round_dir = write_one_round(tmp_path / "out", offers, 2, [], [0.0, 0.0], [0.0, 0.0])
     assert (round_dir / "offers.csv").read_text().strip().splitlines() == [
         "actor,period,side,volume_mw,price_eur_mwh",
@@ -358,8 +358,31 @@ def test_offers_and_clearing_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("setting", ["closed", "open"])
+def test_every_offer_and_bid_of_a_round_gets_one_csv_row(tmp_path, setting):
+    from flexmarket.simulator import run as run_simulation
+
+    config = ScenarioConfig(
+        periods=8, forecast_window=8, setting=setting, flexibility_rate=0.1, max_rounds=4
+    )
+    outcome = run_simulation(config)
+    write_outputs(outcome, tmp_path, "all")
+    for record in outcome.rounds:
+        round_dir = tmp_path / "rounds" / str(record.index)
+        offers, clearing, procurement = (
+            read_metrics(round_dir / name)
+            for name in ("offers.csv", "clearing.csv", "procurement.csv")
+        )
+        assert len(offers) == len(clearing) == len(record.offers) > 0
+        kinds = [row["kind"] for row in procurement]
+        assert kinds.count("classical") == len(record.procurement.classical) > 0
+        assert kinds.count("modulation") == len(record.procurement.modulation)
+    sold = sum(len(record.procurement.modulation) for record in outcome.rounds)
+    assert (sold > 0) == (setting == "open")
+
+
 def test_settlement_csv(tmp_path):
-    bid = ClassicalReserveBid("gen", 0, "up", 10.0, 7.0)
+    bid = ("gen", 0, "up", 10.0, 7.0)
     round_dir = write_one_round(tmp_path / "out", [], 1, [bid], [10.0], [-5.0])
     lines = (round_dir / "settlement.csv").read_text().strip().splitlines()
     assert lines[0].startswith("period,imbalance,activated_up")
@@ -440,6 +463,6 @@ def test_output_trees_match_pinned_digests(tmp_path, case, setting, rate):
     config = ScenarioConfig(seed=1, setting=setting, flexibility_rate=rate, max_rounds=12)
     outcome = run_simulation(config)
     if setting == "open":
-        assert any(record.procurement.contracted_modulation() for record in outcome.rounds)
+        assert any(record.procurement.modulation_contracted.any() for record in outcome.rounds)
     write_outputs(outcome, tmp_path, "all")
     assert tree_digests(tmp_path) == TREE_DIGESTS[case]

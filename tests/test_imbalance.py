@@ -3,8 +3,8 @@ import pytest
 
 from flexmarket.imbalance import fees, settle
 from flexmarket.reserve_market import (
-    ClassicalReserveBid,
-    ModulationBid,
+    ClassicalBook,
+    ModulationBook,
     ReservePrices,
     clear_reserve,
 )
@@ -14,7 +14,16 @@ PI_NC = 500.0
 
 
 def procure(classical, modulation, r_up, r_dn):
-    return clear_reserve(classical, modulation, np.asarray(r_up, float), np.asarray(r_dn, float), PRICES)
+    """``clear_reserve`` on books of the given rows: (actor, period,
+    direction, volume, activation price) for a classical bid and (actor,
+    start, length, amplitude, activation price, efficiency) for a band."""
+    return clear_reserve(
+        ClassicalBook.from_rows(classical),
+        ModulationBook.from_rows(modulation),
+        np.asarray(r_up, float),
+        np.asarray(r_dn, float),
+        PRICES,
+    )
 
 
 def test_zero_imbalance_zero_activation():
@@ -26,7 +35,7 @@ def test_zero_imbalance_zero_activation():
 
 
 def test_deficit_covered_by_half_of_contracted_bid():
-    bid = ClassicalReserveBid("gen", 0, "up", volume=10.0, activation_price=7.0)
+    bid = ("gen", 0, "up", 10.0, 7.0)
     procurement = procure([bid], [], [10.0], [0.0])
     result = settle(np.array([-5.0]), procurement, PI_NC)
     assert result.classical_activation[0] == pytest.approx(0.5)
@@ -35,7 +44,7 @@ def test_deficit_covered_by_half_of_contracted_bid():
 
 
 def test_shortfall_spills_to_non_contracted():
-    bid = ClassicalReserveBid("gen", 0, "up", volume=10.0, activation_price=7.0)
+    bid = ("gen", 0, "up", 10.0, 7.0)
     procurement = procure([bid], [], [10.0], [0.0])
     result = settle(np.array([-15.0]), procurement, PI_NC)
     assert result.classical_activation[0] == pytest.approx(1.0)
@@ -46,8 +55,8 @@ def test_shortfall_spills_to_non_contracted():
 
 def test_tariff_is_most_expensive_activated_bid():
     bids = [
-        ClassicalReserveBid("a", 0, "up", 6.0, 5.0),
-        ClassicalReserveBid("b", 0, "up", 6.0, 12.0),
+        ("a", 0, "up", 6.0, 5.0),
+        ("b", 0, "up", 6.0, 12.0),
     ]
     procurement = procure(bids, [], [12.0], [0.0])
     result = settle(np.array([-9.0]), procurement, PI_NC)
@@ -56,7 +65,7 @@ def test_tariff_is_most_expensive_activated_bid():
 
 
 def test_surplus_uses_downward_and_sets_down_tariff():
-    bid = ClassicalReserveBid("gen", 0, "down", 10.0, 48.0)
+    bid = ("gen", 0, "down", 10.0, 48.0)
     procurement = procure([bid], [], [0.0], [10.0])
     result = settle(np.array([6.0]), procurement, PI_NC)
     assert result.activated_down[0] == pytest.approx(6.0)
@@ -65,7 +74,7 @@ def test_surplus_uses_downward_and_sets_down_tariff():
 
 
 def test_modulation_energy_neutrality():
-    bid = ModulationBid("ret", 0, 4, amplitude=12.0, activation_price=0.0, efficiency=0.5)
+    bid = ("ret", 0, 4, 12.0, 0.0, 0.5)
     procurement = procure([], [bid], np.full(4, 6.0), np.full(4, 6.0))
     assert procurement.modulation_fraction[0] == pytest.approx(1.0)
     imbalance = np.array([-5.0, 0.0, 5.0, 0.0])
@@ -81,7 +90,7 @@ def test_modulation_energy_neutrality():
 def test_one_sided_imbalance_forces_non_contracted_with_modulation_only():
     # a deficit lasting the whole block cannot be served by an
     # energy-neutral band: recovery pushes the gap elsewhere
-    bid = ModulationBid("ret", 0, 2, amplitude=10.0, activation_price=0.0, efficiency=0.5)
+    bid = ("ret", 0, 2, 10.0, 0.0, 0.5)
     procurement = procure([], [bid], np.full(2, 5.0), np.full(2, 5.0))
     result = settle(np.array([-4.0, -4.0]), procurement, PI_NC)
     assert float(np.sum(result.non_contracted_up)) == pytest.approx(8.0, abs=1e-6)
@@ -91,11 +100,11 @@ def test_settlement_cost_never_increases_with_extra_modulation():
     rng = np.random.default_rng(11)
     for _ in range(20):
         classical = [
-            ClassicalReserveBid("g", t, d, float(rng.uniform(2, 10)), float(rng.uniform(5, 60)))
+            ("g", t, d, float(rng.uniform(2, 10)), float(rng.uniform(5, 60)))
             for t in range(4)
             for d in ("up", "down")
         ]
-        modulation = [ModulationBid("r", 0, 4, float(rng.uniform(0, 10)), 0.0, 0.5)]
+        modulation = [("r", 0, 4, float(rng.uniform(0, 10)), 0.0, 0.5)]
         r = np.full(4, 8.0)
         imbalance = rng.uniform(-6, 6, 4)
         with_mod = settle(imbalance, procure(classical, modulation, r, r), PI_NC)
@@ -107,11 +116,11 @@ def test_settlement_cost_never_increases_with_extra_modulation():
 def test_balance_residuals_on_random_profiles():
     rng = np.random.default_rng(3)
     classical = [
-        ClassicalReserveBid("g", t, d, 12.0, float(rng.uniform(5, 60)))
+        ("g", t, d, 12.0, float(rng.uniform(5, 60)))
         for t in range(6)
         for d in ("up", "down")
     ]
-    modulation = [ModulationBid("r", 0, 4, 8.0, 0.0, 0.5), ModulationBid("r", 4, 2, 5.0, 0.0, 0.5)]
+    modulation = [("r", 0, 4, 8.0, 0.0, 0.5), ("r", 4, 2, 5.0, 0.0, 0.5)]
     procurement = procure(classical, modulation, np.full(6, 9.0), np.full(6, 9.0))
     for _ in range(30):
         imbalance = rng.uniform(-20, 20, 6)
@@ -130,37 +139,48 @@ def loop_activation(result, procurement, non_contracted_price):
     """Activated MW per direction, cost and tariffs, bid by bid and period by
     period: the reference for the array code in ``settle``."""
     t_count = len(result.imbalance)
-    classical = procurement.contracted_classical()
+    classical = [
+        (row, volume * x)
+        for row, volume, x in zip(
+            procurement.classical.rows(), procurement.classical.volume, procurement.classical_fraction
+        )
+        if x > 1e-9
+    ]
     penalty = procurement.over_commit_penalty
     up, down, cost = np.zeros(t_count), np.zeros(t_count), 0.0
-    for (bid, volume), x in zip(classical, result.classical_activation):
-        if bid.direction == "up":
-            up[bid.period] += volume * x
-            cost += bid.activation_price * volume * x
+    for ((_, period, direction, _, price), volume), x in zip(classical, result.classical_activation):
+        if direction == "up":
+            up[period] += volume * x
+            cost += price * volume * x
         else:
-            down[bid.period] += volume * x
-            cost += (penalty[bid.period] - bid.activation_price) * volume * x
-    bands = list(
-        zip(procurement.contracted_modulation(), result.modulation_up, result.modulation_down)
-    )
-    for (bid, volume), v, w in bands:
-        for j, t in enumerate(bid.periods):
+            down[period] += volume * x
+            cost += (penalty[period] - price) * volume * x
+    sold = [
+        (row, amplitude * x)
+        for row, amplitude, x in zip(
+            procurement.modulation.rows(), procurement.modulation.amplitude, procurement.modulation_fraction
+        )
+        if x > 1e-9 and amplitude > 0
+    ]
+    bands = list(zip(sold, result.modulation_up, result.modulation_down))
+    for ((_, start, length, _, price, _), volume), v, w in bands:
+        for j, t in enumerate(range(start, start + length)):
             up[t] += volume * v[j]
             down[t] += volume * w[j]
-            cost += bid.activation_price * volume * (v[j] + w[j])
+            cost += price * volume * (v[j] + w[j])
     cost += non_contracted_price * float(np.sum(result.non_contracted_up + result.non_contracted_down))
     tariff_up, tariff_down = np.zeros(t_count), np.zeros(t_count)
     for t in range(t_count):
         up_prices, down_prices = [], []
-        for (bid, volume), x in zip(classical, result.classical_activation):
-            if bid.period == t and volume * x > 1e-9:
-                (up_prices if bid.direction == "up" else down_prices).append(bid.activation_price)
-        for (bid, volume), v, w in bands:
-            if t in bid.periods:
-                if volume * v[t - bid.start] > 1e-9:
-                    up_prices.append(bid.activation_price)
-                if volume * w[t - bid.start] > 1e-9:
-                    down_prices.append(bid.activation_price)
+        for ((_, period, direction, _, price), volume), x in zip(classical, result.classical_activation):
+            if period == t and volume * x > 1e-9:
+                (up_prices if direction == "up" else down_prices).append(price)
+        for ((_, start, length, _, price, _), volume), v, w in bands:
+            if start <= t < start + length:
+                if volume * v[t - start] > 1e-9:
+                    up_prices.append(price)
+                if volume * w[t - start] > 1e-9:
+                    down_prices.append(price)
         if result.non_contracted_up[t] > 1e-9:
             tariff_up[t] = non_contracted_price
         elif up_prices:
@@ -176,14 +196,14 @@ def test_activation_sums_cost_and_tariffs_match_bid_loops():
     rng = np.random.default_rng(5)
     for _ in range(20):
         classical = [
-            ClassicalReserveBid("g", t, d, float(rng.uniform(1, 8)), float(rng.uniform(5, 60)))
+            ("g", t, d, float(rng.uniform(1, 8)), float(rng.uniform(5, 60)))
             for t in range(6)
             for d in ("up", "down")
             if rng.random() < 0.7
         ]
         modulation = [
-            ModulationBid("r", 0, 4, float(rng.uniform(1, 8)), float(rng.uniform(0, 20)), 0.5),
-            ModulationBid("s", 2, 4, float(rng.uniform(1, 8)), float(rng.uniform(0, 20)), 0.5),
+            ("r", 0, 4, float(rng.uniform(1, 8)), float(rng.uniform(0, 20)), 0.5),
+            ("s", 2, 4, float(rng.uniform(1, 8)), float(rng.uniform(0, 20)), 0.5),
         ]
         procurement = procure(classical, modulation, np.full(6, 9.0), np.full(6, 9.0))
         result = settle(rng.uniform(-25, 25, 6), procurement, PI_NC)
@@ -206,8 +226,8 @@ def test_fee_examples():
 
 def test_fees_use_own_direction_even_when_system_nets_out():
     bids = [
-        ClassicalReserveBid("g", 0, "up", 5.0, 10.0),
-        ClassicalReserveBid("g", 0, "down", 5.0, 8.0),
+        ("g", 0, "up", 5.0, 10.0),
+        ("g", 0, "down", 5.0, 8.0),
     ]
     procurement = procure(bids, [], [5.0], [5.0])
     result = settle(np.array([0.0]), procurement, PI_NC)  # +3 and -3 net out

@@ -68,16 +68,19 @@ def test_benchmark_tracer_finds_every_binding_it_wraps(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    from flexmarket import imbalance, simulator
+    from flexmarket import energy_market, imbalance, simulator
 
-    originals = (simulator.clear_reserve, imbalance.settle, imbalance.solve)
+    def bindings():
+        return (energy_market.clear, simulator.clear_reserve, imbalance.settle, imbalance.solve)
+
+    originals = bindings()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert simulator.clear_reserve is not originals[0]
+        assert all(wrapped is not original for wrapped, original in zip(bindings(), originals))
     finally:
         tracer.uninstall()
-    assert (simulator.clear_reserve, imbalance.settle, imbalance.solve) == originals
+    assert bindings() == originals
 
 
 @pytest.mark.parametrize("module", ["flexmarket", "flexmarket.agents"])

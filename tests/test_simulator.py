@@ -162,16 +162,9 @@ def test_benchmark_run_cycles_with_sane_terminal_metrics():
 def test_round_records_conserve_energy_and_balance():
     outcome = run(small_config(max_rounds=30))
     for record in outcome.rounds:
-        sold = sum(
-            offer.volume * fraction
-            for offer, fraction in zip(record.offers, record.clearing.fractions)
-            if offer.side == "supply"
-        )
-        bought = sum(
-            offer.volume * fraction
-            for offer, fraction in zip(record.offers, record.clearing.fractions)
-            if offer.side == "demand"
-        )
+        offers, fractions = record.offers, record.clearing.fractions
+        sold = sum((offers.volume * fractions)[offers.side == "supply"])
+        bought = sum((offers.volume * fractions)[offers.side == "demand"])
         assert abs(sold - bought) <= 1e-6
         residual = (
             record.settlement.activated_up
@@ -543,28 +536,32 @@ def test_reported_cycle_reverifies_against_records():
 def test_open_setting_contracts_modulation():
     outcome = run(small_config(setting="open", max_rounds=60))
     record = outcome.terminal_rounds()[0]
-    contracted = record.procurement.contracted_modulation()
-    assert contracted, "flexibility should win part of the reserve book"
+    contracted = record.procurement.modulation_contracted
+    assert contracted.any(), "flexibility should win part of the reserve book"
     assert record.metrics.procurement_cost < 0.5 * 43000.0
 
 
 def test_final_positions_hold_exactly_the_contracted_reserve():
     record = run(small_config(setting="open", max_rounds=1)).rounds[0]
     procurement = record.procurement
-    assert procurement.contracted_classical() and procurement.contracted_modulation()
+    assert procurement.classical_contracted.any() and procurement.modulation_contracted.any()
     for name, position in record.producer_positions.items():
         contracted = {"up": np.zeros(24), "down": np.zeros(24)}
-        for bid, x in zip(procurement.classical, procurement.classical_fraction):
-            if bid.actor == name:
-                contracted[bid.direction][bid.period] += bid.volume * x
+        for (actor, period, direction, volume, _), x in zip(
+            procurement.classical.rows(), procurement.classical_fraction
+        ):
+            if actor == name:
+                contracted[direction][period] += volume * x
         held_up, held_down = position.reserve.sum(axis=0).T
         assert np.allclose(held_up, contracted["up"], rtol=0, atol=1e-9)
         assert np.allclose(held_down, contracted["down"], rtol=0, atol=1e-9)
     for name, position in record.retailer_positions.items():
         sold = dict.fromkeys(position.windows, 0.0)
-        for bid, x in zip(procurement.modulation, procurement.modulation_fraction):
-            if bid.actor == name:
-                sold[(bid.start, bid.length)] += bid.amplitude * x
+        for (actor, start, length, amplitude, _, _), x in zip(
+            procurement.modulation.rows(), procurement.modulation_fraction
+        ):
+            if actor == name:
+                sold[(start, length)] += amplitude * x
         assert np.allclose(position.amplitudes, list(sold.values()), rtol=0, atol=1e-9)
 
 
