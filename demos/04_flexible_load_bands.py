@@ -10,6 +10,7 @@ import numpy as np
 from flexmarket.agents import (
     RetailerPortfolio,
     TankLoad,
+    build_retailer_model,
     optimize_retailer,
     verify_scenario_coverage,
 )
@@ -42,10 +43,11 @@ portfolio = RetailerPortfolio(
 
 # one band covering the whole horizon, so the coverage check below can
 # probe the full high/low envelope in one go
-position = optimize_retailer(
+model = build_retailer_model(
     portfolio, forecast, price_cap=3000.0, non_contracted_price=500.0,
     windows=[(0, 8)], modulation_price=10.0,
 )
+position = optimize_retailer(model)
 print("baseline schedule:", position.schedules[0].round(2))
 print("band amplitudes:  ", position.amplitudes.round(2))
 print("high scenario:    ", position.up_schedules[0].round(2))

@@ -28,6 +28,8 @@ from .agents import (
     ProducerPortfolio,
     RetailerPortfolio,
     TankLoad,
+    build_producer_model,
+    build_retailer_model,
     optimize_producer,
     optimize_retailer,
     verify_scenario_coverage,
@@ -55,6 +57,8 @@ __all__ = [
     "ProducerPortfolio",
     "RetailerPortfolio",
     "TankLoad",
+    "build_producer_model",
+    "build_retailer_model",
     "optimize_producer",
     "optimize_retailer",
     "verify_scenario_coverage",

@@ -4,10 +4,10 @@ A producer dispatches its units against the energy price forecast, holds
 back ramp-feasible headroom as upward/downward reserve (valued at a small
 regulated credit so reserve never displaces profitable energy), and may
 deviate from its sold position when the imbalance tariff forecast beats
-the market.  One model serves the three stages of a round, each under its
-own bounds: free, with the cleared sale fixed, and with the accepted
-reserves (mapped back onto the units by :func:`producer_accepted_reserve`)
-fixed as well.
+the market.  :func:`build_producer_model` builds the LP once per round and
+:func:`optimize_producer` solves it in each of the three stages: free,
+with the cleared sale fixed, and with the accepted reserves (mapped back
+onto the units by :func:`producer_accepted_reserve`) fixed as well.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from ..energy_market import SUPPLY, OfferBook
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
 from ..reserve_market import DOWN, UP, ClassicalBook
 from .forecast import PriceForecast
-from .retailer import IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, add_pin_penalties
+from .retailer import (
+    IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, add_pin_penalties, fix_variables,
+)
 
 #: regulated credit per MW of reserve capability kept available
 DEFAULT_RESERVE_VALUATION = 0.005
@@ -96,6 +98,7 @@ class ProducerModel:
     handles of its variables.  :func:`optimize_producer` solves it under
     each stage's bounds."""
 
+    name: str
     lp: LinearProgram
     sale: np.ndarray
     imbalance_up: np.ndarray
@@ -138,38 +141,28 @@ def build_producer_model(
         add_pin_penalties(lp, sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
         add_pin_penalties(lp, up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
         add_pin_penalties(lp, down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
-    return ProducerModel(lp, sale, i_up, i_dn, p, reserve)
+    return ProducerModel(portfolio.name, lp, sale, i_up, i_dn, p, reserve)
 
 
 def optimize_producer(
-    portfolio: ProducerPortfolio,
-    fc: PriceForecast,
-    price_cap: float,
-    non_contracted_price: float,
+    model: ProducerModel,
     fixed_sale: np.ndarray | None = None,
     fixed_reserve: np.ndarray | None = None,
-    pins: Pins | None = None,
-    model: ProducerModel | None = None,
 ) -> ProducerPosition:
-    """Profit-maximal dispatch, reserve and imbalance plan.
+    """Profit-maximal dispatch, reserve and imbalance plan of ``model``.
 
     Stages differ only in what is already decided: nothing one day ahead,
     the cleared sale after the energy market, and additionally the accepted
-    ``(units, periods, 2)`` reserve after the reserve market.  ``pins`` are
-    the learned (minimum sale, upward imbalance, downward imbalance) pins.
-    ``model`` is the model :func:`build_producer_model` built from this
-    portfolio, forecast, prices and pins, for the stages of one round to
-    share; without it, it is built here.
+    ``(units, periods, 2)`` reserve after the reserve market.  ``model`` is
+    left as it was, so the stages of one round may share it.
     """
-    if model is None:
-        model = build_producer_model(portfolio, fc, price_cap, non_contracted_price, pins)
     lp = model.lp
     if fixed_sale is not None or fixed_reserve is not None:
         lower, upper = lp.lower.copy(), lp.upper.copy()
         if fixed_reserve is not None:
-            lower[model.reserve] = upper[model.reserve] = fixed_reserve
+            fix_variables(lower, upper, model.reserve, fixed_reserve, "fixed_reserve")
         if fixed_sale is not None:
-            lower[model.sale] = upper[model.sale] = fixed_sale
+            fix_variables(lower, upper, model.sale, fixed_sale, "fixed_sale")
             # the imbalance limit bounds the day-ahead problem only: with the
             # sale fixed it is lifted, and a deviation is then bounded by unit
             # capacity and the pins alone (ROADMAP.md item 4, on the fee
@@ -180,7 +173,7 @@ def optimize_producer(
     sol = solve(lp)
     if sol.status != "optimal":
         raise ConfigurationError(
-            f"producer {portfolio.name!r} position problem is {sol.status}; "
+            f"producer {model.name!r} position problem is {sol.status}; "
             "check unit ramps, bounds and fixed quantities"
         )
 

@@ -8,11 +8,10 @@ amplitude F means committing to two extreme consumption scenarios (high
 then low, and the mirror) that stay feasible for every load; their energy
 links back into the baseline tank state at both ends of each block.
 
-One model serves both decision stages of a round, each under its own
-bounds: pass ``fixed_demand`` (and ``fixed_amplitudes`` when bands were
-sold) to re-optimize the residual degrees of freedom after the markets
-cleared, with the accepted amplitudes from
-:func:`retailer_accepted_amplitudes`.  Learned volume pins arrive as
+:func:`build_retailer_model` builds the LP once per round and
+:func:`optimize_retailer` solves it in both decision stages: free, then
+with the cleared purchase and the accepted amplitudes (from
+:func:`retailer_accepted_amplitudes`) fixed.  Learned volume pins arrive as
 plain per-period arrays; the learning itself belongs to the simulation run.
 """
 
@@ -96,6 +95,7 @@ class RetailerModel:
     handles of its variables.  :func:`optimize_retailer` solves it under
     each stage's bounds."""
 
+    name: str
     lp: LinearProgram
     demand: np.ndarray
     imbalance_up: np.ndarray
@@ -107,7 +107,6 @@ class RetailerModel:
     up_schedules: list[np.ndarray]
     down_schedules: list[np.ndarray]
     windows: list[tuple[int, int]]
-    modulating: bool
 
 
 def build_retailer_model(
@@ -169,44 +168,29 @@ def build_retailer_model(
         else (np.zeros(0, dtype=np.intp), [], [])
     )
     return RetailerModel(
-        lp, demand, i_up, i_dn, d_vars, amplitudes, up_d, dn_d, windows, modulating
+        portfolio.name, lp, demand, i_up, i_dn, d_vars, amplitudes, up_d, dn_d, windows
     )
 
 
 def optimize_retailer(
-    portfolio: RetailerPortfolio,
-    fc: PriceForecast,
-    price_cap: float,
-    non_contracted_price: float,
-    windows: list[tuple[int, int]] | None = None,
-    modulation_price: float = 10.0,
+    model: RetailerModel,
     fixed_demand: np.ndarray | None = None,
     fixed_amplitudes: np.ndarray | None = None,
-    pins: Pins | None = None,
-    model: RetailerModel | None = None,
 ) -> RetailerPosition:
-    """Cost-minimal retailer position under the current forecasts.
+    """Cost-minimal retailer position of ``model`` under the current forecasts.
 
-    ``windows`` and ``pins`` are as in :func:`build_retailer_model`.
-    ``fixed_demand`` and ``fixed_amplitudes`` (read only with ``windows``)
-    fix the purchase and the per-window amplitudes.  ``model`` is the model
-    :func:`build_retailer_model` built from this portfolio, forecast,
-    prices, windows and pins, for the stages of one round to share; without
-    it, it is built here.
+    ``fixed_demand`` and ``fixed_amplitudes`` fix the purchase and the
+    per-window amplitudes, one per window of ``model`` (none without
+    windows).  ``model`` is left as it was, so the stages of one round may
+    share it.
     """
-    if model is None:
-        model = build_retailer_model(
-            portfolio, fc, price_cap, non_contracted_price, windows, modulation_price, pins
-        )
-    if not model.modulating:
-        fixed_amplitudes = None
     lp = model.lp
     if fixed_demand is not None or fixed_amplitudes is not None:
         lower, upper = lp.lower.copy(), lp.upper.copy()
         if fixed_amplitudes is not None:
-            lower[model.amplitudes] = upper[model.amplitudes] = fixed_amplitudes
+            fix_variables(lower, upper, model.amplitudes, fixed_amplitudes, "fixed_amplitudes")
         if fixed_demand is not None:
-            lower[model.demand] = upper[model.demand] = fixed_demand
+            fix_variables(lower, upper, model.demand, fixed_demand, "fixed_demand")
             # the imbalance limit bounds the day-ahead problem only: with the
             # purchase fixed it is lifted, so that a deeply rationed purchase
             # stays feasible, and a deviation is then bounded by the loads'
@@ -218,27 +202,21 @@ def optimize_retailer(
     sol = solve(lp)
     if sol.status != "optimal":
         raise ConfigurationError(
-            f"retailer {portfolio.name!r} position problem is {sol.status}; "
+            f"retailer {model.name!r} position problem is {sol.status}; "
             "check tank data and fixed quantities"
         )
 
     schedules = sol.values(model.schedules)
-    if model.modulating:
-        amplitudes = sol.values(model.amplitudes)
-        up_schedules = _patched(schedules, model.windows, model.up_schedules, sol)
-        down_schedules = _patched(schedules, model.windows, model.down_schedules, sol)
-    else:
-        amplitudes, up_schedules, down_schedules = np.zeros(0), schedules, schedules
     return RetailerPosition(
         demand=sol.values(model.demand),
         imbalance_up=sol.values(model.imbalance_up),
         imbalance_down=sol.values(model.imbalance_down),
         schedules=schedules,
-        up_schedules=up_schedules,
-        down_schedules=down_schedules,
+        up_schedules=_patched(schedules, model.windows, model.up_schedules, sol),
+        down_schedules=_patched(schedules, model.windows, model.down_schedules, sol),
         objective=sol.objective,
         windows=model.windows,
-        amplitudes=amplitudes,
+        amplitudes=sol.values(model.amplitudes),
     )
 
 
@@ -336,6 +314,14 @@ def _tank_variables(lp, loads, t_count):
         np.array(d_vars, dtype=np.intp).reshape(shape),
         np.array(e_vars, dtype=np.intp).reshape(shape),
     )
+
+
+def fix_variables(lower, upper, handles, values, label):
+    """Fix the variables ``handles`` to ``values``, of the same shape, in the
+    bound arrays ``lower`` and ``upper``."""
+    if np.shape(values) != handles.shape:
+        raise ConfigurationError(f"{label} has shape {np.shape(values)}, not {handles.shape}")
+    lower[handles] = upper[handles] = values
 
 
 def add_pin_penalties(lp, pin, penalty, columns, floor=False):

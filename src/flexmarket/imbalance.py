@@ -66,6 +66,16 @@ def settle(
     imbalance = np.asarray(imbalance, dtype=float)
     period_count = len(imbalance)
     penalty = procurement.over_commit_penalty
+    if period_count != len(penalty):
+        raise ValueError(f"imbalance covers {period_count} periods, the procurement {len(penalty)}")
+    # written as "holds" so that NaN fails too
+    bad = np.flatnonzero(~(np.abs(imbalance) < np.inf))
+    if bad.size:
+        raise ValueError(f"imbalance {imbalance[bad[0]].item()!r} in period {bad[0]} is not finite")
+    if not 0 <= non_contracted_price < np.inf:
+        raise ValueError(
+            f"non-contracted price {non_contracted_price!r} is not nonnegative and finite"
+        )
 
     lp = LinearProgram(sense="min", name="settlement")
     # an upward activation costs its price; a downward one saves its price

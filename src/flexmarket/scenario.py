@@ -104,6 +104,7 @@ class ScenarioConfig:
             "imbalance_limit_fraction", "tank_span_hours",
             "slow_units_per_producer", "fast_units_per_producer", "slow_ramp_fraction",
             "slow_capacity_factor", "fast_capacity_factor", "slow_cost_low", "fast_cost_low",
+            "convergence_tolerance", "state_tolerance", "threshold_forget_rounds",
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative")

@@ -15,11 +15,12 @@ one :class:`ThresholdTrack` over (actors, 3, periods), retailers then
 producers in scenario order, starts it fresh and never changes the
 portfolios it is given, so running one scenario twice gives the same result.
 
-Each actor's model is built once per round and every stage of the round
-solves it under that stage's bounds.  Actors equal in everything but their
-names are twins (the generated retailers all are).  Twins with equal pins
-share one model, and twins whose fixed quantities are equal too share one
-solve and its position; nothing is kept from one round to the next.
+Each actor's model is built once, at the top of a round, from the round's
+forecast and its pins, and every stage of the round solves it under that
+stage's fixed quantities.  Actors equal in everything but their names are
+twins (the generated retailers all are).  Twins with equal pins share one
+model, and twins whose fixed quantities are equal too share one solve and
+its position; nothing is kept from one round to the next.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from . import energy_market, imbalance
 from .agents import ThresholdTrack
 from .agents.forecast import extreme_prices, make_forecast
 from .agents.producer import (
+    ProducerPosition,
     build_producer_model,
     fleet_capacity,
     optimize_producer,
@@ -42,6 +44,7 @@ from .agents.producer import (
     producer_reserve_bids,
 )
 from .agents.retailer import (
+    RetailerPosition,
     build_retailer_model,
     optimize_retailer,
     retailer_accepted_amplitudes,
@@ -79,8 +82,8 @@ class RoundMetrics:
 class RoundRecord:
     index: int
     submitted_demand: dict[str, np.ndarray]
-    retailer_positions: dict[str, object]
-    producer_positions: dict[str, object]
+    retailer_positions: dict[str, RetailerPosition]
+    producer_positions: dict[str, ProducerPosition]
     offers: OfferBook
     clearing: energy_market.ClearingResult
     procurement: ReserveProcurement
@@ -181,29 +184,22 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     repositioning and settlement.  The agent modules turn positions into
     offers and bids and map accepted reserve back onto units or windows; this
     loop only hands each actor its share of the accepted fractions.  Each
-    actor's model lives in this round's ``models`` and twins share one
-    position object per stage (see :func:`_stage_positions`)."""
+    actor's model is built at the top of the round; twins share models and
+    positions (see :func:`_share_models` and :func:`_stage_positions`)."""
     config = scenario.config
     t_count = config.periods
-    # what every actor of a stage gets alike
-    producer_shared = dict(
-        fc=fc, price_cap=config.price_cap, non_contracted_price=config.non_contracted_price
-    )
-    retailer_shared = dict(
-        producer_shared, windows=windows, modulation_price=config.modulation_capacity_price
-    )
-    producers = (build_producer_model, optimize_producer, producer_shared)
-    retailers = (build_retailer_model, optimize_retailer, retailer_shared)
-    models = {}
+    prices = (fc, config.price_cap, config.non_contracted_price)
+    models = _share_models(
+        index, scenario.retailers, twins, pins, build_retailer_model,
+        *prices, windows, config.modulation_capacity_price,
+    ) | _share_models(index, scenario.producers, twins, pins, build_producer_model, *prices)
 
     # stage 1: day-ahead positions and the energy auction
     retailer_stage1 = _stage_positions(
-        index, "day-ahead", twins, scenario.retailers, retailers, models,
-        lambda p: dict(pins=pins[p.name]),
+        index, "day-ahead", scenario.retailers, optimize_retailer, models, lambda p: {}
     )
     producer_stage1 = _stage_positions(
-        index, "day-ahead", twins, scenario.producers, producers, models,
-        lambda p: dict(pins=pins[p.name]),
+        index, "day-ahead", scenario.producers, optimize_producer, models, lambda p: {}
     )
     offers = OfferBook.concat(
         [
@@ -223,8 +219,8 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     required = config.reserve_rate * cleared_consumption
 
     producer_stage2 = _stage_positions(
-        index, "reserve-bidding", twins, scenario.producers, producers, models,
-        lambda p: dict(fixed_sale=clearing.supply_of(p.name), pins=pins[p.name]),
+        index, "reserve-bidding", scenario.producers, optimize_producer, models,
+        lambda p: dict(fixed_sale=clearing.supply_of(p.name)),
     )
     classical = {
         portfolio.name: producer_reserve_bids(producer_stage2[portfolio.name], portfolio)
@@ -250,23 +246,21 @@ def _play_round(index, scenario, fc, windows, pins, twins):
 
     # stage 3: reposition against cleared quantities
     producer_final = _stage_positions(
-        index, "reposition", twins, scenario.producers, producers, models,
+        index, "reposition", scenario.producers, optimize_producer, models,
         lambda p: dict(
             fixed_sale=clearing.supply_of(p.name),
             fixed_reserve=producer_accepted_reserve(
                 producer_stage2[p.name], classical_fraction[p.name]
             ),
-            pins=pins[p.name],
         ),
     )
     retailer_final = _stage_positions(
-        index, "reposition", twins, scenario.retailers, retailers, models,
+        index, "reposition", scenario.retailers, optimize_retailer, models,
         lambda p: dict(
             fixed_demand=clearing.demand_of(p.name),
             fixed_amplitudes=retailer_accepted_amplitudes(
                 retailer_stage1[p.name], modulation_fraction[p.name]
             ),
-            pins=pins[p.name],
         ),
     )
 
@@ -306,33 +300,36 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     )
 
 
-def _stage_positions(index, stage, twins, portfolios, agent, models, actor_inputs):
-    """Each actor's position in one stage of round ``index``.
+def _share_models(index, portfolios, twins, pins, build, *inputs):
+    """Each actor's model ``build(portfolio, *inputs, pins)`` for round
+    ``index``; twins (equal ``twins`` group) with bit-equal pins share one."""
+    built, models = {}, {}
+    for portfolio in portfolios:
+        name = portfolio.name
+        with _stage_guard(index, "day-ahead", name):
+            key = (twins[name], pins[name].tobytes())
+            if key not in built:
+                built[key] = build(portfolio, *inputs, pins[name])
+        models[name] = built[key]
+    return models
 
-    ``agent`` is ``(build, optimize, shared)``: ``shared`` is what every
-    actor of the stage gets alike (the forecast, windows and prices), and
-    ``actor_inputs`` gives an actor's own arrays, its ``pins`` and the
-    stage's fixed quantities.  An actor's model is
-    ``build(portfolio, **shared, pins=pins)``, kept in the round's
-    ``models`` for the later stages and shared by twins (equal ``twins``
-    group) with equal pins.  The position is
-    ``optimize(portfolio, **shared, **actor_inputs(portfolio), model=model)``;
-    it runs for the first twin whose own arrays are all equal and the others
-    share its position.
+
+def _stage_positions(index, stage, portfolios, optimize, models, fixed):
+    """Each actor's position in one stage of round ``index``:
+    ``optimize(models[name], **fixed(portfolio))``, where ``fixed`` gives
+    the stage's fixed quantities.  It runs once for actors that share a
+    model and whose fixed arrays are equal to the bit; they share its
+    position.
     """
-    build, optimize, shared = agent
     positions, solved = {}, {}
     for portfolio in portfolios:
-        with _stage_guard(index, stage, portfolio.name):
-            inputs = actor_inputs(portfolio)
-            group = twins[portfolio.name]
-            model_key = (group, inputs["pins"].tobytes())
-            if model_key not in models:
-                models[model_key] = build(portfolio, **shared, pins=inputs["pins"])
-            key = (group, *(value.tobytes() for value in inputs.values()))
+        name = portfolio.name
+        with _stage_guard(index, stage, name):
+            arrays = fixed(portfolio)
+            key = (id(models[name]), *(value.tobytes() for value in arrays.values()))
             if key not in solved:
-                solved[key] = optimize(portfolio, **shared, **inputs, model=models[model_key])
-        positions[portfolio.name] = solved[key]
+                solved[key] = optimize(models[name], **arrays)
+        positions[name] = solved[key]
     return positions
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 from dataclasses import replace
@@ -15,6 +16,8 @@ from flexmarket.agents import (
     RetailerPosition,
     TankLoad,
     ThresholdTrack,
+    build_producer_model,
+    build_retailer_model,
     make_forecast,
     optimize_producer,
     optimize_retailer,
@@ -261,7 +264,7 @@ def test_threshold_track_of_many_actors_takes_one_mask_for_all():
 
 def test_retailer_without_loads_buys_inelastic_demand():
     port = retailer(3, 7.0)
-    position = optimize_retailer(port, flat_forecast(3, 50.0), CAP, PI_NC)
+    position = optimize_retailer(build_retailer_model(port, flat_forecast(3, 50.0), CAP, PI_NC))
     assert np.allclose(position.demand, 7.0, atol=1e-9)
     assert np.allclose(position.imbalance_up, 0.0, atol=1e-9)
     assert np.allclose(position.imbalance_down, 0.0, atol=1e-9)
@@ -270,14 +273,14 @@ def test_retailer_without_loads_buys_inelastic_demand():
 def test_retailer_flat_prices_costs_are_schedule_independent():
     port = retailer(3, 5.0, [simple_load(3)])
     fc = flat_forecast(3, 40.0)
-    position = optimize_retailer(port, fc, CAP, PI_NC)
+    position = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC))
     assert position.objective == pytest.approx(40.0 * (15.0 + 6.0))
 
 
 def test_retailer_concentrates_consumption_in_cheap_period():
     port = retailer(3, 5.0, [simple_load(3)])
     fc = flat_forecast(3, np.array([50.0, 30.0, 50.0]))
-    position = optimize_retailer(port, fc, CAP, PI_NC)
+    position = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC))
     assert position.schedules[0][1] == pytest.approx(4.0, abs=1e-9)
 
     # brute force over the load schedule on a 0.1 MW lattice; the optimum
@@ -295,7 +298,7 @@ def test_retailer_concentrates_consumption_in_cheap_period():
 def test_retailer_takes_imbalance_when_tariff_beats_energy():
     port = retailer(1, 10.0)
     fc = flat_forecast(1, 50.0, imb_up=200.0, imb_down=20.0)
-    position = optimize_retailer(port, fc, CAP, PI_NC)
+    position = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC))
     # buying nothing and paying the cheap downward tariff wins
     assert position.demand[0] == pytest.approx(0.0, abs=1e-9)
     assert position.imbalance_down[0] == pytest.approx(10.0)
@@ -305,7 +308,7 @@ def test_retailer_demand_threshold_caps_submission():
     port = retailer(1, 10.0)
     pins = (np.array([0.95 * 8.0]), np.array([np.inf]), np.array([np.inf]))
     fc = flat_forecast(1, 50.0)
-    position = optimize_retailer(port, fc, CAP, PI_NC, pins=pins)
+    position = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC, pins=pins))
     # beyond 7.6 every MW costs the cap surcharge, dearer than the tariff
     assert position.demand[0] == pytest.approx(7.6)
     assert position.imbalance_down[0] == pytest.approx(2.4)
@@ -313,9 +316,8 @@ def test_retailer_demand_threshold_caps_submission():
 
 def test_reposition_with_rationed_demand_goes_to_imbalance():
     port = retailer(1, 10.0)
-    position = optimize_retailer(
-        port, flat_forecast(1, 50.0), CAP, PI_NC, fixed_demand=np.array([5.0])
-    )
+    model = build_retailer_model(port, flat_forecast(1, 50.0), CAP, PI_NC)
+    position = optimize_retailer(model, fixed_demand=np.array([5.0]))
     assert position.imbalance_down[0] == pytest.approx(5.0)
     assert position.imbalance_up[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -323,8 +325,9 @@ def test_reposition_with_rationed_demand_goes_to_imbalance():
 def test_reposition_consistent_with_day_ahead_optimum():
     port = retailer(2, 5.0, [simple_load(2, total=4.0)])
     fc = flat_forecast(2, np.array([50.0, 30.0]))
-    first = optimize_retailer(port, fc, CAP, PI_NC)
-    again = optimize_retailer(port, fc, CAP, PI_NC, fixed_demand=first.demand)
+    model = build_retailer_model(port, fc, CAP, PI_NC)
+    first = optimize_retailer(model)
+    again = optimize_retailer(model, fixed_demand=first.demand)
     assert np.allclose(again.imbalance_up, 0.0, atol=1e-7)
     assert np.allclose(again.imbalance_down, 0.0, atol=1e-7)
     assert again.objective == pytest.approx(first.objective, abs=1e-6)
@@ -334,7 +337,7 @@ def test_reposition_shifts_shortfall_toward_cheap_tariff_period():
     load = simple_load(2, hi=5.0, total=5.0)
     port = retailer(2, 5.0, [load])
     fc = flat_forecast(2, np.array([50.0, 30.0]))
-    day_ahead = optimize_retailer(port, fc, CAP, PI_NC)
+    day_ahead = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC))
     assert day_ahead.schedules[0][1] == pytest.approx(5.0, abs=1e-9)
 
     rationed = day_ahead.demand - np.array([0.0, 2.0])
@@ -343,7 +346,8 @@ def test_reposition_shifts_shortfall_toward_cheap_tariff_period():
         imbalance_up=np.full(2, 200.0),
         imbalance_down=np.array([10.0, 100.0]),
     )
-    position = optimize_retailer(port, cheap_first, CAP, PI_NC, fixed_demand=rationed)
+    model = build_retailer_model(port, cheap_first, CAP, PI_NC)
+    position = optimize_retailer(model, fixed_demand=rationed)
     # the tank moves the gap into the period with the cheap tariff
     assert position.imbalance_down[0] == pytest.approx(2.0, abs=1e-7)
     assert position.imbalance_down[1] == pytest.approx(0.0, abs=1e-7)
@@ -352,15 +356,16 @@ def test_reposition_shifts_shortfall_toward_cheap_tariff_period():
         imbalance_up=np.full(2, 200.0),
         imbalance_down=np.array([100.0, 10.0]),
     )
-    position = optimize_retailer(port, dear_first, CAP, PI_NC, fixed_demand=rationed)
+    model = build_retailer_model(port, dear_first, CAP, PI_NC)
+    position = optimize_retailer(model, fixed_demand=rationed)
     assert position.imbalance_down[1] == pytest.approx(2.0, abs=1e-7)
 
 
 def test_infeasible_tank_reported_as_configuration_error():
     load = simple_load(2, lo=0.0, hi=1.0, total=10.0)  # cannot draw 10 MWh at 1 MW
     port = retailer(2, 5.0, [load])
-    with pytest.raises(ConfigurationError):
-        optimize_retailer(port, flat_forecast(2, 50.0), CAP, PI_NC)
+    with pytest.raises(ConfigurationError, match="retailer 'ret' position problem is infeasible"):
+        optimize_retailer(build_retailer_model(port, flat_forecast(2, 50.0), CAP, PI_NC))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +391,9 @@ def band_load(t, mid=6.0, slack=2.0, name="band"):
 def test_band_amplitude_limited_by_power_slack():
     port = retailer(4, 10.0, [band_load(4)])
     fc = flat_forecast(4, 50.0)
-    position = optimize_retailer(port, fc, CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0)
+    position = optimize_retailer(
+        build_retailer_model(port, fc, CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0)
+    )
     assert position.amplitudes[0] == pytest.approx(2.0, abs=1e-7)
     up = port.inelastic + np.sum(position.up_schedules, axis=0)
     base = position.demand - position.imbalance_up + position.imbalance_down
@@ -400,7 +407,9 @@ def test_band_amplitude_limited_by_power_slack():
 def test_band_amplitude_zero_without_flexible_loads():
     port = retailer(4, 10.0)
     position = optimize_retailer(
-        port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0
+        build_retailer_model(
+            port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0
+        )
     )
     assert position.amplitudes[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -408,7 +417,9 @@ def test_band_amplitude_zero_without_flexible_loads():
 def test_band_zero_price_tie_broken_toward_larger_amplitude():
     port = retailer(4, 10.0, [band_load(4)])
     position = optimize_retailer(
-        port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=0.0
+        build_retailer_model(
+            port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=0.0
+        )
     )
     assert position.amplitudes[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -417,7 +428,9 @@ def test_band_energy_neutral_per_window_and_tank_consistent():
     port = retailer(8, 10.0, [band_load(8, mid=5.0, slack=1.5)])
     fc = flat_forecast(8, np.array([45.0, 50.0, 55.0, 48.0, 52.0, 47.0, 53.0, 49.0]))
     position = optimize_retailer(
-        port, fc, CAP, PI_NC, windows=[(0, 4), (4, 4)], modulation_price=10.0
+        build_retailer_model(
+            port, fc, CAP, PI_NC, windows=[(0, 4), (4, 4)], modulation_price=10.0
+        )
     )
     load = port.loads[0]
     base = position.schedules[0]
@@ -443,7 +456,7 @@ def test_position_balance_identities():
         port = retailer(t, nu, [load])
         fc = flat_forecast(t, rng.uniform(30, 70, t), imb_up=float(rng.uniform(20, 80)),
                            imb_down=float(rng.uniform(20, 80)))
-        position = optimize_retailer(port, fc, CAP, PI_NC)
+        position = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC))
         residual = (
             position.demand
             - position.imbalance_up
@@ -456,7 +469,7 @@ def test_position_balance_identities():
         gen = producer(t, [unit(t, cap=float(rng.uniform(5, 15)), cost=float(rng.uniform(40, 60)))])
         fc_p = flat_forecast(t, rng.uniform(30, 70, t), imb_up=float(rng.uniform(20, 80)),
                              imb_down=float(rng.uniform(20, 80)))
-        pos = optimize_producer(gen, fc_p, CAP, PI_NC)
+        pos = optimize_producer(build_producer_model(gen, fc_p, CAP, PI_NC))
         residual = (
             pos.sale
             + pos.imbalance_up
@@ -483,7 +496,9 @@ def test_band_amplitude_respects_energy_ceiling():
     )
     port = retailer(4, 10.0, [load])
     position = optimize_retailer(
-        port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0
+        build_retailer_model(
+            port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0
+        )
     )
     assert position.amplitudes[0] == pytest.approx(2.0, abs=1e-7)
 
@@ -491,27 +506,17 @@ def test_band_amplitude_respects_energy_ceiling():
 def test_fixed_amplitudes_keep_margins_feasible():
     port = retailer(4, 10.0, [band_load(4)])
     fc = flat_forecast(4, 50.0)
-    sold = optimize_retailer(port, fc, CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0)
+    model = build_retailer_model(port, fc, CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0)
+    sold = optimize_retailer(model)
     half = sold.amplitudes * 0.5
-    repositioned = optimize_retailer(
-        port,
-        fc,
-        CAP,
-        PI_NC,
-        windows=[(0, 4)],
-        modulation_price=10.0,
-        fixed_demand=sold.demand,
-        fixed_amplitudes=half,
-    )
+    repositioned = optimize_retailer(model, fixed_demand=sold.demand, fixed_amplitudes=half)
     assert repositioned.amplitudes[0] == pytest.approx(half[0])
 
 
 def test_overlapping_windows_rejected():
     port = retailer(4, 10.0, [band_load(4)])
     with pytest.raises(ConfigurationError):
-        optimize_retailer(
-            port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4), (2, 2)]
-        )
+        build_retailer_model(port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4), (2, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +561,14 @@ def test_portfolios_reject_malformed_unit_and_limit_data(build):
 
 def test_producer_positive_margin_runs_flat_out():
     port = producer(3, [unit(3, cost=45.0)])
-    position = optimize_producer(port, flat_forecast(3, 50.0), CAP, PI_NC)
+    position = optimize_producer(build_producer_model(port, flat_forecast(3, 50.0), CAP, PI_NC))
     assert np.allclose(position.unit_output[0], 10.0, atol=1e-9)
     assert np.allclose(position.sale, 10.0, atol=1e-9)
 
 
 def test_producer_negative_margin_idles():
     port = producer(3, [unit(3, cost=45.0)])
-    position = optimize_producer(port, flat_forecast(3, 40.0), CAP, PI_NC)
+    position = optimize_producer(build_producer_model(port, flat_forecast(3, 40.0), CAP, PI_NC))
     assert np.allclose(position.unit_output[0], 0.0, atol=1e-9)
 
 
@@ -572,7 +577,7 @@ def test_producer_dispatch_matches_grid_search():
     fast = unit(2, cap=10.0, cost=70.0, ramp=100.0, name="fast", p0=0.0)
     port = producer(2, [slow, fast])
     fc = flat_forecast(2, np.array([50.0, 90.0]))  # spike in the second period
-    position = optimize_producer(port, fc, CAP, PI_NC)
+    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
 
     best = -np.inf
     for p in itertools.product(range(11), repeat=4):
@@ -588,7 +593,7 @@ def test_producer_dispatch_matches_grid_search():
 def test_producer_phantom_sale_bounded_by_imbalance_limit():
     port = producer(1, [unit(1, cap=10.0, cost=45.0)], limit=25.0)
     fc = flat_forecast(1, 50.0, imb_down=30.0)  # selling unbacked energy is profitable
-    position = optimize_producer(port, fc, CAP, PI_NC)
+    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
     assert position.imbalance_down[0] == pytest.approx(25.0)
     assert position.sale[0] == pytest.approx(35.0)
 
@@ -597,32 +602,72 @@ def test_producer_min_sale_threshold_holds_volume():
     port = producer(1, [unit(1, cap=10.0, cost=45.0)])
     pins = (np.array([0.95 * 8.0]), np.array([np.inf]), np.array([np.inf]))
     fc = flat_forecast(1, 40.0)  # below cost: it would rather idle
-    position = optimize_producer(port, fc, CAP, PI_NC, pins=pins)
+    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC, pins=pins))
     assert position.sale[0] == pytest.approx(7.6)
 
 
 def test_producer_stage_chaining_with_fixed_quantities():
     port = producer(2, [unit(2, cap=10.0, cost=45.0)], valuation=0.005)
     fc = flat_forecast(2, 50.0)
-    stage1 = optimize_producer(port, fc, CAP, PI_NC)
-    stage2 = optimize_producer(port, fc, CAP, PI_NC, fixed_sale=stage1.sale)
+    model = build_producer_model(port, fc, CAP, PI_NC)
+    stage1 = optimize_producer(model)
+    stage2 = optimize_producer(model, fixed_sale=stage1.sale)
     accepted = stage2.reserve * 0.5
-    stage3 = optimize_producer(
-        port,
-        fc,
-        CAP,
-        PI_NC,
-        fixed_sale=stage1.sale,
-        fixed_reserve=accepted,
-    )
+    stage3 = optimize_producer(model, fixed_sale=stage1.sale, fixed_reserve=accepted)
     assert np.allclose(stage3.sale, stage1.sale)
     assert np.allclose(stage3.reserve, accepted)
+
+
+def shared_stage_models():
+    """A producer and a band-selling retailer model, each with the fixed
+    quantities of a later stage that differ from its day-ahead position."""
+    gen = producer(2, [unit(2, cap=10.0, cost=45.0)], limit=5.0, valuation=0.005)
+    gen_model = build_producer_model(gen, flat_forecast(2, 50.0), CAP, PI_NC)
+    gen_fixed = dict(fixed_sale=np.array([4.0, 12.0]), fixed_reserve=np.full((1, 2, 2), 0.5))
+    ret = retailer(4, 10.0, [band_load(4)], limit=3.0)
+    ret_model = build_retailer_model(
+        ret, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0
+    )
+    ret_fixed = dict(fixed_demand=np.full(4, 15.0), fixed_amplitudes=np.array([1.0]))
+    return [(optimize_producer, gen_model, gen_fixed), (optimize_retailer, ret_model, ret_fixed)]
+
+
+@pytest.mark.parametrize(
+    "optimize, model, fixed", shared_stage_models(), ids=["producer", "retailer"]
+)
+def test_solving_a_stage_leaves_the_shared_model_as_it_was(optimize, model, fixed):
+    # the round's stages and twins share one model, each solving it under
+    # its own bounds
+    lower, upper = model.lp.lower.copy(), model.lp.upper.copy()
+    before = optimize(model)
+    later = optimize(model, **fixed)
+    after = optimize(model)
+    for name, value in fixed.items():
+        assert np.allclose(getattr(later, name.removeprefix("fixed_")), value)
+    for field in dataclasses.fields(before):
+        a, b = getattr(before, field.name), getattr(after, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    assert lower.tobytes() == model.lp.lower.tobytes()
+    assert upper.tobytes() == model.lp.upper.tobytes()
+
+
+def test_fixed_quantities_must_have_their_variables_shape():
+    # numpy would broadcast a one-window amplitude onto a model without
+    # windows, and one period's purchase onto every period
+    model = build_retailer_model(retailer(2, 5.0), flat_forecast(2, 50.0), CAP, PI_NC)
+    with pytest.raises(ConfigurationError, match=r"fixed_amplitudes has shape \(1,\), not \(0,\)"):
+        optimize_retailer(model, fixed_demand=np.full(2, 5.0), fixed_amplitudes=np.ones(1))
+    with pytest.raises(ConfigurationError, match=r"fixed_demand has shape \(1,\), not \(2,\)"):
+        optimize_retailer(model, fixed_demand=np.full(1, 5.0))
+    model = build_producer_model(producer(2, [unit(2)]), flat_forecast(2, 50.0), CAP, PI_NC)
+    with pytest.raises(ConfigurationError, match=r"fixed_reserve has shape \(2, 2\), not"):
+        optimize_producer(model, fixed_reserve=np.zeros((2, 2)))
 
 
 def test_producer_offers_and_bids():
     port = producer(2, [unit(2, cap=10.0, cost=45.0)], valuation=0.005)
     fc = flat_forecast(2, 50.0, imb_down=20.0)
-    position = optimize_producer(port, fc, CAP, PI_NC)
+    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
     offers = producer_energy_offers(position, port, fc)
     assert set(offers.side) == {SUPPLY}
     unit_offers = offers.price == 45.0
@@ -702,7 +747,7 @@ def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
 
 def test_retailer_without_windows_bids_no_band():
     port = retailer(2, 5.0)
-    position = optimize_retailer(port, flat_forecast(2, 50.0), CAP, PI_NC)
+    position = optimize_retailer(build_retailer_model(port, flat_forecast(2, 50.0), CAP, PI_NC))
     assert len(retailer_band_bids(position, port, 0.5)) == 0
     assert retailer_accepted_amplitudes(position, np.zeros(0)).size == 0
 
@@ -1013,25 +1058,22 @@ def capture_agent_models() -> dict:
     reserve = np.broadcast_to(np.array([0.5, 0.25])[:, None, None], (2, 6, 2))
     windows = [(0, 2), (2, 4)]
     demand = np.array([7.0, 8.0, 9.0, 9.0, 8.0, 7.0])
+    producer = build_producer_model(gen, fc, CAP, PI_NC, pins=pins)
+    bands = build_retailer_model(ret, fc, CAP, PI_NC, windows=windows, pins=pins)
+    pairs = build_retailer_model(ret, fc, CAP, PI_NC, windows=[(0, 2), (2, 2), (4, 2)], pins=pins)
+    no_bands = build_retailer_model(ret, fc, CAP, PI_NC, pins=pins)
     stages = {
-        "producer_free": lambda: optimize_producer(gen, fc, CAP, PI_NC, pins=pins),
-        "producer_sold": lambda: optimize_producer(
-            gen, fc, CAP, PI_NC, fixed_sale=sale, pins=pins
-        ),
+        "producer_free": lambda: optimize_producer(producer),
+        "producer_sold": lambda: optimize_producer(producer, fixed_sale=sale),
         "producer_reserved": lambda: optimize_producer(
-            gen, fc, CAP, PI_NC, fixed_sale=sale, fixed_reserve=reserve, pins=pins,
+            producer, fixed_sale=sale, fixed_reserve=reserve
         ),
-        "retailer_bands": lambda: optimize_retailer(
-            ret, fc, CAP, PI_NC, windows=windows, pins=pins
-        ),
+        "retailer_bands": lambda: optimize_retailer(bands),
         "retailer_sold": lambda: optimize_retailer(
-            ret, fc, CAP, PI_NC, windows=windows, fixed_demand=demand,
-            fixed_amplitudes=np.array([0.5, 0.25]), pins=pins,
+            bands, fixed_demand=demand, fixed_amplitudes=np.array([0.5, 0.25])
         ),
-        "retailer_pairs": lambda: optimize_retailer(
-            ret, fc, CAP, PI_NC, windows=[(0, 2), (2, 2), (4, 2)], pins=pins
-        ),
-        "retailer_no_bands": lambda: optimize_retailer(ret, fc, CAP, PI_NC, pins=pins),
+        "retailer_pairs": lambda: optimize_retailer(pairs),
+        "retailer_no_bands": lambda: optimize_retailer(no_bands),
     }
     captured = {}
 

@@ -53,6 +53,16 @@ def test_config_rejects_unknown_keys_and_bad_values():
 
 
 @pytest.mark.parametrize(
+    "line",
+    ["convergence_tolerance = -0.01", "state_tolerance = -1.0", "threshold_forget_rounds = -3"],
+)
+def test_config_text_rejects_negative_tolerances_and_forget_rounds(line):
+    # a negative tolerance never matches, so a run would spin to max_rounds
+    with pytest.raises(ConfigurationError, match=f"{line.split()[0]} must be nonnegative"):
+        config_from_text(line + "\n")
+
+
+@pytest.mark.parametrize(
     "overrides",
     [
         dict(max_rounds=0),

@@ -34,6 +34,22 @@ def test_zero_imbalance_zero_activation():
     assert np.array_equal(result.tariff_down, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "imbalance, price, message",
+    [
+        ([np.nan], PI_NC, r"imbalance nan in period 0 is not finite"),
+        ([1.0], np.nan, r"non-contracted price nan is not nonnegative"),
+        ([1.0], -5.0, r"non-contracted price -5.0 is not nonnegative"),
+        ([1.0, 2.0], PI_NC, r"imbalance covers 2 periods, the procurement 1"),
+    ],
+    ids=["nan-imbalance", "nan-price", "negative-price", "period-count"],
+)
+def test_settle_rejects_bad_imbalance_or_price(imbalance, price, message):
+    procurement = procure([], [], [0.0], [0.0])
+    with pytest.raises(ValueError, match=message):
+        settle(np.array(imbalance), procurement, price)
+
+
 def test_deficit_covered_by_half_of_contracted_bid():
     bid = ("gen", 0, "up", 10.0, 7.0)
     procurement = procure([bid], [], [10.0], [0.0])

@@ -270,17 +270,16 @@ def agent_calls(monkeypatch):
         return highs_solve(model)
 
     def counting(kind, optimize):
-        def call(portfolio, **kwargs):
-            fixed = sorted(k for k in kwargs if k.startswith("fixed_"))
-            calls["agents"].append((kind, tuple(fixed)))
-            return optimize(portfolio, **kwargs)
+        def call(model, **fixed):
+            calls["agents"].append((kind, tuple(sorted(fixed))))
+            return optimize(model, **fixed)
 
         return call
 
     def counting_builds(kind, build):
-        def call(portfolio, **kwargs):
+        def call(*args):
             calls["builds"].append(kind)
-            return build(portfolio, **kwargs)
+            return build(*args)
 
         return call
 
@@ -482,19 +481,21 @@ def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(chang
         built.append(portfolio.name)
         return portfolio.name
 
-    def optimize(portfolio, model, **kwargs):
-        solved.append((portfolio.name, model))
+    def optimize(model, **fixed):
+        solved.append(model)
         return object()
 
+    twins = dict.fromkeys("abc", 0)
+    pins = {name: inputs[name].pop("pins") for name in "abc"}
+    models = simulator._share_models(0, actors, twins, pins, build)
     positions = simulator._stage_positions(
-        0, "reposition", dict.fromkeys("abc", 0), actors, (build, optimize, {}), {},
-        lambda portfolio: inputs[portfolio.name],
+        0, "reposition", actors, optimize, models, lambda portfolio: inputs[portfolio.name],
     )
     # the model depends on the pins alone, the position on the fixed
     # quantities too
     own_model = changed == "pins"
     assert built == (["a", "b"] if own_model else ["a"])
-    assert solved == [("a", "a"), ("b", "b" if own_model else "a")]
+    assert solved == ["a", "b" if own_model else "a"]
     assert positions["c"] is positions["a"] is not positions["b"]
 
 
