@@ -7,7 +7,7 @@ deviate from its sold position when the imbalance tariff forecast beats
 the market.  :func:`build_producer_model` builds the LP once per round and
 :func:`optimize_producer` solves it in each of the three stages: free,
 with the cleared sale fixed, and with the accepted reserves (mapped back
-onto the units by :func:`producer_accepted_reserve`) fixed as well.
+onto the units by :func:`.retailer.accepted_volumes`) fixed as well.
 """
 
 from __future__ import annotations
@@ -274,14 +274,3 @@ def producer_reserve_bids(position: ProducerPosition, portfolio: ProducerPortfol
 def _unit_costs(portfolio: ProducerPortfolio) -> np.ndarray:
     """(units, periods) marginal cost."""
     return np.array([unit.cost for unit in portfolio.units])
-
-
-def producer_accepted_reserve(position: ProducerPosition, fractions: np.ndarray) -> np.ndarray:
-    """(units, periods, 2) reserve the market accepted, given the accepted
-    ``fractions`` of the bids :func:`producer_reserve_bids` made from
-    ``position``."""
-    reserve = position.reserve
-    offered = reserve > OFFER_TOL
-    accepted = np.zeros_like(reserve)
-    accepted[offered] += reserve[offered] * fractions
-    return accepted

@@ -11,13 +11,14 @@ links back into the baseline tank state at both ends of each block.
 :func:`build_retailer_model` builds the LP once per round and
 :func:`optimize_retailer` solves it in both decision stages: free, then
 with the cleared purchase and the accepted amplitudes (from
-:func:`retailer_accepted_amplitudes`) fixed.  Learned volume pins arrive as
+:func:`accepted_volumes`) fixed.  Learned volume pins arrive as
 plain per-period arrays; the learning itself belongs to the simulation run.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,18 @@ class ConfigurationError(ValueError):
 
 #: offers and bids below this volume (MW) are not submitted
 OFFER_TOL = 1e-9
+
+
+def accepted_volumes(offered: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """The ``offered`` volumes the market accepted: those above
+    :data:`OFFER_TOL`, which were bid in C order, scaled by the accepted
+    ``fractions`` of those bids; zero elsewhere.  Added onto zeros, so a
+    fraction of -0.0 accepts 0.0, not -0.0."""
+    bid = offered > OFFER_TOL
+    accepted = np.zeros_like(offered)
+    accepted[bid] += offered[bid] * fractions
+    return accepted
+
 
 #: negligible friction on deviations; breaks the tie toward a clean position
 #: when the tariff forecast exactly matches the energy price forecast
@@ -114,7 +127,7 @@ def build_retailer_model(
     fc: PriceForecast,
     price_cap: float,
     non_contracted_price: float,
-    windows: list[tuple[int, int]] | None = None,
+    windows: Sequence[tuple[int, int]] = (),
     modulation_price: float = 10.0,
     pins: Pins | None = None,
 ) -> RetailerModel:
@@ -127,8 +140,7 @@ def build_retailer_model(
     downward imbalance) pins.
     """
     t_count = portfolio.horizon
-    modulating = windows is not None
-    windows = list(windows or [])
+    windows = list(windows)
     _check_windows(windows, t_count)
 
     lp = LinearProgram(sense="min", name=f"retailer-{portfolio.name}")
@@ -157,15 +169,13 @@ def build_retailer_model(
     # includes the downward imbalance
     if pins is not None:
         demand_pin, up_pin, down_pin = pins
-        pinned_demand = (demand, i_dn) if modulating else (demand,)
+        pinned_demand = (demand, i_dn) if windows else (demand,)
         add_pin_penalties(lp, demand_pin, price_cap - fc.energy, pinned_demand)
         add_pin_penalties(lp, up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
         add_pin_penalties(lp, down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
 
-    amplitudes, up_d, dn_d = (
-        _modulation_block(lp, portfolio, windows, d_vars, e_vars, modulation_price)
-        if modulating
-        else (np.zeros(0, dtype=np.intp), [], [])
+    amplitudes, up_d, dn_d = _modulation_block(
+        lp, portfolio, windows, d_vars, e_vars, modulation_price
     )
     return RetailerModel(
         portfolio.name, lp, demand, i_up, i_dn, d_vars, amplitudes, up_d, dn_d, windows
@@ -250,15 +260,6 @@ def retailer_band_bids(
         np.zeros(count),
         np.full(count, float(efficiency)),
     )
-
-
-def retailer_accepted_amplitudes(position: RetailerPosition, fractions: np.ndarray) -> np.ndarray:
-    """Per-window amplitude the market accepted, given the accepted
-    ``fractions`` of the bids :func:`retailer_band_bids` made from ``position``."""
-    offered = position.amplitudes > OFFER_TOL
-    accepted = np.zeros(len(position.windows))
-    accepted[offered] = position.amplitudes[offered] * fractions
-    return accepted
 
 
 def _check_windows(windows, t_count):

@@ -10,8 +10,7 @@ offers at the clearing price share the marginal volume pro rata.
 The whole day clears at once on the columns of an :class:`OfferBook`, but
 every volume that decides a price, the traded volume or a marginal share
 is still one ``np.sum`` over the qualifying offers of one period and side,
-in offer order, so it rounds as a period-by-period loop does.  Running
-sums over the day only pick the price at which that check starts.
+in offer order, so it rounds as a period-by-period loop does.
 """
 
 from __future__ import annotations
@@ -119,9 +118,8 @@ def _clear_periods(period, supply, volume, price, no_market, price_cap):
     volume traded there, and the (supply, demand) marginal share."""
     period_count = len(no_market)
     markets = np.flatnonzero(~no_market)
-    grid_price, first = _candidates(period, supply, volume, price, markets, price_cap, period_count)
+    grid_price, candidate = _candidates(period, price, markets, price_cap)
     demand = ~supply
-    candidate = first
     while True:
         mcp = np.zeros(period_count)
         mcp[markets] = grid_price[candidate]
@@ -150,41 +148,18 @@ def _clear_periods(period, supply, volume, price, no_market, price_cap):
     return mcp, traded, np.clip(share, 0.0, 1.0)
 
 
-def _candidates(period, supply, volume, price, markets, price_cap, period_count):
+def _candidates(period, price, markets, price_cap):
     """The candidate prices of every market period (its offers' prices, 0
-    and the cap) in (period, price) order, and the index of the first one
-    of each period that can pass.
-
-    Running sums over the day's offers sorted by (period, price) estimate
-    the cover at every candidate at once.  A candidate whose estimate falls
-    short by more than the sums' rounding surely fails, so the exact check
-    can start at the first candidate of a period that does not."""
-    n = len(period)
-    ev_period = np.concatenate([period, period, markets, markets])
-    ev_price = np.concatenate([price, price, np.zeros(len(markets)), np.full(len(markets), price_cap)])
-    is_candidate = np.arange(len(ev_period)) >= n
-    order = np.lexsort((is_candidate, ev_price, ev_period))
-    ev_period, ev_price, is_candidate = ev_period[order], ev_price[order], is_candidate[order]
-    weights = np.zeros((2, len(order)))
-    weights[0, :n] = np.where(supply, volume, 0.0)
-    weights[1, :n] = np.where(supply, 0.0, volume)
-    # running (supply, demand) MW up to each event; an offer sorts before a
-    # candidate at its own price
-    running = np.zeros((2, len(order) + 1))
-    np.cumsum(weights[:, order], axis=1, out=running[:, 1:])
-    bounds = np.searchsorted(ev_period, np.arange(period_count + 1))
-    base = running[:, bounds]
-
-    at = np.flatnonzero(is_candidate)
-    grid_period, grid_price = ev_period[at], ev_price[at]
-    new = np.ones(len(at), dtype=bool)
+    and the cap) in (period, price) order, and the index of each period's
+    lowest one."""
+    grid_period = np.concatenate([period, markets, markets])
+    grid_price = np.concatenate([price, np.zeros(len(markets)), np.full(len(markets), price_cap)])
+    order = np.lexsort((grid_price, grid_period))
+    grid_period, grid_price = grid_period[order], grid_price[order]
+    new = np.ones(len(order), dtype=bool)
     new[1:] = (grid_period[1:] != grid_period[:-1]) | (grid_price[1:] != grid_price[:-1])
-    at, grid_period, grid_price = at[new], grid_period[new], grid_price[new]
-    supplied = running[0, at + 1] - base[0, grid_period]
-    demand_above = base[1, grid_period + 1] - running[1, at + 1]
-    tol = 1e-10 * (1.0 + running[0, -1] + running[1, -1])
-    maybe = np.flatnonzero(supplied + COVER_TOL - demand_above >= -tol)
-    return grid_price, maybe[np.searchsorted(grid_period[maybe], markets)]
+    grid_period, grid_price = grid_period[new], grid_price[new]
+    return grid_price, np.searchsorted(grid_period, markets)
 
 
 def _period_sums(volume, period, kinds, period_count):

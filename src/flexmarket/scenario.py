@@ -316,6 +316,8 @@ def config_from_text(text: str) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigurationError(f"unknown config key {key!r}")
+        if key in values:
+            raise ConfigurationError(f"config key {key!r} given twice")
         values[key] = value
     kwargs = {}
     for key, text_value in values.items():

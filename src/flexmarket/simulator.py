@@ -39,15 +39,14 @@ from .agents.producer import (
     build_producer_model,
     fleet_capacity,
     optimize_producer,
-    producer_accepted_reserve,
     producer_energy_offers,
     producer_reserve_bids,
 )
 from .agents.retailer import (
     RetailerPosition,
+    accepted_volumes,
     build_retailer_model,
     optimize_retailer,
-    retailer_accepted_amplitudes,
     retailer_band_bids,
     retailer_demand_offers,
 )
@@ -118,12 +117,15 @@ class SimulationOutcome:
 def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationOutcome:
     """Simulate until convergence, a cycle, or the round budget.
 
-    ``scenario`` is only read; the learned pins live in this run.
+    ``scenario`` is only read, and must have been generated from ``config``;
+    the learned pins live in this run.
     """
     config.validate()
     if scenario is None:
         scenario = generate_scenario(config)
-    windows = scenario.config.bid_windows() if config.setting == OPEN else None
+    elif scenario.config != config:
+        raise ValueError("scenario.config differs from the config of the run")
+    windows = config.bid_windows() if config.setting == OPEN else []
     # per actor: the pin on its traded volume (retailer demand, producer
     # minimum sale), then on its upward and its downward imbalance
     actors = [*scenario.retailers, *scenario.producers]
@@ -249,8 +251,8 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         index, "reposition", scenario.producers, optimize_producer, models,
         lambda p: dict(
             fixed_sale=clearing.supply_of(p.name),
-            fixed_reserve=producer_accepted_reserve(
-                producer_stage2[p.name], classical_fraction[p.name]
+            fixed_reserve=accepted_volumes(
+                producer_stage2[p.name].reserve, classical_fraction[p.name]
             ),
         ),
     )
@@ -258,8 +260,8 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         index, "reposition", scenario.retailers, optimize_retailer, models,
         lambda p: dict(
             fixed_demand=clearing.demand_of(p.name),
-            fixed_amplitudes=retailer_accepted_amplitudes(
-                retailer_stage1[p.name], modulation_fraction[p.name]
+            fixed_amplitudes=accepted_volumes(
+                retailer_stage1[p.name].amplitudes, modulation_fraction[p.name]
             ),
         ),
     )

@@ -205,9 +205,8 @@ def sweep_auction_oracle(sup, dem, price_cap):
 
 def reference_clear(offers, period_count, price_cap):
     """``(price, traded, fractions, cleared_supply, cleared_demand)`` of the
-    energy auction, cleared period by period as it was before the search
-    ran on the whole day: every candidate price of a period is tried in
-    ascending order with fresh ``np.sum`` calls, and each offer's cleared MW
+    energy auction, cleared period by period: every candidate price of a
+    period is tried in ascending order with fresh ``np.sum`` calls, and each offer's cleared MW
     is added to its actor's series one offer at a time.  ``offers`` is an
     ``OfferBook``; validation is left out."""
     price = np.zeros(period_count)

@@ -28,10 +28,9 @@ from flexmarket.agents import (
 )
 from flexmarket.agents import tank
 from flexmarket.agents.forecast import PriceForecast, exponential_mean, extreme_prices
-from flexmarket.agents.producer import producer_accepted_reserve
 from flexmarket.agents.retailer import (
     ConfigurationError,
-    retailer_accepted_amplitudes,
+    accepted_volumes,
     retailer_band_bids,
     retailer_demand_offers,
 )
@@ -681,7 +680,7 @@ def test_producer_offers_and_bids():
     assert set(bids.actor) == {"gen"}
     assert np.all(bids.activation_price == 45.0)
     # accepted in full, every bid goes back to the one unit
-    accepted = producer_accepted_reserve(position, np.ones(len(bids)))
+    accepted = accepted_volumes(position.reserve, np.ones(len(bids)))
     assert accepted.shape == (1, 2, 2)
     assert accepted.sum() == pytest.approx(bids.volume.sum())
 
@@ -711,7 +710,7 @@ def test_producer_accepted_reserve_lands_on_its_unit_period_and_direction():
         (0, "down", 4.0, 60.0),
         (1, "up", 7.0, 60.0),
     ]
-    accepted = producer_accepted_reserve(position, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+    accepted = accepted_volumes(position.reserve, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
     up, down = accepted[..., 0], accepted[..., 1]
     assert np.allclose(up[0], [0.3, 0.0]) and np.allclose(down[0], [0.0, 0.4])
     assert np.allclose(up[1], [1.5, 3.5]) and np.allclose(down[1], [1.6, 0.0])
@@ -741,7 +740,7 @@ def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
         ("ret", 0, 2, 1.5, 0.0, 0.5),
         ("ret", 4, 2, 2.5, 0.0, 0.5),
     ]
-    accepted = retailer_accepted_amplitudes(position, np.array([0.2, 0.6]))
+    accepted = accepted_volumes(position.amplitudes, np.array([0.2, 0.6]))
     assert np.allclose(accepted, [0.3, 0.0, 1.5])
 
 
@@ -749,7 +748,7 @@ def test_retailer_without_windows_bids_no_band():
     port = retailer(2, 5.0)
     position = optimize_retailer(build_retailer_model(port, flat_forecast(2, 50.0), CAP, PI_NC))
     assert len(retailer_band_bids(position, port, 0.5)) == 0
-    assert retailer_accepted_amplitudes(position, np.zeros(0)).size == 0
+    assert accepted_volumes(position.amplitudes, np.zeros(0)).size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,20 @@ def test_replay_reports_a_bad_manifest_as_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_a_config_key_given_twice_is_a_usage_error(tmp_path, capsys, command):
+    # before, the last value won: a manifest naming seed 1, then seed 7, ran seed 7
+    config_path = fast_config_file(tmp_path)
+    config_path.write_text(config_path.read_text() + "seed = 7\n")
+    out = tmp_path / "out"
+    args = ["--config", str(config_path)] if command == "run" else [str(config_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "config key 'seed' given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_rates_sharing_a_cell_directory(tmp_path, capsys):
     out = tmp_path / "sweep"
     args = ["sweep", "--config", str(fast_config_file(tmp_path)), "--out-dir", str(out)]

@@ -214,8 +214,8 @@ def test_matches_the_period_by_period_auction_bit_for_bit():
 
 
 def test_a_deficit_inside_the_search_margin_is_still_a_deficit():
-    # 1e-11 MW of demand above the supply is far below the rounding margin
-    # of the day-wide search, so the exact check has to move on to the cap
+    # 1e-11 MW of demand above the supply is tiny beside the volumes but
+    # still more than COVER_TOL, so the exact check moves on to the cap
     offers = book([offer(SUPPLY, 1.0, 10.0, "gen"), offer(DEMAND, 1.0 + 1e-11, CAP, "ret")])
     result = clear(offers, 1)
     assert result.price[0] == CAP

@@ -252,6 +252,14 @@ def test_running_a_scenario_twice_repeats_the_first_run():
         assert same_fields(scenario.retailers, fresh.retailers)
 
 
+def test_a_scenario_of_another_config_is_rejected():
+    # the markets would play at the scenario's reserve rate while the
+    # outcome and its manifest record the run's
+    base = small_config(max_rounds=1)
+    with pytest.raises(ValueError, match="scenario.config"):
+        run(dataclasses.replace(base, reserve_rate=0.05), generate_scenario(base))
+
+
 # ---------------------------------------------------------------------------
 # twins: actors equal but for their names, solved once per stage
 # ---------------------------------------------------------------------------
