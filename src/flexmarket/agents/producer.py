@@ -7,7 +7,8 @@ deviate from its sold position when the imbalance tariff forecast beats
 the market.  :func:`build_producer_model` builds the LP once per round and
 :func:`optimize_producer` solves it in each of the three stages: free,
 with the cleared sale fixed, and with the accepted reserves (mapped back
-onto the units by :func:`.retailer.accepted_volumes`) fixed as well.
+onto the units by :func:`.retailer.accepted_volumes`) fixed as well, each
+stage under the bounds :func:`.retailer.stage_bounds` makes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
 from ..reserve_market import DOWN, UP, ClassicalBook
 from .forecast import PriceForecast
 from .retailer import (
-    IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, add_pin_penalties, fix_variables,
+    IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, add_pin_penalties, stage_bounds,
 )
 
 #: regulated credit per MW of reserve capability kept available
@@ -156,21 +157,8 @@ def optimize_producer(
     ``(units, periods, 2)`` reserve after the reserve market.  ``model`` is
     left as it was, so the stages of one round may share it.
     """
-    lp = model.lp
-    if fixed_sale is not None or fixed_reserve is not None:
-        lower, upper = lp.lower.copy(), lp.upper.copy()
-        if fixed_reserve is not None:
-            fix_variables(lower, upper, model.reserve, fixed_reserve, "fixed_reserve")
-        if fixed_sale is not None:
-            fix_variables(lower, upper, model.sale, fixed_sale, "fixed_sale")
-            # the imbalance limit bounds the day-ahead problem only: with the
-            # sale fixed it is lifted, and a deviation is then bounded by unit
-            # capacity and the pins alone (ROADMAP.md item 4, on the fee
-            # pairing, saw 523 MW against a 94 MW limit)
-            upper[model.imbalance_up] = upper[model.imbalance_down] = np.inf
-        lp = lp.with_bounds(lower, upper)
-
-    sol = solve(lp)
+    fixed = [(model.reserve, fixed_reserve, "fixed_reserve"), (model.sale, fixed_sale, "fixed_sale")]
+    sol = solve(model.lp, *stage_bounds(model, fixed, lift=fixed_sale is not None))
     if sol.status != "optimal":
         raise ConfigurationError(
             f"producer {model.name!r} position problem is {sol.status}; "

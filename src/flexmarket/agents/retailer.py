@@ -11,7 +11,8 @@ links back into the baseline tank state at both ends of each block.
 :func:`build_retailer_model` builds the LP once per round and
 :func:`optimize_retailer` solves it in both decision stages: free, then
 with the cleared purchase and the accepted amplitudes (from
-:func:`accepted_volumes`) fixed.  Learned volume pins arrive as
+:func:`accepted_volumes`) fixed.  A stage is a set of bounds, made by
+:func:`stage_bounds` for both agents.  Learned volume pins arrive as
 plain per-period arrays; the learning itself belongs to the simulation run.
 """
 
@@ -194,22 +195,11 @@ def optimize_retailer(
     windows).  ``model`` is left as it was, so the stages of one round may
     share it.
     """
-    lp = model.lp
-    if fixed_demand is not None or fixed_amplitudes is not None:
-        lower, upper = lp.lower.copy(), lp.upper.copy()
-        if fixed_amplitudes is not None:
-            fix_variables(lower, upper, model.amplitudes, fixed_amplitudes, "fixed_amplitudes")
-        if fixed_demand is not None:
-            fix_variables(lower, upper, model.demand, fixed_demand, "fixed_demand")
-            # the imbalance limit bounds the day-ahead problem only: with the
-            # purchase fixed it is lifted, so that a deeply rationed purchase
-            # stays feasible, and a deviation is then bounded by the loads'
-            # power bounds and the pins alone (ROADMAP.md item 4, on the fee
-            # pairing)
-            upper[model.imbalance_up] = upper[model.imbalance_down] = np.inf
-        lp = lp.with_bounds(lower, upper)
-
-    sol = solve(lp)
+    fixed = [
+        (model.amplitudes, fixed_amplitudes, "fixed_amplitudes"),
+        (model.demand, fixed_demand, "fixed_demand"),
+    ]
+    sol = solve(model.lp, *stage_bounds(model, fixed, lift=fixed_demand is not None))
     if sol.status != "optimal":
         raise ConfigurationError(
             f"retailer {model.name!r} position problem is {sol.status}; "
@@ -317,12 +307,25 @@ def _tank_variables(lp, loads, t_count):
     )
 
 
-def fix_variables(lower, upper, handles, values, label):
-    """Fix the variables ``handles`` to ``values``, of the same shape, in the
-    bound arrays ``lower`` and ``upper``."""
-    if np.shape(values) != handles.shape:
-        raise ConfigurationError(f"{label} has shape {np.shape(values)}, not {handles.shape}")
-    lower[handles] = upper[handles] = values
+def stage_bounds(model, fixed, lift):
+    """The (lower, upper) bounds of an agent ``model``'s stage: each
+    ``(handles, values, label)`` of ``fixed`` with ``values`` fixes those
+    variables, of the same shape.  ``lift`` says the traded volume is fixed:
+    the imbalance limit bounds the day-ahead problem only, so it is lifted,
+    a deeply rationed purchase stays feasible, and a deviation is then
+    bounded by unit capacity or the loads' power bounds and the pins alone
+    (ROADMAP.md item 4, on the fee pairing, saw 523 MW against a 94 MW
+    limit)."""
+    lower, upper = model.lp.lower.copy(), model.lp.upper.copy()
+    for handles, values, label in fixed:
+        if values is None:
+            continue
+        if np.shape(values) != handles.shape:
+            raise ConfigurationError(f"{label} has shape {np.shape(values)}, not {handles.shape}")
+        lower[handles] = upper[handles] = values
+    if lift:
+        upper[model.imbalance_up] = upper[model.imbalance_down] = np.inf
+    return lower, upper
 
 
 def add_pin_penalties(lp, pin, penalty, columns, floor=False):

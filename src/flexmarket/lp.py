@@ -7,8 +7,8 @@ problems, settlement) is expressed as a :class:`LinearProgram` and handed to
 :meth:`~LinearProgram.add_objectives` objective terms and
 :meth:`~LinearProgram.add_constraints` rows given as (row, column,
 coefficient) triplets; these are the only way to build a model.
-:meth:`~LinearProgram.with_bounds` gives a built model other variable
-bounds, so one model can be solved under several.
+:func:`solve` takes variable bounds for one solve, so one model is solved
+under several without being changed or copied.
 
 Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
 Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on one
@@ -34,7 +34,6 @@ large finite sentinels, and every variable's domain holds a finite point
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -137,27 +136,6 @@ class LinearProgram:
         self._n_constraints += count
         self._columns = None
         return np.arange(start, start + count)
-
-    def with_bounds(self, lower, upper) -> LinearProgram:
-        """This model with every variable's bounds replaced by ``lower`` and
-        ``upper`` (scalars or one value per variable), checked as
-        :meth:`add_variables` checks them.
-
-        The result shares this model's objective, rows and
-        :meth:`highs_columns` (assembled here if not yet), so solving one
-        model under several bounds assembles its matrix once.  Either model
-        may grow afterwards without changing the other.
-        """
-        lower = _series(lower, self._n_variables)
-        upper = _series(upper, self._n_variables)
-        _check_bounds(lower, upper, 0)
-        view = copy.copy(self)
-        view._bounds = [(lower, upper)]
-        view._objective = [_joined(self._objective)]
-        view._terms = [_joined(self._terms)]
-        view._rows = [_joined(self._rows)]
-        view._columns = self.highs_columns()
-        return view
 
     def _check_handles(self, handles: np.ndarray) -> None:
         if handles.size and (handles.min() < 0 or handles.max() >= self._n_variables):
@@ -324,31 +302,38 @@ class Solution:
         return self.x[np.asarray(variables, dtype=np.intp)]
 
 
-def solve(lp: LinearProgram) -> Solution:
+def solve(lp: LinearProgram, lower=None, upper=None) -> Solution:
     """Solve ``lp`` to proven optimality with HiGHS.
 
-    Infeasibility and unboundedness are reported through
+    ``lower`` and ``upper`` (scalars or one value per variable, checked as
+    :meth:`~LinearProgram.add_variables` checks them) replace the model's
+    variable bounds for this solve only; the model is left unchanged, so its
+    :meth:`~LinearProgram.highs_columns` serve every set of bounds it is
+    solved under.  Infeasibility and unboundedness are reported through
     :attr:`Solution.status`, never raised.  A model without variables is
     ``infeasible`` when one of its rows excludes 0 and ``optimal``, with an
     empty ``x``, otherwise.
     """
-    status, x, iterations = _highs_solve(lp)
+    lower = lp.lower if lower is None else _series(lower, lp.n_variables)
+    upper = lp.upper if upper is None else _series(upper, lp.n_variables)
+    _check_bounds(lower, upper, 0)
+    status, x, iterations = _highs_solve(lp, lower, upper)
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
-    _check_feasible(lp, x)
+    _check_feasible(lp, x, lower, upper)
     objective = float(lp.objective_vector() @ x)
     return Solution(OPTIMAL, objective, x, iterations)
 
 
-def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
-    """Raise unless ``x`` is finite, within its bounds (absolute ``TOL_FEAS``)
-    and satisfies every row of the model within ``TOL_FEAS * max(1, |rhs|)``;
-    a row whose residual is not finite fails.  The error names the first
-    violated row, with its residual ``A x - rhs``."""
+def _check_feasible(lp: LinearProgram, x: np.ndarray, lower, upper) -> None:
+    """Raise unless ``x`` is finite, within ``lower`` and ``upper`` (absolute
+    ``TOL_FEAS``) and satisfies every row of the model within ``TOL_FEAS *
+    max(1, |rhs|)``; a row whose residual is not finite fails.  The error
+    names the first violated row, with its residual ``A x - rhs``."""
     if (
         not np.isfinite(x).all()
-        or np.any(lp.lower - x > TOL_FEAS)
-        or np.any(x - lp.upper > TOL_FEAS)
+        or np.any(lower - x > TOL_FEAS)
+        or np.any(x - upper > TOL_FEAS)
     ):
         raise RuntimeError(f"solver returned out-of-bounds solution for {lp.name!r}")
     violated, resid = _violated_rows(lp, x)
@@ -382,9 +367,9 @@ def _violated_rows(lp: LinearProgram, x: np.ndarray) -> tuple[np.ndarray, np.nda
 _thread = threading.local()
 
 
-def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
-    """Solve ``lp`` with the HiGHS core on this thread's instance, emptied
-    of the model it solved before.
+def _highs_solve(lp: LinearProgram, lower, upper) -> tuple[str, np.ndarray, int]:
+    """Solve ``lp`` under the bounds ``lower`` and ``upper`` with the HiGHS
+    core on this thread's instance, emptied of the model it solved before.
 
     HiGHS gets the model ``scipy.optimize.linprog(method="highs")`` would
     give it: the ``<=`` rows, then the negated ``>=`` rows (both with lower
@@ -408,8 +393,8 @@ def _highs_solve(lp: LinearProgram) -> tuple[str, np.ndarray, int]:
         int(core.ObjSense.kMinimize),
         0.0,
         c,
-        lp.lower,
-        lp.upper,
+        lower,
+        upper,
         a.row_lower,
         a.row_upper,
         a.start,

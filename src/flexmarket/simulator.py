@@ -130,6 +130,10 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     # minimum sale), then on its upward and its downward imbalance
     actors = [*scenario.retailers, *scenario.producers]
     names = [portfolio.name for portfolio in actors]
+    # positions, fees and accepted bids are keyed by actor name
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"actor name {name!r} is used by two actors")
     twins = _twin_groups(actors)
     pins = ThresholdTrack(
         (len(names), 3, config.periods),
@@ -185,9 +189,10 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     """One round: positions, energy auction, reserve procurement,
     repositioning and settlement.  The agent modules turn positions into
     offers and bids and map accepted reserve back onto units or windows; this
-    loop only hands each actor its share of the accepted fractions.  Each
-    actor's model is built at the top of the round; twins share models and
-    positions (see :func:`_share_models` and :func:`_stage_positions`)."""
+    loop only hands each actor the accepted fractions of the book entries
+    that carry its name.  Each actor's model is built at the top of the
+    round; twins share models and positions (see :func:`_share_models` and
+    :func:`_stage_positions`)."""
     config = scenario.config
     t_count = config.periods
     prices = (fc, config.price_cap, config.non_contracted_price)
@@ -224,27 +229,18 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         index, "reserve-bidding", scenario.producers, optimize_producer, models,
         lambda p: dict(fixed_sale=clearing.supply_of(p.name)),
     )
-    classical = {
-        portfolio.name: producer_reserve_bids(producer_stage2[portfolio.name], portfolio)
-        for portfolio in scenario.producers
-    }
-    modulation = {
-        portfolio.name: retailer_band_bids(
-            retailer_stage1[portfolio.name], portfolio, config.modulation_efficiency
-        )
-        for portfolio in scenario.retailers
-    }
+    classical = ClassicalBook.concat(
+        producer_reserve_bids(producer_stage2[p.name], p) for p in scenario.producers
+    )
+    modulation = ModulationBook.concat(
+        retailer_band_bids(retailer_stage1[p.name], p, config.modulation_efficiency)
+        for p in scenario.retailers
+    )
 
     with _stage_guard(index, "reserve-clearing", "market"):
         procurement = clear_reserve(
-            ClassicalBook.concat(classical.values()),
-            ModulationBook.concat(modulation.values()),
-            required,
-            required,
-            config.reserve_prices(),
+            classical, modulation, required, required, config.reserve_prices()
         )
-    classical_fraction = _per_actor(procurement.classical_fraction, classical)
-    modulation_fraction = _per_actor(procurement.modulation_fraction, modulation)
 
     # stage 3: reposition against cleared quantities
     producer_final = _stage_positions(
@@ -252,7 +248,8 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         lambda p: dict(
             fixed_sale=clearing.supply_of(p.name),
             fixed_reserve=accepted_volumes(
-                producer_stage2[p.name].reserve, classical_fraction[p.name]
+                producer_stage2[p.name].reserve,
+                procurement.classical_fraction[classical.actor == p.name],
             ),
         ),
     )
@@ -261,7 +258,8 @@ def _play_round(index, scenario, fc, windows, pins, twins):
         lambda p: dict(
             fixed_demand=clearing.demand_of(p.name),
             fixed_amplitudes=accepted_volumes(
-                retailer_stage1[p.name].amplitudes, modulation_fraction[p.name]
+                retailer_stage1[p.name].amplitudes,
+                procurement.modulation_fraction[modulation.actor == p.name],
             ),
         ),
     )
@@ -358,13 +356,6 @@ def _twin_key(value):
         return (value.dtype.str, value.shape, value.tobytes())
     # repr tells -0.0 from 0.0 and every float from its neighbours
     return (type(value).__qualname__, repr(value))
-
-
-def _per_actor(fractions: np.ndarray, bids: dict[str, object]) -> dict[str, np.ndarray]:
-    """The accepted ``fractions`` of the concatenated books ``bids``, split
-    back into each actor's own bids."""
-    ends = np.cumsum([len(book) for book in bids.values()])
-    return dict(zip(bids, np.split(fractions, ends[:-1])))
 
 
 @contextmanager

@@ -3,6 +3,7 @@ import inspect
 import itertools
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from flexmarket.agents.retailer import (
     retailer_demand_offers,
 )
 from flexmarket.energy_market import DEMAND, SUPPLY
+from flexmarket.lp import LinearProgram
 from flexmarket.scenario import ScenarioConfig
 
 CAP = 3000.0
@@ -996,6 +998,15 @@ class _Captured(Exception):
     pass
 
 
+class StageModel(NamedTuple):
+    """One agent stage as its optimizer hands it to ``solve``: the round's
+    model and the stage's variable bounds."""
+
+    lp: LinearProgram
+    lower: np.ndarray
+    upper: np.ndarray
+
+
 def _snapshot_portfolios():
     t = 6
     units = [
@@ -1039,8 +1050,9 @@ def _snapshot_portfolios():
 
 
 def capture_agent_models() -> dict:
-    """The LinearProgram of every producer and retailer stage of a small
-    fixed portfolio with pins and bands on, captured at the ``solve`` call."""
+    """The :class:`StageModel` of every producer and retailer stage of a
+    small fixed portfolio with pins and bands on, captured at the ``solve``
+    call."""
     from flexmarket.agents import producer as producer_model
     from flexmarket.agents import retailer as retailer_model
 
@@ -1076,8 +1088,8 @@ def capture_agent_models() -> dict:
     }
     captured = {}
 
-    def stop(lp):
-        captured["lp"] = lp
+    def stop(lp, lower, upper):
+        captured["stage"] = StageModel(lp, lower, upper)
         raise _Captured
 
     models = {}
@@ -1088,7 +1100,7 @@ def capture_agent_models() -> dict:
             try:
                 stage()
             except _Captured:
-                models[key] = captured.pop("lp")
+                models[key] = captured.pop("stage")
     finally:
         producer_model.solve, retailer_model.solve = originals
     return models
@@ -1099,7 +1111,7 @@ def record_agent_models(path=MODEL_SNAPSHOT) -> None:
     from scipy.sparse import csr_array
 
     arrays = {}
-    for key, lp in capture_agent_models().items():
+    for key, (lp, lower, upper) in capture_agent_models().items():
         dense, relations, rhs = lp.dense_rows()
         matrix = csr_array(dense)
         arrays[key + ".data"] = matrix.data
@@ -1108,8 +1120,8 @@ def record_agent_models(path=MODEL_SNAPSHOT) -> None:
         arrays[key + ".shape"] = np.array(matrix.shape)
         arrays[key + ".relations"] = np.array(relations, dtype="<U2")
         arrays[key + ".rhs"] = rhs
-        arrays[key + ".lower"] = np.asarray(lp.lower, dtype=float)
-        arrays[key + ".upper"] = np.asarray(lp.upper, dtype=float)
+        arrays[key + ".lower"] = np.asarray(lower, dtype=float)
+        arrays[key + ".upper"] = np.asarray(upper, dtype=float)
         arrays[key + ".objective"] = lp.objective_vector()
         arrays[key + ".sense"] = np.array(lp.sense)
     np.savez_compressed(path, **arrays)
@@ -1138,7 +1150,7 @@ def test_agent_models_match_snapshot():
     expected = np.load(MODEL_SNAPSHOT)
     models = capture_agent_models()
     assert sorted(models) == sorted({name.split(".")[0] for name in expected.files})
-    for key, lp in models.items():
+    for key, (lp, lower, upper) in models.items():
         matrix, relations, rhs = oracles.sparse_rows(lp)
         assert tuple(matrix.shape) == tuple(expected[key + ".shape"]), key
         assert _same_bits(matrix.data, expected[key + ".data"]), key
@@ -1146,7 +1158,7 @@ def test_agent_models_match_snapshot():
         assert _same_bits(matrix.indptr.astype(np.int64), expected[key + ".indptr"]), key
         assert np.array_equal(relations, expected[key + ".relations"]), key
         assert _same_bits(rhs, expected[key + ".rhs"]), key
-        assert _same_bits(lp.lower, expected[key + ".lower"]), key
-        assert _same_bits(lp.upper, expected[key + ".upper"]), key
+        assert _same_bits(lower, expected[key + ".lower"]), key
+        assert _same_bits(upper, expected[key + ".upper"]), key
         assert _same_bits(lp.objective_vector(), expected[key + ".objective"]), key
         assert str(expected[key + ".sense"]) == lp.sense, key

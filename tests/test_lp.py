@@ -387,8 +387,8 @@ def test_highs_columns_match_scipy_on_agent_models():
 
     models = capture_agent_models()
     assert len(models) == 7
-    for lp in models.values():
-        assert_columns_match_reference(lp)
+    for stage in models.values():
+        assert_columns_match_reference(stage.lp)
 
 
 def test_block_calls_build_rows_and_objective():
@@ -464,7 +464,7 @@ def test_vectorised_check_raises_where_the_loop_raises(relation, rhs):
         offset = factor * TOL_FEAS * max(1.0, abs(rhs))
         point = np.array([(rhs + offset - 0.25) / 2.0, 0.25])
         expected = raises(reference_check, lp, point)
-        assert raises(_check_feasible, lp, point) == expected, factor
+        assert raises(own_bounds_check, lp, point) == expected, factor
         outside = {EQUAL: abs(factor) > 1, LESS_EQUAL: factor > 1, GREATER_EQUAL: factor < -1}
         assert expected == outside[relation], factor
 
@@ -479,9 +479,14 @@ def test_vectorised_check_matches_loop_near_random_optima(recorded_random_lp):
             continue
         for scale in (0.0, 1e-9, 1e-6, 1e-3):
             point = sol.x + scale * rng.standard_normal(sol.x.size)
-            assert raises(_check_feasible, lp, point) == raises(reference_check, lp, point)
+            assert raises(own_bounds_check, lp, point) == raises(reference_check, lp, point)
             checked += 1
     assert checked >= 80
+
+
+def own_bounds_check(lp, x):
+    """``_check_feasible`` against the model's own bounds."""
+    _check_feasible(lp, x, lp.lower, lp.upper)
 
 
 def test_check_treats_non_finite_values_as_violations():
@@ -490,10 +495,10 @@ def test_check_treats_non_finite_values_as_violations():
     lp.add_constraints([(0, x, 1e308)], GREATER_EQUAL, [0.0])
     # 1e308 * 10 overflows to inf, which compares as ">= 0" all the same
     with pytest.raises(RuntimeError):
-        _check_feasible(lp, np.array([10.0]))
+        own_bounds_check(lp, np.array([10.0]))
     with pytest.raises(RuntimeError):
-        _check_feasible(lp, np.array([math.nan]))
-    _check_feasible(lp, np.array([1.0]))
+        own_bounds_check(lp, np.array([math.nan]))
+    own_bounds_check(lp, np.array([1.0]))
 
 
 def test_check_names_the_first_violated_model_row_in_its_own_sign():
@@ -505,10 +510,10 @@ def test_check_names_the_first_violated_model_row_in_its_own_sign():
     # rows 1 and 2 both short by 0.5; HiGHS holds the ">=" row negated, after
     # the "<=" rows, but the error speaks of the model's row and residual
     with pytest.raises(RuntimeError, match=r"constraint 1 of 'probe' by -5\.000e-01$"):
-        _check_feasible(lp, np.array([0.0, 0.5, 0.5]))
+        own_bounds_check(lp, np.array([0.0, 0.5, 0.5]))
     with pytest.raises(RuntimeError, match=r"constraint 0 of 'probe' by 5\.000e-01$"):
-        _check_feasible(lp, np.array([1.5, 1.0, 1.0]))
-    _check_feasible(lp, np.array([1.0, 1.0, 1.0]))
+        own_bounds_check(lp, np.array([1.5, 1.0, 1.0]))
+    own_bounds_check(lp, np.array([1.0, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +548,13 @@ def linprog_reference(lp):
     return status, res.x, res.nit
 
 
+def highs(lp):
+    """``_highs_solve`` under the model's own bounds."""
+    return _highs_solve(lp, lp.lower, lp.upper)
+
+
 def assert_same_as_linprog(lp):
-    status, x, iterations = _highs_solve(lp)
+    status, x, iterations = highs(lp)
     expected_status, expected_x, expected_iterations = linprog_reference(lp)
     assert status == expected_status, lp.name
     assert iterations == expected_iterations, lp.name
@@ -663,9 +673,9 @@ def in_threads(*jobs, timeout=120.0):
 def test_reused_highs_instance_keeps_nothing_between_solves():
     models = solve_mix()
     instance = _highs_instance()
-    reused = [outcome(_highs_solve(model)) for model in models]
+    reused = [outcome(highs(model)) for model in models]
     assert _highs_instance() is instance
-    fresh = [in_threads(lambda: outcome(_highs_solve(model)))[0] for model in models]
+    fresh = [in_threads(lambda: outcome(highs(model)))[0] for model in models]
     assert reused == fresh
     assert [status for status, _, _ in reused[:10]] == (
         ["infeasible", "unbounded", "infeasible"] + ["optimal"] * 7
@@ -674,14 +684,14 @@ def test_reused_highs_instance_keeps_nothing_between_solves():
 
 def test_threads_solve_on_instances_of_their_own():
     models = solve_mix()
-    sequential = [outcome(_highs_solve(model)) for model in models]
+    sequential = [outcome(highs(model)) for model in models]
     half = len(models) // 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         results = in_threads(
-            lambda: ([outcome(_highs_solve(m)) for m in models[:half] * 3], _highs_instance()),
-            lambda: ([outcome(_highs_solve(m)) for m in models[half:] * 3], _highs_instance()),
+            lambda: ([outcome(highs(m)) for m in models[:half] * 3], _highs_instance()),
+            lambda: ([outcome(highs(m)) for m in models[half:] * 3], _highs_instance()),
         )
     finally:
         sys.setswitchinterval(interval)
@@ -709,13 +719,16 @@ def test_replaced_bounds_solve_as_the_model_built_with_them():
     captured = capture_agent_models()
     assert sorted(captured) == sorted(STAGE_ONE)
     for key, first in STAGE_ONE.items():
-        base = captured[first]
+        base = captured[first].lp
+        assert captured[key].lp is base, key
         base_lower, base_upper = base.lower.copy(), base.upper.copy()
+        columns = base.highs_columns()
         built = agent_model(key)
-        view = base.with_bounds(built.lower, built.upper)
-        assert view.highs_columns() is base.highs_columns()
-        assert outcome(_highs_solve(view)) == outcome(_highs_solve(built)), key
-        assert solve(view).objective == solve(built).objective, key
+        assert outcome(_highs_solve(base, built.lower, built.upper)) == outcome(highs(built)), key
+        replaced, rebuilt = solve(base, built.lower, built.upper), solve(built)
+        assert replaced.x.tobytes() == rebuilt.x.tobytes(), key
+        assert replaced.objective == rebuilt.objective, key
+        assert base.highs_columns() is columns, key
         assert base.lower.tobytes() == base_lower.tobytes(), key
         assert base.upper.tobytes() == base_upper.tobytes(), key
 
@@ -730,21 +743,20 @@ def test_replaced_bounds_are_checked_as_added_ones(lower, upper):
     lower_bounds, upper_bounds = np.zeros(5), np.ones(5)
     lower_bounds[3], upper_bounds[3] = lower, upper
     with pytest.raises(LinearProgramError, match=r"^variable 3 has bounds"):
-        lp.with_bounds(lower_bounds, upper_bounds)
+        solve(lp, lower_bounds, upper_bounds)
     with pytest.raises(LinearProgramError, match=r"^variable 8 has bounds"):
         lp.add_variables(5, lower_bounds, upper_bounds)
 
 
-def test_a_model_and_its_rebound_view_grow_apart():
+def test_replaced_bounds_hold_for_one_solve():
     lp = LinearProgram(sense="max")
     x = lp.add_variables(2, 0.0, 1.0)
     lp.add_objectives(x, 1.0)
     lp.add_constraints([(0, x, 1.0)], LESS_EQUAL, [1.5])
-    view = lp.with_bounds(0.0, [1.0, 0.25])
-    assert solve(view).objective == pytest.approx(1.25)
-    y = view.add_variables(1, 0.0, 2.0)
-    view.add_objectives(y, 1.0)
-    view.add_constraints([(0, [x[0], y[0]], 1.0)], LESS_EQUAL, [2.0])
-    assert solve(view).objective == pytest.approx(2.25)
-    assert (lp.n_variables, lp.n_constraints) == (2, 1)
+    # a scalar bound, one per variable, or only one side replaced
+    assert solve(lp, upper=[1.0, 0.25]).objective == pytest.approx(1.25)
+    assert solve(lp, 0.5, 0.5).values(x) == pytest.approx([0.5, 0.5])
+    assert solve(lp, lower=[0.0, 1.0]).values(x) == pytest.approx([0.5, 1.0])
+    assert solve(lp, [2.0, 0.0], 3.0).status == "infeasible"
     assert solve(lp).objective == pytest.approx(1.5)
+    assert (lp.lower.tolist(), lp.upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])

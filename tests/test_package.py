@@ -69,6 +69,7 @@ def test_benchmark_tracer_finds_every_binding_it_wraps(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
     from flexmarket import energy_market, imbalance, simulator
+    from flexmarket.scenario import ScenarioConfig
 
     def bindings():
         return (energy_market.clear, simulator.clear_reserve, imbalance.settle, imbalance.solve)
@@ -76,11 +77,22 @@ def test_benchmark_tracer_finds_every_binding_it_wraps(monkeypatch):
     originals = bindings()
     tracer = tracing.Tracer()
     tracer.install()
+    patches = list(tracer._patches)
     try:
         assert all(wrapped is not original for wrapped, original in zip(bindings(), originals))
+        for owner, attr, original in patches:
+            assert getattr(owner, attr) is not original, attr
+        # one traced closed round reaches the agents' solves and the check
+        simulator.run(ScenarioConfig(max_rounds=1))
+        profile = tracer.profile(0)
     finally:
         tracer.uninstall()
     assert bindings() == originals
+    for owner, attr, original in patches:
+        assert getattr(owner, attr) is original, attr
+    assert profile["lp.solve.agents.producer.calls"] > 0
+    assert profile["lp.solve.agents.retailer.calls"] > 0
+    assert profile["lp.check_feasible.s"] > 0
 
 
 @pytest.mark.parametrize("module", ["flexmarket", "flexmarket.agents"])

@@ -260,6 +260,61 @@ def test_a_scenario_of_another_config_is_rejected():
         run(dataclasses.replace(base, reserve_rate=0.05), generate_scenario(base))
 
 
+def renamed_actor(scenario, kind, index, name):
+    """``scenario`` with actor ``index`` of ``kind`` (``"retailers"`` or
+    ``"producers"``) renamed to ``name``; its loads and units keep theirs."""
+    actors = list(getattr(scenario, kind))
+    actors[index] = dataclasses.replace(actors[index], name=name)
+    return dataclasses.replace(scenario, **{kind: actors})
+
+
+@pytest.mark.parametrize(
+    "kind, index, name",
+    [("producers", 1, "producer-1"), ("retailers", 1, "retailer-1"), ("retailers", 0, "producer-1")],
+    ids=["two-producers", "two-retailers", "retailer-and-producer"],
+)
+def test_actors_that_share_a_name_are_rejected_before_round_0(monkeypatch, kind, index, name):
+    # positions, fees and accepted bids are keyed by name: two producers
+    # named alike kept one position and one fee, with both producers'
+    # cleared supply fixed as its sale; a retailer named like a producer
+    # failed mid-round on the producer's position
+    config = small_config(producer_count=2, max_rounds=3)
+    scenario = renamed_actor(generate_scenario(config), kind, index, name)
+
+    def no_round(*args):
+        raise AssertionError("a round was played")
+
+    monkeypatch.setattr(simulator, "_play_round", no_round)
+    with pytest.raises(ValueError, match=f"^actor name {name!r} is used by two actors$"):
+        run(config, scenario)
+
+
+@pytest.mark.parametrize(
+    "setting, rate", [("closed", 0.0), ("closed", 0.10), ("open", 0.10)]
+)
+def test_actor_order_changes_no_outcome(setting, rate):
+    config = small_config(setting=setting, flexibility_rate=rate)
+    scenario = generate_scenario(config)
+    reversed_scenario = dataclasses.replace(
+        scenario, retailers=scenario.retailers[::-1], producers=scenario.producers[::-1]
+    )
+    first, second = run(config, scenario), run(config, reversed_scenario)
+    assert (first.termination, first.cycle_start, first.cycle_length) == (
+        second.termination, second.cycle_start, second.cycle_length
+    )
+    assert len(first.rounds) == len(second.rounds)
+    for a, b in zip(first.rounds, second.rounds):
+        for part in ("clearing.price", "settlement.tariff_up", "settlement.tariff_down"):
+            owner, field = part.split(".")
+            x, y = getattr(getattr(a, owner), field), getattr(getattr(b, owner), field)
+            assert x.tobytes() == y.tobytes(), (a.index, part)
+        # procurement cost is summed over the bids in book order
+        # (``ordered_sum``), which follows actor order: only its rounding moves
+        assert a.metrics.procurement_cost == pytest.approx(
+            b.metrics.procurement_cost, rel=1e-12, abs=0.0
+        ), a.index
+
+
 # ---------------------------------------------------------------------------
 # twins: actors equal but for their names, solved once per stage
 # ---------------------------------------------------------------------------
@@ -273,9 +328,9 @@ def agent_calls(monkeypatch):
     calls = {"agents": [], "builds": [], "highs": 0}
     highs_solve = lp._highs_solve
 
-    def counting_highs(model):
+    def counting_highs(*args):
         calls["highs"] += 1
-        return highs_solve(model)
+        return highs_solve(*args)
 
     def counting(kind, optimize):
         def call(model, **fixed):
