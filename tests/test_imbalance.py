@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from flexmarket.reserve_market import (
     ReservePrices,
     clear_reserve,
 )
+
+from test_agents import _same_bits
 
 PRICES = ReservePrices(45.0, 45.0, 10.0, 500.0)
 PI_NC = 500.0
@@ -255,3 +259,103 @@ def test_fees_use_own_direction_even_when_system_nets_out():
     )
     assert charges["a"] == pytest.approx(30.0)
     assert charges["b"] == pytest.approx(24.0)
+
+
+# ---------------------------------------------------------------------------
+# model snapshot: the market LPs, term for term
+# ---------------------------------------------------------------------------
+
+MARKET_SNAPSHOT = Path(__file__).with_name("market_models.npz")
+
+
+def capture_market_models() -> dict:
+    """Every reserve-clearing and settlement LP, in solve order, as it
+    reaches ``solve``: those of an open 10 % run at seed 1 over 3 rounds,
+    then those of books drawn as criterion 6 draws them (bands of lengths 4
+    and 2), settled against two imbalances, and of the same books cleared
+    against a zero requirement, so that nothing is contracted."""
+    from flexmarket import imbalance, reserve_market
+
+    models = {}
+
+    def recording(source, original):
+        def solve(lp, *args):
+            models[f"{source}.{len(models):02d}.{lp.name}"] = lp
+            return original(lp, *args)
+
+        return solve
+
+    originals = reserve_market.solve, imbalance.solve
+    try:
+        for source, play in (("open", _play_open_run), ("books", _play_criterion_6_books)):
+            reserve_market.solve = recording(source, originals[0])
+            imbalance.solve = recording(source, originals[1])
+            play()
+    finally:
+        reserve_market.solve, imbalance.solve = originals
+    return models
+
+
+def _play_open_run():
+    from flexmarket.scenario import ScenarioConfig
+    from flexmarket.simulator import run
+
+    run(ScenarioConfig(seed=1, flexibility_rate=0.1, setting="open", max_rounds=3))
+
+
+def _play_criterion_6_books():
+    rng = np.random.default_rng(99)
+    classical = ClassicalBook.from_rows(
+        ("g", t, d, float(rng.uniform(4, 14)), float(rng.uniform(5, 70)))
+        for t in range(6)
+        for d in ("up", "down")
+    )
+    modulation = ModulationBook.from_rows(
+        [
+            ("r", 0, 4, float(rng.uniform(2, 12)), 0.0, 0.5),
+            ("r", 4, 2, float(rng.uniform(2, 8)), 0.0, 0.5),
+        ]
+    )
+    requirement = rng.uniform(4, 12, 6)
+    procurement = clear_reserve(classical, modulation, requirement, requirement, PRICES)
+    for _ in range(2):
+        settle(rng.uniform(-25, 25, 6), procurement, PI_NC)
+    empty = clear_reserve(classical, modulation, np.zeros(6), np.zeros(6), PRICES)
+    assert not empty.classical_contracted.any() and not empty.modulation_contracted.any()
+    settle(rng.uniform(-25, 25, 6), empty, PI_NC)
+
+
+def record_market_models(path=MARKET_SNAPSHOT) -> None:
+    """Write the snapshot :func:`test_market_models_match_snapshot` reads."""
+    arrays = {}
+    for key, lp in capture_market_models().items():
+        for field, value in lp.highs_columns()._asdict().items():
+            arrays[f"{key}.{field}"] = value
+        arrays[key + ".lower"] = lp.lower
+        arrays[key + ".upper"] = lp.upper
+        arrays[key + ".objective"] = lp.objective_vector()
+        arrays[key + ".sense"] = np.array(lp.sense)
+    np.savez_compressed(path, **arrays)
+
+
+def test_market_models_match_snapshot():
+    """Every reserve-clearing and settlement LP of
+    :func:`capture_market_models` is the one recorded: the same columns,
+    row bounds, variable bounds, objective and sense, bit for bit, so HiGHS
+    receives the same input and returns the same vertex.  Regenerate it
+    (only when a model is meant to change) from the repository root with::
+
+        PYTHONPATH=src:tests python -c "import test_imbalance; test_imbalance.record_market_models()"
+    """
+    expected = np.load(MARKET_SNAPSHOT)
+    models = capture_market_models()
+    assert sorted(models) == sorted({name.rsplit(".", 1)[0] for name in expected.files})
+    for key, lp in models.items():
+        actual = lp.highs_columns()._asdict() | {
+            "lower": lp.lower,
+            "upper": lp.upper,
+            "objective": lp.objective_vector(),
+        }
+        for field, value in actual.items():
+            assert _same_bits(value, expected[f"{key}.{field}"]), (key, field)
+        assert str(expected[key + ".sense"]) == lp.sense, key
