@@ -46,8 +46,13 @@ class GenerationUnit:
         if not len(self.power_min) == len(self.power_max) == len(self.cost):
             raise ConfigurationError(f"unit {self.name!r}: power or cost series length mismatch")
         # written as "holds" so that NaN fails too
-        if not np.all((self.power_min >= 0) & (self.power_min <= self.power_max)):
-            raise ConfigurationError(f"unit {self.name!r}: bad power bounds")
+        power = (0 <= self.power_min) & (self.power_min <= self.power_max)
+        if not np.all(power & (self.power_max < np.inf)):
+            raise ConfigurationError(f"unit {self.name!r}: not 0 <= power_min <= power_max < inf")
+        if not np.all(np.abs(self.cost) < np.inf):
+            raise ConfigurationError(f"unit {self.name!r}: cost not finite")
+        if not 0 <= self.initial_output < np.inf:
+            raise ConfigurationError(f"unit {self.name!r}: initial_output not finite and >= 0")
         if not self.ramp_up >= 0 or not self.ramp_down >= 0:
             raise ConfigurationError(f"unit {self.name!r}: ramp limit not >= 0")
 
@@ -65,12 +70,13 @@ class ProducerPortfolio:
     def __post_init__(self):
         if not self.units:
             raise ConfigurationError(f"producer {self.name!r}: no units")
-        t = self.units[0].power_max.shape[0]
-        for unit in self.units:
-            if unit.power_max.shape[0] != t:
-                raise ConfigurationError(f"producer {self.name!r}: unit horizon mismatch")
+        if len({unit.power_max.shape[0] for unit in self.units}) != 1:
+            raise ConfigurationError(f"producer {self.name!r}: unit horizon mismatch")
         if not self.imbalance_limit >= 0:
             raise ConfigurationError(f"producer {self.name!r}: imbalance limit not >= 0")
+        for field in ("reserve_valuation", "production_bias"):
+            if not abs(getattr(self, field)) < np.inf:
+                raise ConfigurationError(f"producer {self.name!r}: {field} not finite")
 
     @property
     def horizon(self) -> int:

@@ -73,12 +73,11 @@ class RetailerPortfolio:
 
     def __post_init__(self):
         self.inelastic = np.asarray(self.inelastic, dtype=float)
-        if np.any(self.inelastic < 0):
-            raise ConfigurationError(f"retailer {self.name!r}: negative inelastic demand")
-        t = len(self.inelastic)
-        for load in self.loads:
-            if load.horizon != t:
-                raise ConfigurationError(f"retailer {self.name!r}: load horizon mismatch")
+        # written as "holds" so that NaN fails too
+        if not np.all((self.inelastic >= 0) & (self.inelastic < np.inf)):
+            raise ConfigurationError(f"retailer {self.name!r}: inelastic not finite and >= 0")
+        if any(load.horizon != len(self.inelastic) for load in self.loads):
+            raise ConfigurationError(f"retailer {self.name!r}: load horizon mismatch")
         if not self.imbalance_limit >= 0:
             raise ConfigurationError(f"retailer {self.name!r}: imbalance limit not >= 0")
 

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="0,0.02,0.04,0.06,0.08,0.10",
         help="comma-separated flexibility rates",
     )
-    sweep_cmd.set_defaults(entry=cmd_sweep, read_config=load_config)
+    sweep_cmd.set_defaults(entry=cmd_sweep, read_config=sweep_config)
 
     verify_cmd = sub.add_parser(
         "verify", help="probe modulation scenario coverage on random loads"
@@ -163,6 +163,16 @@ def load_config(args) -> ScenarioConfig:
     if args.max_rounds is not None:
         config.max_rounds = args.max_rounds
     config.validate()
+    return config
+
+
+def sweep_config(args) -> ScenarioConfig:
+    """The sweep's base config, once the config of every (rate, setting)
+    cell made from it is valid: a bad cell is a usage error, before any run."""
+    config = load_config(args)
+    for rate in args.rates:
+        for setting in ("closed", "open"):
+            dataclasses.replace(config, flexibility_rate=rate, setting=setting).validate()
     return config
 
 

@@ -1,14 +1,28 @@
 """Imbalance settlement: optimal reserve activation, tariffs and fees.
 
 Once positions are final the operator knows the per-period system imbalance
-exactly (the model is deterministic) and computes the cheapest activation
-of the contracted reserves that restores balance, falling back on
-non-contracted energy when they do not suffice.  :func:`settle` prices that
-activation in the same pass: the per-direction tariff of a period is the
-activation price of the dearest bid used in that direction, the fallback
-price when non-contracted reserve was needed, and zero when nothing was
-activated.  Actors then pay their own deviations at those tariffs, each
-direction against its own tariff even when the system nets out.
+exactly (the model is deterministic) and activates the contracted reserves
+at least cost to restore balance, falling back on non-contracted energy at
+its fixed price when they do not suffice.  Each activation is a share in
+[0, 1] of a contracted volume in one direction and period: it adds
+``+MW * share`` (upward) or ``-MW * share`` (downward) to the balance of its
+period, and costs the operator per MW
+
+- for an upward classical bid, its activation price;
+- for a downward classical bid, ``penalty - activation price``: the operator
+  is paid the price but pays back the over-contract penalty of the period,
+  set at clearing 1.1 times the dearest downward price there, so the cost
+  is never negative;
+- for a band share in either direction, its activation price.  "A load
+  modulation in one direction must ... be compensated later by a modulation
+  of the same magnitude in the opposite direction", so the upward and
+  downward shares of a band move equal energy over its window.
+
+The per-direction tariff of a period is the activation price of the dearest
+activation used in that direction, the fallback price when non-contracted
+energy was needed, and zero when nothing was activated.  Actors then pay
+their own deviations at those tariffs, each direction against its own
+tariff even when the system nets out.
 
 Sign convention: system imbalance > 0 is a surplus (absorbed by downward
 activation), < 0 a deficit (covered by upward activation).  An actor's
@@ -55,14 +69,8 @@ def settle(
     non_contracted_price: float,
 ) -> SettlementResult:
     """Cheapest activation restoring per-period balance, and its tariffs.
-
-    ``procurement`` supplies both the contracted volumes and the
-    over-contract penalty prices fixed at clearing time, which price the
-    downward activations here as well.  The per-MW prices that weight the
-    LP objective also give the reported ``activation_cost``, and the
-    activated MW and tariffs are gathered onto the periods of the LP's
-    balance rows.
-    """
+    ``procurement`` gives the contracted volumes and the over-contract
+    penalties that price downward classical activations."""
     imbalance = np.asarray(imbalance, dtype=float)
     period_count = len(imbalance)
     penalty = procurement.over_commit_penalty
@@ -77,92 +85,68 @@ def settle(
             f"non-contracted price {non_contracted_price!r} is not nonnegative and finite"
         )
 
-    lp = LinearProgram(sense="min", name="settlement")
-    # an upward activation costs its price; a downward one saves its price
-    # but pays back the over-contract penalty
-    classical, contracted = procurement.classical, procurement.classical_contracted
-    is_up = classical.direction[contracted] == UP
-    contracted_mw = classical.volume[contracted] * procurement.classical_fraction[contracted]
-    price = classical.activation_price[contracted]
-    period = classical.period[contracted].astype(np.intp)
-    unit_cost = np.where(is_up, price, penalty[period] - price)
-    x = lp.add_variables(len(contracted_mw), 0.0, 1.0)
-    lp.add_objectives(x, (unit_cost + ACTIVATION_FRICTION) * contracted_mw)
-
-    # per band bid, an upward then a downward activation share per covered
-    # period; the two must balance over the bid's window
+    # the activation list in LP column order: the contracted classical bids
+    # in book order, then per sold band its upward share of each covered
+    # period followed by its downward shares (its halves 2k and 2k + 1)
+    classical, held = procurement.classical, procurement.classical_contracted
     bands, sold = procurement.modulation, procurement.modulation_contracted
-    band_mw = bands.amplitude[sold] * procurement.modulation_fraction[sold]
-    band_price = bands.activation_price[sold]
-    lengths = bands.length[sold].astype(np.intp)
-    owner, covered = band_coverage(bands.start[sold], lengths)
-    shares = lp.add_variables(2 * owner.size, 0.0, 1.0)
-    # bid k's block holds its v then its w shares, so the slot s of k
-    # (counted over all bids) is v share s + (slots before k)
-    v = shares[np.arange(owner.size) + np.repeat(np.cumsum(lengths) - lengths, lengths)]
-    w = v + lengths[owner]
-    band_cost = ((band_price + ACTIVATION_FRICTION) * band_mw)[owner]
-    lp.add_objectives(v, band_cost)
-    lp.add_objectives(w, band_cost)
-    lp.add_constraints([(owner, v, 1.0), (owner, w, -1.0)], EQUAL, np.zeros(len(band_mw)))
+    n_classical = np.count_nonzero(held)
+    twice = np.repeat(np.flatnonzero(sold), 2)
+    half, covered = band_coverage(bands.start[twice], bands.length[twice])
+    band = twice[half]
+    direction = np.concatenate([classical.direction[held] != UP, half % 2])
+    period = np.concatenate([classical.period[held].astype(np.intp), covered])
+    classical_mw = (classical.volume * procurement.classical_fraction)[held]
+    mw = np.concatenate([classical_mw, (bands.amplitude * procurement.modulation_fraction)[band]])
+    price = np.concatenate([classical.activation_price[held], bands.activation_price[band]])
+    classical_down = (direction == 1) & (np.arange(direction.size) < n_classical)
+    cost = np.where(classical_down, penalty[period] - price, price)
+    sign = 1.0 - 2.0 * direction
 
-    y_up = lp.add_variables(period_count)
-    y_dn = lp.add_variables(period_count)
-    lp.add_objectives(y_up, non_contracted_price)
-    lp.add_objectives(y_dn, non_contracted_price)
-    periods = np.arange(period_count)
+    lp = LinearProgram(sense="min", name="settlement")
+    shares = lp.add_variables(direction.size, 0.0, 1.0)
+    lp.add_objectives(shares, (cost + ACTIVATION_FRICTION) * mw)
+    # a band's upward and downward shares move equal energy over its window
     lp.add_constraints(
-        [
-            (periods, y_up, 1.0),
-            (periods, y_dn, -1.0),
-            (period, x, np.where(is_up, contracted_mw, -contracted_mw)),
-            (covered, v, band_mw[owner]),
-            (covered, w, -band_mw[owner]),
-        ],
-        EQUAL,
-        -imbalance,
+        [(half // 2, shares[n_classical:], sign[n_classical:])], EQUAL, np.zeros(twice.size // 2)
     )
+    # non-contracted MW, upward in every period and then downward
+    y = lp.add_variables(2 * period_count)
+    lp.add_objectives(y, non_contracted_price)
+    y_period, y_sign = np.tile(np.arange(period_count), 2), np.repeat([1.0, -1.0], period_count)
+    lp.add_constraints([(y_period, y, y_sign), (period, shares, sign * mw)], EQUAL, -imbalance)
 
     sol = solve(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"settlement unexpectedly {sol.status}")
 
-    x_val = np.clip(sol.values(x), 0.0, 1.0)
-    v_val, w_val = sol.values(v), sol.values(w)
-    nc_up, nc_dn = sol.values(y_up), sol.values(y_dn)
-    # activated MW per direction (row 0 up, row 1 down) in bid order, then
+    share = np.clip(sol.values(shares), 0.0, 1.0)
+    nc = sol.values(y).reshape(2, period_count)
+    # activated MW per direction (row 0 up, row 1 down) in column order, then
     # the fallback on top; the tariff is the dearest activation price used,
     # and activation prices are nonnegative, so a running maximum from zero
     # leaves zero exactly where nothing was activated
     activated, tariff = np.zeros((2, period_count)), np.zeros((2, period_count))
-    row = np.where(is_up, 0, 1)
-    mw = contracted_mw * x_val
-    np.add.at(activated, (row, period), mw)
-    used = mw > ACTIVATION_TOL
-    np.maximum.at(tariff, (row[used], period[used]), price[used])
-    for k, share in enumerate((v_val, w_val)):
-        mw = band_mw[owner] * share
-        np.add.at(activated[k], covered, mw)
-        used = mw > ACTIVATION_TOL
-        np.maximum.at(tariff[k], covered[used], band_price[owner][used])
-    tariff[0, nc_up > ACTIVATION_TOL] = non_contracted_price
-    tariff[1, nc_dn > ACTIVATION_TOL] = non_contracted_price
-    splits = np.cumsum(lengths)[:-1]
+    used_mw = mw * share
+    np.add.at(activated, (direction, period), used_mw)
+    used = used_mw > ACTIVATION_TOL
+    np.maximum.at(tariff, (direction[used], period[used]), price[used])
+    tariff[nc > ACTIVATION_TOL] = non_contracted_price
+    activated += nc
+    halves = np.split(share[n_classical:], np.cumsum(bands.length[twice].astype(np.intp)))[:-1]
 
     return SettlementResult(
-        classical_activation=x_val,
-        modulation_up=np.split(v_val, splits) if len(band_mw) else [],
-        modulation_down=np.split(w_val, splits) if len(band_mw) else [],
-        non_contracted_up=nc_up,
-        non_contracted_down=nc_dn,
-        activated_up=activated[0] + nc_up,
-        activated_down=activated[1] + nc_dn,
+        classical_activation=share[:n_classical],
+        modulation_up=halves[0::2],
+        modulation_down=halves[1::2],
+        non_contracted_up=nc[0],
+        non_contracted_down=nc[1],
+        activated_up=activated[0],
+        activated_down=activated[1],
         imbalance=imbalance,
         # the true activation cost, without the tie-break friction
         activation_cost=ordered_sum(
-            unit_cost * contracted_mw * x_val,
-            (band_price * band_mw)[owner] * (v_val + w_val),
-            [non_contracted_price * np.sum(nc_up + nc_dn)],
+            cost * mw * share, [non_contracted_price * np.sum(nc[0] + nc[1])]
         ),
         tariff_up=tariff[0],
         tariff_down=tariff[1],

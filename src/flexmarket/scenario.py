@@ -89,7 +89,7 @@ class ScenarioConfig:
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must be finite")
         if not 0.0 <= self.flexibility_rate <= 1.0:
-            raise ConfigurationError("flexibility rate must lie in [0, 1]")
+            raise ConfigurationError(f"flexibility rate {self.flexibility_rate!r} must lie in [0, 1]")
         if self.setting not in (CLOSED, OPEN):
             raise ConfigurationError(f"setting must be closed/open, got {self.setting!r}")
         if self.periods < 1 or self.period_hours <= 0:

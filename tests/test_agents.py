@@ -560,6 +560,32 @@ def test_portfolios_reject_malformed_unit_and_limit_data(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: replace(unit(4), cost=np.array([45.0, np.nan, 45.0, 45.0])), "unit 'u': cost"),
+        (lambda: replace(unit(4), cost=np.full(4, np.inf)), "unit 'u': cost"),
+        (lambda: replace(unit(4), power_max=np.full(4, np.inf)), "unit 'u': .*power_max"),
+        (lambda: replace(unit(4), initial_output=np.nan), "unit 'u': initial_output"),
+        (lambda: replace(unit(4), initial_output=-5.0), "unit 'u': initial_output"),
+        (lambda: producer(4, [unit(4)], valuation=np.nan), "producer 'gen': reserve_valuation"),
+        (
+            lambda: replace(producer(4, [unit(4)]), production_bias=np.nan),
+            "producer 'gen': production_bias",
+        ),
+        (lambda: retailer(4, [5.0, np.nan, 5.0, 5.0]), "retailer 'ret': inelastic"),
+        (lambda: retailer(4, [5.0, 5.0, np.inf, 5.0]), "retailer 'ret': inelastic"),
+    ],
+    ids=["nan-cost", "inf-cost", "inf-power-max", "nan-initial-output", "negative-initial-output",
+         "nan-reserve-valuation", "nan-production-bias", "nan-inelastic", "inf-inelastic"],
+)
+def test_portfolios_reject_non_finite_data_naming_actor_unit_and_field(build, message):
+    # before, each of these failed only inside the LP, naming no actor or
+    # unit, or (a negative initial output) solved
+    with pytest.raises(ConfigurationError, match=message):
+        build()
+
+
 def test_producer_positive_margin_runs_flat_out():
     port = producer(3, [unit(3, cost=45.0)])
     position = optimize_producer(build_producer_model(port, flat_forecast(3, 50.0), CAP, PI_NC))

@@ -235,10 +235,20 @@ def test_sweep_identical_settings_at_zero_rate(tmp_path):
         assert (out / "figures" / f"{name}.svg").exists()
 
 
-def test_sweep_survives_failing_cell(tmp_path):
+def test_sweep_survives_failing_cell(tmp_path, monkeypatch):
+    from flexmarket import cli
+
+    run_simulation = cli.run_simulation
+
+    def failing_at_rate_2_percent(config):
+        if config.flexibility_rate == 0.02:
+            raise RuntimeError("solver gave up")
+        return run_simulation(config)
+
+    # a cell that fails at run time must fail without aborting the healthy
+    # rate-0 cells
+    monkeypatch.setattr(cli, "run_simulation", failing_at_rate_2_percent)
     out = tmp_path / "sweep"
-    # 2.5 is an illegal flexibility rate; those cells must fail without
-    # aborting the healthy rate-0 cells
     assert (
         main(
             [
@@ -248,7 +258,7 @@ def test_sweep_survives_failing_cell(tmp_path):
                 "--out-dir",
                 str(out),
                 "--rates",
-                "0,2.5",
+                "0,0.02",
             ]
         )
         == 0
@@ -257,8 +267,28 @@ def test_sweep_survives_failing_cell(tmp_path):
         rows = list(csv.DictReader(handle))
     by_rate = {(row["rate"], row["setting"]): row for row in rows}
     assert by_rate[("0.0", "closed")]["status"] == "ok"
-    assert by_rate[("2.5", "closed")]["status"].startswith("error")
-    assert by_rate[("2.5", "open")]["status"].startswith("error")
+    assert by_rate[("0.02", "closed")]["status"] == "error: solver gave up"
+    assert by_rate[("0.02", "open")]["status"] == "error: solver gave up"
+
+
+@pytest.mark.parametrize(
+    "rates, overrides, message",
+    [
+        ("0.05,1.5", {}, "flexibility rate 1.5 must lie in [0, 1]"),
+        # the base config is closed, and only its open cells are invalid
+        ("0", {"bid_block_length": 10}, "an open run needs a bid block"),
+    ],
+    ids=["rate-above-1", "open-cell-block-too-long"],
+)
+def test_sweep_reports_a_bad_cell_config_as_a_usage_error(tmp_path, capsys, rates, overrides, message):
+    # before, the valid cells ran and each bad cell became an error row
+    config_path = fast_config_file(tmp_path, **overrides)
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", str(config_path), "--out-dir", str(out), "--rates", rates])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_runs_clean():

@@ -107,6 +107,32 @@ def test_modulation_energy_neutrality():
     assert result.activation_cost == pytest.approx(0.0, abs=1e-9)
 
 
+def test_windows_and_periods_given_as_floats_settle_as_integers():
+    # a book keeps the dtype it is given, and whole floats pass validation
+    bids = [("g", 1, "up", 5.0, 3.0), ("g", 3, "down", 5.0, 30.0)]
+    bands = [("r", 0, 4, 12.0, 2.0, 0.5)]
+    imbalance = np.array([-5.0, -2.0, 5.0, 3.0])
+    r = np.full(4, 8.0)
+    as_int = settle(imbalance, procure(bids, bands, r, r), PI_NC)
+    as_float = settle(
+        imbalance,
+        procure(
+            [(a, float(t), d, v, p) for a, t, d, v, p in bids],
+            [(a, float(s), float(n), m, p, e) for a, s, n, m, p, e in bands],
+            r,
+            r,
+        ),
+        PI_NC,
+    )
+    for field in (
+        "classical_activation", "modulation_up", "modulation_down",
+        "activated_up", "activated_down", "tariff_up", "tariff_down",
+    ):
+        assert np.array_equal(getattr(as_float, field), getattr(as_int, field)), field
+    # both bids and the band were contracted, so the comparison is not empty
+    assert as_float.classical_activation.size == 2 and len(as_float.modulation_up) == 1
+
+
 def test_one_sided_imbalance_forces_non_contracted_with_modulation_only():
     # a deficit lasting the whole block cannot be served by an
     # energy-neutral band: recovery pushes the gap elsewhere

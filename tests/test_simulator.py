@@ -315,6 +315,25 @@ def test_actor_order_changes_no_outcome(setting, rate):
         ), a.index
 
 
+@pytest.mark.parametrize("setting, rate", [("closed", 0.10), ("open", 0.30)])
+def test_demand_split_and_volume_unit_change_no_outcome(setting, rate):
+    # price-taking agents must not care how demand is split among twin
+    # retailers or in what unit volumes are counted (ROADMAP item 12)
+    def outcome(**overrides):
+        result = run(small_config(setting=setting, flexibility_rate=rate, **overrides))
+        cycle = result.cycle_metrics
+        summary = (result.termination, len(result.rounds), result.cycle_start, result.cycle_length)
+        return summary + (round(cycle.mean_price, 4),), cycle.procurement_cost
+
+    base, base_cost = outcome()
+    for count in (1, 12):
+        assert outcome(retailer_count=count)[0] == base, count
+    for factor in (0.5, 8.0):
+        summary, cost = outcome(mean_consumption=1000.0 * factor)
+        assert summary == base, factor
+        assert cost / factor == pytest.approx(base_cost, abs=0.005), factor
+
+
 # ---------------------------------------------------------------------------
 # twins: actors equal but for their names, solved once per stage
 # ---------------------------------------------------------------------------
