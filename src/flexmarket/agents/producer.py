@@ -53,8 +53,9 @@ class GenerationUnit:
             raise ConfigurationError(f"unit {self.name!r}: cost not finite")
         if not 0 <= self.initial_output < np.inf:
             raise ConfigurationError(f"unit {self.name!r}: initial_output not finite and >= 0")
-        if not self.ramp_up >= 0 or not self.ramp_down >= 0:
-            raise ConfigurationError(f"unit {self.name!r}: ramp limit not >= 0")
+        for field in ("ramp_up", "ramp_down"):
+            if not 0 <= getattr(self, field) < np.inf:
+                raise ConfigurationError(f"unit {self.name!r}: {field} not finite and >= 0")
 
 
 @dataclass

@@ -57,16 +57,20 @@ class TankLoad:
         if len(self.energy_min) != t + 1 or len(self.energy_max) != t + 1:
             raise ValueError(f"load {self.name!r}: energy bounds must have {t + 1} entries")
         # written as "holds" so that NaN fails too
-        if not np.all(self.power_min <= self.power_max):
-            raise ValueError(f"load {self.name!r}: power_min not <= power_max")
-        if not np.all(self.energy_min <= self.energy_max):
-            raise ValueError(f"load {self.name!r}: energy_min not <= energy_max")
+        for bound in ("power", "energy"):
+            low, high = getattr(self, f"{bound}_min"), getattr(self, f"{bound}_max")
+            if not np.all((low <= high) & (low < np.inf) & (high > -np.inf)):
+                raise ValueError(
+                    f"load {self.name!r}: not {bound}_min <= {bound}_max with a finite point between"
+                )
         if not np.all(np.isfinite(self.loss)):
             raise ValueError(f"load {self.name!r}: loss not finite")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"load {self.name!r}: efficiency must lie in (0, 1]")
-        if not self.total_min <= self.total_max:
-            raise ValueError(f"load {self.name!r}: total_min not <= total_max")
+        if not -np.inf < self.total_min <= self.total_max < np.inf:
+            raise ValueError(f"load {self.name!r}: not -inf < total_min <= total_max < inf")
+        if not abs(self.energy_start) < np.inf:
+            raise ValueError(f"load {self.name!r}: energy_start not finite")
         if not self.energy_min[0] - 1e-9 <= self.energy_start <= self.energy_max[0] + 1e-9:
             raise ValueError(f"load {self.name!r}: starting energy outside bounds")
         if not self.period_hours > 0:

@@ -168,12 +168,23 @@ def load_config(args) -> ScenarioConfig:
 
 def sweep_config(args) -> ScenarioConfig:
     """The sweep's base config, once the config of every (rate, setting)
-    cell made from it is valid: a bad cell is a usage error, before any run."""
+    cell made from it is valid and no two rates share a cell directory: a
+    bad cell is a usage error, before any run."""
     config = load_config(args)
+    cells = {}
     for rate in args.rates:
+        cell = _sweep_cell(rate)
+        if cell in cells:
+            raise ConfigurationError(f"rates {cells[cell]!r} and {rate!r} would both write {cell}_*")
+        cells[cell] = rate
         for setting in ("closed", "open"):
             dataclasses.replace(config, flexibility_rate=rate, setting=setting).validate()
     return config
+
+
+def _sweep_cell(rate: float) -> str:
+    """The stem of the output directories of a sweep's cells at ``rate``."""
+    return f"rate_{round(rate * 100):03d}"
 
 
 def manifest_config(args) -> ScenarioConfig:
@@ -203,25 +214,15 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = args.scenario_config
-    cells = {}
-    for rate in args.rates:
-        cell = f"rate_{round(rate * 100):03d}"
-        if cell in cells:
-            print(
-                f"rates {cells[cell]!r} and {rate!r} would both write {cell}_*",
-                file=sys.stderr,
-            )
-            return 2
-        cells[cell] = rate
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for cell, rate in cells.items():
+    for rate in args.rates:
         for setting in ("closed", "open"):
             config = dataclasses.replace(base, flexibility_rate=rate, setting=setting)
             try:
                 outcome = run_simulation(config)
-                write_outputs(outcome, out_dir / f"{cell}_{setting}", "terminal")
+                write_outputs(outcome, out_dir / f"{_sweep_cell(rate)}_{setting}", "terminal")
                 rows.append(
                     [repr(rate), setting, "ok", len(outcome.rounds), outcome.termination]
                     + _metric_cells(outcome.cycle_metrics)

@@ -12,16 +12,17 @@ under several without being changed or copied.
 
 Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
 Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on one
-instance per thread that is emptied before each model, with the model and
-the options ``scipy.optimize.linprog(method="highs")`` would pass, so it
-returns the vertex ``linprog`` returns.  :meth:`~LinearProgram.highs_columns`
-assembles the matrix once per model, in numpy, straight from the triplets:
-the column-wise arrays HiGHS takes, with the rows in ``linprog``'s order
-(``<=`` rows, negated ``>=`` rows, ``==`` rows), repeated terms summed and
-cancelled ones dropped.  The optimum is checked once, on the triplets in the
-model's own row order.  :meth:`~LinearProgram.dense_rows` is read only by
-the test oracles and the benchmark tracer.  scipy is imported only when a
-model is solved, so importing this package loads none of it.
+instance per thread that is emptied before each model.
+:meth:`~LinearProgram.highs_columns` assembles the matrix once per model, in
+numpy, straight from the triplets: the column-wise arrays HiGHS takes, each
+row bounded by a range, with repeated terms summed and cancelled ones
+dropped.  The rows keep the order ``scipy.optimize.linprog(method="highs")``
+gives them (``<=`` rows, ``>=`` rows, ``==`` rows), because the vertex HiGHS
+returns among tied optima depends on it; with linprog's options too, HiGHS
+returns the vertex ``linprog`` returns.  The optimum is checked once, on the
+triplets in the model's own row order.  :meth:`~LinearProgram.dense_rows` is
+read only by the test oracles and the benchmark tracer.  scipy is imported
+only when a model is solved, so importing this package loads none of it.
 
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
@@ -172,29 +173,23 @@ class LinearProgram:
         if self._columns is None:
             rows, columns, coefficients = _joined(self._terms)
             relations, rhs = _joined(self._rows)
+            m = self._n_constraints
             kinds = [np.flatnonzero(relations == r) for r in (LESS_EQUAL, GREATER_EQUAL, EQUAL)]
             order = np.concatenate(kinds)
-            n_ineq = kinds[0].size + kinds[1].size
-            position = np.empty(order.size, np.intp)
-            position[order] = np.arange(order.size)
-            highs_rows = position[rows]
-            sign = np.where(relations == GREATER_EQUAL, -1.0, 1.0)
-            key = columns * self._n_constraints + highs_rows
-            # stable, so repeated terms keep the order they were added in
-            at = np.argsort(key, kind="stable")
-            first = np.flatnonzero(np.diff(key[at], prepend=-1))
-            values = _run_sums((coefficients * sign[rows])[at], first)
+            position = np.argsort(order)
+            # one key per (column, row) entry, column by column; bincount adds
+            # the terms of an entry in the order they were given
+            key, term = np.unique(columns * m + position[rows], return_inverse=True)
+            # as floats: over no terms at all, bincount gives int64
+            values = np.bincount(term, coefficients, key.size).astype(float)
             nonzero = values != 0.0
-            kept = at[first[nonzero]]
-            start = np.zeros(self._n_variables + 1, np.int32)
-            start[1:] = np.cumsum(np.bincount(columns[kept], minlength=self._n_variables))
-            row_upper = rhs[order] * sign[order]
+            key = key[nonzero]
             self._columns = HighsColumns(
-                start=start,
-                index=highs_rows[kept].astype(np.int32),
+                start=np.searchsorted(key, np.arange(self._n_variables + 1) * m).astype(np.int32),
+                index=(key % m).astype(np.int32),
                 value=values[nonzero],
-                row_lower=np.concatenate([np.full(n_ineq, -INF), row_upper[n_ineq:]]),
-                row_upper=row_upper,
+                row_lower=np.where(relations == LESS_EQUAL, -INF, rhs)[order],
+                row_upper=np.where(relations == GREATER_EQUAL, INF, rhs)[order],
             )
         return self._columns
 
@@ -210,30 +205,19 @@ class LinearProgram:
 
 class HighsColumns(NamedTuple):
     """The rows of a model as HiGHS's ``passModel`` takes them, in the row
-    order of ``scipy.optimize.linprog``: the ``<=`` rows, the ``>=`` rows
-    negated (both bounded below by ``-inf``), then the ``==`` rows.  The
-    matrix is column-wise, rows ascending within a column, with repeated
-    terms summed and cancelled ones dropped.  Nothing maps these rows back
-    to the model's: only HiGHS reads them."""
+    order of ``scipy.optimize.linprog``: the ``<=`` rows, the ``>=`` rows,
+    then the ``==`` rows.  Each row is the range [``row_lower``,
+    ``row_upper``]: (-inf, rhs) for ``<=``, (rhs, inf) for ``>=`` and (rhs,
+    rhs) for ``==``.  The matrix is column-wise, rows ascending within a
+    column, with the terms of each entry added in the order they were given
+    and entries that cancel to 0 dropped.  Nothing maps these rows back to
+    the model's: only HiGHS reads them."""
 
     start: np.ndarray       # int32: where each column's nonzeros start, and the end
     index: np.ndarray       # int32: the row of each nonzero
     value: np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
-
-
-def _run_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The sum of each run ``values[first[k]:first[k + 1]]`` (the last run
-    ends with ``values``), added left to right as a loop over the terms
-    would; ``np.add.reduceat`` sums runs of three or more pairwise, which
-    can differ in the last bit."""
-    sums = values[first]
-    lengths = np.diff(first, append=values.size)
-    for k in range(1, lengths.max(initial=1)):
-        longer = lengths > k
-        sums[longer] += values[first[longer] + k]
-    return sums
 
 
 def _series(values, count: int, dtype=float) -> np.ndarray:
@@ -371,11 +355,11 @@ def _highs_solve(lp: LinearProgram, lower, upper) -> tuple[str, np.ndarray, int]
     """Solve ``lp`` under the bounds ``lower`` and ``upper`` with the HiGHS
     core on this thread's instance, emptied of the model it solved before.
 
-    HiGHS gets the model ``scipy.optimize.linprog(method="highs")`` would
-    give it: the ``<=`` rows, then the negated ``>=`` rows (both with lower
-    bound ``-inf``), then the ``==`` rows, as the column-wise arrays of
-    :meth:`LinearProgram.highs_columns`, the objective negated for ``max``
-    models and linprog's effective options.
+    HiGHS gets the rows in the order ``scipy.optimize.linprog(method="highs")``
+    gives them (the ``<=`` rows, then the ``>=`` rows, then the ``==`` rows),
+    as the ranged column-wise arrays of :meth:`LinearProgram.highs_columns`,
+    the objective negated for ``max`` models and linprog's effective options,
+    so it returns the vertex ``linprog`` returns.
     """
     from scipy.optimize._highspy import _core as core
 

@@ -193,57 +193,46 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
             )
         )
 
+    # per fleet: units per producer, capacity factor, cost range, ramp limit
+    # as a share of capacity and the demand its starting outputs cover.
+    # Starting outputs follow the overnight merit order at the first period's
+    # demand: cheap slow units online, dear ones and fast ones cold, so the
+    # equilibrium dispatch needs no infeasible ramps and nobody is forced to
+    # overproduce.  Each fleet draws its costs in turn, slow first.
+    fleet_table = [
+        ("slow", config.slow_units_per_producer, config.slow_capacity_factor,
+         config.slow_cost_low, config.slow_cost_high, config.slow_ramp_fraction, float(demand[0])),
+        ("fast", config.fast_units_per_producer, config.fast_capacity_factor,
+         config.fast_cost_low, config.fast_cost_high, 1.0, 0.0),
+    ]
+    fleets = []
+    for kind, per_producer, factor, cost_low, cost_high, ramp, start_level in fleet_table:
+        count = config.producer_count * per_producer
+        cap = factor * peak / max(1, count)
+        costs = [float(rng.uniform(cost_low, cost_high)) for _ in range(count)]
+        starts = _merit_order_dispatch(costs, cap, start_level)
+        fleets.append((kind, per_producer, cap, ramp * cap, costs, starts))
     producers = []
-    slow_total = config.slow_capacity_factor * peak
-    fast_total = config.fast_capacity_factor * peak
-    n_slow = config.producer_count * config.slow_units_per_producer
-    n_fast = config.producer_count * config.fast_units_per_producer
-    slow_cap = slow_total / max(1, n_slow)
-    fast_cap = fast_total / max(1, n_fast)
-    slow_costs = [
-        float(rng.uniform(config.slow_cost_low, config.slow_cost_high)) for _ in range(n_slow)
-    ]
-    fast_costs = [
-        float(rng.uniform(config.fast_cost_low, config.fast_cost_high)) for _ in range(n_fast)
-    ]
-    # starting outputs follow the overnight merit order at the first period's
-    # demand: cheap units online, dear ones cold, so the equilibrium dispatch
-    # needs no infeasible ramps and nobody is forced to overproduce
-    slow_starts = _merit_order_dispatch(slow_costs, slow_cap, float(demand[0]))
     for p in range(config.producer_count):
-        units = []
-        for j in range(config.slow_units_per_producer):
-            k = p * config.slow_units_per_producer + j
-            units.append(
-                GenerationUnit(
-                    name=f"slow-{p + 1}-{j + 1}",
-                    power_min=np.zeros(t_count),
-                    power_max=np.full(t_count, slow_cap),
-                    ramp_up=config.slow_ramp_fraction * slow_cap,
-                    ramp_down=config.slow_ramp_fraction * slow_cap,
-                    cost=np.full(t_count, slow_costs[k]),
-                    initial_output=slow_starts[k],
-                )
+        units = [
+            GenerationUnit(
+                name=f"{kind}-{p + 1}-{j + 1}",
+                power_min=np.zeros(t_count),
+                power_max=np.full(t_count, cap),
+                ramp_up=ramp,
+                ramp_down=ramp,
+                cost=np.full(t_count, costs[p * per_producer + j]),
+                initial_output=starts[p * per_producer + j],
             )
-        for j in range(config.fast_units_per_producer):
-            k = p * config.fast_units_per_producer + j
-            units.append(
-                GenerationUnit(
-                    name=f"fast-{p + 1}-{j + 1}",
-                    power_min=np.zeros(t_count),
-                    power_max=np.full(t_count, fast_cap),
-                    ramp_up=fast_cap,
-                    ramp_down=fast_cap,
-                    cost=np.full(t_count, fast_costs[k]),
-                    initial_output=0.0,
-                )
-            )
+            for kind, per_producer, cap, ramp, costs, starts in fleets
+            for j in range(per_producer)
+        ]
         producers.append(
             ProducerPortfolio(
                 name=f"producer-{p + 1}",
                 units=units,
                 imbalance_limit=config.imbalance_limit_fraction
-                * (slow_cap * config.slow_units_per_producer + fast_cap * config.fast_units_per_producer),
+                * sum(cap * per_producer for _, per_producer, cap, *_ in fleets),
                 reserve_valuation=config.reserve_valuation,
                 production_bias=config.production_bias,
             )

@@ -575,15 +575,42 @@ def test_portfolios_reject_malformed_unit_and_limit_data(build):
         ),
         (lambda: retailer(4, [5.0, np.nan, 5.0, 5.0]), "retailer 'ret': inelastic"),
         (lambda: retailer(4, [5.0, 5.0, np.inf, 5.0]), "retailer 'ret': inelastic"),
+        (lambda: replace(unit(4), ramp_up=np.inf), "unit 'u': ramp_up"),
+        (lambda: replace(unit(4), ramp_down=np.inf), "unit 'u': ramp_down"),
     ],
     ids=["nan-cost", "inf-cost", "inf-power-max", "nan-initial-output", "negative-initial-output",
-         "nan-reserve-valuation", "nan-production-bias", "nan-inelastic", "inf-inelastic"],
+         "nan-reserve-valuation", "nan-production-bias", "nan-inelastic", "inf-inelastic",
+         "inf-ramp-up", "inf-ramp-down"],
 )
 def test_portfolios_reject_non_finite_data_naming_actor_unit_and_field(build, message):
     # before, each of these failed only inside the LP, naming no actor or
     # unit, or (a negative initial output) solved
     with pytest.raises(ConfigurationError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"total_min": -np.inf}, "total_min"),
+        ({"total_max": np.inf}, "total_max"),
+        ({"energy_start": np.inf, "energy_max": np.full(5, np.inf)}, "energy_start"),
+        ({"power_min": np.full(4, np.inf), "power_max": np.full(4, np.inf)}, "power_min"),
+    ],
+    ids=["inf-total-min", "inf-total-max", "inf-energy-start", "inf-power-bounds"],
+)
+def test_tank_loads_reject_infinite_data_naming_load_and_field(change, message):
+    # before, each of these failed only in the retailer's LP builder, naming
+    # no load or field
+    load = replace(simple_load(4), total_min=0.0, total_max=10.0)
+    with pytest.raises(ValueError, match=f"load 'load': .*{message}"):
+        replace(load, **change)
+
+
+def test_tank_loads_with_infinite_energy_bounds_still_solve():
+    load = replace(simple_load(4), energy_min=np.full(5, -np.inf), energy_max=np.full(5, np.inf))
+    model = build_retailer_model(retailer(4, 5.0, [load]), flat_forecast(4, 50.0), CAP, PI_NC)
+    assert optimize_retailer(model).schedules.sum() == pytest.approx(6.0)
 
 
 def test_producer_positive_margin_runs_flat_out():

@@ -291,19 +291,16 @@ def test_repeated_terms_sum_and_cancelled_terms_leave_no_zero():
 
 
 def reference_highs_columns(lp):
-    """The arrays ``_highs_solve`` handed HiGHS when scipy.sparse built them:
-    the CSR matrix, its rows in linprog's order, the ``>=`` rows negated, then
-    converted to CSC.  Returns (start, index, value, row_lower, row_upper)."""
+    """The arrays ``_highs_solve`` hands HiGHS, built by scipy.sparse: the
+    CSR matrix with its rows in linprog's order, converted to CSC, and each
+    row's range.  Returns (start, index, value, row_lower, row_upper)."""
     a, relations, b = oracles.sparse_rows(lp)
-    ub_rows = np.flatnonzero(relations == LESS_EQUAL)
-    ge_rows = np.flatnonzero(relations == GREATER_EQUAL)
-    eq_rows = np.flatnonzero(relations == EQUAL)
-    n_ineq = ub_rows.size + ge_rows.size
-    a = a[np.concatenate([ub_rows, ge_rows, eq_rows])]
-    a.data[a.indptr[ub_rows.size]:a.indptr[n_ineq]] *= -1.0
-    a = a.tocsc()
-    row_upper = np.concatenate([b[ub_rows], -b[ge_rows], b[eq_rows]])
-    row_lower = np.concatenate([np.full(n_ineq, -INF), b[eq_rows]])
+    kinds = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
+    order = np.concatenate([np.flatnonzero(relations == r) for r in kinds])
+    a = a[order].tocsc()
+    relations, b = relations[order], b[order]
+    row_lower = np.where(relations == LESS_EQUAL, -INF, b)
+    row_upper = np.where(relations == GREATER_EQUAL, INF, b)
     return a.indptr, a.indices, a.data, row_lower, row_upper
 
 

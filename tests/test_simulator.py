@@ -15,6 +15,7 @@ from flexmarket.agents import (
 from flexmarket.scenario import Scenario, ScenarioConfig, generate_scenario
 from flexmarket.simulator import (
     RoundMetrics,
+    SimulationOutcome,
     _match_earlier,
     _round_metrics,
     aggregate_metrics,
@@ -96,6 +97,28 @@ def test_aggregate_metrics_means_match_hand_computation():
     assert means.total_imbalance == pytest.approx(20.0)
     assert means.procurement_cost == pytest.approx(2000.0)
     assert means.non_contracted == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize(
+    "termination, n, cycle, window",
+    [
+        ("cycle", 9, (3, 4), range(3, 7)),
+        ("converged", 9, (None, None), range(8, 9)),
+        ("max_rounds", 7, (None, None), range(0, 7)),
+        # only the last 50 rounds of a long run
+        ("max_rounds", 60, (None, None), range(10, 60)),
+    ],
+    ids=["cycle", "converged", "max-rounds-7", "max-rounds-60"],
+)
+def test_terminal_window_per_termination(termination, n, cycle, window):
+    rounds = [
+        _Stub(RoundMetrics(40.0 + k, float(k % 3), 2.0 * k, 100.0 * k, float(k % 2)))
+        for k in range(n)
+    ]
+    outcome = SimulationOutcome(termination, *cycle, rounds, small_config())
+    expected = [rounds[k] for k in window]
+    assert outcome.terminal_rounds() == expected
+    assert outcome.cycle_metrics == aggregate_metrics(expected)
 
 
 def test_flat_price_round_has_zero_variability():
