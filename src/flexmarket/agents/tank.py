@@ -7,9 +7,13 @@ extreme consumption scenarios: one that runs high for the first half of the
 block and recovers low, and its mirror image.  If both extremes are
 feasible, every energy-neutral dispatch the operator can request inside the
 band is feasible too; :func:`verify_scenario_coverage` probes that claim
-with random dispatches.  It draws and checks all of a load's samples as one
-``(samples, periods)`` array; only the running sum along the horizon is a
-loop over periods.
+with random dispatches.
+
+The tank works period-major: a stack of schedules is a ``(periods, ...)``
+array, and the running sum of the tank state and the bound tests are row
+operations down the period axis, each over all schedules at once.  The
+coverage check draws, integrates and bound-checks a load's samples as one
+``(periods, samples)`` array this way.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import numpy as np
 
 #: the bounds :meth:`TankLoad.schedule_violations` names, in its order
 _BOUND_LABELS = ("power bounds", "energy bounds", "total energy bounds")
+#: the scenarios :func:`verify_scenario_coverage` checks, in its order
+_SCENARIO_LABELS = ("baseline", "up", "down")
 
 
 @dataclass
@@ -46,11 +52,11 @@ class TankLoad:
     period_hours: float = 1.0
 
     def __post_init__(self):
-        self.power_min = np.asarray(self.power_min, dtype=float)
-        self.power_max = np.asarray(self.power_max, dtype=float)
-        self.energy_min = np.asarray(self.energy_min, dtype=float)
-        self.energy_max = np.asarray(self.energy_max, dtype=float)
-        self.loss = np.asarray(self.loss, dtype=float)
+        for series in ("power_min", "power_max", "energy_min", "energy_max", "loss"):
+            values = np.asarray(getattr(self, series), dtype=float)
+            if not values.ndim == 1:
+                raise ValueError(f"load {self.name!r}: {series} is not one-dimensional")
+            setattr(self, series, values)
         t = len(self.power_min)
         if len(self.power_max) != t or len(self.loss) != t:
             raise ValueError(f"load {self.name!r}: power/loss series length mismatch")
@@ -73,8 +79,8 @@ class TankLoad:
             raise ValueError(f"load {self.name!r}: energy_start not finite")
         if not self.energy_min[0] - 1e-9 <= self.energy_start <= self.energy_max[0] + 1e-9:
             raise ValueError(f"load {self.name!r}: starting energy outside bounds")
-        if not self.period_hours > 0:
-            raise ValueError(f"load {self.name!r}: period length not > 0")
+        if not 0.0 < self.period_hours < np.inf:
+            raise ValueError(f"load {self.name!r}: not 0 < period_hours < inf")
 
     @property
     def horizon(self) -> int:
@@ -83,38 +89,82 @@ class TankLoad:
     def energy_trajectory(self, schedule: np.ndarray) -> np.ndarray:
         """Tank states induced by a consumption schedule, start included.
 
-        ``schedule`` may also be a ``(..., periods)`` stack of schedules.
-        The running sum goes along the last axis in order, so each row of
-        the result is exactly what that row on its own would give.
+        ``schedule`` may also be a ``(..., periods)`` stack of schedules;
+        each row of the result is exactly what that row on its own would
+        give.
         """
-        schedule = np.asarray(schedule, dtype=float)
-        gain = self.efficiency * schedule * self.period_hours - self.loss
-        start = np.full(gain.shape[:-1] + (1,), self.energy_start, dtype=float)
-        return np.concatenate([start, self.energy_start + np.cumsum(gain, axis=-1)], axis=-1)
+        schedule = self._schedules(schedule, "schedule", stacked=True)
+        last = schedule.ndim - 1
+        states = self._trajectory(schedule.transpose(last, *range(last)))
+        return states.transpose(*range(1, last + 1), 0)
 
     def schedule_violations(self, schedule: np.ndarray, tol: float = 1e-9) -> list[str]:
-        """Human-readable bound violations of a schedule; empty when feasible.
+        """Human-readable bound violations of one schedule; empty when
+        feasible.
 
         A NaN entry violates every bound it enters.
         """
-        schedule = np.asarray(schedule, dtype=float)
-        broken = self._bound_violations(schedule, self.energy_trajectory(schedule), tol)
+        schedule = self._schedules(schedule, "schedule")
+        broken = self._violations(schedule, self._trajectory(schedule), tol)
         return [label for label, bad in zip(_BOUND_LABELS, broken) if bad]
 
-    def _bound_violations(
-        self, schedules: np.ndarray, states: np.ndarray, tol: float
-    ) -> np.ndarray:
-        """``(..., 3)`` booleans: whether each schedule of a ``(..., periods)``
-        stack breaks the power, energy and total bounds (``_BOUND_LABELS``).
-        ``states`` is ``energy_trajectory(schedules)``.
+    def _schedules(self, schedules, what: str, stacked: bool = False) -> np.ndarray:
+        """``schedules`` as floats: one schedule of ``horizon`` periods, or
+        with ``stacked`` any ``(..., horizon)`` stack of them."""
+        schedules = np.asarray(schedules, dtype=float)
+        if schedules.shape[-1:] != (self.horizon,) or not (stacked or schedules.ndim == 1):
+            wanted = f"(..., {self.horizon})" if stacked else f"({self.horizon},)"
+            raise ValueError(
+                f"load {self.name!r}: {what} has shape {schedules.shape}, not {wanted}"
+            )
+        return schedules
+
+    def _trajectory(self, schedules: np.ndarray) -> np.ndarray:
+        """The ``(periods + 1, ...)`` tank states of a period-major
+        ``(periods, ...)`` stack: a running sum down the period axis, one
+        row of all schedules at a time."""
+        states = np.empty((len(schedules) + 1, *schedules.shape[1:]))
+        gain = states[1:]
+        np.multiply(self.efficiency, schedules, out=gain)
+        gain *= self.period_hours
+        gain -= _by_period(self.loss, schedules.ndim)
+        if gain.ndim == 1:
+            np.add.accumulate(gain, out=gain)
+        else:  # accumulate would run down axis 0 one column at a time
+            for t in range(1, len(gain)):
+                gain[t] += gain[t - 1]
+        gain += self.energy_start
+        states[0] = self.energy_start
+        return states
+
+    def _violations(self, schedules: np.ndarray, states: np.ndarray, tol: float) -> np.ndarray:
+        """``(3, ...)`` booleans: whether each schedule of a period-major
+        ``(periods, ...)`` stack breaks the power, energy and total bounds
+        (``_BOUND_LABELS``).  ``states`` is ``_trajectory(schedules)``.
 
         Each test is written as "holds", so that NaN breaks it.
         """
-        power_ok = (schedules >= self.power_min - tol) & (schedules <= self.power_max + tol)
-        energy_ok = (states >= self.energy_min - tol) & (states <= self.energy_max + tol)
-        drawn = np.sum(schedules, axis=-1) * self.period_hours
-        total_ok = (drawn >= self.total_min - tol) & (drawn <= self.total_max + tol)
-        return np.stack([~power_ok.all(axis=-1), ~energy_ok.all(axis=-1), ~total_ok], axis=-1)
+        ndim = schedules.ndim
+        ok = np.empty((3, *schedules.shape[1:]), dtype=bool)
+        power_ok = schedules >= _by_period(self.power_min - tol, ndim)
+        power_ok &= schedules <= _by_period(self.power_max + tol, ndim)
+        np.logical_and.reduce(power_ok, axis=0, out=ok[0, ...])
+        energy_ok = states >= _by_period(self.energy_min - tol, ndim)
+        energy_ok &= states <= _by_period(self.energy_max + tol, ndim)
+        np.logical_and.reduce(energy_ok, axis=0, out=ok[1, ...])
+        # each schedule is summed as one contiguous row, as np.sum sums a
+        # single schedule; a sum down the period axis rounds differently
+        rows = np.ascontiguousarray(schedules.transpose(*range(1, ndim), 0))
+        drawn = rows.sum(axis=-1) * self.period_hours
+        np.greater_equal(drawn, self.total_min - tol, out=ok[2, ...])
+        ok[2, ...] &= drawn <= self.total_max + tol
+        return np.logical_not(ok, out=ok)
+
+
+def _by_period(series: np.ndarray, ndim: int) -> np.ndarray:
+    """A per-period series shaped to broadcast down a ``ndim``-dimensional
+    period-major stack."""
+    return series.reshape(-1, *(1,) * (ndim - 1))
 
 
 @dataclass
@@ -141,57 +191,67 @@ def verify_scenario_coverage(
     Draws ``samples`` random schedules inside the per-half envelopes with
     the same total consumption as the baseline, then checks each against
     the load's power, energy and total-energy limits and the baseline's
-    final tank state.  All samples are drawn and checked as one
-    ``(samples, periods)`` array.  Any failure would expose an
+    final tank state.  The three scenarios, each one schedule of the load's
+    horizon, are checked first in one ``(periods, 3)`` pass, which also
+    gives the baseline's final state; the samples are drawn and checked as
+    one ``(periods, samples)`` array.  Any failure would expose an
     inconsistency in the scenario construction, so a correct model always
-    reports zero.  ``samples`` must be at least 1.
+    reports zero.  ``samples`` must be an integer of at least 1.
     """
     n = load.horizon
     if n % 2 != 0:
         raise ValueError("coverage check needs an even number of periods")
+    if not isinstance(samples, numbers.Integral) or isinstance(samples, bool):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"coverage check needs at least one sample, got {samples}")
-    baseline = np.asarray(baseline, dtype=float)
-    up = np.asarray(up_scenario, dtype=float)
-    down = np.asarray(down_scenario, dtype=float)
+    baseline, up, down = (
+        load._schedules(schedule, f"{label} scenario")
+        for label, schedule in zip(_SCENARIO_LABELS, (baseline, up_scenario, down_scenario))
+    )
 
-    for label, schedule in (("baseline", baseline), ("up", up), ("down", down)):
-        problems = load.schedule_violations(schedule)
-        if problems:
+    scenarios = np.array([baseline, up, down]).T
+    states = load._trajectory(scenarios)
+    broken = load._violations(scenarios, states, tol=1e-9)
+    for label, scenario_broken in zip(_SCENARIO_LABELS, broken.T):
+        if scenario_broken.any():
+            problems = [bound for bound, bad in zip(_BOUND_LABELS, scenario_broken) if bad]
             raise ValueError(f"{label} scenario infeasible for {load.name!r}: {problems}")
+    baseline_terminal = states[-1, 0]
     half = n // 2
     lo = np.concatenate([down[:half], up[half:]])
     hi = np.concatenate([up[:half], down[half:]])
-    if np.any(lo > hi + 1e-9):
+    if (lo > hi + 1e-9).any():
         raise ValueError("scenario envelopes are not ordered half-by-half")
-    target = float(np.sum(baseline))
-    if not np.sum(lo) - 1e-7 <= target <= np.sum(hi) + 1e-7:
+    target = float(baseline.sum())
+    if not lo.sum() - 1e-7 <= target <= hi.sum() + 1e-7:
         raise ValueError("scenarios are not energy neutral around the baseline")
 
     draws = _random_fixed_sum(np.random.default_rng(seed), lo, hi, target, samples)
-    states = load.energy_trajectory(draws)
-    terminal_gap = np.abs(states[:, -1] - load.energy_trajectory(baseline)[-1])
-    broken = np.column_stack(
-        [load._bound_violations(draws, states, tol=1e-7), ~(terminal_gap <= 1e-7)]
-    )
-    failed = broken.any(axis=1)
+    by_period = draws.T
+    states = load._trajectory(by_period)
+    broken = load._violations(by_period, states, tol=1e-7)
+    terminal_ok = np.abs(states[-1] - baseline_terminal) <= 1e-7
+    failed = np.logical_or.reduce(broken, axis=0)
+    failed |= ~terminal_ok
+    failures = int(np.count_nonzero(failed))
     first_failure = None
-    if failed.any():
+    if failures:
         k = int(np.argmax(failed))
-        labels = (*_BOUND_LABELS, "terminal energy differs from baseline")
-        first_failure = {
-            "sample": k,
-            "schedule": draws[k].copy(),
-            "problems": [label for label, bad in zip(labels, broken[k]) if bad],
-        }
-    return CoverageReport(samples=samples, failures=int(failed.sum()), first_failure=first_failure)
+        problems = [label for label, bad in zip(_BOUND_LABELS, broken[:, k]) if bad]
+        if not terminal_ok[k]:
+            problems.append("terminal energy differs from baseline")
+        first_failure = {"sample": k, "schedule": draws[k].copy(), "problems": problems}
+    return CoverageReport(samples=samples, failures=failures, first_failure=first_failure)
 
 
 def _random_fixed_sum(rng, lo, hi, target, samples):
     """``samples`` uniform-ish draws from a box restricted to a fixed
-    coordinate sum, as a ``(samples, periods)`` matrix.
+    coordinate sum, as a ``(samples, periods)`` matrix: the transposed view
+    of a period-major ``(periods, samples)`` array, whose rows are filled
+    one period at a time.
 
-    Period by period, every row takes a value from the slice that its
+    Period by period, every sample takes a value from the slice that its
     remaining sum leaves feasible for the later periods.  The uniforms come
     from one ``rng.random((samples, m))`` block, where ``m`` counts the
     periods whose slice can have positive width: those with ``lo < hi`` and
@@ -199,28 +259,38 @@ def _random_fixed_sum(rng, lo, hi, target, samples):
     whose tail is empty.  A value is
     ``low + (high - low) * u`` where ``high > low`` (numpy's own
     ``uniform`` formula) and ``low`` otherwise.  So the matrix is bit for
-    bit what a loop calling ``rng.uniform(low, high)`` per row and period
-    would draw, with one exception: where a slice collapses by rounding
-    part-way through a row, such a loop skips a draw and shifts the rest of
-    its stream, while the block spends that uniform.
+    bit what a loop calling ``rng.uniform(low, high)`` per sample and
+    period would draw, with one exception: where a slice collapses by
+    rounding part-way through a sample, such a loop skips a draw and shifts
+    the rest of its stream, while the block spends that uniform.
     """
     n = len(lo)
     tail_lo = np.concatenate([np.cumsum(lo[::-1])[::-1], [0.0]])
     tail_hi = np.concatenate([np.cumsum(hi[::-1])[::-1], [0.0]])
     free = (lo < hi) & (tail_lo[1:] < tail_hi[1:])
-    uniforms = rng.random((samples, int(free.sum())))
-    out = np.empty((samples, n))
+    uniforms = rng.random((samples, int(free.sum()))).T
+    out = np.empty((n, samples))
     remaining = np.full(samples, target)
+    high = np.empty(samples)
     column = 0
     for t in range(n):
-        low = value = np.maximum(lo[t], remaining - tail_hi[t + 1])
+        # the slice's low end, replaced by the draw where the slice is wide;
+        # lo[t] and hi[t] go first because maximum and minimum return their
+        # first argument on a tie between 0.0 and -0.0
+        value = out[t]
+        np.subtract(remaining, tail_hi[t + 1], out=value)
+        np.maximum(lo[t], value, out=value)
         if free[t]:
-            high = np.minimum(hi[t], remaining - tail_lo[t + 1])
-            value = np.where(high > low, low + (high - low) * uniforms[:, column], low)
+            np.subtract(remaining, tail_lo[t + 1], out=high)
+            np.minimum(hi[t], high, out=high)
+            wide = high > value
+            high -= value
+            high *= uniforms[column]
+            high += value
+            np.copyto(value, high, where=wide)
             column += 1
-        out[:, t] = value
         remaining -= value
-    return out
+    return out.T
 
 
 def random_feasible_modulation(rng: np.random.Generator, periods: int | None = None):

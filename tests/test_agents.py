@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import re
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -975,6 +976,30 @@ def test_coverage_matches_per_sample_loop_at_horizon_zero_and_one_sample():
     assert_coverage_matches_loop(load, base, up, down, samples=1, seed=0)
 
 
+@pytest.mark.parametrize("seed, scale", [(6, 3e7), (27, 3e7)])
+def test_coverage_matches_per_sample_loop_at_the_rounding_edge(seed, scale):
+    """A load so large that the samples' totals and final states sit within
+    ulps of the 1e-7 tolerances: each total must round as that sample's own
+    ``np.sum`` does, which a sum down the period axis does not."""
+    load, base, up, down = random_feasible_modulation(np.random.default_rng(seed), periods=16)
+    total = float(np.sum(base * scale))
+    load = replace(
+        load,
+        power_min=load.power_min * scale,
+        power_max=load.power_max * scale,
+        energy_min=load.energy_min * scale,
+        energy_max=load.energy_max * scale,
+        loss=load.loss * scale,
+        energy_start=load.energy_start * scale,
+        total_min=total - 1e-9,
+        total_max=total + 1e-9,
+    )
+    report = assert_coverage_matches_loop(
+        load, base * scale, up * scale, down * scale, samples=200, seed=3
+    )
+    assert 0 < report.failures < 200
+
+
 def test_bound_masks_match_schedule_violations_row_by_row():
     load = replace(
         simple_load(4, e_span=3.0), loss=np.full(4, 2.0), total_min=6.0, total_max=10.0
@@ -989,7 +1014,8 @@ def test_bound_masks_match_schedule_violations_row_by_row():
         rng.uniform(-0.5, 4.5, size=(400, 4)),
     ])
     schedules[20::13, 2] = np.nan
-    broken = load._bound_violations(schedules, load.energy_trajectory(schedules), 1e-7)
+    by_period = schedules.T
+    broken = load._violations(by_period, load._trajectory(by_period), 1e-7).T
     assert broken.shape == (405, 3)
     for row, row_broken in zip(schedules, broken):
         problems = load.schedule_violations(row, tol=1e-7)
@@ -1038,6 +1064,88 @@ def test_coverage_counts_failures_and_keeps_the_first_in_order(monkeypatch):
     report = verify_scenario_coverage(load, base, up, down, samples=4, seed=0)
     assert report.first_failure["problems"] == ["power bounds", "energy bounds"]
 
+
+def ranged_load():
+    """Two periods on which the scenarios ``[3, 3]``, ``[4, 2]`` and
+    ``[2, 4]`` are feasible, with bounds that break one at a time."""
+    return TankLoad(
+        name="ranged",
+        power_min=np.zeros(2),
+        power_max=np.full(2, 4.0),
+        energy_min=np.array([-1.0, 1.5, 0.0]),
+        energy_max=np.array([1.0, 4.5, 7.0]),
+        efficiency=1.0,
+        loss=np.zeros(2),
+        total_min=4.0,
+        total_max=8.0,
+        energy_start=0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "base, up, down, message",
+    [
+        ([3.0, 3.0], [4.5, 1.5], [2.0, 4.0], "up scenario infeasible for 'ranged': ['power bounds']"),
+        (
+            [3.0, 3.0], [4.0, 2.0], [1.0, 5.0],
+            "down scenario infeasible for 'ranged': ['power bounds', 'energy bounds']",
+        ),
+        # the baseline and down both break bounds: the baseline is named
+        (
+            [1.0, 1.0], [4.0, 2.0], [1.0, 5.0],
+            "baseline scenario infeasible for 'ranged': ['energy bounds', 'total energy bounds']",
+        ),
+    ],
+)
+def test_coverage_names_the_first_infeasible_scenario_and_its_bounds(base, up, down, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_scenario_coverage(ranged_load(), base, up, down, samples=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "scenario, value, shape",
+    [("baseline", 3.0, "()"), ("baseline", [3.0], "(1,)"), ("up", [[4.0, 2.0]] * 2, "(2, 2)")],
+)
+def test_coverage_rejects_scenarios_that_are_not_one_schedule(scenario, value, shape):
+    scenarios = {"baseline": [3.0, 3.0], "up": [4.0, 2.0], "down": [2.0, 4.0], scenario: value}
+    with pytest.raises(
+        ValueError, match=re.escape(f"load 'ranged': {scenario} scenario has shape {shape}, not (2,)")
+    ):
+        verify_scenario_coverage(ranged_load(), *scenarios.values(), samples=10, seed=0)
+
+
+def test_schedules_must_span_the_horizon():
+    load = ranged_load()
+    with pytest.raises(ValueError, match=re.escape("load 'ranged': schedule has shape (4,), not (2,)")):
+        load.schedule_violations(np.full(4, 1.5))
+    with pytest.raises(ValueError, match=re.escape("schedule has shape (2, 2), not (2,)")):
+        load.schedule_violations(np.full((2, 2), 1.5))
+    with pytest.raises(ValueError, match=re.escape("load 'load': schedule has shape (1,), not (..., 4)")):
+        simple_load(4).energy_trajectory([1.0])
+    assert load.energy_trajectory(np.full((3, 5, 2), 1.5)).shape == (3, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "field_name, value, message",
+    [
+        ("period_hours", np.inf, "not 0 < period_hours < inf"),
+        ("power_min", np.zeros((2, 2)), "power_min is not one-dimensional"),
+        ("power_max", np.full((2, 2), 4.0), "power_max is not one-dimensional"),
+    ],
+)
+def test_tank_load_rejects_infinite_periods_and_stacked_series(field_name, value, message):
+    with pytest.raises(ValueError, match=re.escape(f"load 'load': {message}")):
+        replace(simple_load(2), **{field_name: value})
+
+
+@pytest.mark.parametrize("samples", [True, 2.5, 10.0, "10"])
+def test_coverage_rejects_non_integral_samples(samples):
+    load, base, up, down = random_feasible_modulation(np.random.default_rng(4), periods=4)
+    with pytest.raises(ValueError, match=re.escape(f"samples must be an integer, got {samples!r}")):
+        verify_scenario_coverage(load, base, up, down, samples=samples, seed=0)
+    report = verify_scenario_coverage(load, base, up, down, samples=np.int64(3), seed=0)
+    assert (report.samples, report.failures) == (3, 0)
+    assert type(report.failures) is int  # json writes it
 
 
 # ---------------------------------------------------------------------------
