@@ -2,11 +2,11 @@
 
 This module owns the output tree and its format; the market modules only
 compute.  Every run writes a ``manifest.txt`` that fully determines it:
-replaying a manifest reproduces the original outputs byte for byte.  The
-CSV files (``metrics.csv``, ``summary.csv``, ``rounds/<n>/*.csv`` with the
-columns of ``ROUND_COLUMNS``, and ``sweep.csv`` for a sweep) are the
-canonical results, the SVG figures a convenience.  Floats are written with
-``repr``, so they read back exactly.
+``replay`` is ``run`` on a manifest's config, and reproduces the original
+outputs byte for byte.  The CSV files (``metrics.csv``, ``summary.csv``,
+``rounds/<n>/*.csv`` with the columns of ``ROUND_COLUMNS``, and
+``sweep.csv`` for a sweep) are the canonical results, the SVG figures a
+convenience.  Floats are written with ``repr``, so they read back exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -59,9 +60,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.read_config is not None:
-        # a bad scenario file or flag is a usage error, reported before any run
+        # a bad scenario file, flag or sweep cell is a usage error, reported
+        # before any run; the entry runs what was validated here
         try:
-            args.scenario_config = args.read_config(args)
+            args.validated = args.read_config(args)
         except (ConfigurationError, OSError) as exc:
             parser.error(str(exc))
     return args.entry(args)
@@ -101,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_cmd.add_argument("manifest", type=Path)
     replay_cmd.add_argument("--out-dir", type=Path, required=True)
     _round_details_flag(replay_cmd)
-    replay_cmd.set_defaults(entry=cmd_replay, read_config=manifest_config)
+    replay_cmd.set_defaults(entry=cmd_run, read_config=manifest_config)
     return parser
 
 
@@ -150,36 +152,34 @@ def _round_details_flag(cmd) -> None:
 
 
 def load_config(args) -> ScenarioConfig:
-    if args.config is not None:
-        config = config_from_text(args.config.read_text())
-    else:
-        config = ScenarioConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.rate is not None:
-        config.flexibility_rate = args.rate
-    if args.setting is not None:
-        config.setting = args.setting
-    if args.max_rounds is not None:
-        config.max_rounds = args.max_rounds
+    """The ``--config`` file, or the defaults, with the flags that were given."""
+    config = config_from_text(args.config.read_text()) if args.config else ScenarioConfig()
+    flags = {
+        "seed": args.seed,
+        "flexibility_rate": args.rate,
+        "setting": args.setting,
+        "max_rounds": args.max_rounds,
+    }
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     config.validate()
     return config
 
 
-def sweep_config(args) -> ScenarioConfig:
-    """The sweep's base config, once the config of every (rate, setting)
-    cell made from it is valid and no two rates share a cell directory: a
-    bad cell is a usage error, before any run."""
-    config = load_config(args)
-    cells = {}
+def sweep_config(args) -> list[ScenarioConfig]:
+    """The config of every (rate, setting) cell, in sweep order, once each
+    is valid and no two rates share a cell directory."""
+    base = load_config(args)
+    cells, stems = [], {}
     for rate in args.rates:
-        cell = _sweep_cell(rate)
-        if cell in cells:
-            raise ConfigurationError(f"rates {cells[cell]!r} and {rate!r} would both write {cell}_*")
-        cells[cell] = rate
+        stem = _sweep_cell(rate)
+        if stem in stems:
+            raise ConfigurationError(f"rates {stems[stem]!r} and {rate!r} would both write {stem}_*")
+        stems[stem] = rate
         for setting in ("closed", "open"):
-            dataclasses.replace(config, flexibility_rate=rate, setting=setting).validate()
-    return config
+            cell = dataclasses.replace(base, flexibility_rate=rate, setting=setting)
+            cell.validate()
+            cells.append(cell)
+    return cells
 
 
 def _sweep_cell(rate: float) -> str:
@@ -192,7 +192,7 @@ def manifest_config(args) -> ScenarioConfig:
 
 
 def cmd_run(args) -> int:
-    config = args.scenario_config
+    config = args.validated
     outcome = run_simulation(config)
     write_outputs(outcome, args.out_dir, args.round_details)
     summary = outcome.cycle_metrics
@@ -213,25 +213,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = args.scenario_config
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for rate in args.rates:
-        for setting in ("closed", "open"):
-            config = dataclasses.replace(base, flexibility_rate=rate, setting=setting)
-            try:
-                outcome = run_simulation(config)
-                write_outputs(outcome, out_dir / f"{_sweep_cell(rate)}_{setting}", "terminal")
-                rows.append(
-                    [repr(rate), setting, "ok", len(outcome.rounds), outcome.termination]
-                    + _metric_cells(outcome.cycle_metrics)
-                )
-                print(f"rate {rate:g} {setting}: ok ({outcome.termination})")
-            except Exception as exc:  # keep sweeping, report the cell
-                row = [repr(rate), setting, f"error: {exc}"]
-                rows.append(row + [""] * (len(SWEEP_COLUMNS) - len(row)))
-                print(f"rate {rate:g} {setting}: FAILED ({exc})", file=sys.stderr)
+    for config in args.validated:
+        rate, setting = config.flexibility_rate, config.setting
+        try:
+            outcome = run_simulation(config)
+            write_outputs(outcome, out_dir / f"{_sweep_cell(rate)}_{setting}", "terminal")
+            rows.append(
+                [repr(rate), setting, "ok", len(outcome.rounds), outcome.termination]
+                + _metric_cells(outcome.cycle_metrics)
+            )
+            print(f"rate {rate:g} {setting}: ok ({outcome.termination})")
+        except Exception as exc:  # keep sweeping, report the cell
+            row = [repr(rate), setting, f"error: {exc}"]
+            rows.append(row + [""] * (len(SWEEP_COLUMNS) - len(row)))
+            print(f"rate {rate:g} {setting}: FAILED ({exc})", file=sys.stderr)
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     _sweep_figures([dict(zip(SWEEP_COLUMNS, row)) for row in rows], out_dir)
     return 0
@@ -279,13 +277,6 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_replay(args) -> int:
-    outcome = run_simulation(args.scenario_config)
-    write_outputs(outcome, args.out_dir, args.round_details)
-    print(f"replayed into {args.out_dir}: {outcome.termination} after {len(outcome.rounds)} rounds")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # output tree
 # ---------------------------------------------------------------------------
@@ -313,12 +304,16 @@ def write_outputs(outcome: SimulationOutcome, out_dir: Path, round_details: str)
             ]
         ],
     )
+    # the tree owns ``rounds/``: an earlier run's rounds must not outlive it
+    rounds_dir = out_dir / "rounds"
+    if rounds_dir.exists():
+        shutil.rmtree(rounds_dir)
     if round_details != "none":
         records = (
             outcome.rounds if round_details == "all" else outcome.terminal_rounds()
         )
         for record in records:
-            _write_round(record, out_dir / "rounds" / str(record.index))
+            _write_round(record, rounds_dir / str(record.index))
     _run_figures(outcome, out_dir / "figures")
 
 

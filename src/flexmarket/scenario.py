@@ -9,7 +9,9 @@ fast ones.  Generation is fully determined by the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,6 +30,10 @@ DEMAND_SHAPE_24 = (
 
 CLOSED = "closed"
 OPEN = "open"
+
+#: the values a config field of each declared type may take: a bool is
+#: neither an int nor a float, and an int is also a float
+_FIELD_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"), "str": (str, "a string")}
 
 
 @dataclass
@@ -86,7 +92,11 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            kind, noun = _FIELD_KINDS[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite")
         if not 0.0 <= self.flexibility_rate <= 1.0:
             raise ConfigurationError(f"flexibility rate {self.flexibility_rate!r} must lie in [0, 1]")
@@ -112,6 +122,9 @@ class ScenarioConfig:
             raise ConfigurationError("modulation efficiency must lie in (0, 1]")
         if not 0.0 <= self.forecast_alpha <= 1.0:
             raise ConfigurationError("forecast_alpha must lie in [0, 1]")
+        # a pin sits at this share of the volume it watches, at most all of it
+        if not 0.0 < self.threshold_factor <= 1.0:
+            raise ConfigurationError("threshold_factor must lie in (0, 1]")
         # unit costs are offer prices, which the auction takes in [0, price_cap]
         for fleet in ("slow", "fast"):
             if getattr(self, f"{fleet}_cost_low") > getattr(self, f"{fleet}_cost_high"):

@@ -87,6 +87,9 @@ def test_config_text_rejects_negative_tolerances_and_forget_rounds(line):
         dict(energy_seed_price=3500.0),
         dict(tariff_seed_price=-1.0),
         dict(seed=-1),
+        dict(threshold_factor=-1.0),
+        dict(threshold_factor=0.0),
+        dict(threshold_factor=5.0),
     ],
     ids=[
         "no-rounds", "flexibility-without-loads", "non-finite-price", "negative-unit-count",
@@ -95,7 +98,8 @@ def test_config_text_rejects_negative_tolerances_and_forget_rounds(line):
         "fast-costs-reversed", "open-without-band-window", "negative-slow-cost",
         "negative-fast-costs", "costs-above-low-price-cap", "fast-cost-above-price-cap",
         "negative-slow-capacity", "negative-fast-capacity", "energy-seed-above-price-cap",
-        "negative-tariff-seed", "negative-seed",
+        "negative-tariff-seed", "negative-seed", "negative-threshold-factor",
+        "zero-threshold-factor", "threshold-factor-above-1",
     ],
 )
 def test_config_rejects_settings_that_fail_later(overrides):
@@ -103,8 +107,31 @@ def test_config_rejects_settings_that_fail_later(overrides):
         ScenarioConfig(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("periods", 24.0),
+        ("max_rounds", 2.5),
+        ("producer_count", 2.0),
+        ("seed", True),
+        ("flexibility_rate", True),
+        ("setting", None),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    # before, a float count failed deep in generation or in the round loop
+    # with numpy's or Python's own TypeError, and seed=True ran as seed 1
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        ScenarioConfig(**{field: value}).validate()
+
+
 def test_config_allows_no_loads_without_flexibility():
     ScenarioConfig(loads_per_retailer=0, flexibility_rate=0.0).validate()
+
+
+def test_config_allows_a_threshold_factor_of_one():
+    # a pin at all of the volume it watches is the upper end of (0, 1]
+    ScenarioConfig(threshold_factor=1.0).validate()
 
 
 def test_generate_scenario_same_seed_identical():
@@ -173,15 +200,41 @@ def test_run_emits_reloadable_metrics(tmp_path):
     assert (out / "rounds" / "0" / "settlement.csv").exists()
 
 
-def test_replay_reproduces_byte_identical_outputs(tmp_path):
+def test_replay_reproduces_byte_identical_outputs(tmp_path, capsys):
     config_path = fast_config_file(tmp_path)
     first = tmp_path / "first"
     again = tmp_path / "again"
     main(["run", "--config", str(config_path), "--out-dir", str(first)])
+    printed = capsys.readouterr().out
     main(["replay", str(first / "manifest.txt"), "--out-dir", str(again)])
     assert (first / "metrics.csv").read_bytes() == (again / "metrics.csv").read_bytes()
     comparison = filecmp.dircmp(first, again)
     assert not comparison.diff_files
+    # replay is run on the manifest's config, summary included
+    assert capsys.readouterr().out == printed
+
+
+def tree_contents(out_dir):
+    """Every directory (as None) and file (as its bytes) under ``out_dir``."""
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes() if path.is_file() else None
+        for path in out_dir.rglob("*")
+    }
+
+
+@pytest.mark.parametrize("details", ["all", "terminal", "none"])
+def test_a_rerun_into_a_used_directory_writes_the_fresh_tree(tmp_path, details):
+    # before, the earlier run's rounds/<n>/ outlived it, next to a manifest
+    # that named fewer rounds
+    config = ["run", "--config", str(fast_config_file(tmp_path))]
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    main(config + ["--max-rounds", "6", "--out-dir", str(used)])
+    earlier = sorted(path.name for path in (used / "rounds").iterdir())
+    rerun = config + ["--max-rounds", "2", "--round-details", details]
+    main(rerun + ["--out-dir", str(used)])
+    main(rerun + ["--out-dir", str(fresh)])
+    assert len(earlier) > 2
+    assert tree_contents(used) == tree_contents(fresh)
 
 
 def test_flag_overrides_reach_the_manifest(tmp_path):
