@@ -215,6 +215,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the sweep owns its cells: an earlier sweep's cells must not outlive it
+    for setting in ("closed", "open"):
+        for cell in out_dir.glob(f"rate_[0-9][0-9][0-9]_{setting}"):
+            shutil.rmtree(cell)
     rows = []
     for config in args.validated:
         rate, setting = config.flexibility_rate, config.setting

@@ -1,26 +1,28 @@
 """Round loop: energy auction, reserve procurement, settlement, learning.
 
-One round is one simulated day.  Actors optimize against forecasts, the
-energy market clears, the reserve requirement follows the cleared
-consumption, the reserve market clears (producers always; retailers too in
-the open setting), everyone repositions against what actually cleared, and
-the settlement prices the resulting imbalances.  Actors then learn: price
-forecasts absorb the new observations, and threshold pins react to cap or
-extreme-tariff events.  Rounds repeat until forecasts match outcomes, the
-actors revisit an earlier joint position (a cycle), or the round budget
-runs out.
+One round is one simulated day, played as the stages of ``_STAGES``: actors
+optimize against forecasts (day-ahead), the energy market clears, producers
+bid reserve (and retailers bands, in the open setting), the reserve market
+clears a requirement that follows the cleared consumption, everyone
+repositions against what actually cleared, and the settlement prices the
+resulting imbalances.  Actors then learn: price forecasts absorb the new
+observations, and threshold pins react to cap or extreme-tariff events.
+Rounds repeat until forecasts match outcomes, the actors revisit an earlier
+joint position (a cycle), or the round budget runs out.
 
 The learned pins belong to the run, not to the scenario: :func:`run` keeps
 one :class:`ThresholdTrack` over (actors, 3, periods), retailers then
 producers in scenario order, starts it fresh and never changes the
 portfolios it is given, so running one scenario twice gives the same result.
 
-Each actor's model is built once, at the top of a round, from the round's
-forecast and its pins, and every stage of the round solves it under that
-stage's fixed quantities.  Actors equal in everything but their names are
-twins (the generated retailers all are).  Twins with equal pins share one
-model, and twins whose fixed quantities are equal too share one solve and
-its position; nothing is kept from one round to the next.
+Each stage is one function over one round context, run under one guard
+that names the round, stage and actor of an error (:class:`RoundError`).
+Each actor's model is built once, in the day-ahead stage, from the round's
+forecast and its pins; later stages solve it under their fixed quantities.
+Actors equal in everything but their names are twins (the generated
+retailers all are).  Twins with equal pins share one model, and twins whose
+fixed quantities are equal too share one solve and its position; the
+context, models included, is dropped when the round ends.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -186,151 +189,153 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
 
 
 def _play_round(index, scenario, fc, windows, pins, twins):
-    """One round: positions, energy auction, reserve procurement,
-    repositioning and settlement.  The agent modules turn positions into
-    offers and bids and map accepted reserve back onto units or windows; this
-    loop only hands each actor the accepted fractions of the book entries
-    that carry its name.  Each actor's model is built at the top of the
-    round; twins share models and positions (see :func:`_share_models` and
-    :func:`_stage_positions`)."""
-    config = scenario.config
-    t_count = config.periods
-    prices = (fc, config.price_cap, config.non_contracted_price)
-    models = _share_models(
-        index, scenario.retailers, twins, pins, build_retailer_model,
-        *prices, windows, config.modulation_capacity_price,
-    ) | _share_models(index, scenario.producers, twins, pins, build_producer_model, *prices)
+    """Round ``index``: the stages of :data:`_STAGES` over one round context.
+    The record takes the context's fields of its own names."""
+    r = SimpleNamespace(
+        index=index, config=scenario.config, retailers=scenario.retailers,
+        producers=scenario.producers, fc=fc, windows=windows, pins=pins, twins=twins, shared={},
+    )
+    for stage, actor, play in _STAGES:
+        r.stage, r.actor = stage, actor
+        with _stage_guard(r):
+            play(r)
+    return RoundRecord(**{f.name: getattr(r, f.name) for f in dataclasses.fields(RoundRecord)})
 
-    # stage 1: day-ahead positions and the energy auction
-    retailer_stage1 = _stage_positions(
-        index, "day-ahead", scenario.retailers, optimize_retailer, models, lambda p: {}
-    )
-    producer_stage1 = _stage_positions(
-        index, "day-ahead", scenario.producers, optimize_producer, models, lambda p: {}
-    )
-    offers = OfferBook.concat(
-        [
-            retailer_demand_offers(retailer_stage1[p.name], p, config.price_cap)
-            for p in scenario.retailers
-        ]
-        + [producer_energy_offers(producer_stage1[p.name], p, fc) for p in scenario.producers]
-    )
 
-    with _stage_guard(index, "energy-clearing", "market"):
-        clearing = energy_market.clear(offers, t_count, config.price_cap)
+def _day_ahead(r):
+    """Each actor's model, built from the forecast and its pins, its position
+    against the forecast and its energy offers."""
+    c = r.config
+    prices = (r.fc, c.price_cap, c.non_contracted_price)
+    r.models, r.day_ahead, r.offer_books = {}, {}, []
+    for p in r.retailers:
+        r.actor = p.name
+        r.models[p.name] = _shared(
+            r, build_retailer_model, p, *prices, r.windows, c.modulation_capacity_price,
+            r.pins[p.name],
+        )
+        r.day_ahead[p.name] = _shared(r, optimize_retailer, r.models[p.name])
+        r.offer_books.append(retailer_demand_offers(r.day_ahead[p.name], p, c.price_cap))
+    for p in r.producers:
+        r.actor = p.name
+        r.models[p.name] = _shared(r, build_producer_model, p, *prices, r.pins[p.name])
+        r.day_ahead[p.name] = _shared(r, optimize_producer, r.models[p.name])
+        r.offer_books.append(producer_energy_offers(r.day_ahead[p.name], p, r.fc))
+    r.submitted_demand = {p.name: r.day_ahead[p.name].demand for p in r.retailers}
 
-    # stage 2: reserve requirement from cleared consumption, then procurement
-    cleared_consumption = np.zeros(t_count)
-    for portfolio in scenario.retailers:
-        cleared_consumption += clearing.demand_of(portfolio.name)
-    required = config.reserve_rate * cleared_consumption
 
-    producer_stage2 = _stage_positions(
-        index, "reserve-bidding", scenario.producers, optimize_producer, models,
-        lambda p: dict(fixed_sale=clearing.supply_of(p.name)),
-    )
-    classical = ClassicalBook.concat(
-        producer_reserve_bids(producer_stage2[p.name], p) for p in scenario.producers
-    )
-    modulation = ModulationBook.concat(
-        retailer_band_bids(retailer_stage1[p.name], p, config.modulation_efficiency)
-        for p in scenario.retailers
-    )
+def _clear_energy(r):
+    """The auction of the actors' offers, in actor order."""
+    r.offers = OfferBook.concat(r.offer_books)
+    r.clearing = energy_market.clear(r.offers, r.config.periods, r.config.price_cap)
 
-    with _stage_guard(index, "reserve-clearing", "market"):
-        procurement = clear_reserve(
-            classical, modulation, required, required, config.reserve_prices()
+
+def _bid_reserve(r):
+    """Each producer's position with its cleared sale fixed and its reserve
+    bids; each retailer's band bids from its day-ahead amplitudes."""
+    r.reserve_bidding, r.classical_books, r.modulation_books = {}, [], []
+    for p in r.producers:
+        r.actor = p.name
+        position = r.reserve_bidding[p.name] = _shared(
+            r, optimize_producer, r.models[p.name], fixed_sale=r.clearing.supply_of(p.name)
+        )
+        r.classical_books.append(producer_reserve_bids(position, p))
+    for p in r.retailers:
+        r.actor = p.name
+        r.modulation_books.append(
+            retailer_band_bids(r.day_ahead[p.name], p, r.config.modulation_efficiency)
         )
 
-    # stage 3: reposition against cleared quantities
-    producer_final = _stage_positions(
-        index, "reposition", scenario.producers, optimize_producer, models,
-        lambda p: dict(
-            fixed_sale=clearing.supply_of(p.name),
+
+def _clear_reserve(r):
+    """Procurement of the reserve requirement, which follows the cleared
+    consumption, from the actors' bids."""
+    c = r.config
+    required = c.reserve_rate * sum(
+        (r.clearing.demand_of(p.name) for p in r.retailers), np.zeros(c.periods)
+    )
+    r.classical = ClassicalBook.concat(r.classical_books)
+    r.modulation = ModulationBook.concat(r.modulation_books)
+    r.procurement = clear_reserve(
+        r.classical, r.modulation, required, required, c.reserve_prices()
+    )
+
+
+def _reposition(r):
+    """Each actor's position against what cleared: its sale or purchase and
+    its accepted reserve or amplitudes fixed.  The agent modules map the
+    accepted fractions of the book entries that carry its name back onto
+    its units or windows."""
+    r.producer_positions, r.retailer_positions = {}, {}
+    for p in r.producers:
+        r.actor = p.name
+        r.producer_positions[p.name] = _shared(
+            r, optimize_producer, r.models[p.name],
+            fixed_sale=r.clearing.supply_of(p.name),
             fixed_reserve=accepted_volumes(
-                producer_stage2[p.name].reserve,
-                procurement.classical_fraction[classical.actor == p.name],
+                r.reserve_bidding[p.name].reserve,
+                r.procurement.classical_fraction[r.classical.actor == p.name],
             ),
-        ),
-    )
-    retailer_final = _stage_positions(
-        index, "reposition", scenario.retailers, optimize_retailer, models,
-        lambda p: dict(
-            fixed_demand=clearing.demand_of(p.name),
-            fixed_amplitudes=accepted_volumes(
-                retailer_stage1[p.name].amplitudes,
-                procurement.modulation_fraction[modulation.actor == p.name],
-            ),
-        ),
-    )
-
-    # settlement of the resulting system imbalance
-    system = np.zeros(t_count)
-    actor_imbalances = {}
-    for name, position in {**retailer_final, **producer_final}.items():
-        system += position.imbalance_up - position.imbalance_down
-        actor_imbalances[name] = (
-            position.imbalance_up * config.period_hours,
-            position.imbalance_down * config.period_hours,
         )
-    with _stage_guard(index, "settlement", "operator"):
-        settlement = imbalance.settle(system, procurement, config.non_contracted_price)
-    charges = imbalance.fees(settlement.tariff_up, settlement.tariff_down, actor_imbalances)
+    for p in r.retailers:
+        r.actor = p.name
+        r.retailer_positions[p.name] = _shared(
+            r, optimize_retailer, r.models[p.name],
+            fixed_demand=r.clearing.demand_of(p.name),
+            fixed_amplitudes=accepted_volumes(
+                r.day_ahead[p.name].amplitudes,
+                r.procurement.modulation_fraction[r.modulation.actor == p.name],
+            ),
+        )
 
-    submitted_demand = {n: p.demand for n, p in retailer_stage1.items()}
-    submitted_sale = {n: p.sale for n, p in producer_stage1.items()}
-    state = _state_vector(
-        clearing.price, settlement.tariff_up, settlement.tariff_down,
-        submitted_demand, submitted_sale, retailer_final, producer_final, windows,
+
+def _settle(r):
+    """Settlement of the resulting system imbalance, each actor's fees, and
+    the round's metrics and state."""
+    c = r.config
+    positions = {**r.retailer_positions, **r.producer_positions}
+    system = sum(
+        (position.imbalance_up - position.imbalance_down for position in positions.values()),
+        np.zeros(c.periods),
     )
-    return RoundRecord(
-        index=index,
-        submitted_demand=submitted_demand,
-        retailer_positions=retailer_final,
-        producer_positions=producer_final,
-        offers=offers,
-        clearing=clearing,
-        procurement=procurement,
-        settlement=settlement,
-        fees=charges,
-        metrics=_round_metrics(
-            clearing.price, procurement, settlement, config.period_hours
-        ),
-        state=state,
+    r.settlement = imbalance.settle(system, r.procurement, c.non_contracted_price)
+    r.fees = imbalance.fees(
+        r.settlement.tariff_up,
+        r.settlement.tariff_down,
+        {
+            name: (position.imbalance_up * c.period_hours, position.imbalance_down * c.period_hours)
+            for name, position in positions.items()
+        },
     )
+    r.metrics = _round_metrics(r.clearing.price, r.procurement, r.settlement, c.period_hours)
+    r.state = _state_vector(r)
 
 
-def _share_models(index, portfolios, twins, pins, build, *inputs):
-    """Each actor's model ``build(portfolio, *inputs, pins)`` for round
-    ``index``; twins (equal ``twins`` group) with bit-equal pins share one."""
-    built, models = {}, {}
-    for portfolio in portfolios:
-        name = portfolio.name
-        with _stage_guard(index, "day-ahead", name):
-            key = (twins[name], pins[name].tobytes())
-            if key not in built:
-                built[key] = build(portfolio, *inputs, pins[name])
-        models[name] = built[key]
-    return models
+#: the round, stage by stage: (stage, actor named by an error before the stage
+#: reaches an actor of its own, stage function)
+_STAGES = (
+    ("day-ahead", None, _day_ahead),
+    ("energy-clearing", "market", _clear_energy),
+    ("reserve-bidding", None, _bid_reserve),
+    ("reserve-clearing", "market", _clear_reserve),
+    ("reposition", None, _reposition),
+    ("settlement", "operator", _settle),
+)
 
 
-def _stage_positions(index, stage, portfolios, optimize, models, fixed):
-    """Each actor's position in one stage of round ``index``:
-    ``optimize(models[name], **fixed(portfolio))``, where ``fixed`` gives
-    the stage's fixed quantities.  It runs once for actors that share a
-    model and whose fixed arrays are equal to the bit; they share its
-    position.
-    """
-    positions, solved = {}, {}
-    for portfolio in portfolios:
-        name = portfolio.name
-        with _stage_guard(index, stage, name):
-            arrays = fixed(portfolio)
-            key = (id(models[name]), *(value.tobytes() for value in arrays.values()))
-            if key not in solved:
-                solved[key] = optimize(models[name], **arrays)
-        positions[name] = solved[key]
-    return positions
+def _shared(r, call, *args, **fixed):
+    """``call(*args, **fixed)`` for the actor round context ``r`` is at, called
+    once per stage for twins (equal ``r.twins`` group) whose pins and
+    ``fixed`` arrays are equal to the bit: they share one model, and in each
+    stage one position.  Twins with equal pins share their model, so keying
+    a solve by group and pins keys it by model."""
+    key = (
+        r.stage, call, r.twins[r.actor], r.pins[r.actor].tobytes(),
+        *(value.tobytes() for value in fixed.values()),
+    )
+    if key not in r.shared:
+        r.shared[key] = call(*args, **fixed)
+    return r.shared[key]
 
 
 def _twin_groups(portfolios) -> dict[str, int]:
@@ -359,25 +364,24 @@ def _twin_key(value):
 
 
 @contextmanager
-def _stage_guard(round_index, stage, actor):
-    """Annotate an error raised inside with its round, stage and actor;
-    interrupts such as ``KeyboardInterrupt`` pass through unchanged."""
+def _stage_guard(r):
+    """Annotate an error raised inside with the round, stage and actor that
+    round context ``r`` is at; interrupts such as ``KeyboardInterrupt`` pass
+    through unchanged."""
     try:
         yield
-    except RoundError:
-        raise
     except Exception as exc:
-        raise RoundError(f"round {round_index}, stage {stage!r}, actor {actor!r}: {exc}") from exc
+        raise RoundError(f"round {r.index}, stage {r.stage!r}, actor {r.actor!r}: {exc}") from exc
 
 
-def _state_vector(price, tariff_up, tariff_down, demand, sale, retailers, producers, windows):
-    parts = [price, tariff_up, tariff_down]
-    for name, position in retailers.items():
-        parts += [demand[name], position.imbalance_up, position.imbalance_down]
-        if windows:
+def _state_vector(r):
+    parts = [r.clearing.price, r.settlement.tariff_up, r.settlement.tariff_down]
+    for name, position in r.retailer_positions.items():
+        parts += [r.submitted_demand[name], position.imbalance_up, position.imbalance_down]
+        if r.windows:
             parts.append(position.amplitudes)
-    for name, position in producers.items():
-        parts += [sale[name], position.imbalance_up, position.imbalance_down]
+    for name, position in r.producer_positions.items():
+        parts += [r.day_ahead[name].sale, position.imbalance_up, position.imbalance_down]
     return np.concatenate(parts)
 
 

@@ -324,6 +324,18 @@ def test_sweep_survives_failing_cell(tmp_path, monkeypatch):
     assert by_rate[("0.02", "open")]["status"] == "error: solver gave up"
 
 
+def test_a_sweep_into_a_used_directory_writes_the_fresh_tree(tmp_path):
+    # before, the earlier sweep's rate_002_* cells outlived it, next to a
+    # sweep.csv that listed only rate 0
+    config = ["sweep", "--config", str(fast_config_file(tmp_path))]
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    main(config + ["--rates", "0,0.02", "--out-dir", str(used)])
+    assert (used / "rate_002_closed").is_dir() and (used / "rate_002_open").is_dir()
+    main(config + ["--rates", "0", "--out-dir", str(used)])
+    main(config + ["--rates", "0", "--out-dir", str(fresh)])
+    assert tree_contents(used) == tree_contents(fresh)
+
+
 @pytest.mark.parametrize(
     "rates, overrides, message",
     [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from flexmarket import lp, simulator
+from flexmarket import energy_market, imbalance, lp, simulator
 from flexmarket.agents import (
     GenerationUnit,
     ProducerPortfolio,
@@ -208,13 +208,42 @@ def test_metrics_recomputable_from_record():
 
 
 def test_stage_guard_annotates_errors_and_lets_interrupts_through():
+    at = types.SimpleNamespace(index=3, stage="settlement", actor="operator")
     with pytest.raises(simulator.RoundError, match="round 3, stage 'settlement', actor 'operator'"):
-        with simulator._stage_guard(3, "settlement", "operator"):
+        with simulator._stage_guard(at):
             raise ValueError("boom")
     # a Ctrl-C must stop a sweep, not become one failed cell
     with pytest.raises(KeyboardInterrupt):
-        with simulator._stage_guard(3, "settlement", "operator"):
+        with simulator._stage_guard(at):
             raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "owner, binding, stage, actor",
+    [
+        (simulator, "build_retailer_model", "day-ahead", "retailer-1"),
+        (simulator, "retailer_demand_offers", "day-ahead", "retailer-1"),
+        (simulator, "producer_energy_offers", "day-ahead", "producer-1"),
+        (energy_market, "clear", "energy-clearing", "market"),
+        (simulator, "producer_reserve_bids", "reserve-bidding", "producer-1"),
+        (simulator, "retailer_band_bids", "reserve-bidding", "retailer-1"),
+        (simulator, "clear_reserve", "reserve-clearing", "market"),
+        (simulator, "accepted_volumes", "reposition", "producer-1"),
+        (imbalance, "settle", "settlement", "operator"),
+        (imbalance, "fees", "settlement", "operator"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_a_failure_in_each_stage_names_round_stage_and_actor(monkeypatch, owner, binding, stage, actor):
+    # the offer and bid books and the fees were built outside every guard
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(owner, binding, fail)
+    with pytest.raises(
+        simulator.RoundError, match=f"^round 0, stage {stage!r}, actor {actor!r}: boom$"
+    ):
+        run(small_config(max_rounds=1))
 
 
 def test_zero_reserve_rate_uses_only_non_contracted():
@@ -590,12 +619,20 @@ def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(chang
         solved.append(model)
         return object()
 
-    twins = dict.fromkeys("abc", 0)
-    pins = {name: inputs[name].pop("pins") for name in "abc"}
-    models = simulator._share_models(0, actors, twins, pins, build)
-    positions = simulator._stage_positions(
-        0, "reposition", actors, optimize, models, lambda portfolio: inputs[portfolio.name],
+    at = types.SimpleNamespace(
+        twins=dict.fromkeys("abc", 0),
+        pins={name: inputs[name].pop("pins") for name in "abc"},
+        shared={},
     )
+    models, positions = {}, {}
+    at.stage = "day-ahead"
+    for portfolio in actors:
+        at.actor = name = portfolio.name
+        models[name] = simulator._shared(at, build, portfolio, at.pins[name])
+    at.stage = "reposition"
+    for portfolio in actors:
+        at.actor = name = portfolio.name
+        positions[name] = simulator._shared(at, optimize, models[name], **inputs[name])
     # the model depends on the pins alone, the position on the fixed
     # quantities too
     own_model = changed == "pins"
