@@ -113,12 +113,12 @@ class RetailerModel:
     demand: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    schedules: np.ndarray       # (loads, periods) baseline consumption
-    # per window, in window order: its amplitude and the (loads, length)
-    # consumption of its high-first and its low-first scenario
-    amplitudes: np.ndarray
-    up_schedules: list[np.ndarray]
-    down_schedules: list[np.ndarray]
+    # (loads, periods) consumption: the baseline, then the high-first and
+    # the low-first scenario, which are the baseline's outside the windows
+    schedules: np.ndarray
+    up_schedules: np.ndarray
+    down_schedules: np.ndarray
+    amplitudes: np.ndarray      # per window, in window order
     windows: list[tuple[int, int]]
 
 
@@ -178,7 +178,7 @@ def build_retailer_model(
         lp, portfolio, windows, d_vars, e_vars, modulation_price
     )
     return RetailerModel(
-        portfolio.name, lp, demand, i_up, i_dn, d_vars, amplitudes, up_d, dn_d, windows
+        portfolio.name, lp, demand, i_up, i_dn, d_vars, up_d, dn_d, amplitudes, windows
     )
 
 
@@ -205,14 +205,13 @@ def optimize_retailer(
             "check tank data and fixed quantities"
         )
 
-    schedules = sol.values(model.schedules)
     return RetailerPosition(
         demand=sol.values(model.demand),
         imbalance_up=sol.values(model.imbalance_up),
         imbalance_down=sol.values(model.imbalance_down),
-        schedules=schedules,
-        up_schedules=_patched(schedules, model.windows, model.up_schedules, sol),
-        down_schedules=_patched(schedules, model.windows, model.down_schedules, sol),
+        schedules=sol.values(model.schedules),
+        up_schedules=sol.values(model.up_schedules),
+        down_schedules=sol.values(model.down_schedules),
         objective=sol.objective,
         windows=model.windows,
         amplitudes=sol.values(model.amplitudes),
@@ -354,19 +353,20 @@ def _modulation_block(
     """Amplitude variables and the two extreme scenarios of every window.
 
     Consecutive windows of one length are built as one block.  Returns the
-    amplitude handles and, per window, the (loads, length) scenario
-    consumption handles of the high-first ("up") and low-first ("down")
-    scenarios.
+    amplitude handles and the (loads, periods) consumption handles of the
+    high-first ("up") and low-first ("down") scenarios: each window's own
+    inside it, the baseline's ``d_vars`` outside every window.
     """
-    amplitude_vars, up_d, dn_d = [], [], []
+    amplitude_vars, up_d, dn_d = [], d_vars.copy(), d_vars.copy()
     for length, run in itertools.groupby(windows, key=lambda window: window[1]):
         starts = np.array([start for start, _ in run])
         f_vars, s_up, s_dn = _band_windows(lp, portfolio.loads, starts, length, d_vars, e_vars)
         # revenue for the band, plus the bonus for larger bands
         lp.add_objectives(f_vars, -(length * modulation_price + AMPLITUDE_BONUS))
         amplitude_vars.append(f_vars)
-        up_d.extend(s_up)
-        dn_d.extend(s_dn)
+        periods = starts[:, None] + np.arange(length)
+        up_d[:, periods] = s_up.transpose(1, 0, 2)
+        dn_d[:, periods] = s_dn.transpose(1, 0, 2)
     return np.concatenate(amplitude_vars or [np.zeros(0, dtype=np.intp)]), up_d, dn_d
 
 
@@ -447,10 +447,3 @@ def _band_windows(lp, loads, starts, length, d_vars, e_vars):
     )
     return f_vars, s_up, s_dn
 
-
-def _patched(schedules, windows, scenario_vars, sol):
-    """(loads, periods) scenario schedules, baseline outside windows."""
-    out = schedules.copy()
-    for (start, length), handles in zip(windows, scenario_vars):
-        out[:, start : start + length] = sol.values(handles)
-    return out

@@ -27,14 +27,17 @@ from .charts import line_chart
 from .scenario import ScenarioConfig, config_from_text, config_to_text
 from .simulator import RoundMetrics, RoundRecord, SimulationOutcome, run as run_simulation
 
-#: the cells of ``RoundMetrics.as_tuple()``, in its order
-METRIC_COLUMNS = [
-    "mean_price",
-    "price_variability",
-    "total_imbalance_mwh",
-    "procurement_cost_eur",
-    "non_contracted_mwh",
-]
+#: each ``RoundMetrics`` field, in field order: its CSV column and the label
+#: of its sweep figure (None: no figure)
+METRICS = {
+    "mean_price": ("mean_price", None),
+    "price_variability": ("price_variability", "price variability (EUR/MWh)"),
+    "total_imbalance": ("total_imbalance_mwh", "total imbalance (MWh)"),
+    "procurement_cost": ("procurement_cost_eur", "reserve procurement cost (EUR)"),
+    "non_contracted": ("non_contracted_mwh", "non-contracted reserve (MWh)"),
+}
+
+METRIC_COLUMNS = [column for column, _ in METRICS.values()]
 
 SUMMARY_COLUMNS = ["termination", "rounds", "cycle_start", "cycle_length", *METRIC_COLUMNS]
 
@@ -78,10 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_cmd = sub.add_parser("run", help="simulate one scenario")
     _common_flags(run_cmd)
+    run_cmd.add_argument("--rate", type=float, help="flexibility rate")
+    run_cmd.add_argument("--setting", choices=["closed", "open"])
     _round_details_flag(run_cmd)
     run_cmd.set_defaults(entry=cmd_run, read_config=load_config)
 
-    sweep_cmd = sub.add_parser("sweep", help="both settings over a list of flexibility rates")
+    # without abbreviations, so that ``--rate`` is refused, not read as ``--rates``
+    sweep_cmd = sub.add_parser(
+        "sweep", help="both settings over a list of flexibility rates", allow_abbrev=False
+    )
     _common_flags(sweep_cmd)
     sweep_cmd.add_argument(
         "--rates",
@@ -110,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_flags(cmd) -> None:
     cmd.add_argument("--config", type=Path, help="flat key=value scenario file")
     cmd.add_argument("--seed", type=int)
-    cmd.add_argument("--rate", type=float, help="flexibility rate")
-    cmd.add_argument("--setting", choices=["closed", "open"])
     cmd.add_argument("--max-rounds", type=int)
     cmd.add_argument("--out-dir", type=Path, required=True)
 
@@ -156,8 +162,9 @@ def load_config(args) -> ScenarioConfig:
     config = config_from_text(args.config.read_text()) if args.config else ScenarioConfig()
     flags = {
         "seed": args.seed,
-        "flexibility_rate": args.rate,
-        "setting": args.setting,
+        # ``sweep`` has no --rate or --setting: its cells set both
+        "flexibility_rate": getattr(args, "rate", None),
+        "setting": getattr(args, "setting", None),
         "max_rounds": args.max_rounds,
     }
     config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
@@ -219,7 +226,7 @@ def cmd_sweep(args) -> int:
     for setting in ("closed", "open"):
         for cell in out_dir.glob(f"rate_[0-9][0-9][0-9]_{setting}"):
             shutil.rmtree(cell)
-    rows = []
+    rows, ok = [], {"closed": [], "open": []}
     for config in args.validated:
         rate, setting = config.flexibility_rate, config.setting
         try:
@@ -229,34 +236,30 @@ def cmd_sweep(args) -> int:
                 [repr(rate), setting, "ok", len(outcome.rounds), outcome.termination]
                 + _metric_cells(outcome.cycle_metrics)
             )
+            ok[setting].append((rate, outcome.cycle_metrics))
             print(f"rate {rate:g} {setting}: ok ({outcome.termination})")
         except Exception as exc:  # keep sweeping, report the cell
             row = [repr(rate), setting, f"error: {exc}"]
             rows.append(row + [""] * (len(SWEEP_COLUMNS) - len(row)))
             print(f"rate {rate:g} {setting}: FAILED ({exc})", file=sys.stderr)
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
-    _sweep_figures([dict(zip(SWEEP_COLUMNS, row)) for row in rows], out_dir)
+    _sweep_figures(ok, out_dir)
     return 0
 
 
-def _sweep_figures(rows, out_dir) -> None:
+def _sweep_figures(ok, out_dir) -> None:
+    """One figure per labelled metric over the (rate, cycle metrics) of
+    each setting's ok cells."""
     figures = out_dir / "figures"
     figures.mkdir(exist_ok=True)
-    panels = [
-        ("price_variability", "price variability (EUR/MWh)", "price_variability"),
-        ("total_imbalance", "total imbalance (MWh)", "total_imbalance_mwh"),
-        ("procurement_cost", "reserve procurement cost (EUR)", "procurement_cost_eur"),
-        ("non_contracted", "non-contracted reserve (MWh)", "non_contracted_mwh"),
-    ]
-    for name, label, column in panels:
-        series = {}
-        for setting in ("closed", "open"):
-            ok = [row for row in rows if row["setting"] == setting and row["status"] == "ok"]
-            if ok:
-                series[setting] = (
-                    [float(row["rate"]) for row in ok],
-                    [float(row[column]) for row in ok],
-                )
+    for name, (_, label) in METRICS.items():
+        if label is None:
+            continue
+        series = {
+            setting: ([rate for rate, _ in cells], [getattr(m, name) for _, m in cells])
+            for setting, cells in ok.items()
+            if cells
+        }
         line_chart(
             figures / f"{name}.svg",
             f"{label} vs flexibility rate",
@@ -329,7 +332,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _metric_cells(metrics: RoundMetrics) -> list[str]:
-    return [repr(value) for value in metrics.as_tuple()]
+    return [repr(getattr(metrics, name)) for name in METRICS]
 
 
 def _period_rows(*series) -> list[list]:

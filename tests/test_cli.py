@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import filecmp
 import hashlib
 
 import numpy as np
 import pytest
 
-from flexmarket.cli import main, write_outputs
+from flexmarket.cli import METRICS, main, write_outputs
 from flexmarket.energy_market import DEMAND, SUPPLY, OfferBook, clear
 from flexmarket.imbalance import settle
 from flexmarket.reserve_market import ClassicalBook, ModulationBook, ReservePrices, clear_reserve
@@ -15,7 +16,7 @@ from flexmarket.scenario import (
     config_to_text,
     generate_scenario,
 )
-from flexmarket.simulator import RoundRecord, SimulationOutcome, _round_metrics
+from flexmarket.simulator import RoundMetrics, RoundRecord, SimulationOutcome, _round_metrics
 from flexmarket.agents.retailer import ConfigurationError
 
 PRICES = ReservePrices(45.0, 45.0, 10.0, 500.0)
@@ -357,6 +358,23 @@ def test_sweep_reports_a_bad_cell_config_as_a_usage_error(tmp_path, capsys, rate
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--rate", "0.5"), ("--setting", "open")])
+def test_sweep_refuses_the_flags_its_cells_set(tmp_path, capsys, flag, value):
+    # before, each was accepted and then overwritten in every cell
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", str(fast_config_file(tmp_path)), "--out-dir", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + ["--rates", "0", "--max-rounds", "1", flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metric_table_names_every_round_metric_in_order():
+    # a metric missing from the table would be missing from every CSV
+    assert list(METRICS) == [field.name for field in dataclasses.fields(RoundMetrics)]
+
+
 def test_verify_runs_clean():
     assert main(["verify", "--loads", "2", "--samples", "100", "--seed", "3"]) == 0
 
@@ -577,3 +595,22 @@ def test_output_trees_match_pinned_digests(tmp_path, case, setting, rate):
         assert any(record.procurement.modulation_contracted.any() for record in outcome.rounds)
     write_outputs(outcome, tmp_path, "all")
     assert tree_digests(tmp_path) == TREE_DIGESTS[case]
+
+
+#: sha256 prefixes of ``sweep.csv`` and the four sweep figures of
+#: ``test_sweep_outputs_match_pinned_digests``, taken as ``TREE_DIGESTS`` were
+SWEEP_DIGESTS = {
+    "figures/non_contracted.svg": "f1cb194be7e5db49",
+    "figures/price_variability.svg": "668b3466b40a48c2",
+    "figures/procurement_cost.svg": "1ff7bbdb31df0dfb",
+    "figures/total_imbalance.svg": "1c7310882873f345",
+    "sweep.csv": "b0091d1d1c1af5eb",
+}
+
+
+def test_sweep_outputs_match_pinned_digests(tmp_path):
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", str(fast_config_file(tmp_path)), "--out-dir", str(out)]
+    assert main(args + ["--rates", "0,0.1"]) == 0
+    digests = tree_digests(out)
+    assert {name: digests[name] for name in SWEEP_DIGESTS} == SWEEP_DIGESTS

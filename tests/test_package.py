@@ -13,14 +13,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-#: the rate sweep (06) is left out: it takes several seconds and writes
-#: ``demos/figures/``
 DEMOS = [
     "01_energy_auction.py",
     "02_reserve_procurement.py",
     "03_settlement_and_tariffs.py",
     "04_flexible_load_bands.py",
-    "05_full_simulation.py",
 ]
 
 
