@@ -12,7 +12,10 @@ under several without being changed or copied.
 
 Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
 Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on one
-instance per thread that is emptied before each model.
+instance per thread that is emptied before each model; HiGHS releases the
+GIL while it runs, so threads solve models concurrently, each on its own
+instance.  A model is read-only once it has been solved: from then on
+several threads may solve it at once, under different bounds.
 :meth:`~LinearProgram.highs_columns` assembles the matrix once per model, in
 numpy, straight from the triplets: the column-wise arrays HiGHS takes, each
 row bounded by a range, with repeated terms summed and cancelled ones
@@ -68,7 +71,11 @@ class LinearProgram:
     Variables are referred to by the integer handles :meth:`add_variables`
     returns.  Objective terms accumulate, which keeps model-building code
     free of bookkeeping when several cost terms touch the same variable.
-    Each store is a list of array chunks, joined into one on first read.
+    Each store is a list of array chunks, joined into one on first read, and
+    :meth:`highs_columns` keeps the arrays it assembles: reading a model
+    writes to it until its first solve has read every store.  So a model
+    must be solved once, on the thread that built it, before another thread
+    sees it; after that, solves only read it.
     """
 
     def __init__(self, sense: str = "min", name: str = ""):

@@ -23,11 +23,26 @@ Actors equal in everything but their names are twins (the generated
 retailers all are).  Twins with equal pins share one model, and twins whose
 fixed quantities are equal too share one solve and its position; the
 context, models included, is dropped when the round ends.
+
+The actors' LPs of one stage do not depend on each other, and HiGHS
+releases the GIL while it runs, so the ``day-ahead``, ``reserve-bidding``
+and ``reposition`` stages solve them concurrently on one process-wide
+thread pool (:func:`_concurrently`), one worker per CPU the process may use.
+A day-ahead job builds its actor's model and solves it, so a model is
+solved once, by the thread that built it, before any other thread reads it.
+Everything else (the fixed quantities, the offer and bid books) is done on
+the calling thread in actor order, and each job's result is taken in actor
+order too, so an error names the first actor in actor order whose step
+failed, as a serial round would.  The pool is made on the first stage that
+needs it, so importing this package starts no thread, and made again in a
+forked child.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -193,7 +208,7 @@ def _play_round(index, scenario, fc, windows, pins, twins):
     The record takes the context's fields of its own names."""
     r = SimpleNamespace(
         index=index, config=scenario.config, retailers=scenario.retailers,
-        producers=scenario.producers, fc=fc, windows=windows, pins=pins, twins=twins, shared={},
+        producers=scenario.producers, fc=fc, windows=windows, pins=pins, twins=twins,
     )
     for stage, actor, play in _STAGES:
         r.stage, r.actor = stage, actor
@@ -207,19 +222,28 @@ def _day_ahead(r):
     against the forecast and its energy offers."""
     c = r.config
     prices = (r.fc, c.price_cap, c.non_contracted_price)
+
+    def retailer(p):
+        model = build_retailer_model(
+            p, *prices, r.windows, c.modulation_capacity_price, r.pins[p.name]
+        )
+        return model, optimize_retailer(model)
+
+    def producer(p):
+        model = build_producer_model(p, *prices, r.pins[p.name])
+        return model, optimize_producer(model)
+
+    solved = _concurrently(
+        r,
+        [_job(r, p.name, retailer, p) for p in r.retailers]
+        + [_job(r, p.name, producer, p) for p in r.producers],
+    )
     r.models, r.day_ahead, r.offer_books = {}, {}, []
     for p in r.retailers:
-        r.actor = p.name
-        r.models[p.name] = _shared(
-            r, build_retailer_model, p, *prices, r.windows, c.modulation_capacity_price,
-            r.pins[p.name],
-        )
-        r.day_ahead[p.name] = _shared(r, optimize_retailer, r.models[p.name])
+        r.models[p.name], r.day_ahead[p.name] = next(solved)
         r.offer_books.append(retailer_demand_offers(r.day_ahead[p.name], p, c.price_cap))
     for p in r.producers:
-        r.actor = p.name
-        r.models[p.name] = _shared(r, build_producer_model, p, *prices, r.pins[p.name])
-        r.day_ahead[p.name] = _shared(r, optimize_producer, r.models[p.name])
+        r.models[p.name], r.day_ahead[p.name] = next(solved)
         r.offer_books.append(producer_energy_offers(r.day_ahead[p.name], p, r.fc))
     r.submitted_demand = {p.name: r.day_ahead[p.name].demand for p in r.retailers}
 
@@ -233,12 +257,16 @@ def _clear_energy(r):
 def _bid_reserve(r):
     """Each producer's position with its cleared sale fixed and its reserve
     bids; each retailer's band bids from its day-ahead amplitudes."""
-    r.reserve_bidding, r.classical_books, r.modulation_books = {}, [], []
+    jobs = []
     for p in r.producers:
         r.actor = p.name
-        position = r.reserve_bidding[p.name] = _shared(
-            r, optimize_producer, r.models[p.name], fixed_sale=r.clearing.supply_of(p.name)
-        )
+        jobs.append(_job(
+            r, p.name, optimize_producer, r.models[p.name], fixed_sale=r.clearing.supply_of(p.name)
+        ))
+    solved = _concurrently(r, jobs)
+    r.reserve_bidding, r.classical_books, r.modulation_books = {}, [], []
+    for p in r.producers:
+        position = r.reserve_bidding[p.name] = next(solved)
         r.classical_books.append(producer_reserve_bids(position, p))
     for p in r.retailers:
         r.actor = p.name
@@ -266,27 +294,30 @@ def _reposition(r):
     its accepted reserve or amplitudes fixed.  The agent modules map the
     accepted fractions of the book entries that carry its name back onto
     its units or windows."""
-    r.producer_positions, r.retailer_positions = {}, {}
+    jobs = []
     for p in r.producers:
         r.actor = p.name
-        r.producer_positions[p.name] = _shared(
-            r, optimize_producer, r.models[p.name],
+        jobs.append(_job(
+            r, p.name, optimize_producer, r.models[p.name],
             fixed_sale=r.clearing.supply_of(p.name),
             fixed_reserve=accepted_volumes(
                 r.reserve_bidding[p.name].reserve,
                 r.procurement.classical_fraction[r.classical.actor == p.name],
             ),
-        )
+        ))
     for p in r.retailers:
         r.actor = p.name
-        r.retailer_positions[p.name] = _shared(
-            r, optimize_retailer, r.models[p.name],
+        jobs.append(_job(
+            r, p.name, optimize_retailer, r.models[p.name],
             fixed_demand=r.clearing.demand_of(p.name),
             fixed_amplitudes=accepted_volumes(
                 r.day_ahead[p.name].amplitudes,
                 r.procurement.modulation_fraction[r.modulation.actor == p.name],
             ),
-        )
+        ))
+    solved = _concurrently(r, jobs)
+    r.producer_positions = {p.name: next(solved) for p in r.producers}
+    r.retailer_positions = {p.name: next(solved) for p in r.retailers}
 
 
 def _settle(r):
@@ -323,19 +354,65 @@ _STAGES = (
 )
 
 
-def _shared(r, call, *args, **fixed):
-    """``call(*args, **fixed)`` for the actor round context ``r`` is at, called
-    once per stage for twins (equal ``r.twins`` group) whose pins and
-    ``fixed`` arrays are equal to the bit: they share one model, and in each
-    stage one position.  Twins with equal pins share their model, so keying
-    a solve by group and pins keys it by model."""
+def _job(r, actor, call, *args, **fixed):
+    """The job ``(actor, key, call)`` of :func:`_concurrently` that calls
+    ``call(*args, **fixed)`` for ``actor`` in the stage round context ``r`` is
+    at.  Twins (equal ``r.twins`` group) whose pins and ``fixed`` arrays are
+    equal to the bit get equal keys: they share one model, and in each stage
+    one position.  Twins with equal pins share their model, so keying a
+    solve by group and pins keys it by model."""
     key = (
-        r.stage, call, r.twins[r.actor], r.pins[r.actor].tobytes(),
+        r.stage, call, r.twins[actor], r.pins[actor].tobytes(),
         *(value.tobytes() for value in fixed.values()),
     )
-    if key not in r.shared:
-        r.shared[key] = call(*args, **fixed)
-    return r.shared[key]
+    return actor, key, functools.partial(call, *args, **fixed)
+
+
+def _concurrently(r, jobs):
+    """Yield the results of ``jobs`` (see :func:`_job`), one per job and in
+    their order.  On the first ``next``, the call of each distinct key is
+    submitted once to the pool; jobs sharing a key get the same result
+    object.  Before each result is taken, ``r.actor`` is set to the job's
+    actor, so an error raised in a job, or by the caller while it handles a
+    result, names that actor, and the first one in job order."""
+    pool = _pool()
+    futures = {}
+    for _, key, call in jobs:
+        if key not in futures:
+            futures[key] = pool.submit(call)
+    for actor, key, _ in jobs:
+        r.actor = actor
+        yield futures[key].result()
+
+
+#: the thread pool of :func:`_concurrently`, made by :func:`_pool`
+_POOL = None
+
+
+def _pool():
+    """The process-wide pool, made on first use with one worker per CPU the
+    process may run on."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            workers = os.cpu_count() or 1
+        _POOL = ThreadPoolExecutor(workers, thread_name_prefix="flexmarket")
+    return _POOL
+
+
+def _drop_pool():
+    """Forget the pool in a forked child, which has none of its threads:
+    jobs submitted to it would wait forever."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):  # only where processes fork
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _twin_groups(portfolios) -> dict[str, int]:

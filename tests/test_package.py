@@ -40,6 +40,17 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_import_starts_no_thread():
+    # the simulator's thread pool is made on the first stage that solves
+    probe = (
+        "import sys, threading, flexmarket, flexmarket.cli; "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1 False"
+
+
 def test_only_cli_writes_csv():
     # the output tree's format lives in one module; the others only compute
     importers = []

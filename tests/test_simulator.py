@@ -1,5 +1,10 @@
 import dataclasses
+import multiprocessing
+import os
+import threading
+import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -622,22 +627,20 @@ def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(chang
     at = types.SimpleNamespace(
         twins=dict.fromkeys("abc", 0),
         pins={name: inputs[name].pop("pins") for name in "abc"},
-        shared={},
     )
-    models, positions = {}, {}
     at.stage = "day-ahead"
-    for portfolio in actors:
-        at.actor = name = portfolio.name
-        models[name] = simulator._shared(at, build, portfolio, at.pins[name])
+    models = dict(zip("abc", simulator._concurrently(
+        at, [simulator._job(at, p.name, build, p, at.pins[p.name]) for p in actors]
+    )))
     at.stage = "reposition"
-    for portfolio in actors:
-        at.actor = name = portfolio.name
-        positions[name] = simulator._shared(at, optimize, models[name], **inputs[name])
+    positions = dict(zip("abc", simulator._concurrently(
+        at, [simulator._job(at, p.name, optimize, models[p.name], **inputs[p.name]) for p in actors]
+    )))
     # the model depends on the pins alone, the position on the fixed
-    # quantities too
+    # quantities too; the pool runs the distinct jobs in any order
     own_model = changed == "pins"
-    assert built == (["a", "b"] if own_model else ["a"])
-    assert solved == ["a", "b" if own_model else "a"]
+    assert sorted(built) == (["a", "b"] if own_model else ["a"])
+    assert sorted(solved) == ["a", "b" if own_model else "a"]
     assert positions["c"] is positions["a"] is not positions["b"]
 
 
@@ -777,3 +780,129 @@ def test_more_flexibility_relies_more_on_non_contracted_reserve():
         return run(config).cycle_metrics.non_contracted
 
     assert terminal_non_contracted(0.10) > terminal_non_contracted(0.0)
+
+
+# ---------------------------------------------------------------------------
+# the stage pool: actors' LPs of one stage solved concurrently
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config",
+    [small_config(), dataclasses.replace(six_twin_retailers(), max_rounds=6)],
+    ids=["closed", "open-bands"],
+)
+def test_pooled_runs_equal_one_worker_runs_bit_for_bit(monkeypatch, config):
+    pooled = run(config)
+    for workers in (1, 4):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(simulator, "_POOL", pool)
+            other = run(config)
+        assert (other.termination, other.cycle_start, other.cycle_length) == (
+            pooled.termination, pooled.cycle_start, pooled.cycle_length
+        ), workers
+        assert len(other.rounds) == len(pooled.rounds), workers
+        for a, b in zip(pooled.rounds, other.rounds):
+            assert a.state.tobytes() == b.state.tobytes(), (workers, a.index)
+            assert a.metrics.as_tuple() == b.metrics.as_tuple(), (workers, a.index)
+
+
+def reposition_context(monkeypatch, config):
+    """The round context of round 0 of ``config`` once its reposition stage
+    has run."""
+    captured = []
+
+    def capture(play):
+        def stage(r):
+            play(r)
+            captured.append(r)
+
+        return stage
+
+    monkeypatch.setattr(simulator, "_STAGES", tuple(
+        (stage, actor, capture(play) if stage == "reposition" else play)
+        for stage, actor, play in simulator._STAGES
+    ))
+    run(dataclasses.replace(config, max_rounds=1))
+    return captured[0]
+
+
+def test_twins_with_differing_fixed_quantities_share_one_model_across_threads(monkeypatch):
+    r = reposition_context(monkeypatch, six_twin_retailers())
+    names = [p.name for p in r.retailers]
+    model = r.models[names[0]]
+    assert len(names) == 6 and all(r.models[name] is model for name in names)
+    demand = r.clearing.demand_of(names[0])
+    amplitudes = r.day_ahead[names[0]].amplitudes
+    assert amplitudes.sum() > 0
+    fixed = {
+        name: dict(fixed_demand=demand * (1 + k / 50), fixed_amplitudes=amplitudes * (k / 5))
+        for k, name in enumerate(names)
+    }
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(simulator, "_POOL", pool)
+        pooled = list(simulator._concurrently(r, [
+            simulator._job(r, name, simulator.optimize_retailer, model, **fixed[name])
+            for name in names
+        ]))
+    serial = [simulator.optimize_retailer(model, **fixed[name]) for name in names]
+    assert len({id(position) for position in pooled}) == 6
+    for name, a, b in zip(names, pooled, serial):
+        assert same_fields(a, b), name
+    assert len({position.demand.tobytes() for position in serial}) == 6
+
+
+def test_the_first_failing_actor_in_actor_order_is_named_and_the_pool_survives(monkeypatch):
+    # producer-2 fails first in time, producer-1 first in actor order
+    build = simulator.build_producer_model
+
+    def failing(portfolio, *args):
+        if portfolio.name == "producer-1":
+            time.sleep(0.3)
+        if portfolio.name in ("producer-1", "producer-2"):
+            raise ValueError(f"{portfolio.name} failed")
+        return build(portfolio, *args)
+
+    config = small_config(max_rounds=2)
+    # once scipy is imported and the pool's threads run, producer-2 does
+    # not wait for producer-1
+    run(config)
+    pool = simulator._pool()
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "build_producer_model", failing)
+        with pytest.raises(
+            simulator.RoundError,
+            match="^round 0, stage 'day-ahead', actor 'producer-1': producer-1 failed$",
+        ):
+            run(config)
+    assert len(run(config).rounds) == 2
+    assert simulator._pool() is pool
+
+
+def one_run_in(queue):
+    queue.put(len(run(small_config(max_rounds=2)).rounds))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_runs_on_a_pool_of_its_own():
+    # a child forked after a run inherits the pool but none of its threads
+    run(small_config(max_rounds=1))
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=one_run_in, args=(queue,))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's run hung")
+    assert child.exitcode == 0
+    assert queue.get(timeout=5) == 2
+
+
+def test_runs_reuse_the_pool_threads():
+    run(small_config(max_rounds=2))
+    after_one = threading.active_count()
+    for _ in range(4):
+        run(small_config(max_rounds=2))
+    assert threading.active_count() <= after_one
