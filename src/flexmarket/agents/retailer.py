@@ -113,11 +113,9 @@ class RetailerModel:
     demand: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    # (loads, periods) consumption: the baseline, then the high-first and
+    # (3, loads, periods) consumption: the baseline, then the high-first and
     # the low-first scenario, which are the baseline's outside the windows
-    schedules: np.ndarray
-    up_schedules: np.ndarray
-    down_schedules: np.ndarray
+    scenarios: np.ndarray
     amplitudes: np.ndarray      # per window, in window order
     windows: list[tuple[int, int]]
 
@@ -174,12 +172,10 @@ def build_retailer_model(
         add_pin_penalties(lp, up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
         add_pin_penalties(lp, down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
 
-    amplitudes, up_d, dn_d = _modulation_block(
+    amplitudes, scenarios = _modulation_block(
         lp, portfolio, windows, d_vars, e_vars, modulation_price
     )
-    return RetailerModel(
-        portfolio.name, lp, demand, i_up, i_dn, d_vars, up_d, dn_d, amplitudes, windows
-    )
+    return RetailerModel(portfolio.name, lp, demand, i_up, i_dn, scenarios, amplitudes, windows)
 
 
 def optimize_retailer(
@@ -205,13 +201,14 @@ def optimize_retailer(
             "check tank data and fixed quantities"
         )
 
+    schedules, up_schedules, down_schedules = sol.values(model.scenarios)
     return RetailerPosition(
         demand=sol.values(model.demand),
         imbalance_up=sol.values(model.imbalance_up),
         imbalance_down=sol.values(model.imbalance_down),
-        schedules=sol.values(model.schedules),
-        up_schedules=sol.values(model.up_schedules),
-        down_schedules=sol.values(model.down_schedules),
+        schedules=schedules,
+        up_schedules=up_schedules,
+        down_schedules=down_schedules,
         objective=sol.objective,
         windows=model.windows,
         amplitudes=sol.values(model.amplitudes),
@@ -353,11 +350,12 @@ def _modulation_block(
     """Amplitude variables and the two extreme scenarios of every window.
 
     Consecutive windows of one length are built as one block.  Returns the
-    amplitude handles and the (loads, periods) consumption handles of the
-    high-first ("up") and low-first ("down") scenarios: each window's own
-    inside it, the baseline's ``d_vars`` outside every window.
+    amplitude handles and the (3, loads, periods) consumption handles of the
+    baseline ``d_vars``, then the high-first ("up") and low-first ("down")
+    scenarios: each window's own inside it, the baseline's outside every
+    window.
     """
-    amplitude_vars, up_d, dn_d = [], d_vars.copy(), d_vars.copy()
+    amplitude_vars, scenarios = [], np.stack([d_vars] * 3)
     for length, run in itertools.groupby(windows, key=lambda window: window[1]):
         starts = np.array([start for start, _ in run])
         f_vars, s_up, s_dn = _band_windows(lp, portfolio.loads, starts, length, d_vars, e_vars)
@@ -365,9 +363,9 @@ def _modulation_block(
         lp.add_objectives(f_vars, -(length * modulation_price + AMPLITUDE_BONUS))
         amplitude_vars.append(f_vars)
         periods = starts[:, None] + np.arange(length)
-        up_d[:, periods] = s_up.transpose(1, 0, 2)
-        dn_d[:, periods] = s_dn.transpose(1, 0, 2)
-    return np.concatenate(amplitude_vars or [np.zeros(0, dtype=np.intp)]), up_d, dn_d
+        scenarios[1][:, periods] = s_up.transpose(1, 0, 2)
+        scenarios[2][:, periods] = s_dn.transpose(1, 0, 2)
+    return np.concatenate(amplitude_vars or [np.zeros(0, dtype=np.intp)]), scenarios
 
 
 def _band_windows(lp, loads, starts, length, d_vars, e_vars):

@@ -87,16 +87,8 @@ class TankLoad:
         return len(self.power_min)
 
     def energy_trajectory(self, schedule: np.ndarray) -> np.ndarray:
-        """Tank states induced by a consumption schedule, start included.
-
-        ``schedule`` may also be a ``(..., periods)`` stack of schedules;
-        each row of the result is exactly what that row on its own would
-        give.
-        """
-        schedule = self._schedules(schedule, "schedule", stacked=True)
-        last = schedule.ndim - 1
-        states = self._trajectory(schedule.transpose(last, *range(last)))
-        return states.transpose(*range(1, last + 1), 0)
+        """Tank states induced by one consumption schedule, start included."""
+        return self._trajectory(self._schedules(schedule, "schedule"))
 
     def schedule_violations(self, schedule: np.ndarray, tol: float = 1e-9) -> list[str]:
         """Human-readable bound violations of one schedule; empty when
@@ -108,16 +100,14 @@ class TankLoad:
         broken = self._violations(schedule, self._trajectory(schedule), tol)
         return [label for label, bad in zip(_BOUND_LABELS, broken) if bad]
 
-    def _schedules(self, schedules, what: str, stacked: bool = False) -> np.ndarray:
-        """``schedules`` as floats: one schedule of ``horizon`` periods, or
-        with ``stacked`` any ``(..., horizon)`` stack of them."""
-        schedules = np.asarray(schedules, dtype=float)
-        if schedules.shape[-1:] != (self.horizon,) or not (stacked or schedules.ndim == 1):
-            wanted = f"(..., {self.horizon})" if stacked else f"({self.horizon},)"
+    def _schedules(self, schedule, what: str) -> np.ndarray:
+        """``schedule`` as floats, one schedule of ``horizon`` periods."""
+        schedule = np.asarray(schedule, dtype=float)
+        if schedule.shape != (self.horizon,):
             raise ValueError(
-                f"load {self.name!r}: {what} has shape {schedules.shape}, not {wanted}"
+                f"load {self.name!r}: {what} has shape {schedule.shape}, not ({self.horizon},)"
             )
-        return schedules
+        return schedule
 
     def _trajectory(self, schedules: np.ndarray) -> np.ndarray:
         """The ``(periods + 1, ...)`` tank states of a period-major

@@ -278,8 +278,9 @@ def _joined(chunks: list) -> tuple:
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of one solve: a status, the objective, the variable values and
-    the simplex iterations HiGHS ran.
+    """Outcome of one solve: a status, the objective (the model's own
+    objective vector at ``x``, not the value HiGHS reports), the variable
+    values and the simplex iterations HiGHS ran.
 
     ``x`` is meaningful only when ``status == "optimal"``.
     """
@@ -308,12 +309,12 @@ def solve(lp: LinearProgram, lower=None, upper=None) -> Solution:
     lower = lp.lower if lower is None else _series(lower, lp.n_variables)
     upper = lp.upper if upper is None else _series(upper, lp.n_variables)
     _check_bounds(lower, upper, 0)
-    status, x, iterations = _highs_solve(lp, lower, upper)
+    c = lp.objective_vector()
+    status, x, iterations = _highs_solve(lp, c, lower, upper)
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
     _check_feasible(lp, x, lower, upper)
-    objective = float(lp.objective_vector() @ x)
-    return Solution(OPTIMAL, objective, x, iterations)
+    return Solution(OPTIMAL, float(c @ x), x, iterations)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, lower, upper) -> None:
@@ -358,9 +359,10 @@ def _violated_rows(lp: LinearProgram, x: np.ndarray) -> tuple[np.ndarray, np.nda
 _thread = threading.local()
 
 
-def _highs_solve(lp: LinearProgram, lower, upper) -> tuple[str, np.ndarray, int]:
-    """Solve ``lp`` under the bounds ``lower`` and ``upper`` with the HiGHS
-    core on this thread's instance, emptied of the model it solved before.
+def _highs_solve(lp: LinearProgram, c, lower, upper) -> tuple[str, np.ndarray, int]:
+    """Solve ``lp``, whose objective vector is ``c``, under the bounds
+    ``lower`` and ``upper`` with the HiGHS core on this thread's instance,
+    emptied of the model it solved before.
 
     HiGHS gets the rows in the order ``scipy.optimize.linprog(method="highs")``
     gives them (the ``<=`` rows, then the ``>=`` rows, then the ``==`` rows),
@@ -371,7 +373,6 @@ def _highs_solve(lp: LinearProgram, lower, upper) -> tuple[str, np.ndarray, int]
     from scipy.optimize._highspy import _core as core
 
     a = lp.highs_columns()
-    c = lp.objective_vector()
     if lp.sense == "max":
         c = -c
     highs = _highs_instance()

@@ -85,15 +85,6 @@ class RoundMetrics:
     procurement_cost: float
     non_contracted: float
 
-    def as_tuple(self):
-        return (
-            self.mean_price,
-            self.price_variability,
-            self.total_imbalance,
-            self.procurement_cost,
-            self.non_contracted,
-        )
-
 
 @dataclass
 class RoundRecord:
@@ -493,7 +484,7 @@ def aggregate_metrics(records: list[RoundRecord]) -> RoundMetrics:
     """Plain means of the per-round metrics over a window of rounds."""
     if not records:
         raise ValueError("cannot aggregate an empty set of rounds")
-    rows = np.array([r.metrics.as_tuple() for r in records])
+    rows = np.array([dataclasses.astuple(r.metrics) for r in records])
     means = rows.mean(axis=0)
     return RoundMetrics(*[float(v) for v in means])
 

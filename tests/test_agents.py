@@ -449,6 +449,35 @@ def test_band_energy_neutral_per_window_and_tank_consistent():
         assert load.schedule_violations(sched, tol=1e-7) == []
 
 
+def assert_scenarios_follow_the_baseline(position):
+    """Outside every window of ``position``, its high-first and low-first
+    scenarios are its baseline schedules, bit for bit."""
+    outside = np.ones(position.schedules.shape[1], dtype=bool)
+    for start, length in position.windows:
+        outside[start : start + length] = False
+    for scenario in (position.up_schedules, position.down_schedules):
+        assert scenario.shape == position.schedules.shape
+        assert scenario[:, outside].tobytes() == position.schedules[:, outside].tobytes()
+
+
+def test_band_scenarios_follow_the_baseline_outside_every_window():
+    from flexmarket.simulator import run
+
+    _, ret = _snapshot_portfolios()
+    fc = flat_forecast(6, np.array([30.0, 45.0, 50.0, 60.0, 40.0, 35.0]), 70.0, 20.0)
+    for windows in ([(0, 2), (2, 4)], [(0, 2), (2, 2), (4, 2)], []):
+        position = optimize_retailer(build_retailer_model(ret, fc, CAP, PI_NC, windows=windows))
+        assert position.windows == windows
+        assert_scenarios_follow_the_baseline(position)
+    sold = 0
+    for record in run(ScenarioConfig(seed=1, setting="open", max_rounds=3)).rounds:
+        for position in record.retailer_positions.values():
+            assert position.windows
+            assert_scenarios_follow_the_baseline(position)
+            sold += int((position.amplitudes > 0).sum())
+    assert sold > 0
+
+
 def test_position_balance_identities():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -901,7 +930,7 @@ def assert_coverage_matches_loop(load, base, up, down, samples, seed):
     )
     assert draws.shape == expected_draws.shape == (samples, load.horizon)
     assert draws.tobytes() == expected_draws.tobytes()
-    states = load.energy_trajectory(draws)
+    states = load._trajectory(draws.T).T
     for row, row_states in zip(draws, states):
         assert row_states.tobytes() == oracles.reference_trajectory(load, row).tobytes()
     report = verify_scenario_coverage(load, base, up, down, samples=samples, seed=seed)
@@ -1120,9 +1149,8 @@ def test_schedules_must_span_the_horizon():
         load.schedule_violations(np.full(4, 1.5))
     with pytest.raises(ValueError, match=re.escape("schedule has shape (2, 2), not (2,)")):
         load.schedule_violations(np.full((2, 2), 1.5))
-    with pytest.raises(ValueError, match=re.escape("load 'load': schedule has shape (1,), not (..., 4)")):
+    with pytest.raises(ValueError, match=re.escape("load 'load': schedule has shape (1,), not (4,)")):
         simple_load(4).energy_trajectory([1.0])
-    assert load.energy_trajectory(np.full((3, 5, 2), 1.5)).shape == (3, 5, 3)
 
 
 @pytest.mark.parametrize(

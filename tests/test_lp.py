@@ -547,7 +547,7 @@ def linprog_reference(lp):
 
 def highs(lp):
     """``_highs_solve`` under the model's own bounds."""
-    return _highs_solve(lp, lp.lower, lp.upper)
+    return _highs_solve(lp, lp.objective_vector(), lp.lower, lp.upper)
 
 
 def assert_same_as_linprog(lp):
@@ -721,13 +721,32 @@ def test_replaced_bounds_solve_as_the_model_built_with_them():
         base_lower, base_upper = base.lower.copy(), base.upper.copy()
         columns = base.highs_columns()
         built = agent_model(key)
-        assert outcome(_highs_solve(base, built.lower, built.upper)) == outcome(highs(built)), key
+        replaced_highs = _highs_solve(base, base.objective_vector(), built.lower, built.upper)
+        assert outcome(replaced_highs) == outcome(highs(built)), key
         replaced, rebuilt = solve(base, built.lower, built.upper), solve(built)
         assert replaced.x.tobytes() == rebuilt.x.tobytes(), key
         assert replaced.objective == rebuilt.objective, key
         assert base.highs_columns() is columns, key
         assert base.lower.tobytes() == base_lower.tobytes(), key
         assert base.upper.tobytes() == base_upper.tobytes(), key
+
+
+def test_objective_is_the_models_own_objective_at_x():
+    """``Solution.objective`` is the model's objective vector at ``x``, bit
+    for bit, on every agent stage model (the producer's are ``max`` models)
+    and on a reserve-clearing and a settlement LP."""
+    from test_agents import capture_agent_models
+    from test_imbalance import capture_market_models
+
+    models = [(model.lp, model.lower, model.upper) for model in capture_agent_models().values()]
+    assert {lp.sense for lp, _, _ in models} == {"min", "max"}
+    markets = capture_market_models()
+    for name in ("reserve-clearing", "settlement"):
+        models.append((next(lp for key, lp in markets.items() if key.endswith(name)), None, None))
+    for lp, lower, upper in models:
+        sol = solve(lp, lower, upper)
+        assert sol.status == "optimal", lp.name
+        assert sol.objective.hex() == float(lp.objective_vector() @ sol.x).hex(), lp.name
 
 
 @pytest.mark.parametrize(

@@ -209,7 +209,7 @@ def test_metrics_recomputable_from_record():
             record.clearing.price, record.procurement, record.settlement,
             outcome.config.period_hours,
         )
-        assert again.as_tuple() == pytest.approx(record.metrics.as_tuple())
+        assert dataclasses.astuple(again) == pytest.approx(dataclasses.astuple(record.metrics))
 
 
 def test_stage_guard_annotates_errors_and_lets_interrupts_through():
@@ -274,7 +274,7 @@ def test_same_config_and_seed_reproduce_identically():
     assert len(first.rounds) == len(second.rounds)
     for a, b in zip(first.rounds, second.rounds):
         assert np.array_equal(a.state, b.state)
-        assert a.metrics.as_tuple() == b.metrics.as_tuple()
+        assert dataclasses.astuple(a.metrics) == dataclasses.astuple(b.metrics)
 
 
 def same_fields(a, b):
@@ -303,7 +303,7 @@ def test_running_a_scenario_twice_repeats_the_first_run():
         assert len(first.rounds) == len(second.rounds)
         for a, b in zip(first.rounds, second.rounds):
             assert np.array_equal(a.state, b.state)
-            assert a.metrics.as_tuple() == b.metrics.as_tuple()
+            assert dataclasses.astuple(a.metrics) == dataclasses.astuple(b.metrics)
         fresh = generate_scenario(config)
         assert same_fields(scenario.producers, fresh.producers)
         assert same_fields(scenario.retailers, fresh.retailers)
@@ -468,7 +468,7 @@ def test_twins_change_no_outcome_and_a_second_run_repeats_the_solves(monkeypatch
     assert len(shared.rounds) == len(plain.rounds)
     for a, b in zip(shared.rounds, plain.rounds):
         assert same_fields(a, b)
-    assert shared.cycle_metrics.as_tuple() == plain.cycle_metrics.as_tuple()
+    assert dataclasses.astuple(shared.cycle_metrics) == dataclasses.astuple(plain.cycle_metrics)
 
 
 def test_twins_reuse_nothing_across_rounds(monkeypatch, agent_calls):
@@ -804,7 +804,7 @@ def test_pooled_runs_equal_one_worker_runs_bit_for_bit(monkeypatch, config):
         assert len(other.rounds) == len(pooled.rounds), workers
         for a, b in zip(pooled.rounds, other.rounds):
             assert a.state.tobytes() == b.state.tobytes(), (workers, a.index)
-            assert a.metrics.as_tuple() == b.metrics.as_tuple(), (workers, a.index)
+            assert dataclasses.astuple(a.metrics) == dataclasses.astuple(b.metrics), (workers, a.index)
 
 
 def reposition_context(monkeypatch, config):
