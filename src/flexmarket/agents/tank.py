@@ -9,11 +9,12 @@ feasible, every energy-neutral dispatch the operator can request inside the
 band is feasible too; :func:`verify_scenario_coverage` probes that claim
 with random dispatches.
 
-The tank works period-major: a stack of schedules is a ``(periods, ...)``
-array, and the running sum of the tank state and the bound tests are row
-operations down the period axis, each over all schedules at once.  The
+The tank works period-major: a stack of ``k`` schedules is a ``(periods,
+k)`` array, and the running sum of the tank state and the bound tests are
+row operations down the period axis, each over all schedules at once.  The
 coverage check draws, integrates and bound-checks a load's samples as one
-``(periods, samples)`` array this way.
+``(periods, samples)`` array this way, and a single schedule is a stack of
+one column.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class TankLoad:
 
     def energy_trajectory(self, schedule: np.ndarray) -> np.ndarray:
         """Tank states induced by one consumption schedule, start included."""
-        return self._trajectory(self._schedules(schedule, "schedule"))
+        return self._trajectory(self._schedules(schedule, "schedule")[:, None])[:, 0]
 
     def schedule_violations(self, schedule: np.ndarray, tol: float = 1e-9) -> list[str]:
         """Human-readable bound violations of one schedule; empty when
@@ -96,8 +97,8 @@ class TankLoad:
 
         A NaN entry violates every bound it enters.
         """
-        schedule = self._schedules(schedule, "schedule")
-        broken = self._violations(schedule, self._trajectory(schedule), tol)
+        schedules = self._schedules(schedule, "schedule")[:, None]
+        broken = self._violations(schedules, self._trajectory(schedules), tol)[:, 0]
         return [label for label, bad in zip(_BOUND_LABELS, broken) if bad]
 
     def _schedules(self, schedule, what: str) -> np.ndarray:
@@ -110,51 +111,41 @@ class TankLoad:
         return schedule
 
     def _trajectory(self, schedules: np.ndarray) -> np.ndarray:
-        """The ``(periods + 1, ...)`` tank states of a period-major
-        ``(periods, ...)`` stack: a running sum down the period axis, one
-        row of all schedules at a time."""
-        states = np.empty((len(schedules) + 1, *schedules.shape[1:]))
+        """The ``(periods + 1, k)`` tank states of a period-major
+        ``(periods, k)`` stack: a running sum down the period axis, one row
+        of all schedules at a time (``np.add.accumulate`` would run down
+        the axis one column at a time)."""
+        states = np.empty((len(schedules) + 1, schedules.shape[1]))
         gain = states[1:]
         np.multiply(self.efficiency, schedules, out=gain)
         gain *= self.period_hours
-        gain -= _by_period(self.loss, schedules.ndim)
-        if gain.ndim == 1:
-            np.add.accumulate(gain, out=gain)
-        else:  # accumulate would run down axis 0 one column at a time
-            for t in range(1, len(gain)):
-                gain[t] += gain[t - 1]
+        gain -= self.loss[:, None]
+        for t in range(1, len(gain)):
+            gain[t] += gain[t - 1]
         gain += self.energy_start
         states[0] = self.energy_start
         return states
 
     def _violations(self, schedules: np.ndarray, states: np.ndarray, tol: float) -> np.ndarray:
-        """``(3, ...)`` booleans: whether each schedule of a period-major
-        ``(periods, ...)`` stack breaks the power, energy and total bounds
+        """``(3, k)`` booleans: whether each schedule of a period-major
+        ``(periods, k)`` stack breaks the power, energy and total bounds
         (``_BOUND_LABELS``).  ``states`` is ``_trajectory(schedules)``.
 
         Each test is written as "holds", so that NaN breaks it.
         """
-        ndim = schedules.ndim
-        ok = np.empty((3, *schedules.shape[1:]), dtype=bool)
-        power_ok = schedules >= _by_period(self.power_min - tol, ndim)
-        power_ok &= schedules <= _by_period(self.power_max + tol, ndim)
-        np.logical_and.reduce(power_ok, axis=0, out=ok[0, ...])
-        energy_ok = states >= _by_period(self.energy_min - tol, ndim)
-        energy_ok &= states <= _by_period(self.energy_max + tol, ndim)
-        np.logical_and.reduce(energy_ok, axis=0, out=ok[1, ...])
+        ok = np.empty((3, schedules.shape[1]), dtype=bool)
+        power_ok = schedules >= (self.power_min - tol)[:, None]
+        power_ok &= schedules <= (self.power_max + tol)[:, None]
+        np.logical_and.reduce(power_ok, axis=0, out=ok[0])
+        energy_ok = states >= (self.energy_min - tol)[:, None]
+        energy_ok &= states <= (self.energy_max + tol)[:, None]
+        np.logical_and.reduce(energy_ok, axis=0, out=ok[1])
         # each schedule is summed as one contiguous row, as np.sum sums a
         # single schedule; a sum down the period axis rounds differently
-        rows = np.ascontiguousarray(schedules.transpose(*range(1, ndim), 0))
-        drawn = rows.sum(axis=-1) * self.period_hours
-        np.greater_equal(drawn, self.total_min - tol, out=ok[2, ...])
-        ok[2, ...] &= drawn <= self.total_max + tol
+        drawn = np.ascontiguousarray(schedules.T).sum(axis=1) * self.period_hours
+        np.greater_equal(drawn, self.total_min - tol, out=ok[2])
+        ok[2] &= drawn <= self.total_max + tol
         return np.logical_not(ok, out=ok)
-
-
-def _by_period(series: np.ndarray, ndim: int) -> np.ndarray:
-    """A per-period series shaped to broadcast down a ``ndim``-dimensional
-    period-major stack."""
-    return series.reshape(-1, *(1,) * (ndim - 1))
 
 
 @dataclass

@@ -67,7 +67,7 @@ def main(argv=None) -> int:
         # before any run; the entry runs what was validated here
         try:
             args.validated = args.read_config(args)
-        except (ConfigurationError, OSError) as exc:
+        except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
             parser.error(str(exc))
     return args.entry(args)
 
@@ -159,7 +159,9 @@ def _round_details_flag(cmd) -> None:
 
 def load_config(args) -> ScenarioConfig:
     """The ``--config`` file, or the defaults, with the flags that were given."""
-    config = config_from_text(args.config.read_text()) if args.config else ScenarioConfig()
+    config = ScenarioConfig()
+    if args.config:
+        config = config_from_text(args.config.read_text(encoding="utf-8"))
     flags = {
         "seed": args.seed,
         # ``sweep`` has no --rate or --setting: its cells set both
@@ -167,9 +169,7 @@ def load_config(args) -> ScenarioConfig:
         "setting": getattr(args, "setting", None),
         "max_rounds": args.max_rounds,
     }
-    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
-    config.validate()
-    return config
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def sweep_config(args) -> list[ScenarioConfig]:
@@ -183,9 +183,7 @@ def sweep_config(args) -> list[ScenarioConfig]:
             raise ConfigurationError(f"rates {stems[stem]!r} and {rate!r} would both write {stem}_*")
         stems[stem] = rate
         for setting in ("closed", "open"):
-            cell = dataclasses.replace(base, flexibility_rate=rate, setting=setting)
-            cell.validate()
-            cells.append(cell)
+            cells.append(dataclasses.replace(base, flexibility_rate=rate, setting=setting))
     return cells
 
 
@@ -195,7 +193,7 @@ def _sweep_cell(rate: float) -> str:
 
 
 def manifest_config(args) -> ScenarioConfig:
-    return config_from_text(args.manifest.read_text())
+    return config_from_text(args.manifest.read_text(encoding="utf-8"))
 
 
 def cmd_run(args) -> int:
@@ -232,11 +230,12 @@ def cmd_sweep(args) -> int:
         try:
             outcome = run_simulation(config)
             write_outputs(outcome, out_dir / f"{_sweep_cell(rate)}_{setting}", "terminal")
+            metrics = outcome.cycle_metrics
             rows.append(
                 [repr(rate), setting, "ok", len(outcome.rounds), outcome.termination]
-                + _metric_cells(outcome.cycle_metrics)
+                + _metric_cells(metrics)
             )
-            ok[setting].append((rate, outcome.cycle_metrics))
+            ok[setting].append((rate, metrics))
             print(f"rate {rate:g} {setting}: ok ({outcome.termination})")
         except Exception as exc:  # keep sweeping, report the cell
             row = [repr(rate), setting, f"error: {exc}"]

@@ -10,10 +10,12 @@ coefficient) triplets; these are the only way to build a model.
 :func:`solve` takes variable bounds for one solve, so one model is solved
 under several without being changed or copied.
 
-Every model is solved by the HiGHS dual simplex (Huangfu & Hall, *Math.
-Prog. Comp.* 2018) through scipy's ``_highspy`` core binding, on one
-instance per thread that is emptied before each model; HiGHS releases the
-GIL while it runs, so threads solve models concurrently, each on its own
+Every model is solved by HiGHS (Huangfu & Hall, *Math. Prog. Comp.* 2018)
+through scipy's ``_highspy`` core binding, on HiGHS's default options
+(presolve, then the dual simplex) with its output off, on one instance per
+thread that is emptied before each model.  HiGHS takes the model's sense,
+``min`` or ``max``, and objective vector as they are.  It releases the GIL
+while it runs, so threads solve models concurrently, each on its own
 instance.  A model is read-only once it has been solved: from then on
 several threads may solve it at once, under different bounds.
 :meth:`~LinearProgram.highs_columns` assembles the matrix once per model, in
@@ -21,8 +23,7 @@ numpy, straight from the triplets: the column-wise arrays HiGHS takes, each
 row bounded by a range, with repeated terms summed and cancelled ones
 dropped.  The rows keep the order ``scipy.optimize.linprog(method="highs")``
 gives them (``<=`` rows, ``>=`` rows, ``==`` rows), because the vertex HiGHS
-returns among tied optima depends on it; with linprog's options too, HiGHS
-returns the vertex ``linprog`` returns.  The optimum is checked once, on the
+returns among tied optima depends on it.  The optimum is checked once, on the
 triplets in the model's own row order.  :meth:`~LinearProgram.dense_rows` is
 read only by the test oracles and the benchmark tracer.  scipy is imported
 only when a model is solved, so importing this package loads none of it.
@@ -364,17 +365,15 @@ def _highs_solve(lp: LinearProgram, c, lower, upper) -> tuple[str, np.ndarray, i
     ``lower`` and ``upper`` with the HiGHS core on this thread's instance,
     emptied of the model it solved before.
 
-    HiGHS gets the rows in the order ``scipy.optimize.linprog(method="highs")``
-    gives them (the ``<=`` rows, then the ``>=`` rows, then the ``==`` rows),
-    as the ranged column-wise arrays of :meth:`LinearProgram.highs_columns`,
-    the objective negated for ``max`` models and linprog's effective options,
-    so it returns the vertex ``linprog`` returns.
+    HiGHS gets the model's sense and ``c`` as they are, and the rows as the
+    ranged column-wise arrays of :meth:`LinearProgram.highs_columns`, in the
+    order ``scipy.optimize.linprog(method="highs")`` gives them (the ``<=``
+    rows, then the ``>=`` rows, then the ``==`` rows), on which the vertex
+    it returns among tied optima depends.
     """
     from scipy.optimize._highspy import _core as core
 
     a = lp.highs_columns()
-    if lp.sense == "max":
-        c = -c
     highs = _highs_instance()
     highs.clearModel()
     loaded = highs.passModel(
@@ -382,7 +381,7 @@ def _highs_solve(lp: LinearProgram, c, lower, upper) -> tuple[str, np.ndarray, i
         lp.n_constraints,
         a.value.size,
         int(core.MatrixFormat.kColwise),
-        int(core.ObjSense.kMinimize),
+        int(core.ObjSense.kMaximize if lp.sense == "max" else core.ObjSense.kMinimize),
         0.0,
         c,
         lower,
@@ -417,28 +416,17 @@ def _highs_solve(lp: LinearProgram, c, lower, upper) -> tuple[str, np.ndarray, i
 
 
 def _highs_instance():
-    """This thread's HiGHS instance, made with linprog's options on the
-    thread's first solve.  An instance solves one model at a time, so
-    threads never share one."""
+    """This thread's HiGHS instance, made on the thread's first solve with
+    HiGHS's default options and its output off.  An instance solves one
+    model at a time, so threads never share one."""
     highs = getattr(_thread, "highs", None)
     if highs is None:
         from scipy.optimize._highspy import _core as core
 
         highs = core._Highs()
-        if highs.passOptions(_highs_options()) == core.HighsStatus.kError:
-            raise RuntimeError("highs rejected linprog's options")
+        options = core.HighsOptions()
+        options.output_flag = False
+        if highs.passOptions(options) == core.HighsStatus.kError:
+            raise RuntimeError("highs rejected its options")
         _thread.highs = highs
     return highs
-
-
-def _highs_options():
-    """The options ``linprog`` sets on HiGHS (``solver`` stays unset)."""
-    from scipy.optimize._highspy import _core as core
-
-    options = core.HighsOptions()
-    options.presolve = "on"
-    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = False
-    options.output_flag = False
-    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    return options

@@ -115,16 +115,17 @@ class ModulationBook(Book):
         self._require(~overlap, "start", "overlaps another window of the same actor")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReservePrices:
-    """Regulated capacity prices and the non-contracted fallback price."""
+    """Regulated capacity prices and the non-contracted fallback price,
+    each nonnegative and finite: checked when made, and frozen."""
 
     up_capacity: float = 45.0
     down_capacity: float = 45.0
     modulation_capacity: float = 10.0
     non_contracted: float = 500.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for label, value in vars(self).items():
             # written as "holds" so that NaN fails too
             if not 0 <= value < np.inf:
@@ -226,7 +227,6 @@ def clear_reserve(
                 f"{direction} requirement {required[bad[0]].item()!r} in period {bad[0]} "
                 "is not nonnegative and finite"
             )
-    prices.validate()
     classical.validate(period_count)
     modulation.validate(period_count)
 

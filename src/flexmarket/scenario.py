@@ -36,8 +36,12 @@ OPEN = "open"
 _FIELD_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"), "str": (str, "a string")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """The constants of one experiment.  A config checks itself when it is
+    made, and again on every ``dataclasses.replace``, and is frozen, so a
+    config that exists is valid and stays so for its whole run."""
+
     seed: int = 1
     mean_consumption: float = 1000.0
     flexibility_rate: float = 0.06
@@ -90,7 +94,7 @@ class ScenarioConfig:
     tank_span_hours: float = 2.0          # energy headroom of a load, in hours of its mean draw
     imbalance_limit_fraction: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             kind, noun = _FIELD_KINDS[f.type]
@@ -178,7 +182,6 @@ class Scenario:
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
     """Deterministic portfolios for one experiment."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     t_count = config.periods
     demand = config.demand_profile()
@@ -297,14 +300,18 @@ def _make_tank_load(name: str, baseline: np.ndarray, config: ScenarioConfig) -> 
 # ---------------------------------------------------------------------------
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+#: the Python type a value of each declared field type is written as
+_WRITTEN_AS = {"int": int, "float": float, "str": str}
 
 
 def config_to_text(config: ScenarioConfig) -> str:
-    lines = []
-    for f in fields(ScenarioConfig):
-        value = getattr(config, f.name)
-        lines.append(f"{f.name} = {value!r}" if isinstance(value, str) else f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    """One ``key = value`` line per field: the ``repr`` of the value as its
+    field's declared type, so an int in a float field (``1000``) is written
+    as the float (``1000.0``) that :func:`config_from_text` reads back."""
+    return "".join(
+        f"{f.name} = {_WRITTEN_AS[f.type](getattr(config, f.name))!r}\n"
+        for f in fields(ScenarioConfig)
+    )
 
 
 def config_from_text(text: str) -> ScenarioConfig:
@@ -333,6 +340,4 @@ def config_from_text(text: str) -> ScenarioConfig:
                 kwargs[key] = text_value.strip("'\"")
         except ValueError:
             raise ConfigurationError(f"bad {kind} for {key}: {text_value!r}") from None
-    config = ScenarioConfig(**kwargs)
-    config.validate()
-    return config
+    return ScenarioConfig(**kwargs)

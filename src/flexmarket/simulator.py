@@ -129,7 +129,6 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     ``scenario`` is only read, and must have been generated from ``config``;
     the learned pins live in this run.
     """
-    config.validate()
     if scenario is None:
         scenario = generate_scenario(config)
     elif scenario.config != config:
@@ -273,10 +272,9 @@ def _clear_reserve(r):
     required = c.reserve_rate * sum(
         (r.clearing.demand_of(p.name) for p in r.retailers), np.zeros(c.periods)
     )
-    r.classical = ClassicalBook.concat(r.classical_books)
-    r.modulation = ModulationBook.concat(r.modulation_books)
     r.procurement = clear_reserve(
-        r.classical, r.modulation, required, required, c.reserve_prices()
+        ClassicalBook.concat(r.classical_books), ModulationBook.concat(r.modulation_books),
+        required, required, c.reserve_prices(),
     )
 
 
@@ -293,7 +291,7 @@ def _reposition(r):
             fixed_sale=r.clearing.supply_of(p.name),
             fixed_reserve=accepted_volumes(
                 r.reserve_bidding[p.name].reserve,
-                r.procurement.classical_fraction[r.classical.actor == p.name],
+                r.procurement.classical_fraction[r.procurement.classical.actor == p.name],
             ),
         ))
     for p in r.retailers:
@@ -303,7 +301,7 @@ def _reposition(r):
             fixed_demand=r.clearing.demand_of(p.name),
             fixed_amplitudes=accepted_volumes(
                 r.day_ahead[p.name].amplitudes,
-                r.procurement.modulation_fraction[r.modulation.actor == p.name],
+                r.procurement.modulation_fraction[r.procurement.modulation.actor == p.name],
             ),
         ))
     solved = _concurrently(r, jobs)
@@ -445,9 +443,10 @@ def _stage_guard(r):
 def _state_vector(r):
     parts = [r.clearing.price, r.settlement.tariff_up, r.settlement.tariff_down]
     for name, position in r.retailer_positions.items():
-        parts += [r.submitted_demand[name], position.imbalance_up, position.imbalance_down]
-        if r.windows:
-            parts.append(position.amplitudes)
+        parts += [
+            r.submitted_demand[name], position.imbalance_up, position.imbalance_down,
+            position.amplitudes,
+        ]
     for name, position in r.producer_positions.items():
         parts += [r.day_ahead[name].sale, position.imbalance_up, position.imbalance_down]
     return np.concatenate(parts)

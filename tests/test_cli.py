@@ -16,7 +16,7 @@ from flexmarket.scenario import (
     config_to_text,
     generate_scenario,
 )
-from flexmarket.simulator import RoundMetrics, RoundRecord, SimulationOutcome, _round_metrics
+from flexmarket.simulator import RoundMetrics, RoundRecord, SimulationOutcome, _round_metrics, run
 from flexmarket.agents.retailer import ConfigurationError
 
 PRICES = ReservePrices(45.0, 45.0, 10.0, 500.0)
@@ -105,7 +105,7 @@ def test_config_text_rejects_negative_tolerances_and_forget_rounds(line):
 )
 def test_config_rejects_settings_that_fail_later(overrides):
     with pytest.raises(ConfigurationError):
-        ScenarioConfig(**overrides).validate()
+        ScenarioConfig(**overrides)
 
 
 @pytest.mark.parametrize(
@@ -123,16 +123,45 @@ def test_config_rejects_values_of_the_wrong_type(field, value):
     # before, a float count failed deep in generation or in the round loop
     # with numpy's or Python's own TypeError, and seed=True ran as seed 1
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):
-        ScenarioConfig(**{field: value}).validate()
+        ScenarioConfig(**{field: value})
 
 
 def test_config_allows_no_loads_without_flexibility():
-    ScenarioConfig(loads_per_retailer=0, flexibility_rate=0.0).validate()
+    ScenarioConfig(loads_per_retailer=0, flexibility_rate=0.0)
 
 
 def test_config_allows_a_threshold_factor_of_one():
     # a pin at all of the volume it watches is the upper end of (0, 1]
-    ScenarioConfig(threshold_factor=1.0).validate()
+    ScenarioConfig(threshold_factor=1.0)
+
+
+def test_configs_and_reserve_prices_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ScenarioConfig().max_rounds = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PRICES.up_capacity = -1.0
+
+
+def test_a_replaced_config_is_checked_like_a_new_one():
+    # sweep cells and flag overrides are made this way
+    with pytest.raises(ConfigurationError, match="max_rounds must be at least 1"):
+        dataclasses.replace(ScenarioConfig(), max_rounds=0)
+
+
+def test_a_config_with_ints_in_float_fields_replays_byte_for_byte(tmp_path):
+    # before, its manifest said ``mean_consumption = 1000`` and the replay's
+    # ``mean_consumption = 1000.0``
+    config = ScenarioConfig(
+        mean_consumption=1000, price_cap=3000, periods=8, forecast_window=8, max_rounds=3
+    )
+    text = config_to_text(config)
+    assert "mean_consumption = 1000.0\n" in text
+    assert "price_cap = 3000.0\n" in text
+    assert config_to_text(config_from_text(text)) == text
+    first, again = tmp_path / "first", tmp_path / "again"
+    write_outputs(run(config), first, "all")
+    main(["replay", str(first / "manifest.txt"), "--out-dir", str(again)])
+    assert tree_contents(again) == tree_contents(first)
 
 
 def test_generate_scenario_same_seed_identical():
@@ -387,6 +416,21 @@ def test_package_runs_as_a_module():
     assert result.stdout.startswith("usage:")
 
 
+def test_a_run_prints_its_summary_and_highs_prints_nothing(tmp_path, capsys):
+    # HiGHS writes to the file descriptors, which capsys does not see: the
+    # subprocess's streams hold its output too
+    from test_package import run_python
+
+    given = ["run", "--config", str(fast_config_file(tmp_path)), "--max-rounds", "1"]
+    result = run_python("-m", "flexmarket", *given, "--out-dir", str(tmp_path / "child"))
+    main(given + ["--out-dir", str(tmp_path / "in_process")])
+    summary = capsys.readouterr().out
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout == summary
+    assert len(summary.splitlines()) == 2
+
+
 @pytest.mark.parametrize("flag", ["--loads", "--samples"])
 @pytest.mark.parametrize("value", ["0", "-5", "many"])
 def test_verify_rejects_counts_below_one(capsys, flag, value):
@@ -416,11 +460,30 @@ def test_run_reports_a_bad_config_as_a_usage_error(tmp_path, capsys):
 
 def test_run_reports_a_config_file_that_generation_rejects_as_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
-    config_path = fast_config_file(tmp_path, fast_capacity_factor=-1.0)
+    config_path = fast_config_file(tmp_path)
+    text = config_path.read_text()
+    assert "fast_capacity_factor = 0.4\n" in text
+    config_path.write_text(
+        text.replace("fast_capacity_factor = 0.4\n", "fast_capacity_factor = -1.0\n")
+    )
     with pytest.raises(SystemExit) as exit_info:
         main(["run", "--config", str(config_path), "--out-dir", str(out)])
     assert exit_info.value.code == 2
     assert "fast_capacity_factor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    # before, reading it ended in a UnicodeDecodeError traceback
+    path = tmp_path / "bin.cfg"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    out = tmp_path / "out"
+    given = ["run", "--config", str(path)] if command == "run" else ["replay", str(path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(given + ["--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -250,11 +250,8 @@ def test_requirements_must_be_nonnegative_and_finite(value):
 @pytest.mark.parametrize("field", ["up_capacity", "down_capacity", "modulation_capacity", "non_contracted"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
 def test_reserve_prices_must_be_nonnegative_and_finite(field, value):
-    prices = dataclasses.replace(PRICES, **{field: value})
     with pytest.raises(ValueError, match=f"price {field}"):
-        prices.validate()
-    with pytest.raises(ValueError, match=f"price {field}"):
-        procure([up_bid(1.0, 5.0)], [], np.ones(1), np.ones(1), prices)
+        dataclasses.replace(PRICES, **{field: value})
 
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import multiprocessing
 import os
 import threading
@@ -780,6 +781,35 @@ def test_more_flexibility_relies_more_on_non_contracted_reserve():
         return run(config).cycle_metrics.non_contracted
 
     assert terminal_non_contracted(0.10) > terminal_non_contracted(0.0)
+
+
+@functools.cache
+def terminal(setting, rate, knob=None, value=None):
+    """The termination and cycle metrics of seed 1 at ``setting`` and
+    ``rate``, with ``knob`` set to ``value`` (all knobs at their defaults
+    when None)."""
+    knobs = {knob: value} if knob else {}
+    outcome = run(ScenarioConfig(seed=1, setting=setting, flexibility_rate=rate, **knobs))
+    return outcome.termination, dataclasses.astuple(outcome.cycle_metrics)
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("forecast_alpha", 0.3), ("forecast_alpha", 0.8),
+        ("threshold_factor", 0.9), ("threshold_factor", 0.99),
+        ("energy_seed_price", 40.0), ("energy_seed_price", 70.0),
+    ],
+)
+@pytest.mark.parametrize("setting, rate", [("closed", 0.0), ("open", 0.10)])
+def test_a_learning_knob_moves_no_terminal_metric(setting, rate, knob, value):
+    # ROADMAP item 21: the knobs change how many rounds a run takes, not the
+    # state it ends in.  The cycle means run over different rounds, so they
+    # agree only to rounding; round counts are not pinned.
+    termination, metrics = terminal(setting, rate, knob, value)
+    default_termination, default_metrics = terminal(setting, rate)
+    assert termination == default_termination == "cycle"
+    assert metrics == pytest.approx(default_metrics, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
