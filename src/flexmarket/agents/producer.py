@@ -29,7 +29,7 @@ from .retailer import (
 DEFAULT_RESERVE_VALUATION = 0.005
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationUnit:
     name: str
     power_min: np.ndarray
@@ -40,9 +40,8 @@ class GenerationUnit:
     initial_output: float = 0.0
 
     def __post_init__(self):
-        self.power_min = np.asarray(self.power_min, dtype=float)
-        self.power_max = np.asarray(self.power_max, dtype=float)
-        self.cost = np.asarray(self.cost, dtype=float)
+        for series in ("power_min", "power_max", "cost"):
+            object.__setattr__(self, series, np.asarray(getattr(self, series), dtype=float))
         if not len(self.power_min) == len(self.power_max) == len(self.cost):
             raise ConfigurationError(f"unit {self.name!r}: power or cost series length mismatch")
         # written as "holds" so that NaN fails too
@@ -51,14 +50,12 @@ class GenerationUnit:
             raise ConfigurationError(f"unit {self.name!r}: not 0 <= power_min <= power_max < inf")
         if not np.all(np.abs(self.cost) < np.inf):
             raise ConfigurationError(f"unit {self.name!r}: cost not finite")
-        if not 0 <= self.initial_output < np.inf:
-            raise ConfigurationError(f"unit {self.name!r}: initial_output not finite and >= 0")
-        for field in ("ramp_up", "ramp_down"):
+        for field in ("initial_output", "ramp_up", "ramp_down"):
             if not 0 <= getattr(self, field) < np.inf:
                 raise ConfigurationError(f"unit {self.name!r}: {field} not finite and >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProducerPortfolio:
     name: str
     units: list[GenerationUnit]
@@ -204,8 +201,7 @@ def _add_units(lp, portfolio):
         np.concatenate([power_max[:, None], reserve_hi], axis=1).ravel(),
     ).reshape(len(units), 3, t_count)
     p, u, l = handles[:, 0], handles[:, 1], handles[:, 2]
-    cost = np.array([unit.cost for unit in units])
-    lp.add_objectives(p, portfolio.production_bias - cost)
+    lp.add_objectives(p, portfolio.production_bias - _unit_costs(portfolio))
     lp.add_objectives(handles[:, 1:], portfolio.reserve_valuation)
 
     cap, floor, ramp_up, ramp_dn = (

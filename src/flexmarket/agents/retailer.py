@@ -32,7 +32,8 @@ from .tank import TankLoad
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent portfolio data made an agent problem infeasible."""
+    """Rejected input: a scenario config, flag or manifest, a portfolio or
+    unit, or agent data that made a position problem infeasible."""
 
 
 #: offers and bids below this volume (MW) are not submitted
@@ -64,7 +65,7 @@ AMPLITUDE_BONUS = 1e-6
 Pins = np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetailerPortfolio:
     name: str
     inelastic: np.ndarray
@@ -72,7 +73,7 @@ class RetailerPortfolio:
     imbalance_limit: float
 
     def __post_init__(self):
-        self.inelastic = np.asarray(self.inelastic, dtype=float)
+        object.__setattr__(self, "inelastic", np.asarray(self.inelastic, dtype=float))
         # written as "holds" so that NaN fails too
         if not np.all((self.inelastic >= 0) & (self.inelastic < np.inf)):
             raise ConfigurationError(f"retailer {self.name!r}: inelastic not finite and >= 0")
@@ -260,12 +261,6 @@ def _check_windows(windows, t_count):
         covered |= span
 
 
-def _load_series(loads, attr, width):
-    """Per-load series ``attr`` stacked into one (loads, width) array."""
-    series = np.array([getattr(load, attr) for load in loads], dtype=float)
-    return series.reshape(len(loads), width)
-
-
 def _tank_variables(lp, loads, t_count):
     """Baseline consumption and tank-state variables plus their dynamics.
 
@@ -383,8 +378,9 @@ def _band_windows(lp, loads, starts, length, d_vars, e_vars):
     periods = starts[:, None] + np.arange(length)  # (windows, length)
 
     def per_window(attr, width, columns):
-        # (windows, loads, columns) slices of a per-load series
-        return _load_series(loads, attr, width)[:, columns].transpose(1, 0, 2)
+        # (windows, loads, columns) slices of a per-load series of ``width``
+        series = np.array([getattr(load, attr) for load in loads], dtype=float)
+        return series.reshape(len(loads), width)[:, columns].transpose(1, 0, 2)
 
     inner = periods[:, 1:]
     scenario_lo = np.concatenate(

@@ -30,7 +30,7 @@ _BOUND_LABELS = ("power bounds", "energy bounds", "total energy bounds")
 _SCENARIO_LABELS = ("baseline", "up", "down")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TankLoad:
     """Flexible load with per-period power bounds and a bounded energy tank.
 
@@ -57,7 +57,7 @@ class TankLoad:
             values = np.asarray(getattr(self, series), dtype=float)
             if not values.ndim == 1:
                 raise ValueError(f"load {self.name!r}: {series} is not one-dimensional")
-            setattr(self, series, values)
+            object.__setattr__(self, series, values)
         t = len(self.power_min)
         if len(self.power_max) != t or len(self.loss) != t:
             raise ValueError(f"load {self.name!r}: power/loss series length mismatch")

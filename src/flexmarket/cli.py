@@ -24,7 +24,7 @@ import numpy as np
 from .agents import random_feasible_modulation, verify_scenario_coverage
 from .agents.retailer import ConfigurationError
 from .charts import line_chart
-from .scenario import ScenarioConfig, config_from_text, config_to_text
+from .scenario import SETTINGS, ScenarioConfig, config_from_text, config_to_text
 from .simulator import RoundMetrics, RoundRecord, SimulationOutcome, run as run_simulation
 
 #: each ``RoundMetrics`` field, in field order: its CSV column and the label
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
         # before any run; the entry runs what was validated here
         try:
             args.validated = args.read_config(args)
-        except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
+        except (ConfigurationError, OSError) as exc:
             parser.error(str(exc))
     return args.entry(args)
 
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd = sub.add_parser("run", help="simulate one scenario")
     _common_flags(run_cmd)
     run_cmd.add_argument("--rate", type=float, help="flexibility rate")
-    run_cmd.add_argument("--setting", choices=["closed", "open"])
+    run_cmd.add_argument("--setting", choices=SETTINGS)
     _round_details_flag(run_cmd)
     run_cmd.set_defaults(entry=cmd_run, read_config=load_config)
 
@@ -161,7 +161,7 @@ def load_config(args) -> ScenarioConfig:
     """The ``--config`` file, or the defaults, with the flags that were given."""
     config = ScenarioConfig()
     if args.config:
-        config = config_from_text(args.config.read_text(encoding="utf-8"))
+        config = _config_file(args.config)
     flags = {
         "seed": args.seed,
         # ``sweep`` has no --rate or --setting: its cells set both
@@ -182,7 +182,7 @@ def sweep_config(args) -> list[ScenarioConfig]:
         if stem in stems:
             raise ConfigurationError(f"rates {stems[stem]!r} and {rate!r} would both write {stem}_*")
         stems[stem] = rate
-        for setting in ("closed", "open"):
+        for setting in SETTINGS:
             cells.append(dataclasses.replace(base, flexibility_rate=rate, setting=setting))
     return cells
 
@@ -193,7 +193,15 @@ def _sweep_cell(rate: float) -> str:
 
 
 def manifest_config(args) -> ScenarioConfig:
-    return config_from_text(args.manifest.read_text(encoding="utf-8"))
+    return _config_file(args.manifest)
+
+
+def _config_file(path: Path) -> ScenarioConfig:
+    """The config written in the file at ``path``, which must be UTF-8."""
+    try:
+        return config_from_text(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 ({exc})") from None
 
 
 def cmd_run(args) -> int:
@@ -221,10 +229,10 @@ def cmd_sweep(args) -> int:
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     # the sweep owns its cells: an earlier sweep's cells must not outlive it
-    for setting in ("closed", "open"):
+    for setting in SETTINGS:
         for cell in out_dir.glob(f"rate_[0-9][0-9][0-9]_{setting}"):
             shutil.rmtree(cell)
-    rows, ok = [], {"closed": [], "open": []}
+    rows, ok = [], {setting: [] for setting in SETTINGS}
     for config in args.validated:
         rate, setting = config.flexibility_rate, config.setting
         try:

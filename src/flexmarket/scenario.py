@@ -30,10 +30,15 @@ DEMAND_SHAPE_24 = (
 
 CLOSED = "closed"
 OPEN = "open"
+#: the two market settings, in the order a sweep runs them
+SETTINGS = (CLOSED, OPEN)
 
-#: the values a config field of each declared type may take: a bool is
-#: neither an int nor a float, and an int is also a float
-_FIELD_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"), "str": (str, "a string")}
+#: per declared type of a config field: the values the field may take (a bool
+#: is neither an int nor a float, and an int is also a float), their name,
+#: and the Python type a value is written and read as
+_FIELD_KINDS = {
+    "int": (Integral, "an integer", int), "float": (Real, "a number", float), "str": (str, "a string", str),
+}
 
 
 @dataclass(frozen=True)
@@ -97,15 +102,15 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, noun = _FIELD_KINDS[f.type]
+            kind, noun, _ = _FIELD_KINDS[f.type]
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite")
         if not 0.0 <= self.flexibility_rate <= 1.0:
             raise ConfigurationError(f"flexibility rate {self.flexibility_rate!r} must lie in [0, 1]")
-        if self.setting not in (CLOSED, OPEN):
-            raise ConfigurationError(f"setting must be closed/open, got {self.setting!r}")
+        if self.setting not in SETTINGS:
+            raise ConfigurationError(f"setting must be {'/'.join(SETTINGS)}, got {self.setting!r}")
         if self.periods < 1 or self.period_hours <= 0:
             raise ConfigurationError("bad horizon")
         if self.bid_block_length < 2 or self.bid_block_length % 2 != 0:
@@ -173,7 +178,7 @@ class ScenarioConfig:
         return [(start, length) for start in range(0, self.periods - length + 1, length)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     config: ScenarioConfig
     producers: list[ProducerPortfolio]
@@ -300,8 +305,6 @@ def _make_tank_load(name: str, baseline: np.ndarray, config: ScenarioConfig) -> 
 # ---------------------------------------------------------------------------
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-#: the Python type a value of each declared field type is written as
-_WRITTEN_AS = {"int": int, "float": float, "str": str}
 
 
 def config_to_text(config: ScenarioConfig) -> str:
@@ -309,7 +312,7 @@ def config_to_text(config: ScenarioConfig) -> str:
     field's declared type, so an int in a float field (``1000``) is written
     as the float (``1000.0``) that :func:`config_from_text` reads back."""
     return "".join(
-        f"{f.name} = {_WRITTEN_AS[f.type](getattr(config, f.name))!r}\n"
+        f"{f.name} = {_FIELD_KINDS[f.type][2](getattr(config, f.name))!r}\n"
         for f in fields(ScenarioConfig)
     )
 
@@ -332,12 +335,8 @@ def config_from_text(text: str) -> ScenarioConfig:
     for key, text_value in values.items():
         kind = _FIELD_TYPES[key]
         try:
-            if kind == "int":
-                kwargs[key] = int(text_value)
-            elif kind == "float":
-                kwargs[key] = float(text_value)
-            else:
-                kwargs[key] = text_value.strip("'\"")
+            # only a string is written quoted: ``seed = "3"`` is no integer
+            kwargs[key] = _FIELD_KINDS[kind][2](text_value.strip("'\"") if kind == "str" else text_value)
         except ValueError:
             raise ConfigurationError(f"bad {kind} for {key}: {text_value!r}") from None
     return ScenarioConfig(**kwargs)

@@ -345,13 +345,13 @@ _STAGES = (
 
 def _job(r, actor, call, *args, **fixed):
     """The job ``(actor, key, call)`` of :func:`_concurrently` that calls
-    ``call(*args, **fixed)`` for ``actor`` in the stage round context ``r`` is
-    at.  Twins (equal ``r.twins`` group) whose pins and ``fixed`` arrays are
-    equal to the bit get equal keys: they share one model, and in each stage
-    one position.  Twins with equal pins share their model, so keying a
-    solve by group and pins keys it by model."""
+    ``call(*args, **fixed)`` for ``actor`` in round context ``r``.  Twins
+    (equal ``r.twins`` group) whose pins and ``fixed`` arrays are equal to
+    the bit get equal keys: they share one model, and in each stage one
+    position.  Keys are compared within one :func:`_concurrently` call,
+    which serves one stage, so the stage is not part of them."""
     key = (
-        r.stage, call, r.twins[actor], r.pins[actor].tobytes(),
+        call, r.twins[actor], r.pins[actor].tobytes(),
         *(value.tobytes() for value in fixed.values()),
     )
     return actor, key, functools.partial(call, *args, **fixed)

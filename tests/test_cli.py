@@ -11,6 +11,7 @@ from flexmarket.energy_market import DEMAND, SUPPLY, OfferBook, clear
 from flexmarket.imbalance import settle
 from flexmarket.reserve_market import ClassicalBook, ModulationBook, ReservePrices, clear_reserve
 from flexmarket.scenario import (
+    SETTINGS,
     ScenarioConfig,
     config_from_text,
     config_to_text,
@@ -40,6 +41,34 @@ def test_config_text_round_trip():
     config = ScenarioConfig(seed=7, flexibility_rate=0.04, setting="open", max_rounds=123)
     parsed = config_from_text(config_to_text(config))
     assert parsed == config
+
+
+def moved_default(f):
+    """A valid value of config field ``f``, of its declared type, that is
+    not its default."""
+    if f.type == "float":
+        return float(np.nextafter(f.default, np.inf))
+    if f.type == "int":
+        return f.default + 2  # a bid block stays even
+    return next(setting for setting in SETTINGS if setting != f.default)
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(ScenarioConfig), ids=lambda f: f.name)
+def test_every_config_field_round_trips_through_the_config_text(f):
+    config = ScenarioConfig(**{f.name: moved_default(f)})
+    assert getattr(config, f.name) != f.default
+    text = config_to_text(config)
+    assert config_from_text(text) == config
+    assert config_to_text(config_from_text(text)) == text
+
+
+@pytest.mark.parametrize(
+    "line", ['seed = "3"', "max_rounds = '40'", 'mean_consumption = "1000.0"', "period_hours = '1'"]
+)
+def test_a_quoted_number_is_not_read_as_a_number(line):
+    # only a string field is written quoted
+    with pytest.raises(ConfigurationError, match=f"bad (int|float) for {line.split()[0]}"):
+        config_from_text(line + "\n")
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
@@ -483,7 +512,9 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exit_info:
         main(given + ["--out-dir", str(out)])
     assert exit_info.value.code == 2
-    assert "can't decode byte 0xff" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err
+    assert f"{path} is not UTF-8" in err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,3 +119,32 @@ def test_demo_runs(demo, tmp_path):
     result = run_python(str(ROOT / "demos" / demo), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+#: the ```python blocks of README.md, in order
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
+)
+
+
+def checkout_files():
+    """Each file of the checkout outside git's and Python's caches, with its
+    size and modification time."""
+    files = {}
+    for folder, dirs, names in os.walk(ROOT):
+        dirs[:] = [d for d in dirs if d not in (".git", "__pycache__", ".pytest_cache")]
+        for name in names:
+            stat = os.stat(os.path.join(folder, name))
+            files[os.path.join(folder, name)] = (stat.st_size, stat.st_mtime_ns)
+    return files
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=["run", "offer-book"])
+def test_readme_python_block_runs(block, tmp_path):
+    before = checkout_files()
+    result = run_python("-c", block, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []
+    assert checkout_files() == before
+    if "OfferBook" in block:
+        assert result.stdout == "[40.]\n"

@@ -18,6 +18,7 @@ from flexmarket.agents import (
     RetailerPortfolio,
     verify_scenario_coverage,
 )
+from flexmarket.agents.retailer import ConfigurationError
 from flexmarket.scenario import Scenario, ScenarioConfig, generate_scenario
 from flexmarket.simulator import (
     RoundMetrics,
@@ -316,6 +317,56 @@ def test_a_scenario_of_another_config_is_rejected():
     base = small_config(max_rounds=1)
     with pytest.raises(ValueError, match="scenario.config"):
         run(dataclasses.replace(base, reserve_rate=0.05), generate_scenario(base))
+
+
+def open_scenario(**overrides):
+    """A generated open scenario with flexible loads."""
+    config = small_config(setting="open", flexibility_rate=0.1, **overrides)
+    return config, generate_scenario(config)
+
+
+#: each input class of a scenario, reached from the scenario, with one of its fields
+INPUT_PARTS = {
+    "scenario": (lambda s: s, "retailers"),
+    "retailer": (lambda s: s.retailers[0], "imbalance_limit"),
+    "load": (lambda s: s.retailers[0].loads[0], "efficiency"),
+    "producer": (lambda s: s.producers[0], "units"),
+    "unit": (lambda s: s.producers[0].units[0], "ramp_up"),
+}
+
+
+@pytest.mark.parametrize("part, field_name", INPUT_PARTS.values(), ids=INPUT_PARTS)
+def test_scenario_inputs_are_frozen(part, field_name):
+    value = part(open_scenario()[1])
+    with pytest.raises(dataclasses.FrozenInstanceError, match=field_name):
+        setattr(value, field_name, getattr(value, field_name))
+
+
+@pytest.mark.parametrize(
+    "part, change, error",
+    [
+        ("load", {"efficiency": 2.0}, "efficiency must lie in"),
+        ("unit", {"ramp_up": -1.0}, "ramp_up not finite and >= 0"),
+        ("retailer", {"imbalance_limit": -1.0}, "imbalance limit not >= 0"),
+        ("producer", {"units": []}, "no units"),
+    ],
+)
+def test_replacing_a_field_of_an_input_checks_it_again(part, change, error):
+    value = INPUT_PARTS[part][0](open_scenario()[1])
+    # a load's checks raise ValueError, the others' ConfigurationError
+    raised = ValueError if part == "load" else ConfigurationError
+    with pytest.raises(raised, match=error):
+        dataclasses.replace(value, **change)
+
+
+def test_a_load_of_a_scenario_cannot_be_broken_under_its_run():
+    # before, this assignment was accepted and the run failed in round 0:
+    # "retailer 'retailer-1' position problem is infeasible"
+    config, scenario = open_scenario(max_rounds=1)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="'efficiency'"):
+        scenario.retailers[0].loads[0].efficiency = 2.0
+    assert scenario.retailers[0].loads[0].efficiency == 1.0
+    assert len(run(config, scenario).rounds) == 1
 
 
 def renamed_actor(scenario, kind, index, name):
