@@ -9,6 +9,14 @@ the market.  :func:`build_producer_model` builds the LP once per round and
 with the cleared sale fixed, and with the accepted reserves (mapped back
 onto the units by :func:`.retailer.accepted_volumes`) fixed as well, each
 stage under the bounds :func:`.retailer.stage_bounds` makes.
+
+Each solve returns, with the position, the :class:`ProducerBasis` it ended
+on, and may start from one an earlier solve of the same producer ended on.
+The producer LP has no dual-degenerate optimum on the configs of the
+acceptance criteria, so where the simplex starts changes the iterations it
+takes and rounding, not the vertex.  A basis is carried onto a model whose
+pins differ: it keeps the statuses of the fixed blocks and of every pin in
+both models, and a new pin's slack starts at 0 with its row basic.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..energy_market import SUPPLY, OfferBook
-from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
+from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, Basis, LinearProgram, carry_basis, solve
 from ..reserve_market import DOWN, UP, ClassicalBook
 from .forecast import PriceForecast
 from .retailer import (
@@ -110,6 +118,19 @@ class ProducerModel:
     imbalance_down: np.ndarray
     unit_output: np.ndarray   # (units, periods)
     reserve: np.ndarray       # (units, periods, 2): upward, then downward
+    # (3, periods): which (minimum sale, upward, downward imbalance) pins
+    # have a slack column and row, appended in this order after the fixed
+    # blocks
+    pinned: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ProducerBasis:
+    """The basis a solve of a producer model ended on, and the pins that
+    model had (:attr:`ProducerModel.pinned`).  Compared by identity."""
+
+    basis: Basis
+    pinned: np.ndarray
 
 
 def build_producer_model(
@@ -141,35 +162,42 @@ def build_producer_model(
     )
 
     # selling below the learned pin risks another price-cap round
-    if pins is not None:
-        sale_pin, up_pin, down_pin = pins
-        add_pin_penalties(lp, sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
-        add_pin_penalties(lp, up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
-        add_pin_penalties(lp, down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
-    return ProducerModel(portfolio.name, lp, sale, i_up, i_dn, p, reserve)
+    if pins is None:
+        pins = np.full((3, t_count), np.inf)
+    sale_pin, up_pin, down_pin = pins
+    add_pin_penalties(lp, sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
+    add_pin_penalties(lp, up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
+    add_pin_penalties(lp, down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
+    return ProducerModel(portfolio.name, lp, sale, i_up, i_dn, p, reserve, np.isfinite(pins))
 
 
 def optimize_producer(
     model: ProducerModel,
     fixed_sale: np.ndarray | None = None,
     fixed_reserve: np.ndarray | None = None,
-) -> ProducerPosition:
-    """Profit-maximal dispatch, reserve and imbalance plan of ``model``.
+    basis: ProducerBasis | None = None,
+) -> tuple[ProducerPosition, ProducerBasis]:
+    """Profit-maximal dispatch, reserve and imbalance plan of ``model``, and
+    the basis its solve ended on.
 
     Stages differ only in what is already decided: nothing one day ahead,
     the cleared sale after the energy market, and additionally the accepted
     ``(units, periods, 2)`` reserve after the reserve market.  ``model`` is
-    left as it was, so the stages of one round may share it.
+    left as it was, so the stages of one round may share it.  The solve
+    starts from ``basis``, carried onto ``model``'s pins, if one is given.
     """
     fixed = [(model.reserve, fixed_reserve, "fixed_reserve"), (model.sale, fixed_sale, "fixed_sale")]
-    sol = solve(model.lp, *stage_bounds(model, fixed, lift=fixed_sale is not None))
+    sol = solve(
+        model.lp, *stage_bounds(model, fixed, lift=fixed_sale is not None),
+        basis=None if basis is None else _carried(basis, model),
+    )
     if sol.status != "optimal":
         raise ConfigurationError(
             f"producer {model.name!r} position problem is {sol.status}; "
             "check unit ramps, bounds and fixed quantities"
         )
 
-    return ProducerPosition(
+    position = ProducerPosition(
         sale=sol.values(model.sale),
         imbalance_up=sol.values(model.imbalance_up),
         imbalance_down=sol.values(model.imbalance_down),
@@ -177,6 +205,26 @@ def optimize_producer(
         reserve=sol.values(model.reserve),
         objective=sol.objective,
     )
+    return position, ProducerBasis(sol.basis, model.pinned)
+
+
+def _carried(basis: ProducerBasis, model: ProducerModel) -> Basis:
+    """``basis`` as a start for ``model``: as it is where their pins are in
+    the same places, else carried over pin by pin."""
+    if np.array_equal(basis.pinned, model.pinned):
+        return basis.basis
+    # the fixed blocks are the same in both models; each pin's slack column
+    # and row follow them, kind by kind and period by period
+    old = np.full(basis.pinned.shape, -1)
+    old[basis.pinned] = np.arange(np.count_nonzero(basis.pinned))
+    carried = old[model.pinned]
+
+    def continued(count):
+        fixed = count - carried.size
+        return np.concatenate([np.arange(fixed), np.where(carried < 0, -1, fixed + carried)])
+
+    lp = model.lp
+    return carry_basis(basis.basis, lp, continued(lp.n_variables), continued(lp.n_constraints))
 
 
 def _add_units(lp, portfolio):

@@ -28,6 +28,14 @@ triplets in the model's own row order.  :meth:`~LinearProgram.dense_rows` is
 read only by the test oracles and the benchmark tracer.  scipy is imported
 only when a model is solved, so importing this package loads none of it.
 
+A solve may start from a :class:`Basis`, the one an earlier optimal solve
+of a model with the same columns and row layout ended on, and an optimal
+:class:`Solution` carries the basis its own solve ended on.  From a basis,
+HiGHS skips presolve and its simplex starts there; the instance is still
+emptied first, so nothing else passes from one solve to the next.
+:func:`carry_basis` maps a basis onto a model with columns and rows added
+or dropped.
+
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
 instances, and :attr:`Solution.iterations` counts the HiGHS simplex
@@ -93,6 +101,8 @@ class LinearProgram:
         self._terms = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
         self._rows = [(np.zeros(0, "<U2"), np.zeros(0))]
         self._columns = None
+        # the model row of each HiGHS row, set with ``_columns``
+        self._row_order = None
 
     # -- model building ----------------------------------------------------
 
@@ -199,6 +209,7 @@ class LinearProgram:
                 row_lower=np.where(relations == LESS_EQUAL, -INF, rhs)[order],
                 row_upper=np.where(relations == GREATER_EQUAL, INF, rhs)[order],
             )
+            self._row_order = order
         return self._columns
 
     def dense_rows(self) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -218,8 +229,8 @@ class HighsColumns(NamedTuple):
     ``row_upper``]: (-inf, rhs) for ``<=``, (rhs, inf) for ``>=`` and (rhs,
     rhs) for ``==``.  The matrix is column-wise, rows ascending within a
     column, with the terms of each entry added in the order they were given
-    and entries that cancel to 0 dropped.  Nothing maps these rows back to
-    the model's: only HiGHS reads them."""
+    and entries that cancel to 0 dropped.  Only a :class:`Basis` maps these
+    rows back to the model's, to carry a basis over to another model."""
 
     start: np.ndarray       # int32: where each column's nonzeros start, and the end
     index: np.ndarray       # int32: the row of each nonzero
@@ -277,45 +288,119 @@ def _joined(chunks: list) -> tuple:
     return chunks[0]
 
 
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """The simplex basis HiGHS ended an optimal solve on, for a later solve
+    of a model of the same shape to start from.
+
+    It is opaque: its statuses stay with HiGHS, in HiGHS's row order, until
+    :func:`carry_basis` reads them to carry the basis over to a model of
+    another shape.  ``row_order`` gives the model row of each HiGHS row.
+    Bases are compared by identity.
+    """
+
+    highs: object
+    row_order: np.ndarray
+    n_variables: int
+
+
 @dataclass(frozen=True)
 class Solution:
     """Outcome of one solve: a status, the objective (the model's own
     objective vector at ``x``, not the value HiGHS reports), the variable
-    values and the simplex iterations HiGHS ran.
+    values, the simplex iterations HiGHS ran and the basis it ended on.
 
-    ``x`` is meaningful only when ``status == "optimal"``.
+    ``x`` is meaningful and ``basis`` set only when ``status == "optimal"``.
     """
 
     status: str
     objective: float
     x: np.ndarray
     iterations: int
+    basis: Basis | None = None
 
     def values(self, variables) -> np.ndarray:
         return self.x[np.asarray(variables, dtype=np.intp)]
 
 
-def solve(lp: LinearProgram, lower=None, upper=None) -> Solution:
+def solve(lp: LinearProgram, lower=None, upper=None, basis: Basis | None = None) -> Solution:
     """Solve ``lp`` to proven optimality with HiGHS.
 
     ``lower`` and ``upper`` (scalars or one value per variable, checked as
     :meth:`~LinearProgram.add_variables` checks them) replace the model's
     variable bounds for this solve only; the model is left unchanged, so its
     :meth:`~LinearProgram.highs_columns` serve every set of bounds it is
-    solved under.  Infeasibility and unboundedness are reported through
-    :attr:`Solution.status`, never raised.  A model without variables is
-    ``infeasible`` when one of its rows excludes 0 and ``optimal``, with an
-    empty ``x``, otherwise.
+    solved under.  ``basis``, one an earlier solve of a model with the same
+    columns and row layout ended on, is where the simplex starts; without
+    one, HiGHS presolves and starts from scratch.  Infeasibility and
+    unboundedness are reported through :attr:`Solution.status`, never
+    raised.  A model without variables is ``infeasible`` when one of its
+    rows excludes 0 and ``optimal``, with an empty ``x``, otherwise.
     """
     lower = lp.lower if lower is None else _series(lower, lp.n_variables)
     upper = lp.upper if upper is None else _series(upper, lp.n_variables)
     _check_bounds(lower, upper, 0)
+    if basis is not None:
+        lp.highs_columns()
+        if basis.n_variables != lp.n_variables or not np.array_equal(
+            basis.row_order, lp._row_order
+        ):
+            raise LinearProgramError(
+                f"basis of {basis.n_variables} variables and {basis.row_order.size} rows "
+                f"laid out otherwise than {lp.name!r}"
+            )
     c = lp.objective_vector()
-    status, x, iterations = _highs_solve(lp, c, lower, upper)
+    status, x, iterations = _highs_solve(lp, c, lower, upper, basis)
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
     _check_feasible(lp, x, lower, upper)
-    return Solution(OPTIMAL, float(c @ x), x, iterations)
+    # this thread's instance still holds the model and the basis it ended on
+    final = _highs_instance().getBasis()
+    return Solution(
+        OPTIMAL, float(c @ x), x, iterations,
+        Basis(final, lp._row_order, lp.n_variables) if final.valid else None,
+    )
+
+
+def carry_basis(basis: Basis, lp: LinearProgram, columns, rows) -> Basis:
+    """A basis for ``lp`` to start from, carried over from ``basis``, which
+    a solve of another model ended on.
+
+    Column ``j`` of ``lp`` takes the status of column ``columns[j]`` of the
+    other model, and row ``i`` of ``lp`` that of its row ``rows[i]``, both
+    rows in their model's own order.  Where the index is -1, a new column
+    starts nonbasic at its lower bound and a new row basic.  The result is
+    marked alien, so HiGHS checks it and repairs its basic count and any
+    singularity before it starts.
+    """
+    from scipy.optimize._highspy import _core as core
+
+    lp.highs_columns()
+    columns, rows = np.asarray(columns, np.intp), np.asarray(rows, np.intp)
+    n_rows = basis.row_order.size
+    if (
+        columns.shape != (lp.n_variables,) or rows.shape != (lp.n_constraints,)
+        or np.any((columns < -1) | (columns >= basis.n_variables))
+        or np.any((rows < -1) | (rows >= n_rows))
+    ):
+        raise LinearProgramError(
+            f"cannot carry a basis of {basis.n_variables} variables and {n_rows} rows "
+            f"onto {lp.name!r} by columns {columns} and rows {rows}"
+        )
+    # each status by its value
+    statuses = np.array(
+        sorted(core.HighsBasisStatus.__members__.values(), key=lambda status: status.value), object
+    )
+    old_columns = np.array([status.value for status in basis.highs.col_status], np.intp)
+    old_rows = np.empty(n_rows, np.intp)
+    old_rows[basis.row_order] = [status.value for status in basis.highs.row_status]
+    col_status = np.where(columns < 0, core.HighsBasisStatus.kLower.value, old_columns[columns])
+    row_status = np.where(rows < 0, core.HighsBasisStatus.kBasic.value, old_rows[rows])
+    carried = core.HighsBasis()
+    carried.col_status = statuses[col_status].tolist()
+    carried.row_status = statuses[row_status[lp._row_order]].tolist()
+    carried.valid = carried.alien = True
+    return Basis(carried, lp._row_order, lp.n_variables)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, lower, upper) -> None:
@@ -360,10 +445,11 @@ def _violated_rows(lp: LinearProgram, x: np.ndarray) -> tuple[np.ndarray, np.nda
 _thread = threading.local()
 
 
-def _highs_solve(lp: LinearProgram, c, lower, upper) -> tuple[str, np.ndarray, int]:
+def _highs_solve(lp: LinearProgram, c, lower, upper, basis=None) -> tuple[str, np.ndarray, int]:
     """Solve ``lp``, whose objective vector is ``c``, under the bounds
     ``lower`` and ``upper`` with the HiGHS core on this thread's instance,
-    emptied of the model it solved before.
+    emptied of the model it solved before, starting from ``basis`` if one is
+    given.
 
     HiGHS gets the model's sense and ``c`` as they are, and the rows as the
     ranged column-wise arrays of :meth:`LinearProgram.highs_columns`, in the
@@ -398,6 +484,8 @@ def _highs_solve(lp: LinearProgram, c, lower, upper) -> tuple[str, np.ndarray, i
         # a model HiGHS cannot load is a model error, which linprog reports
         # as infeasible
         return INFEASIBLE, np.empty(0), 0
+    if basis is not None and highs.setBasis(basis.highs) == core.HighsStatus.kError:
+        raise LinearProgramError(f"highs rejected the basis given for {lp.name!r}")
     run_failed = highs.run() == core.HighsStatus.kError
     status = highs.getModelStatus()
     iterations = highs.getInfo().simplex_iteration_count

@@ -336,7 +336,17 @@ def config_from_text(text: str) -> ScenarioConfig:
         kind = _FIELD_TYPES[key]
         try:
             # only a string is written quoted: ``seed = "3"`` is no integer
-            kwargs[key] = _FIELD_KINDS[kind][2](text_value.strip("'\"") if kind == "str" else text_value)
+            kwargs[key] = _FIELD_KINDS[kind][2](_unquoted(text_value) if kind == "str" else text_value)
         except ValueError:
             raise ConfigurationError(f"bad {kind} for {key}: {text_value!r}") from None
     return ScenarioConfig(**kwargs)
+
+
+def _unquoted(text: str) -> str:
+    """``text`` bare or inside one matched pair of quotes, without them;
+    any other quote is a ``ValueError``."""
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        text = text[1:-1]
+    if "'" in text or '"' in text:
+        raise ValueError(text)
+    return text

@@ -14,6 +14,13 @@ The learned pins belong to the run, not to the scenario: :func:`run` keeps
 one :class:`ThresholdTrack` over (actors, 3, periods), retailers then
 producers in scenario order, starts it fresh and never changes the
 portfolios it is given, so running one scenario twice gives the same result.
+So do each producer's bases: per stage, the run keeps the
+:class:`~.agents.producer.ProducerBasis` (the HiGHS basis and the pins it
+was solved under) that the producer's last solve in that stage ended on,
+and the next round's solve in that stage starts from it.  Reserve bidding
+starts from the day-ahead basis in the first round, and reposition starts
+cold there.  Retailer and market LPs are dual-degenerate, so where their
+simplex starts could move their vertex; they always start cold.
 
 Each stage is one function over one round context, run under one guard
 that names the round, stage and actor of an error (:class:`RoundError`).
@@ -21,8 +28,9 @@ Each actor's model is built once, in the day-ahead stage, from the round's
 forecast and its pins; later stages solve it under their fixed quantities.
 Actors equal in everything but their names are twins (the generated
 retailers all are).  Twins with equal pins share one model, and twins whose
-fixed quantities are equal too share one solve and its position; the
-context, models included, is dropped when the round ends.
+fixed quantities are equal too, and whose bases came from one shared solve,
+share one solve and its position; the context, models included, is dropped
+when the round ends, and only the bases and pins outlive it.
 
 The actors' LPs of one stage do not depend on each other, and HiGHS
 releases the GIL while it runs, so the ``day-ahead``, ``reserve-bidding``
@@ -148,6 +156,8 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
         factor=config.threshold_factor,
         forget_after=config.threshold_forget_rounds,
     )
+    # per (stage, producer): the basis its last solve in that stage ended on
+    bases = {}
 
     # per round: the (3, periods) energy price, upward and downward tariff
     history: list[np.ndarray] = []
@@ -161,7 +171,9 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
         fc = make_forecast(history, config)
         # twins (the generated retailers are all alike) with equal pins share
         # one model, and one solve per stage, within this round only
-        record = _play_round(index, scenario, fc, windows, dict(zip(names, pins.value)), twins)
+        record = _play_round(
+            index, scenario, fc, windows, dict(zip(names, pins.value)), twins, bases
+        )
         rounds.append(record)
 
         observed = np.array(
@@ -193,12 +205,14 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     )
 
 
-def _play_round(index, scenario, fc, windows, pins, twins):
+def _play_round(index, scenario, fc, windows, pins, twins, bases):
     """Round ``index``: the stages of :data:`_STAGES` over one round context.
-    The record takes the context's fields of its own names."""
+    The record takes the context's fields of its own names; ``bases`` is
+    the run's, and the producer stages replace its entries."""
     r = SimpleNamespace(
         index=index, config=scenario.config, retailers=scenario.retailers,
         producers=scenario.producers, fc=fc, windows=windows, pins=pins, twins=twins,
+        bases=bases,
     )
     for stage, actor, play in _STAGES:
         r.stage, r.actor = stage, actor
@@ -219,21 +233,21 @@ def _day_ahead(r):
         )
         return model, optimize_retailer(model)
 
-    def producer(p):
+    def producer(p, basis):
         model = build_producer_model(p, *prices, r.pins[p.name])
-        return model, optimize_producer(model)
+        return model, *optimize_producer(model, basis=basis)
 
     solved = _concurrently(
         r,
         [_job(r, p.name, retailer, p) for p in r.retailers]
-        + [_job(r, p.name, producer, p) for p in r.producers],
+        + [_job(r, p.name, producer, p, basis=r.bases.get((r.stage, p.name))) for p in r.producers],
     )
     r.models, r.day_ahead, r.offer_books = {}, {}, []
     for p in r.retailers:
         r.models[p.name], r.day_ahead[p.name] = next(solved)
         r.offer_books.append(retailer_demand_offers(r.day_ahead[p.name], p, c.price_cap))
     for p in r.producers:
-        r.models[p.name], r.day_ahead[p.name] = next(solved)
+        r.models[p.name], r.day_ahead[p.name], r.bases[r.stage, p.name] = next(solved)
         r.offer_books.append(producer_energy_offers(r.day_ahead[p.name], p, r.fc))
     r.submitted_demand = {p.name: r.day_ahead[p.name].demand for p in r.retailers}
 
@@ -246,17 +260,21 @@ def _clear_energy(r):
 
 def _bid_reserve(r):
     """Each producer's position with its cleared sale fixed and its reserve
-    bids; each retailer's band bids from its day-ahead amplitudes."""
+    bids; each retailer's band bids from its day-ahead amplitudes.  In the
+    first round, a producer starts from its day-ahead basis."""
     jobs = []
     for p in r.producers:
         r.actor = p.name
         jobs.append(_job(
-            r, p.name, optimize_producer, r.models[p.name], fixed_sale=r.clearing.supply_of(p.name)
+            r, p.name, optimize_producer, r.models[p.name],
+            fixed_sale=r.clearing.supply_of(p.name),
+            basis=r.bases.get((r.stage, p.name), r.bases["day-ahead", p.name]),
         ))
     solved = _concurrently(r, jobs)
     r.reserve_bidding, r.classical_books, r.modulation_books = {}, [], []
     for p in r.producers:
-        position = r.reserve_bidding[p.name] = next(solved)
+        position, r.bases[r.stage, p.name] = next(solved)
+        r.reserve_bidding[p.name] = position
         r.classical_books.append(producer_reserve_bids(position, p))
     for p in r.retailers:
         r.actor = p.name
@@ -282,7 +300,9 @@ def _reposition(r):
     """Each actor's position against what cleared: its sale or purchase and
     its accepted reserve or amplitudes fixed.  The agent modules map the
     accepted fractions of the book entries that carry its name back onto
-    its units or windows."""
+    its units or windows.  In the first round, producers start cold: from
+    the reserve-bidding basis, the simplex takes longer than from
+    scratch."""
     jobs = []
     for p in r.producers:
         r.actor = p.name
@@ -293,6 +313,7 @@ def _reposition(r):
                 r.reserve_bidding[p.name].reserve,
                 r.procurement.classical_fraction[r.procurement.classical.actor == p.name],
             ),
+            basis=r.bases.get((r.stage, p.name)),
         ))
     for p in r.retailers:
         r.actor = p.name
@@ -305,7 +326,9 @@ def _reposition(r):
             ),
         ))
     solved = _concurrently(r, jobs)
-    r.producer_positions = {p.name: next(solved) for p in r.producers}
+    r.producer_positions = {}
+    for p in r.producers:
+        r.producer_positions[p.name], r.bases[r.stage, p.name] = next(solved)
     r.retailer_positions = {p.name: next(solved) for p in r.retailers}
 
 
@@ -347,12 +370,13 @@ def _job(r, actor, call, *args, **fixed):
     """The job ``(actor, key, call)`` of :func:`_concurrently` that calls
     ``call(*args, **fixed)`` for ``actor`` in round context ``r``.  Twins
     (equal ``r.twins`` group) whose pins and ``fixed`` arrays are equal to
-    the bit get equal keys: they share one model, and in each stage one
-    position.  Keys are compared within one :func:`_concurrently` call,
-    which serves one stage, so the stage is not part of them."""
+    the bit, and whose other ``fixed`` values (bases) are the same objects,
+    get equal keys: they share one model, and in each stage one position.
+    Keys are compared within one :func:`_concurrently` call, which serves
+    one stage, so the stage is not part of them."""
     key = (
         call, r.twins[actor], r.pins[actor].tobytes(),
-        *(value.tobytes() for value in fixed.values()),
+        *(v.tobytes() if isinstance(v, np.ndarray) else v for v in fixed.values()),
     )
     return actor, key, functools.partial(call, *args, **fixed)
 

@@ -103,6 +103,47 @@ def sparse_rows(lp: LinearProgram):
     return matrix, relations, rhs
 
 
+def dual_degenerate(lp: LinearProgram, lower, upper, rel_tol: float = 1e-9) -> bool:
+    """Whether the optimum of ``lp`` under the variable bounds ``lower`` and
+    ``upper`` is dual-degenerate: whether a nonbasic column or row that is
+    free to move (its bounds differ) has a reduced cost or dual of at most
+    ``rel_tol * max|c|``, so that the optimal face may be more than one
+    vertex.  Solved on a HiGHS instance of its own, with the rows in the
+    model's own order, from scratch."""
+    from scipy.optimize._highspy import _core as core
+
+    matrix, relations, rhs = sparse_rows(lp)
+    matrix = matrix.tocsc()
+    matrix.sort_indices()
+    row_lower = np.where(relations == LESS_EQUAL, -math.inf, rhs)
+    row_upper = np.where(relations == GREATER_EQUAL, math.inf, rhs)
+    c = lp.objective_vector()
+    highs = core._Highs()
+    options = core.HighsOptions()
+    options.output_flag = False
+    highs.passOptions(options)
+    highs.passModel(
+        lp.n_variables, lp.n_constraints, matrix.nnz, int(core.MatrixFormat.kColwise),
+        int(core.ObjSense.kMaximize if lp.sense == "max" else core.ObjSense.kMinimize), 0.0,
+        c, np.asarray(lower, float), np.asarray(upper, float), row_lower, row_upper,
+        matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32), matrix.data,
+        np.zeros(lp.n_variables, np.int32),
+    )
+    highs.run()
+    assert highs.getModelStatus() == core.HighsModelStatus.kOptimal, lp.name
+    basis, solution = highs.getBasis(), highs.getSolution()
+    tol = rel_tol * np.max(np.abs(c), initial=0.0)
+
+    def degenerate(status, dual, lo, hi):
+        nonbasic = np.array([s != core.HighsBasisStatus.kBasic for s in status], bool)
+        return np.any(nonbasic & (lo < hi) & (np.abs(np.asarray(dual)) <= tol))
+
+    return bool(
+        degenerate(basis.col_status, solution.col_dual, lower, upper)
+        or degenerate(basis.row_status, solution.row_dual, row_lower, row_upper)
+    )
+
+
 def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6):
     """A random LP over a finite box, mixing relation kinds and densities."""
     n = int(rng.integers(2, max_vars + 1))

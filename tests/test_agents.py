@@ -500,7 +500,7 @@ def test_position_balance_identities():
         gen = producer(t, [unit(t, cap=float(rng.uniform(5, 15)), cost=float(rng.uniform(40, 60)))])
         fc_p = flat_forecast(t, rng.uniform(30, 70, t), imb_up=float(rng.uniform(20, 80)),
                              imb_down=float(rng.uniform(20, 80)))
-        pos = optimize_producer(build_producer_model(gen, fc_p, CAP, PI_NC))
+        pos, _ = optimize_producer(build_producer_model(gen, fc_p, CAP, PI_NC))
         residual = (
             pos.sale
             + pos.imbalance_up
@@ -645,14 +645,14 @@ def test_tank_loads_with_infinite_energy_bounds_still_solve():
 
 def test_producer_positive_margin_runs_flat_out():
     port = producer(3, [unit(3, cost=45.0)])
-    position = optimize_producer(build_producer_model(port, flat_forecast(3, 50.0), CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, flat_forecast(3, 50.0), CAP, PI_NC))
     assert np.allclose(position.unit_output[0], 10.0, atol=1e-9)
     assert np.allclose(position.sale, 10.0, atol=1e-9)
 
 
 def test_producer_negative_margin_idles():
     port = producer(3, [unit(3, cost=45.0)])
-    position = optimize_producer(build_producer_model(port, flat_forecast(3, 40.0), CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, flat_forecast(3, 40.0), CAP, PI_NC))
     assert np.allclose(position.unit_output[0], 0.0, atol=1e-9)
 
 
@@ -661,7 +661,7 @@ def test_producer_dispatch_matches_grid_search():
     fast = unit(2, cap=10.0, cost=70.0, ramp=100.0, name="fast", p0=0.0)
     port = producer(2, [slow, fast])
     fc = flat_forecast(2, np.array([50.0, 90.0]))  # spike in the second period
-    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
 
     best = -np.inf
     for p in itertools.product(range(11), repeat=4):
@@ -677,7 +677,7 @@ def test_producer_dispatch_matches_grid_search():
 def test_producer_phantom_sale_bounded_by_imbalance_limit():
     port = producer(1, [unit(1, cap=10.0, cost=45.0)], limit=25.0)
     fc = flat_forecast(1, 50.0, imb_down=30.0)  # selling unbacked energy is profitable
-    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
     assert position.imbalance_down[0] == pytest.approx(25.0)
     assert position.sale[0] == pytest.approx(35.0)
 
@@ -686,7 +686,7 @@ def test_producer_min_sale_threshold_holds_volume():
     port = producer(1, [unit(1, cap=10.0, cost=45.0)])
     pins = (np.array([0.95 * 8.0]), np.array([np.inf]), np.array([np.inf]))
     fc = flat_forecast(1, 40.0)  # below cost: it would rather idle
-    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC, pins=pins))
+    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC, pins=pins))
     assert position.sale[0] == pytest.approx(7.6)
 
 
@@ -694,10 +694,10 @@ def test_producer_stage_chaining_with_fixed_quantities():
     port = producer(2, [unit(2, cap=10.0, cost=45.0)], valuation=0.005)
     fc = flat_forecast(2, 50.0)
     model = build_producer_model(port, fc, CAP, PI_NC)
-    stage1 = optimize_producer(model)
-    stage2 = optimize_producer(model, fixed_sale=stage1.sale)
+    stage1, _ = optimize_producer(model)
+    stage2, _ = optimize_producer(model, fixed_sale=stage1.sale)
     accepted = stage2.reserve * 0.5
-    stage3 = optimize_producer(model, fixed_sale=stage1.sale, fixed_reserve=accepted)
+    stage3, _ = optimize_producer(model, fixed_sale=stage1.sale, fixed_reserve=accepted)
     assert np.allclose(stage3.sale, stage1.sale)
     assert np.allclose(stage3.reserve, accepted)
 
@@ -713,7 +713,12 @@ def shared_stage_models():
         ret, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0
     )
     ret_fixed = dict(fixed_demand=np.full(4, 15.0), fixed_amplitudes=np.array([1.0]))
-    return [(optimize_producer, gen_model, gen_fixed), (optimize_retailer, ret_model, ret_fixed)]
+    return [(producer_position, gen_model, gen_fixed), (optimize_retailer, ret_model, ret_fixed)]
+
+
+def producer_position(model, **fixed):
+    """The position of a cold producer solve, without its basis."""
+    return optimize_producer(model, **fixed)[0]
 
 
 @pytest.mark.parametrize(
@@ -751,7 +756,7 @@ def test_fixed_quantities_must_have_their_variables_shape():
 def test_producer_offers_and_bids():
     port = producer(2, [unit(2, cap=10.0, cost=45.0)], valuation=0.005)
     fc = flat_forecast(2, 50.0, imb_down=20.0)
-    position = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
     offers = producer_energy_offers(position, port, fc)
     assert set(offers.side) == {SUPPLY}
     unit_offers = offers.price == 45.0
@@ -1277,7 +1282,7 @@ def capture_agent_models() -> dict:
     }
     captured = {}
 
-    def stop(lp, lower, upper):
+    def stop(lp, lower, upper, basis=None):
         captured["stage"] = StageModel(lp, lower, upper)
         raise _Captured
 

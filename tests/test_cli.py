@@ -71,6 +71,19 @@ def test_a_quoted_number_is_not_read_as_a_number(line):
         config_from_text(line + "\n")
 
 
+@pytest.mark.parametrize(
+    "line", ['setting = "open', "setting = open'\"", "setting = 'open\"", "setting = o'pen"]
+)
+def test_a_string_value_takes_one_matched_pair_of_quotes_or_none(line):
+    with pytest.raises(ConfigurationError, match="bad str for setting"):
+        config_from_text(line + "\n")
+
+
+@pytest.mark.parametrize("value", ["open", "'open'", '"open"'])
+def test_a_string_value_is_read_bare_or_quoted(value):
+    assert config_from_text(f"setting = {value}\n").setting == "open"
+
+
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigurationError):
         config_from_text("bogus_key = 3\n")
@@ -620,12 +633,12 @@ TREE_DIGESTS = {
         "figures/mean_price_by_round.svg": "4fe049bbca410faa",
         "figures/terminal_prices.svg": "568f36ea48dbf358",
         "manifest.txt": "72b29b52e4a92625",
-        "metrics.csv": "3f427fc9c7f61b28",
+        "metrics.csv": "450e33e53278d5a8",
         "rounds/*/clearing.csv": "a983105d02b09174",
-        "rounds/*/offers.csv": "506b67138fbf2486",
-        "rounds/*/positions.csv": "ee33b2b8bfc8d279",
+        "rounds/*/offers.csv": "295cb90b782b56a2",
+        "rounds/*/positions.csv": "4fe7173c6e42f4b5",
         "rounds/*/prices.csv": "7ce7fdf46f4d2d6a",
-        "rounds/*/procurement.csv": "fd05c28cc0270ef7",
+        "rounds/*/procurement.csv": "648a119404ceea4e",
         "rounds/*/settlement.csv": "0ed89ac385faf53d",
         "summary.csv": "df43d2ee20260d64",
     },
@@ -635,10 +648,10 @@ TREE_DIGESTS = {
         "manifest.txt": "c2011631fa86aa89",
         "metrics.csv": "1f87513a5ce6155a",
         "rounds/*/clearing.csv": "3acc1a7009b0b8c1",
-        "rounds/*/offers.csv": "73c089386c70e190",
+        "rounds/*/offers.csv": "aa801d0b7245fdcc",
         "rounds/*/positions.csv": "9fe15ef7d0b3d452",
         "rounds/*/prices.csv": "8a9d6fcd03385ce1",
-        "rounds/*/procurement.csv": "47bd388fda0ac1ec",
+        "rounds/*/procurement.csv": "a38c57cfa5150fbf",
         "rounds/*/settlement.csv": "f68fec3be532f5cd",
         "summary.csv": "01796186b83c1aab",
     },
@@ -650,10 +663,10 @@ TREE_DIGESTS = {
         "manifest.txt": "bbe61daacec8639f",
         "metrics.csv": "fe5b70b63244981f",
         "rounds/*/clearing.csv": "92933c48fca194f1",
-        "rounds/*/offers.csv": "687e29097b2e7f31",
+        "rounds/*/offers.csv": "00cf172635214463",
         "rounds/*/positions.csv": "cdf2c422890587a9",
         "rounds/*/prices.csv": "237388cb5aea82fb",
-        "rounds/*/procurement.csv": "d2c914220d3d716e",
+        "rounds/*/procurement.csv": "644f5a5ba0ee556d",
         "rounds/*/settlement.csv": "ba48caf9f6cff55e",
         "summary.csv": "12b0975eee769e2d",
     },

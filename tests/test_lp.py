@@ -18,6 +18,7 @@ from flexmarket.lp import (
     _check_feasible,
     _highs_instance,
     _highs_solve,
+    carry_basis,
     solve,
 )
 
@@ -776,3 +777,119 @@ def test_replaced_bounds_hold_for_one_solve():
     assert solve(lp, [2.0, 0.0], 3.0).status == "infeasible"
     assert solve(lp).objective == pytest.approx(1.5)
     assert (lp.lower.tolist(), lp.upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# starting from a basis
+# ---------------------------------------------------------------------------
+
+
+def sibling(lp, objective=None, extra=0):
+    """A model with ``lp``'s variables and rows, then ``extra`` new
+    variables in [0, 1], each in a new ``<=`` row of its own with the first
+    variable, and the objective ``objective`` (``lp``'s by default) over
+    the old variables."""
+    a, relations, rhs = lp.dense_rows()
+    other = LinearProgram(sense=lp.sense, name=lp.name)
+    x = other.add_variables(lp.n_variables, lp.lower, lp.upper)
+    other.add_objectives(x, lp.objective_vector() if objective is None else objective)
+    rows, columns = np.nonzero(a)
+    other.add_constraints([(rows, columns, a[rows, columns])], relations, rhs)
+    if extra:
+        z = other.add_variables(extra, 0.0, 1.0)
+        new = np.arange(extra)
+        other.add_constraints([(new, z, 1.0), (new, x[0], 1.0)], LESS_EQUAL, np.full(extra, 10.0))
+    return other
+
+
+def assert_same_optimum(warm, cold):
+    assert warm.status == cold.status == "optimal"
+    assert abs(warm.objective - cold.objective) <= TOL_FEAS * max(1.0, abs(cold.objective))
+
+
+def test_a_solve_from_a_basis_matches_the_cold_optimum():
+    rng = np.random.default_rng(20261020)
+    started = 0
+    while started < 60:
+        lp = random_box_lp(rng, max_vars=8, max_rows=8)
+        first = solve(lp)
+        if first.status != "optimal":
+            continue
+        again = solve(lp, basis=first.basis)
+        assert_same_optimum(again, first)
+        assert again.iterations == 0
+        # another objective, and other bounds, from the same basis
+        other = sibling(lp, rng.uniform(-10.0, 10.0, lp.n_variables))
+        cold = solve(other)
+        if cold.status == "optimal":
+            assert_same_optimum(solve(other, basis=first.basis), cold)
+        upper = lp.upper - 0.25
+        cold = solve(lp, upper=upper)
+        if cold.status == "optimal":
+            assert_same_optimum(solve(lp, upper=upper, basis=first.basis), cold)
+        started += 1
+
+
+def test_a_basis_carried_onto_new_columns_and_rows_matches_the_cold_optimum():
+    rng = np.random.default_rng(7)
+    carried = 0
+    while carried < 40:
+        lp = random_box_lp(rng, max_vars=8, max_rows=8)
+        first = solve(lp)
+        if first.status != "optimal":
+            continue
+        bigger = sibling(lp, extra=2)
+        n, m = lp.n_variables, lp.n_constraints
+        start = carry_basis(first.basis, bigger, [*range(n), -1, -1], [*range(m), -1, -1])
+        assert start.highs.alien
+        assert_same_optimum(solve(bigger, basis=start), solve(bigger))
+        # and back: the new columns and rows dropped
+        back = carry_basis(solve(bigger).basis, lp, range(n), range(m))
+        assert_same_optimum(solve(lp, basis=back), first)
+        carried += 1
+
+
+def two_rows(relations):
+    """max x + 2y over [0, 1]^2 with the rows x + y (relation 0) 1.5 and
+    x - y (relation 1) -1."""
+    lp = LinearProgram(sense="max")
+    x = lp.add_variables(2, 0.0, 1.0)
+    lp.add_objectives(x, [1.0, 2.0])
+    lp.add_constraints([([0, 0], x, 1.0), ([1, 1], x, [1.0, -1.0])], relations, [1.5, -1.0])
+    return lp
+
+
+def test_a_basis_of_another_layout_is_rejected():
+    lp = two_rows([LESS_EQUAL, GREATER_EQUAL])
+    basis = solve(lp).basis
+    with pytest.raises(LinearProgramError, match="basis of 2 variables and 2 rows"):
+        solve(sibling(lp, extra=1), basis=basis)
+    # as many columns and rows, but HiGHS would see the rows in another order
+    with pytest.raises(LinearProgramError, match="laid out otherwise"):
+        solve(two_rows([GREATER_EQUAL, LESS_EQUAL]), basis=basis)
+    assert solve(two_rows([LESS_EQUAL, GREATER_EQUAL]), basis=basis).iterations == 0
+    with pytest.raises(LinearProgramError, match="cannot carry"):
+        carry_basis(basis, lp, range(3), range(2))
+    with pytest.raises(LinearProgramError, match="cannot carry"):
+        carry_basis(basis, lp, range(2), [0, 2])
+
+
+def test_a_non_optimal_solution_has_no_basis():
+    infeasible = LinearProgram()
+    x = infeasible.add_variables(1, 0.0, 1.0)
+    infeasible.add_constraints([(0, x, 1.0)], GREATER_EQUAL, [2.0])
+    unbounded = LinearProgram(sense="max")
+    x = unbounded.add_variables(1)
+    unbounded.add_objectives(x, 1.0)
+    for lp, status in ((infeasible, "infeasible"), (unbounded, "unbounded"), (unloadable(), "infeasible")):
+        sol = solve(lp)
+        assert (sol.status, sol.basis) == (status, None)
+
+
+def test_the_census_oracle_tells_a_tie_from_a_unique_optimum():
+    for weights, tied in (([1.0, 1.0], True), ([2.0, 1.0], False)):
+        lp = LinearProgram(sense="max")
+        x = lp.add_variables(2, 0.0, 1.0)
+        lp.add_objectives(x, weights)
+        lp.add_constraints([(0, x, 1.0)], LESS_EQUAL, [1.0])
+        assert oracles.dual_degenerate(lp, lp.lower, lp.upper) is tied

@@ -451,8 +451,8 @@ def test_demand_split_and_volume_unit_change_no_outcome(setting, rate):
 @pytest.fixture
 def agent_calls(monkeypatch):
     """The agent calls of a run, as (kind, names of the fixed quantities)
-    pairs, the kind of each agent model built and the number of HiGHS
-    calls."""
+    pairs, a producer's ``basis`` left out, the kind of each agent model
+    built and the number of HiGHS calls."""
     calls = {"agents": [], "builds": [], "highs": 0}
     highs_solve = lp._highs_solve
 
@@ -462,7 +462,8 @@ def agent_calls(monkeypatch):
 
     def counting(kind, optimize):
         def call(model, **fixed):
-            calls["agents"].append((kind, tuple(sorted(fixed))))
+            # where a producer's simplex starts is not a fixed quantity
+            calls["agents"].append((kind, tuple(sorted(fixed.keys() - {"basis"}))))
             return optimize(model, **fixed)
 
         return call
@@ -696,6 +697,27 @@ def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(chang
     assert positions["c"] is positions["a"] is not positions["b"]
 
 
+def test_twins_share_a_solve_only_from_one_basis():
+    # a basis is compared by identity: twins that shared every solve hold
+    # the same one
+    at = types.SimpleNamespace(
+        twins=dict.fromkeys("abc", 0), pins={name: np.full((3, 4), np.inf) for name in "abc"}
+    )
+    shared, other = object(), object()
+    started = []
+
+    def optimize(model, basis):
+        started.append(basis)
+        return object()
+
+    positions = dict(zip("abc", simulator._concurrently(at, [
+        simulator._job(at, name, optimize, "model", basis=basis)
+        for name, basis in zip("abc", (shared, other, shared))
+    ])))
+    assert positions["a"] is positions["c"] is not positions["b"]
+    assert sorted(map(id, started)) == sorted([id(shared), id(other)])
+
+
 def six_twin_retailers():
     """The open-bands benchmark workload's config (six twin retailers),
     cut to three rounds."""
@@ -886,6 +908,66 @@ def test_pooled_runs_equal_one_worker_runs_bit_for_bit(monkeypatch, config):
         for a, b in zip(pooled.rounds, other.rounds):
             assert a.state.tobytes() == b.state.tobytes(), (workers, a.index)
             assert dataclasses.astuple(a.metrics) == dataclasses.astuple(b.metrics), (workers, a.index)
+
+
+# ---------------------------------------------------------------------------
+# producer solves start from the basis their stage ended on last round
+# ---------------------------------------------------------------------------
+
+
+def test_no_producer_lp_is_dual_degenerate(monkeypatch):
+    # the configs of acceptance criteria 3 and 4; so each producer LP has
+    # one optimal vertex, and where its simplex starts moves only rounding
+    from flexmarket.agents import producer
+
+    solve, census = producer.solve, []
+
+    def counted(lp, lower, upper, basis=None):
+        census.append(oracles.dual_degenerate(lp, lower, upper))
+        return solve(lp, lower, upper, basis=basis)
+
+    monkeypatch.setattr(producer, "solve", counted)
+    for rate in (0.0, 0.02, 0.04, 0.06, 0.08, 0.10):
+        for setting in ("closed", "open"):
+            run(small_config(flexibility_rate=rate, setting=setting, max_rounds=500))
+    assert len(census) > 600
+    assert not any(census)
+
+
+def producer_solves(monkeypatch, config):
+    """Every producer solve of a run of ``config``, as (names of the fixed
+    quantities, model, fixed quantities, basis started from, position)."""
+    optimize, calls = simulator.optimize_producer, []
+
+    def recording(model, basis=None, **fixed):
+        position, final = optimize(model, basis=basis, **fixed)
+        calls.append((tuple(sorted(fixed)), model, fixed, basis, position))
+        return position, final
+
+    monkeypatch.setattr(simulator, "optimize_producer", recording)
+    run(config)
+    return calls
+
+
+@pytest.mark.parametrize("setting", ["closed", "open"])
+def test_warm_producer_solves_match_cold_ones(monkeypatch, setting):
+    from flexmarket.agents.producer import optimize_producer
+
+    warm, carried = set(), 0
+    for stage, model, fixed, basis, position in producer_solves(
+        monkeypatch, small_config(setting=setting, flexibility_rate=0.1)
+    ):
+        cold, _ = optimize_producer(model, **fixed)
+        for f in dataclasses.fields(cold):
+            a, b = np.asarray(getattr(position, f.name)), np.asarray(getattr(cold, f.name))
+            assert np.all(np.abs(a - b) <= lp.TOL_FEAS * np.maximum(1.0, np.abs(b))), f.name
+        if basis is not None:
+            warm.add(stage)
+            carried += not np.array_equal(basis.pinned, model.pinned)
+    # every stage starts warm from round 1 on (reserve bidding from round
+    # 0), and some start across a change of pins
+    assert sorted(warm) == [(), ("fixed_reserve", "fixed_sale"), ("fixed_sale",)]
+    assert carried > 0
 
 
 def reposition_context(monkeypatch, config):
