@@ -4,19 +4,28 @@ A producer dispatches its units against the energy price forecast, holds
 back ramp-feasible headroom as upward/downward reserve (valued at a small
 regulated credit so reserve never displaces profitable energy), and may
 deviate from its sold position when the imbalance tariff forecast beats
-the market.  :func:`build_producer_model` builds the LP once per round and
-:func:`optimize_producer` solves it in each of the three stages: free,
-with the cleared sale fixed, and with the accepted reserves (mapped back
-onto the units by :func:`.retailer.accepted_volumes`) fixed as well, each
-stage under the bounds :func:`.retailer.stage_bounds` makes.
+the market.  :func:`build_producer_model` builds the LP once per run and
+:func:`optimize_producer` solves it in each of the three stages of every
+round: free, with the cleared sale fixed, and with the accepted reserves
+(mapped back onto the units by :func:`.retailer.accepted_volumes`) fixed as
+well, each stage under the bounds :func:`.retailer.stage_bounds` makes and
+the round's forecast as its costs.
 
-Each solve returns, with the position, the :class:`ProducerBasis` it ended
-on, and may start from one an earlier solve of the same producer ended on.
-The producer LP has no dual-degenerate optimum on the configs of the
-acceptance criteria, so where the simplex starts changes the iterations it
-takes and rounding, not the vertex.  A basis is carried onto a model whose
-pins differ: it keeps the statuses of the fixed blocks and of every pin in
-both models, and a new pin's slack starts at 0 with its row basic.
+The learned pins are column bounds, so the model keeps one shape for the
+whole run.  Each (minimum sale, upward imbalance, downward imbalance) pin
+and period has a slot: a slack ``z >= 0`` priced at the pin's penalty and a
+tally ``q`` in one row, ``q = sale + z`` for the minimum-sale floor and
+``q = imbalance - z`` for a cap.  A pin is ``q``'s lower bound (the floor)
+or upper bound (a cap); without one, ``q`` is free and ``z`` fixed at 0, so
+the dispatch, sale and imbalances range over what they would without the
+slot, at the same profit.
+
+Each solve returns, with the position, the :class:`~..lp.Basis` it ended
+on, and starts from one an earlier solve of the same model ended on, or
+else from the slack basis (:func:`~..lp.slack_basis`), which spares HiGHS
+its presolve.  The producer LP has no dual-degenerate optimum on the
+configs of the acceptance criteria, so where the simplex starts changes
+the iterations it takes and rounding, not the vertex.
 """
 
 from __future__ import annotations
@@ -26,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..energy_market import SUPPLY, OfferBook
-from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, Basis, LinearProgram, carry_basis, solve
+from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, Basis, LinearProgram, slack_basis, solve
 from ..reserve_market import DOWN, UP, ClassicalBook
 from .forecast import PriceForecast
 from .retailer import (
-    IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, add_pin_penalties, stage_bounds,
+    IMBALANCE_FRICTION, OFFER_TOL, ConfigurationError, Pins, stage_bounds,
 )
 
 #: regulated credit per MW of reserve capability kept available
@@ -106,10 +115,12 @@ def fleet_capacity(portfolio: ProducerPortfolio) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProducerModel:
-    """A producer's position LP under the day-ahead bounds (sale free,
-    reserve from 0 up, each deviation within the imbalance limit) and the
-    handles of its variables.  :func:`optimize_producer` solves it under
-    each stage's bounds."""
+    """A producer's position LP under the day-ahead bounds without pins
+    (sale free, reserve from 0 up, each deviation within the imbalance
+    limit, each slot inactive), the handles of its variables and the
+    prices its pin penalties are made of.  Its own objective is the part of
+    the costs no forecast moves.  :func:`optimize_producer` solves it under
+    each round's costs and pins and each stage's bounds."""
 
     name: str
     lp: LinearProgram
@@ -118,30 +129,20 @@ class ProducerModel:
     imbalance_down: np.ndarray
     unit_output: np.ndarray   # (units, periods)
     reserve: np.ndarray       # (units, periods, 2): upward, then downward
-    # (3, periods): which (minimum sale, upward, downward imbalance) pins
-    # have a slack column and row, appended in this order after the fixed
-    # blocks
-    pinned: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ProducerBasis:
-    """The basis a solve of a producer model ended on, and the pins that
-    model had (:attr:`ProducerModel.pinned`).  Compared by identity."""
-
-    basis: Basis
-    pinned: np.ndarray
+    # (3, periods): the slack and the tally of each (minimum sale, upward,
+    # downward imbalance) pin slot
+    slack: np.ndarray
+    tally: np.ndarray
+    price_cap: float
+    non_contracted_price: float
+    # the objective vector of ``lp``, read-only
+    fixed_costs: np.ndarray
 
 
 def build_producer_model(
-    portfolio: ProducerPortfolio,
-    fc: PriceForecast,
-    price_cap: float,
-    non_contracted_price: float,
-    pins: Pins | None = None,
+    portfolio: ProducerPortfolio, price_cap: float, non_contracted_price: float
 ) -> ProducerModel:
-    """The position LP of ``portfolio`` against ``fc``; ``pins`` are the
-    learned (minimum sale, upward imbalance, downward imbalance) pins."""
+    """The position LP of ``portfolio``, for every round and pin of a run."""
     t_count = portfolio.horizon
     lp = LinearProgram(sense="max", name=f"producer-{portfolio.name}")
 
@@ -149,10 +150,6 @@ def build_producer_model(
     sale = lp.add_variables(t_count)
     i_up = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
     i_dn = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
-
-    lp.add_objectives(sale, fc.energy)
-    lp.add_objectives(i_up, -(fc.imbalance_up + IMBALANCE_FRICTION))
-    lp.add_objectives(i_dn, -(fc.imbalance_down + IMBALANCE_FRICTION))
     periods = np.arange(t_count)
     lp.add_constraints(
         [(periods, sale, 1.0), (periods, i_up, 1.0), (periods, i_dn, -1.0)]
@@ -161,36 +158,72 @@ def build_producer_model(
         np.zeros(t_count),
     )
 
+    # the pin slots, all inactive: each slack fixed at 0, each tally free
+    slack = lp.add_variables(3 * t_count, 0.0, 0.0).reshape(3, t_count)
+    tally = lp.add_variables(3 * t_count, -np.inf, np.inf).reshape(3, t_count)
+    slots = np.arange(3 * t_count).reshape(3, t_count)
+    lp.add_constraints(
+        [
+            (slots, tally, 1.0),
+            (slots, np.stack([sale, i_up, i_dn]), -1.0),
+            (slots, slack, np.array([[-1.0], [1.0], [1.0]])),
+        ],
+        EQUAL,
+        np.zeros(3 * t_count),
+    )
+    fixed_costs = lp.objective_vector()
+    fixed_costs.flags.writeable = False
+    return ProducerModel(
+        portfolio.name, lp, sale, i_up, i_dn, p, reserve, slack, tally,
+        price_cap, non_contracted_price, fixed_costs,
+    )
+
+
+def _costs(model: ProducerModel, fc: PriceForecast) -> np.ndarray:
+    """The objective vector of ``model`` against ``fc``: its own, with the
+    sale, the imbalances and every pin slack priced by the forecast."""
+    costs = model.fixed_costs.copy()
+    costs[model.sale] = fc.energy
+    costs[model.imbalance_up] = -(fc.imbalance_up + IMBALANCE_FRICTION)
+    costs[model.imbalance_down] = -(fc.imbalance_down + IMBALANCE_FRICTION)
     # selling below the learned pin risks another price-cap round
-    if pins is None:
-        pins = np.full((3, t_count), np.inf)
-    sale_pin, up_pin, down_pin = pins
-    add_pin_penalties(lp, sale_pin, -(price_cap + fc.energy), (sale,), floor=True)
-    add_pin_penalties(lp, up_pin, -(non_contracted_price - fc.imbalance_up), (i_up,))
-    add_pin_penalties(lp, down_pin, -(non_contracted_price - fc.imbalance_down), (i_dn,))
-    return ProducerModel(portfolio.name, lp, sale, i_up, i_dn, p, reserve, np.isfinite(pins))
+    costs[model.slack] = [
+        -(model.price_cap + fc.energy),
+        -(model.non_contracted_price - fc.imbalance_up),
+        -(model.non_contracted_price - fc.imbalance_down),
+    ]
+    return costs
 
 
 def optimize_producer(
     model: ProducerModel,
+    fc: PriceForecast,
+    pins: Pins | None = None,
     fixed_sale: np.ndarray | None = None,
     fixed_reserve: np.ndarray | None = None,
-    basis: ProducerBasis | None = None,
-) -> tuple[ProducerPosition, ProducerBasis]:
-    """Profit-maximal dispatch, reserve and imbalance plan of ``model``, and
-    the basis its solve ended on.
+    basis: Basis | None = None,
+) -> tuple[ProducerPosition, Basis]:
+    """Profit-maximal dispatch, reserve and imbalance plan of ``model``
+    against ``fc`` under the learned ``pins``, and the basis its solve ended
+    on.
 
     Stages differ only in what is already decided: nothing one day ahead,
     the cleared sale after the energy market, and additionally the accepted
     ``(units, periods, 2)`` reserve after the reserve market.  ``model`` is
-    left as it was, so the stages of one round may share it.  The solve
-    starts from ``basis``, carried onto ``model``'s pins, if one is given.
+    left as it was, so every stage and round may share it.  The solve
+    starts from ``basis`` if one is given, else from the slack basis.
     """
     fixed = [(model.reserve, fixed_reserve, "fixed_reserve"), (model.sale, fixed_sale, "fixed_sale")]
-    sol = solve(
-        model.lp, *stage_bounds(model, fixed, lift=fixed_sale is not None),
-        basis=None if basis is None else _carried(basis, model),
-    )
+    lower, upper = stage_bounds(model, fixed, lift=fixed_sale is not None)
+    if pins is not None:
+        pins = np.asarray(pins, dtype=float)
+        pinned = np.isfinite(pins)
+        lower[model.tally[0]] = np.where(pinned[0], pins[0], -np.inf)
+        upper[model.tally[1:]] = np.where(pinned[1:], pins[1:], np.inf)
+        upper[model.slack] = np.where(pinned, np.inf, 0.0)
+    if basis is None:
+        basis = slack_basis(model.lp, lower, upper)
+    sol = solve(model.lp, lower, upper, basis=basis, costs=_costs(model, fc))
     if sol.status != "optimal":
         raise ConfigurationError(
             f"producer {model.name!r} position problem is {sol.status}; "
@@ -205,26 +238,7 @@ def optimize_producer(
         reserve=sol.values(model.reserve),
         objective=sol.objective,
     )
-    return position, ProducerBasis(sol.basis, model.pinned)
-
-
-def _carried(basis: ProducerBasis, model: ProducerModel) -> Basis:
-    """``basis`` as a start for ``model``: as it is where their pins are in
-    the same places, else carried over pin by pin."""
-    if np.array_equal(basis.pinned, model.pinned):
-        return basis.basis
-    # the fixed blocks are the same in both models; each pin's slack column
-    # and row follow them, kind by kind and period by period
-    old = np.full(basis.pinned.shape, -1)
-    old[basis.pinned] = np.arange(np.count_nonzero(basis.pinned))
-    carried = old[model.pinned]
-
-    def continued(count):
-        fixed = count - carried.size
-        return np.concatenate([np.arange(fixed), np.where(carried < 0, -1, fixed + carried)])
-
-    lp = model.lp
-    return carry_basis(basis.basis, lp, continued(lp.n_variables), continued(lp.n_constraints))
+    return position, sol.basis
 
 
 def _add_units(lp, portfolio):

@@ -7,17 +7,19 @@ problems, settlement) is expressed as a :class:`LinearProgram` and handed to
 :meth:`~LinearProgram.add_objectives` objective terms and
 :meth:`~LinearProgram.add_constraints` rows given as (row, column,
 coefficient) triplets; these are the only way to build a model.
-:func:`solve` takes variable bounds for one solve, so one model is solved
-under several without being changed or copied.
+:func:`solve` takes variable bounds and an objective vector for one solve,
+so one model is solved under several of each without being changed or
+copied.
 
 Every model is solved by HiGHS (Huangfu & Hall, *Math. Prog. Comp.* 2018)
 through scipy's ``_highspy`` core binding, on HiGHS's default options
 (presolve, then the dual simplex) with its output off, on one instance per
 thread that is emptied before each model.  HiGHS takes the model's sense,
-``min`` or ``max``, and objective vector as they are.  It releases the GIL
-while it runs, so threads solve models concurrently, each on its own
-instance.  A model is read-only once it has been solved: from then on
-several threads may solve it at once, under different bounds.
+``min`` or ``max``, and the solve's objective vector as they are.  It
+releases the GIL while it runs, so threads solve models concurrently, each
+on its own instance.  A model is read-only once it has been solved: from
+then on several threads may solve it at once, under different bounds and
+costs.
 :meth:`~LinearProgram.highs_columns` assembles the matrix once per model, in
 numpy, straight from the triplets: the column-wise arrays HiGHS takes, each
 row bounded by a range, with repeated terms summed and cancelled ones
@@ -33,8 +35,8 @@ of a model with the same columns and row layout ended on, and an optimal
 :class:`Solution` carries the basis its own solve ended on.  From a basis,
 HiGHS skips presolve and its simplex starts there; the instance is still
 emptied first, so nothing else passes from one solve to the next.
-:func:`carry_basis` maps a basis onto a model with columns and rows added
-or dropped.
+:func:`slack_basis` is a basis to start from without an earlier solve:
+every row basic, every column at one of its bounds.
 
 An ``optimal`` solution is primal feasible within ``TOL_FEAS`` (relative to
 ``max(1, |rhs|)``) and matches a vertex-enumeration oracle on small
@@ -230,7 +232,7 @@ class HighsColumns(NamedTuple):
     rhs) for ``==``.  The matrix is column-wise, rows ascending within a
     column, with the terms of each entry added in the order they were given
     and entries that cancel to 0 dropped.  Only a :class:`Basis` maps these
-    rows back to the model's, to carry a basis over to another model."""
+    rows back to the model's."""
 
     start: np.ndarray       # int32: where each column's nonzeros start, and the end
     index: np.ndarray       # int32: the row of each nonzero
@@ -293,10 +295,9 @@ class Basis:
     """The simplex basis HiGHS ended an optimal solve on, for a later solve
     of a model of the same shape to start from.
 
-    It is opaque: its statuses stay with HiGHS, in HiGHS's row order, until
-    :func:`carry_basis` reads them to carry the basis over to a model of
-    another shape.  ``row_order`` gives the model row of each HiGHS row.
-    Bases are compared by identity.
+    It is opaque: its statuses stay with HiGHS, in HiGHS's row order.
+    ``row_order`` gives the model row of each HiGHS row.  Bases are compared
+    by identity.
     """
 
     highs: object
@@ -306,8 +307,8 @@ class Basis:
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of one solve: a status, the objective (the model's own
-    objective vector at ``x``, not the value HiGHS reports), the variable
+    """Outcome of one solve: a status, the objective (the solve's objective
+    vector at ``x``, not the value HiGHS reports), the variable
     values, the simplex iterations HiGHS ran and the basis it ended on.
 
     ``x`` is meaningful and ``basis`` set only when ``status == "optimal"``.
@@ -323,16 +324,19 @@ class Solution:
         return self.x[np.asarray(variables, dtype=np.intp)]
 
 
-def solve(lp: LinearProgram, lower=None, upper=None, basis: Basis | None = None) -> Solution:
+def solve(
+    lp: LinearProgram, lower=None, upper=None, basis: Basis | None = None, costs=None
+) -> Solution:
     """Solve ``lp`` to proven optimality with HiGHS.
 
     ``lower`` and ``upper`` (scalars or one value per variable, checked as
     :meth:`~LinearProgram.add_variables` checks them) replace the model's
-    variable bounds for this solve only; the model is left unchanged, so its
-    :meth:`~LinearProgram.highs_columns` serve every set of bounds it is
-    solved under.  ``basis``, one an earlier solve of a model with the same
-    columns and row layout ended on, is where the simplex starts; without
-    one, HiGHS presolves and starts from scratch.  Infeasibility and
+    variable bounds for this solve only, and ``costs`` (one finite value per
+    variable) its objective vector; the model is left unchanged, so its
+    :meth:`~LinearProgram.highs_columns` serve every set of bounds and costs
+    it is solved under.  ``basis``, one an earlier solve of a model with the
+    same columns and row layout ended on, is where the simplex starts;
+    without one, HiGHS presolves and starts from scratch.  Infeasibility and
     unboundedness are reported through :attr:`Solution.status`, never
     raised.  A model without variables is ``infeasible`` when one of its
     rows excludes 0 and ``optimal``, with an empty ``x``, otherwise.
@@ -340,6 +344,13 @@ def solve(lp: LinearProgram, lower=None, upper=None, basis: Basis | None = None)
     lower = lp.lower if lower is None else _series(lower, lp.n_variables)
     upper = lp.upper if upper is None else _series(upper, lp.n_variables)
     _check_bounds(lower, upper, 0)
+    if costs is None:
+        c = lp.objective_vector()
+    else:
+        c = np.asarray(costs, dtype=float)
+        if c.shape != (lp.n_variables,):
+            raise LinearProgramError(f"{c.size} costs for {lp.n_variables} variables")
+        _require_finite(c, "objective coefficient")
     if basis is not None:
         lp.highs_columns()
         if basis.n_variables != lp.n_variables or not np.array_equal(
@@ -349,7 +360,6 @@ def solve(lp: LinearProgram, lower=None, upper=None, basis: Basis | None = None)
                 f"basis of {basis.n_variables} variables and {basis.row_order.size} rows "
                 f"laid out otherwise than {lp.name!r}"
             )
-    c = lp.objective_vector()
     status, x, iterations = _highs_solve(lp, c, lower, upper, basis)
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
@@ -362,45 +372,22 @@ def solve(lp: LinearProgram, lower=None, upper=None, basis: Basis | None = None)
     )
 
 
-def carry_basis(basis: Basis, lp: LinearProgram, columns, rows) -> Basis:
-    """A basis for ``lp`` to start from, carried over from ``basis``, which
-    a solve of another model ended on.
-
-    Column ``j`` of ``lp`` takes the status of column ``columns[j]`` of the
-    other model, and row ``i`` of ``lp`` that of its row ``rows[i]``, both
-    rows in their model's own order.  Where the index is -1, a new column
-    starts nonbasic at its lower bound and a new row basic.  The result is
-    marked alien, so HiGHS checks it and repairs its basic count and any
-    singularity before it starts.
-    """
+def slack_basis(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> Basis:
+    """The basis of ``lp`` under the variable bounds ``lower`` and ``upper``
+    with every row basic and every column nonbasic: at its lower bound if
+    that is finite, else at its upper bound if that is, else at 0."""
     from scipy.optimize._highspy import _core as core
 
     lp.highs_columns()
-    columns, rows = np.asarray(columns, np.intp), np.asarray(rows, np.intp)
-    n_rows = basis.row_order.size
-    if (
-        columns.shape != (lp.n_variables,) or rows.shape != (lp.n_constraints,)
-        or np.any((columns < -1) | (columns >= basis.n_variables))
-        or np.any((rows < -1) | (rows >= n_rows))
-    ):
-        raise LinearProgramError(
-            f"cannot carry a basis of {basis.n_variables} variables and {n_rows} rows "
-            f"onto {lp.name!r} by columns {columns} and rows {rows}"
-        )
-    # each status by its value
-    statuses = np.array(
-        sorted(core.HighsBasisStatus.__members__.values(), key=lambda status: status.value), object
-    )
-    old_columns = np.array([status.value for status in basis.highs.col_status], np.intp)
-    old_rows = np.empty(n_rows, np.intp)
-    old_rows[basis.row_order] = [status.value for status in basis.highs.row_status]
-    col_status = np.where(columns < 0, core.HighsBasisStatus.kLower.value, old_columns[columns])
-    row_status = np.where(rows < 0, core.HighsBasisStatus.kBasic.value, old_rows[rows])
-    carried = core.HighsBasis()
-    carried.col_status = statuses[col_status].tolist()
-    carried.row_status = statuses[row_status[lp._row_order]].tolist()
-    carried.valid = carried.alien = True
-    return Basis(carried, lp._row_order, lp.n_variables)
+    status = core.HighsBasisStatus
+    slack = core.HighsBasis()
+    slack.col_status = np.where(
+        np.isfinite(lower), status.kLower,
+        np.where(np.isfinite(upper), status.kUpper, status.kZero),
+    ).tolist()
+    slack.row_status = [status.kBasic] * lp.n_constraints
+    slack.valid = True
+    return Basis(slack, lp._row_order, lp.n_variables)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, lower, upper) -> None:
@@ -446,7 +433,7 @@ _thread = threading.local()
 
 
 def _highs_solve(lp: LinearProgram, c, lower, upper, basis=None) -> tuple[str, np.ndarray, int]:
-    """Solve ``lp``, whose objective vector is ``c``, under the bounds
+    """Solve ``lp`` under the objective vector ``c`` and the bounds
     ``lower`` and ``upper`` with the HiGHS core on this thread's instance,
     emptied of the model it solved before, starting from ``basis`` if one is
     given.

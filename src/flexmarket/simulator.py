@@ -14,30 +14,36 @@ The learned pins belong to the run, not to the scenario: :func:`run` keeps
 one :class:`ThresholdTrack` over (actors, 3, periods), retailers then
 producers in scenario order, starts it fresh and never changes the
 portfolios it is given, so running one scenario twice gives the same result.
-So do each producer's bases: per stage, the run keeps the
-:class:`~.agents.producer.ProducerBasis` (the HiGHS basis and the pins it
-was solved under) that the producer's last solve in that stage ended on,
-and the next round's solve in that stage starts from it.  Reserve bidding
-starts from the day-ahead basis in the first round, and reposition starts
-cold there.  Retailer and market LPs are dual-degenerate, so where their
-simplex starts could move their vertex; they always start cold.
+So do each producer's model and bases.  A producer's model is built once
+per run, in the first round's day-ahead stage, and every solve of the run
+takes its round's forecast as costs and its pins as bounds (see
+:mod:`.agents.producer`).  Per stage, the run keeps the HiGHS basis that the
+producer's last solve in that stage ended on, and the next round's solve in
+that stage starts from it.  Reserve bidding starts from the day-ahead basis
+in the first round, and the first round's day-ahead and reposition solves
+from the slack basis.  Retailer and market LPs are dual-degenerate, so
+where their simplex starts could move their vertex; they always start
+cold, presolve included.
 
 Each stage is one function over one round context, run under one guard
 that names the round, stage and actor of an error (:class:`RoundError`).
-Each actor's model is built once, in the day-ahead stage, from the round's
-forecast and its pins; later stages solve it under their fixed quantities.
-Actors equal in everything but their names are twins (the generated
-retailers all are).  Twins with equal pins share one model, and twins whose
-fixed quantities are equal too, and whose bases came from one shared solve,
-share one solve and its position; the context, models included, is dropped
-when the round ends, and only the bases and pins outlive it.
+Each retailer's model is built once per round, in the day-ahead stage, from
+the round's forecast and its pins; later stages solve it under their fixed
+quantities.  Actors equal in everything but their names are twins (the
+generated retailers all are).  Twin producers share one model for the run,
+twin retailers with equal pins one model for the round, and twins whose
+pins and fixed quantities are equal, and whose bases came from one shared
+solve, share one solve and its position; the context, retailer models
+included, is dropped when the round ends, and only the producer models,
+the bases and the pins outlive it.
 
 The actors' LPs of one stage do not depend on each other, and HiGHS
 releases the GIL while it runs, so the ``day-ahead``, ``reserve-bidding``
 and ``reposition`` stages solve them concurrently on one process-wide
 thread pool (:func:`_concurrently`), one worker per CPU the process may use.
-A day-ahead job builds its actor's model and solves it, so a model is
-solved once, by the thread that built it, before any other thread reads it.
+A day-ahead job builds its actor's model, if the actor is a retailer or
+the round is the first, and solves it, so a model is solved once, by the
+thread that built it, before any other thread reads it.
 Everything else (the fixed quantities, the offer and bid books) is done on
 the calling thread in actor order, and each job's result is taken in actor
 order too, so an error names the first actor in actor order whose step
@@ -156,8 +162,9 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
         factor=config.threshold_factor,
         forget_after=config.threshold_forget_rounds,
     )
-    # per (stage, producer): the basis its last solve in that stage ended on
-    bases = {}
+    # per producer: its model; per (stage, producer): the basis its last
+    # solve in that stage ended on
+    models, bases = {}, {}
 
     # per round: the (3, periods) energy price, upward and downward tariff
     history: list[np.ndarray] = []
@@ -170,9 +177,9 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     for index in range(config.max_rounds):
         fc = make_forecast(history, config)
         # twins (the generated retailers are all alike) with equal pins share
-        # one model, and one solve per stage, within this round only
+        # one solve per stage, within this round only
         record = _play_round(
-            index, scenario, fc, windows, dict(zip(names, pins.value)), twins, bases
+            index, scenario, fc, windows, dict(zip(names, pins.value)), twins, models, bases
         )
         rounds.append(record)
 
@@ -205,14 +212,15 @@ def run(config: ScenarioConfig, scenario: Scenario | None = None) -> SimulationO
     )
 
 
-def _play_round(index, scenario, fc, windows, pins, twins, bases):
+def _play_round(index, scenario, fc, windows, pins, twins, models, bases):
     """Round ``index``: the stages of :data:`_STAGES` over one round context.
-    The record takes the context's fields of its own names; ``bases`` is
-    the run's, and the producer stages replace its entries."""
+    The record takes the context's fields of its own names; ``models`` (the
+    producers') and ``bases`` are the run's, and the producer stages fill
+    and replace their entries."""
     r = SimpleNamespace(
         index=index, config=scenario.config, retailers=scenario.retailers,
         producers=scenario.producers, fc=fc, windows=windows, pins=pins, twins=twins,
-        bases=bases,
+        producer_models=models, bases=bases,
     )
     for stage, actor, play in _STAGES:
         r.stage, r.actor = stage, actor
@@ -222,8 +230,9 @@ def _play_round(index, scenario, fc, windows, pins, twins, bases):
 
 
 def _day_ahead(r):
-    """Each actor's model, built from the forecast and its pins, its position
-    against the forecast and its energy offers."""
+    """Each retailer's model, built from the forecast and its pins, each
+    producer's, built in the first round, their positions against the
+    forecast and their energy offers."""
     c = r.config
     prices = (r.fc, c.price_cap, c.non_contracted_price)
 
@@ -233,21 +242,28 @@ def _day_ahead(r):
         )
         return model, optimize_retailer(model)
 
-    def producer(p, basis):
-        model = build_producer_model(p, *prices, r.pins[p.name])
-        return model, *optimize_producer(model, basis=basis)
+    def producer(p, model, basis):
+        if model is None:
+            model = build_producer_model(p, c.price_cap, c.non_contracted_price)
+        return model, *optimize_producer(model, r.fc, r.pins[p.name], basis=basis)
 
     solved = _concurrently(
         r,
         [_job(r, p.name, retailer, p) for p in r.retailers]
-        + [_job(r, p.name, producer, p, basis=r.bases.get((r.stage, p.name))) for p in r.producers],
+        + [
+            _job(
+                r, p.name, producer, p, r.producer_models.get(p.name),
+                basis=r.bases.get((r.stage, p.name)),
+            )
+            for p in r.producers
+        ],
     )
     r.models, r.day_ahead, r.offer_books = {}, {}, []
     for p in r.retailers:
         r.models[p.name], r.day_ahead[p.name] = next(solved)
         r.offer_books.append(retailer_demand_offers(r.day_ahead[p.name], p, c.price_cap))
     for p in r.producers:
-        r.models[p.name], r.day_ahead[p.name], r.bases[r.stage, p.name] = next(solved)
+        r.producer_models[p.name], r.day_ahead[p.name], r.bases[r.stage, p.name] = next(solved)
         r.offer_books.append(producer_energy_offers(r.day_ahead[p.name], p, r.fc))
     r.submitted_demand = {p.name: r.day_ahead[p.name].demand for p in r.retailers}
 
@@ -266,7 +282,7 @@ def _bid_reserve(r):
     for p in r.producers:
         r.actor = p.name
         jobs.append(_job(
-            r, p.name, optimize_producer, r.models[p.name],
+            r, p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
             fixed_sale=r.clearing.supply_of(p.name),
             basis=r.bases.get((r.stage, p.name), r.bases["day-ahead", p.name]),
         ))
@@ -300,14 +316,14 @@ def _reposition(r):
     """Each actor's position against what cleared: its sale or purchase and
     its accepted reserve or amplitudes fixed.  The agent modules map the
     accepted fractions of the book entries that carry its name back onto
-    its units or windows.  In the first round, producers start cold: from
-    the reserve-bidding basis, the simplex takes longer than from
-    scratch."""
+    its units or windows.  In the first round, producers start from the
+    slack basis: from the reserve-bidding basis, the simplex takes longer
+    than from scratch."""
     jobs = []
     for p in r.producers:
         r.actor = p.name
         jobs.append(_job(
-            r, p.name, optimize_producer, r.models[p.name],
+            r, p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
             fixed_sale=r.clearing.supply_of(p.name),
             fixed_reserve=accepted_volumes(
                 r.reserve_bidding[p.name].reserve,
@@ -371,7 +387,8 @@ def _job(r, actor, call, *args, **fixed):
     ``call(*args, **fixed)`` for ``actor`` in round context ``r``.  Twins
     (equal ``r.twins`` group) whose pins and ``fixed`` arrays are equal to
     the bit, and whose other ``fixed`` values (bases) are the same objects,
-    get equal keys: they share one model, and in each stage one position.
+    get equal keys: they share one call, so the model a day-ahead job
+    builds, and in each stage one position.
     Keys are compared within one :func:`_concurrently` call, which serves
     one stage, so the stage is not part of them."""
     key = (

@@ -103,10 +103,11 @@ def sparse_rows(lp: LinearProgram):
     return matrix, relations, rhs
 
 
-def dual_degenerate(lp: LinearProgram, lower, upper, rel_tol: float = 1e-9) -> bool:
+def dual_degenerate(lp: LinearProgram, lower, upper, costs=None, rel_tol: float = 1e-9) -> bool:
     """Whether the optimum of ``lp`` under the variable bounds ``lower`` and
-    ``upper`` is dual-degenerate: whether a nonbasic column or row that is
-    free to move (its bounds differ) has a reduced cost or dual of at most
+    ``upper`` and the objective vector ``costs`` (the model's own when
+    None) is dual-degenerate: whether a nonbasic column or row that is free
+    to move (its bounds differ) has a reduced cost or dual of at most
     ``rel_tol * max|c|``, so that the optimal face may be more than one
     vertex.  Solved on a HiGHS instance of its own, with the rows in the
     model's own order, from scratch."""
@@ -117,7 +118,7 @@ def dual_degenerate(lp: LinearProgram, lower, upper, rel_tol: float = 1e-9) -> b
     matrix.sort_indices()
     row_lower = np.where(relations == LESS_EQUAL, -math.inf, rhs)
     row_upper = np.where(relations == GREATER_EQUAL, math.inf, rhs)
-    c = lp.objective_vector()
+    c = lp.objective_vector() if costs is None else np.asarray(costs, float)
     highs = core._Highs()
     options = core.HighsOptions()
     options.output_flag = False
@@ -141,6 +142,51 @@ def dual_degenerate(lp: LinearProgram, lower, upper, rel_tol: float = 1e-9) -> b
     return bool(
         degenerate(basis.col_status, solution.col_dual, lower, upper)
         or degenerate(basis.row_status, solution.row_dual, row_lower, row_upper)
+    )
+
+
+def row_form_producer_model(portfolio, fc, price_cap: float, non_contracted_price: float, pins):
+    """A producer's position LP with its learned ``pins`` as rows: for each
+    finite pin only, a slack column priced as the pin slot's slack is and a
+    row ``sale + z >= pin`` (the minimum sale) or ``imbalance - z <= pin``
+    (a cap).  The unit blocks and the balance rows are the package's.
+    Returns a namespace with the model (``lp``) and the handles the
+    producer's stage bounds read."""
+    from types import SimpleNamespace
+
+    from flexmarket.agents.producer import _add_units
+    from flexmarket.agents.retailer import IMBALANCE_FRICTION
+
+    t_count = portfolio.horizon
+    lp = LinearProgram(sense="max", name=f"row-form-{portfolio.name}")
+    p, reserve = _add_units(lp, portfolio)
+    sale = lp.add_variables(t_count)
+    i_up = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
+    i_dn = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
+    lp.add_objectives(sale, fc.energy)
+    lp.add_objectives(i_up, -(fc.imbalance_up + IMBALANCE_FRICTION))
+    lp.add_objectives(i_dn, -(fc.imbalance_down + IMBALANCE_FRICTION))
+    periods = np.arange(t_count)
+    lp.add_constraints(
+        [(periods, sale, 1.0), (periods, i_up, 1.0), (periods, i_dn, -1.0), (periods, p, -1.0)],
+        EQUAL,
+        np.zeros(t_count),
+    )
+    kinds = (
+        (sale, -(price_cap + fc.energy), GREATER_EQUAL, 1.0),
+        (i_up, -(non_contracted_price - fc.imbalance_up), LESS_EQUAL, -1.0),
+        (i_dn, -(non_contracted_price - fc.imbalance_down), LESS_EQUAL, -1.0),
+    )
+    for pin, (column, penalty, relation, sign) in zip(np.asarray(pins, float), kinds):
+        pinned = np.flatnonzero(np.isfinite(pin))
+        z = lp.add_variables(pinned.size)
+        lp.add_objectives(z, penalty[pinned])
+        rows = np.arange(pinned.size)
+        lp.add_constraints(
+            [(rows, column[pinned], 1.0), (rows, z, sign)], relation, pin[pinned]
+        )
+    return SimpleNamespace(
+        lp=lp, sale=sale, imbalance_up=i_up, imbalance_down=i_dn, unit_output=p, reserve=reserve
     )
 
 

@@ -500,7 +500,7 @@ def test_position_balance_identities():
         gen = producer(t, [unit(t, cap=float(rng.uniform(5, 15)), cost=float(rng.uniform(40, 60)))])
         fc_p = flat_forecast(t, rng.uniform(30, 70, t), imb_up=float(rng.uniform(20, 80)),
                              imb_down=float(rng.uniform(20, 80)))
-        pos, _ = optimize_producer(build_producer_model(gen, fc_p, CAP, PI_NC))
+        pos, _ = optimize_producer(build_producer_model(gen, CAP, PI_NC), fc_p)
         residual = (
             pos.sale
             + pos.imbalance_up
@@ -645,14 +645,14 @@ def test_tank_loads_with_infinite_energy_bounds_still_solve():
 
 def test_producer_positive_margin_runs_flat_out():
     port = producer(3, [unit(3, cost=45.0)])
-    position, _ = optimize_producer(build_producer_model(port, flat_forecast(3, 50.0), CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, CAP, PI_NC), flat_forecast(3, 50.0))
     assert np.allclose(position.unit_output[0], 10.0, atol=1e-9)
     assert np.allclose(position.sale, 10.0, atol=1e-9)
 
 
 def test_producer_negative_margin_idles():
     port = producer(3, [unit(3, cost=45.0)])
-    position, _ = optimize_producer(build_producer_model(port, flat_forecast(3, 40.0), CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, CAP, PI_NC), flat_forecast(3, 40.0))
     assert np.allclose(position.unit_output[0], 0.0, atol=1e-9)
 
 
@@ -661,7 +661,7 @@ def test_producer_dispatch_matches_grid_search():
     fast = unit(2, cap=10.0, cost=70.0, ramp=100.0, name="fast", p0=0.0)
     port = producer(2, [slow, fast])
     fc = flat_forecast(2, np.array([50.0, 90.0]))  # spike in the second period
-    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, CAP, PI_NC), fc)
 
     best = -np.inf
     for p in itertools.product(range(11), repeat=4):
@@ -677,7 +677,7 @@ def test_producer_dispatch_matches_grid_search():
 def test_producer_phantom_sale_bounded_by_imbalance_limit():
     port = producer(1, [unit(1, cap=10.0, cost=45.0)], limit=25.0)
     fc = flat_forecast(1, 50.0, imb_down=30.0)  # selling unbacked energy is profitable
-    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, CAP, PI_NC), fc)
     assert position.imbalance_down[0] == pytest.approx(25.0)
     assert position.sale[0] == pytest.approx(35.0)
 
@@ -686,18 +686,18 @@ def test_producer_min_sale_threshold_holds_volume():
     port = producer(1, [unit(1, cap=10.0, cost=45.0)])
     pins = (np.array([0.95 * 8.0]), np.array([np.inf]), np.array([np.inf]))
     fc = flat_forecast(1, 40.0)  # below cost: it would rather idle
-    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC, pins=pins))
+    position, _ = optimize_producer(build_producer_model(port, CAP, PI_NC), fc, pins)
     assert position.sale[0] == pytest.approx(7.6)
 
 
 def test_producer_stage_chaining_with_fixed_quantities():
     port = producer(2, [unit(2, cap=10.0, cost=45.0)], valuation=0.005)
     fc = flat_forecast(2, 50.0)
-    model = build_producer_model(port, fc, CAP, PI_NC)
-    stage1, _ = optimize_producer(model)
-    stage2, _ = optimize_producer(model, fixed_sale=stage1.sale)
+    model = build_producer_model(port, CAP, PI_NC)
+    stage1, _ = optimize_producer(model, fc)
+    stage2, _ = optimize_producer(model, fc, fixed_sale=stage1.sale)
     accepted = stage2.reserve * 0.5
-    stage3, _ = optimize_producer(model, fixed_sale=stage1.sale, fixed_reserve=accepted)
+    stage3, _ = optimize_producer(model, fc, fixed_sale=stage1.sale, fixed_reserve=accepted)
     assert np.allclose(stage3.sale, stage1.sale)
     assert np.allclose(stage3.reserve, accepted)
 
@@ -706,7 +706,7 @@ def shared_stage_models():
     """A producer and a band-selling retailer model, each with the fixed
     quantities of a later stage that differ from its day-ahead position."""
     gen = producer(2, [unit(2, cap=10.0, cost=45.0)], limit=5.0, valuation=0.005)
-    gen_model = build_producer_model(gen, flat_forecast(2, 50.0), CAP, PI_NC)
+    gen_model = build_producer_model(gen, CAP, PI_NC)
     gen_fixed = dict(fixed_sale=np.array([4.0, 12.0]), fixed_reserve=np.full((1, 2, 2), 0.5))
     ret = retailer(4, 10.0, [band_load(4)], limit=3.0)
     ret_model = build_retailer_model(
@@ -717,8 +717,9 @@ def shared_stage_models():
 
 
 def producer_position(model, **fixed):
-    """The position of a cold producer solve, without its basis."""
-    return optimize_producer(model, **fixed)[0]
+    """The position of a cold producer solve against a flat forecast of 50,
+    without its basis."""
+    return optimize_producer(model, flat_forecast(2, 50.0), **fixed)[0]
 
 
 @pytest.mark.parametrize(
@@ -748,15 +749,15 @@ def test_fixed_quantities_must_have_their_variables_shape():
         optimize_retailer(model, fixed_demand=np.full(2, 5.0), fixed_amplitudes=np.ones(1))
     with pytest.raises(ConfigurationError, match=r"fixed_demand has shape \(1,\), not \(2,\)"):
         optimize_retailer(model, fixed_demand=np.full(1, 5.0))
-    model = build_producer_model(producer(2, [unit(2)]), flat_forecast(2, 50.0), CAP, PI_NC)
+    model = build_producer_model(producer(2, [unit(2)]), CAP, PI_NC)
     with pytest.raises(ConfigurationError, match=r"fixed_reserve has shape \(2, 2\), not"):
-        optimize_producer(model, fixed_reserve=np.zeros((2, 2)))
+        optimize_producer(model, flat_forecast(2, 50.0), fixed_reserve=np.zeros((2, 2)))
 
 
 def test_producer_offers_and_bids():
     port = producer(2, [unit(2, cap=10.0, cost=45.0)], valuation=0.005)
     fc = flat_forecast(2, 50.0, imb_down=20.0)
-    position, _ = optimize_producer(build_producer_model(port, fc, CAP, PI_NC))
+    position, _ = optimize_producer(build_producer_model(port, CAP, PI_NC), fc)
     offers = producer_energy_offers(position, port, fc)
     assert set(offers.side) == {SUPPLY}
     unit_offers = offers.price == 45.0
@@ -1193,12 +1194,13 @@ class _Captured(Exception):
 
 
 class StageModel(NamedTuple):
-    """One agent stage as its optimizer hands it to ``solve``: the round's
-    model and the stage's variable bounds."""
+    """One agent stage as its optimizer hands it to ``solve``: the model,
+    the stage's variable bounds and the solve's objective vector."""
 
     lp: LinearProgram
     lower: np.ndarray
     upper: np.ndarray
+    costs: np.ndarray
 
 
 def _snapshot_portfolios():
@@ -1263,15 +1265,15 @@ def capture_agent_models() -> dict:
     reserve = np.broadcast_to(np.array([0.5, 0.25])[:, None, None], (2, 6, 2))
     windows = [(0, 2), (2, 4)]
     demand = np.array([7.0, 8.0, 9.0, 9.0, 8.0, 7.0])
-    producer = build_producer_model(gen, fc, CAP, PI_NC, pins=pins)
+    producer = build_producer_model(gen, CAP, PI_NC)
     bands = build_retailer_model(ret, fc, CAP, PI_NC, windows=windows, pins=pins)
     pairs = build_retailer_model(ret, fc, CAP, PI_NC, windows=[(0, 2), (2, 2), (4, 2)], pins=pins)
     no_bands = build_retailer_model(ret, fc, CAP, PI_NC, pins=pins)
     stages = {
-        "producer_free": lambda: optimize_producer(producer),
-        "producer_sold": lambda: optimize_producer(producer, fixed_sale=sale),
+        "producer_free": lambda: optimize_producer(producer, fc, pins),
+        "producer_sold": lambda: optimize_producer(producer, fc, pins, fixed_sale=sale),
         "producer_reserved": lambda: optimize_producer(
-            producer, fixed_sale=sale, fixed_reserve=reserve
+            producer, fc, pins, fixed_sale=sale, fixed_reserve=reserve
         ),
         "retailer_bands": lambda: optimize_retailer(bands),
         "retailer_sold": lambda: optimize_retailer(
@@ -1282,8 +1284,9 @@ def capture_agent_models() -> dict:
     }
     captured = {}
 
-    def stop(lp, lower, upper, basis=None):
-        captured["stage"] = StageModel(lp, lower, upper)
+    def stop(lp, lower, upper, basis=None, costs=None):
+        costs = lp.objective_vector() if costs is None else costs
+        captured["stage"] = StageModel(lp, lower, upper, costs)
         raise _Captured
 
     models = {}
@@ -1305,7 +1308,7 @@ def record_agent_models(path=MODEL_SNAPSHOT) -> None:
     from scipy.sparse import csr_array
 
     arrays = {}
-    for key, (lp, lower, upper) in capture_agent_models().items():
+    for key, (lp, lower, upper, costs) in capture_agent_models().items():
         dense, relations, rhs = lp.dense_rows()
         matrix = csr_array(dense)
         arrays[key + ".data"] = matrix.data
@@ -1316,7 +1319,7 @@ def record_agent_models(path=MODEL_SNAPSHOT) -> None:
         arrays[key + ".rhs"] = rhs
         arrays[key + ".lower"] = np.asarray(lower, dtype=float)
         arrays[key + ".upper"] = np.asarray(upper, dtype=float)
-        arrays[key + ".objective"] = lp.objective_vector()
+        arrays[key + ".objective"] = costs
         arrays[key + ".sense"] = np.array(lp.sense)
     np.savez_compressed(path, **arrays)
 
@@ -1335,16 +1338,16 @@ def test_agent_models_match_snapshot():
     """Every producer and retailer stage builds the same LP as recorded.
 
     The snapshot pins the variable order, row order, coefficients, bounds
-    and objective term for term, so HiGHS receives the same matrix and
-    returns the same vertex.  Regenerate it (only when a model is meant to
-    change) from the repository root with::
+    and each solve's objective term for term, so HiGHS receives the same
+    matrix and returns the same vertex.  Regenerate it (only when a model
+    is meant to change) from the repository root with::
 
         PYTHONPATH=src:tests python -c "import test_agents; test_agents.record_agent_models()"
     """
     expected = np.load(MODEL_SNAPSHOT)
     models = capture_agent_models()
     assert sorted(models) == sorted({name.split(".")[0] for name in expected.files})
-    for key, (lp, lower, upper) in models.items():
+    for key, (lp, lower, upper, costs) in models.items():
         matrix, relations, rhs = oracles.sparse_rows(lp)
         assert tuple(matrix.shape) == tuple(expected[key + ".shape"]), key
         assert _same_bits(matrix.data, expected[key + ".data"]), key
@@ -1354,5 +1357,5 @@ def test_agent_models_match_snapshot():
         assert _same_bits(rhs, expected[key + ".rhs"]), key
         assert _same_bits(lower, expected[key + ".lower"]), key
         assert _same_bits(upper, expected[key + ".upper"]), key
-        assert _same_bits(lp.objective_vector(), expected[key + ".objective"]), key
+        assert _same_bits(costs, expected[key + ".objective"]), key
         assert str(expected[key + ".sense"]) == lp.sense, key

@@ -635,8 +635,8 @@ TREE_DIGESTS = {
         "manifest.txt": "72b29b52e4a92625",
         "metrics.csv": "450e33e53278d5a8",
         "rounds/*/clearing.csv": "a983105d02b09174",
-        "rounds/*/offers.csv": "295cb90b782b56a2",
-        "rounds/*/positions.csv": "4fe7173c6e42f4b5",
+        "rounds/*/offers.csv": "bb454c9526f26d72",
+        "rounds/*/positions.csv": "e741165bacc3b05f",
         "rounds/*/prices.csv": "7ce7fdf46f4d2d6a",
         "rounds/*/procurement.csv": "648a119404ceea4e",
         "rounds/*/settlement.csv": "0ed89ac385faf53d",
@@ -649,7 +649,7 @@ TREE_DIGESTS = {
         "metrics.csv": "1f87513a5ce6155a",
         "rounds/*/clearing.csv": "3acc1a7009b0b8c1",
         "rounds/*/offers.csv": "aa801d0b7245fdcc",
-        "rounds/*/positions.csv": "9fe15ef7d0b3d452",
+        "rounds/*/positions.csv": "483dcfb766b9d8fb",
         "rounds/*/prices.csv": "8a9d6fcd03385ce1",
         "rounds/*/procurement.csv": "a38c57cfa5150fbf",
         "rounds/*/settlement.csv": "f68fec3be532f5cd",
@@ -664,7 +664,7 @@ TREE_DIGESTS = {
         "metrics.csv": "fe5b70b63244981f",
         "rounds/*/clearing.csv": "92933c48fca194f1",
         "rounds/*/offers.csv": "00cf172635214463",
-        "rounds/*/positions.csv": "cdf2c422890587a9",
+        "rounds/*/positions.csv": "a2f06d6b86f25871",
         "rounds/*/prices.csv": "237388cb5aea82fb",
         "rounds/*/procurement.csv": "644f5a5ba0ee556d",
         "rounds/*/settlement.csv": "ba48caf9f6cff55e",

@@ -18,7 +18,7 @@ from flexmarket.lp import (
     _check_feasible,
     _highs_instance,
     _highs_solve,
-    carry_basis,
+    slack_basis,
     solve,
 )
 
@@ -722,9 +722,10 @@ def test_replaced_bounds_solve_as_the_model_built_with_them():
         base_lower, base_upper = base.lower.copy(), base.upper.copy()
         columns = base.highs_columns()
         built = agent_model(key)
-        replaced_highs = _highs_solve(base, base.objective_vector(), built.lower, built.upper)
+        costs = captured[key].costs
+        replaced_highs = _highs_solve(base, costs, built.lower, built.upper)
         assert outcome(replaced_highs) == outcome(highs(built)), key
-        replaced, rebuilt = solve(base, built.lower, built.upper), solve(built)
+        replaced, rebuilt = solve(base, built.lower, built.upper, costs=costs), solve(built)
         assert replaced.x.tobytes() == rebuilt.x.tobytes(), key
         assert replaced.objective == rebuilt.objective, key
         assert base.highs_columns() is columns, key
@@ -733,21 +734,24 @@ def test_replaced_bounds_solve_as_the_model_built_with_them():
 
 
 def test_objective_is_the_models_own_objective_at_x():
-    """``Solution.objective`` is the model's objective vector at ``x``, bit
-    for bit, on every agent stage model (the producer's are ``max`` models)
-    and on a reserve-clearing and a settlement LP."""
+    """``Solution.objective`` is the solve's objective vector at ``x``, bit
+    for bit: the costs the producer stages give (theirs are ``max``
+    models), and the model's own on the retailer stages and on a
+    reserve-clearing and a settlement LP."""
     from test_agents import capture_agent_models
     from test_imbalance import capture_market_models
 
-    models = [(model.lp, model.lower, model.upper) for model in capture_agent_models().values()]
-    assert {lp.sense for lp, _, _ in models} == {"min", "max"}
+    models = list(capture_agent_models().values())
+    assert {stage.lp.sense for stage in models} == {"min", "max"}
     markets = capture_market_models()
     for name in ("reserve-clearing", "settlement"):
-        models.append((next(lp for key, lp in markets.items() if key.endswith(name)), None, None))
-    for lp, lower, upper in models:
-        sol = solve(lp, lower, upper)
+        lp = next(lp for key, lp in markets.items() if key.endswith(name))
+        models.append((lp, None, None, None))
+    for lp, lower, upper, costs in models:
+        sol = solve(lp, lower, upper, costs=costs)
         assert sol.status == "optimal", lp.name
-        assert sol.objective.hex() == float(lp.objective_vector() @ sol.x).hex(), lp.name
+        c = lp.objective_vector() if costs is None else costs
+        assert sol.objective.hex() == float(c @ sol.x).hex(), lp.name
 
 
 @pytest.mark.parametrize(
@@ -777,6 +781,62 @@ def test_replaced_bounds_hold_for_one_solve():
     assert solve(lp, [2.0, 0.0], 3.0).status == "infeasible"
     assert solve(lp).objective == pytest.approx(1.5)
     assert (lp.lower.tolist(), lp.upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
+
+
+def test_replaced_costs_hold_for_one_solve():
+    lp = LinearProgram(sense="max")
+    x = lp.add_variables(2, 0.0, 1.0)
+    lp.add_objectives(x, [1.0, 2.0])
+    lp.add_constraints([(0, x, 1.0)], LESS_EQUAL, [1.0])
+    first = solve(lp, costs=[3.0, 1.0])
+    assert first.values(x) == pytest.approx([1.0, 0.0])
+    assert first.objective == pytest.approx(3.0)
+    assert solve(lp).values(x) == pytest.approx([0.0, 1.0])
+    # from the basis a solve under other costs ended on
+    assert solve(lp, basis=first.basis).objective == pytest.approx(2.0)
+    assert lp.objective_vector().tolist() == [1.0, 2.0]
+    for costs in ([1.0, math.nan], [1.0, -INF]):
+        with pytest.raises(LinearProgramError, match="^non-finite objective coefficient"):
+            solve(lp, costs=costs)
+    for costs in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(LinearProgramError, match="costs for 2 variables"):
+            solve(lp, costs=costs)
+
+
+def with_pin_slot(lp, column, floor):
+    """``lp`` with a pin slot on variable ``column``: a slack ``z`` fixed
+    at 0 and a free tally ``q`` in the row ``q = x + z`` (a ``floor``) or
+    ``q = x - z`` (a cap), the slot as a producer model has it while
+    inactive.  Returns the model and the handles of ``z`` and ``q``."""
+    other = sibling(lp)
+    z = other.add_variables(1, 0.0, 0.0)
+    q = other.add_variables(1, -INF, INF)
+    other.add_constraints(
+        [(0, q, 1.0), (0, column, -1.0), (0, z, -1.0 if floor else 1.0)], EQUAL, [0.0]
+    )
+    return other, z, q
+
+
+def test_an_inactive_pin_slot_keeps_its_slack_at_0_and_moves_no_optimum():
+    rng = np.random.default_rng(20261021)
+    checked = 0
+    while checked < 60:
+        lp = random_box_lp(rng, max_vars=6, max_rows=6)
+        plain = solve(lp)
+        if plain.status != "optimal":
+            continue
+        column = int(rng.integers(lp.n_variables))
+        slotted, z, q = with_pin_slot(lp, column, floor=bool(rng.integers(2)))
+        # a penalty of 0, one that would reward the slack and one that
+        # punishes it: none moves a slack fixed at 0
+        for penalty in (0.0, 50.0, -50.0):
+            costs = np.concatenate([lp.objective_vector(), [penalty, 0.0]])
+            sol = solve(slotted, costs=costs)
+            assert sol.status == "optimal"
+            assert sol.values(z)[0] == 0.0
+            assert sol.values(q)[0] == pytest.approx(sol.x[column], abs=TOL_FEAS)
+            assert abs(sol.objective - plain.objective) <= TOL_FEAS * max(1.0, abs(plain.objective))
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -830,23 +890,22 @@ def test_a_solve_from_a_basis_matches_the_cold_optimum():
         started += 1
 
 
-def test_a_basis_carried_onto_new_columns_and_rows_matches_the_cold_optimum():
-    rng = np.random.default_rng(7)
-    carried = 0
-    while carried < 40:
+def test_a_solve_from_the_slack_basis_matches_the_cold_optimum():
+    rng = np.random.default_rng(20261022)
+    started = 0
+    while started < 60:
         lp = random_box_lp(rng, max_vars=8, max_rows=8)
-        first = solve(lp)
-        if first.status != "optimal":
+        # a column free on either side or both, as a producer's pin tally is
+        lower, upper = lp.lower.copy(), lp.upper.copy()
+        column = int(rng.integers(lp.n_variables))
+        kind = started % 3
+        lower[column] = -INF if kind != 1 else lower[column]
+        upper[column] = INF if kind != 2 else upper[column]
+        cold = solve(lp, lower, upper)
+        if cold.status != "optimal":
             continue
-        bigger = sibling(lp, extra=2)
-        n, m = lp.n_variables, lp.n_constraints
-        start = carry_basis(first.basis, bigger, [*range(n), -1, -1], [*range(m), -1, -1])
-        assert start.highs.alien
-        assert_same_optimum(solve(bigger, basis=start), solve(bigger))
-        # and back: the new columns and rows dropped
-        back = carry_basis(solve(bigger).basis, lp, range(n), range(m))
-        assert_same_optimum(solve(lp, basis=back), first)
-        carried += 1
+        assert_same_optimum(solve(lp, lower, upper, basis=slack_basis(lp, lower, upper)), cold)
+        started += 1
 
 
 def two_rows(relations):
@@ -868,10 +927,6 @@ def test_a_basis_of_another_layout_is_rejected():
     with pytest.raises(LinearProgramError, match="laid out otherwise"):
         solve(two_rows([GREATER_EQUAL, LESS_EQUAL]), basis=basis)
     assert solve(two_rows([LESS_EQUAL, GREATER_EQUAL]), basis=basis).iterations == 0
-    with pytest.raises(LinearProgramError, match="cannot carry"):
-        carry_basis(basis, lp, range(3), range(2))
-    with pytest.raises(LinearProgramError, match="cannot carry"):
-        carry_basis(basis, lp, range(2), [0, 2])
 
 
 def test_a_non_optimal_solution_has_no_basis():

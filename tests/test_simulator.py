@@ -461,10 +461,10 @@ def agent_calls(monkeypatch):
         return highs_solve(*args)
 
     def counting(kind, optimize):
-        def call(model, **fixed):
+        def call(model, *args, **fixed):
             # where a producer's simplex starts is not a fixed quantity
             calls["agents"].append((kind, tuple(sorted(fixed.keys() - {"basis"}))))
-            return optimize(model, **fixed)
+            return optimize(model, *args, **fixed)
 
         return call
 
@@ -541,7 +541,7 @@ def test_twins_reuse_nothing_across_rounds(monkeypatch, agent_calls):
     outcome = run(config, scenario=flat_cost_scenario(config))
     assert len(outcome.rounds) >= 3
     assert np.array_equal(outcome.rounds[-1].state, outcome.rounds[-2].state)
-    for calls, builds in per_round:
+    for index, (calls, builds) in enumerate(per_round):
         assert sorted(calls) == sorted([
             ("retailer", ()),
             ("retailer", ("fixed_amplitudes", "fixed_demand")),
@@ -549,12 +549,14 @@ def test_twins_reuse_nothing_across_rounds(monkeypatch, agent_calls):
             ("producer", ("fixed_sale",)),
             ("producer", ("fixed_reserve", "fixed_sale")),
         ])
-        assert sorted(builds) == ["producer", "retailer"]
+        # the producer's model is the run's, built in the first round
+        assert sorted(builds) == (["producer", "retailer"] if index == 0 else ["retailer"])
 
 
 def test_each_round_builds_each_model_once(monkeypatch, agent_calls):
     # closed, seed 1: three producers and two twin retailers; the producers
-    # solve three stages of one model each, the twins two stages of one
+    # solve three stages a round of one model each, built in the first
+    # round, the twins two stages of one built each round
     play_round = simulator._play_round
     per_round = []
 
@@ -567,7 +569,7 @@ def test_each_round_builds_each_model_once(monkeypatch, agent_calls):
     monkeypatch.setattr(simulator, "_play_round", counted)
     outcome = run(ScenarioConfig(seed=1, setting="closed"))
     assert len(outcome.rounds) == 7
-    assert per_round == [["producer"] * 3 + ["retailer"]] * 7
+    assert per_round == [["producer"] * 3 + ["retailer"]] + [["retailer"]] * 6
     # per round, 3 x 3 producer and 2 retailer solves, reserve and settlement
     assert agent_calls["highs"] == 7 * 13
 
@@ -922,9 +924,9 @@ def test_no_producer_lp_is_dual_degenerate(monkeypatch):
 
     solve, census = producer.solve, []
 
-    def counted(lp, lower, upper, basis=None):
-        census.append(oracles.dual_degenerate(lp, lower, upper))
-        return solve(lp, lower, upper, basis=basis)
+    def counted(lp, lower, upper, basis=None, costs=None):
+        census.append(oracles.dual_degenerate(lp, lower, upper, costs))
+        return solve(lp, lower, upper, basis=basis, costs=costs)
 
     monkeypatch.setattr(producer, "solve", counted)
     for rate in (0.0, 0.02, 0.04, 0.06, 0.08, 0.10):
@@ -936,12 +938,13 @@ def test_no_producer_lp_is_dual_degenerate(monkeypatch):
 
 def producer_solves(monkeypatch, config):
     """Every producer solve of a run of ``config``, as (names of the fixed
-    quantities, model, fixed quantities, basis started from, position)."""
+    quantities, model, forecast, pins, fixed quantities, basis started
+    from, position, basis ended on)."""
     optimize, calls = simulator.optimize_producer, []
 
-    def recording(model, basis=None, **fixed):
-        position, final = optimize(model, basis=basis, **fixed)
-        calls.append((tuple(sorted(fixed)), model, fixed, basis, position))
+    def recording(model, fc, pins, basis=None, **fixed):
+        position, final = optimize(model, fc, pins, basis=basis, **fixed)
+        calls.append((tuple(sorted(fixed)), model, fc, pins, fixed, basis, position, final))
         return position, final
 
     monkeypatch.setattr(simulator, "optimize_producer", recording)
@@ -949,25 +952,64 @@ def producer_solves(monkeypatch, config):
     return calls
 
 
+def assert_same_position(position, expected):
+    """Each field of the producer ``position`` within ``TOL_FEAS`` (relative
+    to ``max(1, |value|)``) of the field of that name of ``expected``."""
+    for f in dataclasses.fields(position):
+        a, b = np.asarray(getattr(position, f.name)), np.asarray(getattr(expected, f.name))
+        assert np.all(np.abs(a - b) <= lp.TOL_FEAS * np.maximum(1.0, np.abs(b))), f.name
+
+
 @pytest.mark.parametrize("setting", ["closed", "open"])
 def test_warm_producer_solves_match_cold_ones(monkeypatch, setting):
     from flexmarket.agents.producer import optimize_producer
 
-    warm, carried = set(), 0
-    for stage, model, fixed, basis, position in producer_solves(
-        monkeypatch, small_config(setting=setting, flexibility_rate=0.1)
-    ):
-        cold, _ = optimize_producer(model, **fixed)
-        for f in dataclasses.fields(cold):
-            a, b = np.asarray(getattr(position, f.name)), np.asarray(getattr(cold, f.name))
-            assert np.all(np.abs(a - b) <= lp.TOL_FEAS * np.maximum(1.0, np.abs(b))), f.name
+    solves = producer_solves(monkeypatch, small_config(setting=setting, flexibility_rate=0.1))
+    # the pins each basis was ended on under
+    ended_under = {final: pins for *_, pins, _, _, _, final in solves}
+    warm, across = set(), 0
+    for stage, model, fc, pins, fixed, basis, position, _ in solves:
+        cold, _ = optimize_producer(model, fc, pins, **fixed)
+        assert_same_position(position, cold)
         if basis is not None:
             warm.add(stage)
-            carried += not np.array_equal(basis.pinned, model.pinned)
+            across += not np.array_equal(ended_under[basis], pins)
     # every stage starts warm from round 1 on (reserve bidding from round
-    # 0), and some start across a change of pins
+    # 0), and some start from a basis solved under other pins
     assert sorted(warm) == [(), ("fixed_reserve", "fixed_sale"), ("fixed_sale",)]
-    assert carried > 0
+    assert across > 0
+
+
+@pytest.mark.parametrize("setting", ["closed", "open"])
+def test_pin_slots_solve_as_pin_rows(monkeypatch, setting):
+    # each solve again on the model that has a slack and a row for each
+    # finite pin only, as the pins were once modelled
+    from flexmarket.agents.retailer import stage_bounds
+
+    config = small_config(setting=setting, flexibility_rate=0.1)
+    portfolios = {p.name: p for p in generate_scenario(config).producers}
+    solves = producer_solves(monkeypatch, config)
+    pinned = 0
+    for _, model, fc, pins, fixed, _, position, _ in solves:
+        rows = oracles.row_form_producer_model(
+            portfolios[model.name], fc, config.price_cap, config.non_contracted_price, pins
+        )
+        bounds = stage_bounds(
+            rows,
+            [(rows.reserve, fixed.get("fixed_reserve"), "fixed_reserve"),
+             (rows.sale, fixed.get("fixed_sale"), "fixed_sale")],
+            lift="fixed_sale" in fixed,
+        )
+        sol = lp.solve(rows.lp, *bounds)
+        assert sol.status == "optimal"
+        assert_same_position(position, types.SimpleNamespace(
+            sale=sol.values(rows.sale), imbalance_up=sol.values(rows.imbalance_up),
+            imbalance_down=sol.values(rows.imbalance_down),
+            unit_output=sol.values(rows.unit_output), reserve=sol.values(rows.reserve),
+            objective=sol.objective,
+        ))
+        pinned += np.isfinite(pins).any()
+    assert pinned > 0
 
 
 def reposition_context(monkeypatch, config):
