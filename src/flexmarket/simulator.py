@@ -37,26 +37,16 @@ solve, share one solve and its position; the context, retailer models
 included, is dropped when the round ends, and only the producer models,
 the bases and the pins outlive it.
 
-The actors' LPs of one stage do not depend on each other, and HiGHS
-releases the GIL while it runs, so the ``day-ahead``, ``reserve-bidding``
-and ``reposition`` stages solve them concurrently on one process-wide
-thread pool (:func:`_concurrently`), one worker per CPU the process may use.
-A day-ahead job builds its actor's model, if the actor is a retailer or
-the round is the first, and solves it, so a model is solved once, by the
-thread that built it, before any other thread reads it.
-Everything else (the fixed quantities, the offer and bid books) is done on
-the calling thread in actor order, and each job's result is taken in actor
-order too, so an error names the first actor in actor order whose step
-failed, as a serial round would.  The pool is made on the first stage that
-needs it, so importing this package starts no thread, and made again in a
-forked child.
+The ``day-ahead``, ``reserve-bidding`` and ``reposition`` stages solve
+their actors' LPs one by one, in actor order, on the calling thread, each
+actor's solve followed by what the stage does with its result (its offers
+or bids), so an error names the first actor in actor order whose step
+failed.  A call twins share is made once per stage (:func:`_shared`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -247,23 +237,18 @@ def _day_ahead(r):
             model = build_producer_model(p, c.price_cap, c.non_contracted_price)
         return model, *optimize_producer(model, r.fc, r.pins[p.name], basis=basis)
 
-    solved = _concurrently(
-        r,
-        [_job(r, p.name, retailer, p) for p in r.retailers]
-        + [
-            _job(
-                r, p.name, producer, p, r.producer_models.get(p.name),
-                basis=r.bases.get((r.stage, p.name)),
-            )
-            for p in r.producers
-        ],
-    )
+    once = _shared(r)
     r.models, r.day_ahead, r.offer_books = {}, {}, []
     for p in r.retailers:
-        r.models[p.name], r.day_ahead[p.name] = next(solved)
+        r.actor = p.name
+        r.models[p.name], r.day_ahead[p.name] = once(p.name, retailer, p)
         r.offer_books.append(retailer_demand_offers(r.day_ahead[p.name], p, c.price_cap))
     for p in r.producers:
-        r.producer_models[p.name], r.day_ahead[p.name], r.bases[r.stage, p.name] = next(solved)
+        r.actor = p.name
+        r.producer_models[p.name], r.day_ahead[p.name], r.bases[r.stage, p.name] = once(
+            p.name, producer, p, r.producer_models.get(p.name),
+            basis=r.bases.get((r.stage, p.name)),
+        )
         r.offer_books.append(producer_energy_offers(r.day_ahead[p.name], p, r.fc))
     r.submitted_demand = {p.name: r.day_ahead[p.name].demand for p in r.retailers}
 
@@ -278,18 +263,15 @@ def _bid_reserve(r):
     """Each producer's position with its cleared sale fixed and its reserve
     bids; each retailer's band bids from its day-ahead amplitudes.  In the
     first round, a producer starts from its day-ahead basis."""
-    jobs = []
-    for p in r.producers:
-        r.actor = p.name
-        jobs.append(_job(
-            r, p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
-            fixed_sale=r.clearing.supply_of(p.name),
-            basis=r.bases.get((r.stage, p.name), r.bases["day-ahead", p.name]),
-        ))
-    solved = _concurrently(r, jobs)
+    once = _shared(r)
     r.reserve_bidding, r.classical_books, r.modulation_books = {}, [], []
     for p in r.producers:
-        position, r.bases[r.stage, p.name] = next(solved)
+        r.actor = p.name
+        position, r.bases[r.stage, p.name] = once(
+            p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
+            fixed_sale=r.clearing.supply_of(p.name),
+            basis=r.bases.get((r.stage, p.name), r.bases["day-ahead", p.name]),
+        )
         r.reserve_bidding[p.name] = position
         r.classical_books.append(producer_reserve_bids(position, p))
     for p in r.retailers:
@@ -319,33 +301,29 @@ def _reposition(r):
     its units or windows.  In the first round, producers start from the
     slack basis: from the reserve-bidding basis, the simplex takes longer
     than from scratch."""
-    jobs = []
+    once = _shared(r)
+    r.producer_positions, r.retailer_positions = {}, {}
     for p in r.producers:
         r.actor = p.name
-        jobs.append(_job(
-            r, p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
+        r.producer_positions[p.name], r.bases[r.stage, p.name] = once(
+            p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
             fixed_sale=r.clearing.supply_of(p.name),
             fixed_reserve=accepted_volumes(
                 r.reserve_bidding[p.name].reserve,
                 r.procurement.classical_fraction[r.procurement.classical.actor == p.name],
             ),
             basis=r.bases.get((r.stage, p.name)),
-        ))
+        )
     for p in r.retailers:
         r.actor = p.name
-        jobs.append(_job(
-            r, p.name, optimize_retailer, r.models[p.name],
+        r.retailer_positions[p.name] = once(
+            p.name, optimize_retailer, r.models[p.name],
             fixed_demand=r.clearing.demand_of(p.name),
             fixed_amplitudes=accepted_volumes(
                 r.day_ahead[p.name].amplitudes,
                 r.procurement.modulation_fraction[r.procurement.modulation.actor == p.name],
             ),
-        ))
-    solved = _concurrently(r, jobs)
-    r.producer_positions = {}
-    for p in r.producers:
-        r.producer_positions[p.name], r.bases[r.stage, p.name] = next(solved)
-    r.retailer_positions = {p.name: next(solved) for p in r.retailers}
+        )
 
 
 def _settle(r):
@@ -382,67 +360,26 @@ _STAGES = (
 )
 
 
-def _job(r, actor, call, *args, **fixed):
-    """The job ``(actor, key, call)`` of :func:`_concurrently` that calls
-    ``call(*args, **fixed)`` for ``actor`` in round context ``r``.  Twins
-    (equal ``r.twins`` group) whose pins and ``fixed`` arrays are equal to
-    the bit, and whose other ``fixed`` values (bases) are the same objects,
-    get equal keys: they share one call, so the model a day-ahead job
-    builds, and in each stage one position.
-    Keys are compared within one :func:`_concurrently` call, which serves
-    one stage, so the stage is not part of them."""
-    key = (
-        call, r.twins[actor], r.pins[actor].tobytes(),
-        *(v.tobytes() if isinstance(v, np.ndarray) else v for v in fixed.values()),
-    )
-    return actor, key, functools.partial(call, *args, **fixed)
+def _shared(r):
+    """A memo for one stage of round context ``r``: ``once(actor, call,
+    *args, **fixed)`` returns ``call(*args, **fixed)``, made for ``actor``.
+    Twins (equal ``r.twins`` group) whose pins and ``fixed`` arrays are
+    equal to the bit, and whose other ``fixed`` values (bases) are the same
+    objects, share one call and its result object: so the model a day-ahead
+    call builds, and in each stage one position.  Each stage makes a memo
+    of its own, so the stage is not part of the key."""
+    memo = {}
 
+    def once(actor, call, *args, **fixed):
+        key = (
+            call, r.twins[actor], r.pins[actor].tobytes(),
+            *(v.tobytes() if isinstance(v, np.ndarray) else v for v in fixed.values()),
+        )
+        if key not in memo:
+            memo[key] = call(*args, **fixed)
+        return memo[key]
 
-def _concurrently(r, jobs):
-    """Yield the results of ``jobs`` (see :func:`_job`), one per job and in
-    their order.  On the first ``next``, the call of each distinct key is
-    submitted once to the pool; jobs sharing a key get the same result
-    object.  Before each result is taken, ``r.actor`` is set to the job's
-    actor, so an error raised in a job, or by the caller while it handles a
-    result, names that actor, and the first one in job order."""
-    pool = _pool()
-    futures = {}
-    for _, key, call in jobs:
-        if key not in futures:
-            futures[key] = pool.submit(call)
-    for actor, key, _ in jobs:
-        r.actor = actor
-        yield futures[key].result()
-
-
-#: the thread pool of :func:`_concurrently`, made by :func:`_pool`
-_POOL = None
-
-
-def _pool():
-    """The process-wide pool, made on first use with one worker per CPU the
-    process may run on."""
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # not on every platform
-            workers = os.cpu_count() or 1
-        _POOL = ThreadPoolExecutor(workers, thread_name_prefix="flexmarket")
-    return _POOL
-
-
-def _drop_pool():
-    """Forget the pool in a forked child, which has none of its threads:
-    jobs submitted to it would wait forever."""
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):  # only where processes fork
-    os.register_at_fork(after_in_child=_drop_pool)
+    return once
 
 
 def _twin_groups(portfolios) -> dict[str, int]:

@@ -42,7 +42,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_starts_no_thread():
-    # the simulator's thread pool is made on the first stage that solves
+    # nor does a run (test_a_run_starts_no_thread)
     probe = (
         "import sys, threading, flexmarket, flexmarket.cli; "
         "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
@@ -50,6 +50,19 @@ def test_import_starts_no_thread():
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "1 False"
+
+
+def test_a_run_starts_no_thread():
+    # each stage solves its actors' LPs in turn on the calling thread
+    probe = (
+        "import threading; from flexmarket.scenario import ScenarioConfig; "
+        "from flexmarket.simulator import run; before = threading.active_count(); "
+        "run(ScenarioConfig(seed=1, mean_consumption=1000.0, max_rounds=2)); "
+        "print(before, threading.active_count())"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1 1"
 
 
 def test_only_cli_writes_csv():

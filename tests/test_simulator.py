@@ -2,10 +2,7 @@ import dataclasses
 import functools
 import multiprocessing
 import os
-import threading
-import time
 import types
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -683,16 +680,12 @@ def test_a_twin_whose_pins_or_fixed_quantities_differ_is_solved_on_its_own(chang
         twins=dict.fromkeys("abc", 0),
         pins={name: inputs[name].pop("pins") for name in "abc"},
     )
-    at.stage = "day-ahead"
-    models = dict(zip("abc", simulator._concurrently(
-        at, [simulator._job(at, p.name, build, p, at.pins[p.name]) for p in actors]
-    )))
-    at.stage = "reposition"
-    positions = dict(zip("abc", simulator._concurrently(
-        at, [simulator._job(at, p.name, optimize, models[p.name], **inputs[p.name]) for p in actors]
-    )))
+    once = simulator._shared(at)  # day-ahead
+    models = {p.name: once(p.name, build, p, at.pins[p.name]) for p in actors}
+    once = simulator._shared(at)  # reposition
+    positions = {p.name: once(p.name, optimize, models[p.name], **inputs[p.name]) for p in actors}
     # the model depends on the pins alone, the position on the fixed
-    # quantities too; the pool runs the distinct jobs in any order
+    # quantities too
     own_model = changed == "pins"
     assert sorted(built) == (["a", "b"] if own_model else ["a"])
     assert sorted(solved) == ["a", "b" if own_model else "a"]
@@ -712,10 +705,11 @@ def test_twins_share_a_solve_only_from_one_basis():
         started.append(basis)
         return object()
 
-    positions = dict(zip("abc", simulator._concurrently(at, [
-        simulator._job(at, name, optimize, "model", basis=basis)
+    once = simulator._shared(at)
+    positions = {
+        name: once(name, optimize, "model", basis=basis)
         for name, basis in zip("abc", (shared, other, shared))
-    ])))
+    }
     assert positions["a"] is positions["c"] is not positions["b"]
     assert sorted(map(id, started)) == sorted([id(shared), id(other)])
 
@@ -888,31 +882,6 @@ def test_a_learning_knob_moves_no_terminal_metric(setting, rate, knob, value):
 
 
 # ---------------------------------------------------------------------------
-# the stage pool: actors' LPs of one stage solved concurrently
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "config",
-    [small_config(), dataclasses.replace(six_twin_retailers(), max_rounds=6)],
-    ids=["closed", "open-bands"],
-)
-def test_pooled_runs_equal_one_worker_runs_bit_for_bit(monkeypatch, config):
-    pooled = run(config)
-    for workers in (1, 4):
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(simulator, "_POOL", pool)
-            other = run(config)
-        assert (other.termination, other.cycle_start, other.cycle_length) == (
-            pooled.termination, pooled.cycle_start, pooled.cycle_length
-        ), workers
-        assert len(other.rounds) == len(pooled.rounds), workers
-        for a, b in zip(pooled.rounds, other.rounds):
-            assert a.state.tobytes() == b.state.tobytes(), (workers, a.index)
-            assert dataclasses.astuple(a.metrics) == dataclasses.astuple(b.metrics), (workers, a.index)
-
-
-# ---------------------------------------------------------------------------
 # producer solves start from the basis their stage ended on last round
 # ---------------------------------------------------------------------------
 
@@ -1032,7 +1001,7 @@ def reposition_context(monkeypatch, config):
     return captured[0]
 
 
-def test_twins_with_differing_fixed_quantities_share_one_model_across_threads(monkeypatch):
+def test_twins_with_differing_fixed_quantities_share_one_model(monkeypatch):
     r = reposition_context(monkeypatch, six_twin_retailers())
     names = [p.name for p in r.retailers]
     model = r.models[names[0]]
@@ -1044,35 +1013,27 @@ def test_twins_with_differing_fixed_quantities_share_one_model_across_threads(mo
         name: dict(fixed_demand=demand * (1 + k / 50), fixed_amplitudes=amplitudes * (k / 5))
         for k, name in enumerate(names)
     }
-    with ThreadPoolExecutor(4) as pool:
-        monkeypatch.setattr(simulator, "_POOL", pool)
-        pooled = list(simulator._concurrently(r, [
-            simulator._job(r, name, simulator.optimize_retailer, model, **fixed[name])
-            for name in names
-        ]))
+    once = simulator._shared(r)
+    shared = [once(name, simulator.optimize_retailer, model, **fixed[name]) for name in names]
     serial = [simulator.optimize_retailer(model, **fixed[name]) for name in names]
-    assert len({id(position) for position in pooled}) == 6
-    for name, a, b in zip(names, pooled, serial):
+    assert len({id(position) for position in shared}) == 6
+    for name, a, b in zip(names, shared, serial):
         assert same_fields(a, b), name
     assert len({position.demand.tobytes() for position in serial}) == 6
 
 
-def test_the_first_failing_actor_in_actor_order_is_named_and_the_pool_survives(monkeypatch):
-    # producer-2 fails first in time, producer-1 first in actor order
+def test_the_first_failing_actor_in_actor_order_is_named_and_the_next_run_completes(
+    monkeypatch,
+):
+    # producer-1 and producer-2 both fail
     build = simulator.build_producer_model
 
     def failing(portfolio, *args):
-        if portfolio.name == "producer-1":
-            time.sleep(0.3)
         if portfolio.name in ("producer-1", "producer-2"):
             raise ValueError(f"{portfolio.name} failed")
         return build(portfolio, *args)
 
     config = small_config(max_rounds=2)
-    # once scipy is imported and the pool's threads run, producer-2 does
-    # not wait for producer-1
-    run(config)
-    pool = simulator._pool()
     with monkeypatch.context() as patch:
         patch.setattr(simulator, "build_producer_model", failing)
         with pytest.raises(
@@ -1081,7 +1042,6 @@ def test_the_first_failing_actor_in_actor_order_is_named_and_the_pool_survives(m
         ):
             run(config)
     assert len(run(config).rounds) == 2
-    assert simulator._pool() is pool
 
 
 def one_run_in(queue):
@@ -1089,8 +1049,8 @@ def one_run_in(queue):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_runs_on_a_pool_of_its_own():
-    # a child forked after a run inherits the pool but none of its threads
+def test_a_child_forked_after_a_run_runs_to_the_end():
+    # as a sweep's cells may be run (ROADMAP item 19)
     run(small_config(max_rounds=1))
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
@@ -1103,11 +1063,3 @@ def test_a_forked_child_runs_on_a_pool_of_its_own():
         pytest.fail("the forked child's run hung")
     assert child.exitcode == 0
     assert queue.get(timeout=5) == 2
-
-
-def test_runs_reuse_the_pool_threads():
-    run(small_config(max_rounds=2))
-    after_one = threading.active_count()
-    for _ in range(4):
-        run(small_config(max_rounds=2))
-    assert threading.active_count() <= after_one
