@@ -2,7 +2,11 @@ import dataclasses
 import functools
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -879,6 +883,47 @@ def test_a_learning_knob_moves_no_terminal_metric(setting, rate, knob, value):
     default_termination, default_metrics = terminal(setting, rate)
     assert termination == default_termination == "cycle"
     assert metrics == pytest.approx(default_metrics, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# outputs do not depend on how many CPUs the process may use
+# ---------------------------------------------------------------------------
+
+
+ONE_CPU_RUN = (
+    "import dataclasses, pickle, sys; from flexmarket.simulator import run; "
+    "outcome = run(pickle.load(sys.stdin.buffer)); "
+    "pickle.dump(((outcome.termination, outcome.cycle_start, outcome.cycle_length), "
+    "[(r.state.tobytes(), dataclasses.astuple(r.metrics)) for r in outcome.rounds]), "
+    "sys.stdout.buffer)"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+@pytest.mark.parametrize(
+    "config",
+    [small_config(), dataclasses.replace(six_twin_retailers(), max_rounds=6)],
+    ids=["closed", "open-bands"],
+)
+def test_a_run_on_one_cpu_equals_a_run_on_every_cpu_bit_for_bit(config):
+    # numpy and HiGHS may thread by the CPUs they see at import; a fresh
+    # interpreter pinned to one CPU must repeat this process's run
+    one_cpu = {min(os.sched_getaffinity(0))}
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_RUN], input=pickle.dumps(config), env=env,
+        capture_output=True, timeout=300, preexec_fn=lambda: os.sched_setaffinity(0, one_cpu),
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    ending, rounds = pickle.loads(child.stdout)
+    expected = run(config)
+    assert ending == (expected.termination, expected.cycle_start, expected.cycle_length)
+    assert len(rounds) == len(expected.rounds)
+    for record, (state, metrics) in zip(expected.rounds, rounds):
+        assert record.state.tobytes() == state, record.index
+        assert dataclasses.astuple(record.metrics) == metrics, record.index
 
 
 # ---------------------------------------------------------------------------
