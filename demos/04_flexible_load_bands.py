@@ -48,13 +48,13 @@ model = build_retailer_model(
     windows=[(0, 8)], modulation_price=10.0,
 )
 position = optimize_retailer(model)
-print("baseline schedule:", position.schedules[0].round(2))
+print("baseline schedule:", position.scenarios[0, 0].round(2))
 print("band amplitudes:  ", position.amplitudes.round(2))
-print("high scenario:    ", position.up_schedules[0].round(2))
-print("low scenario:     ", position.down_schedules[0].round(2))
+print("high scenario:    ", position.scenarios[1, 0].round(2))
+print("low scenario:     ", position.scenarios[2, 0].round(2))
 
 report = verify_scenario_coverage(
-    load, position.schedules[0], position.up_schedules[0], position.down_schedules[0],
+    load, *position.scenarios[:, 0],
     samples=2000, seed=0,
 )
 print(f"coverage check: {report.samples} random dispatches, {report.failures} failures")

@@ -92,11 +92,10 @@ class RetailerPosition:
     demand: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    # (loads, periods) consumption: the baseline, then the high-first and
-    # the low-first scenario, which follow the baseline outside sold windows
-    schedules: np.ndarray
-    up_schedules: np.ndarray
-    down_schedules: np.ndarray
+    # (3, loads, periods) consumption, as ``RetailerModel.scenarios``: the
+    # baseline, then the high-first and the low-first scenario, which follow
+    # the baseline outside sold windows
+    scenarios: np.ndarray
     objective: float
     windows: list[tuple[int, int]] = field(default_factory=list)
     amplitudes: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -202,14 +201,11 @@ def optimize_retailer(
             "check tank data and fixed quantities"
         )
 
-    schedules, up_schedules, down_schedules = sol.values(model.scenarios)
     return RetailerPosition(
         demand=sol.values(model.demand),
         imbalance_up=sol.values(model.imbalance_up),
         imbalance_down=sol.values(model.imbalance_down),
-        schedules=schedules,
-        up_schedules=up_schedules,
-        down_schedules=down_schedules,
+        scenarios=sol.values(model.scenarios),
         objective=sol.objective,
         windows=model.windows,
         amplitudes=sol.values(model.amplitudes),
@@ -318,20 +314,19 @@ def stage_bounds(model, fixed, lift):
     return lower, upper
 
 
-def add_pin_penalties(lp, pin, penalty, columns, floor=False):
-    """Soft learned pin on the per-period sum of ``columns``.
+def add_pin_penalties(lp, pin, penalty, columns):
+    """Soft learned cap on the per-period sum of ``columns``.
 
     Every period with a finite ``pin`` gets a slack variable with objective
-    coefficient ``penalty[t]`` that lets the sum pass the pin: above it for
-    a cap, below it for a ``floor``.
+    coefficient ``penalty[t]`` that lets the sum rise above the pin.
     """
     pinned = np.flatnonzero(np.isfinite(pin))
     z = lp.add_variables(pinned.size)
     lp.add_objectives(z, penalty[pinned])
     rows = np.arange(pinned.size)
     terms = [(rows, column[pinned], 1.0) for column in columns]
-    terms.append((rows, z, 1.0 if floor else -1.0))
-    lp.add_constraints(terms, GREATER_EQUAL if floor else LESS_EQUAL, pin[pinned])
+    terms.append((rows, z, -1.0))
+    lp.add_constraints(terms, LESS_EQUAL, pin[pinned])
 
 
 def _modulation_block(

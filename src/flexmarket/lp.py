@@ -30,9 +30,9 @@ triplets in the model's own row order.  :meth:`~LinearProgram.dense_rows` is
 read only by the test oracles and the benchmark tracer.  scipy is imported
 only when a model is solved, so importing this package loads none of it.
 
-A solve may start from a :class:`Basis`, the one an earlier optimal solve
-of a model with the same columns and row layout ended on, and an optimal
-:class:`Solution` carries the basis its own solve ended on.  From a basis,
+An optimal :class:`Solution` carries the :class:`Basis` its solve ended
+on, from which a later solve of the same model, under any bounds and
+costs, may start; a solve of any other model rejects it.  From a basis,
 HiGHS skips presolve and its simplex starts there; the instance is still
 emptied first, so nothing else passes from one solve to the next.
 :func:`slack_basis` is a basis to start from without an earlier solve:
@@ -103,8 +103,6 @@ class LinearProgram:
         self._terms = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
         self._rows = [(np.zeros(0, "<U2"), np.zeros(0))]
         self._columns = None
-        # the model row of each HiGHS row, set with ``_columns``
-        self._row_order = None
 
     # -- model building ----------------------------------------------------
 
@@ -211,7 +209,6 @@ class LinearProgram:
                 row_lower=np.where(relations == LESS_EQUAL, -INF, rhs)[order],
                 row_upper=np.where(relations == GREATER_EQUAL, INF, rhs)[order],
             )
-            self._row_order = order
         return self._columns
 
     def dense_rows(self) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -231,8 +228,7 @@ class HighsColumns(NamedTuple):
     ``row_upper``]: (-inf, rhs) for ``<=``, (rhs, inf) for ``>=`` and (rhs,
     rhs) for ``==``.  The matrix is column-wise, rows ascending within a
     column, with the terms of each entry added in the order they were given
-    and entries that cancel to 0 dropped.  Only a :class:`Basis` maps these
-    rows back to the model's."""
+    and entries that cancel to 0 dropped."""
 
     start: np.ndarray       # int32: where each column's nonzeros start, and the end
     index: np.ndarray       # int32: the row of each nonzero
@@ -292,17 +288,15 @@ def _joined(chunks: list) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """The simplex basis HiGHS ended an optimal solve on, for a later solve
-    of a model of the same shape to start from.
+    """The simplex basis HiGHS ended an optimal solve of ``lp`` on, for a
+    later solve of ``lp`` to start from.
 
     It is opaque: its statuses stay with HiGHS, in HiGHS's row order.
-    ``row_order`` gives the model row of each HiGHS row.  Bases are compared
-    by identity.
+    Bases are compared by identity.
     """
 
     highs: object
-    row_order: np.ndarray
-    n_variables: int
+    lp: LinearProgram
 
 
 @dataclass(frozen=True)
@@ -334,12 +328,13 @@ def solve(
     variable bounds for this solve only, and ``costs`` (one finite value per
     variable) its objective vector; the model is left unchanged, so its
     :meth:`~LinearProgram.highs_columns` serve every set of bounds and costs
-    it is solved under.  ``basis``, one an earlier solve of a model with the
-    same columns and row layout ended on, is where the simplex starts;
-    without one, HiGHS presolves and starts from scratch.  Infeasibility and
-    unboundedness are reported through :attr:`Solution.status`, never
-    raised.  A model without variables is ``infeasible`` when one of its
-    rows excludes 0 and ``optimal``, with an empty ``x``, otherwise.
+    it is solved under.  ``basis``, one an earlier solve of ``lp`` ended on
+    or :func:`slack_basis` made for it (a basis of another model is
+    rejected), is where the simplex starts; without one, HiGHS presolves
+    and starts from scratch.  Infeasibility and unboundedness are reported
+    through :attr:`Solution.status`, never raised.  A model without
+    variables is ``infeasible`` when one of its rows excludes 0 and
+    ``optimal``, with an empty ``x``, otherwise.
     """
     lower = lp.lower if lower is None else _series(lower, lp.n_variables)
     upper = lp.upper if upper is None else _series(upper, lp.n_variables)
@@ -351,15 +346,8 @@ def solve(
         if c.shape != (lp.n_variables,):
             raise LinearProgramError(f"{c.size} costs for {lp.n_variables} variables")
         _require_finite(c, "objective coefficient")
-    if basis is not None:
-        lp.highs_columns()
-        if basis.n_variables != lp.n_variables or not np.array_equal(
-            basis.row_order, lp._row_order
-        ):
-            raise LinearProgramError(
-                f"basis of {basis.n_variables} variables and {basis.row_order.size} rows "
-                f"laid out otherwise than {lp.name!r}"
-            )
+    if basis is not None and basis.lp is not lp:
+        raise LinearProgramError(f"basis of {basis.lp.name!r} given for {lp.name!r}")
     status, x, iterations = _highs_solve(lp, c, lower, upper, basis)
     if status != OPTIMAL:
         return Solution(status, math.nan, np.full(lp.n_variables, math.nan), iterations)
@@ -368,7 +356,7 @@ def solve(
     final = _highs_instance().getBasis()
     return Solution(
         OPTIMAL, float(c @ x), x, iterations,
-        Basis(final, lp._row_order, lp.n_variables) if final.valid else None,
+        Basis(final, lp) if final.valid else None,
     )
 
 
@@ -378,7 +366,6 @@ def slack_basis(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> Basi
     that is finite, else at its upper bound if that is, else at 0."""
     from scipy.optimize._highspy import _core as core
 
-    lp.highs_columns()
     status = core.HighsBasisStatus
     slack = core.HighsBasis()
     slack.col_status = np.where(
@@ -387,7 +374,7 @@ def slack_basis(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> Basi
     ).tolist()
     slack.row_status = [status.kBasic] * lp.n_constraints
     slack.valid = True
-    return Basis(slack, lp._row_order, lp.n_variables)
+    return Basis(slack, lp)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, lower, upper) -> None:

@@ -21,9 +21,10 @@ takes its round's forecast as costs and its pins as bounds (see
 producer's last solve in that stage ended on, and the next round's solve in
 that stage starts from it.  Reserve bidding starts from the day-ahead basis
 in the first round, and the first round's day-ahead and reposition solves
-from the slack basis.  Retailer and market LPs are dual-degenerate, so
-where their simplex starts could move their vertex; they always start
-cold, presolve included.
+from the slack basis; this rule lives in :func:`_solve_producer`, through
+which every stage solves its producers.  Retailer and market LPs are
+dual-degenerate, so where their simplex starts could move their vertex;
+they always start cold, presolve included.
 
 Each stage is one function over one round context, run under one guard
 that names the round, stage and actor of an error (:class:`RoundError`).
@@ -232,11 +233,6 @@ def _day_ahead(r):
         )
         return model, optimize_retailer(model)
 
-    def producer(p, model, basis):
-        if model is None:
-            model = build_producer_model(p, c.price_cap, c.non_contracted_price)
-        return model, *optimize_producer(model, r.fc, r.pins[p.name], basis=basis)
-
     once = _shared(r)
     r.models, r.day_ahead, r.offer_books = {}, {}, []
     for p in r.retailers:
@@ -245,10 +241,11 @@ def _day_ahead(r):
         r.offer_books.append(retailer_demand_offers(r.day_ahead[p.name], p, c.price_cap))
     for p in r.producers:
         r.actor = p.name
-        r.producer_models[p.name], r.day_ahead[p.name], r.bases[r.stage, p.name] = once(
-            p.name, producer, p, r.producer_models.get(p.name),
-            basis=r.bases.get((r.stage, p.name)),
-        )
+        if p.name not in r.producer_models:
+            r.producer_models[p.name] = once(
+                p.name, build_producer_model, p, c.price_cap, c.non_contracted_price
+            )
+        r.day_ahead[p.name] = _solve_producer(r, once, p)
         r.offer_books.append(producer_energy_offers(r.day_ahead[p.name], p, r.fc))
     r.submitted_demand = {p.name: r.day_ahead[p.name].demand for p in r.retailers}
 
@@ -261,16 +258,14 @@ def _clear_energy(r):
 
 def _bid_reserve(r):
     """Each producer's position with its cleared sale fixed and its reserve
-    bids; each retailer's band bids from its day-ahead amplitudes.  In the
-    first round, a producer starts from its day-ahead basis."""
+    bids; each retailer's band bids from its day-ahead amplitudes."""
     once = _shared(r)
     r.reserve_bidding, r.classical_books, r.modulation_books = {}, [], []
     for p in r.producers:
         r.actor = p.name
-        position, r.bases[r.stage, p.name] = once(
-            p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
+        position = _solve_producer(
+            r, once, p, first=r.bases["day-ahead", p.name],
             fixed_sale=r.clearing.supply_of(p.name),
-            basis=r.bases.get((r.stage, p.name), r.bases["day-ahead", p.name]),
         )
         r.reserve_bidding[p.name] = position
         r.classical_books.append(producer_reserve_bids(position, p))
@@ -305,14 +300,13 @@ def _reposition(r):
     r.producer_positions, r.retailer_positions = {}, {}
     for p in r.producers:
         r.actor = p.name
-        r.producer_positions[p.name], r.bases[r.stage, p.name] = once(
-            p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
+        r.producer_positions[p.name] = _solve_producer(
+            r, once, p,
             fixed_sale=r.clearing.supply_of(p.name),
             fixed_reserve=accepted_volumes(
                 r.reserve_bidding[p.name].reserve,
                 r.procurement.classical_fraction[r.procurement.classical.actor == p.name],
             ),
-            basis=r.bases.get((r.stage, p.name)),
         )
     for p in r.retailers:
         r.actor = p.name
@@ -358,6 +352,18 @@ _STAGES = (
     ("reposition", None, _reposition),
     ("settlement", "operator", _settle),
 )
+
+
+def _solve_producer(r, once, p, first=None, **fixed):
+    """Producer ``p``'s position in ``r``'s stage under the ``fixed``
+    quantities, through the stage memo ``once``.  It starts from the basis
+    its stage ended on the round before, else from ``first`` (``None``: the
+    slack basis), and keeps the basis it ends on for the next round."""
+    position, r.bases[r.stage, p.name] = once(
+        p.name, optimize_producer, r.producer_models[p.name], r.fc, r.pins[p.name],
+        basis=r.bases.get((r.stage, p.name), first), **fixed,
+    )
+    return position
 
 
 def _shared(r):

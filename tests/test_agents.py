@@ -283,7 +283,7 @@ def test_retailer_concentrates_consumption_in_cheap_period():
     port = retailer(3, 5.0, [simple_load(3)])
     fc = flat_forecast(3, np.array([50.0, 30.0, 50.0]))
     position = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC))
-    assert position.schedules[0][1] == pytest.approx(4.0, abs=1e-9)
+    assert position.scenarios[0][0][1] == pytest.approx(4.0, abs=1e-9)
 
     # brute force over the load schedule on a 0.1 MW lattice; the optimum
     # here lies on the lattice, so the values agree to solver precision
@@ -340,7 +340,7 @@ def test_reposition_shifts_shortfall_toward_cheap_tariff_period():
     port = retailer(2, 5.0, [load])
     fc = flat_forecast(2, np.array([50.0, 30.0]))
     day_ahead = optimize_retailer(build_retailer_model(port, fc, CAP, PI_NC))
-    assert day_ahead.schedules[0][1] == pytest.approx(5.0, abs=1e-9)
+    assert day_ahead.scenarios[0][0][1] == pytest.approx(5.0, abs=1e-9)
 
     rationed = day_ahead.demand - np.array([0.0, 2.0])
     cheap_first = PriceForecast(
@@ -397,11 +397,11 @@ def test_band_amplitude_limited_by_power_slack():
         build_retailer_model(port, fc, CAP, PI_NC, windows=[(0, 4)], modulation_price=10.0)
     )
     assert position.amplitudes[0] == pytest.approx(2.0, abs=1e-7)
-    up = port.inelastic + np.sum(position.up_schedules, axis=0)
+    up = port.inelastic + np.sum(position.scenarios[1], axis=0)
     base = position.demand - position.imbalance_up + position.imbalance_down
     assert np.allclose(up[:2] - base[:2], 2.0, atol=1e-7)
     assert np.allclose(up[2:] - base[2:], -2.0, atol=1e-7)
-    down = port.inelastic + np.sum(position.down_schedules, axis=0)
+    down = port.inelastic + np.sum(position.scenarios[2], axis=0)
     assert np.allclose(down[:2] - base[:2], -2.0, atol=1e-7)
     assert np.allclose(down[2:] - base[2:], 2.0, atol=1e-7)
 
@@ -435,9 +435,9 @@ def test_band_energy_neutral_per_window_and_tank_consistent():
         )
     )
     load = port.loads[0]
-    base = position.schedules[0]
+    base = position.scenarios[0][0]
     base_states = load.energy_trajectory(base)
-    for sched in (position.up_schedules[0], position.down_schedules[0]):
+    for sched in (position.scenarios[1][0], position.scenarios[2][0]):
         for start, length in position.windows:
             block = slice(start, start + length)
             assert np.sum(sched[block]) == pytest.approx(np.sum(base[block]), abs=1e-9)
@@ -452,12 +452,12 @@ def test_band_energy_neutral_per_window_and_tank_consistent():
 def assert_scenarios_follow_the_baseline(position):
     """Outside every window of ``position``, its high-first and low-first
     scenarios are its baseline schedules, bit for bit."""
-    outside = np.ones(position.schedules.shape[1], dtype=bool)
+    outside = np.ones(position.scenarios[0].shape[1], dtype=bool)
     for start, length in position.windows:
         outside[start : start + length] = False
-    for scenario in (position.up_schedules, position.down_schedules):
-        assert scenario.shape == position.schedules.shape
-        assert scenario[:, outside].tobytes() == position.schedules[:, outside].tobytes()
+    for scenario in (position.scenarios[1], position.scenarios[2]):
+        assert scenario.shape == position.scenarios[0].shape
+        assert scenario[:, outside].tobytes() == position.scenarios[0][:, outside].tobytes()
 
 
 def test_band_scenarios_follow_the_baseline_outside_every_window():
@@ -493,7 +493,7 @@ def test_position_balance_identities():
             - position.imbalance_up
             + position.imbalance_down
             - nu
-            - position.schedules[0]
+            - position.scenarios[0][0]
         )
         assert np.max(np.abs(residual)) <= 1e-7
 
@@ -640,7 +640,7 @@ def test_tank_loads_reject_infinite_data_naming_load_and_field(change, message):
 def test_tank_loads_with_infinite_energy_bounds_still_solve():
     load = replace(simple_load(4), energy_min=np.full(5, -np.inf), energy_max=np.full(5, np.inf))
     model = build_retailer_model(retailer(4, 5.0, [load]), flat_forecast(4, 50.0), CAP, PI_NC)
-    assert optimize_retailer(model).schedules.sum() == pytest.approx(6.0)
+    assert optimize_retailer(model).scenarios[0].sum() == pytest.approx(6.0)
 
 
 def test_producer_positive_margin_runs_flat_out():
@@ -813,9 +813,7 @@ def test_retailer_bids_and_accepted_amplitudes_keep_their_window():
         demand=np.array([4.0, 0.0, 3.0, 0.0, 0.0, 2.0]),
         imbalance_up=np.zeros(6),
         imbalance_down=np.zeros(6),
-        schedules=np.zeros((0, 6)),
-        up_schedules=np.zeros((0, 6)),
-        down_schedules=np.zeros((0, 6)),
+        scenarios=np.zeros((3, 0, 6)),
         objective=0.0,
         windows=[(0, 2), (2, 2), (4, 2)],
         amplitudes=np.array([1.5, 0.0, 2.5]),

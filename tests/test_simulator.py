@@ -805,12 +805,12 @@ def test_every_sold_band_window_covers_its_dispatches():
                     continue
                 block = slice(start, start + length)
                 for i, load in enumerate(loads[name]):
-                    base = position.schedules[i]
+                    base = position.scenarios[0][i]
                     report = verify_scenario_coverage(
                         oracles.window_load(load, base, start, length),
                         base[block],
-                        position.up_schedules[i][block],
-                        position.down_schedules[i][block],
+                        position.scenarios[1][i][block],
+                        position.scenarios[2][i][block],
                         samples=1000,
                         seed=checked,
                     )
@@ -992,6 +992,30 @@ def test_warm_producer_solves_match_cold_ones(monkeypatch, setting):
     # 0), and some start from a basis solved under other pins
     assert sorted(warm) == [(), ("fixed_reserve", "fixed_sale"), ("fixed_sale",)]
     assert across > 0
+
+
+@pytest.mark.parametrize("setting", ["closed", "open"])
+def test_each_producer_solve_starts_from_its_stages_basis_of_the_round_before(
+    monkeypatch, setting
+):
+    solves = producer_solves(monkeypatch, small_config(setting=setting, flexibility_rate=0.1))
+    # no twin producers here, so each model is one producer's; each round
+    # has a forecast of its own
+    models = {id(model) for _, model, *_ in solves}
+    rounds = {id(fc) for _, _, fc, *_ in solves}
+    assert len(solves) == 3 * len(models) * len(rounds) > 3 * len(models)
+    first_round = id(solves[0][2])
+    ended = {}
+    for stage, model, fc, _, _, basis, _, final in solves:
+        if id(fc) != first_round:
+            expected = ended[stage, id(model)]
+        elif stage == ("fixed_sale",):
+            # reserve bidding: from the basis the round's day-ahead solve ended on
+            expected = ended[(), id(model)]
+        else:
+            expected = None  # the slack basis
+        assert basis is expected, (stage, model.name)
+        ended[stage, id(model)] = final
 
 
 @pytest.mark.parametrize("setting", ["closed", "open"])
