@@ -6,7 +6,9 @@ compute.  Every run writes a ``manifest.txt`` that fully determines it:
 outputs byte for byte.  The CSV files (``metrics.csv``, ``summary.csv``,
 ``rounds/<n>/*.csv`` with the columns of ``ROUND_COLUMNS``, and
 ``sweep.csv`` for a sweep) are the canonical results, the SVG figures a
-convenience.  Floats are written with ``repr``, so they read back exactly.
+convenience.  Floats are written with ``repr``, so they read back exactly,
+and a negative zero as ``0.0`` (:func:`_number`), so no output depends on
+the sign of a zero a solver returns.
 """
 
 from __future__ import annotations
@@ -338,13 +340,19 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _number(value) -> str:
+    """The CSV cell of a float: its ``repr``, with ``-0.0`` written as
+    ``0.0`` (adding 0.0 turns only a negative zero into a positive one)."""
+    return repr(float(value) + 0.0)
+
+
 def _metric_cells(metrics: RoundMetrics) -> list[str]:
-    return [repr(getattr(metrics, name)) for name in METRICS]
+    return [_number(getattr(metrics, name)) for name in METRICS]
 
 
 def _period_rows(*series) -> list[list]:
     """One row per period: the period, then each series' value in it."""
-    columns = [[repr(float(value)) for value in values] for values in series]
+    columns = [[_number(value) for value in values] for values in series]
     return [[t, *cells] for t, cells in enumerate(zip(*columns))]
 
 
@@ -372,7 +380,7 @@ def _write_round(record: RoundRecord, round_dir: Path) -> None:
     ]
     positions = []
     for name, kind, position, volume in actors:
-        fee = repr(record.fees[name])
+        fee = _number(record.fees[name])
         for t, *cells in _period_rows(volume, position.imbalance_up, position.imbalance_down):
             positions.append([name, kind, t, *cells, fee if t == 0 else ""])
     clearing, procurement, settlement = record.clearing, record.procurement, record.settlement
@@ -384,11 +392,11 @@ def _write_round(record: RoundRecord, round_dir: Path) -> None:
     rows = {
         "prices.csv": _period_rows(clearing.price, settlement.tariff_up, settlement.tariff_down),
         "offers.csv": [
-            [actor, t, side, repr(volume), repr(price)]
+            [actor, t, side, _number(volume), _number(price)]
             for actor, t, side, volume, price in offers.rows()
         ],
         "clearing.csv": [
-            [t, repr(mcp), k, repr(fraction)]
+            [t, _number(mcp), k, _number(fraction)]
             for k, (t, mcp, fraction) in enumerate(
                 zip(
                     offers.period.tolist(),
@@ -398,7 +406,7 @@ def _write_round(record: RoundRecord, round_dir: Path) -> None:
             )
         ],
         "procurement.csv": [
-            [kind, k, actor, repr(x), repr(volume * x)]
+            [kind, k, actor, _number(x), _number(volume * x)]
             for kind, actors, fractions, volumes in accepted
             for k, (actor, x, volume) in enumerate(
                 zip(actors.tolist(), fractions.tolist(), volumes.tolist())

@@ -636,7 +636,7 @@ TREE_DIGESTS = {
         "metrics.csv": "450e33e53278d5a8",
         "rounds/*/clearing.csv": "a983105d02b09174",
         "rounds/*/offers.csv": "bb454c9526f26d72",
-        "rounds/*/positions.csv": "e741165bacc3b05f",
+        "rounds/*/positions.csv": "aae8e8a205a9a67c",
         "rounds/*/prices.csv": "7ce7fdf46f4d2d6a",
         "rounds/*/procurement.csv": "648a119404ceea4e",
         "rounds/*/settlement.csv": "0ed89ac385faf53d",
@@ -651,8 +651,8 @@ TREE_DIGESTS = {
         "rounds/*/offers.csv": "aa801d0b7245fdcc",
         "rounds/*/positions.csv": "483dcfb766b9d8fb",
         "rounds/*/prices.csv": "8a9d6fcd03385ce1",
-        "rounds/*/procurement.csv": "a38c57cfa5150fbf",
-        "rounds/*/settlement.csv": "f68fec3be532f5cd",
+        "rounds/*/procurement.csv": "879210d203687b06",
+        "rounds/*/settlement.csv": "d27d330562aeb219",
         "summary.csv": "01796186b83c1aab",
     },
     # retailer rows reach |rhs| = 3600 here, where TOL_FEAS * |rhs| is looser
@@ -666,7 +666,7 @@ TREE_DIGESTS = {
         "rounds/*/offers.csv": "00cf172635214463",
         "rounds/*/positions.csv": "a2f06d6b86f25871",
         "rounds/*/prices.csv": "237388cb5aea82fb",
-        "rounds/*/procurement.csv": "644f5a5ba0ee556d",
+        "rounds/*/procurement.csv": "e4e3e81f83e41db6",
         "rounds/*/settlement.csv": "ba48caf9f6cff55e",
         "summary.csv": "12b0975eee769e2d",
     },
@@ -702,6 +702,21 @@ def test_output_trees_match_pinned_digests(tmp_path, case, setting, rate):
         assert any(record.procurement.modulation_contracted.any() for record in outcome.rounds)
     write_outputs(outcome, tmp_path, "all")
     assert tree_digests(tmp_path) == TREE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("setting, rate", [("closed", 0.1), ("open", 0.1), ("open", 0.3)])
+def test_no_output_csv_holds_a_negative_zero(tmp_path, setting, rate):
+    # the trees of test_output_trees_match_pinned_digests, where HiGHS
+    # returns negative zeros for positions, fractions and activations
+    config = ScenarioConfig(seed=1, setting=setting, flexibility_rate=rate, max_rounds=12)
+    write_outputs(run(config), tmp_path, "all")
+    cells = [
+        cell
+        for path in sorted(tmp_path.rglob("*.csv"))
+        for row in csv.reader(path.read_text(encoding="utf-8").splitlines())
+        for cell in row
+    ]
+    assert cells and "-0.0" not in cells
 
 
 #: sha256 prefixes of ``sweep.csv`` and the four sweep figures of
