@@ -8,6 +8,13 @@ amplitude F means committing to two extreme consumption scenarios (high
 then low, and the mirror) that stay feasible for every load; their energy
 links back into the baseline tank state at both ends of each block.
 
+The LP plans each group of twin loads, equal in every field but the name,
+as one tank k times as large, and hands each load 1/k of its tank's
+schedules.  The k loads can run exactly what that tank can, so the optimum
+is that of the LP over the loads, and no split among equal loads is left
+for the solver to choose; splitting a load into k equal ones does not move
+the market.
+
 :func:`build_retailer_model` builds the LP once per round and
 :func:`optimize_retailer` solves it in both decision stages: free, then
 with the cleared purchase and the accepted amplitudes (from
@@ -18,6 +25,7 @@ plain per-period arrays; the learning itself belongs to the simulation run.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -27,6 +35,7 @@ import numpy as np
 from ..energy_market import DEMAND, OfferBook
 from ..lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve
 from ..reserve_market import ModulationBook
+from ..twins import twin_groups
 from .forecast import PriceForecast
 from .tank import TankLoad
 
@@ -92,9 +101,10 @@ class RetailerPosition:
     demand: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    # (3, loads, periods) consumption, as ``RetailerModel.scenarios``: the
+    # (3, loads, periods) consumption, in the portfolio's load order: the
     # baseline, then the high-first and the low-first scenario, which follow
-    # the baseline outside sold windows
+    # the baseline outside sold windows; each load runs 1/k of the schedules
+    # of its tank of k twins (``RetailerModel.tank_of``)
     scenarios: np.ndarray
     objective: float
     windows: list[tuple[int, int]] = field(default_factory=list)
@@ -106,18 +116,25 @@ class RetailerModel:
     """A retailer's position LP under the day-ahead bounds (purchase and
     amplitudes free, each deviation within the imbalance limit) and the
     handles of its variables.  :func:`optimize_retailer` solves it under
-    each stage's bounds."""
+    each stage's bounds.
+
+    The LP plans tanks, not loads: the portfolio's twin loads, equal in
+    every field but the name, are one tank k times as large (see
+    :func:`_tanks`), and a load of no twin is a tank of its own.  The
+    scenario handles are per tank; ``tank_of`` maps each load to its tank.
+    """
 
     name: str
     lp: LinearProgram
     demand: np.ndarray
     imbalance_up: np.ndarray
     imbalance_down: np.ndarray
-    # (3, loads, periods) consumption: the baseline, then the high-first and
+    # (3, tanks, periods) consumption: the baseline, then the high-first and
     # the low-first scenario, which are the baseline's outside the windows
     scenarios: np.ndarray
     amplitudes: np.ndarray      # per window, in window order
     windows: list[tuple[int, int]]
+    tank_of: np.ndarray         # per load, in portfolio order, its tank
 
 
 def build_retailer_model(
@@ -142,7 +159,8 @@ def build_retailer_model(
     _check_windows(windows, t_count)
 
     lp = LinearProgram(sense="min", name=f"retailer-{portfolio.name}")
-    d_vars, e_vars = _tank_variables(lp, portfolio.loads, t_count)
+    tanks, tank_of = _tanks(portfolio.loads)
+    d_vars, e_vars = _tank_variables(lp, tanks, t_count)
 
     demand = lp.add_variables(t_count)
     i_up = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
@@ -172,10 +190,10 @@ def build_retailer_model(
         add_pin_penalties(lp, up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
         add_pin_penalties(lp, down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
 
-    amplitudes, scenarios = _modulation_block(
-        lp, portfolio, windows, d_vars, e_vars, modulation_price
+    amplitudes, scenarios = _modulation_block(lp, tanks, windows, d_vars, e_vars, modulation_price)
+    return RetailerModel(
+        portfolio.name, lp, demand, i_up, i_dn, scenarios, amplitudes, windows, tank_of
     )
-    return RetailerModel(portfolio.name, lp, demand, i_up, i_dn, scenarios, amplitudes, windows)
 
 
 def optimize_retailer(
@@ -200,12 +218,14 @@ def optimize_retailer(
             f"retailer {model.name!r} position problem is {sol.status}; "
             "check tank data and fixed quantities"
         )
+    # each load runs an equal share of its tank's schedules
+    tanks = sol.values(model.scenarios)
 
     return RetailerPosition(
         demand=sol.values(model.demand),
         imbalance_up=sol.values(model.imbalance_up),
         imbalance_down=sol.values(model.imbalance_down),
-        scenarios=sol.values(model.scenarios),
+        scenarios=tanks[:, model.tank_of] / np.bincount(model.tank_of)[model.tank_of, None],
         objective=sol.objective,
         windows=model.windows,
         amplitudes=sol.values(model.amplitudes),
@@ -255,6 +275,48 @@ def _check_windows(windows, t_count):
         if covered & span:
             raise ConfigurationError("band windows overlap")
         covered |= span
+
+
+#: the ``TankLoad`` fields that add up over twin loads; ``efficiency`` and
+#: ``period_hours`` are the same for all of them
+_EXTENSIVE = (
+    "power_min", "power_max", "energy_min", "energy_max", "loss", "total_min", "total_max",
+    "energy_start",
+)
+
+
+def _tanks(loads):
+    """The tanks the position LP plans ``loads`` as, in the order of their
+    first loads, and per load the index of its tank.
+
+    Twin loads (equal in every field but the name, as :mod:`..twins`
+    decides) are planned as one tank: k of them as a load whose fields of
+    :data:`_EXTENSIVE` are k times theirs.  Every schedule stack that k
+    equal tanks can run sums to one that such a tank can run, and each
+    tank's stack divided by k is one that every load of the k can run, so
+    their flexibility sets add as a Minkowski sum (Hao et al., *Aggregate
+    Flexibility of Thermostatically Controlled Loads*, IEEE Trans. Power
+    Syst. 30(1), 2015).  The balance, pin and amplitude rows sum over
+    loads, so the LP over the tanks has the optimum of the LP over the
+    loads, without its tie on how to split a schedule among the twins.
+    A load of no twin is its own tank, so its rows and columns stay as
+    they were.
+    """
+    first, tank_of, counts = np.unique(
+        np.array(twin_groups(loads), dtype=np.intp), return_inverse=True, return_counts=True
+    )
+    tanks = []
+    for load, k in zip((loads[j] for j in first), counts):
+        tank = load
+        if k > 1:
+            # not checked again as a load: the 1e-9 tolerance on the start
+            # state is absolute, and k times a start just inside it can
+            # fall outside
+            tank = copy.copy(load)
+            for name in _EXTENSIVE:
+                object.__setattr__(tank, name, k * getattr(load, name))
+        tanks.append(tank)
+    return tanks, tank_of
 
 
 def _tank_variables(lp, loads, t_count):
@@ -329,15 +391,9 @@ def add_pin_penalties(lp, pin, penalty, columns):
     lp.add_constraints(terms, LESS_EQUAL, pin[pinned])
 
 
-def _modulation_block(
-    lp,
-    portfolio,
-    windows,
-    d_vars,
-    e_vars,
-    modulation_price,
-):
-    """Amplitude variables and the two extreme scenarios of every window.
+def _modulation_block(lp, loads, windows, d_vars, e_vars, modulation_price):
+    """Amplitude variables and the two extreme scenarios of every window,
+    for the tanks ``loads`` of ``d_vars`` and ``e_vars``.
 
     Consecutive windows of one length are built as one block.  Returns the
     amplitude handles and the (3, loads, periods) consumption handles of the
@@ -348,7 +404,7 @@ def _modulation_block(
     amplitude_vars, scenarios = [], np.stack([d_vars] * 3)
     for length, run in itertools.groupby(windows, key=lambda window: window[1]):
         starts = np.array([start for start, _ in run])
-        f_vars, s_up, s_dn = _band_windows(lp, portfolio.loads, starts, length, d_vars, e_vars)
+        f_vars, s_up, s_dn = _band_windows(lp, loads, starts, length, d_vars, e_vars)
         # revenue for the band, plus the bonus for larger bands
         lp.add_objectives(f_vars, -(length * modulation_price + AMPLITUDE_BONUS))
         amplitude_vars.append(f_vars)

@@ -31,12 +31,14 @@ that names the round, stage and actor of an error (:class:`RoundError`).
 Each retailer's model is built once per round, in the day-ahead stage, from
 the round's forecast and its pins; later stages solve it under their fixed
 quantities.  Actors equal in everything but their names are twins (the
-generated retailers all are).  Twin producers share one model for the run,
-twin retailers with equal pins one model for the round, and twins whose
-pins and fixed quantities are equal, and whose bases came from one shared
-solve, share one solve and its position; the context, retailer models
-included, is dropped when the round ends, and only the producer models,
-the bases and the pins outlive it.
+generated retailers all are).  The rule is :mod:`.twins`'s, and a retailer
+applies the same rule to its loads: twin loads (a generated retailer's all
+are) are planned as one tank (see :mod:`.agents.retailer`).  Twin
+producers share one model for the run, twin retailers with equal pins one
+model for the round, and twins whose pins and fixed quantities are equal,
+and whose bases came from one shared solve, share one solve and its
+position; the context, retailer models included, is dropped when the round
+ends, and only the producer models, the bases and the pins outlive it.
 
 The ``day-ahead``, ``reserve-bidding`` and ``reposition`` stages solve
 their actors' LPs one by one, in actor order, on the calling thread, each
@@ -76,6 +78,7 @@ from .agents.retailer import (
 from .energy_market import OfferBook
 from .reserve_market import ClassicalBook, ModulationBook, ReserveProcurement, clear_reserve
 from .scenario import OPEN, Scenario, ScenarioConfig, generate_scenario
+from .twins import twin_groups
 
 
 class RoundError(RuntimeError):
@@ -391,26 +394,9 @@ def _shared(r):
 def _twin_groups(portfolios) -> dict[str, int]:
     """Each portfolio's group: the index of the first portfolio equal to it
     in every field but the names of it and of its loads or units."""
-    first: dict[tuple, int] = {}
     return {
-        portfolio.name: first.setdefault(_twin_key(portfolio), k)
-        for k, portfolio in enumerate(portfolios)
+        portfolio.name: group for portfolio, group in zip(portfolios, twin_groups(portfolios))
     }
-
-
-def _twin_key(value):
-    """A key equal for two values exactly when they agree in every dataclass
-    field but ``name``, down to the bits of each number."""
-    if dataclasses.is_dataclass(value):
-        return (type(value).__qualname__,) + tuple(
-            _twin_key(getattr(value, f.name)) for f in dataclasses.fields(value) if f.name != "name"
-        )
-    if isinstance(value, (list, tuple)):
-        return tuple(map(_twin_key, value))
-    if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
-    # repr tells -0.0 from 0.0 and every float from its neighbours
-    return (type(value).__qualname__, repr(value))
 
 
 @contextmanager

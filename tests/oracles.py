@@ -190,6 +190,54 @@ def row_form_producer_model(portfolio, fc, price_cap: float, non_contracted_pric
     )
 
 
+def per_load_retailer_model(
+    portfolio, fc, price_cap: float, non_contracted_price: float, windows, modulation_price, pins
+):
+    """A retailer's position LP with a tank per load, twin loads included:
+    every load gets its own consumption, state and band-scenario columns
+    and its own dynamics rows, so the LP is free to split a schedule among
+    twins.  The tank, band and pin blocks are the package's.  Returns a
+    namespace with the model (``lp``), the handles the retailer's stage
+    bounds read and the (3, loads, periods) scenario handles."""
+    from types import SimpleNamespace
+
+    from flexmarket.agents.retailer import (
+        IMBALANCE_FRICTION,
+        _modulation_block,
+        _tank_variables,
+        add_pin_penalties,
+    )
+
+    t_count = portfolio.horizon
+    lp = LinearProgram(sense="min", name=f"per-load-{portfolio.name}")
+    d_vars, e_vars = _tank_variables(lp, portfolio.loads, t_count)
+    demand = lp.add_variables(t_count)
+    i_up = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
+    i_dn = lp.add_variables(t_count, 0.0, portfolio.imbalance_limit)
+    lp.add_objectives(demand, fc.energy)
+    lp.add_objectives(i_up, fc.imbalance_up + IMBALANCE_FRICTION)
+    lp.add_objectives(i_dn, fc.imbalance_down + IMBALANCE_FRICTION)
+    periods = np.arange(t_count)
+    # purchase - up + down deviation == inelastic + the sum of every load
+    lp.add_constraints(
+        [(periods, demand, 1.0), (periods, i_up, -1.0), (periods, i_dn, 1.0)]
+        + [(periods, d, -1.0) for d in d_vars],
+        EQUAL,
+        portfolio.inelastic,
+    )
+    demand_pin, up_pin, down_pin = pins
+    add_pin_penalties(lp, demand_pin, price_cap - fc.energy, (demand, i_dn) if windows else (demand,))
+    add_pin_penalties(lp, up_pin, non_contracted_price - fc.imbalance_up, (i_up,))
+    add_pin_penalties(lp, down_pin, non_contracted_price - fc.imbalance_down, (i_dn,))
+    amplitudes, scenarios = _modulation_block(
+        lp, portfolio.loads, windows, d_vars, e_vars, modulation_price
+    )
+    return SimpleNamespace(
+        lp=lp, demand=demand, imbalance_up=i_up, imbalance_down=i_dn, amplitudes=amplitudes,
+        scenarios=scenarios,
+    )
+
+
 def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6):
     """A random LP over a finite box, mixing relation kinds and densities."""
     n = int(rng.integers(2, max_vars + 1))

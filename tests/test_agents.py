@@ -35,9 +35,10 @@ from flexmarket.agents.retailer import (
     accepted_volumes,
     retailer_band_bids,
     retailer_demand_offers,
+    stage_bounds,
 )
 from flexmarket.energy_market import DEMAND, SUPPLY
-from flexmarket.lp import LinearProgram
+from flexmarket.lp import LinearProgram, solve
 from flexmarket.scenario import ScenarioConfig
 
 CAP = 3000.0
@@ -548,6 +549,106 @@ def test_overlapping_windows_rejected():
     port = retailer(4, 10.0, [band_load(4)])
     with pytest.raises(ConfigurationError):
         build_retailer_model(port, flat_forecast(4, 50.0), CAP, PI_NC, windows=[(0, 4), (2, 2)])
+
+
+# ---------------------------------------------------------------------------
+# twin loads: equal in every field but the name, planned as one tank
+# ---------------------------------------------------------------------------
+
+
+def twin_load(name):
+    """A load whose bounds differ from period to period, with zeros in its
+    power floor."""
+    return TankLoad(
+        name=name,
+        power_min=np.array([0.2, 0.0, 0.5, 0.1, 0.0, 0.3]),
+        power_max=np.array([3.0, 2.5, 3.5, 3.0, 2.0, 2.8]),
+        energy_min=np.zeros(7),
+        energy_max=np.array([6.0, 5.0, 6.0, 5.5, 6.0, 5.0, 6.0]),
+        efficiency=0.9,
+        loss=np.array([0.3, 0.2, 0.4, 0.3, 0.2, 0.1]),
+        total_min=5.0,
+        total_max=9.0,
+        energy_start=1.5,
+    )
+
+
+def twin_portfolio(twins):
+    """``twins`` twin loads with a distinct load second, over six periods."""
+    loads = [twin_load(f"twin-{k}") for k in range(twins)]
+    loads.insert(1, simple_load(6, total=6.0, name="other"))
+    return retailer(6, np.array([5.0, 6.0, 7.0, 7.0, 6.0, 5.0]), loads)
+
+
+def twin_models(port):
+    """The retailer model of ``port`` and the oracle's, with a tank per
+    load, with bands and pins on."""
+    fc = flat_forecast(6, np.array([30.0, 45.0, 50.0, 60.0, 40.0, 35.0]), 70.0, 70.0)
+    inf = np.inf
+    pins = np.array([
+        [inf, 8.0, inf, 9.0, inf, inf],
+        [inf, inf, inf, inf, inf, 2.0],
+        [1.0, inf, inf, 1.5, inf, inf],
+    ])
+    windows = [(0, 2), (2, 4)]
+    model = build_retailer_model(port, fc, CAP, PI_NC, windows=windows, pins=pins)
+    oracle = oracles.per_load_retailer_model(port, fc, CAP, PI_NC, windows, 10.0, pins)
+    return model, oracle
+
+
+@pytest.mark.parametrize("twins", [2, 3])
+def test_twin_loads_plan_as_one_tank_with_the_per_load_optimum(twins):
+    port = twin_portfolio(twins)
+    model, oracle = twin_models(port)
+    assert model.tank_of.tolist() == [0, 1] + [0] * (twins - 1)
+    assert model.lp.n_variables < oracle.lp.n_variables
+    day_ahead = optimize_retailer(model)
+    assert day_ahead.amplitudes.sum() > 0
+    # a rationed purchase and half the amplitudes
+    fixed = {"fixed_demand": 0.9 * day_ahead.demand, "fixed_amplitudes": 0.5 * day_ahead.amplitudes}
+    reposition = optimize_retailer(model, **fixed)
+    for position, stage in ((day_ahead, {}), (reposition, fixed)):
+        bounds = stage_bounds(
+            oracle,
+            [
+                (oracle.amplitudes, stage.get("fixed_amplitudes"), "fixed_amplitudes"),
+                (oracle.demand, stage.get("fixed_demand"), "fixed_demand"),
+            ],
+            lift=bool(stage),
+        )
+        expected = solve(oracle.lp, *bounds)
+        assert expected.status == "optimal"
+        assert position.objective == pytest.approx(expected.objective, rel=1e-9, abs=0.0)
+        for i, load in enumerate(port.loads):
+            for schedule in position.scenarios[:, i]:
+                assert load.schedule_violations(schedule) == [], load.name
+        for i in range(2, twins + 1):
+            assert position.scenarios[:, i].tobytes() == position.scenarios[:, 0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "field_name", [f.name for f in dataclasses.fields(TankLoad) if f.name != "name"] + ["-0.0"]
+)
+def test_loads_differing_in_any_field_are_planned_apart(field_name):
+    port = twin_portfolio(2)
+    twin = port.loads[2]
+    if field_name == "-0.0":
+        power_min = twin.power_min.copy()
+        power_min[1] = -0.0
+        changed = replace(twin, power_min=power_min)
+    else:
+        value = getattr(twin, field_name)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value[0] = np.nextafter(value[0], np.inf)
+        else:
+            value = float(np.nextafter(value, np.inf))
+        changed = replace(twin, **{field_name: value})
+    model, oracle = twin_models(replace(port, loads=[*port.loads[:2], changed]))
+    assert model.tank_of.tolist() == [0, 1, 2]
+    assert (model.lp.n_variables, model.lp.n_constraints) == (
+        oracle.lp.n_variables, oracle.lp.n_constraints
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,45 @@ def test_demand_split_and_volume_unit_change_no_outcome(setting, rate):
         assert cost / factor == pytest.approx(base_cost, abs=0.005), factor
 
 
+#: the retailers of the default config, and of the open-bands benchmark
+#: workload's config
+RETAILER_SETS = {
+    "two": {},
+    "six": dict(retailer_count=6, producer_count=2, bid_block_length=2),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("rate", [0.10, 0.30])
+@pytest.mark.parametrize("setting", ["closed", "open"])
+@pytest.mark.parametrize("retailers", RETAILER_SETS)
+def test_splitting_each_load_into_equal_loads_changes_no_outcome(retailers, setting, rate, seed):
+    # a retailer plans equal loads as one tank, so into how many equal loads
+    # its flexible demand is split must not move the market (ROADMAP item
+    # 12).  A half and a quarter of a load sum back to it exactly, so those
+    # runs repeat the one-load run bit for bit; thirds do not, so a
+    # 3-load run repeats it to rounding
+    def outcome(loads):
+        result = run(small_config(
+            seed=seed, setting=setting, flexibility_rate=rate, loads_per_retailer=loads,
+            **RETAILER_SETS[retailers],
+        ))
+        summary = (result.termination, len(result.rounds), result.cycle_start, result.cycle_length)
+        return summary, result.rounds
+
+    base, one = outcome(1)
+    for loads in (2, 4):
+        summary, split = outcome(loads)
+        assert summary == base, loads
+        for a, b in zip(one, split):
+            assert a.state.tobytes() == b.state.tobytes(), (loads, a.index)
+            assert dataclasses.astuple(a.metrics) == dataclasses.astuple(b.metrics), (loads, a.index)
+    summary, thirds = outcome(3)
+    assert summary == base
+    gap = max(float(np.max(np.abs(a.state - b.state))) for a, b in zip(one, thirds))
+    assert gap <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # twins: actors equal but for their names, solved once per stage
 # ---------------------------------------------------------------------------
